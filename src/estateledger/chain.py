@@ -120,7 +120,9 @@ class Chain:
     def append_block(self, validator: str, transactions: list, timestamp: int,
                      admin_check=None) -> Block:
         # admin_check is injected (not stored) so the chain stays a plain
-        # value object that deepcopies cleanly
+        # value object. Every check and encoding runs before the append,
+        # so a raise leaves the chain untouched: Node.execute relies on
+        # this to share the live chain with its working state.
         if not self.blocks:
             raise err("Uninitialized", "no genesis block")
         if admin_check is not None and not admin_check(validator):

@@ -7,7 +7,7 @@ the system can never lock itself out; removal deactivates a record
 without touching its balances.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .addresses import derive_address
@@ -82,6 +82,9 @@ class AllowlistVerifier:
 
 @dataclass
 class StakeholderRegistry:
+    """Records are never changed once stored; removal swaps in a new
+    one. A copy of the `stakeholders` dict is thus a registry of its own."""
+
     stakeholders: dict = field(default_factory=dict)  # address -> record
 
     def register(self, admin: str, role: Role, public_key: bytes,
@@ -115,7 +118,7 @@ class StakeholderRegistry:
                 and len(self.active_admins()) == 1):
             raise err("LastAdministrator",
                       "cannot deactivate the only active administrator")
-        record.active = False
+        self.stakeholders[address] = replace(record, active=False)
 
     def get(self, address: str) -> StakeholderRecord:
         record = self.stakeholders.get(address)

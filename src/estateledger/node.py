@@ -1,9 +1,14 @@
 """Single-writer node: executes commands atomically and seals blocks.
 
-Every mutating operation runs against a deep copy of the state; on
-success the copy is committed and exactly one block is appended
-holding the operation's transaction (deployments add an event
-transaction). On failure nothing changes and no block is appended.
+Each op names, in ``WRITES``, the state components its executor may
+write. ``execute`` runs the executor against a working state that
+holds fresh copies of just those components and shares every other one
+with the live state, the block log included: the chain is append-only,
+and its block is sealed only after the executor has succeeded. On
+success the working state is committed and exactly one block is
+appended holding the operation's transaction (deployments add an event
+transaction). On failure the working state is dropped, so nothing
+changes and no block is appended.
 
 The block validator is the lexicographically smallest active
 administrator. Replaying a recorded chain from genesis re-executes
@@ -12,6 +17,7 @@ final state digest.
 """
 
 import copy
+import json
 from dataclasses import dataclass, field
 
 from . import factory as factory_mod
@@ -136,19 +142,23 @@ class Node:
             raise err("NotAuthorized",
                       f"{caller} is not an active stakeholder")
 
-        working = copy.deepcopy(self.state)
+        working = _working_copy(self.state, WRITES[operation], params)
         verifier = self._verifier() if verify_keys else None
         result, events = executor(working, caller, params, value, verifier)
 
         txs = [Transaction(caller=caller, operation=operation, params=params,
                            attached_value=value)]
         txs.extend(events)
-        admins = working.registry.active_admins()
-        if not admins:
+        registry = working.registry
+        validator = min((a for a in registry.stakeholders
+                         if registry.is_active_admin(a)), default=None)
+        if validator is None:
             raise err("NotAuthorized", "no active administrator to seal the block")
+        # append_block raises before it appends, so a failed seal leaves
+        # the shared chain as it was
         working.chain.append_block(
-            validator=admins[0], transactions=txs, timestamp=timestamp,
-            admin_check=working.registry.is_active_admin)
+            validator=validator, transactions=txs, timestamp=timestamp,
+            admin_check=registry.is_active_admin)
         self.state = working
         return result
 
@@ -169,8 +179,8 @@ class Node:
             raise err("HashMismatch", "genesis block differs")
         for block in blocks[1:]:
             commands = [tx for tx in
-                        (Transaction.from_dict(t)
-                         for t in block.to_dict()["transactions"])
+                        (Transaction.from_dict(json.loads(blob))
+                         for blob in block.data)
                         if tx.operation not in EVENT_OPS]
             if len(commands) != 1:
                 raise err("CorruptSnapshot",
@@ -186,6 +196,30 @@ class Node:
                 raise err("HashMismatch",
                           f"block {block.index} hash diverged on replay")
         return fresh
+
+
+def _working_copy(state: LedgerState, writes: tuple,
+                  params: dict) -> LedgerState:
+    """A state sharing every component with `state` except the ones in
+    `writes`, which are fresh copies. Of `properties` only the dict and
+    the contract at ``params["property"]`` are copied."""
+    working = copy.copy(state)
+    if "native" in writes:
+        working.native = NativeLedger(dict(state.native.accounts))
+    if "store" in writes:
+        working.store = ObjectStore(dict(state.store.objects))
+    if "registry" in writes:
+        working.registry = StakeholderRegistry(
+            dict(state.registry.stakeholders))
+    if "factory" in writes:
+        working.factory = copy.deepcopy(state.factory)
+    if "properties" in writes:
+        working.properties = dict(state.properties)
+        address = params.get("property")
+        if address in working.properties:
+            working.properties[address] = copy.deepcopy(
+                working.properties[address])
+    return working
 
 
 # -- executors ------------------------------------------------------------------
@@ -427,4 +461,36 @@ EXECUTORS = {
     "safeTransferBatch": _ex_safe_transfer_batch,
     "consentSwap": _ex_consent_swap,
     "atomicSwap": _ex_atomic_swap,
+}
+
+
+# the LedgerState components each executor may write; execute copies
+# these and shares the rest, so a missing entry breaks atomicity
+WRITES = {
+    "bootstrapAdmin": ("registry", "native"),
+    "registerStakeholder": ("registry", "native"),
+    "removeStakeholder": ("registry",),
+    "transferNative": ("native",),
+    "faucet": ("native",),
+    "putObject": ("store",),
+    "buildRightMetadata": ("store",),
+    "registerDocument": ("properties",),
+    "approvedProperty": ("properties",),
+    "initializeFactory": ("factory",),
+    "deployProperty": ("factory", "properties", "native"),
+    "pause": ("factory",),
+    "unpause": ("factory",),
+    "authorizeUpgrade": ("factory",),
+    "mintNFT": ("properties", "native"),
+    "mintBatchNFTs": ("properties", "native"),
+    "mintFractional": ("properties",),
+    "transferNFT": ("properties", "native"),
+    "burnNFT": ("properties",),
+    "burnBatchNFTs": ("properties",),
+    "setPrice": ("properties",),
+    "distributeEarnings": ("properties", "native"),
+    "setApprovalForAll": ("properties",),
+    "safeTransferBatch": ("properties",),
+    "consentSwap": ("properties",),
+    "atomicSwap": ("properties", "native"),
 }

@@ -9,7 +9,6 @@ property by matching the merkle root of its registered documents, and
 only while the factory is not paused.
 """
 
-import copy
 from dataclasses import dataclass, field
 
 from .canonical import canonical_json_bytes
@@ -273,31 +272,34 @@ class PropertyContract:
 
     def burn_nft(self, caller: str, from_addr: str, token_id: int,
                  amount: int):
-        self._require_initialized()
-        if caller != from_addr and not self.tokens.is_approved_for_all(
-                from_addr, caller):
-            raise err("NotAuthorized",
-                      f"{caller} is neither {from_addr} nor an operator")
-        if is_right(token_id):
-            frac_id = fractional_of(token_id)
-            if self.tokens.total_supply(frac_id) > 0:
-                raise err("FractionalOutstanding",
-                          f"right {token_id} anchors live fractional units")
-        self.tokens.burn(from_addr, token_id, amount)
-        if is_right(token_id) and amount == 1:
-            self.listings.pop(token_id, None)
+        self.burn_batch(caller, from_addr, [token_id], [amount])
 
     def burn_batch(self, caller: str, from_addr: str, token_ids: list,
                    amounts: list):
+        """Burn every leg or none: all legs are checked, in order, against
+        what the earlier legs burn, before any of them is applied."""
         self._require_initialized()
         if len(token_ids) != len(amounts):
             raise err("LengthMismatch",
                       f"{len(token_ids)} ids vs {len(amounts)} amounts")
-        scratch = copy.deepcopy(self)
+        burned = {}  # token id -> units the earlier legs burn
         for token_id, amount in zip(token_ids, amounts):
-            scratch.burn_nft(caller, from_addr, token_id, amount)
-        self.tokens = scratch.tokens
-        self.listings = scratch.listings
+            if caller != from_addr and not self.tokens.is_approved_for_all(
+                    from_addr, caller):
+                raise err("NotAuthorized",
+                          f"{caller} is neither {from_addr} nor an operator")
+            if is_right(token_id):
+                frac_id = fractional_of(token_id)
+                if self.tokens.total_supply(frac_id) > burned.get(frac_id, 0):
+                    raise err("FractionalOutstanding",
+                              f"right {token_id} anchors live fractional units")
+            self.tokens.check_burn(from_addr, token_id, amount,
+                                   burned.get(token_id, 0))
+            burned[token_id] = burned.get(token_id, 0) + amount
+        for token_id, amount in zip(token_ids, amounts):
+            self.tokens.burn(from_addr, token_id, amount)
+            if is_right(token_id) and amount == 1:
+                self.listings.pop(token_id, None)
 
     def set_price(self, caller: str, token_id: int, price_per_unit: int):
         self._require_initialized()

@@ -6,11 +6,11 @@ Ids with the top bit clear are rights themselves and their supply may
 never exceed one.
 
 Balances, supplies, operator approvals, and swap consents live here.
-Batch operations are atomic: every leg applies against a scratch copy
-and the copy is committed only if all legs succeed.
+Batch operations are atomic by validate-then-apply: every leg is
+checked against the balances the earlier legs leave behind, and
+nothing moves unless all of them pass.
 """
 
-import copy
 from dataclasses import dataclass, field
 
 from .addresses import ZERO_ADDRESS, require_nonzero
@@ -93,35 +93,37 @@ class TokenLedger:
         per[addr] = per.get(addr, 0) + amount
         supplies[token_id] = supplies.get(token_id, 0) + amount
 
-    @staticmethod
-    def _sub(balances: dict, supplies: dict, token_id: int, addr: str,
-             amount: int, shrink_supply: bool):
-        per = balances.get(token_id, {})
-        held = per.get(addr, 0)
-        if held < amount:
-            raise err("InsufficientBalance",
-                      f"{addr} holds {held} of token {token_id}, needs {amount}")
-        per[addr] = held - amount
-        if per[addr] == 0:
-            del per[addr]
-        if not per and token_id in balances:
-            del balances[token_id]
-        if shrink_supply:
-            supplies[token_id] -= amount
-            if supplies[token_id] == 0:
-                del supplies[token_id]
+    def _plan_moves(self, moves) -> dict:
+        """Check (src, dst, token id, amount) moves as if each applied in
+        turn; raise what the first failing one would raise. Returns the
+        resulting balance of every (token id, address) the moves touch."""
+        after = {}
+        for src, dst, token_id, amount in moves:
+            check_token_id(token_id)
+            if amount < 0:
+                raise err("ParseError", "negative amount")
+            if is_right(token_id) and amount > 1:
+                raise err("NonFungibleAmount",
+                          f"right {token_id} moves at most one unit")
+            if amount == 0:
+                continue
+            held = after.get((token_id, src), self.balance_of(src, token_id))
+            if held < amount:
+                raise err("InsufficientBalance",
+                          f"{src} holds {held} of token {token_id}, "
+                          f"needs {amount}")
+            after[(token_id, src)] = held - amount
+            after[(token_id, dst)] = after.get(
+                (token_id, dst), self.balance_of(dst, token_id)) + amount
+        return after
 
-    @staticmethod
-    def _move(balances: dict, token_id: int, src: str, dst: str, amount: int):
-        per = balances.setdefault(token_id, {})
-        held = per.get(src, 0)
-        if held < amount:
-            raise err("InsufficientBalance",
-                      f"{src} holds {held} of token {token_id}, needs {amount}")
-        per[src] = held - amount
-        if per[src] == 0:
-            del per[src]
-        per[dst] = per.get(dst, 0) + amount
+    def _apply_balances(self, after: dict):
+        for (token_id, addr), amount in after.items():
+            per = self.balances.setdefault(token_id, {})
+            if amount:
+                per[addr] = amount
+            else:
+                per.pop(addr, None)
 
     # -- mutations ---------------------------------------------------------
 
@@ -140,17 +142,35 @@ class TokenLedger:
                 raise err("AlreadyMinted", f"right {token_id} already exists")
         self._add(self.balances, self.supplies, token_id, to, amount)
 
-    def burn(self, owner: str, token_id: int, amount: int):
+    def check_burn(self, owner: str, token_id: int, amount: int,
+                   burned: int = 0):
+        """Raise what burning `amount` of `token_id` from `owner` would
+        raise once `burned` units of it have already left `owner`."""
         check_token_id(token_id)
         if amount < 0:
             raise err("ParseError", "negative amount")
         if is_right(token_id) and amount != 1:
             raise err("NonFungibleAmount",
                       f"a right burns exactly one unit, not {amount}")
+        held = self.balance_of(owner, token_id) - burned
+        if held < amount:
+            raise err("InsufficientBalance",
+                      f"{owner} holds {held} of token {token_id}, "
+                      f"needs {amount}")
+
+    def burn(self, owner: str, token_id: int, amount: int):
+        self.check_burn(owner, token_id, amount)
         if amount == 0:
             return
-        self._sub(self.balances, self.supplies, token_id, owner, amount,
-                  shrink_supply=True)
+        per = self.balances[token_id]
+        per[owner] -= amount
+        if per[owner] == 0:
+            del per[owner]
+            if not per:
+                del self.balances[token_id]
+        self.supplies[token_id] -= amount
+        if self.supplies[token_id] == 0:
+            del self.supplies[token_id]
 
     def set_approval_for_all(self, owner: str, operator: str, approved: bool):
         if owner == operator:
@@ -174,18 +194,9 @@ class TokenLedger:
         require_nonzero(dst, "transfer target")
         if src == ZERO_ADDRESS:
             raise err("ZeroAddress", "transfer source may not be the zero address")
-        scratch = copy.deepcopy(self.balances)
-        for token_id, amount in zip(token_ids, amounts):
-            check_token_id(token_id)
-            if amount < 0:
-                raise err("ParseError", "negative amount")
-            if is_right(token_id) and amount > 1:
-                raise err("NonFungibleAmount",
-                          f"right {token_id} moves at most one unit")
-            if amount == 0:
-                continue
-            self._move(scratch, token_id, src, dst, amount)
-        self.balances = scratch
+        self._apply_balances(self._plan_moves(
+            (src, dst, token_id, amount)
+            for token_id, amount in zip(token_ids, amounts)))
 
     def give_consent(self, party: str, descriptor_digest: str):
         self.consents.setdefault(party, set()).add(descriptor_digest)
@@ -246,40 +257,26 @@ def atomic_swap(tokens: TokenLedger, native, party_a: str, legs_a: list,
         if not tokens.has_consent(party, digest):
             raise err("MissingConsent",
                       f"{party} has not consented to this swap")
-    scratch_balances = copy.deepcopy(tokens.balances)
-    scratch_accounts = dict(native.accounts)
-
-    def move_native(src, dst, amount):
+    # A's legs go first, so B may pass on what it receives from A
+    after = tokens._plan_moves(
+        [(party_a, party_b, t, n) for t, n in legs_a]
+        + [(party_b, party_a, t, n) for t, n in legs_b])
+    accounts = {}  # address -> native balance after the moves so far
+    for src, dst, amount in ((party_a, party_b, value_a),
+                             (party_b, party_a, value_b)):
         if amount == 0:
-            return
-        held = scratch_accounts.get(src)
+            continue
+        held = accounts.get(src, native.accounts.get(src))
         if held is None:
             raise err("UnknownAccount", src)
         if held < amount:
             raise err("InsufficientFunds",
                       f"{src} holds {held}, needs {amount}")
-        scratch_accounts[src] = held - amount
-        scratch_accounts[dst] = scratch_accounts.get(dst, 0) + amount
+        accounts[src] = held - amount
+        accounts[dst] = accounts.get(dst, native.accounts.get(dst, 0)) + amount
 
-    def move_legs(src, dst, legs):
-        for token_id, amount in legs:
-            check_token_id(token_id)
-            if amount < 0:
-                raise err("ParseError", "negative amount")
-            if is_right(token_id) and amount > 1:
-                raise err("NonFungibleAmount",
-                          f"right {token_id} moves at most one unit")
-            if amount == 0:
-                continue
-            TokenLedger._move(scratch_balances, token_id, src, dst, amount)
-
-    move_legs(party_a, party_b, legs_a)
-    move_legs(party_b, party_a, legs_b)
-    move_native(party_a, party_b, value_a)
-    move_native(party_b, party_a, value_b)
-
-    tokens.balances = scratch_balances
-    native.accounts = scratch_accounts
+    tokens._apply_balances(after)
+    native.accounts.update(accounts)
     tokens.consents[party_a].discard(digest)
     if not tokens.consents[party_a]:
         del tokens.consents[party_a]
