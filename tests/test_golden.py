@@ -3,16 +3,21 @@
 The README quick tour runs through ``cli.main`` with pinned timestamps
 (the same commands as ``demos/tokenization_walkthrough.py``). Its
 genesis hash, every block hash, ``full_digest``, ``ledger_digest`` and
-the digest of the exported snapshot are compared with literals. A
-second scenario continues the tour through the batch, swap, burn and
-factory-admin operations and pins those block hashes too.
+the digest of the exported snapshot are compared with literals, and so
+are the SHA-256 of the ``state.json`` and ``chain.json`` files it
+leaves. A second scenario continues the tour through the batch, swap,
+burn and factory-admin operations and pins those block hashes too. A
+third continues it through ``cli.main`` with every mutating verb the
+tour does not use, which pins the exact params each CLI verb records.
 
 A refactor must leave every literal here unchanged. Changing a hashed
 byte on purpose means bumping ``STATE_VERSION`` and re-pinning.
 """
 
 import contextlib
+import hashlib
 import io
+import os
 import json
 import shlex
 
@@ -67,6 +72,31 @@ TAIL_BLOCK_HASHES = [
 ]
 TAIL_FULL_DIGEST = (
     "ca41241374af4e4b614d96441e50da47747b499cc4d0d0f1ec404ecfb1e53bee")
+
+
+TOUR_STATE_JSON_SHA256 = (
+    "2a5f00091f85ca5d9e4b9dff86e3de4816a56beedba7a1648934fbe9a3fc70b4")
+TOUR_CHAIN_JSON_SHA256 = (
+    "df50cf70be492aa14ab71c82211f6bfe87dece8c118d7f0a350dacd320d5b7b2")
+CLI_VERB_BLOCK_HASHES = [
+    "1410ba8a0075dcb23b080e401f82f8beff5df5338817c437c3f3f4f13fd40163",
+    "b8fa66f7b7c70e2dd19a6120c5f7d1d29d363e5073415195506a33bdb58fa56b",
+    "f402528ef38d95f452dfaded0300c700b6d1e258a23f93cb17e22f71f61ba159",
+    "50bf6e1717cca483e7cf798a6b865fa1e673958977b399ba4441599b9b024114",
+    "3884ba6d0056e9d632a0c17be2480d5b4f5b45caf2fe5926164c1cf8223d1574",
+    "6e5df827270d62c7dac4a65739b13db2f28bd109fbbf84a3f42a72107da99e53",
+    "d5274f292b667b6cb7ed6b721180f4b0c9298b69fcdb0fc4de6cf3d51b2e4fbb",
+    "a502a17e2bf26ad1ca282af37a2615ebbbab0d006a9c6aa0221798a63bed9958",
+    "19234808378cfacd86cff8f7baabd5205ad1acf8ecac95fa9c55f201062fc134",
+    "0f47a36adb027a17d706d0c054b1f2966d256ddbb8b791cf7c2dbbbffe6111f3",
+    "8189ce96f5bf234cb8fad8402eb71fc8927c9ad2e8dfb3c3050d43ce4846e770",
+    "3852fc632ea52e27f594942c63a63816cf1af96e8e5a446f4c4c79c7306c0e0d",
+    "b51f7722dc13fc1a68b1d009cdc3aa829c5c2ab095bde43c9f24df7ab4890af1",
+    "2f39c25399353e8aecd2565a3f9298772f4fd2431d54def386636abf7fafc364",
+    "2a55bab75794f1f1786f545e8f7b3f460090d83d0670b980025b07acc2011777",
+]
+CLI_VERB_FULL_DIGEST = (
+    "6d2a02f252190c3f7ca5c9d2e6a9f51bb16d88b800a67acd50f081b0363b7b9d")
 
 
 def _estate(state_dir, command: str) -> dict:
@@ -174,3 +204,63 @@ def test_batch_swap_and_admin_tail_is_pinned(tmp_path):
     assert [b.hash.hex() for b in blocks] == TAIL_BLOCK_HASHES
     assert node.full_digest() == TAIL_FULL_DIGEST
     assert node.replay().full_digest() == TAIL_FULL_DIGEST
+
+
+def cli_verbs(state_dir, prop):
+    """Every mutating CLI verb the quick tour leaves out, timestamps
+    17.., continuing the tour's ledger."""
+    ts = iter(range(17, 100))
+
+    def run(command):
+        return _estate(state_dir, f"{command} --timestamp {next(ts)}")
+
+    swap = (f"--property {prop} --party-a {SELLER} --party-b {BUYER} "
+            f"--legs-a 3:1 --legs-b frac:1:50 --value-b 300")
+    run(f"property set-price --property {prop} --id frac:1 "
+        f"--price-per-unit 5 --as {SELLER}")
+    run(f"property mint-batch --property {prop} --ids 2,3 --amounts 1,1 "
+        f"--prices 300,400 --data batch --value 700 --as {SELLER}")
+    run(f"token approve --property {prop} --operator {BUYER} "
+        f"--approved true --as {SELLER}")
+    run(f"token transfer --property {prop} --from {SELLER} --to {BUYER} "
+        f"--ids 2,frac:1 --amounts 1,60 --as {BUYER}")
+    run(f"property burn --property {prop} --from {BUYER} --id 2 "
+        f"--amount 1 --as {BUYER}")
+    run(f"property burn-batch --property {prop} --from {BUYER} "
+        f"--ids frac:1,frac:1 --amounts 10,20 --as {BUYER}")
+    run(f"token consent {swap} --as {SELLER}")
+    run(f"token consent {swap} --as {BUYER}")
+    run(f"token swap {swap} --as {BUYER}")
+    deed = load_state(state_dir).state.properties[prop].documents[0]
+    run(f"object metadata --name 'Harbor View 7 title' "
+        f"--description 'the title' --doc '{deed}|deed|scan' "
+        f"--extra '{{\"floors\": 2}}' --as {SELLER}")
+    run(f"factory pause --as {ADMIN}")
+    run(f"factory unpause --as {ADMIN}")
+    run(f"factory upgrade --version 2 --tag v2 --as {ADMIN}")
+    run(f"chain transfer --to {SELLER} --amount 100 --as {BUYER}")
+    run(f"stakeholder remove --target {BUYER} --as {ADMIN}")
+
+
+def test_quick_tour_files_are_pinned(tmp_path):
+    state_dir = str(tmp_path / "tour")
+    quick_tour(state_dir)
+
+    def file_sha256(name):
+        with open(os.path.join(state_dir, name), "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+    assert file_sha256("state.json") == TOUR_STATE_JSON_SHA256
+    assert file_sha256("chain.json") == TOUR_CHAIN_JSON_SHA256
+
+
+def test_cli_verbs_are_pinned(tmp_path):
+    state_dir = str(tmp_path / "tour")
+    prop = quick_tour(state_dir)
+    tour_len = len(load_state(state_dir).state.chain.blocks)
+    cli_verbs(state_dir, prop)
+    node = load_state(state_dir)
+    blocks = node.state.chain.blocks[tour_len:]
+    assert [b.hash.hex() for b in blocks] == CLI_VERB_BLOCK_HASHES
+    assert node.full_digest() == CLI_VERB_FULL_DIGEST
+    assert node.replay().full_digest() == CLI_VERB_FULL_DIGEST
