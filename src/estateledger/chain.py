@@ -136,11 +136,6 @@ class Chain:
         self.blocks.append(block)
         return block
 
-    def tip(self) -> Block:
-        if not self.blocks:
-            raise err("Uninitialized", "no genesis block")
-        return self.blocks[-1]
-
     def verify(self) -> bool:
         """Recompute every hash and check the prev-hash linkage."""
         if not self.blocks:

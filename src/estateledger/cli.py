@@ -7,6 +7,14 @@ Grammar: estate <noun> <verb> [args] --as <addr> [--value <n>]
 
 Every mutating command executes as one block against the persisted
 state directory; queries read the state without touching it.
+
+``dispatch`` looks the (noun, verb) pair up in three tables:
+``MUTATIONS`` maps it to an operation and a params builder, run through
+``mutate``; ``QUERIES`` maps it to a handler over the loaded state; and
+``COMMANDS`` holds ``init``, ``run``, ``state import``, ``object
+resolve`` and ``merkle *``, which handle their own state. Builders
+check address arguments and raise parse errors before ``--as`` is
+checked or the state is loaded.
 """
 
 import argparse
@@ -16,8 +24,10 @@ import shlex
 import sys
 import time
 
+from .addresses import check_address
 from .canonical import canonical_json_bytes
 from .errors import LedgerError, err
+from .identity import parse_role
 from .merkle import MerkleProof, MerkleTree, verify_proof
 from .node import Node
 from .persistence import (StateLock, load_state, read_snapshot, save_state,
@@ -74,7 +84,7 @@ def parse_legs(s: str) -> list:
         if not sep:
             raise err("ParseError", f"leg {part!r} is not id:amount")
         try:
-            legs.append((parse_token_id(token), int(amount)))
+            legs.append([parse_token_id(token), int(amount)])
         except ValueError:
             raise err("ParseError", f"bad leg amount in {part!r}")
     return legs
@@ -339,290 +349,245 @@ def mutate(args, operation: str, params: dict) -> dict:
     return result
 
 
-def _leaves_from_args(args, node: Node = None) -> list:
+def _leaves_from_args(args) -> list:
     leaves = [parse_hex_digest(h) for h in args.leaf]
     leaves.extend(cid_digest(c) for c in args.cid)
     if getattr(args, "property", None):
-        if node is None:
-            node = load_state(args.state_dir)
-        prop = node.state.property_at(args.property)
+        prop = load_state(args.state_dir).state.property_at(args.property)
         leaves.extend(cid_digest(c) for c in prop.documents)
     return leaves
 
 
-def dispatch(args) -> dict:
-    noun, verb = args.noun, getattr(args, "verb", None)
+# -- mutations: (noun, verb) -> (operation, params builder) -------------------
 
-    if noun == "init":
-        if os.path.exists(os.path.join(args.state_dir, "state.json")):
-            raise err("AlreadyInitialized",
-                      f"{args.state_dir} already holds a ledger")
-        node = Node()
-        if args.allowlist:
-            node.state.config["allowlist"] = os.path.abspath(args.allowlist)
-        with StateLock(args.state_dir):
-            admin = node.init_genesis(parse_key(args.admin_key),
-                                      args.info_cid, _timestamp(args))
-            save_state(args.state_dir, node)
-        return {"admin": admin,
-                "genesis": node.state.chain.blocks[0].hash.hex()}
 
-    if noun == "run":
-        return run_script(args)
+def _object_put_params(args) -> dict:
+    if args.file:
+        with open(args.file, "rb") as fh:
+            data = fh.read()
+    else:
+        data = args.data.encode("utf-8")
+    return {"dataHex": data.hex()}
 
-    if noun == "stakeholder":
-        if verb == "register":
-            return mutate(args, "registerStakeholder",
-                          {"role": args.role,
-                           "publicKey": parse_key(args.key).hex(),
-                           "infoCid": args.info_cid})
-        if verb == "remove":
-            return mutate(args, "removeStakeholder", {"target": args.target})
-        node = load_state(args.state_dir)
-        if verb == "show":
-            return node.state.registry.get(args.address).to_dict()
-        if verb == "has-role":
-            from .identity import parse_role
-            return {"hasRole": node.state.registry.has_role(
-                args.address, parse_role(args.role))}
 
-    if noun == "object":
-        if verb == "put":
-            if args.file:
-                with open(args.file, "rb") as fh:
-                    data = fh.read()
-            else:
-                data = args.data.encode("utf-8")
-            return mutate(args, "putObject", {"dataHex": data.hex()})
-        if verb == "metadata":
-            extra = json.loads(args.extra) if args.extra else None
-            return mutate(args, "buildRightMetadata",
-                          {"nameOfRight": args.name,
-                           "description": args.description,
-                           "documents": [parse_doc(d) for d in args.doc],
-                           "extra": extra})
-        if verb == "get":
-            node = load_state(args.state_dir)
-            data = node.state.store.get(args.cid)
-            if args.out:
-                with open(args.out, "wb") as fh:
-                    fh.write(data)
-                return {"cid": args.cid, "bytes": len(data), "out": args.out}
-            try:
-                return {"cid": args.cid, "text": data.decode("utf-8")}
-            except UnicodeDecodeError:
-                return {"cid": args.cid, "hex": data.hex()}
-        if verb == "resolve":
-            return {"uri": resolve_uri(args.base_uri,
-                                       parse_token_id(args.id))}
+def _approve_params(args) -> dict:
+    parse_hex_digest(args.parent_hash)  # recorded verbatim once checked
+    return {"property": args.property, "parentHash": args.parent_hash}
 
-    if noun == "merkle":
-        if verb == "root":
-            return {"root": MerkleTree(_leaves_from_args(args)).root.hex()}
-        if verb == "prove":
-            tree = MerkleTree(_leaves_from_args(args))
-            proof = tree.prove(args.index)
-            return {"leaf": tree.leaves[args.index].hex(),
-                    "root": tree.root.hex(),
-                    "proof": proof.to_dict()}
-        if verb == "verify":
-            raw = args.proof
-            if raw.startswith("@"):
-                with open(raw[1:], "r", encoding="utf-8") as fh:
-                    raw = fh.read()
-            try:
-                proof = MerkleProof.from_dict(json.loads(raw))
-            except (ValueError, KeyError, TypeError):
-                raise err("ParseError", "proof is not valid proof JSON")
-            ok = verify_proof(parse_hex_digest(args.root),
-                              parse_hex_digest(args.leaf), proof)
-            return {"valid": ok}
 
-    if noun == "property":
-        prop_addr = getattr(args, "property", None)
-        if verb == "adddoc":
-            return mutate(args, "registerDocument",
-                          {"property": prop_addr, "cid": args.cid})
-        if verb == "approve":
-            parse_hex_digest(args.parent_hash)
-            return mutate(args, "approvedProperty",
-                          {"property": prop_addr,
-                           "parentHash": args.parent_hash})
-        if verb == "mint":
-            return mutate(args, "mintNFT",
-                          {"property": prop_addr,
-                           "id": parse_token_id(args.id),
-                           "data": args.data, "price": args.price})
-        if verb == "mint-batch":
-            return mutate(args, "mintBatchNFTs",
-                          {"property": prop_addr,
-                           "ids": parse_id_list(args.ids),
-                           "amounts": parse_int_list(args.amounts),
-                           "data": args.data,
-                           "prices": parse_int_list(args.prices)})
-        if verb == "fractionalize":
-            return mutate(args, "mintFractional",
-                          {"property": prop_addr,
-                           "rightId": parse_token_id(args.right_id),
-                           "units": args.units,
-                           "pricePerUnit": args.price_per_unit})
-        if verb == "transfer":
-            return mutate(args, "transferNFT",
-                          {"property": prop_addr, "to": args.to,
-                           "id": parse_token_id(args.id),
-                           "amount": args.amount, "data": args.data})
-        if verb == "burn":
-            return mutate(args, "burnNFT",
-                          {"property": prop_addr, "from": args.from_addr,
-                           "id": parse_token_id(args.id),
-                           "amount": args.amount})
-        if verb == "burn-batch":
-            return mutate(args, "burnBatchNFTs",
-                          {"property": prop_addr, "from": args.from_addr,
-                           "ids": parse_id_list(args.ids),
-                           "amounts": parse_int_list(args.amounts)})
-        if verb == "set-price":
-            return mutate(args, "setPrice",
-                          {"property": prop_addr,
-                           "id": parse_token_id(args.id),
-                           "pricePerUnit": args.price_per_unit})
-        if verb == "distribute":
-            return mutate(args, "distributeEarnings",
-                          {"property": prop_addr,
-                           "rightId": parse_token_id(args.right_id),
-                           "total": args.total})
-        node = load_state(args.state_dir)
-        prop = node.state.property_at(prop_addr)
-        if verb == "info":
-            return prop.to_dict()
-        if verb == "id":
-            return {"propertyId": prop.get_property_id()}
-        if verb == "supply":
-            return {"supply": prop.total_supply(parse_token_id(args.id))}
-        if verb == "exists":
-            return {"exists": prop.exists(parse_token_id(args.id))}
-        if verb == "uri":
-            return {"uri": prop.uri_of(parse_token_id(args.id))}
+def _swap_terms(args) -> tuple:
+    return (check_address(args.party_a), parse_legs(args.legs_a),
+            args.value_a, check_address(args.party_b),
+            parse_legs(args.legs_b), args.value_b)
 
-    if noun == "token":
-        if verb == "approve":
-            return mutate(args, "setApprovalForAll",
-                          {"property": args.property,
-                           "operator": args.operator,
-                           "approved": parse_bool(args.approved)})
-        if verb == "transfer":
-            return mutate(args, "safeTransferBatch",
-                          {"property": args.property,
-                           "from": args.from_addr, "to": args.to,
-                           "ids": parse_id_list(args.ids),
-                           "amounts": parse_int_list(args.amounts)})
-        if verb in ("consent", "swap"):
-            legs_a = parse_legs(args.legs_a)
-            legs_b = parse_legs(args.legs_b)
-            if verb == "consent":
-                digest = swap_descriptor_digest(
-                    args.party_a, legs_a, args.value_a,
-                    args.party_b, legs_b, args.value_b)
-                return mutate(args, "consentSwap",
-                              {"property": args.property, "digest": digest})
-            return mutate(args, "atomicSwap",
-                          {"property": args.property,
-                           "partyA": args.party_a, "partyB": args.party_b,
-                           "legsA": [[t, n] for t, n in legs_a],
-                           "legsB": [[t, n] for t, n in legs_b],
-                           "valueA": args.value_a, "valueB": args.value_b})
-        if verb == "balance":
-            node = load_state(args.state_dir)
-            prop = node.state.property_at(args.property)
-            ids = parse_id_list(args.id)
-            amounts = prop.tokens.balance_of_batch([args.owner] * len(ids),
-                                                   ids)
-            return {"balances": dict(zip(map(str, ids), amounts))}
 
-    if noun == "factory":
-        if verb == "init":
-            params = {"versionId": args.version, "behaviorTag": args.tag}
-            if args.admin:
-                params["admin"] = args.admin
-            if args.upgrader:
-                params["upgrader"] = args.upgrader
-            return mutate(args, "initializeFactory", params)
-        if verb == "deploy":
-            return mutate(args, "deployProperty",
-                          {"treasury": args.treasury,
-                           "upgrader": args.upgrader, "admin": args.admin,
-                           "uri": args.uri, "contractName": args.name,
-                           "description": args.description})
-        if verb == "pause":
-            return mutate(args, "pause", {})
-        if verb == "unpause":
-            return mutate(args, "unpause", {})
-        if verb == "upgrade":
-            return mutate(args, "authorizeUpgrade",
-                          {"versionId": args.version,
-                           "behaviorTag": args.tag})
-        node = load_state(args.state_dir)
-        if verb == "info":
-            return node.state.factory.to_dict()
-        if verb == "proxy-length":
-            return {"proxyLength": node.state.factory.proxy_length()}
+SWAP_KEYS = ("partyA", "legsA", "valueA", "partyB", "legsB", "valueB")
 
-    if noun == "chain":
-        if verb == "faucet":
-            return mutate(args, "faucet",
-                          {"to": args.to, "amount": args.amount})
-        if verb == "transfer":
-            return mutate(args, "transferNative",
-                          {"to": args.to, "amount": args.amount})
-        node = load_state(args.state_dir)
-        if verb == "verify":
-            ok = node.state.chain.verify()
-            if not ok:
-                raise err("HashMismatch", "chain verification FAILED")
-            return {"chain": "OK", "blocks": len(node.state.chain.blocks)}
-        if verb == "show":
-            if args.index is not None:
-                blocks = node.state.chain.blocks
-                if not 0 <= args.index < len(blocks):
-                    raise err("IndexOutOfRange",
-                              f"block {args.index} of {len(blocks)}")
-                return blocks[args.index].to_dict()
-            return node.state.chain.to_dict()
-        if verb == "replay":
-            rebuilt = node.replay()
-            if rebuilt.full_digest() != node.full_digest():
-                raise err("HashMismatch",
-                          "replayed state digest does not match")
-            return {"replay": "OK", "digest": node.full_digest()}
-        if verb == "balance":
-            return {"address": args.address,
-                    "balance": node.state.native.balance(args.address)}
 
-    if noun == "state":
-        if verb == "import":
-            target = os.path.join(args.state_dir, "state.json")
-            if os.path.exists(target) and not args.force:
-                raise err("AlreadyInitialized",
-                          f"{args.state_dir} holds a ledger; use --force")
-            node = read_snapshot(args.infile)
-            with StateLock(args.state_dir):
-                save_state(args.state_dir, node)
-            return {"imported": args.infile, "digest": node.full_digest()}
-        node = load_state(args.state_dir)
-        if verb == "digest":
-            if args.scope == "ledger":
-                return {"scope": "ledger", "digest": node.ledger_digest()}
-            if args.scope == "properties":
-                return {"scope": "properties",
-                        "digest": node.properties_digest()}
-            return {"scope": "full", "digest": node.full_digest()}
-        if verb == "export":
-            write_snapshot(args.out, node)
-            return {"out": args.out, "digest": node.full_digest()}
-        if verb == "show":
-            return node.state.state_dict()
+def _factory_init_params(args) -> dict:
+    params = {"versionId": args.version, "behaviorTag": args.tag}
+    for key in ("admin", "upgrader"):
+        if getattr(args, key):
+            params[key] = check_address(getattr(args, key))
+    return params
 
-    raise err("ParseError", f"unhandled command {noun} {verb}")
+
+MUTATIONS = {
+    ("stakeholder", "register"): ("registerStakeholder", lambda a: {
+        "role": a.role, "publicKey": parse_key(a.key).hex(),
+        "infoCid": a.info_cid}),
+    ("stakeholder", "remove"): ("removeStakeholder", lambda a: {
+        "target": check_address(a.target)}),
+    ("object", "put"): ("putObject", _object_put_params),
+    ("object", "metadata"): ("buildRightMetadata", lambda a: {
+        "nameOfRight": a.name, "description": a.description,
+        "documents": [parse_doc(d) for d in a.doc],
+        "extra": json.loads(a.extra) if a.extra else None}),
+    ("property", "adddoc"): ("registerDocument", lambda a: {
+        "property": a.property, "cid": a.cid}),
+    ("property", "approve"): ("approvedProperty", _approve_params),
+    ("property", "mint"): ("mintNFT", lambda a: {
+        "property": a.property, "id": parse_token_id(a.id),
+        "data": a.data, "price": a.price}),
+    ("property", "mint-batch"): ("mintBatchNFTs", lambda a: {
+        "property": a.property, "ids": parse_id_list(a.ids),
+        "amounts": parse_int_list(a.amounts), "data": a.data,
+        "prices": parse_int_list(a.prices)}),
+    ("property", "fractionalize"): ("mintFractional", lambda a: {
+        "property": a.property, "rightId": parse_token_id(a.right_id),
+        "units": a.units, "pricePerUnit": a.price_per_unit}),
+    ("property", "transfer"): ("transferNFT", lambda a: {
+        "property": a.property, "to": check_address(a.to),
+        "id": parse_token_id(a.id), "amount": a.amount, "data": a.data}),
+    ("property", "burn"): ("burnNFT", lambda a: {
+        "property": a.property, "from": check_address(a.from_addr),
+        "id": parse_token_id(a.id), "amount": a.amount}),
+    ("property", "burn-batch"): ("burnBatchNFTs", lambda a: {
+        "property": a.property, "from": check_address(a.from_addr),
+        "ids": parse_id_list(a.ids), "amounts": parse_int_list(a.amounts)}),
+    ("property", "set-price"): ("setPrice", lambda a: {
+        "property": a.property, "id": parse_token_id(a.id),
+        "pricePerUnit": a.price_per_unit}),
+    ("property", "distribute"): ("distributeEarnings", lambda a: {
+        "property": a.property, "rightId": parse_token_id(a.right_id),
+        "total": a.total}),
+    ("token", "approve"): ("setApprovalForAll", lambda a: {
+        "property": a.property, "operator": check_address(a.operator),
+        "approved": parse_bool(a.approved)}),
+    ("token", "transfer"): ("safeTransferBatch", lambda a: {
+        "property": a.property, "from": check_address(a.from_addr),
+        "to": check_address(a.to), "ids": parse_id_list(a.ids),
+        "amounts": parse_int_list(a.amounts)}),
+    ("token", "consent"): ("consentSwap", lambda a: {
+        "property": a.property,
+        "digest": swap_descriptor_digest(*_swap_terms(a))}),
+    ("token", "swap"): ("atomicSwap", lambda a: {
+        "property": a.property, **dict(zip(SWAP_KEYS, _swap_terms(a)))}),
+    ("factory", "init"): ("initializeFactory", _factory_init_params),
+    ("factory", "deploy"): ("deployProperty", lambda a: {
+        "treasury": check_address(a.treasury),
+        "upgrader": check_address(a.upgrader),
+        "admin": check_address(a.admin), "uri": a.uri,
+        "contractName": a.name, "description": a.description}),
+    ("factory", "pause"): ("pause", lambda a: {}),
+    ("factory", "unpause"): ("unpause", lambda a: {}),
+    ("factory", "upgrade"): ("authorizeUpgrade", lambda a: {
+        "versionId": a.version, "behaviorTag": a.tag}),
+    ("chain", "faucet"): ("faucet", lambda a: {
+        "to": check_address(a.to), "amount": a.amount}),
+    ("chain", "transfer"): ("transferNative", lambda a: {
+        "to": check_address(a.to), "amount": a.amount}),
+}
+
+
+# -- queries: (noun, verb) -> handler(args, node) over the loaded state -------
+
+
+def _object_get(args, node) -> dict:
+    data = node.state.store.get(args.cid)
+    if args.out:
+        with open(args.out, "wb") as fh:
+            fh.write(data)
+        return {"cid": args.cid, "bytes": len(data), "out": args.out}
+    try:
+        return {"cid": args.cid, "text": data.decode("utf-8")}
+    except UnicodeDecodeError:
+        return {"cid": args.cid, "hex": data.hex()}
+
+
+def _token_balance(args, node) -> dict:
+    prop = node.state.property_at(args.property)
+    ids = parse_id_list(args.id)
+    amounts = prop.tokens.balance_of_batch([args.owner] * len(ids), ids)
+    return {"balances": dict(zip(map(str, ids), amounts))}
+
+
+def _chain_verify(args, node) -> dict:
+    if not node.state.chain.verify():
+        raise err("HashMismatch", "chain verification FAILED")
+    return {"chain": "OK", "blocks": len(node.state.chain.blocks)}
+
+
+def _chain_show(args, node) -> dict:
+    if args.index is None:
+        return node.state.chain.to_dict()
+    blocks = node.state.chain.blocks
+    if not 0 <= args.index < len(blocks):
+        raise err("IndexOutOfRange", f"block {args.index} of {len(blocks)}")
+    return blocks[args.index].to_dict()
+
+
+def _chain_replay(args, node) -> dict:
+    if node.replay().full_digest() != node.full_digest():
+        raise err("HashMismatch", "replayed state digest does not match")
+    return {"replay": "OK", "digest": node.full_digest()}
+
+
+def _state_export(args, node) -> dict:
+    write_snapshot(args.out, node)
+    return {"out": args.out, "digest": node.full_digest()}
+
+
+QUERIES = {
+    ("stakeholder", "show"): lambda a, n: (
+        n.state.registry.get(a.address).to_dict()),
+    ("stakeholder", "has-role"): lambda a, n: {
+        "hasRole": n.state.registry.has_role(a.address, parse_role(a.role))},
+    ("object", "get"): _object_get,
+    ("property", "info"): lambda a, n: (
+        n.state.property_at(a.property).to_dict()),
+    ("property", "id"): lambda a, n: {
+        "propertyId": n.state.property_at(a.property).get_property_id()},
+    ("property", "supply"): lambda a, n: {
+        "supply": n.state.property_at(a.property).total_supply(
+            parse_token_id(a.id))},
+    ("property", "exists"): lambda a, n: {
+        "exists": n.state.property_at(a.property).exists(
+            parse_token_id(a.id))},
+    ("property", "uri"): lambda a, n: {
+        "uri": n.state.property_at(a.property).uri_of(parse_token_id(a.id))},
+    ("token", "balance"): _token_balance,
+    ("factory", "info"): lambda a, n: n.state.factory.to_dict(),
+    ("factory", "proxy-length"): lambda a, n: {
+        "proxyLength": n.state.factory.proxy_length()},
+    ("chain", "verify"): _chain_verify,
+    ("chain", "show"): _chain_show,
+    ("chain", "replay"): _chain_replay,
+    ("chain", "balance"): lambda a, n: {
+        "address": a.address, "balance": n.state.native.balance(a.address)},
+    ("state", "digest"): lambda a, n: {
+        "scope": a.scope, "digest": getattr(n, f"{a.scope}_digest")()},
+    ("state", "export"): _state_export,
+    ("state", "show"): lambda a, n: n.state.state_dict(),
+}
+
+
+# -- commands that handle their own state: (noun, verb) -> handler(args) -----
+
+
+def _init(args) -> dict:
+    if os.path.exists(os.path.join(args.state_dir, "state.json")):
+        raise err("AlreadyInitialized",
+                  f"{args.state_dir} already holds a ledger")
+    node = Node()
+    if args.allowlist:
+        node.state.config["allowlist"] = os.path.abspath(args.allowlist)
+    with StateLock(args.state_dir):
+        admin = node.init_genesis(parse_key(args.admin_key),
+                                  args.info_cid, _timestamp(args))
+        save_state(args.state_dir, node)
+    return {"admin": admin, "genesis": node.state.chain.blocks[0].hash.hex()}
+
+
+def _state_import(args) -> dict:
+    if (os.path.exists(os.path.join(args.state_dir, "state.json"))
+            and not args.force):
+        raise err("AlreadyInitialized",
+                  f"{args.state_dir} holds a ledger; use --force")
+    node = read_snapshot(args.infile)
+    with StateLock(args.state_dir):
+        save_state(args.state_dir, node)
+    return {"imported": args.infile, "digest": node.full_digest()}
+
+
+def _merkle_prove(args) -> dict:
+    tree = MerkleTree(_leaves_from_args(args))
+    proof = tree.prove(args.index)
+    return {"leaf": tree.leaves[args.index].hex(), "root": tree.root.hex(),
+            "proof": proof.to_dict()}
+
+
+def _merkle_verify(args) -> dict:
+    raw = args.proof
+    if raw.startswith("@"):
+        with open(raw[1:], "r", encoding="utf-8") as fh:
+            raw = fh.read()
+    try:
+        proof = MerkleProof.from_dict(json.loads(raw))
+    except (ValueError, KeyError, TypeError):
+        raise err("ParseError", "proof is not valid proof JSON")
+    return {"valid": verify_proof(parse_hex_digest(args.root),
+                                  parse_hex_digest(args.leaf), proof)}
 
 
 def run_script(args) -> dict:
@@ -657,6 +622,31 @@ def run_script(args) -> dict:
     node = load_state(args.state_dir)
     return {"script": args.script, "commands": executed,
             "digest": node.full_digest()}
+
+
+COMMANDS = {
+    ("init", None): _init,
+    ("run", None): run_script,
+    ("state", "import"): _state_import,
+    ("object", "resolve"): lambda a: {
+        "uri": resolve_uri(a.base_uri, parse_token_id(a.id))},
+    ("merkle", "root"): lambda a: {
+        "root": MerkleTree(_leaves_from_args(a)).root.hex()},
+    ("merkle", "prove"): _merkle_prove,
+    ("merkle", "verify"): _merkle_verify,
+}
+
+
+def dispatch(args) -> dict:
+    key = (args.noun, getattr(args, "verb", None))
+    if key in MUTATIONS:
+        operation, build_params = MUTATIONS[key]
+        return mutate(args, operation, build_params(args))
+    if key in QUERIES:
+        return QUERIES[key](args, load_state(args.state_dir))
+    if key in COMMANDS:
+        return COMMANDS[key](args)
+    raise err("ParseError", f"unhandled command {key[0]} {key[1]}")
 
 
 def format_result(result: dict, as_json: bool) -> str:

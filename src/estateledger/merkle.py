@@ -90,10 +90,6 @@ class MerkleTree:
         return MerkleProof(leaf_index=index, siblings=steps)
 
 
-def build_tree(leaves: list) -> MerkleTree:
-    return MerkleTree(leaves)
-
-
 def merkle_root(leaves: list) -> bytes:
     return MerkleTree(leaves).root
 

@@ -10,6 +10,12 @@ appended holding the operation's transaction (deployments add an event
 transaction). On failure the working state is dropped, so nothing
 changes and no block is appended.
 
+``LedgerState.state_dict`` is the one serialization of the state:
+``state.json`` is its default form, ``full_digest`` and
+``ledger_digest`` hash it with the object store (and, for the full
+digest, the block log) but without ``version`` and ``config``, and
+snapshots add both the object store and the block log.
+
 The block validator is the lexicographically smallest active
 administrator. Replaying a recorded chain from genesis re-executes
 every transaction and must reproduce the recorded block hashes and the
@@ -55,8 +61,11 @@ class LedgerState:
             raise err("NotFound", f"no property at {address}")
         return prop
 
-    def state_dict(self) -> dict:
-        return {
+    def state_dict(self, *, objects: bool = False,
+                   chain: bool = False) -> dict:
+        """The one serialization of the state; ``state.json`` is the
+        default form."""
+        d = {
             "version": STATE_VERSION,
             "config": self.config,
             "accounts": self.native.to_dict(),
@@ -65,6 +74,12 @@ class LedgerState:
             "properties": {a: p.to_dict()
                            for a, p in sorted(self.properties.items())},
         }
+        if objects:
+            d["objects"] = {k: v.hex()
+                            for k, v in sorted(self.store.objects.items())}
+        if chain:
+            d["chain"] = self.chain.to_dict()
+        return d
 
 
 class Node:
@@ -73,32 +88,24 @@ class Node:
 
     # -- digests ------------------------------------------------------------
 
-    def _semantic_dict(self, include_chain: bool) -> dict:
-        # config stays out: operational knobs must not shift state digests
-        d = {
-            "accounts": self.state.native.to_dict(),
-            "factory": self.state.factory.to_dict(),
-            "objects": {k: v.hex()
-                        for k, v in sorted(self.state.store.objects.items())},
-            "properties": {a: p.to_dict()
-                           for a, p in sorted(self.state.properties.items())},
-            "stakeholders": self.state.registry.to_dict(),
-        }
-        if include_chain:
-            d["chain"] = self.state.chain.to_dict()
-        return d
+    def _digest(self, chain: bool) -> str:
+        # version and config stay out: operational knobs must not shift
+        # state digests
+        d = self.state.state_dict(objects=True, chain=chain)
+        del d["version"], d["config"]
+        return sha256_hex(canonical_json_bytes(d))
 
     def full_digest(self) -> str:
-        return sha256_hex(canonical_json_bytes(self._semantic_dict(True)))
+        return self._digest(chain=True)
 
     def ledger_digest(self) -> str:
         """State digest without the block log; upgrades and other logged
         no-ops leave this unchanged."""
-        return sha256_hex(canonical_json_bytes(self._semantic_dict(False)))
+        return self._digest(chain=False)
 
     def properties_digest(self) -> str:
-        props = {a: p.to_dict() for a, p in sorted(self.state.properties.items())}
-        return sha256_hex(canonical_json_bytes(props))
+        return sha256_hex(canonical_json_bytes(
+            self.state.state_dict()["properties"]))
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -336,9 +343,9 @@ def _ex_authorize_upgrade(state, caller, params, value, verifier):
 def _ex_mint_nft(state, caller, params, value, verifier):
     prop = state.property_at(params["property"])
     token_id, amount = prop.mint_nft(
-        caller, int(params["id"]), params.get("data", ""),
-        int(params["price"]), value, registry=state.registry,
-        native=state.native, paused=state.factory.paused)
+        caller, int(params["id"]), int(params["price"]), value,
+        registry=state.registry, native=state.native,
+        paused=state.factory.paused)
     return {"id": token_id, "amount": amount}, []
 
 
@@ -346,7 +353,7 @@ def _ex_mint_batch(state, caller, params, value, verifier):
     prop = state.property_at(params["property"])
     ids, amounts = prop.mint_batch(
         caller, [int(i) for i in params["ids"]],
-        [int(a) for a in params["amounts"]], params.get("data", ""),
+        [int(a) for a in params["amounts"]],
         [int(p) for p in params["prices"]], value,
         registry=state.registry, native=state.native,
         paused=state.factory.paused)
@@ -365,8 +372,7 @@ def _ex_mint_fractional(state, caller, params, value, verifier):
 def _ex_transfer_nft(state, caller, params, value, verifier):
     prop = state.property_at(params["property"])
     prop.transfer_nft(caller, params["to"], int(params["id"]),
-                      int(params["amount"]), params.get("data", ""), value,
-                      native=state.native)
+                      int(params["amount"]), value, native=state.native)
     return {}, []
 
 

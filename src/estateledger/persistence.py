@@ -3,13 +3,18 @@
 Layout inside a state directory:
 
     chain.json   the block log, canonical JSON
-    state.json   accounts, stakeholders, factory, properties, config
+    state.json   ``LedgerState.state_dict()``: accounts, stakeholders,
+                 factory, properties, config
     objects/     one <hex-digest>.bin file per stored object
     .lock        flock target guarding against concurrent writers
 
 Files are written to a temp name and renamed so a kill mid-write never
 leaves a half-written file. Object files are verified against their
 filename digest on load.
+
+A snapshot is ``state_dict(objects=True, chain=True)`` plus a
+``digest`` of that body. Loading a directory and importing a snapshot
+feed the same decoder.
 """
 
 import fcntl
@@ -47,20 +52,22 @@ def save_state(state_dir: str, node: Node):
                   canonical_json_bytes(node.state.chain.to_dict()))
 
 
-def _state_from_dicts(state_d: dict, chain_d: dict, objects: dict) -> Node:
-    if state_d.get("version") != STATE_VERSION:
+def _state_from_dicts(d: dict, objects: dict) -> Node:
+    """Decode a ``LedgerState.state_dict(chain=True)`` plus the object
+    bytes by digest."""
+    if d.get("version") != STATE_VERSION:
         raise err("VersionMismatch",
-                  f"state version {state_d.get('version')}, "
+                  f"state version {d.get('version')}, "
                   f"expected {STATE_VERSION}")
     state = LedgerState(
-        config=dict(state_d["config"]),
-        chain=Chain.from_dict(chain_d),
-        native=NativeLedger.from_dict(state_d["accounts"]),
-        registry=StakeholderRegistry.from_dict(state_d["stakeholders"]),
+        config=dict(d["config"]),
+        chain=Chain.from_dict(d["chain"]),
+        native=NativeLedger.from_dict(d["accounts"]),
+        registry=StakeholderRegistry.from_dict(d["stakeholders"]),
         store=ObjectStore(objects=dict(objects)),
-        factory=Factory.from_dict(state_d["factory"]),
+        factory=Factory.from_dict(d["factory"]),
         properties={a: PropertyContract.from_dict(p)
-                    for a, p in state_d["properties"].items()},
+                    for a, p in d["properties"].items()},
     )
     return Node(state)
 
@@ -73,7 +80,7 @@ def load_state(state_dir: str) -> Node:
     with open(state_path, "rb") as fh:
         state_d = json.loads(fh.read().decode("utf-8"))
     with open(chain_path, "rb") as fh:
-        chain_d = json.loads(fh.read().decode("utf-8"))
+        state_d["chain"] = json.loads(fh.read().decode("utf-8"))
     objects = {}
     objects_dir = os.path.join(state_dir, "objects")
     if os.path.isdir(objects_dir):
@@ -87,27 +94,15 @@ def load_state(state_dir: str) -> Node:
                 raise err("CorruptSnapshot",
                           f"object {name} does not match its digest")
             objects[digest] = data
-    return _state_from_dicts(state_d, chain_d, objects)
+    return _state_from_dicts(state_d, objects)
 
 
 # -- snapshots -------------------------------------------------------------
 
 
 def export_snapshot(node: Node) -> dict:
-    body = {
-        "version": STATE_VERSION,
-        "config": node.state.config,
-        "accounts": node.state.native.to_dict(),
-        "stakeholders": node.state.registry.to_dict(),
-        "properties": {a: p.to_dict()
-                       for a, p in sorted(node.state.properties.items())},
-        "factory": node.state.factory.to_dict(),
-        "chain": node.state.chain.to_dict(),
-        "objects": {k: v.hex()
-                    for k, v in sorted(node.state.store.objects.items())},
-    }
-    snapshot = dict(body)
-    snapshot["digest"] = sha256_hex(canonical_json_bytes(body))
+    snapshot = node.state.state_dict(objects=True, chain=True)
+    snapshot["digest"] = sha256_hex(canonical_json_bytes(snapshot))
     return snapshot
 
 
@@ -119,16 +114,8 @@ def import_snapshot(snapshot: dict) -> Node:
     body = {k: v for k, v in snapshot.items() if k != "digest"}
     if sha256_hex(canonical_json_bytes(body)) != snapshot.get("digest"):
         raise err("CorruptSnapshot", "snapshot digest does not match")
-    state_d = {
-        "version": body["version"],
-        "config": body["config"],
-        "accounts": body["accounts"],
-        "stakeholders": body["stakeholders"],
-        "factory": body["factory"],
-        "properties": body["properties"],
-    }
-    objects = {k: bytes.fromhex(v) for k, v in body["objects"].items()}
-    return _state_from_dicts(state_d, body["chain"], objects)
+    return _state_from_dicts(
+        body, {k: bytes.fromhex(v) for k, v in body["objects"].items()})
 
 
 def write_snapshot(path: str, node: Node):

@@ -11,7 +11,6 @@ only while the factory is not paused.
 
 from dataclasses import dataclass, field
 
-from .canonical import canonical_json_bytes
 from .errors import err
 from .identity import Role
 from .merkle import merkle_root
@@ -149,8 +148,8 @@ class PropertyContract:
         if paused:
             raise err("Paused", "minting is paused")
 
-    def mint_nft(self, caller: str, token_id: int, data: str, price: int,
-                 value: int, *, registry, native, paused: bool) -> tuple:
+    def mint_nft(self, caller: str, token_id: int, price: int, value: int,
+                 *, registry, native, paused: bool) -> tuple:
         self._require_initialized()
         self._mint_gate(caller, registry=registry, paused=paused)
         if is_fractional(token_id):
@@ -172,7 +171,7 @@ class PropertyContract:
         return token_id, 1
 
     def mint_batch(self, caller: str, token_ids: list, amounts: list,
-                   data: str, prices: list, value: int, *, registry, native,
+                   prices: list, value: int, *, registry, native,
                    paused: bool) -> tuple:
         self._require_initialized()
         self._mint_gate(caller, registry=registry, paused=paused)
@@ -230,7 +229,7 @@ class PropertyContract:
     # -- transfer, burn, price ----------------------------------------------
 
     def transfer_nft(self, caller: str, to: str, token_id: int, amount: int,
-                     data: str, value: int, *, native):
+                     value: int, *, native):
         self._require_initialized()
         if amount < 0:
             raise err("ParseError", "negative amount")
@@ -369,9 +368,6 @@ class PropertyContract:
             "listings": {str(t): l.to_dict()
                          for t, l in sorted(self.listings.items())},
         }
-
-    def digest_bytes(self) -> bytes:
-        return canonical_json_bytes(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "PropertyContract":

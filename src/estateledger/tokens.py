@@ -264,6 +264,8 @@ def atomic_swap(tokens: TokenLedger, native, party_a: str, legs_a: list,
     accounts = {}  # address -> native balance after the moves so far
     for src, dst, amount in ((party_a, party_b, value_a),
                              (party_b, party_a, value_b)):
+        if amount < 0:
+            raise err("ParseError", "negative swap value")
         if amount == 0:
             continue
         held = accounts.get(src, native.accounts.get(src))

@@ -1,15 +1,19 @@
 """End-to-end tests driving the installed command grammar in-process."""
 
+import argparse
 import fcntl
 import hashlib
 import json
 import os
+import shlex
 
 import pytest
 
 from estateledger import cli
 from estateledger.addresses import derive_address
 from estateledger.canonical import canonical_json_bytes
+from estateledger.node import EXECUTORS
+from estateledger.persistence import load_state
 
 from oracles import ref_merkle_root
 
@@ -511,3 +515,84 @@ def test_scripts_are_deterministic(estate, tmp_path, capsys):
     for name, fname, d in digests:
         per_dir.setdefault(name, []).append((fname, d))
     assert per_dir["a"] == per_dir["b"]
+
+
+# -- dispatch tables -------------------------------------------------------------
+
+
+def _subcommands(parser) -> dict:
+    return next((action.choices for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction)), {})
+
+
+def test_parser_and_dispatch_tables_agree():
+    leaves = set()
+    for noun, noun_parser in _subcommands(cli.build_parser()).items():
+        verbs = _subcommands(noun_parser)
+        leaves |= {(noun, verb) for verb in verbs} if verbs else {(noun, None)}
+    keys = [k for table in (cli.MUTATIONS, cli.QUERIES, cli.COMMANDS)
+            for k in table]
+    assert len(keys) == len(set(keys)), "a command sits in two tables"
+    assert set(keys) == leaves
+    assert {op for op, _ in cli.MUTATIONS.values()} <= set(EXECUTORS)
+
+
+def test_state_show_and_factory_queries(prop):
+    ledger, addr = prop
+    shown = jget(ledger, "state", "show")
+    node = load_state(ledger.state_dir)
+    assert shown == json.loads(canonical_json_bytes(node.state.state_dict()))
+    assert sorted(shown) == ["accounts", "config", "factory", "properties",
+                             "stakeholders", "version"]
+    assert list(shown["properties"]) == [addr]
+    assert jget(ledger, "factory", "info") == shown["factory"]
+    assert jget(ledger, "factory", "proxy-length") == {"proxyLength": 1}
+    _, out, _ = ledger("factory", "proxy-length")
+    assert out == "proxyLength: 1"
+
+
+# each malformed address must stop the command before it loads the state
+BAD_ADDRESS_COMMANDS = [
+    "chain faucet --to {bad} --amount 1 --as {admin}",
+    "chain transfer --to {bad} --amount 1 --as {seller}",
+    "stakeholder remove --target {bad} --as {admin}",
+    "property transfer --property {prop} --to {bad} --id 1 --amount 1 "
+    "--as {seller}",
+    "property burn --property {prop} --from {bad} --id 1 --amount 1 "
+    "--as {seller}",
+    "property burn-batch --property {prop} --from {bad} --ids 1 "
+    "--amounts 1 --as {seller}",
+    "token approve --property {prop} --operator {bad} --approved true "
+    "--as {seller}",
+    "token transfer --property {prop} --from {bad} --to {buyer} --ids 1 "
+    "--amounts 1 --as {seller}",
+    "token transfer --property {prop} --from {seller} --to {bad} --ids 1 "
+    "--amounts 1 --as {seller}",
+    "token consent --property {prop} --party-a {bad} --party-b {buyer} "
+    "--as {buyer}",
+    "token swap --property {prop} --party-a {seller} --party-b {bad} "
+    "--as {seller}",
+    "factory init --version 2 --admin {bad} --as {admin}",
+    "factory init --version 2 --upgrader {bad} --as {admin}",
+    "factory deploy --treasury {bad} --upgrader {admin} --admin {seller} "
+    "--uri u --as {seller}",
+    "factory deploy --treasury {treasury} --upgrader {bad} "
+    "--admin {seller} --uri u --as {seller}",
+    "factory deploy --treasury {treasury} --upgrader {admin} "
+    "--admin {bad} --uri u --as {seller}",
+]
+BAD_ADDRESSES = ["'hello world'", "xyz", "0x" + "AB" * 20]
+
+
+@pytest.mark.parametrize("command, bad", [
+    (command, BAD_ADDRESSES[i % len(BAD_ADDRESSES)])
+    for i, command in enumerate(BAD_ADDRESS_COMMANDS)])
+def test_malformed_address_exits_2(prop, command, bad):
+    ledger, addr = prop
+    blocks = len(load_state(ledger.state_dir).state.chain.blocks)
+    argv = shlex.split(command.format(
+        bad=bad, prop=addr, admin=ADMIN, seller=SELLER, buyer=BUYER,
+        treasury=TREASURY))
+    _, _, errtxt = ledger(*argv, "--timestamp", "70", expect=2)
+    assert "ParseError: not a valid address" in errtxt
+    assert len(load_state(ledger.state_dir).state.chain.blocks) == blocks

@@ -5,7 +5,7 @@ import pytest
 from conftest import add_doc, approve, deploy, register
 from estateledger.errors import LedgerError
 from estateledger.node import Node
-from estateledger.tokens import fractional_of
+from estateledger.tokens import fractional_of, swap_descriptor_digest
 
 FRAC1 = fractional_of(1)
 
@@ -176,3 +176,30 @@ def test_ledger_digest_ignores_chain_growth(node):
                  {"versionId": 1, "behaviorTag": "base"}, timestamp=90)
     assert node.ledger_digest() == ledger_before  # identity upgrade
     assert node.full_digest() != full_before      # but the log grew
+
+
+@pytest.mark.parametrize("value_a, value_b", [(-5, 0), (0, -5)])
+def test_atomic_swap_rejects_negative_value(approved_prop, value_a, value_b):
+    node, prop = approved_prop
+    node.execute(node.seller, "mintNFT",
+                 {"property": prop, "id": 1, "data": "", "price": 0},
+                 timestamp=100)
+    legs_a = [[1, 1]]
+    digest = swap_descriptor_digest(node.seller, legs_a, value_a,
+                                    node.buyer, [], value_b)
+    for party in (node.seller, node.buyer):
+        node.execute(party, "consentSwap",
+                     {"property": prop, "digest": digest}, timestamp=101)
+    before = (node.full_digest(), len(node.state.chain.blocks),
+              dict(node.state.native.accounts))
+    with pytest.raises(LedgerError) as e:
+        node.execute(node.buyer, "atomicSwap",
+                     {"property": prop, "partyA": node.seller,
+                      "partyB": node.buyer, "legsA": legs_a, "legsB": [],
+                      "valueA": value_a, "valueB": value_b}, timestamp=102)
+    assert e.value.code == "ParseError"
+    assert (node.full_digest(), len(node.state.chain.blocks),
+            dict(node.state.native.accounts)) == before
+    tokens = node.state.properties[prop].tokens
+    assert tokens.has_consent(node.seller, digest)
+    assert tokens.has_consent(node.buyer, digest)

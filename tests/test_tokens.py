@@ -324,6 +324,19 @@ def test_swap_rolls_back_on_any_shortfall():
     assert (digest(tokens), dict(native.accounts)) == before
 
 
+@pytest.mark.parametrize("va, vb", [(-5, 0), (0, -5), (-5, 5)])
+def test_swap_rejects_negative_value(va, vb):
+    tokens, native = swap_setup()
+    legs_a = [(FRAC, 10)]
+    d = consent_both(tokens, legs_a, va, [], vb)
+    before = digest(tokens), dict(native.accounts)
+    with pytest.raises(LedgerError) as e:
+        atomic_swap(tokens, native, A, legs_a, va, B, [], vb)
+    assert e.value.code == "ParseError"
+    assert (digest(tokens), dict(native.accounts)) == before
+    assert tokens.has_consent(A, d) and tokens.has_consent(B, d)
+
+
 def test_swap_with_rights_both_ways():
     tokens, native = swap_setup()
     legs_a, legs_b = [(FRAC, 250)], [(RIGHT, 1)]
