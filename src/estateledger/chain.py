@@ -15,6 +15,7 @@ zero bytes. Nonces are a monotone counter: genesis gets 0, each later
 block gets the previous nonce plus one.
 """
 
+import json
 from dataclasses import dataclass, field
 
 from .addresses import ZERO_ADDRESS, require_nonzero
@@ -82,7 +83,6 @@ class Block:
         return self
 
     def to_dict(self) -> dict:
-        import json
         return {
             "index": self.index,
             "timestamp": self.timestamp,
@@ -91,6 +91,14 @@ class Block:
             "prevHash": self.prev_hash.hex(),
             "hash": self.hash.hex(),
         }
+
+    def canonical_json(self) -> bytes:
+        """``canonical_json_bytes(self.to_dict())``, spliced: each stored
+        blob already is its transaction's canonical JSON."""
+        head = (f'{{"hash":"{self.hash.hex()}","index":{self.index},'
+                f'"nonce":{self.nonce},"prevHash":"{self.prev_hash.hex()}",'
+                f'"timestamp":{self.timestamp},"transactions":[')
+        return head.encode("utf-8") + b",".join(self.data) + b"]}"
 
     @classmethod
     def from_dict(cls, d: dict) -> "Block":
@@ -159,6 +167,12 @@ class Chain:
 
     def to_dict(self) -> dict:
         return {"blocks": [b.to_dict() for b in self.blocks]}
+
+    def canonical_json(self) -> bytes:
+        """``canonical_json_bytes(self.to_dict())`` without decoding a
+        single transaction."""
+        return (b'{"blocks":['
+                + b",".join(b.canonical_json() for b in self.blocks) + b"]}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "Chain":

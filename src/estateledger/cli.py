@@ -8,6 +8,12 @@ Grammar: estate <noun> <verb> [args] --as <addr> [--value <n>]
 Every mutating command executes as one block against the persisted
 state directory; queries read the state without touching it.
 
+``ARGS`` maps each (noun, verb) pair to its leaf arguments. For a
+command line whose first two words name a pair, ``build_parser`` adds
+only that noun and leaf, so a command pays for one leaf and not the
+whole tree; with no arguments, root help, or an unknown noun or verb
+it builds every leaf, and help and error text come from the full tree.
+
 ``dispatch`` looks the (noun, verb) pair up in three tables:
 ``MUTATIONS`` maps it to an operation and a params builder, run through
 ``mutate``; ``QUERIES`` maps it to a handler over the loaded state; and
@@ -116,213 +122,162 @@ def parse_doc(s: str) -> dict:
             "description": parts[2] if len(parts) > 2 else ""}
 
 
-def build_parser() -> Parser:
-    common = Parser(add_help=False)
-    common.add_argument("--state-dir", default="estate-state")
-    common.add_argument("--as", dest="caller")
-    common.add_argument("--value", type=int, default=0)
-    common.add_argument("--timestamp", type=int)
-    common.add_argument("--json", action="store_true", dest="as_json")
+def parse_json_object(s: str) -> dict:
+    try:
+        value = json.loads(s)
+        canonical_json_bytes(value)  # a lone surrogate cannot be recorded
+    except ValueError as exc:
+        raise err("ParseError", f"bad JSON {s!r}: {exc}")
+    if not isinstance(value, dict):
+        raise err("ParseError", f"expected a JSON object, got {s!r}")
+    return value
 
+
+# -- the command table: (noun, verb) -> leaf arguments ------------------------
+# Each argument is (flag, add_argument kwargs). A list in place of the
+# flag is a required mutually exclusive group of such arguments. Nouns
+# and verbs appear in help and error text in the table's order.
+
+REQUIRED = {"required": True}
+REQUIRED_INT = {"type": int, "required": True}
+EMPTY = {"default": ""}
+REPEATABLE = {"action": "append", "default": []}
+FROM_ADDR = {"dest": "from_addr", "required": True}
+
+COMMON = [
+    ("--state-dir", {"default": "estate-state"}),
+    ("--as", {"dest": "caller"}),
+    ("--value", {"type": int, "default": 0}),
+    ("--timestamp", {"type": int}),
+    ("--json", {"action": "store_true", "dest": "as_json"}),
+]
+
+SWAP_ARGS = [
+    ("--property", REQUIRED), ("--party-a", REQUIRED),
+    ("--party-b", REQUIRED), ("--legs-a", EMPTY), ("--legs-b", EMPTY),
+    ("--value-a", {"type": int, "default": 0}),
+    ("--value-b", {"type": int, "default": 0}),
+]
+
+ARGS = {
+    ("init", None): [("--admin-key", REQUIRED), ("--info-cid", EMPTY),
+                     ("--allowlist", {})],
+    ("run", None): [("script", {})],
+    ("stakeholder", "register"): [("--role", REQUIRED), ("--key", REQUIRED),
+                                  ("--info-cid", EMPTY)],
+    ("stakeholder", "remove"): [("--target", REQUIRED)],
+    ("stakeholder", "show"): [("--address", REQUIRED)],
+    ("stakeholder", "has-role"): [("--address", REQUIRED),
+                                  ("--role", REQUIRED)],
+    ("object", "put"): [([("--file", {}), ("--data", {})], REQUIRED)],
+    ("object", "get"): [("--cid", REQUIRED), ("--out", {})],
+    ("object", "metadata"): [("--name", REQUIRED), ("--description", EMPTY),
+                             ("--doc", REPEATABLE), ("--extra", {})],
+    ("object", "resolve"): [("--base-uri", REQUIRED), ("--id", REQUIRED)],
+    ("merkle", "root"): [("--leaf", REPEATABLE), ("--cid", REPEATABLE),
+                         ("--property", {})],
+    ("merkle", "prove"): [("--index", REQUIRED_INT), ("--leaf", REPEATABLE),
+                          ("--cid", REPEATABLE), ("--property", {})],
+    ("merkle", "verify"): [("--root", REQUIRED), ("--leaf", REQUIRED),
+                           ("--proof", REQUIRED)],
+    ("property", "adddoc"): [("--property", REQUIRED), ("--cid", REQUIRED)],
+    ("property", "approve"): [("--property", REQUIRED),
+                              ("--parent-hash", REQUIRED)],
+    ("property", "mint"): [("--property", REQUIRED), ("--id", REQUIRED),
+                           ("--price", REQUIRED_INT), ("--data", EMPTY)],
+    ("property", "mint-batch"): [
+        ("--property", REQUIRED), ("--ids", REQUIRED),
+        ("--amounts", REQUIRED), ("--prices", REQUIRED), ("--data", EMPTY)],
+    ("property", "fractionalize"): [
+        ("--property", REQUIRED), ("--right-id", REQUIRED),
+        ("--units", REQUIRED_INT), ("--price-per-unit", REQUIRED_INT)],
+    ("property", "transfer"): [
+        ("--property", REQUIRED), ("--to", REQUIRED), ("--id", REQUIRED),
+        ("--amount", REQUIRED_INT), ("--data", EMPTY)],
+    ("property", "burn"): [("--property", REQUIRED), ("--from", FROM_ADDR),
+                           ("--id", REQUIRED), ("--amount", REQUIRED_INT)],
+    ("property", "burn-batch"): [
+        ("--property", REQUIRED), ("--from", FROM_ADDR), ("--ids", REQUIRED),
+        ("--amounts", REQUIRED)],
+    ("property", "set-price"): [("--property", REQUIRED), ("--id", REQUIRED),
+                                ("--price-per-unit", REQUIRED_INT)],
+    ("property", "distribute"): [("--property", REQUIRED),
+                                 ("--right-id", REQUIRED),
+                                 ("--total", REQUIRED_INT)],
+    ("property", "info"): [("--property", REQUIRED)],
+    ("property", "id"): [("--property", REQUIRED)],
+    ("property", "supply"): [("--property", REQUIRED), ("--id", REQUIRED)],
+    ("property", "exists"): [("--property", REQUIRED), ("--id", REQUIRED)],
+    ("property", "uri"): [("--property", REQUIRED), ("--id", REQUIRED)],
+    ("token", "balance"): [("--property", REQUIRED), ("--owner", REQUIRED),
+                           ("--id", REQUIRED)],
+    ("token", "approve"): [("--property", REQUIRED), ("--operator", REQUIRED),
+                           ("--approved", REQUIRED)],
+    ("token", "transfer"): [
+        ("--property", REQUIRED), ("--from", FROM_ADDR), ("--to", REQUIRED),
+        ("--ids", REQUIRED), ("--amounts", REQUIRED)],
+    ("token", "consent"): SWAP_ARGS,
+    ("token", "swap"): SWAP_ARGS,
+    ("factory", "init"): [("--version", REQUIRED_INT),
+                          ("--tag", {"default": "base"}), ("--admin", {}),
+                          ("--upgrader", {})],
+    ("factory", "deploy"): [
+        ("--treasury", REQUIRED), ("--upgrader", REQUIRED),
+        ("--admin", REQUIRED), ("--uri", REQUIRED), ("--name", EMPTY),
+        ("--description", EMPTY)],
+    ("factory", "pause"): [],
+    ("factory", "unpause"): [],
+    ("factory", "upgrade"): [("--version", REQUIRED_INT),
+                             ("--tag", {"default": "base"})],
+    ("factory", "info"): [],
+    ("factory", "proxy-length"): [],
+    ("chain", "verify"): [],
+    ("chain", "show"): [("--index", {"type": int})],
+    ("chain", "replay"): [],
+    ("chain", "faucet"): [("--to", REQUIRED), ("--amount", REQUIRED_INT)],
+    ("chain", "transfer"): [("--to", REQUIRED), ("--amount", REQUIRED_INT)],
+    ("chain", "balance"): [("--address", REQUIRED)],
+    ("state", "digest"): [("--scope", {
+        "choices": ("full", "ledger", "properties"), "default": "full"})],
+    ("state", "export"): [("--out", REQUIRED)],
+    ("state", "import"): [("--in", {"dest": "infile", "required": True}),
+                          ("--force", {"action": "store_true"})],
+    ("state", "show"): [],
+}
+
+
+def _add_args(parser, args):
+    for flag, kwargs in args:
+        if isinstance(flag, list):
+            _add_args(parser.add_mutually_exclusive_group(**kwargs), flag)
+        else:
+            parser.add_argument(flag, **kwargs)
+
+
+def build_parser(argv=None) -> Parser:
+    """The parser for `argv`: when its first words name a command, only
+    the path from the root to that command's leaf is built. Otherwise
+    (no argv, root help, an unknown noun or verb) the whole tree is, so
+    help and error text come from the full tree."""
+    commands = ARGS
+    if argv:
+        key = (argv[0], None)
+        if key not in ARGS:
+            key = tuple(argv[:2])
+        if key in ARGS:
+            commands = {key: ARGS[key]}
     root = Parser(prog="estate", description=__doc__)
     nouns = root.add_subparsers(dest="noun", required=True)
-
-    def leaf(verbs, name, **kwargs):
-        return verbs.add_parser(name, parents=[common], **kwargs)
-
-    p = nouns.add_parser("init", parents=[common])
-    p.add_argument("--admin-key", required=True)
-    p.add_argument("--info-cid", default="")
-    p.add_argument("--allowlist")
-
-    p = nouns.add_parser("run", parents=[common])
-    p.add_argument("script")
-
-    verbs = nouns.add_parser("stakeholder").add_subparsers(
-        dest="verb", required=True)
-    p = leaf(verbs, "register")
-    p.add_argument("--role", required=True)
-    p.add_argument("--key", required=True)
-    p.add_argument("--info-cid", default="")
-    p = leaf(verbs, "remove")
-    p.add_argument("--target", required=True)
-    p = leaf(verbs, "show")
-    p.add_argument("--address", required=True)
-    p = leaf(verbs, "has-role")
-    p.add_argument("--address", required=True)
-    p.add_argument("--role", required=True)
-
-    verbs = nouns.add_parser("object").add_subparsers(dest="verb",
-                                                      required=True)
-    p = leaf(verbs, "put")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--file")
-    src.add_argument("--data")
-    p = leaf(verbs, "get")
-    p.add_argument("--cid", required=True)
-    p.add_argument("--out")
-    p = leaf(verbs, "metadata")
-    p.add_argument("--name", required=True)
-    p.add_argument("--description", default="")
-    p.add_argument("--doc", action="append", default=[])
-    p.add_argument("--extra")
-    p = leaf(verbs, "resolve")
-    p.add_argument("--base-uri", required=True)
-    p.add_argument("--id", required=True)
-
-    verbs = nouns.add_parser("merkle").add_subparsers(dest="verb",
-                                                      required=True)
-    p = leaf(verbs, "root")
-    p.add_argument("--leaf", action="append", default=[])
-    p.add_argument("--cid", action="append", default=[])
-    p.add_argument("--property")
-    p = leaf(verbs, "prove")
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--leaf", action="append", default=[])
-    p.add_argument("--cid", action="append", default=[])
-    p.add_argument("--property")
-    p = leaf(verbs, "verify")
-    p.add_argument("--root", required=True)
-    p.add_argument("--leaf", required=True)
-    p.add_argument("--proof", required=True)
-
-    verbs = nouns.add_parser("property").add_subparsers(dest="verb",
-                                                        required=True)
-    p = leaf(verbs, "adddoc")
-    p.add_argument("--property", required=True)
-    p.add_argument("--cid", required=True)
-    p = leaf(verbs, "approve")
-    p.add_argument("--property", required=True)
-    p.add_argument("--parent-hash", required=True)
-    p = leaf(verbs, "mint")
-    p.add_argument("--property", required=True)
-    p.add_argument("--id", required=True)
-    p.add_argument("--price", type=int, required=True)
-    p.add_argument("--data", default="")
-    p = leaf(verbs, "mint-batch")
-    p.add_argument("--property", required=True)
-    p.add_argument("--ids", required=True)
-    p.add_argument("--amounts", required=True)
-    p.add_argument("--prices", required=True)
-    p.add_argument("--data", default="")
-    p = leaf(verbs, "fractionalize")
-    p.add_argument("--property", required=True)
-    p.add_argument("--right-id", required=True)
-    p.add_argument("--units", type=int, required=True)
-    p.add_argument("--price-per-unit", type=int, required=True)
-    p = leaf(verbs, "transfer")
-    p.add_argument("--property", required=True)
-    p.add_argument("--to", required=True)
-    p.add_argument("--id", required=True)
-    p.add_argument("--amount", type=int, required=True)
-    p.add_argument("--data", default="")
-    p = leaf(verbs, "burn")
-    p.add_argument("--property", required=True)
-    p.add_argument("--from", dest="from_addr", required=True)
-    p.add_argument("--id", required=True)
-    p.add_argument("--amount", type=int, required=True)
-    p = leaf(verbs, "burn-batch")
-    p.add_argument("--property", required=True)
-    p.add_argument("--from", dest="from_addr", required=True)
-    p.add_argument("--ids", required=True)
-    p.add_argument("--amounts", required=True)
-    p = leaf(verbs, "set-price")
-    p.add_argument("--property", required=True)
-    p.add_argument("--id", required=True)
-    p.add_argument("--price-per-unit", type=int, required=True)
-    p = leaf(verbs, "distribute")
-    p.add_argument("--property", required=True)
-    p.add_argument("--right-id", required=True)
-    p.add_argument("--total", type=int, required=True)
-    p = leaf(verbs, "info")
-    p.add_argument("--property", required=True)
-    p = leaf(verbs, "id")
-    p.add_argument("--property", required=True)
-    p = leaf(verbs, "supply")
-    p.add_argument("--property", required=True)
-    p.add_argument("--id", required=True)
-    p = leaf(verbs, "exists")
-    p.add_argument("--property", required=True)
-    p.add_argument("--id", required=True)
-    p = leaf(verbs, "uri")
-    p.add_argument("--property", required=True)
-    p.add_argument("--id", required=True)
-
-    verbs = nouns.add_parser("token").add_subparsers(dest="verb",
-                                                     required=True)
-    p = leaf(verbs, "balance")
-    p.add_argument("--property", required=True)
-    p.add_argument("--owner", required=True)
-    p.add_argument("--id", required=True)
-    p = leaf(verbs, "approve")
-    p.add_argument("--property", required=True)
-    p.add_argument("--operator", required=True)
-    p.add_argument("--approved", required=True)
-    p = leaf(verbs, "transfer")
-    p.add_argument("--property", required=True)
-    p.add_argument("--from", dest="from_addr", required=True)
-    p.add_argument("--to", required=True)
-    p.add_argument("--ids", required=True)
-    p.add_argument("--amounts", required=True)
-    for swap_verb in ("consent", "swap"):
-        p = leaf(verbs, swap_verb)
-        p.add_argument("--property", required=True)
-        p.add_argument("--party-a", required=True)
-        p.add_argument("--party-b", required=True)
-        p.add_argument("--legs-a", default="")
-        p.add_argument("--legs-b", default="")
-        p.add_argument("--value-a", type=int, default=0)
-        p.add_argument("--value-b", type=int, default=0)
-
-    verbs = nouns.add_parser("factory").add_subparsers(dest="verb",
-                                                       required=True)
-    p = leaf(verbs, "init")
-    p.add_argument("--version", type=int, required=True)
-    p.add_argument("--tag", default="base")
-    p.add_argument("--admin")
-    p.add_argument("--upgrader")
-    p = leaf(verbs, "deploy")
-    p.add_argument("--treasury", required=True)
-    p.add_argument("--upgrader", required=True)
-    p.add_argument("--admin", required=True)
-    p.add_argument("--uri", required=True)
-    p.add_argument("--name", default="")
-    p.add_argument("--description", default="")
-    leaf(verbs, "pause")
-    leaf(verbs, "unpause")
-    p = leaf(verbs, "upgrade")
-    p.add_argument("--version", type=int, required=True)
-    p.add_argument("--tag", default="base")
-    leaf(verbs, "info")
-    leaf(verbs, "proxy-length")
-
-    verbs = nouns.add_parser("chain").add_subparsers(dest="verb",
-                                                     required=True)
-    leaf(verbs, "verify")
-    p = leaf(verbs, "show")
-    p.add_argument("--index", type=int)
-    leaf(verbs, "replay")
-    p = leaf(verbs, "faucet")
-    p.add_argument("--to", required=True)
-    p.add_argument("--amount", type=int, required=True)
-    p = leaf(verbs, "transfer")
-    p.add_argument("--to", required=True)
-    p.add_argument("--amount", type=int, required=True)
-    p = leaf(verbs, "balance")
-    p.add_argument("--address", required=True)
-
-    verbs = nouns.add_parser("state").add_subparsers(dest="verb",
-                                                     required=True)
-    p = leaf(verbs, "digest")
-    p.add_argument("--scope", choices=("full", "ledger", "properties"),
-                   default="full")
-    p = leaf(verbs, "export")
-    p.add_argument("--out", required=True)
-    p = leaf(verbs, "import")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--force", action="store_true")
-    leaf(verbs, "show")
-
+    verbs = {}
+    for (noun, verb), args in commands.items():
+        if verb is None:
+            leaf = nouns.add_parser(noun)
+        else:
+            if noun not in verbs:
+                verbs[noun] = nouns.add_parser(noun).add_subparsers(
+                    dest="verb", required=True)
+            leaf = verbs[noun].add_parser(verb)
+        _add_args(leaf, COMMON + args)
     return root
 
 
@@ -402,7 +357,7 @@ MUTATIONS = {
     ("object", "metadata"): ("buildRightMetadata", lambda a: {
         "nameOfRight": a.name, "description": a.description,
         "documents": [parse_doc(d) for d in a.doc],
-        "extra": json.loads(a.extra) if a.extra else None}),
+        "extra": parse_json_object(a.extra) if a.extra else None}),
     ("property", "adddoc"): ("registerDocument", lambda a: {
         "property": a.property, "cid": a.cid}),
     ("property", "approve"): ("approvedProperty", _approve_params),
@@ -593,13 +548,15 @@ def _merkle_verify(args) -> dict:
 def run_script(args) -> dict:
     with open(args.script, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    parser = build_parser()
     executed = 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = shlex.split(line)
+        try:
+            tokens = shlex.split(line)
+        except ValueError as exc:  # an unbalanced quote
+            raise err("ParseError", f"line {lineno}: {exc}")
         if tokens[0] == "as":
             if len(tokens) < 3:
                 raise err("ParseError", f"line {lineno}: bare caller prefix")
@@ -609,7 +566,7 @@ def run_script(args) -> dict:
         if tokens[0] == "run":
             raise err("ParseError", f"line {lineno}: scripts cannot nest")
         try:
-            sub = parser.parse_args(tokens)
+            sub = build_parser(tokens).parse_args(tokens)
             sub.state_dir = args.state_dir
             if args.timestamp is not None and sub.timestamp is None:
                 sub.timestamp = args.timestamp
@@ -666,7 +623,9 @@ EXIT_CODES = {"ParseError": 2, "NotAuthorized": 4}
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        if argv is None:
+            argv = sys.argv[1:]
+        args = build_parser(argv).parse_args(argv)
     except CliParseError as exc:
         print(f"error: ParseError: {exc}", file=sys.stderr)
         return 2

@@ -91,9 +91,17 @@ class Node:
     def _digest(self, chain: bool) -> str:
         # version and config stay out: operational knobs must not shift
         # state digests
-        d = self.state.state_dict(objects=True, chain=chain)
+        d = self.state.state_dict(objects=True)
         del d["version"], d["config"]
-        return sha256_hex(canonical_json_bytes(d))
+        if not chain:
+            return sha256_hex(canonical_json_bytes(d))
+        # the block log is spliced in as Chain.canonical_json(); its key
+        # sorts between "accounts" and "factory"
+        accounts = canonical_json_bytes(d.pop("accounts"))
+        rest = canonical_json_bytes(d)
+        return sha256_hex(b'{"accounts":' + accounts + b',"chain":'
+                          + self.state.chain.canonical_json() + b","
+                          + rest[1:])
 
     def full_digest(self) -> str:
         return self._digest(chain=True)

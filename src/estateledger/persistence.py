@@ -49,7 +49,7 @@ def save_state(state_dir: str, node: Node):
     _write_atomic(os.path.join(state_dir, "state.json"),
                   canonical_json_bytes(node.state.state_dict()))
     _write_atomic(os.path.join(state_dir, "chain.json"),
-                  canonical_json_bytes(node.state.chain.to_dict()))
+                  node.state.chain.canonical_json())
 
 
 def _state_from_dicts(d: dict, objects: dict) -> Node:

@@ -1,9 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from estateledger.canonical import canonical_json_bytes, sha256_hex
 from estateledger.chain import (GENESIS_PREV_HASH, Chain, NativeLedger,
                                 Transaction)
 from estateledger.errors import LedgerError
+from estateledger.node import LedgerState, Node
+from estateledger.storage import ObjectStore
 from oracles import ref_block_hash
 
 
@@ -136,6 +139,46 @@ def test_transaction_canonical_bytes_are_stable():
     tx = make_tx(5)
     assert tx.canonical_bytes() == Transaction.from_dict(
         tx.to_dict()).canonical_bytes()
+
+
+# text the encoder escapes or passes through: non-ASCII, non-BMP, control
+# characters, quotes and backslashes, and the line separators JSON allows
+texts = st.text() | st.sampled_from([
+    "", "Grundbuch Müller", "\u4e0d\u52a8\u4ea7", "\U0001f3e0 \U0001d11e",
+    "\x00\x01\t\n\r\x1f\x7f", 'say "hi"', "back\\slash\\", "\u2028\u2029",
+    "\\u0041 not an escape"])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | texts,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(texts, inner, max_size=4)),
+    max_leaves=12)
+transactions = st.builds(
+    Transaction, caller=texts,
+    operation=st.sampled_from(["deployProperty", "DeployedProperty",
+                               "mintNFT", "transferNative"]),
+    params=st.dictionaries(texts, json_values, max_size=5),
+    attached_value=st.integers(), result_status=texts)
+u64 = st.integers(0, 2 ** 64 - 1)
+
+
+@given(u64, st.lists(st.tuples(u64, st.lists(transactions, max_size=3)),
+                     max_size=4),
+       st.dictionaries(texts, st.integers(), max_size=3))
+def test_spliced_chain_json_equals_dict_encoding(genesis_ts, blocks,
+                                                 accounts):
+    chain = Chain()
+    chain.append_genesis(genesis_ts)
+    for timestamp, txs in blocks:
+        chain.append_block("0x" + "22" * 20, txs, timestamp)
+    assert chain.canonical_json() == canonical_json_bytes(chain.to_dict())
+    for block in chain.blocks:
+        assert block.canonical_json() == canonical_json_bytes(block.to_dict())
+
+    node = Node(LedgerState(chain=chain, native=NativeLedger(accounts),
+                            store=ObjectStore({"ab" * 32: b"deed"})))
+    d = node.state.state_dict(objects=True, chain=True)
+    del d["version"], d["config"]
+    assert node.full_digest() == sha256_hex(canonical_json_bytes(d))
 
 
 # -- native accounts ----------------------------------------------------------

@@ -208,6 +208,16 @@ def test_metadata_builder_and_resolve(ledger):
     assert out["uri"] == "ipfs://meta/" + "0" * 63 + "7.json"
 
 
+@pytest.mark.parametrize("extra", ["{bad", "[1, 2]", '{"a": "\\ud800"}'])
+def test_metadata_extra_must_be_a_json_object(ledger, extra):
+    blocks = len(load_state(ledger.state_dir).state.chain.blocks)
+    _, _, errtxt = ledger("object", "metadata", "--name", "n", "--extra",
+                          extra, "--as", ADMIN, "--timestamp", "16",
+                          expect=2)
+    assert errtxt.startswith("error: ParseError:")
+    assert len(load_state(ledger.state_dir).state.chain.blocks) == blocks
+
+
 # -- merkle commands --------------------------------------------------------
 
 
@@ -486,6 +496,19 @@ def test_run_script_stops_on_error_keeps_prefix(estate, tmp_path):
                 "--address", ADMIN)["balance"] == 100
 
 
+def test_run_script_reports_unbalanced_quote(estate, tmp_path):
+    estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+    script = tmp_path / "quote.txt"
+    script.write_text(
+        f"as {ADMIN} chain faucet --to {ADMIN} --amount 100\n"
+        'chain balance --address "0xab\n')
+    code, _, errtxt = estate("run", str(script), "--timestamp", "1",
+                             expect=2)
+    assert errtxt.startswith("error: ParseError: line 2:")
+    assert jget(estate, "chain", "balance",
+                "--address", ADMIN)["balance"] == 100
+
+
 def test_run_script_rejects_nesting(estate, tmp_path):
     estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
     inner = tmp_path / "inner.txt"
@@ -526,15 +549,79 @@ def _subcommands(parser) -> dict:
 
 
 def test_parser_and_dispatch_tables_agree():
-    leaves = set()
-    for noun, noun_parser in _subcommands(cli.build_parser()).items():
-        verbs = _subcommands(noun_parser)
-        leaves |= {(noun, verb) for verb in verbs} if verbs else {(noun, None)}
     keys = [k for table in (cli.MUTATIONS, cli.QUERIES, cli.COMMANDS)
             for k in table]
     assert len(keys) == len(set(keys)), "a command sits in two tables"
-    assert set(keys) == leaves
+    assert set(keys) == set(cli.ARGS)
     assert {op for op, _ in cli.MUTATIONS.values()} <= set(EXECUTORS)
+
+
+@pytest.fixture(scope="module")
+def full_parser():
+    return cli.build_parser()
+
+
+def _leaf_args(key) -> list:
+    """One valid token list per table argument of `key`, and whether the
+    argument is required."""
+    out = []
+    for flag, kwargs in cli.ARGS[key]:
+        if isinstance(flag, list):  # a group: give its first member
+            flag = flag[0][0]
+        if not flag.startswith("-"):
+            tokens = ["value"]
+        elif kwargs.get("action") == "store_true":
+            tokens = [flag]
+        else:
+            tokens = [flag, kwargs.get("choices", ["7"])[-1]]
+        out.append((tokens, kwargs.get("required", False)))
+    return out
+
+
+def _parse_error(parser, argv) -> str:
+    with pytest.raises(cli.CliParseError) as exc:
+        parser.parse_args(argv)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("key", list(cli.ARGS), ids=str)
+def test_leaf_parser_matches_full_parser(full_parser, key):
+    command = [word for word in key if word]
+    args = _leaf_args(key)
+    argv = command + [t for tokens, _ in args for t in tokens] + [
+        "--as", ADMIN, "--value", "1", "--timestamp", "2", "--json"]
+    leaf_parser = cli.build_parser(argv)
+    # only the path to the one leaf is built
+    nouns = _subcommands(leaf_parser)
+    assert list(nouns) == [key[0]]
+    assert list(_subcommands(nouns[key[0]])) == ([key[1]] if key[1] else [])
+    assert leaf_parser.parse_args(argv) == full_parser.parse_args(argv)
+    for i, (_, required) in enumerate(args):
+        if required:
+            missing = command + [t for j, (tokens, _) in enumerate(args)
+                                 if j != i for t in tokens]
+            assert (_parse_error(cli.build_parser(missing), missing)
+                    == _parse_error(full_parser, missing))
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["nope"], ["chain"], ["chain", "nope"], ["--json"],
+    ["chain", "verify", "--bogus"], ["factory", "init", "--version", "x"]])
+def test_parse_errors_match_full_parser(full_parser, capsys, argv):
+    assert cli.main(argv) == 2
+    expected = _parse_error(full_parser, argv)
+    assert capsys.readouterr().err == f"error: ParseError: {expected}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], ["chain", "--help"], ["object", "put", "--help"]])
+def test_help_matches_full_parser(full_parser, capsys, argv):
+    with pytest.raises(SystemExit):
+        full_parser.parse_args(argv)
+    expected = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        cli.main(argv)
+    assert capsys.readouterr().out == expected
 
 
 def test_state_show_and_factory_queries(prop):
