@@ -10,10 +10,12 @@ point installed.
 Run with: python3 demos/tokenization_walkthrough.py
 """
 
+import atexit
 import contextlib
 import io
 import json
 import shlex
+import shutil
 import sys
 import tempfile
 
@@ -21,6 +23,7 @@ from estateledger import cli
 from estateledger.addresses import derive_address
 
 STATE = tempfile.mkdtemp(prefix="estate-demo-")
+atexit.register(shutil.rmtree, STATE, ignore_errors=True)
 ADMIN = derive_address(b"demo-admin")
 SELLER = derive_address(b"demo-seller")
 BUYER = derive_address(b"demo-buyer")
@@ -104,6 +107,3 @@ for who, addr in [("seller", SELLER), ("buyer", BUYER),
     print(f"    {who:8} {bal}")
 estate("chain verify")
 estate("chain replay")
-
-print()
-print(f"state directory kept at {STATE} for inspection")

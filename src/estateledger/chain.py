@@ -125,17 +125,12 @@ class Chain:
         self.blocks.append(block)
         return block
 
-    def append_block(self, validator: str, transactions: list, timestamp: int,
-                     admin_check=None) -> Block:
-        # admin_check is injected (not stored) so the chain stays a plain
-        # value object. Every check and encoding runs before the append,
-        # so a raise leaves the chain untouched: Node.execute relies on
-        # this to share the live chain with its working state.
+    def append_block(self, transactions: list, timestamp: int) -> Block:
+        # Every check and encoding runs before the append, so a raise
+        # leaves the chain untouched: Node.execute relies on this to share
+        # the live chain with its working state.
         if not self.blocks:
             raise err("Uninitialized", "no genesis block")
-        if admin_check is not None and not admin_check(validator):
-            raise err("NotAuthorized",
-                      f"validator {validator} is not an active administrator")
         prev = self.blocks[-1]
         blobs = [tx.canonical_bytes() for tx in transactions]
         block = Block(index=prev.index + 1, timestamp=timestamp,
@@ -188,9 +183,6 @@ class NativeLedger:
     def ensure_account(self, addr: str):
         require_nonzero(addr, "account")
         self.accounts.setdefault(addr, 0)
-
-    def exists(self, addr: str) -> bool:
-        return addr in self.accounts
 
     def balance(self, addr: str) -> int:
         if addr not in self.accounts:

@@ -574,7 +574,7 @@ def run_script(args) -> dict:
         except CliParseError as exc:
             raise err("ParseError", f"line {lineno}: {exc}")
         except LedgerError as exc:
-            raise LedgerError(exc.code, f"line {lineno}: {exc}")
+            raise LedgerError(exc.code, f"line {lineno}: {exc.message}")
         executed += 1
     node = load_state(args.state_dir)
     return {"script": args.script, "commands": executed,
@@ -596,13 +596,20 @@ COMMANDS = {
 
 def dispatch(args) -> dict:
     key = (args.noun, getattr(args, "verb", None))
-    if key in MUTATIONS:
-        operation, build_params = MUTATIONS[key]
-        return mutate(args, operation, build_params(args))
-    if key in QUERIES:
-        return QUERIES[key](args, load_state(args.state_dir))
-    if key in COMMANDS:
-        return COMMANDS[key](args)
+    # a file the command names may be missing, unreadable or not UTF-8;
+    # converting here gives script lines their "line N:" prefix too
+    try:
+        if key in MUTATIONS:
+            operation, build_params = MUTATIONS[key]
+            return mutate(args, operation, build_params(args))
+        if key in QUERIES:
+            return QUERIES[key](args, load_state(args.state_dir))
+        if key in COMMANDS:
+            return COMMANDS[key](args)
+    except UnicodeError as exc:
+        raise err("ParseError", str(exc)) from exc
+    except OSError as exc:
+        raise err("NotFound", f"{exc.filename}: {exc.strerror}") from exc
     raise err("ParseError", f"unhandled command {key[0]} {key[1]}")
 
 
@@ -622,18 +629,17 @@ EXIT_CODES = {"ParseError": 2, "NotAuthorized": 4}
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        if argv is None:
-            argv = sys.argv[1:]
+        for arg in argv:  # argv bytes that are not UTF-8 hold surrogates
+            arg.encode("utf-8")
         args = build_parser(argv).parse_args(argv)
-    except CliParseError as exc:
+    except (CliParseError, UnicodeEncodeError) as exc:
         print(f"error: ParseError: {exc}", file=sys.stderr)
         return 2
     try:
         result = dispatch(args)
-    except CliParseError as exc:
-        print(f"error: ParseError: {exc}", file=sys.stderr)
-        return 2
     except LedgerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES.get(exc.code, 3)

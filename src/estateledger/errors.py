@@ -8,6 +8,7 @@ codes and scripts report them verbatim, so they must not be renamed.
 class LedgerError(Exception):
     def __init__(self, code: str, message: str = ""):
         self.code = code
+        self.message = message
         super().__init__(f"{code}: {message}" if message else code)
 
 

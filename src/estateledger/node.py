@@ -16,10 +16,9 @@ changes and no block is appended.
 digest, the block log) but without ``version`` and ``config``, and
 snapshots add both the object store and the block log.
 
-The block validator is the lexicographically smallest active
-administrator. Replaying a recorded chain from genesis re-executes
-every transaction and must reproduce the recorded block hashes and the
-final state digest.
+Replaying a recorded chain from genesis re-executes every transaction
+and must reproduce the recorded block hashes and the final state
+digest.
 """
 
 import copy
@@ -164,16 +163,15 @@ class Node:
         txs = [Transaction(caller=caller, operation=operation, params=params,
                            attached_value=value)]
         txs.extend(events)
+        # checked after the executor, because bootstrapAdmin seats the
+        # first admin; no op retires the last one, but a loaded state can
+        # lack one
         registry = working.registry
-        validator = min((a for a in registry.stakeholders
-                         if registry.is_active_admin(a)), default=None)
-        if validator is None:
+        if not any(registry.is_active_admin(a) for a in registry.stakeholders):
             raise err("NotAuthorized", "no active administrator to seal the block")
         # append_block raises before it appends, so a failed seal leaves
         # the shared chain as it was
-        working.chain.append_block(
-            validator=validator, transactions=txs, timestamp=timestamp,
-            admin_check=registry.is_active_admin)
+        working.chain.append_block(txs, timestamp)
         self.state = working
         return result
 

@@ -126,7 +126,13 @@ def read_snapshot(path: str) -> Node:
     if not os.path.exists(path):
         raise err("NotFound", path)
     with open(path, "rb") as fh:
-        snapshot = json.loads(fh.read().decode("utf-8"))
+        text = fh.read().decode("utf-8")
+    try:
+        snapshot = json.loads(text)
+    except json.JSONDecodeError:
+        snapshot = None
+    if not isinstance(snapshot, dict):
+        raise err("CorruptSnapshot", f"{path} is not a JSON object")
     return import_snapshot(snapshot)
 
 

@@ -54,9 +54,6 @@ class ObjectStore:
     def has(self, cid: str) -> bool:
         return is_cid(cid) and cid[len(CID_PREFIX):] in self.objects
 
-    def __len__(self) -> int:
-        return len(self.objects)
-
 
 def build_right_metadata(store: ObjectStore, name_of_right: str,
                          description: str, documents: list,

@@ -86,13 +86,6 @@ class TokenLedger:
 
     # -- internal balance plumbing ---------------------------------------
 
-    @staticmethod
-    def _add(balances: dict, supplies: dict, token_id: int, addr: str,
-             amount: int):
-        per = balances.setdefault(token_id, {})
-        per[addr] = per.get(addr, 0) + amount
-        supplies[token_id] = supplies.get(token_id, 0) + amount
-
     def _plan_moves(self, moves) -> dict:
         """Check (src, dst, token id, amount) moves as if each applied in
         turn; raise what the first failing one would raise. Returns the
@@ -140,7 +133,9 @@ class TokenLedger:
                           f"right {token_id} cannot have supply {amount}")
             if self.total_supply(token_id) >= 1:
                 raise err("AlreadyMinted", f"right {token_id} already exists")
-        self._add(self.balances, self.supplies, token_id, to, amount)
+        per = self.balances.setdefault(token_id, {})
+        per[to] = per.get(to, 0) + amount
+        self.supplies[token_id] = self.supplies.get(token_id, 0) + amount
 
     def check_burn(self, owner: str, token_id: int, amount: int,
                    burned: int = 0):

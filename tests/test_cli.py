@@ -519,6 +519,67 @@ def test_run_script_rejects_nesting(estate, tmp_path):
     assert "line 1" in errtxt
 
 
+def test_run_script_error_names_its_code_once(estate, tmp_path):
+    estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+    script = tmp_path / "unknown.txt"
+    script.write_text(f"as {ADMIN} chain transfer --to {SELLER} --amount 5\n")
+    code, _, errtxt = estate("run", str(script), expect=3)
+    assert errtxt == f"error: UnknownAccount: line 1: {SELLER}"
+
+
+# Bad text and bad files named on the command line exit with a code, never
+# a traceback, and append nothing. "{w}" is the test's work directory.
+BAD_INPUTS = [
+    pytest.param(["object", "metadata", "--name", "\udcff", "--as", ADMIN],
+                 2, "ParseError: ", id="metadata-surrogate"),
+    pytest.param(["object", "put", "--data", "\udcff", "--as", ADMIN],
+                 2, "ParseError: ", id="put-data-surrogate"),
+    pytest.param(["stakeholder", "register", "--role", "Buyer",
+                  "--key", "\udcff", "--as", ADMIN],
+                 2, "ParseError: ", id="register-key-surrogate"),
+    pytest.param(["run", "{w}/latin1.txt"], 2, "ParseError: ",
+                 id="run-latin1"),
+    pytest.param(["state", "import", "--in", "{w}/latin1.txt", "--force"],
+                 2, "ParseError: ", id="import-latin1"),
+    pytest.param(["run", "{w}/missing.txt"], 3,
+                 "NotFound: {w}/missing.txt: No such file or directory",
+                 id="run-missing"),
+    pytest.param(["run", "{w}/put-missing.txt"], 3,
+                 "NotFound: line 1: {w}/missing.bin: No such file or directory",
+                 id="script-line-put-missing"),
+    pytest.param(["object", "put", "--file", "{w}/missing.bin", "--as", ADMIN],
+                 3, "NotFound: {w}/missing.bin: No such file or directory",
+                 id="put-file-missing"),
+    pytest.param(["merkle", "verify", "--proof", "@{w}/missing.json",
+                  "--root", "00" * 32, "--leaf", "00" * 32], 3,
+                 "NotFound: {w}/missing.json: No such file or directory",
+                 id="proof-file-missing"),
+    pytest.param(["state", "export", "--out", "{w}/no-dir/snap.json"],
+                 3, "NotFound: {w}/no-dir/snap.json", id="export-no-dir"),
+    pytest.param(["state", "import", "--in", "{w}/array.json", "--force"],
+                 3, "CorruptSnapshot: ", id="import-array"),
+    pytest.param(["state", "import", "--in", "{w}/junk.json", "--force"],
+                 3, "CorruptSnapshot: ", id="import-not-json"),
+]
+
+
+@pytest.mark.parametrize("argv,code,prefix", BAD_INPUTS)
+def test_bad_input_exits_with_a_code(estate, argv, code, prefix):
+    work = str(estate.workdir)
+    estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+    (estate.workdir / "latin1.txt").write_bytes("caf\xe9\n".encode("latin-1"))
+    (estate.workdir / "put-missing.txt").write_text(
+        f"object put --file {work}/missing.bin --as {ADMIN}\n")
+    (estate.workdir / "array.json").write_text("[1, 2]")
+    (estate.workdir / "junk.json").write_text("{not json")
+    before = load_state(estate.state_dir).full_digest()
+    _, _, errtxt = estate(*[a.replace("{w}", work) for a in argv],
+                          "--timestamp", "1", expect=code)
+    assert errtxt.startswith("error: " + prefix.replace("{w}", work))
+    assert "Traceback" not in errtxt
+    assert load_state(estate.state_dir).full_digest() == before
+
+
 def test_scripts_are_deterministic(estate, tmp_path, capsys):
     script = tmp_path / "world.txt"
     script.write_text(SCRIPT.format(admin=ADMIN, seller=SELLER))

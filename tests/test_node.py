@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -141,6 +142,21 @@ def test_validator_is_smallest_active_admin(node):
     # for every sealed block by construction (no admin churn here)
     assert node.state.registry.active_admins()[0] == min(
         node.state.registry.active_admins())
+
+
+def test_seal_refused_without_active_admin(node):
+    # no op can retire the last admin; a hand-edited state can
+    records = node.state.registry.stakeholders
+    records[node.admin] = dataclasses.replace(records[node.admin],
+                                              active=False)
+    before, length = node.full_digest(), len(node.state.chain.blocks)
+    with pytest.raises(LedgerError) as e:
+        node.execute(node.buyer, "transferNative",
+                     {"to": node.seller, "amount": 5})
+    assert str(e.value) == \
+        "NotAuthorized: no active administrator to seal the block"
+    assert node.full_digest() == before
+    assert len(node.state.chain.blocks) == length
 
 
 def test_allowlist_gates_cli_level_registration(tmp_path):
