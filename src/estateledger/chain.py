@@ -125,14 +125,11 @@ class Chain:
         self.blocks.append(block)
         return block
 
-    def append_block(self, transactions: list, timestamp: int) -> Block:
-        # Every check and encoding runs before the append, so a raise
-        # leaves the chain untouched: Node.execute relies on this to share
-        # the live chain with its working state.
+    def append_block(self, blobs: list, timestamp: int) -> Block:
+        """Seal and append a block of encoded transactions."""
         if not self.blocks:
             raise err("Uninitialized", "no genesis block")
         prev = self.blocks[-1]
-        blobs = [tx.canonical_bytes() for tx in transactions]
         block = Block(index=prev.index + 1, timestamp=timestamp,
                       nonce=prev.nonce + 1, data=blobs,
                       prev_hash=prev.hash).seal()

@@ -501,13 +501,13 @@ QUERIES = {
 
 
 def _init(args) -> dict:
-    if os.path.exists(os.path.join(args.state_dir, "state.json")):
-        raise err("AlreadyInitialized",
-                  f"{args.state_dir} already holds a ledger")
     node = Node()
     if args.allowlist:
         node.state.config["allowlist"] = os.path.abspath(args.allowlist)
     with StateLock(args.state_dir):
+        if os.path.exists(os.path.join(args.state_dir, "state.json")):
+            raise err("AlreadyInitialized",
+                      f"{args.state_dir} already holds a ledger")
         admin = node.init_genesis(parse_key(args.admin_key),
                                   args.info_cid, _timestamp(args))
         save_state(args.state_dir, node)
@@ -515,12 +515,12 @@ def _init(args) -> dict:
 
 
 def _state_import(args) -> dict:
-    if (os.path.exists(os.path.join(args.state_dir, "state.json"))
-            and not args.force):
-        raise err("AlreadyInitialized",
-                  f"{args.state_dir} holds a ledger; use --force")
-    node = read_snapshot(args.infile)
     with StateLock(args.state_dir):
+        if (os.path.exists(os.path.join(args.state_dir, "state.json"))
+                and not args.force):
+            raise err("AlreadyInitialized",
+                      f"{args.state_dir} holds a ledger; use --force")
+        node = read_snapshot(args.infile)
         save_state(args.state_dir, node)
     return {"imported": args.infile, "digest": node.full_digest()}
 

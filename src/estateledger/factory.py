@@ -129,6 +129,8 @@ def deploy_property(factory: Factory, properties: dict, caller: str,
         raise err("NotAuthorized",
                   f"{caller} may not deploy properties")
     address = factory.next_proxy_address()
+    native.ensure_account(treasury)  # a zero treasury raises before any write
+    native.ensure_account(address)
     prop = PropertyContract()
     prop.initialize(
         property_id=len(factory.proxies) + 1,
@@ -143,6 +145,4 @@ def deploy_property(factory: Factory, properties: dict, caller: str,
     )
     factory.proxies.append(address)
     properties[address] = prop
-    native.ensure_account(treasury)
-    native.ensure_account(address)
     return address

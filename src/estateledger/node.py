@@ -1,14 +1,16 @@
 """Single-writer node: executes commands atomically and seals blocks.
 
-Each op names, in ``WRITES``, the state components its executor may
-write. ``execute`` runs the executor against a working state that
-holds fresh copies of just those components and shares every other one
-with the live state, the block log included: the chain is append-only,
-and its block is sealed only after the executor has succeeded. On
-success the working state is committed and exactly one block is
+``execute`` is check-then-apply. Admission checks everything the seal
+needs (the caller, the attached value, an active administrator, the
+timestamp range) and encodes the operation's transaction, fixing the
+block's bytes before anything is written; each executor then runs all
+its checks before its first write. So on success exactly one block is
 appended holding the operation's transaction (deployments add an event
-transaction). On failure the working state is dropped, so nothing
-changes and no block is appended.
+transaction), and a failure changes nothing and appends nothing.
+
+As a second guard, the executor runs against a working state holding
+fresh copies of the components its op names in ``WRITES`` and sharing
+every other one, the append-only block log included.
 
 ``LedgerState.state_dict`` is the one serialization of the state:
 ``state.json`` is its default form, ``full_digest`` and
@@ -118,6 +120,7 @@ class Node:
 
     def init_genesis(self, admin_key: bytes, info_cid: str = "",
                      timestamp: int = 0) -> str:
+        _check_timestamp(timestamp)
         self.state.chain.append_genesis(timestamp)
         result = self.execute(
             caller=derive_address(admin_key),
@@ -148,30 +151,31 @@ class Node:
         if value and operation not in PAYABLE:
             raise err("UnexpectedValue",
                       f"{operation} does not accept attached value")
+        _check_timestamp(timestamp)
+        registry = self.state.registry
         if operation == "bootstrapAdmin":
-            if self.state.registry.stakeholders:
+            if registry.stakeholders:
                 raise err("NotAuthorized",
                           "bootstrap only works on an empty registry")
-        elif not self.state.registry.is_active(caller):
+        elif not registry.is_active(caller):
             raise err("NotAuthorized",
                       f"{caller} is not an active stakeholder")
+        elif not any(registry.is_active_admin(a)
+                     for a in registry.stakeholders):
+            # bootstrapAdmin seats the first admin and no op retires the
+            # last one, but a loaded state can lack one
+            raise err("NotAuthorized",
+                      "no active administrator to seal the block")
+        # the block's bytes are fixed before anything is written
+        blobs = [Transaction(caller=caller, operation=operation,
+                             params=params,
+                             attached_value=value).canonical_bytes()]
 
         working = _working_copy(self.state, WRITES[operation], params)
         verifier = self._verifier() if verify_keys else None
         result, events = executor(working, caller, params, value, verifier)
-
-        txs = [Transaction(caller=caller, operation=operation, params=params,
-                           attached_value=value)]
-        txs.extend(events)
-        # checked after the executor, because bootstrapAdmin seats the
-        # first admin; no op retires the last one, but a loaded state can
-        # lack one
-        registry = working.registry
-        if not any(registry.is_active_admin(a) for a in registry.stakeholders):
-            raise err("NotAuthorized", "no active administrator to seal the block")
-        # append_block raises before it appends, so a failed seal leaves
-        # the shared chain as it was
-        working.chain.append_block(txs, timestamp)
+        blobs.extend(tx.canonical_bytes() for tx in events)
+        working.chain.append_block(blobs, timestamp)
         self.state = working
         return result
 
@@ -209,6 +213,12 @@ class Node:
                 raise err("HashMismatch",
                           f"block {block.index} hash diverged on replay")
         return fresh
+
+
+def _check_timestamp(timestamp: int):
+    # a block header stores it as 8 unsigned bytes
+    if not 0 <= timestamp < 2 ** 64:
+        raise err("ParseError", f"timestamp {timestamp} is outside [0, 2**64)")
 
 
 def _working_copy(state: LedgerState, writes: tuple,
@@ -272,7 +282,6 @@ def _ex_faucet(state, caller, params, value, verifier):
     # the faucet is the only supply source; administrators only
     if not state.registry.is_active_admin(caller):
         raise err("NotAuthorized", f"{caller} is not an active administrator")
-    state.native.ensure_account(params["to"])
     state.native.credit(params["to"], int(params["amount"]))
     return {}, []
 

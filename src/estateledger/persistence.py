@@ -52,23 +52,43 @@ def save_state(state_dir: str, node: Node):
                   node.state.chain.canonical_json())
 
 
-def _state_from_dicts(d: dict, objects: dict) -> Node:
-    """Decode a ``LedgerState.state_dict(chain=True)`` plus the object
-    bytes by digest."""
+def _read_json_object(path: str) -> dict:
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError:
+        value = None
+    if not isinstance(value, dict):
+        raise err("CorruptSnapshot", f"{path} is not a JSON object")
+    return value
+
+
+def _state_from_dicts(d: dict, objects: dict = None) -> Node:
+    """Decode a ``LedgerState.state_dict(chain=True)``. `objects` maps
+    digest to bytes; without it they come from the hex ``objects`` of a
+    snapshot body. A body of the wrong shape is CorruptSnapshot."""
     if d.get("version") != STATE_VERSION:
         raise err("VersionMismatch",
                   f"state version {d.get('version')}, "
                   f"expected {STATE_VERSION}")
-    state = LedgerState(
-        config=dict(d["config"]),
-        chain=Chain.from_dict(d["chain"]),
-        native=NativeLedger.from_dict(d["accounts"]),
-        registry=StakeholderRegistry.from_dict(d["stakeholders"]),
-        store=ObjectStore(objects=dict(objects)),
-        factory=Factory.from_dict(d["factory"]),
-        properties={a: PropertyContract.from_dict(p)
-                    for a, p in d["properties"].items()},
-    )
+    try:
+        if objects is None:
+            objects = {k: bytes.fromhex(v) for k, v in d["objects"].items()}
+        state = LedgerState(
+            config=dict(d["config"]),
+            chain=Chain.from_dict(d["chain"]),
+            native=NativeLedger.from_dict(d["accounts"]),
+            registry=StakeholderRegistry.from_dict(d["stakeholders"]),
+            store=ObjectStore(objects=dict(objects)),
+            factory=Factory.from_dict(d["factory"]),
+            properties={a: PropertyContract.from_dict(p)
+                        for a, p in d["properties"].items()},
+        )
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise err("CorruptSnapshot",
+                  f"malformed ledger data: {type(exc).__name__}: {exc}"
+                  ) from exc
     return Node(state)
 
 
@@ -77,10 +97,8 @@ def load_state(state_dir: str) -> Node:
     chain_path = os.path.join(state_dir, "chain.json")
     if not (os.path.exists(state_path) and os.path.exists(chain_path)):
         raise err("Uninitialized", f"{state_dir} holds no ledger; run init")
-    with open(state_path, "rb") as fh:
-        state_d = json.loads(fh.read().decode("utf-8"))
-    with open(chain_path, "rb") as fh:
-        state_d["chain"] = json.loads(fh.read().decode("utf-8"))
+    state_d = _read_json_object(state_path)
+    state_d["chain"] = _read_json_object(chain_path)
     objects = {}
     objects_dir = os.path.join(state_dir, "objects")
     if os.path.isdir(objects_dir):
@@ -114,8 +132,7 @@ def import_snapshot(snapshot: dict) -> Node:
     body = {k: v for k, v in snapshot.items() if k != "digest"}
     if sha256_hex(canonical_json_bytes(body)) != snapshot.get("digest"):
         raise err("CorruptSnapshot", "snapshot digest does not match")
-    return _state_from_dicts(
-        body, {k: bytes.fromhex(v) for k, v in body["objects"].items()})
+    return _state_from_dicts(body)
 
 
 def write_snapshot(path: str, node: Node):
@@ -125,15 +142,7 @@ def write_snapshot(path: str, node: Node):
 def read_snapshot(path: str) -> Node:
     if not os.path.exists(path):
         raise err("NotFound", path)
-    with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
-    try:
-        snapshot = json.loads(text)
-    except json.JSONDecodeError:
-        snapshot = None
-    if not isinstance(snapshot, dict):
-        raise err("CorruptSnapshot", f"{path} is not a JSON object")
-    return import_snapshot(snapshot)
+    return import_snapshot(_read_json_object(path))
 
 
 # -- locking ----------------------------------------------------------------

@@ -150,24 +150,8 @@ class PropertyContract:
 
     def mint_nft(self, caller: str, token_id: int, price: int, value: int,
                  *, registry, native, paused: bool) -> tuple:
-        self._require_initialized()
-        self._mint_gate(caller, registry=registry, paused=paused)
-        if is_fractional(token_id):
-            raise err("NonRightId", f"{token_id} is not a right id")
-        if self.tokens.total_supply(token_id) >= 1:
-            raise err("AlreadyMinted", f"right {token_id} already exists")
-        if price < 0:
-            raise err("ParseError", "negative price")
-        if value < price:
-            raise err("InsufficientPayment",
-                      f"attached {value}, price is {price}")
-        if value:
-            # primary-issuance proceeds go to the treasury, all of them
-            native.debit(caller, value)
-            native.credit(self.treasury, value)
-        self.tokens.mint(caller, token_id, 1)
-        self.listings[token_id] = Listing(price_per_unit=price, seller=caller)
-        self.next_right_index = max(self.next_right_index, token_id + 1)
+        self.mint_batch(caller, [token_id], [1], [price], value,
+                        registry=registry, native=native, paused=paused)
         return token_id, 1
 
     def mint_batch(self, caller: str, token_ids: list, amounts: list,
@@ -195,6 +179,7 @@ class PropertyContract:
             raise err("InsufficientPayment",
                       f"attached {value}, prices sum to {sum(prices)}")
         if value:
+            # primary-issuance proceeds go to the treasury, all of them
             native.debit(caller, value)
             native.credit(self.treasury, value)
         for token_id, price in zip(token_ids, prices):
@@ -257,9 +242,6 @@ class PropertyContract:
         if self.tokens.balance_of(listing.seller, token_id) < amount:
             raise err("InsufficientBalance",
                       f"seller {listing.seller} cannot cover {amount} units")
-        if native.balance(caller) < value:
-            raise err("InsufficientFunds",
-                      f"{caller} cannot attach {value}")
         # settlement: the full attached value goes to the seller
         native.debit(caller, value)
         native.credit(listing.seller, value)

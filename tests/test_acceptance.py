@@ -282,7 +282,8 @@ def _random_chain(rng, n_blocks):
                            params={"n": rng.randint(0, 999)},
                            attached_value=rng.randint(0, 9))
                for _ in range(rng.randint(1, 2))]
-        chain.append_block(txs, timestamp=rng.randint(0, 10 ** 6))
+        chain.append_block([tx.canonical_bytes() for tx in txs],
+                           timestamp=rng.randint(0, 10 ** 6))
     return chain
 
 

@@ -20,7 +20,8 @@ def make_chain(n_blocks=3, txs_per_block=2):
     chain.append_genesis(timestamp=100)
     for b in range(n_blocks):
         chain.append_block(
-            [make_tx(b * 10 + i) for i in range(txs_per_block)],
+            [make_tx(b * 10 + i).canonical_bytes()
+             for i in range(txs_per_block)],
             timestamp=101 + b)
     return chain
 
@@ -159,7 +160,7 @@ def test_spliced_chain_json_equals_dict_encoding(genesis_ts, blocks,
     chain = Chain()
     chain.append_genesis(genesis_ts)
     for timestamp, txs in blocks:
-        chain.append_block(txs, timestamp)
+        chain.append_block([tx.canonical_bytes() for tx in txs], timestamp)
     assert chain.canonical_json() == canonical_json_bytes(chain.to_dict())
     for block in chain.blocks:
         assert block.canonical_json() == canonical_json_bytes(block.to_dict())

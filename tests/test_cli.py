@@ -294,6 +294,18 @@ def test_full_property_lifecycle(prop):
                 "--address", TREASURY)["balance"] == 700 + 1
 
 
+def test_mint_negative_price_on_minted_right_exits_2(prop):
+    ledger, addr = prop
+    ledger("property", "mint", "--property", addr, "--id", "1",
+           "--price", "0", "--as", SELLER, "--timestamp", "10")
+    before = _dir_bytes(ledger.state_dir)
+    _, _, errtxt = ledger("property", "mint", "--property", addr,
+                          "--id", "1", "--price", "-1", "--as", SELLER,
+                          "--timestamp", "11", expect=2)
+    assert errtxt == "error: ParseError: negative price"
+    assert _dir_bytes(ledger.state_dir) == before
+
+
 def test_burn_and_set_price_routes(prop):
     ledger, addr = prop
     ledger("property", "mint", "--property", addr, "--id", "5",
@@ -443,6 +455,114 @@ def test_state_lock_blocks_second_writer(ledger):
     # released: the same command now lands
     ledger("chain", "faucet", "--to", SELLER, "--amount", "1",
            "--as", ADMIN, "--timestamp", "61")
+
+
+def _dir_bytes(state_dir) -> dict:
+    """Every file of a state dir but the (always empty) lock file."""
+    out = {}
+    for root, _, names in os.walk(state_dir):
+        for name in names:
+            path = os.path.join(root, name)
+            if name == ".lock":
+                continue
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, state_dir)] = fh.read()
+    return out
+
+
+OTHER_KEY = "other-admin-key"
+
+
+@pytest.mark.parametrize("command", [
+    ["state", "import", "--in", "{snap}"],
+    ["init", "--admin-key", ADMIN_KEY, "--timestamp", "0"]],
+    ids=["state-import", "init"])
+def test_ledger_check_runs_under_the_lock(estate, monkeypatch, command):
+    # a second writer initializes the dir between our check and our lock
+    snap = str(estate.workdir / "snap.json")
+    other = str(estate.workdir / "other")
+    assert cli.main(["init", "--admin-key", ADMIN_KEY, "--timestamp", "0",
+                     "--state-dir", other]) == 0
+    assert cli.main(["state", "export", "--out", snap,
+                     "--state-dir", other]) == 0
+    real_lock, first = cli.StateLock, {}
+
+    class RacingLock(real_lock):
+        def __enter__(self):
+            monkeypatch.setattr(cli, "StateLock", real_lock)
+            assert cli.main(["init", "--admin-key", OTHER_KEY,
+                             "--timestamp", "7",
+                             "--state-dir", estate.state_dir]) == 0
+            first.update(_dir_bytes(estate.state_dir))
+            return super().__enter__()
+
+    monkeypatch.setattr(cli, "StateLock", RacingLock)
+    _, _, errtxt = estate(*[a.replace("{snap}", snap) for a in command],
+                          expect=3)
+    assert errtxt.startswith("error: AlreadyInitialized: ")
+    assert _dir_bytes(estate.state_dir) == first
+
+
+@pytest.mark.parametrize("command", [
+    ["init", "--admin-key", ADMIN_KEY],
+    ["chain", "faucet", "--to", ADMIN, "--amount", "1", "--as", ADMIN]],
+    ids=["init", "faucet"])
+@pytest.mark.parametrize("timestamp", [-1, 2 ** 64])
+def test_timestamp_outside_u64_exits_2(estate, command, timestamp):
+    if command[0] != "init":
+        estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+    before = _dir_bytes(estate.state_dir)
+    _, _, errtxt = estate(*command, "--timestamp", str(timestamp), expect=2)
+    assert errtxt.startswith("error: ParseError: timestamp ")
+    assert _dir_bytes(estate.state_dir) == before
+
+
+def _truncate(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[:len(data) // 2])
+
+
+def _edit_state(edit):
+    def apply(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            d = json.load(fh)
+        edit(d)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(d, fh)
+    return apply
+
+
+# name of the file to break in an initialized state dir -> how
+MALFORMED_DIRS = {
+    "truncated-state": ("state.json", _truncate),
+    "truncated-chain": ("chain.json", _truncate),
+    "no-factory": ("state.json", _edit_state(lambda d: d.pop("factory"))),
+    "accounts-not-an-object": ("state.json",
+                               _edit_state(lambda d: d.update(accounts=5))),
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_DIRS, "import-version-only"])
+def test_malformed_ledger_data_is_corrupt_snapshot(estate, case):
+    estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+    if case in MALFORMED_DIRS:
+        name, breaker = MALFORMED_DIRS[case]
+        breaker(os.path.join(estate.state_dir, name))
+        command = ["chain", "faucet", "--to", ADMIN, "--amount", "1",
+                   "--as", ADMIN, "--timestamp", "1"]
+    else:  # a well-signed snapshot whose body holds nothing but a version
+        snap = estate.workdir / "version-only.json"
+        body = {"version": 1}
+        body["digest"] = hashlib.sha256(
+            canonical_json_bytes(body)).hexdigest()
+        snap.write_text(json.dumps(body))
+        command = ["state", "import", "--in", str(snap), "--force"]
+    before = _dir_bytes(estate.state_dir)
+    _, _, errtxt = estate(*command, expect=3)
+    assert errtxt.startswith("error: CorruptSnapshot: ")
+    assert _dir_bytes(estate.state_dir) == before
 
 
 # -- allowlist ----------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import add_doc, approve, deploy, register
 from estateledger.errors import LedgerError
+from estateledger import node as node_mod
 from estateledger.node import Node
 from estateledger.tokens import fractional_of, swap_descriptor_digest
 
@@ -157,6 +158,56 @@ def test_seal_refused_without_active_admin(node):
         "NotAuthorized: no active administrator to seal the block"
     assert node.full_digest() == before
     assert len(node.state.chain.blocks) == length
+
+
+def _spy_on(monkeypatch, op):
+    """Replace the executor of `op` with one that records its calls."""
+    calls = []
+    real = node_mod.EXECUTORS[op]
+    monkeypatch.setitem(node_mod.EXECUTORS, op,
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_admin_less_state_is_refused_before_the_executor(node, monkeypatch):
+    records = node.state.registry.stakeholders
+    records[node.admin] = dataclasses.replace(records[node.admin],
+                                              active=False)
+    calls = _spy_on(monkeypatch, "transferNative")
+    with pytest.raises(LedgerError) as e:
+        node.execute(node.buyer, "transferNative",
+                     {"to": node.seller, "amount": 5})
+    assert e.value.code == "NotAuthorized"
+    assert calls == []
+
+
+def test_unencodable_param_is_refused_before_the_executor(node, monkeypatch):
+    calls = _spy_on(monkeypatch, "transferNative")
+    before, length = node.full_digest(), len(node.state.chain.blocks)
+    with pytest.raises(TypeError):
+        node.execute(node.buyer, "transferNative",
+                     {"to": node.seller, "amount": 5, "memo": {"a set"}})
+    assert calls == []
+    assert node.full_digest() == before
+    assert len(node.state.chain.blocks) == length
+
+
+@pytest.mark.parametrize("timestamp", [-1, 2 ** 64])
+def test_timestamp_outside_u64_is_a_parse_error(node, timestamp):
+    before, length = node.full_digest(), len(node.state.chain.blocks)
+    with pytest.raises(LedgerError) as e:
+        node.execute(node.admin, "faucet", {"to": node.buyer, "amount": 5},
+                     timestamp=timestamp)
+    assert e.value.code == "ParseError"
+    assert node.full_digest() == before
+    assert len(node.state.chain.blocks) == length
+    fresh = Node()
+    with pytest.raises(LedgerError) as e:
+        fresh.init_genesis(b"a-key", timestamp=timestamp)
+    assert e.value.code == "ParseError"
+    assert fresh.state.chain.blocks == []
+    node.execute(node.admin, "faucet", {"to": node.buyer, "amount": 5},
+                 timestamp=2 ** 64 - 1)  # the largest one is fine
 
 
 def test_allowlist_gates_cli_level_registration(tmp_path):

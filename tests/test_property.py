@@ -165,6 +165,18 @@ def test_mint_same_id_twice(approved_prop):
     assert e.value.code == "AlreadyMinted"
 
 
+def test_mint_negative_price_is_a_parse_error_before_already_minted(
+        approved_prop):
+    # one-leg mint_batch: argument checks run before state checks
+    node, prop = minted_prop(approved_prop)
+    before = node.full_digest()
+    with pytest.raises(LedgerError) as e:
+        node.execute(node.seller, "mintNFT",
+                     {"property": prop, "id": 1, "data": "", "price": -1})
+    assert e.value.code == "ParseError"
+    assert node.full_digest() == before
+
+
 def test_mint_underpayment(approved_prop):
     node, prop = approved_prop
     with pytest.raises(LedgerError) as e:
@@ -343,6 +355,19 @@ def test_purchase_underpayment(approved_prop):
                       "amount": 200, "data": ""}, value=599)
     assert e.value.code == "InsufficientPayment"
     assert node.ledger_digest() == before
+
+
+def test_purchase_beyond_the_buyers_funds(approved_prop):
+    # the debit itself is the funds check; nothing moves before it
+    node, prop = fractionalized_prop(approved_prop, units=1000, price=3)
+    before = node.full_digest()
+    with pytest.raises(LedgerError) as e:
+        node.execute(node.buyer, "transferNFT",
+                     {"property": prop, "to": node.buyer, "id": FRAC1,
+                      "amount": 200, "data": ""}, value=1001)
+    assert str(e.value) == \
+        f"InsufficientFunds: {node.buyer} holds 1000, needs 1001"
+    assert node.full_digest() == before
 
 
 def test_purchase_without_listing(approved_prop):
