@@ -7,20 +7,6 @@ Grammar: estate <noun> <verb> [args] --as <addr> [--value <n>]
 
 Every mutating command executes as one block against the persisted
 state directory; queries read the state without touching it.
-
-``ARGS`` maps each (noun, verb) pair to its leaf arguments. For a
-command line whose first two words name a pair, ``build_parser`` adds
-only that noun and leaf, so a command pays for one leaf and not the
-whole tree; with no arguments, root help, or an unknown noun or verb
-it builds every leaf, and help and error text come from the full tree.
-
-``dispatch`` looks the (noun, verb) pair up in three tables:
-``MUTATIONS`` maps it to an operation and a params builder, run through
-``mutate``; ``QUERIES`` maps it to a handler over the loaded state; and
-``COMMANDS`` holds ``init``, ``run``, ``state import``, ``object
-resolve`` and ``merkle *``, which handle their own state. Builders
-check address arguments and raise parse errors before ``--as`` is
-checked or the state is loaded.
 """
 
 import argparse
@@ -36,20 +22,16 @@ from .errors import LedgerError, err
 from .identity import parse_role
 from .merkle import MerkleProof, MerkleTree, verify_proof
 from .node import Node
-from .persistence import (StateLock, load_state, read_snapshot, save_state,
-                          write_snapshot)
+from .persistence import (StateLock, holds_ledger, load_state, read_snapshot,
+                          save_state, write_snapshot)
 from .storage import cid_digest, resolve_uri
 from .tokens import fractional_of, swap_descriptor_digest
-
-
-class CliParseError(Exception):
-    pass
 
 
 class Parser(argparse.ArgumentParser):
     # argparse exits the process on error; we want an exit code instead
     def error(self, message):
-        raise CliParseError(message)
+        raise err("ParseError", message)
 
 
 def parse_key(s: str) -> bytes:
@@ -133,16 +115,18 @@ def parse_json_object(s: str) -> dict:
     return value
 
 
-# -- the command table: (noun, verb) -> leaf arguments ------------------------
-# Each argument is (flag, add_argument kwargs). A list in place of the
-# flag is a required mutually exclusive group of such arguments. Nouns
-# and verbs appear in help and error text in the table's order.
+# -- leaf arguments ------------------------------------------------------------
+# COMMANDS, at the end of this module, maps each (noun, verb) pair to its
+# leaf arguments and its handler; build_parser and dispatch read the same
+# entry. Each argument is (flag, add_argument kwargs). A list in place of
+# the flag is a required mutually exclusive group of such arguments.
 
 REQUIRED = {"required": True}
 REQUIRED_INT = {"type": int, "required": True}
 EMPTY = {"default": ""}
 REPEATABLE = {"action": "append", "default": []}
 FROM_ADDR = {"dest": "from_addr", "required": True}
+PROPERTY = ("--property", REQUIRED)
 
 COMMON = [
     ("--state-dir", {"default": "estate-state"}),
@@ -153,97 +137,11 @@ COMMON = [
 ]
 
 SWAP_ARGS = [
-    ("--property", REQUIRED), ("--party-a", REQUIRED),
+    PROPERTY, ("--party-a", REQUIRED),
     ("--party-b", REQUIRED), ("--legs-a", EMPTY), ("--legs-b", EMPTY),
     ("--value-a", {"type": int, "default": 0}),
     ("--value-b", {"type": int, "default": 0}),
 ]
-
-ARGS = {
-    ("init", None): [("--admin-key", REQUIRED), ("--info-cid", EMPTY),
-                     ("--allowlist", {})],
-    ("run", None): [("script", {})],
-    ("stakeholder", "register"): [("--role", REQUIRED), ("--key", REQUIRED),
-                                  ("--info-cid", EMPTY)],
-    ("stakeholder", "remove"): [("--target", REQUIRED)],
-    ("stakeholder", "show"): [("--address", REQUIRED)],
-    ("stakeholder", "has-role"): [("--address", REQUIRED),
-                                  ("--role", REQUIRED)],
-    ("object", "put"): [([("--file", {}), ("--data", {})], REQUIRED)],
-    ("object", "get"): [("--cid", REQUIRED), ("--out", {})],
-    ("object", "metadata"): [("--name", REQUIRED), ("--description", EMPTY),
-                             ("--doc", REPEATABLE), ("--extra", {})],
-    ("object", "resolve"): [("--base-uri", REQUIRED), ("--id", REQUIRED)],
-    ("merkle", "root"): [("--leaf", REPEATABLE), ("--cid", REPEATABLE),
-                         ("--property", {})],
-    ("merkle", "prove"): [("--index", REQUIRED_INT), ("--leaf", REPEATABLE),
-                          ("--cid", REPEATABLE), ("--property", {})],
-    ("merkle", "verify"): [("--root", REQUIRED), ("--leaf", REQUIRED),
-                           ("--proof", REQUIRED)],
-    ("property", "adddoc"): [("--property", REQUIRED), ("--cid", REQUIRED)],
-    ("property", "approve"): [("--property", REQUIRED),
-                              ("--parent-hash", REQUIRED)],
-    ("property", "mint"): [("--property", REQUIRED), ("--id", REQUIRED),
-                           ("--price", REQUIRED_INT), ("--data", EMPTY)],
-    ("property", "mint-batch"): [
-        ("--property", REQUIRED), ("--ids", REQUIRED),
-        ("--amounts", REQUIRED), ("--prices", REQUIRED), ("--data", EMPTY)],
-    ("property", "fractionalize"): [
-        ("--property", REQUIRED), ("--right-id", REQUIRED),
-        ("--units", REQUIRED_INT), ("--price-per-unit", REQUIRED_INT)],
-    ("property", "transfer"): [
-        ("--property", REQUIRED), ("--to", REQUIRED), ("--id", REQUIRED),
-        ("--amount", REQUIRED_INT), ("--data", EMPTY)],
-    ("property", "burn"): [("--property", REQUIRED), ("--from", FROM_ADDR),
-                           ("--id", REQUIRED), ("--amount", REQUIRED_INT)],
-    ("property", "burn-batch"): [
-        ("--property", REQUIRED), ("--from", FROM_ADDR), ("--ids", REQUIRED),
-        ("--amounts", REQUIRED)],
-    ("property", "set-price"): [("--property", REQUIRED), ("--id", REQUIRED),
-                                ("--price-per-unit", REQUIRED_INT)],
-    ("property", "distribute"): [("--property", REQUIRED),
-                                 ("--right-id", REQUIRED),
-                                 ("--total", REQUIRED_INT)],
-    ("property", "info"): [("--property", REQUIRED)],
-    ("property", "id"): [("--property", REQUIRED)],
-    ("property", "supply"): [("--property", REQUIRED), ("--id", REQUIRED)],
-    ("property", "exists"): [("--property", REQUIRED), ("--id", REQUIRED)],
-    ("property", "uri"): [("--property", REQUIRED), ("--id", REQUIRED)],
-    ("token", "balance"): [("--property", REQUIRED), ("--owner", REQUIRED),
-                           ("--id", REQUIRED)],
-    ("token", "approve"): [("--property", REQUIRED), ("--operator", REQUIRED),
-                           ("--approved", REQUIRED)],
-    ("token", "transfer"): [
-        ("--property", REQUIRED), ("--from", FROM_ADDR), ("--to", REQUIRED),
-        ("--ids", REQUIRED), ("--amounts", REQUIRED)],
-    ("token", "consent"): SWAP_ARGS,
-    ("token", "swap"): SWAP_ARGS,
-    ("factory", "init"): [("--version", REQUIRED_INT),
-                          ("--tag", {"default": "base"}), ("--admin", {}),
-                          ("--upgrader", {})],
-    ("factory", "deploy"): [
-        ("--treasury", REQUIRED), ("--upgrader", REQUIRED),
-        ("--admin", REQUIRED), ("--uri", REQUIRED), ("--name", EMPTY),
-        ("--description", EMPTY)],
-    ("factory", "pause"): [],
-    ("factory", "unpause"): [],
-    ("factory", "upgrade"): [("--version", REQUIRED_INT),
-                             ("--tag", {"default": "base"})],
-    ("factory", "info"): [],
-    ("factory", "proxy-length"): [],
-    ("chain", "verify"): [],
-    ("chain", "show"): [("--index", {"type": int})],
-    ("chain", "replay"): [],
-    ("chain", "faucet"): [("--to", REQUIRED), ("--amount", REQUIRED_INT)],
-    ("chain", "transfer"): [("--to", REQUIRED), ("--amount", REQUIRED_INT)],
-    ("chain", "balance"): [("--address", REQUIRED)],
-    ("state", "digest"): [("--scope", {
-        "choices": ("full", "ledger", "properties"), "default": "full"})],
-    ("state", "export"): [("--out", REQUIRED)],
-    ("state", "import"): [("--in", {"dest": "infile", "required": True}),
-                          ("--force", {"action": "store_true"})],
-    ("state", "show"): [],
-}
 
 
 def _add_args(parser, args):
@@ -259,17 +157,17 @@ def build_parser(argv=None) -> Parser:
     the path from the root to that command's leaf is built. Otherwise
     (no argv, root help, an unknown noun or verb) the whole tree is, so
     help and error text come from the full tree."""
-    commands = ARGS
+    commands = COMMANDS
     if argv:
         key = (argv[0], None)
-        if key not in ARGS:
+        if key not in COMMANDS:
             key = tuple(argv[:2])
-        if key in ARGS:
-            commands = {key: ARGS[key]}
+        if key in COMMANDS:
+            commands = {key: COMMANDS[key]}
     root = Parser(prog="estate", description=__doc__)
     nouns = root.add_subparsers(dest="noun", required=True)
     verbs = {}
-    for (noun, verb), args in commands.items():
+    for (noun, verb), (args, _) in commands.items():
         if verb is None:
             leaf = nouns.add_parser(noun)
         else:
@@ -281,27 +179,38 @@ def build_parser(argv=None) -> Parser:
     return root
 
 
-# -- command execution ---------------------------------------------------------
+# -- handlers ------------------------------------------------------------------
+# A mutating command's handler is mutation(operation, build_params) and a
+# read's is query(read); init, run, state import, object resolve and
+# merkle * handle their own state. Params builders check address
+# arguments and raise parse errors before --as is checked or the state
+# is loaded.
 
 
 def _timestamp(args) -> int:
     return args.timestamp if args.timestamp is not None else int(time.time())
 
 
-def _require_caller(args) -> str:
-    if not args.caller:
-        raise err("ParseError", "this command needs --as <address>")
-    return args.caller
+def mutation(operation: str, build_params):
+    """The handler of a mutating command: `operation` with the params
+    `build_params(args)` runs as one block against the state dir."""
+    def run(args) -> dict:
+        params = build_params(args)
+        if not args.caller:
+            raise err("ParseError", "this command needs --as <address>")
+        with StateLock(args.state_dir):
+            node = load_state(args.state_dir)
+            result = node.execute(args.caller, operation, params,
+                                  value=args.value,
+                                  timestamp=_timestamp(args))
+            save_state(args.state_dir, node)
+        return result
+    return run
 
 
-def mutate(args, operation: str, params: dict) -> dict:
-    caller = _require_caller(args)
-    with StateLock(args.state_dir):
-        node = load_state(args.state_dir)
-        result = node.execute(caller, operation, params, value=args.value,
-                              timestamp=_timestamp(args))
-        save_state(args.state_dir, node)
-    return result
+def query(read):
+    """The handler of a read: `read(args, node)` over the loaded state."""
+    return lambda args: read(args, load_state(args.state_dir))
 
 
 def _leaves_from_args(args) -> list:
@@ -311,9 +220,6 @@ def _leaves_from_args(args) -> list:
         prop = load_state(args.state_dir).state.property_at(args.property)
         leaves.extend(cid_digest(c) for c in prop.documents)
     return leaves
-
-
-# -- mutations: (noun, verb) -> (operation, params builder) -------------------
 
 
 def _object_put_params(args) -> dict:
@@ -345,77 +251,6 @@ def _factory_init_params(args) -> dict:
         if getattr(args, key):
             params[key] = check_address(getattr(args, key))
     return params
-
-
-MUTATIONS = {
-    ("stakeholder", "register"): ("registerStakeholder", lambda a: {
-        "role": a.role, "publicKey": parse_key(a.key).hex(),
-        "infoCid": a.info_cid}),
-    ("stakeholder", "remove"): ("removeStakeholder", lambda a: {
-        "target": check_address(a.target)}),
-    ("object", "put"): ("putObject", _object_put_params),
-    ("object", "metadata"): ("buildRightMetadata", lambda a: {
-        "nameOfRight": a.name, "description": a.description,
-        "documents": [parse_doc(d) for d in a.doc],
-        "extra": parse_json_object(a.extra) if a.extra else None}),
-    ("property", "adddoc"): ("registerDocument", lambda a: {
-        "property": a.property, "cid": a.cid}),
-    ("property", "approve"): ("approvedProperty", _approve_params),
-    ("property", "mint"): ("mintNFT", lambda a: {
-        "property": a.property, "id": parse_token_id(a.id),
-        "data": a.data, "price": a.price}),
-    ("property", "mint-batch"): ("mintBatchNFTs", lambda a: {
-        "property": a.property, "ids": parse_id_list(a.ids),
-        "amounts": parse_int_list(a.amounts), "data": a.data,
-        "prices": parse_int_list(a.prices)}),
-    ("property", "fractionalize"): ("mintFractional", lambda a: {
-        "property": a.property, "rightId": parse_token_id(a.right_id),
-        "units": a.units, "pricePerUnit": a.price_per_unit}),
-    ("property", "transfer"): ("transferNFT", lambda a: {
-        "property": a.property, "to": check_address(a.to),
-        "id": parse_token_id(a.id), "amount": a.amount, "data": a.data}),
-    ("property", "burn"): ("burnNFT", lambda a: {
-        "property": a.property, "from": check_address(a.from_addr),
-        "id": parse_token_id(a.id), "amount": a.amount}),
-    ("property", "burn-batch"): ("burnBatchNFTs", lambda a: {
-        "property": a.property, "from": check_address(a.from_addr),
-        "ids": parse_id_list(a.ids), "amounts": parse_int_list(a.amounts)}),
-    ("property", "set-price"): ("setPrice", lambda a: {
-        "property": a.property, "id": parse_token_id(a.id),
-        "pricePerUnit": a.price_per_unit}),
-    ("property", "distribute"): ("distributeEarnings", lambda a: {
-        "property": a.property, "rightId": parse_token_id(a.right_id),
-        "total": a.total}),
-    ("token", "approve"): ("setApprovalForAll", lambda a: {
-        "property": a.property, "operator": check_address(a.operator),
-        "approved": parse_bool(a.approved)}),
-    ("token", "transfer"): ("safeTransferBatch", lambda a: {
-        "property": a.property, "from": check_address(a.from_addr),
-        "to": check_address(a.to), "ids": parse_id_list(a.ids),
-        "amounts": parse_int_list(a.amounts)}),
-    ("token", "consent"): ("consentSwap", lambda a: {
-        "property": a.property,
-        "digest": swap_descriptor_digest(*_swap_terms(a))}),
-    ("token", "swap"): ("atomicSwap", lambda a: {
-        "property": a.property, **dict(zip(SWAP_KEYS, _swap_terms(a)))}),
-    ("factory", "init"): ("initializeFactory", _factory_init_params),
-    ("factory", "deploy"): ("deployProperty", lambda a: {
-        "treasury": check_address(a.treasury),
-        "upgrader": check_address(a.upgrader),
-        "admin": check_address(a.admin), "uri": a.uri,
-        "contractName": a.name, "description": a.description}),
-    ("factory", "pause"): ("pause", lambda a: {}),
-    ("factory", "unpause"): ("unpause", lambda a: {}),
-    ("factory", "upgrade"): ("authorizeUpgrade", lambda a: {
-        "versionId": a.version, "behaviorTag": a.tag}),
-    ("chain", "faucet"): ("faucet", lambda a: {
-        "to": check_address(a.to), "amount": a.amount}),
-    ("chain", "transfer"): ("transferNative", lambda a: {
-        "to": check_address(a.to), "amount": a.amount}),
-}
-
-
-# -- queries: (noun, verb) -> handler(args, node) over the loaded state -------
 
 
 def _object_get(args, node) -> dict:
@@ -463,49 +298,12 @@ def _state_export(args, node) -> dict:
     return {"out": args.out, "digest": node.full_digest()}
 
 
-QUERIES = {
-    ("stakeholder", "show"): lambda a, n: (
-        n.state.registry.get(a.address).to_dict()),
-    ("stakeholder", "has-role"): lambda a, n: {
-        "hasRole": n.state.registry.has_role(a.address, parse_role(a.role))},
-    ("object", "get"): _object_get,
-    ("property", "info"): lambda a, n: (
-        n.state.property_at(a.property).to_dict()),
-    ("property", "id"): lambda a, n: {
-        "propertyId": n.state.property_at(a.property).get_property_id()},
-    ("property", "supply"): lambda a, n: {
-        "supply": n.state.property_at(a.property).total_supply(
-            parse_token_id(a.id))},
-    ("property", "exists"): lambda a, n: {
-        "exists": n.state.property_at(a.property).exists(
-            parse_token_id(a.id))},
-    ("property", "uri"): lambda a, n: {
-        "uri": n.state.property_at(a.property).uri_of(parse_token_id(a.id))},
-    ("token", "balance"): _token_balance,
-    ("factory", "info"): lambda a, n: n.state.factory.to_dict(),
-    ("factory", "proxy-length"): lambda a, n: {
-        "proxyLength": n.state.factory.proxy_length()},
-    ("chain", "verify"): _chain_verify,
-    ("chain", "show"): _chain_show,
-    ("chain", "replay"): _chain_replay,
-    ("chain", "balance"): lambda a, n: {
-        "address": a.address, "balance": n.state.native.balance(a.address)},
-    ("state", "digest"): lambda a, n: {
-        "scope": a.scope, "digest": getattr(n, f"{a.scope}_digest")()},
-    ("state", "export"): _state_export,
-    ("state", "show"): lambda a, n: n.state.state_dict(),
-}
-
-
-# -- commands that handle their own state: (noun, verb) -> handler(args) -----
-
-
 def _init(args) -> dict:
     node = Node()
     if args.allowlist:
         node.state.config["allowlist"] = os.path.abspath(args.allowlist)
     with StateLock(args.state_dir):
-        if os.path.exists(os.path.join(args.state_dir, "state.json")):
+        if holds_ledger(args.state_dir):
             raise err("AlreadyInitialized",
                       f"{args.state_dir} already holds a ledger")
         admin = node.init_genesis(parse_key(args.admin_key),
@@ -516,8 +314,7 @@ def _init(args) -> dict:
 
 def _state_import(args) -> dict:
     with StateLock(args.state_dir):
-        if (os.path.exists(os.path.join(args.state_dir, "state.json"))
-                and not args.force):
+        if holds_ledger(args.state_dir) and not args.force:
             raise err("AlreadyInitialized",
                       f"{args.state_dir} holds a ledger; use --force")
         node = read_snapshot(args.infile)
@@ -571,8 +368,6 @@ def run_script(args) -> dict:
             if args.timestamp is not None and sub.timestamp is None:
                 sub.timestamp = args.timestamp
             dispatch(sub)
-        except CliParseError as exc:
-            raise err("ParseError", f"line {lineno}: {exc}")
         except LedgerError as exc:
             raise LedgerError(exc.code, f"line {lineno}: {exc.message}")
         executed += 1
@@ -581,36 +376,192 @@ def run_script(args) -> dict:
             "digest": node.full_digest()}
 
 
+# -- the command table: (noun, verb) -> (leaf arguments, handler) -------------
+# Nouns and verbs appear in help and error text in the table's order.
+
 COMMANDS = {
-    ("init", None): _init,
-    ("run", None): run_script,
-    ("state", "import"): _state_import,
-    ("object", "resolve"): lambda a: {
-        "uri": resolve_uri(a.base_uri, parse_token_id(a.id))},
-    ("merkle", "root"): lambda a: {
-        "root": MerkleTree(_leaves_from_args(a)).root.hex()},
-    ("merkle", "prove"): _merkle_prove,
-    ("merkle", "verify"): _merkle_verify,
+    ("init", None): ([("--admin-key", REQUIRED), ("--info-cid", EMPTY),
+                      ("--allowlist", {})], _init),
+    ("run", None): ([("script", {})], run_script),
+    ("stakeholder", "register"): (
+        [("--role", REQUIRED), ("--key", REQUIRED), ("--info-cid", EMPTY)],
+        mutation("registerStakeholder", lambda a: {
+            "role": a.role, "publicKey": parse_key(a.key).hex(),
+            "infoCid": a.info_cid})),
+    ("stakeholder", "remove"): ([("--target", REQUIRED)], mutation(
+        "removeStakeholder", lambda a: {"target": check_address(a.target)})),
+    ("stakeholder", "show"): ([("--address", REQUIRED)], query(
+        lambda a, n: n.state.registry.get(a.address).to_dict())),
+    ("stakeholder", "has-role"): (
+        [("--address", REQUIRED), ("--role", REQUIRED)],
+        query(lambda a, n: {"hasRole": n.state.registry.has_role(
+            a.address, parse_role(a.role))})),
+    ("object", "put"): ([([("--file", {}), ("--data", {})], REQUIRED)],
+                        mutation("putObject", _object_put_params)),
+    ("object", "get"): ([("--cid", REQUIRED), ("--out", {})],
+                        query(_object_get)),
+    ("object", "metadata"): (
+        [("--name", REQUIRED), ("--description", EMPTY),
+         ("--doc", REPEATABLE), ("--extra", {})],
+        mutation("buildRightMetadata", lambda a: {
+            "nameOfRight": a.name, "description": a.description,
+            "documents": [parse_doc(d) for d in a.doc],
+            "extra": parse_json_object(a.extra) if a.extra else None})),
+    ("object", "resolve"): (
+        [("--base-uri", REQUIRED), ("--id", REQUIRED)],
+        lambda a: {"uri": resolve_uri(a.base_uri, parse_token_id(a.id))}),
+    ("merkle", "root"): (
+        [("--leaf", REPEATABLE), ("--cid", REPEATABLE), ("--property", {})],
+        lambda a: {"root": MerkleTree(_leaves_from_args(a)).root.hex()}),
+    ("merkle", "prove"): ([("--index", REQUIRED_INT), ("--leaf", REPEATABLE),
+                           ("--cid", REPEATABLE), ("--property", {})],
+                          _merkle_prove),
+    ("merkle", "verify"): ([("--root", REQUIRED), ("--leaf", REQUIRED),
+                            ("--proof", REQUIRED)], _merkle_verify),
+    ("property", "adddoc"): ([PROPERTY, ("--cid", REQUIRED)], mutation(
+        "registerDocument",
+        lambda a: {"property": a.property, "cid": a.cid})),
+    ("property", "approve"): ([PROPERTY, ("--parent-hash", REQUIRED)],
+                              mutation("approvedProperty", _approve_params)),
+    ("property", "mint"): (
+        [PROPERTY, ("--id", REQUIRED), ("--price", REQUIRED_INT),
+         ("--data", EMPTY)],
+        mutation("mintNFT", lambda a: {
+            "property": a.property, "id": parse_token_id(a.id),
+            "data": a.data, "price": a.price})),
+    ("property", "mint-batch"): (
+        [PROPERTY, ("--ids", REQUIRED), ("--amounts", REQUIRED),
+         ("--prices", REQUIRED), ("--data", EMPTY)],
+        mutation("mintBatchNFTs", lambda a: {
+            "property": a.property, "ids": parse_id_list(a.ids),
+            "amounts": parse_int_list(a.amounts), "data": a.data,
+            "prices": parse_int_list(a.prices)})),
+    ("property", "fractionalize"): (
+        [PROPERTY, ("--right-id", REQUIRED), ("--units", REQUIRED_INT),
+         ("--price-per-unit", REQUIRED_INT)],
+        mutation("mintFractional", lambda a: {
+            "property": a.property, "rightId": parse_token_id(a.right_id),
+            "units": a.units, "pricePerUnit": a.price_per_unit})),
+    ("property", "transfer"): (
+        [PROPERTY, ("--to", REQUIRED), ("--id", REQUIRED),
+         ("--amount", REQUIRED_INT), ("--data", EMPTY)],
+        mutation("transferNFT", lambda a: {
+            "property": a.property, "to": check_address(a.to),
+            "id": parse_token_id(a.id), "amount": a.amount,
+            "data": a.data})),
+    ("property", "burn"): (
+        [PROPERTY, ("--from", FROM_ADDR), ("--id", REQUIRED),
+         ("--amount", REQUIRED_INT)],
+        mutation("burnNFT", lambda a: {
+            "property": a.property, "from": check_address(a.from_addr),
+            "id": parse_token_id(a.id), "amount": a.amount})),
+    ("property", "burn-batch"): (
+        [PROPERTY, ("--from", FROM_ADDR), ("--ids", REQUIRED),
+         ("--amounts", REQUIRED)],
+        mutation("burnBatchNFTs", lambda a: {
+            "property": a.property, "from": check_address(a.from_addr),
+            "ids": parse_id_list(a.ids),
+            "amounts": parse_int_list(a.amounts)})),
+    ("property", "set-price"): (
+        [PROPERTY, ("--id", REQUIRED), ("--price-per-unit", REQUIRED_INT)],
+        mutation("setPrice", lambda a: {
+            "property": a.property, "id": parse_token_id(a.id),
+            "pricePerUnit": a.price_per_unit})),
+    ("property", "distribute"): (
+        [PROPERTY, ("--right-id", REQUIRED), ("--total", REQUIRED_INT)],
+        mutation("distributeEarnings", lambda a: {
+            "property": a.property, "rightId": parse_token_id(a.right_id),
+            "total": a.total})),
+    ("property", "info"): ([PROPERTY], query(
+        lambda a, n: n.state.property_at(a.property).to_dict())),
+    ("property", "id"): ([PROPERTY], query(lambda a, n: {
+        "propertyId": n.state.property_at(a.property).get_property_id()})),
+    ("property", "supply"): ([PROPERTY, ("--id", REQUIRED)], query(
+        lambda a, n: {"supply": n.state.property_at(a.property)
+                      .total_supply(parse_token_id(a.id))})),
+    ("property", "exists"): ([PROPERTY, ("--id", REQUIRED)], query(
+        lambda a, n: {"exists": n.state.property_at(a.property)
+                      .exists(parse_token_id(a.id))})),
+    ("property", "uri"): ([PROPERTY, ("--id", REQUIRED)], query(
+        lambda a, n: {"uri": n.state.property_at(a.property)
+                      .uri_of(parse_token_id(a.id))})),
+    ("token", "balance"): (
+        [PROPERTY, ("--owner", REQUIRED), ("--id", REQUIRED)],
+        query(_token_balance)),
+    ("token", "approve"): (
+        [PROPERTY, ("--operator", REQUIRED), ("--approved", REQUIRED)],
+        mutation("setApprovalForAll", lambda a: {
+            "property": a.property, "operator": check_address(a.operator),
+            "approved": parse_bool(a.approved)})),
+    ("token", "transfer"): (
+        [PROPERTY, ("--from", FROM_ADDR), ("--to", REQUIRED),
+         ("--ids", REQUIRED), ("--amounts", REQUIRED)],
+        mutation("safeTransferBatch", lambda a: {
+            "property": a.property, "from": check_address(a.from_addr),
+            "to": check_address(a.to), "ids": parse_id_list(a.ids),
+            "amounts": parse_int_list(a.amounts)})),
+    ("token", "consent"): (SWAP_ARGS, mutation("consentSwap", lambda a: {
+        "property": a.property,
+        "digest": swap_descriptor_digest(*_swap_terms(a))})),
+    ("token", "swap"): (SWAP_ARGS, mutation("atomicSwap", lambda a: {
+        "property": a.property, **dict(zip(SWAP_KEYS, _swap_terms(a)))})),
+    ("factory", "init"): (
+        [("--version", REQUIRED_INT), ("--tag", {"default": "base"}),
+         ("--admin", {}), ("--upgrader", {})],
+        mutation("initializeFactory", _factory_init_params)),
+    ("factory", "deploy"): (
+        [("--treasury", REQUIRED), ("--upgrader", REQUIRED),
+         ("--admin", REQUIRED), ("--uri", REQUIRED), ("--name", EMPTY),
+         ("--description", EMPTY)],
+        mutation("deployProperty", lambda a: {
+            "treasury": check_address(a.treasury),
+            "upgrader": check_address(a.upgrader),
+            "admin": check_address(a.admin), "uri": a.uri,
+            "contractName": a.name, "description": a.description})),
+    ("factory", "pause"): ([], mutation("pause", lambda a: {})),
+    ("factory", "unpause"): ([], mutation("unpause", lambda a: {})),
+    ("factory", "upgrade"): (
+        [("--version", REQUIRED_INT), ("--tag", {"default": "base"})],
+        mutation("authorizeUpgrade", lambda a: {
+            "versionId": a.version, "behaviorTag": a.tag})),
+    ("factory", "info"): ([], query(lambda a, n: n.state.factory.to_dict())),
+    ("factory", "proxy-length"): ([], query(lambda a, n: {
+        "proxyLength": n.state.factory.proxy_length()})),
+    ("chain", "verify"): ([], query(_chain_verify)),
+    ("chain", "show"): ([("--index", {"type": int})], query(_chain_show)),
+    ("chain", "replay"): ([], query(_chain_replay)),
+    ("chain", "faucet"): (
+        [("--to", REQUIRED), ("--amount", REQUIRED_INT)],
+        mutation("faucet", lambda a: {
+            "to": check_address(a.to), "amount": a.amount})),
+    ("chain", "transfer"): (
+        [("--to", REQUIRED), ("--amount", REQUIRED_INT)],
+        mutation("transferNative", lambda a: {
+            "to": check_address(a.to), "amount": a.amount})),
+    ("chain", "balance"): ([("--address", REQUIRED)], query(lambda a, n: {
+        "address": a.address, "balance": n.state.native.balance(a.address)})),
+    ("state", "digest"): (
+        [("--scope", {"choices": ("full", "ledger", "properties"),
+                      "default": "full"})],
+        query(lambda a, n: {"scope": a.scope,
+                            "digest": getattr(n, f"{a.scope}_digest")()})),
+    ("state", "export"): ([("--out", REQUIRED)], query(_state_export)),
+    ("state", "import"): ([("--in", {"dest": "infile", "required": True}),
+                           ("--force", {"action": "store_true"})],
+                          _state_import),
+    ("state", "show"): ([], query(lambda a, n: n.state.state_dict())),
 }
 
 
 def dispatch(args) -> dict:
-    key = (args.noun, getattr(args, "verb", None))
     # a file the command names may be missing, unreadable or not UTF-8;
     # converting here gives script lines their "line N:" prefix too
     try:
-        if key in MUTATIONS:
-            operation, build_params = MUTATIONS[key]
-            return mutate(args, operation, build_params(args))
-        if key in QUERIES:
-            return QUERIES[key](args, load_state(args.state_dir))
-        if key in COMMANDS:
-            return COMMANDS[key](args)
+        return COMMANDS[args.noun, getattr(args, "verb", None)][1](args)
     except UnicodeError as exc:
         raise err("ParseError", str(exc)) from exc
     except OSError as exc:
         raise err("NotFound", f"{exc.filename}: {exc.strerror}") from exc
-    raise err("ParseError", f"unhandled command {key[0]} {key[1]}")
 
 
 def format_result(result: dict, as_json: bool) -> str:
@@ -632,13 +583,12 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        for arg in argv:  # argv bytes that are not UTF-8 hold surrogates
-            arg.encode("utf-8")
+        try:
+            for arg in argv:  # argv bytes that are not UTF-8 hold surrogates
+                arg.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise err("ParseError", str(exc)) from exc
         args = build_parser(argv).parse_args(argv)
-    except (CliParseError, UnicodeEncodeError) as exc:
-        print(f"error: ParseError: {exc}", file=sys.stderr)
-        return 2
-    try:
         result = dispatch(args)
     except LedgerError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -121,24 +121,24 @@ class Node:
     def init_genesis(self, admin_key: bytes, info_cid: str = "",
                      timestamp: int = 0) -> str:
         _check_timestamp(timestamp)
-        self.state.chain.append_genesis(timestamp)
-        result = self.execute(
-            caller=derive_address(admin_key),
-            operation="bootstrapAdmin",
-            params={"publicKey": admin_key.hex(), "infoCid": info_cid},
-            timestamp=timestamp,
-        )
+        chain = self.state.chain
+        chain.append_genesis(timestamp)
+        try:
+            result = self.execute(
+                caller=derive_address(admin_key),
+                operation="bootstrapAdmin",
+                params={"publicKey": admin_key.hex(), "infoCid": info_cid},
+                timestamp=timestamp,
+            )
+        except Exception:
+            chain.blocks.clear()  # no genesis without its administrator
+            raise
         return result["address"]
-
-    def _verifier(self):
-        path = self.state.config.get("allowlist")
-        return AllowlistVerifier(path) if path else None
 
     # -- execution -------------------------------------------------------------
 
     def execute(self, caller: str, operation: str, params: dict,
-                value: int = 0, timestamp: int = 0, *,
-                verify_keys: bool = True) -> dict:
+                value: int = 0, timestamp: int = 0) -> dict:
         if operation in EVENT_OPS:
             raise err("ParseError", f"{operation} is an event, not a command")
         executor = EXECUTORS.get(operation)
@@ -172,8 +172,7 @@ class Node:
                              attached_value=value).canonical_bytes()]
 
         working = _working_copy(self.state, WRITES[operation], params)
-        verifier = self._verifier() if verify_keys else None
-        result, events = executor(working, caller, params, value, verifier)
+        result, events = executor(working, caller, params, value)
         blobs.extend(tx.canonical_bytes() for tx in events)
         working.chain.append_block(blobs, timestamp)
         self.state = working
@@ -185,33 +184,39 @@ class Node:
         """Re-execute the recorded chain from genesis on a fresh node.
 
         Returns the rebuilt node; raises HashMismatch if any replayed
-        block hash differs from the recorded one.
+        block hash differs from the recorded one, and CorruptSnapshot if
+        a recorded transaction cannot be decoded or re-executed.
         """
         blocks = self.state.chain.blocks
         if not blocks:
             raise err("Uninitialized", "nothing to replay")
-        fresh = Node(LedgerState(config=copy.deepcopy(self.state.config)))
+        # the fresh node has no allowlist: recorded registrations are
+        # trusted, as the list that approved them may have changed since
+        fresh = Node()
         fresh.state.chain.append_genesis(blocks[0].timestamp)
         if fresh.state.chain.blocks[0].hash != blocks[0].hash:
             raise err("HashMismatch", "genesis block differs")
         for block in blocks[1:]:
-            commands = [tx for tx in
-                        (Transaction.from_dict(json.loads(blob))
-                         for blob in block.data)
-                        if tx.operation not in EVENT_OPS]
-            if len(commands) != 1:
+            try:
+                commands = [tx for tx in
+                            (Transaction.from_dict(json.loads(blob))
+                             for blob in block.data)
+                            if tx.operation not in EVENT_OPS]
+                if len(commands) != 1:
+                    raise err("CorruptSnapshot", f"block {block.index} "
+                              f"holds {len(commands)} commands")
+                tx = commands[0]
+                fresh.execute(tx.caller, tx.operation, tx.params,
+                              tx.attached_value, block.timestamp)
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
                 raise err("CorruptSnapshot",
-                          f"block {block.index} holds {len(commands)} commands")
-            tx = commands[0]
-            # recorded registrations are trusted; the allowlist that
-            # approved them may have changed since
-            fresh.execute(tx.caller, tx.operation, tx.params,
-                          tx.attached_value, block.timestamp,
-                          verify_keys=False)
-            replayed = fresh.state.chain.blocks[-1]
-            if replayed.hash != block.hash:
+                          f"block {block.index} holds a malformed "
+                          f"transaction: {type(exc).__name__}: {exc}"
+                          ) from exc
+            if fresh.state.chain.blocks[-1].hash != block.hash:
                 raise err("HashMismatch",
                           f"block {block.index} hash diverged on replay")
+        fresh.state.config = copy.deepcopy(self.state.config)
         return fresh
 
 
@@ -249,7 +254,7 @@ def _working_copy(state: LedgerState, writes: tuple,
 # each returns (result dict, extra event transactions)
 
 
-def _ex_bootstrap_admin(state, caller, params, value, verifier):
+def _ex_bootstrap_admin(state, caller, params, value):
     key = bytes.fromhex(params["publicKey"])
     # the operator seats the first administrator; no allowlist applies
     address = state.registry.register(
@@ -259,26 +264,28 @@ def _ex_bootstrap_admin(state, caller, params, value, verifier):
     return {"address": address}, []
 
 
-def _ex_register_stakeholder(state, caller, params, value, verifier):
+def _ex_register_stakeholder(state, caller, params, value):
     key = bytes.fromhex(params["publicKey"])
     role = parse_role(params["role"])
+    path = state.config.get("allowlist")
     address = state.registry.register(
-        caller, role, key, params.get("infoCid", ""), verifier=verifier)
+        caller, role, key, params.get("infoCid", ""),
+        verifier=AllowlistVerifier(path) if path else None)
     state.native.ensure_account(address)
     return {"address": address}, []
 
 
-def _ex_remove_stakeholder(state, caller, params, value, verifier):
+def _ex_remove_stakeholder(state, caller, params, value):
     state.registry.remove(caller, params["target"])
     return {}, []
 
 
-def _ex_transfer_native(state, caller, params, value, verifier):
+def _ex_transfer_native(state, caller, params, value):
     state.native.transfer(caller, params["to"], int(params["amount"]))
     return {}, []
 
 
-def _ex_faucet(state, caller, params, value, verifier):
+def _ex_faucet(state, caller, params, value):
     # the faucet is the only supply source; administrators only
     if not state.registry.is_active_admin(caller):
         raise err("NotAuthorized", f"{caller} is not an active administrator")
@@ -286,33 +293,33 @@ def _ex_faucet(state, caller, params, value, verifier):
     return {}, []
 
 
-def _ex_put_object(state, caller, params, value, verifier):
+def _ex_put_object(state, caller, params, value):
     cid = state.store.put(bytes.fromhex(params["dataHex"]))
     return {"cid": cid}, []
 
 
-def _ex_build_metadata(state, caller, params, value, verifier):
+def _ex_build_metadata(state, caller, params, value):
     cid = build_right_metadata(
         state.store, params["nameOfRight"], params.get("description", ""),
         params.get("documents", []), params.get("extra"))
     return {"cid": cid}, []
 
 
-def _ex_register_document(state, caller, params, value, verifier):
+def _ex_register_document(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.register_document(caller, params["cid"], registry=state.registry,
                            store=state.store)
     return {"documents": len(prop.documents)}, []
 
 
-def _ex_approved_property(state, caller, params, value, verifier):
+def _ex_approved_property(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.approved_property(caller, bytes.fromhex(params["parentHash"]),
                            params["property"], registry=state.registry)
     return {"approved": True}, []
 
 
-def _ex_initialize_factory(state, caller, params, value, verifier):
+def _ex_initialize_factory(state, caller, params, value):
     if not state.registry.is_active_admin(caller):
         raise err("NotAuthorized", f"{caller} is not an active administrator")
     state.factory.initialize(
@@ -323,7 +330,7 @@ def _ex_initialize_factory(state, caller, params, value, verifier):
     return {"factory": state.factory.address}, []
 
 
-def _ex_deploy_property(state, caller, params, value, verifier):
+def _ex_deploy_property(state, caller, params, value):
     address = factory_mod.deploy_property(
         state.factory, state.properties, caller,
         treasury=params["treasury"], upgrader=params["upgrader"],
@@ -338,24 +345,24 @@ def _ex_deploy_property(state, caller, params, value, verifier):
     return {"address": address, "propertyId": prop_id}, [event]
 
 
-def _ex_pause(state, caller, params, value, verifier):
+def _ex_pause(state, caller, params, value):
     state.factory.pause(caller)
     return {"paused": True}, []
 
 
-def _ex_unpause(state, caller, params, value, verifier):
+def _ex_unpause(state, caller, params, value):
     state.factory.unpause(caller)
     return {"paused": False}, []
 
 
-def _ex_authorize_upgrade(state, caller, params, value, verifier):
+def _ex_authorize_upgrade(state, caller, params, value):
     state.factory.authorize_upgrade(
         caller, ImplementationVersion(int(params["versionId"]),
                                       params.get("behaviorTag", "base")))
     return {"version": state.factory.logic.to_dict()}, []
 
 
-def _ex_mint_nft(state, caller, params, value, verifier):
+def _ex_mint_nft(state, caller, params, value):
     prop = state.property_at(params["property"])
     token_id, amount = prop.mint_nft(
         caller, int(params["id"]), int(params["price"]), value,
@@ -364,7 +371,7 @@ def _ex_mint_nft(state, caller, params, value, verifier):
     return {"id": token_id, "amount": amount}, []
 
 
-def _ex_mint_batch(state, caller, params, value, verifier):
+def _ex_mint_batch(state, caller, params, value):
     prop = state.property_at(params["property"])
     ids, amounts = prop.mint_batch(
         caller, [int(i) for i in params["ids"]],
@@ -375,7 +382,7 @@ def _ex_mint_batch(state, caller, params, value, verifier):
     return {"ids": ids, "amounts": amounts}, []
 
 
-def _ex_mint_fractional(state, caller, params, value, verifier):
+def _ex_mint_fractional(state, caller, params, value):
     prop = state.property_at(params["property"])
     frac_id = prop.mint_fractional(
         caller, int(params["rightId"]), int(params["units"]),
@@ -384,34 +391,34 @@ def _ex_mint_fractional(state, caller, params, value, verifier):
     return {"id": frac_id, "units": int(params["units"])}, []
 
 
-def _ex_transfer_nft(state, caller, params, value, verifier):
+def _ex_transfer_nft(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.transfer_nft(caller, params["to"], int(params["id"]),
                       int(params["amount"]), value, native=state.native)
     return {}, []
 
 
-def _ex_burn_nft(state, caller, params, value, verifier):
+def _ex_burn_nft(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.burn_nft(caller, params["from"], int(params["id"]),
                   int(params["amount"]))
     return {}, []
 
 
-def _ex_burn_batch(state, caller, params, value, verifier):
+def _ex_burn_batch(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.burn_batch(caller, params["from"], [int(i) for i in params["ids"]],
                     [int(a) for a in params["amounts"]])
     return {}, []
 
 
-def _ex_set_price(state, caller, params, value, verifier):
+def _ex_set_price(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.set_price(caller, int(params["id"]), int(params["pricePerUnit"]))
     return {}, []
 
 
-def _ex_distribute(state, caller, params, value, verifier):
+def _ex_distribute(state, caller, params, value):
     prop = state.property_at(params["property"])
     payouts, remainder = prop.distribute_earnings(
         caller, int(params["rightId"]), int(params["total"]), value,
@@ -419,14 +426,14 @@ def _ex_distribute(state, caller, params, value, verifier):
     return {"payouts": payouts, "remainder": remainder}, []
 
 
-def _ex_set_approval(state, caller, params, value, verifier):
+def _ex_set_approval(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.tokens.set_approval_for_all(caller, params["operator"],
                                      bool(params["approved"]))
     return {}, []
 
 
-def _ex_safe_transfer_batch(state, caller, params, value, verifier):
+def _ex_safe_transfer_batch(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.tokens.safe_transfer_batch(
         caller, params["from"], params["to"],
@@ -434,14 +441,14 @@ def _ex_safe_transfer_batch(state, caller, params, value, verifier):
     return {}, []
 
 
-def _ex_consent_swap(state, caller, params, value, verifier):
+def _ex_consent_swap(state, caller, params, value):
     prop = state.property_at(params["property"])
     digest = params["digest"]
     prop.tokens.give_consent(caller, digest)
     return {"digest": digest}, []
 
 
-def _ex_atomic_swap(state, caller, params, value, verifier):
+def _ex_atomic_swap(state, caller, params, value):
     prop = state.property_at(params["property"])
     party_a, party_b = params["partyA"], params["partyB"]
     if caller not in (party_a, party_b):

@@ -92,6 +92,13 @@ def _state_from_dicts(d: dict, objects: dict = None) -> Node:
     return Node(state)
 
 
+def holds_ledger(state_dir: str) -> bool:
+    """Whether `state_dir` holds a ledger file; either one counts, so a
+    block log without its state is never overwritten."""
+    return any(os.path.exists(os.path.join(state_dir, name))
+               for name in ("state.json", "chain.json"))
+
+
 def load_state(state_dir: str) -> Node:
     state_path = os.path.join(state_dir, "state.json")
     chain_path = os.path.join(state_dir, "chain.json")

@@ -299,7 +299,7 @@ def test_rejecting_executor_writes_nothing(market, op):
         before(n)
     digest = n.full_digest()
     with pytest.raises(LedgerError) as e:
-        EXECUTORS[op](n.state, getattr(n, who), params(n), value, None)
+        EXECUTORS[op](n.state, getattr(n, who), params(n), value)
     assert e.value.code == code
     assert n.full_digest() == digest
 
@@ -425,7 +425,7 @@ def test_random_sequences_check_before_they_write(market, seed):
         probe = copy.deepcopy(n.state, {id(n.state.chain): n.state.chain})
         digest = Node(probe).full_digest()
         try:
-            EXECUTORS[op](probe, who, params, value, None)
+            EXECUTORS[op](probe, who, params, value)
         except LedgerError:
             assert Node(probe).full_digest() == digest, (step, op, params)
         try:

@@ -12,7 +12,7 @@ import pytest
 from estateledger import cli
 from estateledger.addresses import derive_address
 from estateledger.canonical import canonical_json_bytes
-from estateledger.node import EXECUTORS
+from estateledger.errors import LedgerError
 from estateledger.persistence import load_state
 
 from oracles import ref_merkle_root
@@ -97,6 +97,18 @@ def test_init_refuses_existing_ledger(estate):
     estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
     code, _, errtxt = estate("init", "--admin-key", ADMIN_KEY, expect=3)
     assert "AlreadyInitialized" in errtxt
+
+
+def test_init_refuses_a_block_log_without_its_state(ledger):
+    os.remove(os.path.join(ledger.state_dir, "state.json"))
+    chain_path = os.path.join(ledger.state_dir, "chain.json")
+    with open(chain_path, "rb") as fh:
+        before = fh.read()
+    _, _, errtxt = ledger("init", "--admin-key", ADMIN_KEY,
+                          "--timestamp", "0", expect=3)
+    assert errtxt.startswith("error: AlreadyInitialized: ")
+    with open(chain_path, "rb") as fh:
+        assert fh.read() == before
 
 
 def test_command_against_missing_state_dir(estate):
@@ -379,6 +391,21 @@ def test_chain_verify_fails_after_file_edit(ledger):
         json.dump(chain_d, fh)
     code, _, errtxt = ledger("chain", "verify", expect=3)
     assert "HashMismatch" in errtxt
+
+
+def test_chain_replay_of_malformed_record_exits_3(ledger):
+    chain_path = os.path.join(ledger.state_dir, "chain.json")
+    with open(chain_path) as fh:
+        chain_d = json.load(fh)
+    faucet = next(tx for block in chain_d["blocks"]
+                  for tx in block["transactions"]
+                  if tx["operation"] == "faucet")
+    del faucet["params"]["amount"]
+    with open(chain_path, "w") as fh:
+        json.dump(chain_d, fh)
+    _, _, errtxt = ledger("chain", "replay", expect=3)
+    assert errtxt.startswith("error: CorruptSnapshot: block ")
+    assert "KeyError" in errtxt
 
 
 # -- snapshots and digests -----------------------------------------------------
@@ -721,20 +748,12 @@ def test_scripts_are_deterministic(estate, tmp_path, capsys):
     assert per_dir["a"] == per_dir["b"]
 
 
-# -- dispatch tables -------------------------------------------------------------
+# -- the command table ---------------------------------------------------------
 
 
 def _subcommands(parser) -> dict:
     return next((action.choices for action in parser._actions
                  if isinstance(action, argparse._SubParsersAction)), {})
-
-
-def test_parser_and_dispatch_tables_agree():
-    keys = [k for table in (cli.MUTATIONS, cli.QUERIES, cli.COMMANDS)
-            for k in table]
-    assert len(keys) == len(set(keys)), "a command sits in two tables"
-    assert set(keys) == set(cli.ARGS)
-    assert {op for op, _ in cli.MUTATIONS.values()} <= set(EXECUTORS)
 
 
 @pytest.fixture(scope="module")
@@ -746,7 +765,7 @@ def _leaf_args(key) -> list:
     """One valid token list per table argument of `key`, and whether the
     argument is required."""
     out = []
-    for flag, kwargs in cli.ARGS[key]:
+    for flag, kwargs in cli.COMMANDS[key][0]:
         if isinstance(flag, list):  # a group: give its first member
             flag = flag[0][0]
         if not flag.startswith("-"):
@@ -760,12 +779,13 @@ def _leaf_args(key) -> list:
 
 
 def _parse_error(parser, argv) -> str:
-    with pytest.raises(cli.CliParseError) as exc:
+    with pytest.raises(LedgerError) as exc:
         parser.parse_args(argv)
-    return str(exc.value)
+    assert exc.value.code == "ParseError"
+    return exc.value.message
 
 
-@pytest.mark.parametrize("key", list(cli.ARGS), ids=str)
+@pytest.mark.parametrize("key", list(cli.COMMANDS), ids=str)
 def test_leaf_parser_matches_full_parser(full_parser, key):
     command = [word for word in key if word]
     args = _leaf_args(key)
@@ -795,7 +815,8 @@ def test_parse_errors_match_full_parser(full_parser, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--help"], ["-h"], ["chain", "--help"], ["object", "put", "--help"]])
+    ["--help"], ["-h"], ["chain", "--help"], ["object", "put", "--help"]] + [
+    [word for word in key if word] + ["--help"] for key in cli.COMMANDS])
 def test_help_matches_full_parser(full_parser, capsys, argv):
     with pytest.raises(SystemExit):
         full_parser.parse_args(argv)

@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
+import json
 
 import pytest
 
 from conftest import add_doc, approve, deploy, register
+from estateledger.canonical import canonical_json_bytes
 from estateledger.errors import LedgerError
 from estateledger import node as node_mod
 from estateledger.node import Node
@@ -22,6 +24,16 @@ def test_genesis_then_bootstrap_block():
     assert blocks[0].timestamp == 5
     ops = [tx["operation"] for tx in blocks[1].to_dict()["transactions"]]
     assert ops == ["bootstrapAdmin"]
+
+
+def test_failed_bootstrap_keeps_no_genesis():
+    n = Node()
+    with pytest.raises(LedgerError) as e:
+        n.init_genesis(b"")
+    assert e.value.code == "VerificationRejected"
+    assert n.state.chain.blocks == []
+    n.init_genesis(b"a-key", timestamp=5)  # a retry is not AlreadyInitialized
+    assert len(n.state.chain.blocks) == 2
 
 
 def test_bootstrap_only_on_empty_registry(node):
@@ -130,6 +142,30 @@ def test_replay_detects_tampered_params(node):
     assert e.value.code == "HashMismatch"
 
 
+def _edit_params(edit):
+    def breaker(blob):
+        tx = json.loads(blob)
+        tx["params"] = edit(tx["params"])
+        return canonical_json_bytes(tx)
+    return breaker
+
+
+@pytest.mark.parametrize("breaker", [
+    _edit_params(lambda p: {"to": p["to"]}),
+    _edit_params(lambda p: [p]),
+    lambda blob: blob[:-1],
+], ids=["missing-param", "params-a-list", "not-json"])
+def test_replay_of_malformed_record_is_corrupt_snapshot(node, breaker):
+    node.execute(node.admin, "faucet", {"to": node.buyer, "amount": 7},
+                 timestamp=80)
+    block = node.state.chain.blocks[-1]
+    block.data[0] = breaker(block.data[0])
+    with pytest.raises(LedgerError) as e:
+        node.replay()
+    assert e.value.code == "CorruptSnapshot"
+    assert e.value.message.startswith(f"block {block.index} ")
+
+
 def test_chain_verify_spots_manual_edit(node):
     node.execute(node.seller, "transferNative",
                  {"to": node.buyer, "amount": 7})
@@ -228,6 +264,11 @@ def test_allowlist_gates_cli_level_registration(tmp_path):
     listfile.write_text("")
     rebuilt = n.replay()
     assert rebuilt.full_digest() == n.full_digest()
+
+
+def test_replay_hands_over_the_recorded_config(node):
+    node.state.config["allowlist"] = "/nonexistent/allow.txt"
+    assert node.replay().state.config == node.state.config
 
 
 def test_digest_excludes_config(node):
