@@ -288,9 +288,10 @@ def _chain_show(args, node) -> dict:
 
 
 def _chain_replay(args, node) -> dict:
-    if node.replay().full_digest() != node.full_digest():
+    digest = node.full_digest()
+    if node.replay().full_digest() != digest:
         raise err("HashMismatch", "replayed state digest does not match")
-    return {"replay": "OK", "digest": node.full_digest()}
+    return {"replay": "OK", "digest": digest}
 
 
 def _state_export(args, node) -> dict:
@@ -302,6 +303,7 @@ def _init(args) -> dict:
     node = Node()
     if args.allowlist:
         node.state.config["allowlist"] = os.path.abspath(args.allowlist)
+    os.makedirs(args.state_dir, exist_ok=True)
     with StateLock(args.state_dir):
         if holds_ledger(args.state_dir):
             raise err("AlreadyInitialized",
@@ -313,6 +315,7 @@ def _init(args) -> dict:
 
 
 def _state_import(args) -> dict:
+    os.makedirs(args.state_dir, exist_ok=True)
     with StateLock(args.state_dir):
         if holds_ledger(args.state_dir) and not args.force:
             raise err("AlreadyInitialized",

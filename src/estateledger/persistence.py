@@ -92,6 +92,10 @@ def _state_from_dicts(d: dict, objects: dict = None) -> Node:
     return Node(state)
 
 
+def _uninitialized(state_dir: str):
+    return err("Uninitialized", f"{state_dir} holds no ledger; run init")
+
+
 def holds_ledger(state_dir: str) -> bool:
     """Whether `state_dir` holds a ledger file; either one counts, so a
     block log without its state is never overwritten."""
@@ -102,8 +106,12 @@ def holds_ledger(state_dir: str) -> bool:
 def load_state(state_dir: str) -> Node:
     state_path = os.path.join(state_dir, "state.json")
     chain_path = os.path.join(state_dir, "chain.json")
-    if not (os.path.exists(state_path) and os.path.exists(chain_path)):
-        raise err("Uninitialized", f"{state_dir} holds no ledger; run init")
+    if not holds_ledger(state_dir):
+        raise _uninitialized(state_dir)
+    for path in (state_path, chain_path):
+        if not os.path.exists(path):
+            raise err("CorruptSnapshot", f"{path} is missing; "
+                      "`state import --force` restores the dir")
     state_d = _read_json_object(state_path)
     state_d["chain"] = _read_json_object(chain_path)
     objects = {}
@@ -156,10 +164,12 @@ def read_snapshot(path: str) -> Node:
 
 
 class StateLock:
-    """flock-based exclusive lock on <state_dir>/.lock."""
+    """flock-based exclusive lock on <state_dir>/.lock; a missing
+    `state_dir` is Uninitialized, as the lock creates nothing."""
 
     def __init__(self, state_dir: str):
-        os.makedirs(state_dir, exist_ok=True)
+        if not os.path.isdir(state_dir):
+            raise _uninitialized(state_dir)
         self.path = os.path.join(state_dir, ".lock")
         self._fh = None
 

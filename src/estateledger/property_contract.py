@@ -163,7 +163,7 @@ class PropertyContract:
             raise err("LengthMismatch",
                       f"{len(token_ids)} ids, {len(amounts)} amounts, "
                       f"{len(prices)} prices")
-        seen = set()
+        after = {}
         for token_id, amount, price in zip(token_ids, amounts, prices):
             if is_fractional(token_id):
                 raise err("NonRightId", f"{token_id} is not a right id")
@@ -172,9 +172,7 @@ class PropertyContract:
                           f"right {token_id} mints exactly one unit")
             if price < 0:
                 raise err("ParseError", "negative price")
-            if token_id in seen or self.tokens.total_supply(token_id) >= 1:
-                raise err("AlreadyMinted", f"right {token_id} already exists")
-            seen.add(token_id)
+            self.tokens.plan_moves([(None, caller, token_id, 1)], after)
         if value < sum(prices):
             raise err("InsufficientPayment",
                       f"attached {value}, prices sum to {sum(prices)}")
@@ -182,8 +180,8 @@ class PropertyContract:
             # primary-issuance proceeds go to the treasury, all of them
             native.debit(caller, value)
             native.credit(self.treasury, value)
+        self.tokens.apply(after)
         for token_id, price in zip(token_ids, prices):
-            self.tokens.mint(caller, token_id, 1)
             self.listings[token_id] = Listing(price_per_unit=price,
                                               seller=caller)
             self.next_right_index = max(self.next_right_index, token_id + 1)
@@ -239,14 +237,12 @@ class PropertyContract:
         if value < cost:
             raise err("InsufficientPayment",
                       f"attached {value}, {amount} units cost {cost}")
-        if self.tokens.balance_of(listing.seller, token_id) < amount:
-            raise err("InsufficientBalance",
-                      f"seller {listing.seller} cannot cover {amount} units")
+        after = self.tokens.plan_moves(
+            [(listing.seller, caller, token_id, amount)])
         # settlement: the full attached value goes to the seller
         native.debit(caller, value)
         native.credit(listing.seller, value)
-        self.tokens.safe_transfer_batch(listing.seller, listing.seller,
-                                        caller, [token_id], [amount])
+        self.tokens.apply(after)
         if is_right(token_id):
             # the right changed hands; its listing dies with the sale
             del self.listings[token_id]
@@ -257,13 +253,13 @@ class PropertyContract:
 
     def burn_batch(self, caller: str, from_addr: str, token_ids: list,
                    amounts: list):
-        """Burn every leg or none: all legs are checked, in order, against
-        what the earlier legs burn, before any of them is applied."""
+        """Burn every leg or none: all legs are planned, in order, on top
+        of what the earlier legs burn, before any of them is applied."""
         self._require_initialized()
         if len(token_ids) != len(amounts):
             raise err("LengthMismatch",
                       f"{len(token_ids)} ids vs {len(amounts)} amounts")
-        burned = {}  # token id -> units the earlier legs burn
+        after = {}
         for token_id, amount in zip(token_ids, amounts):
             if caller != from_addr and not self.tokens.is_approved_for_all(
                     from_addr, caller):
@@ -271,14 +267,14 @@ class PropertyContract:
                           f"{caller} is neither {from_addr} nor an operator")
             if is_right(token_id):
                 frac_id = fractional_of(token_id)
-                if self.tokens.total_supply(frac_id) > burned.get(frac_id, 0):
+                if after.get((frac_id, None),
+                             self.tokens.total_supply(frac_id)):
                     raise err("FractionalOutstanding",
                               f"right {token_id} anchors live fractional units")
-            self.tokens.check_burn(from_addr, token_id, amount,
-                                   burned.get(token_id, 0))
-            burned[token_id] = burned.get(token_id, 0) + amount
+            self.tokens.plan_moves([(from_addr, None, token_id, amount)],
+                                   after)
+        self.tokens.apply(after)
         for token_id, amount in zip(token_ids, amounts):
-            self.tokens.burn(from_addr, token_id, amount)
             if is_right(token_id) and amount == 1:
                 self.listings.pop(token_id, None)
 

@@ -6,9 +6,12 @@ Ids with the top bit clear are rights themselves and their supply may
 never exceed one.
 
 Balances, supplies, operator approvals, and swap consents live here.
-Batch operations are atomic by validate-then-apply: every leg is
-checked against the balances the earlier legs leave behind, and
-nothing moves unless all of them pass.
+Every token write is plan-then-apply. `TokenLedger.plan_moves` checks
+(source, destination, token id, amount) legs, each against what the
+earlier legs leave behind: a `None` source mints and a `None`
+destination burns. `TokenLedger.apply` writes the resulting plan and is
+the only writer of balances and supplies, so nothing moves unless every
+leg of a command passes.
 """
 
 from dataclasses import dataclass, field
@@ -84,88 +87,73 @@ class TokenLedger:
         check_token_id(token_id)
         return resolve_uri(self.base_uri, token_id)
 
-    # -- internal balance plumbing ---------------------------------------
+    # -- plan, then apply -------------------------------------------------
 
-    def _plan_moves(self, moves) -> dict:
-        """Check (src, dst, token id, amount) moves as if each applied in
-        turn; raise what the first failing one would raise. Returns the
-        resulting balance of every (token id, address) the moves touch."""
-        after = {}
+    def plan_moves(self, moves, after: dict = None) -> dict:
+        """Check (src, dst, token id, amount) legs as if each applied in
+        turn on top of the plan `after`, and raise what the first failing
+        leg would raise. A None src mints and a None dst burns. Returns
+        the plan, `after` extended in place: the resulting balance of
+        each (token id, address) the legs touch, and under (token id,
+        None) each supply they change."""
+        after = {} if after is None else after
         for src, dst, token_id, amount in moves:
-            check_token_id(token_id)
+            right = is_right(token_id)  # UnknownToken comes first
+            require_nonzero(dst, "token recipient")
             if amount < 0:
                 raise err("ParseError", "negative amount")
-            if is_right(token_id) and amount > 1:
+            if right and dst is None and amount != 1:
+                raise err("NonFungibleAmount",
+                          f"a right burns exactly one unit, not {amount}")
+            if right and amount > 1:
                 raise err("NonFungibleAmount",
                           f"right {token_id} moves at most one unit")
             if amount == 0:
                 continue
-            held = after.get((token_id, src), self.balance_of(src, token_id))
-            if held < amount:
-                raise err("InsufficientBalance",
-                          f"{src} holds {held} of token {token_id}, "
-                          f"needs {amount}")
-            after[(token_id, src)] = held - amount
-            after[(token_id, dst)] = after.get(
-                (token_id, dst), self.balance_of(dst, token_id)) + amount
+            if src is None or dst is None:
+                supply = after.get((token_id, None),
+                                   self.total_supply(token_id))
+                supply += amount if src is None else -amount
+                if right and supply > 1:
+                    raise err("AlreadyMinted",
+                              f"right {token_id} already exists")
+                after[(token_id, None)] = supply
+            if src is not None:
+                held = after.get((token_id, src),
+                                 self.balance_of(src, token_id))
+                if held < amount:
+                    raise err("InsufficientBalance",
+                              f"{src} holds {held} of token {token_id}, "
+                              f"needs {amount}")
+                after[(token_id, src)] = held - amount
+            if dst is not None:
+                after[(token_id, dst)] = after.get(
+                    (token_id, dst), self.balance_of(dst, token_id)) + amount
         return after
 
-    def _apply_balances(self, after: dict):
+    def apply(self, after: dict):
+        """Write a plan from `plan_moves`; the only writer of balances and
+        supplies. An entry planned to 0 is dropped, and so is the balance
+        map of a token nobody holds any more."""
         for (token_id, addr), amount in after.items():
-            per = self.balances.setdefault(token_id, {})
-            if amount:
-                per[addr] = amount
+            if addr is None:
+                table, key = self.supplies, token_id
             else:
-                per.pop(addr, None)
+                table, key = self.balances.setdefault(token_id, {}), addr
+            if amount:
+                table[key] = amount
+            else:
+                table.pop(key, None)
+                if addr is not None and not table:
+                    del self.balances[token_id]
 
     # -- mutations ---------------------------------------------------------
 
     def mint(self, to: str, token_id: int, amount: int):
-        check_token_id(token_id)
-        require_nonzero(to, "mint target")
-        if amount < 0:
-            raise err("ParseError", "negative amount")
-        if amount == 0:
-            return
-        if is_right(token_id):
-            if amount > 1:
-                raise err("NonFungibleAmount",
-                          f"right {token_id} cannot have supply {amount}")
-            if self.total_supply(token_id) >= 1:
-                raise err("AlreadyMinted", f"right {token_id} already exists")
-        per = self.balances.setdefault(token_id, {})
-        per[to] = per.get(to, 0) + amount
-        self.supplies[token_id] = self.supplies.get(token_id, 0) + amount
-
-    def check_burn(self, owner: str, token_id: int, amount: int,
-                   burned: int = 0):
-        """Raise what burning `amount` of `token_id` from `owner` would
-        raise once `burned` units of it have already left `owner`."""
-        check_token_id(token_id)
-        if amount < 0:
-            raise err("ParseError", "negative amount")
-        if is_right(token_id) and amount != 1:
-            raise err("NonFungibleAmount",
-                      f"a right burns exactly one unit, not {amount}")
-        held = self.balance_of(owner, token_id) - burned
-        if held < amount:
-            raise err("InsufficientBalance",
-                      f"{owner} holds {held} of token {token_id}, "
-                      f"needs {amount}")
+        self.apply(self.plan_moves([(None, to, token_id, amount)]))
 
     def burn(self, owner: str, token_id: int, amount: int):
-        self.check_burn(owner, token_id, amount)
-        if amount == 0:
-            return
-        per = self.balances[token_id]
-        per[owner] -= amount
-        if per[owner] == 0:
-            del per[owner]
-            if not per:
-                del self.balances[token_id]
-        self.supplies[token_id] -= amount
-        if self.supplies[token_id] == 0:
-            del self.supplies[token_id]
+        self.apply(self.plan_moves([(owner, None, token_id, amount)]))
 
     def set_approval_for_all(self, owner: str, operator: str, approved: bool):
         if owner == operator:
@@ -189,7 +177,7 @@ class TokenLedger:
         require_nonzero(dst, "transfer target")
         if src == ZERO_ADDRESS:
             raise err("ZeroAddress", "transfer source may not be the zero address")
-        self._apply_balances(self._plan_moves(
+        self.apply(self.plan_moves(
             (src, dst, token_id, amount)
             for token_id, amount in zip(token_ids, amounts)))
 
@@ -253,7 +241,7 @@ def atomic_swap(tokens: TokenLedger, native, party_a: str, legs_a: list,
             raise err("MissingConsent",
                       f"{party} has not consented to this swap")
     # A's legs go first, so B may pass on what it receives from A
-    after = tokens._plan_moves(
+    after = tokens.plan_moves(
         [(party_a, party_b, t, n) for t, n in legs_a]
         + [(party_b, party_a, t, n) for t, n in legs_b])
     accounts = {}  # address -> native balance after the moves so far
@@ -272,7 +260,7 @@ def atomic_swap(tokens: TokenLedger, native, party_a: str, legs_a: list,
         accounts[src] = held - amount
         accounts[dst] = accounts.get(dst, native.accounts.get(dst, 0)) + amount
 
-    tokens._apply_balances(after)
+    tokens.apply(after)
     native.accounts.update(accounts)
     tokens.consents[party_a].discard(digest)
     if not tokens.consents[party_a]:

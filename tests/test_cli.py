@@ -111,9 +111,33 @@ def test_init_refuses_a_block_log_without_its_state(ledger):
         assert fh.read() == before
 
 
+def _assert_uninitialized(estate, *command):
+    _, _, errtxt = estate(*command, expect=3)
+    assert errtxt == (f"error: Uninitialized: {estate.state_dir} "
+                      "holds no ledger; run init")
+    assert not os.path.exists(estate.state_dir)
+
+
 def test_command_against_missing_state_dir(estate):
-    code, _, errtxt = estate("chain", "verify", expect=3)
-    assert "Uninitialized" in errtxt
+    _assert_uninitialized(estate, "chain", "verify")
+
+
+def test_write_command_against_missing_state_dir(estate):
+    _assert_uninitialized(estate, "chain", "faucet", "--to", ADMIN,
+                          "--amount", "1", "--as", ADMIN)
+
+
+@pytest.mark.parametrize("missing", ["state.json", "chain.json"])
+def test_state_dir_missing_one_ledger_file(ledger, missing):
+    snap = str(ledger.workdir / "snap.json")
+    ledger("state", "export", "--out", snap)
+    os.remove(os.path.join(ledger.state_dir, missing))
+    _, _, errtxt = ledger("chain", "verify", expect=3)
+    path = os.path.join(ledger.state_dir, missing)
+    assert errtxt == (f"error: CorruptSnapshot: {path} is missing; "
+                      "`state import --force` restores the dir")
+    ledger("state", "import", "--in", snap, "--force")
+    ledger("chain", "verify")
 
 
 def test_bad_arguments_exit_2(estate):

@@ -1,5 +1,7 @@
+import copy
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import TREASURY, add_doc, approve, deploy
 from estateledger.errors import LedgerError
@@ -465,6 +467,68 @@ def test_burn_batch_atomicity(approved_prop):
                   "amounts": [1, 1]})
     assert node.state.properties[prop].exists(1) is False
     assert node.state.properties[prop].exists(2) is False
+
+
+def test_burn_fractions_then_their_right_in_one_batch(approved_prop):
+    node, prop = fractionalized_prop(approved_prop, units=100)
+    before = node.full_digest(), len(node.state.chain.blocks)
+    with pytest.raises(LedgerError) as e:
+        node.execute(node.seller, "burnBatchNFTs",
+                     {"property": prop, "from": node.seller, "ids": [1, FRAC1],
+                      "amounts": [1, 100]})
+    assert e.value.code == "FractionalOutstanding"
+    assert (node.full_digest(), len(node.state.chain.blocks)) == before
+    node.execute(node.seller, "burnBatchNFTs",
+                 {"property": prop, "from": node.seller, "ids": [FRAC1, 1],
+                  "amounts": [100, 1]})
+    contract = node.state.properties[prop]
+    assert contract.total_supply(FRAC1) == contract.total_supply(1) == 0
+    assert 1 not in contract.listings
+
+
+@pytest.mark.parametrize("op", ["burnBatchNFTs", "mintBatchNFTs"])
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(legs=st.lists(st.tuples(
+    st.sampled_from([1, 2, 3, 4, 5, 6, FRAC1, fractional_of(2)]),
+    st.sampled_from([1, 1, 1, 0, 2, 50])), min_size=1, max_size=5))
+@example(legs=[(4, 1), (5, 1)])  # a mint batch that succeeds
+@example(legs=[(FRAC1, 50), (1, 1), (2, 1)])  # a burn batch that succeeds
+def test_batch_equals_its_legs_one_at_a_time(approved_prop, op, legs):
+    # rights 1-3 minted, right 1 split into 50 units, all held by the
+    # seller; prices are 0, so no payment check can reorder the errors
+    node, prop = copy.deepcopy(approved_prop[0]), approved_prop[1]
+    node.execute(node.seller, "mintBatchNFTs",
+                 {"property": prop, "ids": [1, 2, 3], "amounts": [1, 1, 1],
+                  "prices": [0, 0, 0], "data": ""})
+    node.execute(node.seller, "mintFractional",
+                 {"property": prop, "rightId": 1, "units": 50,
+                  "pricePerUnit": 0})
+
+    def params(some):
+        sent = {"property": prop, "ids": [t for t, _ in some],
+                "amounts": [n for _, n in some]}
+        if op == "burnBatchNFTs":
+            return {**sent, "from": node.seller}
+        return {**sent, "prices": [0] * len(some), "data": ""}
+
+    singles = copy.deepcopy(node)
+    first_code = None  # what the first failing single raises
+    for leg in legs:
+        try:
+            singles.execute(node.seller, op, params([leg]))
+        except LedgerError as e:
+            first_code = e.code
+            break
+    before = node.full_digest(), len(node.state.chain.blocks)
+    try:
+        node.execute(node.seller, op, params(legs))
+    except LedgerError as e:
+        assert e.code == first_code
+        assert (node.full_digest(), len(node.state.chain.blocks)) == before
+    else:
+        assert first_code is None
+        assert node.ledger_digest() == singles.ledger_digest()
 
 
 # -- pricing -------------------------------------------------------------------------

@@ -112,6 +112,16 @@ def test_burn_zero_is_a_no_op():
     assert digest(tokens) == before
 
 
+def test_burn_zero_of_a_right_is_rejected():
+    tokens = TokenLedger()
+    tokens.mint(A, RIGHT, 1)
+    before = digest(tokens)
+    with pytest.raises(LedgerError) as e:
+        tokens.burn(A, RIGHT, 0)
+    assert e.value.code == "NonFungibleAmount"
+    assert digest(tokens) == before
+
+
 # -- balance queries -----------------------------------------------------------------
 
 
@@ -218,16 +228,21 @@ def test_batch_equals_sequential_singles(legs):
 
     batched = copy.deepcopy(base)
     sequential = copy.deepcopy(base)
+    first_code = None  # what the first failing single raises
+    for tid, amt in zip(ids, amounts):
+        try:
+            sequential.safe_transfer_batch(A, A, B, [tid], [amt])
+        except LedgerError as e:
+            first_code = e.code
+            break
     try:
         batched.safe_transfer_batch(A, A, B, ids, amounts)
-        failed = False
-    except LedgerError:
-        failed = True
-    if failed:
-        return  # rollback covered elsewhere
-    for tid, amt in zip(ids, amounts):
-        sequential.safe_transfer_batch(A, A, B, [tid], [amt])
-    assert digest(batched) == digest(sequential)
+    except LedgerError as e:
+        assert e.code == first_code
+        assert digest(batched) == digest(base)
+    else:
+        assert first_code is None
+        assert digest(batched) == digest(sequential)
 
 
 # -- swaps ----------------------------------------------------------------------------
