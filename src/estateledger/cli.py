@@ -10,6 +10,7 @@ state directory; queries read the state without touching it.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import shlex
@@ -25,7 +26,7 @@ from .node import Node
 from .persistence import (StateLock, holds_ledger, load_state, read_snapshot,
                           save_state, write_snapshot)
 from .storage import cid_digest, resolve_uri
-from .tokens import fractional_of, swap_descriptor_digest
+from .tokens import check_token_id, fractional_of, swap_descriptor_digest
 
 
 class Parser(argparse.ArgumentParser):
@@ -299,15 +300,32 @@ def _state_export(args, node) -> dict:
     return {"out": args.out, "digest": node.full_digest()}
 
 
+@contextlib.contextmanager
+def _new_ledger(state_dir: str, overwrite: bool = False):
+    """Lock `state_dir`, creating it if missing, and refuse a ledger in it
+    unless `overwrite`; a failure removes the lock and a dir it created."""
+    created = not os.path.isdir(state_dir)
+    os.makedirs(state_dir, exist_ok=True)
+    with StateLock(state_dir) as lock:
+        try:
+            if holds_ledger(state_dir) and not overwrite:
+                raise err("AlreadyInitialized",
+                          f"{state_dir} already holds a ledger; "
+                          "`state import --force` overwrites it")
+            yield
+        except BaseException:
+            if created:
+                os.remove(lock.path)
+                with contextlib.suppress(OSError):  # another writer's files
+                    os.rmdir(state_dir)
+            raise
+
+
 def _init(args) -> dict:
     node = Node()
     if args.allowlist:
         node.state.config["allowlist"] = os.path.abspath(args.allowlist)
-    os.makedirs(args.state_dir, exist_ok=True)
-    with StateLock(args.state_dir):
-        if holds_ledger(args.state_dir):
-            raise err("AlreadyInitialized",
-                      f"{args.state_dir} already holds a ledger")
+    with _new_ledger(args.state_dir):
         admin = node.init_genesis(parse_key(args.admin_key),
                                   args.info_cid, _timestamp(args))
         save_state(args.state_dir, node)
@@ -315,11 +333,7 @@ def _init(args) -> dict:
 
 
 def _state_import(args) -> dict:
-    os.makedirs(args.state_dir, exist_ok=True)
-    with StateLock(args.state_dir):
-        if holds_ledger(args.state_dir) and not args.force:
-            raise err("AlreadyInitialized",
-                      f"{args.state_dir} holds a ledger; use --force")
+    with _new_ledger(args.state_dir, overwrite=args.force):
         node = read_snapshot(args.infile)
         save_state(args.state_dir, node)
     return {"imported": args.infile, "digest": node.full_digest()}
@@ -412,7 +426,8 @@ COMMANDS = {
             "extra": parse_json_object(a.extra) if a.extra else None})),
     ("object", "resolve"): (
         [("--base-uri", REQUIRED), ("--id", REQUIRED)],
-        lambda a: {"uri": resolve_uri(a.base_uri, parse_token_id(a.id))}),
+        lambda a: {"uri": resolve_uri(
+            a.base_uri, check_token_id(parse_token_id(a.id)))}),
     ("merkle", "root"): (
         [("--leaf", REPEATABLE), ("--cid", REPEATABLE), ("--property", {})],
         lambda a: {"root": MerkleTree(_leaves_from_args(a)).root.hex()}),
@@ -478,7 +493,7 @@ COMMANDS = {
     ("property", "info"): ([PROPERTY], query(
         lambda a, n: n.state.property_at(a.property).to_dict())),
     ("property", "id"): ([PROPERTY], query(lambda a, n: {
-        "propertyId": n.state.property_at(a.property).get_property_id()})),
+        "propertyId": n.state.property_at(a.property).property_id})),
     ("property", "supply"): ([PROPERTY, ("--id", REQUIRED)], query(
         lambda a, n: {"supply": n.state.property_at(a.property)
                       .total_supply(parse_token_id(a.id))})),

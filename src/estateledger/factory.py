@@ -13,6 +13,7 @@ from .canonical import sha256, u64be
 from .errors import err
 from .identity import Role
 from .property_contract import PropertyContract
+from .tokens import TokenLedger
 
 FACTORY_ADDRESS = "0x" + sha256(b"estate-factory")[:20].hex()
 
@@ -131,18 +132,11 @@ def deploy_property(factory: Factory, properties: dict, caller: str,
     address = factory.next_proxy_address()
     native.ensure_account(treasury)  # a zero treasury raises before any write
     native.ensure_account(address)
-    prop = PropertyContract()
-    prop.initialize(
-        property_id=len(factory.proxies) + 1,
-        address=address,
-        treasury=treasury,
-        upgrader=upgrader,
-        admin=admin,
-        uri=uri,
-        contract_name=contract_name,
-        description=description,
+    properties[address] = PropertyContract(
+        initialized=True, property_id=len(factory.proxies) + 1,
+        address=address, treasury=treasury, upgrader=upgrader, admin=admin,
+        base_uri=uri, contract_name=contract_name, description=description,
         implementation_version=factory.logic.version_id,
-    )
+        tokens=TokenLedger(base_uri=uri))
     factory.proxies.append(address)
-    properties[address] = prop
     return address

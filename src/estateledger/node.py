@@ -1,12 +1,14 @@
 """Single-writer node: executes commands atomically and seals blocks.
 
 ``execute`` is check-then-apply. Admission checks everything the seal
-needs (the caller, the attached value, an active administrator, the
-timestamp range) and encodes the operation's transaction, fixing the
-block's bytes before anything is written; each executor then runs all
-its checks before its first write. So on success exactly one block is
-appended holding the operation's transaction (deployments add an event
-transaction), and a failure changes nothing and appends nothing.
+needs (the caller, the attached value, the timestamp range) and encodes
+the operation's transaction, fixing the block's bytes before anything
+is written; each executor then runs all its checks before its first
+write. So on success exactly one block is appended holding the
+operation's transaction (deployments add an event transaction), and a
+failure changes nothing and appends nothing. What no command can break
+(an active administrator, each contract initialized at its own address)
+is checked once, when ``persistence`` decodes a loaded ledger.
 
 As a second guard, the executor runs against a working state holding
 fresh copies of the components its op names in ``WRITES`` and sharing
@@ -160,12 +162,6 @@ class Node:
         elif not registry.is_active(caller):
             raise err("NotAuthorized",
                       f"{caller} is not an active stakeholder")
-        elif not any(registry.is_active_admin(a)
-                     for a in registry.stakeholders):
-            # bootstrapAdmin seats the first admin and no op retires the
-            # last one, but a loaded state can lack one
-            raise err("NotAuthorized",
-                      "no active administrator to seal the block")
         # the block's bytes are fixed before anything is written
         blobs = [Transaction(caller=caller, operation=operation,
                              params=params,
@@ -315,7 +311,7 @@ def _ex_register_document(state, caller, params, value):
 def _ex_approved_property(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.approved_property(caller, bytes.fromhex(params["parentHash"]),
-                           params["property"], registry=state.registry)
+                           registry=state.registry)
     return {"approved": True}, []
 
 

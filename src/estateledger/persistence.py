@@ -14,7 +14,10 @@ filename digest on load.
 
 A snapshot is ``state_dict(objects=True, chain=True)`` plus a
 ``digest`` of that body. Loading a directory and importing a snapshot
-feed the same decoder.
+feed the same decoder. It alone checks what no command can break, and
+refuses a ledger with no active administrator, or whose stored
+contracts are not exactly the factory's proxies, each initialized at
+its own address.
 """
 
 import fcntl
@@ -65,9 +68,9 @@ def _read_json_object(path: str) -> dict:
 
 
 def _state_from_dicts(d: dict, objects: dict = None) -> Node:
-    """Decode a ``LedgerState.state_dict(chain=True)``. `objects` maps
-    digest to bytes; without it they come from the hex ``objects`` of a
-    snapshot body. A body of the wrong shape is CorruptSnapshot."""
+    """Decode a ``LedgerState.state_dict(chain=True)``; `objects` maps
+    digest to bytes, else they come from a snapshot's hex ``objects``.
+    A body that no sequence of commands produces is CorruptSnapshot."""
     if d.get("version") != STATE_VERSION:
         raise err("VersionMismatch",
                   f"state version {d.get('version')}, "
@@ -85,6 +88,14 @@ def _state_from_dicts(d: dict, objects: dict = None) -> Node:
             properties={a: PropertyContract.from_dict(p)
                         for a, p in d["properties"].items()},
         )
+        if not state.registry.active_admins():
+            raise err("CorruptSnapshot", "no active administrator")
+        if sorted(state.properties) != sorted(state.factory.proxies):
+            raise err("CorruptSnapshot", "properties differ from proxies")
+        for address, prop in state.properties.items():
+            if not prop.initialized or prop.address != address:
+                raise err("CorruptSnapshot", f"the contract at {address} is "
+                          "uninitialized or records another address")
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise err("CorruptSnapshot",
                   f"malformed ledger data: {type(exc).__name__}: {exc}"

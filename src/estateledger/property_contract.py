@@ -47,7 +47,7 @@ def pro_rata_payouts(balances: dict, total: int) -> tuple:
 
 @dataclass
 class PropertyContract:
-    initialized: bool = False
+    initialized: bool = False  # deploy sets it; a load refuses False
     property_id: int = 0
     address: str = ""
     treasury: str = ""
@@ -64,35 +64,7 @@ class PropertyContract:
     tokens: TokenLedger = field(default_factory=TokenLedger)
     listings: dict = field(default_factory=dict)  # token id -> Listing
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def initialize(self, property_id: int, address: str, treasury: str,
-                   upgrader: str, admin: str, uri: str, contract_name: str,
-                   description: str, implementation_version: int):
-        if self.initialized:
-            raise err("AlreadyInitialized",
-                      f"property {self.property_id} already initialized")
-        self.initialized = True
-        self.property_id = property_id
-        self.address = address
-        self.treasury = treasury
-        self.upgrader = upgrader
-        self.admin = admin
-        self.base_uri = uri
-        self.contract_name = contract_name
-        self.description = description
-        self.implementation_version = implementation_version
-        self.tokens.base_uri = uri
-
-    def _require_initialized(self):
-        if not self.initialized:
-            raise err("Uninitialized", "property not initialized")
-
     # -- queries -----------------------------------------------------------
-
-    def get_property_id(self) -> int:
-        self._require_initialized()
-        return self.property_id
 
     def total_supply(self, token_id: int) -> int:
         return self.tokens.total_supply(token_id)
@@ -109,7 +81,6 @@ class PropertyContract:
         return caller == self.admin or registry.has_role(caller, Role.SELLER)
 
     def register_document(self, caller: str, cid: str, *, registry, store):
-        self._require_initialized()
         if not self._is_property_admin_or_seller(caller, registry):
             raise err("NotAuthorized",
                       f"{caller} may not register documents here")
@@ -122,15 +93,11 @@ class PropertyContract:
             raise err("NoDocuments", "no registered documents")
         return merkle_root([cid_digest(c) for c in self.documents])
 
-    def approved_property(self, caller: str, parent_hash: bytes,
-                          prop_address: str, *, registry):
-        self._require_initialized()
+    def approved_property(self, caller: str, parent_hash: bytes, *,
+                          registry):
         if not registry.has_role(caller, Role.ADMINISTRATOR):
             raise err("NotAuthorized",
                       f"{caller} is not an administrator")
-        if prop_address != self.address:
-            raise err("WrongProperty",
-                      f"{prop_address} is not this property")
         root = self.document_root()  # NoDocuments if empty
         if root != parent_hash:
             raise err("HashMismatch",
@@ -157,7 +124,6 @@ class PropertyContract:
     def mint_batch(self, caller: str, token_ids: list, amounts: list,
                    prices: list, value: int, *, registry, native,
                    paused: bool) -> tuple:
-        self._require_initialized()
         self._mint_gate(caller, registry=registry, paused=paused)
         if not (len(token_ids) == len(amounts) == len(prices)):
             raise err("LengthMismatch",
@@ -189,7 +155,6 @@ class PropertyContract:
 
     def mint_fractional(self, caller: str, right_id: int, units: int,
                         price_per_unit: int, *, registry, paused: bool) -> int:
-        self._require_initialized()
         frac_id = fractional_of(right_id)  # NonRightId on fractional input
         if self.tokens.balance_of(caller, right_id) != 1:
             raise err("NotOwner", f"{caller} does not hold right {right_id}")
@@ -213,7 +178,6 @@ class PropertyContract:
 
     def transfer_nft(self, caller: str, to: str, token_id: int, amount: int,
                      value: int, *, native):
-        self._require_initialized()
         if amount < 0:
             raise err("ParseError", "negative amount")
         if is_right(token_id) and amount > 1:
@@ -255,7 +219,6 @@ class PropertyContract:
                    amounts: list):
         """Burn every leg or none: all legs are planned, in order, on top
         of what the earlier legs burn, before any of them is applied."""
-        self._require_initialized()
         if len(token_ids) != len(amounts):
             raise err("LengthMismatch",
                       f"{len(token_ids)} ids vs {len(amounts)} amounts")
@@ -279,7 +242,6 @@ class PropertyContract:
                 self.listings.pop(token_id, None)
 
     def set_price(self, caller: str, token_id: int, price_per_unit: int):
-        self._require_initialized()
         if price_per_unit < 0:
             raise err("ParseError", "negative price")
         listing = self.listings.get(token_id)
@@ -301,7 +263,6 @@ class PropertyContract:
 
     def distribute_earnings(self, caller: str, right_id: int, total: int,
                             value: int, *, native) -> tuple:
-        self._require_initialized()
         frac_id = fractional_of(right_id)  # NonRightId on fractional input
         if total < 0:
             raise err("ParseError", "negative total")

@@ -22,6 +22,8 @@ from estateledger.addresses import ZERO_ADDRESS, derive_address
 from estateledger.chain import Chain
 from estateledger.errors import LedgerError
 from estateledger.node import EXECUTORS, PAYABLE, WRITES, Node
+from estateledger.persistence import (export_snapshot, import_snapshot,
+                                      load_state, save_state)
 from estateledger.storage import make_cid
 from estateledger.tokens import fractional_of, swap_descriptor_digest
 
@@ -405,7 +407,7 @@ def _random_op(rng, n, swaps):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_random_sequences_check_before_they_write(market, seed):
+def test_random_sequences_check_before_they_write(market, seed, tmp_path):
     n = copy.deepcopy(market)
     n.seller2 = register(n, n.admin, "Seller", SELLER2_KEY, 2001)
     n.buyer2 = register(n, n.admin, "Buyer", BUYER2_KEY, 2002)
@@ -421,6 +423,9 @@ def test_random_sequences_check_before_they_write(market, seed):
     rng = random.Random(seed)
     failed = set()
     for step in range(400):
+        if step % 50 == 0:  # the decoder accepts every state ops reach
+            assert import_snapshot(export_snapshot(n)).full_digest() \
+                == n.full_digest()
         who, op, params, value = _random_op(rng, n, swaps)
         probe = copy.deepcopy(n.state, {id(n.state.chain): n.state.chain})
         digest = Node(probe).full_digest()
@@ -438,6 +443,8 @@ def test_random_sequences_check_before_they_write(market, seed):
             minted += params["amount"]
     assert len(failed) >= 20  # most kinds were seen failing
     assert n.replay().full_digest() == n.full_digest()
+    save_state(str(tmp_path), n)
+    assert load_state(str(tmp_path)).full_digest() == n.full_digest()
     assert sum(n.state.native.accounts.values()) == minted
     for prop in n.state.properties.values():
         tokens = prop.tokens

@@ -244,6 +244,19 @@ def test_metadata_builder_and_resolve(ledger):
     assert out["uri"] == "ipfs://meta/" + "0" * 63 + "7.json"
 
 
+@pytest.mark.parametrize("token_id", ["-1", str(2 ** 256)],
+                         ids=["minus-one", "two-to-the-256"])
+def test_resolve_refuses_an_out_of_range_id_like_property_uri(prop,
+                                                               token_id):
+    ledger, addr = prop
+    _, _, resolved = ledger("object", "resolve", "--base-uri", URI,
+                            "--id", token_id, expect=3)
+    _, _, stored = ledger("property", "uri", "--property", addr,
+                          "--id", token_id, expect=3)
+    assert resolved == stored == \
+        f"error: UnknownToken: token id out of range: {token_id}"
+
+
 @pytest.mark.parametrize("extra", ["{bad", "[1, 2]", '{"a": "\\ud800"}'])
 def test_metadata_extra_must_be_a_json_object(ledger, extra):
     blocks = len(load_state(ledger.state_dir).state.chain.blocks)
@@ -585,35 +598,85 @@ def _edit_state(edit):
     return apply
 
 
-# name of the file to break in an initialized state dir -> how
+def _only_property(d) -> tuple:
+    (address, contract), = d["properties"].items()
+    return address, contract
+
+
+def _move_property(d):
+    address, contract = _only_property(d)
+    moved = "0x" + "77" * 20
+    d["properties"] = {moved: contract}
+    d["factory"]["proxies"] = [moved]
+
+
+def _deactivate_admin(d):
+    d["stakeholders"]["stakeholders"][ADMIN]["active"] = False
+
+
+# name of the file to break in a state dir holding one deployed property
+# -> how; the last four break what no command can
 MALFORMED_DIRS = {
     "truncated-state": ("state.json", _truncate),
     "truncated-chain": ("chain.json", _truncate),
     "no-factory": ("state.json", _edit_state(lambda d: d.pop("factory"))),
     "accounts-not-an-object": ("state.json",
                                _edit_state(lambda d: d.update(accounts=5))),
+    "admin-inactive": ("state.json", _edit_state(_deactivate_admin)),
+    "contract-uninitialized": ("state.json", _edit_state(
+        lambda d: _only_property(d)[1].update(initialized=False))),
+    "contract-under-another-key": ("state.json",
+                                   _edit_state(_move_property)),
+    "proxy-dropped": ("state.json", _edit_state(
+        lambda d: d["factory"].update(proxies=[]))),
 }
 
 
-@pytest.mark.parametrize("case", [*MALFORMED_DIRS, "import-version-only"])
+def _signed_snapshot(path, body):
+    body = {k: v for k, v in body.items() if k != "digest"}
+    body["digest"] = hashlib.sha256(canonical_json_bytes(body)).hexdigest()
+    path.write_text(json.dumps(body))
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_DIRS, "import-version-only",
+                                  "import-admin-inactive"])
 def test_malformed_ledger_data_is_corrupt_snapshot(estate, case):
     estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+    estate("factory", "init", "--version", "1", "--as", ADMIN,
+           "--timestamp", "1")
+    estate("factory", "deploy", "--treasury", TREASURY, "--upgrader", ADMIN,
+           "--admin", ADMIN, "--uri", URI, "--as", ADMIN, "--timestamp", "2")
+    snap = estate.workdir / "snap.json"
     if case in MALFORMED_DIRS:
         name, breaker = MALFORMED_DIRS[case]
         breaker(os.path.join(estate.state_dir, name))
         command = ["chain", "faucet", "--to", ADMIN, "--amount", "1",
-                   "--as", ADMIN, "--timestamp", "1"]
-    else:  # a well-signed snapshot whose body holds nothing but a version
-        snap = estate.workdir / "version-only.json"
-        body = {"version": 1}
-        body["digest"] = hashlib.sha256(
-            canonical_json_bytes(body)).hexdigest()
-        snap.write_text(json.dumps(body))
+                   "--as", ADMIN, "--timestamp", "3"]
+    elif case == "import-version-only":
+        # a well-signed snapshot whose body holds nothing but a version
+        _signed_snapshot(snap, {"version": 1})
+        command = ["state", "import", "--in", str(snap), "--force"]
+    else:  # a re-signed snapshot of the dir with its admin deactivated
+        estate("state", "export", "--out", str(snap))
+        body = json.loads(snap.read_text())
+        _deactivate_admin(body)
+        _signed_snapshot(snap, body)
         command = ["state", "import", "--in", str(snap), "--force"]
     before = _dir_bytes(estate.state_dir)
     _, _, errtxt = estate(*command, expect=3)
     assert errtxt.startswith("error: CorruptSnapshot: ")
     assert _dir_bytes(estate.state_dir) == before
+
+
+@pytest.mark.parametrize("command", [
+    ["init", "--admin-key", ""],
+    ["state", "import", "--in", "{w}/junk.json"]], ids=["init", "import"])
+def test_failed_init_or_import_leaves_no_dir(estate, command):
+    (estate.workdir / "junk.json").write_text("{not json")
+    work = str(estate.workdir)
+    estate(*[a.replace("{w}", work) for a in command], "--timestamp", "0",
+           expect=3)
+    assert not os.path.exists(estate.state_dir)
 
 
 # -- allowlist ----------------------------------------------------------------

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 
@@ -9,6 +8,7 @@ from estateledger.canonical import canonical_json_bytes
 from estateledger.errors import LedgerError
 from estateledger import node as node_mod
 from estateledger.node import Node
+from estateledger.persistence import load_state, save_state
 from estateledger.tokens import fractional_of, swap_descriptor_digest
 
 FRAC1 = fractional_of(1)
@@ -181,19 +181,21 @@ def test_validator_is_smallest_active_admin(node):
         node.state.registry.active_admins())
 
 
-def test_seal_refused_without_active_admin(node):
-    # no op can retire the last admin; a hand-edited state can
-    records = node.state.registry.stakeholders
-    records[node.admin] = dataclasses.replace(records[node.admin],
-                                              active=False)
-    before, length = node.full_digest(), len(node.state.chain.blocks)
-    with pytest.raises(LedgerError) as e:
-        node.execute(node.buyer, "transferNative",
-                     {"to": node.seller, "amount": 5})
-    assert str(e.value) == \
-        "NotAuthorized: no active administrator to seal the block"
-    assert node.full_digest() == before
-    assert len(node.state.chain.blocks) == length
+def test_ledger_runs_on_after_the_bootstrap_admin_is_rotated_out(
+        node, tmp_path):
+    second = register(node, node.admin, "Administrator", b"second-admin",
+                      1100)
+    node.execute(second, "removeStakeholder", {"target": node.admin},
+                 timestamp=1101)
+    assert node.state.registry.active_admins() == [second]
+    node.execute(node.buyer, "transferNative",
+                 {"to": node.seller, "amount": 5}, timestamp=1102)
+    deploy(node, ts=1103)
+    save_state(str(tmp_path), node)
+    loaded = load_state(str(tmp_path))
+    assert loaded.full_digest() == node.full_digest()
+    assert loaded.state.chain.verify() is True
+    assert node.replay().full_digest() == node.full_digest()
 
 
 def _spy_on(monkeypatch, op):
@@ -203,18 +205,6 @@ def _spy_on(monkeypatch, op):
     monkeypatch.setitem(node_mod.EXECUTORS, op,
                         lambda *args: calls.append(args) or real(*args))
     return calls
-
-
-def test_admin_less_state_is_refused_before_the_executor(node, monkeypatch):
-    records = node.state.registry.stakeholders
-    records[node.admin] = dataclasses.replace(records[node.admin],
-                                              active=False)
-    calls = _spy_on(monkeypatch, "transferNative")
-    with pytest.raises(LedgerError) as e:
-        node.execute(node.buyer, "transferNative",
-                     {"to": node.seller, "amount": 5})
-    assert e.value.code == "NotAuthorized"
-    assert calls == []
 
 
 def test_unencodable_param_is_refused_before_the_executor(node, monkeypatch):

@@ -37,17 +37,9 @@ def balance(node, prop, owner, token_id):
 
 def test_property_ids_are_sequential(node):
     addrs = [deploy(node, ts=2000 + i) for i in range(3)]
-    ids = [node.state.properties[a].get_property_id() for a in addrs]
+    ids = [node.state.properties[a].property_id for a in addrs]
     assert ids == [1, 2, 3]
     assert len(set(addrs)) == 3
-
-
-def test_reinitialize_rejected(node):
-    prop = deploy(node)
-    with pytest.raises(LedgerError) as e:
-        node.state.properties[prop].initialize(9, prop, TREASURY, node.admin,
-                                               node.admin, "u/{id}", "", "", 1)
-    assert e.value.code == "AlreadyInitialized"
 
 
 def test_uri_wired_from_deploy(node):
@@ -99,17 +91,6 @@ def test_approve_requires_admin_role(node):
         node.execute(node.seller, "approvedProperty",
                      {"property": prop, "parentHash": root.hex()})
     assert e.value.code == "NotAuthorized"
-
-
-def test_approve_wrong_property_address(node):
-    prop = deploy(node)
-    other = deploy(node, ts=2001)
-    add_doc(node, prop, b"deed")
-    root = node.state.properties[prop].document_root()
-    with pytest.raises(LedgerError) as e:
-        node.state.properties[prop].approved_property(
-            node.admin, root, other, registry=node.state.registry)
-    assert e.value.code == "WrongProperty"
 
 
 def test_approve_without_documents(node):
