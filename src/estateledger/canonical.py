@@ -8,12 +8,14 @@ import hashlib
 import json
 
 
+# sorted keys + minimal separators: the one serialization every digest
+# in the system agrees on; `json.dumps` would build this encoder per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            ensure_ascii=False)
+
+
 def canonical_json_bytes(value) -> bytes:
-    # sorted keys + minimal separators: the one serialization every
-    # digest in the system agrees on
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
+    return _ENCODER.encode(value).encode("utf-8")
 
 
 def sha256(data: bytes) -> bytes:

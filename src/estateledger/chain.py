@@ -21,8 +21,12 @@ from dataclasses import dataclass, field
 from .addresses import ZERO_ADDRESS, require_nonzero
 from .canonical import canonical_json_bytes, sha256, u32be, u64be
 from .errors import err
+from .records import read_object, reader, to_json
 
 GENESIS_PREV_HASH = b"\x00" * 32
+BLOCK_KEYS = frozenset(
+    ("index", "timestamp", "nonce", "transactions", "prevHash", "hash"))
+read_int, read_hex, read_dicts = reader(int), reader(bytes), reader(list[dict])
 
 
 @dataclass
@@ -33,27 +37,8 @@ class Transaction:
     attached_value: int = 0
     result_status: str = "success"
 
-    def to_dict(self) -> dict:
-        return {
-            "attachedValue": self.attached_value,
-            "caller": self.caller,
-            "operation": self.operation,
-            "params": self.params,
-            "resultStatus": self.result_status,
-        }
-
     def canonical_bytes(self) -> bytes:
-        return canonical_json_bytes(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Transaction":
-        return cls(
-            caller=d["caller"],
-            operation=d["operation"],
-            params=d["params"],
-            attached_value=d["attachedValue"],
-            result_status=d["resultStatus"],
-        )
+        return canonical_json_bytes(to_json(self))
 
 
 def block_payload(index: int, timestamp: int, nonce: int, prev_hash: bytes,
@@ -102,14 +87,15 @@ class Block:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Block":
-        blobs = [canonical_json_bytes(tx) for tx in d["transactions"]]
+        read_object(d, BLOCK_KEYS)
         return cls(
-            index=d["index"],
-            timestamp=d["timestamp"],
-            nonce=d["nonce"],
-            data=blobs,
-            prev_hash=bytes.fromhex(d["prevHash"]),
-            hash=bytes.fromhex(d["hash"]),
+            index=read_int(d["index"]),
+            timestamp=read_int(d["timestamp"]),
+            nonce=read_int(d["nonce"]),
+            data=[canonical_json_bytes(tx)
+                  for tx in read_dicts(d["transactions"])],
+            prev_hash=read_hex(d["prevHash"]),
+            hash=read_hex(d["hash"]),
         )
 
 
@@ -168,14 +154,15 @@ class Chain:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Chain":
-        return cls(blocks=[Block.from_dict(b) for b in d["blocks"]])
+        blocks = read_dicts(read_object(d, {"blocks"})["blocks"])
+        return cls(blocks=[Block.from_dict(b) for b in blocks])
 
 
 @dataclass
 class NativeLedger:
     """Native coin balances. Zero balances stay as existence markers."""
 
-    accounts: dict = field(default_factory=dict)
+    accounts: dict[str, int] = field(default_factory=dict)
 
     def ensure_account(self, addr: str):
         require_nonzero(addr, "account")
@@ -211,10 +198,3 @@ class NativeLedger:
             raise err("UnknownAccount", dst)
         self.debit(src, amount)
         self.credit(dst, amount)
-
-    def to_dict(self) -> dict:
-        return {"accounts": dict(sorted(self.accounts.items()))}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NativeLedger":
-        return cls(accounts=dict(d["accounts"]))

@@ -25,6 +25,7 @@ from .merkle import MerkleProof, MerkleTree, verify_proof
 from .node import Node
 from .persistence import (StateLock, holds_ledger, load_state, read_snapshot,
                           save_state, write_snapshot)
+from .records import to_json
 from .storage import cid_digest, resolve_uri
 from .tokens import check_token_id, fractional_of, swap_descriptor_digest
 
@@ -408,7 +409,7 @@ COMMANDS = {
     ("stakeholder", "remove"): ([("--target", REQUIRED)], mutation(
         "removeStakeholder", lambda a: {"target": check_address(a.target)})),
     ("stakeholder", "show"): ([("--address", REQUIRED)], query(
-        lambda a, n: n.state.registry.get(a.address).to_dict())),
+        lambda a, n: to_json(n.state.registry.get(a.address)))),
     ("stakeholder", "has-role"): (
         [("--address", REQUIRED), ("--role", REQUIRED)],
         query(lambda a, n: {"hasRole": n.state.registry.has_role(
@@ -491,7 +492,7 @@ COMMANDS = {
             "property": a.property, "rightId": parse_token_id(a.right_id),
             "total": a.total})),
     ("property", "info"): ([PROPERTY], query(
-        lambda a, n: n.state.property_at(a.property).to_dict())),
+        lambda a, n: to_json(n.state.property_at(a.property)))),
     ("property", "id"): ([PROPERTY], query(lambda a, n: {
         "propertyId": n.state.property_at(a.property).property_id})),
     ("property", "supply"): ([PROPERTY, ("--id", REQUIRED)], query(
@@ -542,7 +543,7 @@ COMMANDS = {
         [("--version", REQUIRED_INT), ("--tag", {"default": "base"})],
         mutation("authorizeUpgrade", lambda a: {
             "versionId": a.version, "behaviorTag": a.tag})),
-    ("factory", "info"): ([], query(lambda a, n: n.state.factory.to_dict())),
+    ("factory", "info"): ([], query(lambda a, n: to_json(n.state.factory))),
     ("factory", "proxy-length"): ([], query(lambda a, n: {
         "proxyLength": n.state.factory.proxy_length()})),
     ("chain", "verify"): ([], query(_chain_verify)),

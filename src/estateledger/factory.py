@@ -8,6 +8,7 @@ deployment and all minting everywhere.
 """
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .canonical import sha256, u64be
 from .errors import err
@@ -23,13 +24,6 @@ class ImplementationVersion:
     version_id: int
     behavior_tag: str
 
-    def to_dict(self) -> dict:
-        return {"versionId": self.version_id, "behaviorTag": self.behavior_tag}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ImplementationVersion":
-        return cls(version_id=d["versionId"], behavior_tag=d["behaviorTag"])
-
 
 def proxy_address(factory_address: str, index: int) -> str:
     raw = bytes.fromhex(factory_address[2:])
@@ -40,8 +34,8 @@ def proxy_address(factory_address: str, index: int) -> str:
 class Factory:
     initialized: bool = False
     address: str = FACTORY_ADDRESS
-    logic: ImplementationVersion = None
-    proxies: list = field(default_factory=list)  # append-only addresses
+    logic: Optional[ImplementationVersion] = None
+    proxies: list[str] = field(default_factory=list)  # append-only
     paused: bool = False
     upgrader: str = ""
     admin: str = ""
@@ -92,30 +86,6 @@ class Factory:
 
     def next_proxy_address(self) -> str:
         return proxy_address(self.address, len(self.proxies))
-
-    def to_dict(self) -> dict:
-        return {
-            "initialized": self.initialized,
-            "address": self.address,
-            "logic": self.logic.to_dict() if self.logic else None,
-            "proxies": list(self.proxies),
-            "paused": self.paused,
-            "upgrader": self.upgrader,
-            "admin": self.admin,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Factory":
-        return cls(
-            initialized=d["initialized"],
-            address=d["address"],
-            logic=(ImplementationVersion.from_dict(d["logic"])
-                   if d["logic"] else None),
-            proxies=list(d["proxies"]),
-            paused=d["paused"],
-            upgrader=d["upgrader"],
-            admin=d["admin"],
-        )
 
 
 def deploy_property(factory: Factory, properties: dict, caller: str,

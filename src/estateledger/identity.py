@@ -32,25 +32,10 @@ def parse_role(name: str) -> Role:
 @dataclass
 class StakeholderRecord:
     address: str
-    roles: set  # role-name strings
+    roles: set[str]  # role names
     public_info: str  # cid of a stored info object, may be ""
     active: bool
     key_fingerprint: str  # sha256 hex of the public key bytes
-
-    def to_dict(self) -> dict:
-        return {
-            "address": self.address,
-            "roles": sorted(self.roles),
-            "publicInfo": self.public_info,
-            "active": self.active,
-            "keyFingerprint": self.key_fingerprint,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StakeholderRecord":
-        return cls(address=d["address"], roles=set(d["roles"]),
-                   public_info=d["publicInfo"], active=d["active"],
-                   key_fingerprint=d["keyFingerprint"])
 
 
 class AllowlistVerifier:
@@ -85,7 +70,7 @@ class StakeholderRegistry:
     """Records are never changed once stored; removal swaps in a new
     one. A copy of the `stakeholders` dict is thus a registry of its own."""
 
-    stakeholders: dict = field(default_factory=dict)  # address -> record
+    stakeholders: dict[str, StakeholderRecord] = field(default_factory=dict)
 
     def register(self, admin: str, role: Role, public_key: bytes,
                  info_cid: str = "", *, verifier=None,
@@ -142,12 +127,3 @@ class StakeholderRegistry:
         return sorted(
             a for a, r in self.stakeholders.items()
             if r.active and Role.ADMINISTRATOR.value in r.roles)
-
-    def to_dict(self) -> dict:
-        return {"stakeholders": {a: r.to_dict()
-                                 for a, r in sorted(self.stakeholders.items())}}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StakeholderRegistry":
-        return cls(stakeholders={a: StakeholderRecord.from_dict(r)
-                                 for a, r in d["stakeholders"].items()})

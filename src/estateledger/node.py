@@ -33,9 +33,10 @@ from . import factory as factory_mod
 from .addresses import derive_address
 from .canonical import canonical_json_bytes, sha256_hex
 from .chain import Chain, NativeLedger, Transaction
-from .errors import err
+from .errors import LedgerError, err
 from .factory import Factory, ImplementationVersion
 from .identity import AllowlistVerifier, Role, StakeholderRegistry, parse_role
+from .records import read, to_json
 from .storage import ObjectStore, build_right_metadata
 from .tokens import atomic_swap, swap_descriptor_digest
 
@@ -71,11 +72,10 @@ class LedgerState:
         d = {
             "version": STATE_VERSION,
             "config": self.config,
-            "accounts": self.native.to_dict(),
-            "stakeholders": self.registry.to_dict(),
-            "factory": self.factory.to_dict(),
-            "properties": {a: p.to_dict()
-                           for a, p in sorted(self.properties.items())},
+            "accounts": to_json(self.native),
+            "stakeholders": to_json(self.registry),
+            "factory": to_json(self.factory),
+            "properties": {a: to_json(p) for a, p in self.properties.items()},
         }
         if objects:
             d["objects"] = {k: v.hex()
@@ -193,22 +193,22 @@ class Node:
         if fresh.state.chain.blocks[0].hash != blocks[0].hash:
             raise err("HashMismatch", "genesis block differs")
         for block in blocks[1:]:
+            where = f"block {block.index} holds a malformed transaction"
+            try:  # a blob that is not JSON, or a record the codec refuses
+                txs = [read(Transaction, json.loads(b)) for b in block.data]
+            except (ValueError, LedgerError) as exc:
+                raise err("CorruptSnapshot", f"{where}: {exc}") from exc
+            commands = [tx for tx in txs if tx.operation not in EVENT_OPS]
+            if len(commands) != 1:
+                raise err("CorruptSnapshot", f"block {block.index} "
+                          f"holds {len(commands)} commands")
+            tx = commands[0]
             try:
-                commands = [tx for tx in
-                            (Transaction.from_dict(json.loads(blob))
-                             for blob in block.data)
-                            if tx.operation not in EVENT_OPS]
-                if len(commands) != 1:
-                    raise err("CorruptSnapshot", f"block {block.index} "
-                              f"holds {len(commands)} commands")
-                tx = commands[0]
                 fresh.execute(tx.caller, tx.operation, tx.params,
                               tx.attached_value, block.timestamp)
             except (KeyError, TypeError, ValueError, AttributeError) as exc:
-                raise err("CorruptSnapshot",
-                          f"block {block.index} holds a malformed "
-                          f"transaction: {type(exc).__name__}: {exc}"
-                          ) from exc
+                raise err("CorruptSnapshot", f"{where}: "
+                          f"{type(exc).__name__}: {exc}") from exc
             if fresh.state.chain.blocks[-1].hash != block.hash:
                 raise err("HashMismatch",
                           f"block {block.index} hash diverged on replay")
@@ -355,7 +355,7 @@ def _ex_authorize_upgrade(state, caller, params, value):
     state.factory.authorize_upgrade(
         caller, ImplementationVersion(int(params["versionId"]),
                                       params.get("behaviorTag", "base")))
-    return {"version": state.factory.logic.to_dict()}, []
+    return {"version": to_json(state.factory.logic)}, []
 
 
 def _ex_mint_nft(state, caller, params, value):

@@ -9,20 +9,21 @@ Layout inside a state directory:
     .lock        flock target guarding against concurrent writers
 
 Files are written to a temp name and renamed so a kill mid-write never
-leaves a half-written file. Object files are verified against their
-filename digest on load.
+leaves a half-written file.
 
 A snapshot is ``state_dict(objects=True, chain=True)`` plus a
 ``digest`` of that body. Loading a directory and importing a snapshot
-feed the same decoder. It alone checks what no command can break, and
-refuses a ledger with no active administrator, or whose stored
-contracts are not exactly the factory's proxies, each initialized at
-its own address.
+feed the one decoder: it reads every record through ``records.read``,
+checks each object against its digest, and alone checks what no
+command can break. It refuses a ledger with no active administrator,
+or whose stored contracts are not exactly the factory's proxies, each
+initialized at its own address.
 """
 
 import fcntl
 import json
 import os
+from typing import Optional
 
 from .canonical import canonical_json_bytes, sha256_hex
 from .chain import Chain, NativeLedger
@@ -31,7 +32,11 @@ from .factory import Factory
 from .identity import StakeholderRegistry
 from .node import STATE_VERSION, LedgerState, Node
 from .property_contract import PropertyContract
+from .records import read, read_object
 from .storage import ObjectStore
+
+STATE_KEYS = frozenset(("version", "config", "accounts", "stakeholders",
+                        "factory", "properties", "chain"))
 
 
 def _write_atomic(path: str, data: bytes):
@@ -67,39 +72,41 @@ def _read_json_object(path: str) -> dict:
     return value
 
 
-def _state_from_dicts(d: dict, objects: dict = None) -> Node:
-    """Decode a ``LedgerState.state_dict(chain=True)``; `objects` maps
-    digest to bytes, else they come from a snapshot's hex ``objects``.
-    A body that no sequence of commands produces is CorruptSnapshot."""
-    if d.get("version") != STATE_VERSION:
-        raise err("VersionMismatch",
-                  f"state version {d.get('version')}, "
+def _check_version(body: dict, what: str):
+    version = body.get("version")  # a mistyped one is no version at all
+    if type(version) is not int or version != STATE_VERSION:
+        raise err("VersionMismatch" if type(version) is int else
+                  "CorruptSnapshot", f"{what} version {version!r}, "
                   f"expected {STATE_VERSION}")
-    try:
-        if objects is None:
-            objects = {k: bytes.fromhex(v) for k, v in d["objects"].items()}
-        state = LedgerState(
-            config=dict(d["config"]),
-            chain=Chain.from_dict(d["chain"]),
-            native=NativeLedger.from_dict(d["accounts"]),
-            registry=StakeholderRegistry.from_dict(d["stakeholders"]),
-            store=ObjectStore(objects=dict(objects)),
-            factory=Factory.from_dict(d["factory"]),
-            properties={a: PropertyContract.from_dict(p)
-                        for a, p in d["properties"].items()},
-        )
-        if not state.registry.active_admins():
-            raise err("CorruptSnapshot", "no active administrator")
-        if sorted(state.properties) != sorted(state.factory.proxies):
-            raise err("CorruptSnapshot", "properties differ from proxies")
-        for address, prop in state.properties.items():
-            if not prop.initialized or prop.address != address:
-                raise err("CorruptSnapshot", f"the contract at {address} is "
-                          "uninitialized or records another address")
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise err("CorruptSnapshot",
-                  f"malformed ledger data: {type(exc).__name__}: {exc}"
-                  ) from exc
+
+
+def _state_from_dicts(d: dict, objects: dict = None) -> Node:
+    """Decode a ``state_dict(chain=True)`` and `objects` (digest -> bytes)
+    or a snapshot's hex ``objects``; refuse what no command produces."""
+    read_object(d, STATE_KEYS | ({"objects"} if objects is None else set()))
+    if objects is None:
+        objects = read(dict[str, bytes], d["objects"])
+    for digest, data in objects.items():
+        if sha256_hex(data) != digest:
+            raise err("CorruptSnapshot",
+                      f"object {digest} does not match its digest")
+    state = LedgerState(
+        config=read(dict[str, Optional[str]], d["config"]),
+        chain=Chain.from_dict(d["chain"]),
+        native=read(NativeLedger, d["accounts"]),
+        registry=read(StakeholderRegistry, d["stakeholders"]),
+        store=ObjectStore(objects=objects),
+        factory=read(Factory, d["factory"]),
+        properties=read(dict[str, PropertyContract], d["properties"]),
+    )
+    if not state.registry.active_admins():
+        raise err("CorruptSnapshot", "no active administrator")
+    if sorted(state.properties) != sorted(state.factory.proxies):
+        raise err("CorruptSnapshot", "properties differ from proxies")
+    for address, prop in state.properties.items():
+        if not prop.initialized or prop.address != address:
+            raise err("CorruptSnapshot", f"the contract at {address} is "
+                      "uninitialized or records another address")
     return Node(state)
 
 
@@ -124,6 +131,8 @@ def load_state(state_dir: str) -> Node:
             raise err("CorruptSnapshot", f"{path} is missing; "
                       "`state import --force` restores the dir")
     state_d = _read_json_object(state_path)
+    _check_version(state_d, "state")
+    read_object(state_d, STATE_KEYS - {"chain"})
     state_d["chain"] = _read_json_object(chain_path)
     objects = {}
     objects_dir = os.path.join(state_dir, "objects")
@@ -132,12 +141,7 @@ def load_state(state_dir: str) -> Node:
             if not name.endswith(".bin"):
                 continue
             with open(os.path.join(objects_dir, name), "rb") as fh:
-                data = fh.read()
-            digest = name[:-len(".bin")]
-            if sha256_hex(data) != digest:
-                raise err("CorruptSnapshot",
-                          f"object {name} does not match its digest")
-            objects[digest] = data
+                objects[name[:-len(".bin")]] = fh.read()
     return _state_from_dicts(state_d, objects)
 
 
@@ -151,10 +155,7 @@ def export_snapshot(node: Node) -> dict:
 
 
 def import_snapshot(snapshot: dict) -> Node:
-    if snapshot.get("version") != STATE_VERSION:
-        raise err("VersionMismatch",
-                  f"snapshot version {snapshot.get('version')}, "
-                  f"expected {STATE_VERSION}")
+    _check_version(snapshot, "snapshot")
     body = {k: v for k, v in snapshot.items() if k != "digest"}
     if sha256_hex(canonical_json_bytes(body)) != snapshot.get("digest"):
         raise err("CorruptSnapshot", "snapshot digest does not match")

@@ -10,6 +10,7 @@ only while the factory is not paused.
 """
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .errors import err
 from .identity import Role
@@ -22,13 +23,6 @@ from .tokens import TokenLedger, fractional_of, is_fractional, is_right, right_o
 class Listing:
     price_per_unit: int
     seller: str
-
-    def to_dict(self) -> dict:
-        return {"pricePerUnit": self.price_per_unit, "seller": self.seller}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Listing":
-        return cls(price_per_unit=d["pricePerUnit"], seller=d["seller"])
 
 
 def pro_rata_payouts(balances: dict, total: int) -> tuple:
@@ -56,13 +50,13 @@ class PropertyContract:
     base_uri: str = ""
     contract_name: str = ""
     description: str = ""
-    approval_root: bytes = None
+    approval_root: Optional[bytes] = None
     approved: bool = False
-    documents: list = field(default_factory=list)  # cids, registration order
+    documents: list[str] = field(default_factory=list)  # cids, in order
     next_right_index: int = 1
     implementation_version: int = 0  # version that initialized this proxy
     tokens: TokenLedger = field(default_factory=TokenLedger)
-    listings: dict = field(default_factory=dict)  # token id -> Listing
+    listings: dict[int, Listing] = field(default_factory=dict)
 
     # -- queries -----------------------------------------------------------
 
@@ -284,49 +278,3 @@ class PropertyContract:
             native.credit(addr, payouts[addr])
         native.credit(self.treasury, remainder)
         return payouts, remainder
-
-    # -- serialization -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "initialized": self.initialized,
-            "propertyId": self.property_id,
-            "address": self.address,
-            "treasury": self.treasury,
-            "upgrader": self.upgrader,
-            "admin": self.admin,
-            "baseUri": self.base_uri,
-            "contractName": self.contract_name,
-            "description": self.description,
-            "approvalRoot": self.approval_root.hex() if self.approval_root else None,
-            "approved": self.approved,
-            "documents": list(self.documents),
-            "nextRightIndex": self.next_right_index,
-            "implementationVersion": self.implementation_version,
-            "tokens": self.tokens.to_dict(),
-            "listings": {str(t): l.to_dict()
-                         for t, l in sorted(self.listings.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PropertyContract":
-        return cls(
-            initialized=d["initialized"],
-            property_id=d["propertyId"],
-            address=d["address"],
-            treasury=d["treasury"],
-            upgrader=d["upgrader"],
-            admin=d["admin"],
-            base_uri=d["baseUri"],
-            contract_name=d["contractName"],
-            description=d["description"],
-            approval_root=(bytes.fromhex(d["approvalRoot"])
-                           if d["approvalRoot"] else None),
-            approved=d["approved"],
-            documents=list(d["documents"]),
-            next_right_index=d["nextRightIndex"],
-            implementation_version=d["implementationVersion"],
-            tokens=TokenLedger.from_dict(d["tokens"]),
-            listings={int(t): Listing.from_dict(l)
-                      for t, l in d["listings"].items()},
-        )

@@ -15,6 +15,7 @@ leg of a command passes.
 """
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .addresses import ZERO_ADDRESS, require_nonzero
 from .canonical import canonical_json_bytes, sha256_hex
@@ -53,11 +54,11 @@ def right_of(fractional_id: int) -> int:
 
 @dataclass
 class TokenLedger:
-    base_uri: str = None
-    balances: dict = field(default_factory=dict)   # id -> {addr: amount}
-    supplies: dict = field(default_factory=dict)   # id -> total amount
-    approvals: dict = field(default_factory=dict)  # owner -> set of operators
-    consents: dict = field(default_factory=dict)   # party -> set of digests
+    base_uri: Optional[str] = None
+    balances: dict[int, dict[str, int]] = field(default_factory=dict)
+    supplies: dict[int, int] = field(default_factory=dict)
+    approvals: dict[str, set[str]] = field(default_factory=dict)  # operators
+    consents: dict[str, set[str]] = field(default_factory=dict)  # digests
 
     # -- queries ---------------------------------------------------------
 
@@ -186,30 +187,6 @@ class TokenLedger:
 
     def has_consent(self, party: str, descriptor_digest: str) -> bool:
         return descriptor_digest in self.consents.get(party, set())
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "baseUri": self.base_uri,
-            "balances": {str(t): {a: n for a, n in sorted(per.items())}
-                         for t, per in sorted(self.balances.items())},
-            "supplies": {str(t): n for t, n in sorted(self.supplies.items())},
-            "approvals": {o: sorted(ops)
-                          for o, ops in sorted(self.approvals.items())},
-            "consents": {p: sorted(ds)
-                         for p, ds in sorted(self.consents.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TokenLedger":
-        return cls(
-            base_uri=d["baseUri"],
-            balances={int(t): dict(per) for t, per in d["balances"].items()},
-            supplies={int(t): n for t, n in d["supplies"].items()},
-            approvals={o: set(ops) for o, ops in d["approvals"].items()},
-            consents={p: set(ds) for p, ds in d["consents"].items()},
-        )
 
 
 def swap_descriptor_digest(party_a: str, legs_a: list, value_a: int,

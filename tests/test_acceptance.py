@@ -24,6 +24,7 @@ from estateledger.factory import FACTORY_ADDRESS, proxy_address
 from estateledger.merkle import MerkleProof, MerkleTree, ProofStep, verify_proof
 from estateledger.node import EXECUTORS
 from estateledger.property_contract import pro_rata_payouts
+from estateledger.records import to_json
 from estateledger.tokens import (TokenLedger, atomic_swap, fractional_of,
                                  swap_descriptor_digest)
 
@@ -170,7 +171,7 @@ def _seeded_tokens(rng):
 
 
 def _tokens_digest(tokens):
-    return sha256_hex(canonical_json_bytes(tokens.to_dict()))
+    return sha256_hex(canonical_json_bytes(to_json(tokens)))
 
 
 def test_2_batch_equals_sequential_and_failed_batch_is_a_no_op(capsys):

@@ -6,6 +6,7 @@ from estateledger.chain import (GENESIS_PREV_HASH, Chain, NativeLedger,
                                 Transaction)
 from estateledger.errors import LedgerError
 from estateledger.node import LedgerState, Node
+from estateledger.records import read, to_json
 from estateledger.storage import ObjectStore
 from oracles import ref_block_hash
 
@@ -128,8 +129,8 @@ def test_chain_serialization_round_trip():
 
 def test_transaction_canonical_bytes_are_stable():
     tx = make_tx(5)
-    assert tx.canonical_bytes() == Transaction.from_dict(
-        tx.to_dict()).canonical_bytes()
+    assert tx.canonical_bytes() == read(
+        Transaction, to_json(tx)).canonical_bytes()
 
 
 # text the encoder escapes or passes through: non-ASCII, non-BMP, control

@@ -498,6 +498,25 @@ def test_snapshot_import_checks_version(prop, tmp_path, capsys):
     assert code == 3 and "VersionMismatch" in errtxt
 
 
+def test_import_refuses_an_object_that_does_not_match_its_key(
+        ledger, tmp_path, capsys):
+    ledger("object", "put", "--data", "deed scan", "--as", ADMIN,
+           "--timestamp", "6")
+    snap = tmp_path / "snap.json"
+    ledger("state", "export", "--out", str(snap))
+    body = json.loads(snap.read_text())
+    (digest,) = body["objects"]
+    body["objects"][digest] = b"forged deed".hex()
+    _signed_snapshot(snap, body)
+    fresh = tmp_path / "fresh"
+    code = cli.main(["state", "import", "--in", str(snap),
+                     "--state-dir", str(fresh)])
+    errtxt = capsys.readouterr().err
+    assert code == 3
+    assert errtxt.startswith(f"error: CorruptSnapshot: object {digest} ")
+    assert not fresh.exists()
+
+
 def test_corrupt_object_file_detected(ledger):
     put = jget(ledger, "object", "put", "--data", "original",
                "--as", ADMIN, "--timestamp", "60")
@@ -610,12 +629,21 @@ def _move_property(d):
     d["factory"]["proxies"] = [moved]
 
 
+def _admin_record(d) -> dict:
+    return d["stakeholders"]["stakeholders"][ADMIN]
+
+
 def _deactivate_admin(d):
-    d["stakeholders"]["stakeholders"][ADMIN]["active"] = False
+    _admin_record(d)["active"] = False
+
+
+def _edit_last_block(edit):
+    return _edit_state(lambda d: edit(d["blocks"][-1]))
 
 
 # name of the file to break in a state dir holding one deployed property
-# -> how; the last four break what no command can
+# -> how; `admin-inactive` to `proxy-dropped` break what no command can,
+# the cases after them the type or shape of one stored value
 MALFORMED_DIRS = {
     "truncated-state": ("state.json", _truncate),
     "truncated-chain": ("chain.json", _truncate),
@@ -629,6 +657,19 @@ MALFORMED_DIRS = {
                                    _edit_state(_move_property)),
     "proxy-dropped": ("state.json", _edit_state(
         lambda d: d["factory"].update(proxies=[]))),
+    "admin-active-a-string": ("state.json", _edit_state(
+        lambda d: _admin_record(d).update(active="false"))),
+    "balance-a-string": ("state.json", _edit_state(
+        lambda d: d["accounts"]["accounts"].update({ADMIN: "7"}))),
+    "paused-an-int": ("state.json", _edit_state(
+        lambda d: d["factory"].update(paused=0))),
+    "record-extra-key": ("state.json", _edit_state(
+        lambda d: _admin_record(d).update(note="x"))),
+    "token-key-not-canonical": ("state.json", _edit_state(
+        lambda d: _only_property(d)[1].update(
+            listings={"01": {"pricePerUnit": 1, "seller": ADMIN}}))),
+    "chain-nonce-a-string": ("chain.json", _edit_last_block(
+        lambda b: b.update(nonce=str(b["nonce"])))),
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 from estateledger.errors import LedgerError
 from estateledger.identity import (AllowlistVerifier, Role,
                                    StakeholderRegistry, parse_role)
+from estateledger.records import read, to_json
 
 
 def seeded_registry():
@@ -135,6 +136,6 @@ def test_serialization_round_trip():
     reg, admin = seeded_registry()
     seller = reg.register(admin, Role.SELLER, b"k1")
     reg.remove(admin, seller)
-    again = StakeholderRegistry.from_dict(reg.to_dict())
-    assert again.to_dict() == reg.to_dict()
+    again = read(StakeholderRegistry, to_json(reg))
+    assert to_json(again) == to_json(reg)
     assert again.is_active(seller) is False

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from estateledger.canonical import canonical_json_bytes
 from estateledger.chain import NativeLedger
 from estateledger.errors import LedgerError
+from estateledger.records import read, to_json
 from estateledger.tokens import (FRACTIONAL_FLAG, TokenLedger, atomic_swap,
                                  fractional_of, is_fractional, is_right,
                                  right_of, swap_descriptor_digest)
@@ -20,7 +21,7 @@ FRAC = FRACTIONAL_FLAG | 1
 
 
 def digest(tokens):
-    return canonical_json_bytes(tokens.to_dict())
+    return canonical_json_bytes(to_json(tokens))
 
 
 # -- id space -------------------------------------------------------------------
@@ -377,6 +378,6 @@ def test_serialization_round_trip():
     tokens, _ = swap_setup()
     tokens.set_approval_for_all(A, B, True)
     tokens.give_consent(A, "ab" * 32)
-    again = TokenLedger.from_dict(tokens.to_dict())
-    assert again.to_dict() == tokens.to_dict()
+    again = read(TokenLedger, to_json(tokens))
+    assert to_json(again) == to_json(tokens)
     assert again.balance_of(A, FRAC) == 1000
