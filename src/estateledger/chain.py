@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 from .addresses import ZERO_ADDRESS, require_nonzero
 from .canonical import canonical_json_bytes, sha256, u32be, u64be
 from .errors import err
-from .records import read_object, reader, to_json
+from .records import read_object, read_u64, reader, to_json
 
 GENESIS_PREV_HASH = b"\x00" * 32
 BLOCK_KEYS = frozenset(
     ("index", "timestamp", "nonce", "transactions", "prevHash", "hash"))
-read_int, read_hex, read_dicts = reader(int), reader(bytes), reader(list[dict])
+read_hex, read_dicts = reader(bytes), reader(list[dict])
 
 
 @dataclass
@@ -89,9 +89,9 @@ class Block:
     def from_dict(cls, d: dict) -> "Block":
         read_object(d, BLOCK_KEYS)
         return cls(
-            index=read_int(d["index"]),
-            timestamp=read_int(d["timestamp"]),
-            nonce=read_int(d["nonce"]),
+            index=read_u64(d["index"]),
+            timestamp=read_u64(d["timestamp"]),
+            nonce=read_u64(d["nonce"]),
             data=[canonical_json_bytes(tx)
                   for tx in read_dicts(d["transactions"])],
             prev_hash=read_hex(d["prevHash"]),

@@ -110,8 +110,8 @@ def parse_json_object(s: str) -> dict:
     try:
         value = json.loads(s)
         canonical_json_bytes(value)  # a lone surrogate cannot be recorded
-    except ValueError as exc:
-        raise err("ParseError", f"bad JSON {s!r}: {exc}")
+    except (ValueError, RecursionError) as exc:  # or nesting past the limit
+        raise err("ParseError", f"bad JSON {s!r:.60}: {exc}")
     if not isinstance(value, dict):
         raise err("ParseError", f"expected a JSON object, got {s!r}")
     return value
@@ -354,7 +354,7 @@ def _merkle_verify(args) -> dict:
             raw = fh.read()
     try:
         proof = MerkleProof.from_dict(json.loads(raw))
-    except (ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError, RecursionError):
         raise err("ParseError", "proof is not valid proof JSON")
     return {"valid": verify_proof(parse_hex_digest(args.root),
                                   parse_hex_digest(args.leaf), proof)}

@@ -10,15 +10,18 @@ failure changes nothing and appends nothing. What no command can break
 (an active administrator, each contract initialized at its own address)
 is checked once, when ``persistence`` decodes a loaded ledger.
 
-As a second guard, the executor runs against a working state holding
-fresh copies of the components its op names in ``WRITES`` and sharing
-every other one, the append-only block log included.
+As a second guard, ``execute`` runs the executor against a working
+state holding fresh copies of the components its op names in ``WRITES``
+and sharing every other one, the append-only block log included. Replay
+has no need of it: it applies each block in place to a fresh state
+that a failure discards whole.
 
 ``LedgerState.state_dict`` is the one serialization of the state:
 ``state.json`` is its default form, ``full_digest`` and
 ``ledger_digest`` hash it with the object store (and, for the full
 digest, the block log) but without ``version`` and ``config``, and
-snapshots add both the object store and the block log.
+snapshots add both the object store and the block log, which
+``state_bytes`` splices into the hashed bytes undecoded.
 
 Replaying a recorded chain from genesis re-executes every transaction
 and must reproduce the recorded block hashes and the final state
@@ -65,8 +68,7 @@ class LedgerState:
             raise err("NotFound", f"no property at {address}")
         return prop
 
-    def state_dict(self, *, objects: bool = False,
-                   chain: bool = False) -> dict:
+    def state_dict(self, *, objects: bool = False) -> dict:
         """The one serialization of the state; ``state.json`` is the
         default form."""
         d = {
@@ -80,9 +82,17 @@ class LedgerState:
         if objects:
             d["objects"] = {k: v.hex()
                             for k, v in sorted(self.store.objects.items())}
-        if chain:
-            d["chain"] = self.chain.to_dict()
         return d
+
+
+def state_bytes(d: dict, chain: Chain) -> bytes:
+    """``canonical_json_bytes(d | {"chain": chain.to_dict()})`` without
+    decoding a block: the log is spliced in as ``Chain.canonical_json()``
+    between the keys that sort before "chain" and those after it."""
+    parts = [canonical_json_bytes({k: v for k, v in d.items() if k < "chain"}),
+             b'{"chain":' + chain.canonical_json() + b"}",
+             canonical_json_bytes({k: v for k, v in d.items() if k > "chain"})]
+    return b"{" + b",".join(p[1:-1] for p in parts if p != b"{}") + b"}"
 
 
 class Node:
@@ -96,15 +106,8 @@ class Node:
         # state digests
         d = self.state.state_dict(objects=True)
         del d["version"], d["config"]
-        if not chain:
-            return sha256_hex(canonical_json_bytes(d))
-        # the block log is spliced in as Chain.canonical_json(); its key
-        # sorts between "accounts" and "factory"
-        accounts = canonical_json_bytes(d.pop("accounts"))
-        rest = canonical_json_bytes(d)
-        return sha256_hex(b'{"accounts":' + accounts + b',"chain":'
-                          + self.state.chain.canonical_json() + b","
-                          + rest[1:])
+        return sha256_hex(state_bytes(d, self.state.chain) if chain
+                          else canonical_json_bytes(d))
 
     def full_digest(self) -> str:
         return self._digest(chain=True)
@@ -141,36 +144,10 @@ class Node:
 
     def execute(self, caller: str, operation: str, params: dict,
                 value: int = 0, timestamp: int = 0) -> dict:
-        if operation in EVENT_OPS:
-            raise err("ParseError", f"{operation} is an event, not a command")
-        executor = EXECUTORS.get(operation)
-        if executor is None:
-            raise err("ParseError", f"unknown operation {operation!r}")
-        if not self.state.chain.blocks:
-            raise err("Uninitialized", "no genesis block; run init first")
-        if value < 0:
-            raise err("ParseError", "negative attached value")
-        if value and operation not in PAYABLE:
-            raise err("UnexpectedValue",
-                      f"{operation} does not accept attached value")
-        _check_timestamp(timestamp)
-        registry = self.state.registry
-        if operation == "bootstrapAdmin":
-            if registry.stakeholders:
-                raise err("NotAuthorized",
-                          "bootstrap only works on an empty registry")
-        elif not registry.is_active(caller):
-            raise err("NotAuthorized",
-                      f"{caller} is not an active stakeholder")
-        # the block's bytes are fixed before anything is written
-        blobs = [Transaction(caller=caller, operation=operation,
-                             params=params,
-                             attached_value=value).canonical_bytes()]
-
+        blob = _admit(self.state, caller, operation, params, value, timestamp)
         working = _working_copy(self.state, WRITES[operation], params)
-        result, events = executor(working, caller, params, value)
-        blobs.extend(tx.canonical_bytes() for tx in events)
-        working.chain.append_block(blobs, timestamp)
+        result = _apply(working, blob, caller, operation, params, value,
+                        timestamp)
         self.state = working
         return result
 
@@ -203,9 +180,10 @@ class Node:
                 raise err("CorruptSnapshot", f"block {block.index} "
                           f"holds {len(commands)} commands")
             tx = commands[0]
-            try:
-                fresh.execute(tx.caller, tx.operation, tx.params,
-                              tx.attached_value, block.timestamp)
+            args = (tx.caller, tx.operation, tx.params, tx.attached_value,
+                    block.timestamp)
+            try:  # in place: a raise abandons `fresh` whole
+                _apply(fresh.state, _admit(fresh.state, *args), *args)
             except (KeyError, TypeError, ValueError, AttributeError) as exc:
                 raise err("CorruptSnapshot", f"{where}: "
                           f"{type(exc).__name__}: {exc}") from exc
@@ -214,6 +192,41 @@ class Node:
                           f"block {block.index} hash diverged on replay")
         fresh.state.config = copy.deepcopy(self.state.config)
         return fresh
+
+
+def _admit(state: LedgerState, caller: str, operation: str, params: dict,
+           value: int, timestamp: int) -> bytes:
+    """Every check the seal needs, then the command's transaction bytes:
+    the block's bytes are fixed before anything is written."""
+    if operation in EVENT_OPS:
+        raise err("ParseError", f"{operation} is an event, not a command")
+    if operation not in EXECUTORS:
+        raise err("ParseError", f"unknown operation {operation!r}")
+    if not state.chain.blocks:
+        raise err("Uninitialized", "no genesis block; run init first")
+    if value < 0:
+        raise err("ParseError", "negative attached value")
+    if value and operation not in PAYABLE:
+        raise err("UnexpectedValue",
+                  f"{operation} does not accept attached value")
+    _check_timestamp(timestamp)
+    if operation == "bootstrapAdmin":
+        if state.registry.stakeholders:
+            raise err("NotAuthorized",
+                      "bootstrap only works on an empty registry")
+    elif not state.registry.is_active(caller):
+        raise err("NotAuthorized", f"{caller} is not an active stakeholder")
+    return Transaction(caller=caller, operation=operation, params=params,
+                       attached_value=value).canonical_bytes()
+
+
+def _apply(state: LedgerState, blob: bytes, caller: str, operation: str,
+           params: dict, value: int, timestamp: int) -> dict:
+    """Run the admitted command's executor on `state` and seal its block."""
+    result, events = EXECUTORS[operation](state, caller, params, value)
+    state.chain.append_block([blob, *(tx.canonical_bytes() for tx in events)],
+                             timestamp)
+    return result
 
 
 def _check_timestamp(timestamp: int):

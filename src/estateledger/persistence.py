@@ -11,8 +11,11 @@ Layout inside a state directory:
 Files are written to a temp name and renamed so a kill mid-write never
 leaves a half-written file.
 
-A snapshot is ``state_dict(objects=True, chain=True)`` plus a
-``digest`` of that body. Loading a directory and importing a snapshot
+A snapshot is ``state_dict(objects=True)`` with the block log under
+``chain``, plus a ``digest`` of that body. The digest is taken over
+``state_bytes``, the body's encoding with the log's stored bytes
+spliced in; import decodes the log once and checks the digest over the
+bytes it splices back. Loading a directory and importing a snapshot
 feed the one decoder: it reads every record through ``records.read``,
 checks each object against its digest, and alone checks what no
 command can break. It refuses a ledger with no active administrator,
@@ -30,13 +33,13 @@ from .chain import Chain, NativeLedger
 from .errors import err
 from .factory import Factory
 from .identity import StakeholderRegistry
-from .node import STATE_VERSION, LedgerState, Node
+from .node import STATE_VERSION, LedgerState, Node, state_bytes
 from .property_contract import PropertyContract
 from .records import read, read_object
 from .storage import ObjectStore
 
 STATE_KEYS = frozenset(("version", "config", "accounts", "stakeholders",
-                        "factory", "properties", "chain"))
+                        "factory", "properties"))
 
 
 def _write_atomic(path: str, data: bytes):
@@ -65,7 +68,7 @@ def _read_json_object(path: str) -> dict:
         text = fh.read().decode("utf-8")
     try:
         value = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         value = None
     if not isinstance(value, dict):
         raise err("CorruptSnapshot", f"{path} is not a JSON object")
@@ -80,9 +83,9 @@ def _check_version(body: dict, what: str):
                   f"expected {STATE_VERSION}")
 
 
-def _state_from_dicts(d: dict, objects: dict = None) -> Node:
-    """Decode a ``state_dict(chain=True)`` and `objects` (digest -> bytes)
-    or a snapshot's hex ``objects``; refuse what no command produces."""
+def _state_from_dicts(d: dict, chain: Chain, objects: dict = None) -> Node:
+    """Decode a ``state_dict()`` beside its `chain` and `objects` (digest
+    -> bytes) or hex ``objects``; refuse what no command produces."""
     read_object(d, STATE_KEYS | ({"objects"} if objects is None else set()))
     if objects is None:
         objects = read(dict[str, bytes], d["objects"])
@@ -92,7 +95,7 @@ def _state_from_dicts(d: dict, objects: dict = None) -> Node:
                       f"object {digest} does not match its digest")
     state = LedgerState(
         config=read(dict[str, Optional[str]], d["config"]),
-        chain=Chain.from_dict(d["chain"]),
+        chain=chain,
         native=read(NativeLedger, d["accounts"]),
         registry=read(StakeholderRegistry, d["stakeholders"]),
         store=ObjectStore(objects=objects),
@@ -132,8 +135,8 @@ def load_state(state_dir: str) -> Node:
                       "`state import --force` restores the dir")
     state_d = _read_json_object(state_path)
     _check_version(state_d, "state")
-    read_object(state_d, STATE_KEYS - {"chain"})
-    state_d["chain"] = _read_json_object(chain_path)
+    read_object(state_d, STATE_KEYS)
+    chain = Chain.from_dict(_read_json_object(chain_path))
     objects = {}
     objects_dir = os.path.join(state_dir, "objects")
     if os.path.isdir(objects_dir):
@@ -142,24 +145,25 @@ def load_state(state_dir: str) -> Node:
                 continue
             with open(os.path.join(objects_dir, name), "rb") as fh:
                 objects[name[:-len(".bin")]] = fh.read()
-    return _state_from_dicts(state_d, objects)
+    return _state_from_dicts(state_d, chain, objects)
 
 
 # -- snapshots -------------------------------------------------------------
 
 
 def export_snapshot(node: Node) -> dict:
-    snapshot = node.state.state_dict(objects=True, chain=True)
-    snapshot["digest"] = sha256_hex(canonical_json_bytes(snapshot))
-    return snapshot
+    snapshot = node.state.state_dict(objects=True)
+    digest = sha256_hex(state_bytes(snapshot, node.state.chain))
+    return snapshot | {"chain": node.state.chain.to_dict(), "digest": digest}
 
 
 def import_snapshot(snapshot: dict) -> Node:
     _check_version(snapshot, "snapshot")
-    body = {k: v for k, v in snapshot.items() if k != "digest"}
-    if sha256_hex(canonical_json_bytes(body)) != snapshot.get("digest"):
+    chain = Chain.from_dict(snapshot.get("chain"))
+    body = {k: v for k, v in snapshot.items() if k not in ("chain", "digest")}
+    if sha256_hex(state_bytes(body, chain)) != snapshot.get("digest"):
         raise err("CorruptSnapshot", "snapshot digest does not match")
-    return _state_from_dicts(body)
+    return _state_from_dicts(body, chain)
 
 
 def write_snapshot(path: str, node: Node):

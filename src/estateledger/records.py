@@ -36,6 +36,13 @@ def read_object(value, keys) -> dict:
     return value
 
 
+def read_u64(value) -> int:
+    """`value` if it is an int fitting in a block header's 8 bytes."""
+    if type(value) is not int or not 0 <= value < 2 ** 64:
+        raise _refused("an integer in [0, 2**64)", value)
+    return value
+
+
 def _refused(expected: str, value) -> LedgerError:
     return err("CorruptSnapshot", f"expected {expected}, got {value!r:.60}")
 

@@ -6,6 +6,7 @@ unlikely.
 """
 
 import hashlib
+import json
 import struct
 
 
@@ -16,6 +17,12 @@ def ref_block_hash(index: int, timestamp: int, nonce: int, prev_hash: bytes,
     for blob in tx_blobs:
         payload += struct.pack(">I", len(blob)) + blob
     return hashlib.sha256(payload).digest()
+
+
+def ref_state_bytes(d: dict, chain) -> bytes:
+    """`d` with the block log decoded in, encoded as plain sorted JSON."""
+    return json.dumps({**d, "chain": chain.to_dict()}, sort_keys=True,
+                      separators=(",", ":"), ensure_ascii=False).encode()
 
 
 def ref_merkle_root(leaves: list) -> bytes:

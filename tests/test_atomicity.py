@@ -21,11 +21,13 @@ from conftest import (ADMIN_KEY, BUYER_KEY, SELLER_KEY, TREASURY, URI,
 from estateledger.addresses import ZERO_ADDRESS, derive_address
 from estateledger.chain import Chain
 from estateledger.errors import LedgerError
-from estateledger.node import EXECUTORS, PAYABLE, WRITES, Node
+from estateledger.node import EXECUTORS, PAYABLE, WRITES, Node, state_bytes
 from estateledger.persistence import (export_snapshot, import_snapshot,
                                       load_state, save_state)
 from estateledger.storage import make_cid
 from estateledger.tokens import fractional_of, swap_descriptor_digest
+
+from oracles import ref_state_bytes
 
 FRAC1 = fractional_of(1)
 NEW_KEY = b"newcomer-key"
@@ -443,6 +445,8 @@ def test_random_sequences_check_before_they_write(market, seed, tmp_path):
             minted += params["amount"]
     assert len(failed) >= 20  # most kinds were seen failing
     assert n.replay().full_digest() == n.full_digest()
+    d = n.state.state_dict(objects=True)
+    assert state_bytes(d, n.state.chain) == ref_state_bytes(d, n.state.chain)
     save_state(str(tmp_path), n)
     assert load_state(str(tmp_path)).full_digest() == n.full_digest()
     assert sum(n.state.native.accounts.values()) == minted

@@ -25,6 +25,8 @@ SELLER = derive_address(SELLER_KEY.encode())
 BUYER = derive_address(BUYER_KEY.encode())
 TREASURY = "0x" + "00" * 19 + "aa"
 URI = "ipfs://meta/{id}.json"
+# parses only past the interpreter's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
 @pytest.fixture
@@ -257,7 +259,9 @@ def test_resolve_refuses_an_out_of_range_id_like_property_uri(prop,
         f"error: UnknownToken: token id out of range: {token_id}"
 
 
-@pytest.mark.parametrize("extra", ["{bad", "[1, 2]", '{"a": "\\ud800"}'])
+@pytest.mark.parametrize("extra", [
+    "{bad", "[1, 2]", '{"a": "\\ud800"}',
+    pytest.param(DEEP_JSON, id="nested-past-the-recursion-limit")])
 def test_metadata_extra_must_be_a_json_object(ledger, extra):
     blocks = len(load_state(ledger.state_dir).state.chain.blocks)
     _, _, errtxt = ledger("object", "metadata", "--name", "n", "--extra",
@@ -299,6 +303,12 @@ def test_merkle_verify_rejects_junk_proof(estate):
                              "--leaf", "11" * 32, "--proof", "{not json",
                              expect=2)
     assert "ParseError" in errtxt
+
+
+def test_merkle_verify_rejects_proof_nested_past_the_recursion_limit(estate):
+    _, _, errtxt = estate("merkle", "verify", "--root", "00" * 32,
+                          "--leaf", "11" * 32, "--proof", DEEP_JSON, expect=2)
+    assert errtxt == "error: ParseError: proof is not valid proof JSON"
 
 
 # -- property lifecycle over the wire ----------------------------------------
@@ -485,6 +495,52 @@ def test_snapshot_import_checks_digest(prop, tmp_path, capsys):
     assert code == 3 and "CorruptSnapshot" in errtxt
 
 
+def _drop_chain(body):
+    del body["chain"]
+
+
+def _drop_last_hash(body):
+    del body["chain"]["blocks"][-1]["hash"]
+
+
+@pytest.mark.parametrize("breaker", [
+    _drop_chain,
+    lambda body: body.update(chain=[]),
+    _drop_last_hash,
+    lambda body: body["chain"]["blocks"][-1].update(nonce=-1),
+], ids=["missing", "a-list", "block-without-hash", "nonce-negative"])
+def test_snapshot_with_a_missing_or_malformed_chain_is_corrupt(
+        prop, tmp_path, breaker):
+    ledger, addr = prop
+    snap = tmp_path / "snap.json"
+    ledger("state", "export", "--out", str(snap))
+    body = json.loads(snap.read_text())
+    breaker(body)
+    _signed_snapshot(snap, body)  # so only the chain is at fault
+    code, _, errtxt = ledger("state", "import", "--in", str(snap),
+                             "--force", expect=3)
+    assert errtxt.startswith("error: CorruptSnapshot: ")
+    assert "digest" not in errtxt
+
+
+@pytest.mark.parametrize("breaker", [
+    lambda body: body.update(digest="00" * 32),
+    lambda body: body["chain"]["blocks"][-1]["transactions"][0].update(
+        attachedValue=1),
+], ids=["digest-replaced", "recorded-tx-edited"])
+def test_snapshot_with_a_valid_chain_under_a_wrong_digest(
+        prop, tmp_path, breaker):
+    ledger, addr = prop
+    snap = tmp_path / "snap.json"
+    ledger("state", "export", "--out", str(snap))
+    body = json.loads(snap.read_text())
+    breaker(body)
+    snap.write_text(json.dumps(body))
+    _, _, errtxt = ledger("state", "import", "--in", str(snap), "--force",
+                          expect=3)
+    assert errtxt == "error: CorruptSnapshot: snapshot digest does not match"
+
+
 def test_snapshot_import_checks_version(prop, tmp_path, capsys):
     ledger, addr = prop
     snap = tmp_path / "snap.json"
@@ -607,6 +663,11 @@ def _truncate(path):
         fh.write(data[:len(data) // 2])
 
 
+def _nest_past_the_recursion_limit(path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"version": 1, "config": ' + DEEP_JSON + "}")
+
+
 def _edit_state(edit):
     def apply(path):
         with open(path, "r", encoding="utf-8") as fh:
@@ -670,6 +731,12 @@ MALFORMED_DIRS = {
             listings={"01": {"pricePerUnit": 1, "seller": ADMIN}}))),
     "chain-nonce-a-string": ("chain.json", _edit_last_block(
         lambda b: b.update(nonce=str(b["nonce"])))),
+    "state-nested-past-the-recursion-limit": (
+        "state.json", _nest_past_the_recursion_limit),
+    "chain-nonce-negative": ("chain.json", _edit_last_block(
+        lambda b: b.update(nonce=-5))),
+    "chain-timestamp-2-64": ("chain.json", _edit_last_block(
+        lambda b: b.update(timestamp=2 ** 64))),
 }
 
 

@@ -23,9 +23,12 @@ import shlex
 
 from estateledger import cli
 from estateledger.addresses import derive_address
-from estateledger.node import STATE_VERSION
-from estateledger.persistence import export_snapshot, load_state
+from estateledger.node import STATE_VERSION, state_bytes
+from estateledger.persistence import (export_snapshot, import_snapshot,
+                                      load_state)
 from estateledger.tokens import fractional_of, swap_descriptor_digest
+
+from oracles import ref_state_bytes
 
 ADMIN = derive_address(b"demo-admin")
 SELLER = derive_address(b"demo-seller")
@@ -204,6 +207,19 @@ def test_batch_swap_and_admin_tail_is_pinned(tmp_path):
     assert [b.hash.hex() for b in blocks] == TAIL_BLOCK_HASHES
     assert node.full_digest() == TAIL_FULL_DIGEST
     assert node.replay().full_digest() == TAIL_FULL_DIGEST
+
+
+def test_state_bytes_splice_the_chain_into_the_dict_encoding(tmp_path):
+    state_dir = str(tmp_path / "tour")
+    prop = quick_tour(state_dir)
+    node = load_state(state_dir)
+    tour_tail(node, prop)
+    chain = node.state.chain
+    d = node.state.state_dict(objects=True)
+    for part in (d, {"accounts": d["accounts"]}, {"version": 1}, {}):
+        assert state_bytes(part, chain) == ref_state_bytes(part, chain)
+    assert import_snapshot(export_snapshot(node)).full_digest() \
+        == TAIL_FULL_DIGEST
 
 
 def cli_verbs(state_dir, prop):

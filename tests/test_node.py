@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 
@@ -164,6 +165,43 @@ def test_replay_of_malformed_record_is_corrupt_snapshot(node, breaker):
         node.replay()
     assert e.value.code == "CorruptSnapshot"
     assert e.value.message.startswith(f"block {block.index} ")
+
+
+def _tamper_amount(block):
+    block.data[0] = block.data[0].replace(b'"amount":7', b'"amount":8')
+
+
+def _reseal_overdrawn(block):
+    # a block that hashes right but whose transfer overdraws the seller
+    block.data[0] = block.data[0].replace(b'"amount":7', b'"amount":9999999')
+    block.seal()
+
+
+def _amount_a_list(block):
+    block.data[0] = _edit_params(lambda p: {**p, "amount": [7]})(block.data[0])
+
+
+@pytest.mark.parametrize("breaker, code", [
+    (_tamper_amount, "HashMismatch"),
+    (_reseal_overdrawn, "InsufficientFunds"),
+    (_amount_a_list, "CorruptSnapshot"),
+], ids=["tampered-param", "resealed-op-fails", "param-mistyped"])
+def test_failed_replay_leaves_the_replayed_node_unchanged(node, breaker, code):
+    node.execute(node.seller, "transferNative",
+                 {"to": node.buyer, "amount": 7}, timestamp=80)
+    node.execute(node.admin, "faucet", {"to": node.buyer, "amount": 3},
+                 timestamp=81)
+    block = node.state.chain.blocks[-2]
+    breaker(block)
+    state, digest = node.state, node.full_digest()
+    chain = copy.deepcopy(node.state.chain)
+    with pytest.raises(LedgerError) as e:
+        node.replay()
+    assert e.value.code == code
+    if code == "CorruptSnapshot":
+        assert e.value.message.startswith(f"block {block.index} ")
+    assert node.state is state and node.state.chain == chain
+    assert node.full_digest() == digest
 
 
 def test_chain_verify_spots_manual_edit(node):
