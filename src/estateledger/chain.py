@@ -50,7 +50,7 @@ def block_payload(index: int, timestamp: int, nonce: int, prev_hash: bytes,
     return b"".join(parts)
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     index: int
     timestamp: int
@@ -154,8 +154,15 @@ class Chain:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Chain":
+        """Decode a block log; each block's index and nonce must equal
+        its position, so the next append cannot overflow its header."""
         blocks = read_dicts(read_object(d, {"blocks"})["blocks"])
-        return cls(blocks=[Block.from_dict(b) for b in blocks])
+        chain = cls(blocks=[Block.from_dict(b) for b in blocks])
+        for i, b in enumerate(chain.blocks):
+            if b.index != i or b.nonce != i:
+                raise err("CorruptSnapshot", f"block {i} records index "
+                          f"{b.index} and nonce {b.nonce}")
+        return chain
 
 
 @dataclass

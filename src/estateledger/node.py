@@ -1,34 +1,31 @@
 """Single-writer node: executes commands atomically and seals blocks.
 
-``execute`` is check-then-apply. Admission checks everything the seal
-needs (the caller, the attached value, the timestamp range) and encodes
-the operation's transaction, fixing the block's bytes before anything
-is written; each executor then runs all its checks before its first
-write. So on success exactly one block is appended holding the
-operation's transaction (deployments add an event transaction), and a
-failure changes nothing and appends nothing. What no command can break
-(an active administrator, each contract initialized at its own address)
-is checked once, when ``persistence`` decodes a loaded ledger.
-
-As a second guard, ``execute`` runs the executor against a working
-state holding fresh copies of the components its op names in ``WRITES``
-and sharing every other one, the append-only block log included. Replay
-has no need of it: it applies each block in place to a fresh state
-that a failure discards whole.
+``execute`` is check-then-apply, in place. Admission checks everything
+the seal needs (the caller, the attached value, the timestamp range)
+and encodes the operation's transaction, fixing the block's bytes
+before anything is written; the executor then runs on the live state
+and runs all its checks before its first write; the seal cannot fail,
+as the decoder pins each block's index and nonce to its position. So
+on success exactly one block is appended holding the operation's
+transaction (deployments add an event transaction), and a failure
+changes nothing and appends nothing. What no command can break (an
+active administrator, each contract initialized at its own address) is
+checked once, when ``persistence`` decodes a loaded ledger.
 
 ``LedgerState.state_dict`` is the one serialization of the state:
 ``state.json`` is its default form, ``full_digest`` and
 ``ledger_digest`` hash it with the object store (and, for the full
 digest, the block log) but without ``version`` and ``config``, and
-snapshots add both the object store and the block log, which
-``state_bytes`` splices into the hashed bytes undecoded.
+snapshots add both the object store and the block log.
+``state_pieces`` streams those bytes with each block's stored bytes
+spliced in undecoded, and ``state_digest`` hashes them piece by piece.
 
 Replaying a recorded chain from genesis re-executes every transaction
-and must reproduce the recorded block hashes and the final state
-digest.
+on a fresh node and must reproduce the recorded block hashes and the
+final state digest.
 """
 
-import copy
+import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -85,14 +82,26 @@ class LedgerState:
         return d
 
 
-def state_bytes(d: dict, chain: Chain) -> bytes:
-    """``canonical_json_bytes(d | {"chain": chain.to_dict()})`` without
-    decoding a block: the log is spliced in as ``Chain.canonical_json()``
-    between the keys that sort before "chain" and those after it."""
-    parts = [canonical_json_bytes({k: v for k, v in d.items() if k < "chain"}),
-             b'{"chain":' + chain.canonical_json() + b"}",
-             canonical_json_bytes({k: v for k, v in d.items() if k > "chain"})]
-    return b"{" + b",".join(p[1:-1] for p in parts if p != b"{}") + b"}"
+def state_pieces(d: dict, chain: Chain):
+    """The bytes of ``canonical_json_bytes(d | {"chain": chain.to_dict()})``
+    in pieces, without decoding a block: the keys of `d` that sort before
+    "chain", each block's ``Block.canonical_json()``, then the keys after."""
+    head = canonical_json_bytes({k: v for k, v in d.items() if k < "chain"})
+    tail = canonical_json_bytes({k: v for k, v in d.items() if k > "chain"})
+    yield head[:-1] + (b"," if len(head) > 2 else b"") + b'"chain":{"blocks":['
+    for i, block in enumerate(chain.blocks):
+        if i:
+            yield b","
+        yield block.canonical_json()
+    yield b"]}" + (b"," if len(tail) > 2 else b"") + tail[1:]
+
+
+def state_digest(d: dict, chain: Chain) -> str:
+    """SHA-256 of ``state_pieces(d, chain)``, fed piece by piece."""
+    h = hashlib.sha256()
+    for piece in state_pieces(d, chain):
+        h.update(piece)
+    return h.hexdigest()
 
 
 class Node:
@@ -106,8 +115,8 @@ class Node:
         # state digests
         d = self.state.state_dict(objects=True)
         del d["version"], d["config"]
-        return sha256_hex(state_bytes(d, self.state.chain) if chain
-                          else canonical_json_bytes(d))
+        return (state_digest(d, self.state.chain) if chain
+                else sha256_hex(canonical_json_bytes(d)))
 
     def full_digest(self) -> str:
         return self._digest(chain=True)
@@ -144,11 +153,34 @@ class Node:
 
     def execute(self, caller: str, operation: str, params: dict,
                 value: int = 0, timestamp: int = 0) -> dict:
-        blob = _admit(self.state, caller, operation, params, value, timestamp)
-        working = _working_copy(self.state, WRITES[operation], params)
-        result = _apply(working, blob, caller, operation, params, value,
-                        timestamp)
-        self.state = working
+        """Admit the command, run its executor on the live state and seal
+        its block; a failure raises before anything is written."""
+        state = self.state
+        if operation in EVENT_OPS:
+            raise err("ParseError", f"{operation} is an event, not a command")
+        if operation not in EXECUTORS:
+            raise err("ParseError", f"unknown operation {operation!r}")
+        if not state.chain.blocks:
+            raise err("Uninitialized", "no genesis block; run init first")
+        if value < 0:
+            raise err("ParseError", "negative attached value")
+        if value and operation not in PAYABLE:
+            raise err("UnexpectedValue",
+                      f"{operation} does not accept attached value")
+        _check_timestamp(timestamp)
+        if operation == "bootstrapAdmin":
+            if state.registry.stakeholders:
+                raise err("NotAuthorized",
+                          "bootstrap only works on an empty registry")
+        elif not state.registry.is_active(caller):
+            raise err("NotAuthorized",
+                      f"{caller} is not an active stakeholder")
+        # the block's bytes are fixed before anything is written
+        blob = Transaction(caller=caller, operation=operation, params=params,
+                           attached_value=value).canonical_bytes()
+        result, events = EXECUTORS[operation](state, caller, params, value)
+        state.chain.append_block(
+            [blob, *(tx.canonical_bytes() for tx in events)], timestamp)
         return result
 
     # -- replay -----------------------------------------------------------------
@@ -182,81 +214,22 @@ class Node:
             tx = commands[0]
             args = (tx.caller, tx.operation, tx.params, tx.attached_value,
                     block.timestamp)
-            try:  # in place: a raise abandons `fresh` whole
-                _apply(fresh.state, _admit(fresh.state, *args), *args)
+            try:  # a raise abandons `fresh` whole
+                fresh.execute(*args)
             except (KeyError, TypeError, ValueError, AttributeError) as exc:
                 raise err("CorruptSnapshot", f"{where}: "
                           f"{type(exc).__name__}: {exc}") from exc
             if fresh.state.chain.blocks[-1].hash != block.hash:
                 raise err("HashMismatch",
                           f"block {block.index} hash diverged on replay")
-        fresh.state.config = copy.deepcopy(self.state.config)
+        fresh.state.config = dict(self.state.config)
         return fresh
-
-
-def _admit(state: LedgerState, caller: str, operation: str, params: dict,
-           value: int, timestamp: int) -> bytes:
-    """Every check the seal needs, then the command's transaction bytes:
-    the block's bytes are fixed before anything is written."""
-    if operation in EVENT_OPS:
-        raise err("ParseError", f"{operation} is an event, not a command")
-    if operation not in EXECUTORS:
-        raise err("ParseError", f"unknown operation {operation!r}")
-    if not state.chain.blocks:
-        raise err("Uninitialized", "no genesis block; run init first")
-    if value < 0:
-        raise err("ParseError", "negative attached value")
-    if value and operation not in PAYABLE:
-        raise err("UnexpectedValue",
-                  f"{operation} does not accept attached value")
-    _check_timestamp(timestamp)
-    if operation == "bootstrapAdmin":
-        if state.registry.stakeholders:
-            raise err("NotAuthorized",
-                      "bootstrap only works on an empty registry")
-    elif not state.registry.is_active(caller):
-        raise err("NotAuthorized", f"{caller} is not an active stakeholder")
-    return Transaction(caller=caller, operation=operation, params=params,
-                       attached_value=value).canonical_bytes()
-
-
-def _apply(state: LedgerState, blob: bytes, caller: str, operation: str,
-           params: dict, value: int, timestamp: int) -> dict:
-    """Run the admitted command's executor on `state` and seal its block."""
-    result, events = EXECUTORS[operation](state, caller, params, value)
-    state.chain.append_block([blob, *(tx.canonical_bytes() for tx in events)],
-                             timestamp)
-    return result
 
 
 def _check_timestamp(timestamp: int):
     # a block header stores it as 8 unsigned bytes
     if not 0 <= timestamp < 2 ** 64:
         raise err("ParseError", f"timestamp {timestamp} is outside [0, 2**64)")
-
-
-def _working_copy(state: LedgerState, writes: tuple,
-                  params: dict) -> LedgerState:
-    """A state sharing every component with `state` except the ones in
-    `writes`, which are fresh copies. Of `properties` only the dict and
-    the contract at ``params["property"]`` are copied."""
-    working = copy.copy(state)
-    if "native" in writes:
-        working.native = NativeLedger(dict(state.native.accounts))
-    if "store" in writes:
-        working.store = ObjectStore(dict(state.store.objects))
-    if "registry" in writes:
-        working.registry = StakeholderRegistry(
-            dict(state.registry.stakeholders))
-    if "factory" in writes:
-        working.factory = copy.deepcopy(state.factory)
-    if "properties" in writes:
-        working.properties = dict(state.properties)
-        address = params.get("property")
-        if address in working.properties:
-            working.properties[address] = copy.deepcopy(
-                working.properties[address])
-    return working
 
 
 # -- executors ------------------------------------------------------------------
@@ -498,36 +471,4 @@ EXECUTORS = {
     "safeTransferBatch": _ex_safe_transfer_batch,
     "consentSwap": _ex_consent_swap,
     "atomicSwap": _ex_atomic_swap,
-}
-
-
-# the LedgerState components each executor may write; execute copies
-# these and shares the rest, so a missing entry breaks atomicity
-WRITES = {
-    "bootstrapAdmin": ("registry", "native"),
-    "registerStakeholder": ("registry", "native"),
-    "removeStakeholder": ("registry",),
-    "transferNative": ("native",),
-    "faucet": ("native",),
-    "putObject": ("store",),
-    "buildRightMetadata": ("store",),
-    "registerDocument": ("properties",),
-    "approvedProperty": ("properties",),
-    "initializeFactory": ("factory",),
-    "deployProperty": ("factory", "properties", "native"),
-    "pause": ("factory",),
-    "unpause": ("factory",),
-    "authorizeUpgrade": ("factory",),
-    "mintNFT": ("properties", "native"),
-    "mintBatchNFTs": ("properties", "native"),
-    "mintFractional": ("properties",),
-    "transferNFT": ("properties", "native"),
-    "burnNFT": ("properties",),
-    "burnBatchNFTs": ("properties",),
-    "setPrice": ("properties",),
-    "distributeEarnings": ("properties", "native"),
-    "setApprovalForAll": ("properties",),
-    "safeTransferBatch": ("properties",),
-    "consentSwap": ("properties",),
-    "atomicSwap": ("properties", "native"),
 }

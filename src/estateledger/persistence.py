@@ -12,15 +12,17 @@ Files are written to a temp name and renamed so a kill mid-write never
 leaves a half-written file.
 
 A snapshot is ``state_dict(objects=True)`` with the block log under
-``chain``, plus a ``digest`` of that body. The digest is taken over
-``state_bytes``, the body's encoding with the log's stored bytes
-spliced in; import decodes the log once and checks the digest over the
-bytes it splices back. Loading a directory and importing a snapshot
-feed the one decoder: it reads every record through ``records.read``,
-checks each object against its digest, and alone checks what no
-command can break. It refuses a ledger with no active administrator,
-or whose stored contracts are not exactly the factory's proxies, each
-initialized at its own address.
+``chain``, plus a ``digest`` of that body. The digest is
+``state_digest``, taken over the body's encoding with the log's stored
+bytes spliced in; ``write_snapshot`` writes the same pieces, digest
+included, and never decodes a stored block. Import decodes the log
+once and checks the digest over the bytes it splices back. Loading a
+directory and importing a snapshot feed the one decoder: it reads
+every record through ``records.read``, checks each object against its
+digest, and alone checks what no command can break. It refuses a
+ledger with no active administrator, or whose stored contracts are
+not exactly the factory's proxies, each initialized at its own
+address.
 """
 
 import fcntl
@@ -33,7 +35,8 @@ from .chain import Chain, NativeLedger
 from .errors import err
 from .factory import Factory
 from .identity import StakeholderRegistry
-from .node import STATE_VERSION, LedgerState, Node, state_bytes
+from .node import (STATE_VERSION, LedgerState, Node, state_digest,
+                   state_pieces)
 from .property_contract import PropertyContract
 from .records import read, read_object
 from .storage import ObjectStore
@@ -152,22 +155,26 @@ def load_state(state_dir: str) -> Node:
 
 
 def export_snapshot(node: Node) -> dict:
-    snapshot = node.state.state_dict(objects=True)
-    digest = sha256_hex(state_bytes(snapshot, node.state.chain))
-    return snapshot | {"chain": node.state.chain.to_dict(), "digest": digest}
+    body, chain = node.state.state_dict(objects=True), node.state.chain
+    return body | {"chain": chain.to_dict(),
+                   "digest": state_digest(body, chain)}
 
 
 def import_snapshot(snapshot: dict) -> Node:
     _check_version(snapshot, "snapshot")
     chain = Chain.from_dict(snapshot.get("chain"))
     body = {k: v for k, v in snapshot.items() if k not in ("chain", "digest")}
-    if sha256_hex(state_bytes(body, chain)) != snapshot.get("digest"):
+    if state_digest(body, chain) != snapshot.get("digest"):
         raise err("CorruptSnapshot", "snapshot digest does not match")
     return _state_from_dicts(body, chain)
 
 
 def write_snapshot(path: str, node: Node):
-    _write_atomic(path, canonical_json_bytes(export_snapshot(node)))
+    """``canonical_json_bytes(export_snapshot(node))``, written from the
+    digest's own pieces."""
+    body, chain = node.state.state_dict(objects=True), node.state.chain
+    body["digest"] = state_digest(body, chain)
+    _write_atomic(path, b"".join(state_pieces(body, chain)))
 
 
 def read_snapshot(path: str) -> Node:

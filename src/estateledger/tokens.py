@@ -159,12 +159,12 @@ class TokenLedger:
     def set_approval_for_all(self, owner: str, operator: str, approved: bool):
         if owner == operator:
             raise err("SelfApproval", "cannot change approval for yourself")
-        ops = self.approvals.setdefault(owner, set())
-        if approved:
-            ops.add(operator)
+        ops = self.approvals.get(owner, set())
+        # built aside, so an unhashable operator raises before any write
+        ops = ops | {operator} if approved else ops - {operator}
+        if ops:
+            self.approvals[owner] = ops
         else:
-            ops.discard(operator)
-        if not ops:
             self.approvals.pop(owner, None)
 
     def safe_transfer_batch(self, caller: str, src: str, dst: str,
@@ -183,7 +183,9 @@ class TokenLedger:
             for token_id, amount in zip(token_ids, amounts)))
 
     def give_consent(self, party: str, descriptor_digest: str):
-        self.consents.setdefault(party, set()).add(descriptor_digest)
+        # built aside, so an unhashable digest raises before any write
+        self.consents[party] = (self.consents.get(party, set())
+                                | {descriptor_digest})
 
     def has_consent(self, party: str, descriptor_digest: str) -> bool:
         return descriptor_digest in self.consents.get(party, set())

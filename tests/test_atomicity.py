@@ -1,17 +1,20 @@
 """Atomicity and O(history) cost of Node.execute, checked without timing.
 
-Every op in EXECUTORS gets a case whose executor succeeds. Forcing the
-block seal to fail after the executor has run must leave the ledger
-exactly as it was: a write that escapes the op's write set shows up
-here as a changed digest. A successful op must append to the very same
-Chain and copy none of its earlier blocks.
+``Node.execute`` runs each command in place on the live state, so every
+way a command can fail must fail before its first write. Every op gets
+a case whose executor succeeds; each of its params is then dropped, set
+to a value of the wrong type or range, or joined by an extra key, and
+whatever raises must leave the ledger exactly as it was. A successful
+op must append to the very same Chain and copy none of its earlier
+blocks.
 
 Every op also gets a case its executor rejects. Run straight against
-the live state, with no working copy, the rejection must leave the
-digest unchanged: each executor checks everything before it writes.
+the live state, the rejection must leave the digest unchanged: each
+executor checks everything before it writes.
 """
 
 import copy
+import hashlib
 import random
 
 import pytest
@@ -19,9 +22,8 @@ import pytest
 from conftest import (ADMIN_KEY, BUYER_KEY, SELLER_KEY, TREASURY, URI,
                       add_doc, approve, deploy, register)
 from estateledger.addresses import ZERO_ADDRESS, derive_address
-from estateledger.chain import Chain
 from estateledger.errors import LedgerError
-from estateledger.node import EXECUTORS, PAYABLE, WRITES, Node, state_bytes
+from estateledger.node import EXECUTORS, PAYABLE, Node, state_digest
 from estateledger.persistence import (export_snapshot, import_snapshot,
                                       load_state, save_state)
 from estateledger.storage import make_cid
@@ -161,32 +163,37 @@ def _prepared(market, op):
     return n, getattr(n, who), params(n), value
 
 
-def test_every_op_has_a_case_and_a_write_set():
+def test_every_op_has_a_case():
     assert set(CASES) | {"bootstrapAdmin", "initializeFactory"} \
-        == set(EXECUTORS) == set(WRITES)
+        == set(EXECUTORS)
+
+
+# each param of a case is dropped, and set to each of these in turn
+MALFORMED = (None, "x", True, 1.5, [], {}, -1, 2 ** 300)
+
+
+def _malformed(params):
+    """`params` with one param missing or set to a MALFORMED value, for
+    each param, then with an extra key."""
+    for key in params:
+        yield {k: v for k, v in params.items() if k != key}
+        for bad in MALFORMED:
+            yield params | {key: bad}
+    yield params | {"extra": 1}
 
 
 @pytest.mark.parametrize("op", sorted(EXECUTORS))
-def test_failed_seal_after_executor_leaves_no_trace(market, op, monkeypatch):
-    n, caller, params, value = _prepared(market, op)
-    chain = n.state.chain
-    blocks = list(chain.blocks)
-    digest = n.full_digest()
-    sealed = []
-
-    def failing_append(self, *args, **kwargs):
-        sealed.append(self)
-        raise RuntimeError("injected seal failure")
-
-    monkeypatch.setattr(Chain, "append_block", failing_append)
-    with pytest.raises(RuntimeError, match="injected seal failure"):
-        n.execute(caller, op, params, value=value, timestamp=4000)
-    # the executor ran and succeeded, then the seal was attempted
-    assert len(sealed) == 1 and sealed[0] is chain
-    assert n.full_digest() == digest
-    assert n.state.chain is chain
-    assert len(chain.blocks) == len(blocks)
-    assert all(a is b for a, b in zip(chain.blocks, blocks))
+def test_failed_op_leaves_no_trace(market, op):
+    n, caller, good, value = _prepared(market, op)
+    for params in _malformed(good):
+        before = n.full_digest(), len(n.state.chain.blocks)
+        try:
+            n.execute(caller, op, params, value=value, timestamp=4000)
+        except Exception:  # any raise at all, not only a LedgerError
+            assert (n.full_digest(), len(n.state.chain.blocks)) == before, \
+                params
+        else:  # the ledger changed: the next variant starts afresh
+            n = _prepared(market, op)[0]
 
 
 @pytest.mark.parametrize("op", sorted(EXECUTORS))
@@ -446,7 +453,8 @@ def test_random_sequences_check_before_they_write(market, seed, tmp_path):
     assert len(failed) >= 20  # most kinds were seen failing
     assert n.replay().full_digest() == n.full_digest()
     d = n.state.state_dict(objects=True)
-    assert state_bytes(d, n.state.chain) == ref_state_bytes(d, n.state.chain)
+    assert state_digest(d, n.state.chain) == hashlib.sha256(
+        ref_state_bytes(d, n.state.chain)).hexdigest()
     save_state(str(tmp_path), n)
     assert load_state(str(tmp_path)).full_digest() == n.full_digest()
     assert sum(n.state.native.accounts.values()) == minted

@@ -737,6 +737,11 @@ MALFORMED_DIRS = {
         lambda b: b.update(nonce=-5))),
     "chain-timestamp-2-64": ("chain.json", _edit_last_block(
         lambda b: b.update(timestamp=2 ** 64))),
+    # in range, but the next block's header would overflow
+    "chain-index-2-64-minus-1": ("chain.json", _edit_last_block(
+        lambda b: b.update(index=2 ** 64 - 1))),
+    "chain-nonce-2-64-minus-1": ("chain.json", _edit_last_block(
+        lambda b: b.update(nonce=2 ** 64 - 1))),
 }
 
 

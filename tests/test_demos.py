@@ -1,4 +1,5 @@
-"""Each demo runs to completion as a script and leaves nothing behind."""
+"""Each demo runs to completion as a script and leaves nothing behind,
+and the golden pins hold when checked without pytest."""
 
 import os
 import subprocess
@@ -22,3 +23,12 @@ def test_demo_runs(demo, tmp_path):
     assert done.returncode == 0, done.stderr
     assert os.listdir(tmp) == []
     assert os.listdir(tmp_path) == ["tmp"]
+
+
+def test_golden_check_needs_no_third_party_module():
+    # -S leaves site-packages, and so pytest, off the module path
+    done = subprocess.run([sys.executable, "-S",
+                           str(ROOT / "tests" / "golden_check.py")],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.endswith("all pins hold\n")

@@ -9,6 +9,8 @@ leaves. A second scenario continues the tour through the batch, swap,
 burn and factory-admin operations and pins those block hashes too. A
 third continues it through ``cli.main`` with every mutating verb the
 tour does not use, which pins the exact params each CLI verb records.
+A written snapshot file must hold exactly the canonical encoding of
+``export_snapshot``, produced without decoding a stored block.
 
 A refactor must leave every literal here unchanged. Changing a hashed
 byte on purpose means bumping ``STATE_VERSION`` and re-pinning.
@@ -23,9 +25,11 @@ import shlex
 
 from estateledger import cli
 from estateledger.addresses import derive_address
-from estateledger.node import STATE_VERSION, state_bytes
+from estateledger.canonical import canonical_json_bytes
+from estateledger.chain import Block
+from estateledger.node import STATE_VERSION, state_digest
 from estateledger.persistence import (export_snapshot, import_snapshot,
-                                      load_state)
+                                      load_state, write_snapshot)
 from estateledger.tokens import fractional_of, swap_descriptor_digest
 
 from oracles import ref_state_bytes
@@ -217,9 +221,25 @@ def test_state_bytes_splice_the_chain_into_the_dict_encoding(tmp_path):
     chain = node.state.chain
     d = node.state.state_dict(objects=True)
     for part in (d, {"accounts": d["accounts"]}, {"version": 1}, {}):
-        assert state_bytes(part, chain) == ref_state_bytes(part, chain)
+        assert state_digest(part, chain) == hashlib.sha256(
+            ref_state_bytes(part, chain)).hexdigest()
     assert import_snapshot(export_snapshot(node)).full_digest() \
         == TAIL_FULL_DIGEST
+
+
+def test_written_snapshot_decodes_no_block(tmp_path, monkeypatch):
+    state_dir = str(tmp_path / "tour")
+    prop = quick_tour(state_dir)
+    node = load_state(state_dir)
+    tour_tail(node, prop)
+    expected = canonical_json_bytes(export_snapshot(node))
+
+    def refuse(self):
+        raise AssertionError("a stored block was decoded")
+
+    monkeypatch.setattr(Block, "to_dict", refuse)
+    write_snapshot(str(tmp_path / "snap.json"), node)
+    assert (tmp_path / "snap.json").read_bytes() == expected
 
 
 def cli_verbs(state_dir, prop):
