@@ -4,9 +4,11 @@
 way a command can fail must fail before its first write. Every op gets
 a case whose executor succeeds; each of its params is then dropped, set
 to a value of the wrong type or range, or joined by an extra key, and
-whatever raises must leave the ledger exactly as it was. A successful
-op must append to the very same Chain and copy none of its earlier
-blocks.
+whatever raises must leave the ledger exactly as it was. The seal that
+follows the executor must not fail at all: its command encoding runs
+before the executor, and a block log whose next header would overflow
+is refused when it is decoded. A successful op must append to the very
+same Chain and copy none of its earlier blocks.
 
 Every op also gets a case its executor rejects. Run straight against
 the live state, the rejection must leave the digest unchanged: each
@@ -22,6 +24,7 @@ import pytest
 from conftest import (ADMIN_KEY, BUYER_KEY, SELLER_KEY, TREASURY, URI,
                       add_doc, approve, deploy, register)
 from estateledger.addresses import ZERO_ADDRESS, derive_address
+from estateledger.chain import Transaction
 from estateledger.errors import LedgerError
 from estateledger.node import EXECUTORS, PAYABLE, Node, state_digest
 from estateledger.persistence import (export_snapshot, import_snapshot,
@@ -194,6 +197,40 @@ def test_failed_op_leaves_no_trace(market, op):
                 params
         else:  # the ledger changed: the next variant starts afresh
             n = _prepared(market, op)[0]
+
+
+@pytest.mark.parametrize("op", sorted(EXECUTORS))
+def test_failed_seal_after_executor_leaves_no_trace(market, op, monkeypatch):
+    n, caller, params, value = _prepared(market, op)
+    before = n.full_digest(), len(n.state.chain.blocks)
+    ran = []
+    executor = EXECUTORS[op]
+    monkeypatch.setitem(EXECUTORS, op,
+                        lambda *args: ran.append(op) or executor(*args))
+
+    def failing_encode(self):
+        raise RuntimeError("injected seal failure")
+
+    # the command's encoding fails before its executor runs
+    with monkeypatch.context() as m:
+        m.setattr(Transaction, "canonical_bytes", failing_encode)
+        with pytest.raises(RuntimeError, match="injected seal failure"):
+            n.execute(caller, op, params, value=value, timestamp=4000)
+    assert ran == []
+    assert (n.full_digest(), len(n.state.chain.blocks)) == before
+    # a last block whose successor's header would overflow never loads
+    snapshot = export_snapshot(n)
+    blocks = snapshot["chain"]["blocks"]
+    for key in ("index", "nonce"):
+        last = blocks[-1] | {key: 2 ** 64 - 1}
+        with pytest.raises(LedgerError, match="records index") as e:
+            import_snapshot(snapshot | {"chain": {"blocks": blocks[:-1]
+                                                  + [last]}})
+        assert e.value.code == "CorruptSnapshot"
+    # unhindered, the very same command succeeds
+    n.execute(caller, op, params, value=value, timestamp=4000)
+    assert ran == [op]
+    assert len(n.state.chain.blocks) == before[1] + 1
 
 
 @pytest.mark.parametrize("op", sorted(EXECUTORS))
