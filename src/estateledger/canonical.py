@@ -6,16 +6,18 @@ drift here silently changes every block hash and state digest.
 
 import hashlib
 import json
-
+from json.encoder import c_make_encoder, encode_basestring
 
 # sorted keys + minimal separators: the one serialization every digest
-# in the system agrees on; `json.dumps` would build this encoder per call
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                            ensure_ascii=False)
+# in the system agrees on. The C encoder is built once, not per call as
+# `json.dumps` does; with no markers dict it keeps no state between
+# calls, and a circular value raises RecursionError.
+_encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring,
+                         None, ":", ",", True, False, True)
 
 
 def canonical_json_bytes(value) -> bytes:
-    return _ENCODER.encode(value).encode("utf-8")
+    return "".join(_encode(value, 0)).encode("utf-8")
 
 
 def sha256(data: bytes) -> bytes:

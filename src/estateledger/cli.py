@@ -182,9 +182,13 @@ def build_parser(argv=None) -> Parser:
 
 
 # -- handlers ------------------------------------------------------------------
-# A mutating command's handler is mutation(operation, build_params) and a
-# read's is query(read); init, run, state import, object resolve and
-# merkle * handle their own state. Params builders check address
+# Every handler is called as handler(args, node): `node` is the ledger an
+# `estate run` script holds across its lines, or None for a command run
+# on its own. A mutating command's handler is mutation(operation,
+# build_params) and a read's is query(read); given a node, they and
+# _leaves_from_args use it instead of locking and loading the dir. init,
+# run and state import replace or lock the whole dir, so a script
+# refuses them (SCRIPT_REFUSED). Params builders check address
 # arguments and raise parse errors before --as is checked or the state
 # is loaded.
 
@@ -193,15 +197,25 @@ def _timestamp(args) -> int:
     return args.timestamp if args.timestamp is not None else int(time.time())
 
 
+@contextlib.contextmanager
+def _held(state_dir: str, node):
+    """`node` if a script holds one, else the dir's ledger under its lock."""
+    if node is not None:
+        yield node
+    else:
+        with StateLock(state_dir):
+            yield load_state(state_dir)
+
+
 def mutation(operation: str, build_params):
     """The handler of a mutating command: `operation` with the params
-    `build_params(args)` runs as one block against the state dir."""
-    def run(args) -> dict:
+    `build_params(args)` runs as one block and is saved to the state dir
+    before the handler returns."""
+    def run(args, node) -> dict:
         params = build_params(args)
         if not args.caller:
             raise err("ParseError", "this command needs --as <address>")
-        with StateLock(args.state_dir):
-            node = load_state(args.state_dir)
+        with _held(args.state_dir, node) as node:
             result = node.execute(args.caller, operation, params,
                                   value=args.value,
                                   timestamp=_timestamp(args))
@@ -210,16 +224,20 @@ def mutation(operation: str, build_params):
     return run
 
 
+def _node(args, node):
+    return load_state(args.state_dir) if node is None else node
+
+
 def query(read):
-    """The handler of a read: `read(args, node)` over the loaded state."""
-    return lambda args: read(args, load_state(args.state_dir))
+    """The handler of a read: `read(args, node)` over the ledger."""
+    return lambda args, node: read(args, _node(args, node))
 
 
-def _leaves_from_args(args) -> list:
+def _leaves_from_args(args, node) -> list:
     leaves = [parse_hex_digest(h) for h in args.leaf]
     leaves.extend(cid_digest(c) for c in args.cid)
     if getattr(args, "property", None):
-        prop = load_state(args.state_dir).state.property_at(args.property)
+        prop = _node(args, node).state.property_at(args.property)
         leaves.extend(cid_digest(c) for c in prop.documents)
     return leaves
 
@@ -322,7 +340,7 @@ def _new_ledger(state_dir: str, overwrite: bool = False):
             raise
 
 
-def _init(args) -> dict:
+def _init(args, _) -> dict:
     node = Node()
     if args.allowlist:
         node.state.config["allowlist"] = os.path.abspath(args.allowlist)
@@ -333,21 +351,21 @@ def _init(args) -> dict:
     return {"admin": admin, "genesis": node.state.chain.blocks[0].hash.hex()}
 
 
-def _state_import(args) -> dict:
+def _state_import(args, _) -> dict:
     with _new_ledger(args.state_dir, overwrite=args.force):
         node = read_snapshot(args.infile)
         save_state(args.state_dir, node)
     return {"imported": args.infile, "digest": node.full_digest()}
 
 
-def _merkle_prove(args) -> dict:
-    tree = MerkleTree(_leaves_from_args(args))
+def _merkle_prove(args, node) -> dict:
+    tree = MerkleTree(_leaves_from_args(args, node))
     proof = tree.prove(args.index)
     return {"leaf": tree.leaves[args.index].hex(), "root": tree.root.hex(),
             "proof": proof.to_dict()}
 
 
-def _merkle_verify(args) -> dict:
+def _merkle_verify(args, _) -> dict:
     raw = args.proof
     if raw.startswith("@"):
         with open(raw[1:], "r", encoding="utf-8") as fh:
@@ -360,36 +378,54 @@ def _merkle_verify(args) -> dict:
                                   parse_hex_digest(args.leaf), proof)}
 
 
-def run_script(args) -> dict:
+# commands that replace or lock the whole state dir: a script refuses them
+SCRIPT_REFUSED = {("init", None), ("run", None), ("state", "import")}
+
+
+def _script_command(args, line: str):
+    """The parsed command of one script line, bound to the state dir and
+    default timestamp of the `estate run` command `args`."""
+    try:
+        tokens = shlex.split(line)
+    except ValueError as exc:  # an unbalanced quote
+        raise err("ParseError", str(exc))
+    if tokens[0] == "as":
+        if len(tokens) < 3:
+            raise err("ParseError", "bare caller prefix")
+        caller, tokens = tokens[1], tokens[2:]
+        if "--as" not in tokens:
+            tokens += ["--as", caller]
+    sub = build_parser(tokens).parse_args(tokens)
+    key = (sub.noun, getattr(sub, "verb", None))
+    if key in SCRIPT_REFUSED:
+        raise err("ParseError",
+                  f"{' '.join(filter(None, key))} cannot run inside a script")
+    sub.state_dir = args.state_dir
+    if args.timestamp is not None and sub.timestamp is None:
+        sub.timestamp = args.timestamp
+    return sub
+
+
+def run_script(args, _) -> dict:
+    """Run each line of the script against one ledger, loaded once under
+    one lock; a mutating line is saved before the next line runs, so a
+    failing line leaves the lines before it committed."""
     with open(args.script, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        # text mode has already turned \r\n and \r into \n; str.splitlines
+        # would also break at \x0c, \x85 and U+2028
+        lines = fh.read().split("\n")
     executed = 0
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            tokens = shlex.split(line)
-        except ValueError as exc:  # an unbalanced quote
-            raise err("ParseError", f"line {lineno}: {exc}")
-        if tokens[0] == "as":
-            if len(tokens) < 3:
-                raise err("ParseError", f"line {lineno}: bare caller prefix")
-            caller, tokens = tokens[1], tokens[2:]
-            if "--as" not in tokens:
-                tokens += ["--as", caller]
-        if tokens[0] == "run":
-            raise err("ParseError", f"line {lineno}: scripts cannot nest")
-        try:
-            sub = build_parser(tokens).parse_args(tokens)
-            sub.state_dir = args.state_dir
-            if args.timestamp is not None and sub.timestamp is None:
-                sub.timestamp = args.timestamp
-            dispatch(sub)
-        except LedgerError as exc:
-            raise LedgerError(exc.code, f"line {lineno}: {exc.message}")
-        executed += 1
-    node = load_state(args.state_dir)
+    with StateLock(args.state_dir):
+        node = load_state(args.state_dir)
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                dispatch(_script_command(args, line), node)
+            except LedgerError as exc:
+                raise LedgerError(exc.code, f"line {lineno}: {exc.message}")
+            executed += 1
     return {"script": args.script, "commands": executed,
             "digest": node.full_digest()}
 
@@ -427,11 +463,12 @@ COMMANDS = {
             "extra": parse_json_object(a.extra) if a.extra else None})),
     ("object", "resolve"): (
         [("--base-uri", REQUIRED), ("--id", REQUIRED)],
-        lambda a: {"uri": resolve_uri(
+        lambda a, _: {"uri": resolve_uri(
             a.base_uri, check_token_id(parse_token_id(a.id)))}),
     ("merkle", "root"): (
         [("--leaf", REPEATABLE), ("--cid", REPEATABLE), ("--property", {})],
-        lambda a: {"root": MerkleTree(_leaves_from_args(a)).root.hex()}),
+        lambda a, n: {
+            "root": MerkleTree(_leaves_from_args(a, n)).root.hex()}),
     ("merkle", "prove"): ([("--index", REQUIRED_INT), ("--leaf", REPEATABLE),
                            ("--cid", REPEATABLE), ("--property", {})],
                           _merkle_prove),
@@ -572,11 +609,13 @@ COMMANDS = {
 }
 
 
-def dispatch(args) -> dict:
-    # a file the command names may be missing, unreadable or not UTF-8;
-    # converting here gives script lines their "line N:" prefix too
+def dispatch(args, node=None) -> dict:
+    """Run the command `args` names; `node` is the ledger a script holds.
+    A file the command names may be missing, unreadable or not UTF-8;
+    converting here gives script lines their "line N:" prefix too."""
     try:
-        return COMMANDS[args.noun, getattr(args, "verb", None)][1](args)
+        return COMMANDS[args.noun, getattr(args, "verb", None)][1](
+            args, node)
     except UnicodeError as exc:
         raise err("ParseError", str(exc)) from exc
     except OSError as exc:

@@ -1,13 +1,14 @@
 import hashlib
 import json
 
+import pytest
 from hypothesis import given, strategies as st
 
 from estateledger.canonical import (canonical_json_bytes, sha256, sha256_hex,
                                     u32be, u64be)
 
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
     max_leaves=20,
 )
@@ -28,6 +29,28 @@ def test_round_trip_is_stable(value):
     once = canonical_json_bytes(value)
     again = canonical_json_bytes(json.loads(once.decode("utf-8")))
     assert once == again
+
+
+def _dumps(value) -> bytes:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False).encode()
+
+
+@given(json_values)
+def test_equals_json_dumps_even_after_a_failed_encode(value):
+    assert canonical_json_bytes(value) == _dumps(value)
+    doc = {"a": [value], "b": object()}
+    with pytest.raises(TypeError):  # raised inside `doc`, after "a"
+        canonical_json_bytes(doc)
+    del doc["b"]  # the same object, now encodable
+    assert canonical_json_bytes(doc) == _dumps(doc)
+
+
+def test_a_circular_value_is_a_recursion_error():
+    loop = []
+    loop.append(loop)
+    with pytest.raises(RecursionError):
+        canonical_json_bytes(loop)
 
 
 def test_non_ascii_kept_verbatim():

@@ -1,12 +1,15 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
 from estateledger.canonical import canonical_json_bytes, sha256_hex
-from estateledger.chain import (GENESIS_PREV_HASH, Chain, NativeLedger,
+from estateledger.chain import (GENESIS_PREV_HASH, Block, Chain, NativeLedger,
                                 Transaction)
-from estateledger.errors import LedgerError
+from estateledger.errors import LedgerError, err
 from estateledger.node import LedgerState, Node
-from estateledger.records import read, to_json
+from estateledger.persistence import load_state, save_state
+from estateledger.records import read, read_object, to_json
 from estateledger.storage import ObjectStore
 from oracles import ref_block_hash
 
@@ -125,6 +128,132 @@ def test_chain_serialization_round_trip():
     again = Chain.from_dict(chain.to_dict())
     assert again.verify() is True
     assert [b.hash for b in again.blocks] == [b.hash for b in chain.blocks]
+
+
+def _set(path, value):
+    def edit(d):
+        for key in path[:-1]:
+            d = d[key]
+        d[path[-1]] = value
+    return edit
+
+
+def _block(i, **fields):
+    return lambda d: d["blocks"][i].update(fields)
+
+
+# a fault in the block log of make_chain() -> the exact refusal the
+# readers word for it; None decodes [] in place of the log
+CHAIN_REFUSALS = {
+    "not-an-object": (None, "expected an object, got []"),
+    "extra-top-key": (lambda d: d.update(extra=1),
+                      "keys ['blocks', 'extra'], expected ['blocks']"),
+    "blocks-not-a-list": (lambda d: d.update(blocks={}),
+                          "expected a list, got {}"),
+    "block-not-an-object": (_set(("blocks", 1), 5), "expected dict, got 5"),
+    "block-extra-key": (
+        _block(1, note=""),
+        "keys ['hash', 'index', 'nonce', 'note', 'prevHash', 'timestamp', "
+        "'transactions'], expected ['hash', 'index', 'nonce', 'prevHash', "
+        "'timestamp', 'transactions']"),
+    "block-missing-key": (
+        lambda d: d["blocks"][1].pop("hash"),
+        "keys ['index', 'nonce', 'prevHash', 'timestamp', 'transactions'], "
+        "expected ['hash', 'index', 'nonce', 'prevHash', 'timestamp', "
+        "'transactions']"),
+    "index-a-bool": (_block(0, index=False),
+                     "expected an integer in [0, 2**64), got False"),
+    "nonce-a-float": (_block(2, nonce=2.0),
+                      "expected an integer in [0, 2**64), got 2.0"),
+    "timestamp-negative": (_block(2, timestamp=-1),
+                           "expected an integer in [0, 2**64), got -1"),
+    "transactions-not-a-list": (_block(1, transactions={}),
+                                "expected a list, got {}"),
+    "transaction-not-an-object": (_set(("blocks", 1, "transactions", 0), "tx"),
+                                  "expected dict, got 'tx'"),
+    "prev-hash-uppercase": (_block(2, prevHash="AB"),
+                            "expected lowercase hex, got 'AB'"),
+    "hash-with-a-space": (_block(2, hash="ab cd"),
+                          "expected lowercase hex, got 'ab cd'"),
+    "hash-not-hex": (_block(2, hash="zz"), "expected lowercase hex, got 'zz'"),
+    "index-off-position": (_block(2, index=1),
+                           "block 2 records index 1 and nonce 2"),
+    "nonce-off-position": (_block(2, nonce=3),
+                           "block 2 records index 2 and nonce 3"),
+    # the readers check every header before any position
+    "two-faults": (lambda d: (_block(1, index=5)(d),
+                              _block(3, timestamp="x")(d)),
+                   "expected an integer in [0, 2**64), got 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", CHAIN_REFUSALS)
+def test_block_log_refusals_keep_their_wording(case):
+    edit, message = CHAIN_REFUSALS[case]
+    d = make_chain().to_dict()
+    if edit:
+        edit(d)
+    with pytest.raises(LedgerError) as e:
+        Chain.from_dict(d if edit else [])
+    assert (e.value.code, e.value.message) == ("CorruptSnapshot", message)
+
+
+def _read_by_readers(d) -> Chain:
+    """The block log as the record readers alone decode it."""
+    blocks = [Block.from_dict(b) for b in
+              read(list[dict], read_object(d, {"blocks"})["blocks"])]
+    for i, b in enumerate(blocks):
+        if b.index != i or b.nonce != i:
+            raise err("CorruptSnapshot", f"block {i} records index "
+                      f"{b.index} and nonce {b.nonce}")
+    return Chain(blocks=blocks)
+
+
+def _outcome(decode, d):
+    try:
+        return [(b.index, b.timestamp, b.nonce, b.data, b.prev_hash, b.hash)
+                for b in decode(d).blocks]
+    except LedgerError as exc:
+        return exc.code, exc.message
+
+
+def test_block_log_decode_accepts_exactly_what_the_readers_do():
+    d = make_chain(3, 2).to_dict()
+    probes = 0
+    for i, block in enumerate(d["blocks"]):
+        for key, value in list(block.items()):
+            for new in (None, True, 0, i - 1, i + 1, -1, 2 ** 64 - 1, 2 ** 64,
+                        1.0, "7", "AB", "ab", "", [], [{}], {}):
+                if type(new) is type(value) and new == value:
+                    continue
+                block[key] = new
+                probes += 1
+                assert (_outcome(Chain.from_dict, d)
+                        == _outcome(_read_by_readers, d)), (i, key, new)
+            block[key] = value
+    assert probes > 350
+    assert _outcome(Chain.from_dict, d) == _outcome(_read_by_readers, d)
+
+
+def _reordered(value):
+    """`value` with the keys of every object in reverse order."""
+    if isinstance(value, dict):
+        return {k: _reordered(value[k]) for k in reversed(value)}
+    if isinstance(value, list):
+        return [_reordered(x) for x in value]
+    return value
+
+
+def test_a_re_dumped_block_log_loads_to_the_same_digest(approved_prop,
+                                                         tmp_path):
+    node, _ = approved_prop
+    save_state(str(tmp_path), node)
+    path = tmp_path / "chain.json"
+    d = json.loads(path.read_bytes())
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_reordered(d), fh)  # ", " and ": ", keys unsorted
+    assert path.read_bytes() != canonical_json_bytes(d)
+    assert load_state(str(tmp_path)).full_digest() == node.full_digest()
 
 
 def test_transaction_canonical_bytes_are_stable():

@@ -743,6 +743,18 @@ MALFORMED_DIRS = {
     "chain-nonce-2-64-minus-1": ("chain.json", _edit_last_block(
         lambda b: b.update(nonce=2 ** 64 - 1))),
 }
+# the exact refusal of each block-log case; "{dir}" is the state dir
+CHAIN_REFUSALS = {
+    "truncated-chain": "{dir}/chain.json is not a JSON object",
+    "chain-nonce-a-string": "expected an integer in [0, 2**64), got '3'",
+    "chain-nonce-negative": "expected an integer in [0, 2**64), got -5",
+    "chain-timestamp-2-64":
+        "expected an integer in [0, 2**64), got 18446744073709551616",
+    "chain-index-2-64-minus-1":
+        "block 3 records index 18446744073709551615 and nonce 3",
+    "chain-nonce-2-64-minus-1":
+        "block 3 records index 3 and nonce 18446744073709551615",
+}
 
 
 def _signed_snapshot(path, body):
@@ -778,6 +790,9 @@ def test_malformed_ledger_data_is_corrupt_snapshot(estate, case):
     before = _dir_bytes(estate.state_dir)
     _, _, errtxt = estate(*command, expect=3)
     assert errtxt.startswith("error: CorruptSnapshot: ")
+    if case in CHAIN_REFUSALS:
+        assert errtxt == "error: CorruptSnapshot: " + CHAIN_REFUSALS[
+            case].replace("{dir}", estate.state_dir)
     assert _dir_bytes(estate.state_dir) == before
 
 
@@ -872,6 +887,92 @@ def test_run_script_error_names_its_code_once(estate, tmp_path):
     script.write_text(f"as {ADMIN} chain transfer --to {SELLER} --amount 5\n")
     code, _, errtxt = estate("run", str(script), expect=3)
     assert errtxt == f"error: UnknownAccount: line 1: {SELLER}"
+
+
+def test_script_loads_once_and_saves_each_line(estate, tmp_path,
+                                               monkeypatch):
+    estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+    script = tmp_path / "ten.txt"
+    script.write_text(f"# ten faucets\nchain verify\n" + "".join(
+        f"as {ADMIN} chain faucet --to {ADMIN} --amount {i}\n"
+        for i in range(1, 11)))
+    calls = {"load": 0, "save": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(cli, "load_state", counted("load", cli.load_state))
+    monkeypatch.setattr(cli, "save_state", counted("save", cli.save_state))
+    result = jget(estate, "run", str(script), "--timestamp", "1")
+    assert calls == {"load": 1, "save": 10}
+    assert result["commands"] == 11
+    monkeypatch.undo()
+    assert result["digest"] == load_state(estate.state_dir).full_digest()
+    assert jget(estate, "chain", "balance",
+                "--address", ADMIN)["balance"] == 55
+
+
+def test_script_against_a_locked_dir_is_state_locked(estate, tmp_path):
+    estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+    script = tmp_path / "setup.txt"
+    script.write_text(SCRIPT.format(admin=ADMIN, seller=SELLER))
+    before = _dir_bytes(estate.state_dir)
+    with open(os.path.join(estate.state_dir, ".lock"), "a+") as holder:
+        fcntl.flock(holder.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        _, _, errtxt = estate("run", str(script), expect=3)
+    assert errtxt.startswith("error: StateLocked: ")
+    assert _dir_bytes(estate.state_dir) == before
+
+
+def test_script_failure_keeps_exactly_the_lines_before_it(estate, tmp_path):
+    estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+    node = load_state(estate.state_dir)
+    script = tmp_path / "fails-at-4.txt"
+    script.write_text(SCRIPT.format(admin=ADMIN, seller=SELLER) +
+                      f"as {SELLER} chain transfer --to {BUYER} --amount 1\n")
+    _, _, errtxt = estate("run", str(script), "--timestamp", "9", expect=3)
+    assert errtxt == f"error: UnknownAccount: line 5: {BUYER}"
+    # lines 2 to 4, in process
+    node.execute(ADMIN, "registerStakeholder", {
+        "role": "Seller", "publicKey": b"seller-key".hex(), "infoCid": ""},
+        timestamp=9)
+    node.execute(ADMIN, "faucet", {"to": SELLER, "amount": 500}, timestamp=9)
+    node.execute(SELLER, "transferNative", {"to": ADMIN, "amount": 40},
+                 timestamp=9)
+    assert load_state(estate.state_dir).full_digest() == node.full_digest()
+
+
+@pytest.mark.parametrize("line", [
+    f"init --admin-key {OTHER_KEY}",
+    "state import --in {w}/snap.json --force",
+    "run {w}/inner.txt"], ids=["init", "state-import", "run"])
+def test_script_refuses_commands_that_take_the_whole_dir(estate, line):
+    work = str(estate.workdir)
+    estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+    estate("state", "export", "--out", f"{work}/snap.json")
+    (estate.workdir / "inner.txt").write_text("chain verify\n")
+    script = estate.workdir / "outer.txt"
+    script.write_text(f"chain verify\n{line.replace('{w}', work)}\n")
+    before = _dir_bytes(estate.state_dir)
+    _, _, errtxt = estate("run", str(script), expect=2)
+    assert errtxt.startswith("error: ParseError: line 2: ")
+    assert _dir_bytes(estate.state_dir) == before
+
+
+def test_script_lines_break_only_at_newlines(estate, tmp_path):
+    estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+    # str.splitlines would break inside the quotes and after the \x0c
+    script = tmp_path / "separators.txt"
+    script.write_text(f'object put --data "left\u2028right" --as {ADMIN}\n'
+                      "chain verify\x0c\n"
+                      f"chain balance --address {SELLER}\n")
+    _, _, errtxt = estate("run", str(script), "--timestamp", "1", expect=3)
+    assert errtxt == f"error: UnknownAccount: line 3: {SELLER}"
+    put = json.loads(load_state(estate.state_dir).state.chain.blocks[-1]
+                     .data[0])
+    assert put["params"] == {"dataHex": "left\u2028right".encode().hex()}
 
 
 # Bad text and bad files named on the command line exit with a code, never
