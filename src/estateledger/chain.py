@@ -87,16 +87,28 @@ class Block:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Block":
+        """Exact-type tests accept what `to_dict` writes; the readers run
+        only on what they refuse, to word the refusal. Each transaction
+        is re-encoded, which also normalizes a hand-edited file."""
         read_object(d, BLOCK_KEYS)
-        return cls(
-            index=read_u64(d["index"]),
-            timestamp=read_u64(d["timestamp"]),
-            nonce=read_u64(d["nonce"]),
-            data=[canonical_json_bytes(tx)
-                  for tx in read_dicts(d["transactions"])],
-            prev_hash=read_hex(d["prevHash"]),
-            hash=read_hex(d["hash"]),
-        )
+        index, timestamp, nonce = d["index"], d["timestamp"], d["nonce"]
+        if not (type(index) is int and 0 <= index < 2 ** 64
+                and type(timestamp) is int and 0 <= timestamp < 2 ** 64
+                and type(nonce) is int and 0 <= nonce < 2 ** 64):
+            for value in (index, timestamp, nonce):
+                read_u64(value)
+        txs = d["transactions"]
+        if type(txs) is not list or any(type(tx) is not dict for tx in txs):
+            read_dicts(txs)
+        data = [canonical_json_bytes(tx) for tx in txs]
+        prev, hash_ = d["prevHash"], d["hash"]
+        try:
+            prev_b, hash_b = bytes.fromhex(prev), bytes.fromhex(hash_)
+        except (TypeError, ValueError):
+            prev_b = hash_b = b""
+        if prev_b.hex() != prev or hash_b.hex() != hash_:
+            prev_b, hash_b = read_hex(prev), read_hex(hash_)
+        return cls(index, timestamp, nonce, data, prev_b, hash_b)
 
 
 @dataclass
@@ -155,53 +167,14 @@ class Chain:
     @classmethod
     def from_dict(cls, d: dict) -> "Chain":
         """Decode a block log; each block's index and nonce must equal
-        its position, so the next append cannot overflow its header.
-        One pass of exact-type tests decodes a log that `to_dict` can
-        have written. Anything else is decoded again by the readers,
-        which refuse it and word the refusal."""
-        blocks = _decode_blocks(d)
-        if blocks is None:
-            blocks = [Block.from_dict(b) for b in
-                      read_dicts(read_object(d, {"blocks"})["blocks"])]
-            for i, b in enumerate(blocks):
-                if b.index != i or b.nonce != i:
-                    raise err("CorruptSnapshot", f"block {i} records index "
-                              f"{b.index} and nonce {b.nonce}")
-        return cls(blocks=blocks)
-
-
-def _decode_blocks(d) -> list:
-    """The blocks of `d` if `Chain.from_dict`'s readers accept it, else
-    None. Each transaction is re-encoded, which also normalizes a
-    hand-edited file."""
-    if type(d) is not dict or d.keys() != {"blocks"}:
-        return None
-    if type(raw := d["blocks"]) is not list:
-        return None
-    blocks = []
-    for i, b in enumerate(raw):
-        if (type(b) is not dict or b.keys() != BLOCK_KEYS
-                or type(b["index"]) is not int or b["index"] != i
-                or type(b["nonce"]) is not int or b["nonce"] != i
-                or type(ts := b["timestamp"]) is not int
-                or not 0 <= ts < 2 ** 64
-                or type(txs := b["transactions"]) is not list
-                or type(prev := b["prevHash"]) is not str
-                or type(hash_ := b["hash"]) is not str):
-            return None
-        data = []
-        for tx in txs:
-            if type(tx) is not dict:
-                return None
-            data.append(canonical_json_bytes(tx))
-        try:
-            prev_b, hash_b = bytes.fromhex(prev), bytes.fromhex(hash_)
-        except ValueError:
-            return None
-        if prev_b.hex() != prev or hash_b.hex() != hash_:
-            return None
-        blocks.append(Block(i, ts, i, data, prev_b, hash_b))
-    return blocks
+        its position, so the next append cannot overflow its header."""
+        blocks = read_dicts(read_object(d, {"blocks"})["blocks"])
+        chain = cls(blocks=[Block.from_dict(b) for b in blocks])
+        for i, b in enumerate(chain.blocks):
+            if b.index != i or b.nonce != i:
+                raise err("CorruptSnapshot", f"block {i} records index "
+                          f"{b.index} and nonce {b.nonce}")
+        return chain
 
 
 @dataclass

@@ -197,16 +197,6 @@ def _timestamp(args) -> int:
     return args.timestamp if args.timestamp is not None else int(time.time())
 
 
-@contextlib.contextmanager
-def _held(state_dir: str, node):
-    """`node` if a script holds one, else the dir's ledger under its lock."""
-    if node is not None:
-        yield node
-    else:
-        with StateLock(state_dir):
-            yield load_state(state_dir)
-
-
 def mutation(operation: str, build_params):
     """The handler of a mutating command: `operation` with the params
     `build_params(args)` runs as one block and is saved to the state dir
@@ -215,7 +205,9 @@ def mutation(operation: str, build_params):
         params = build_params(args)
         if not args.caller:
             raise err("ParseError", "this command needs --as <address>")
-        with _held(args.state_dir, node) as node:
+        with (StateLock(args.state_dir) if node is None
+              else contextlib.nullcontext()):
+            node = _node(args, node)
             result = node.execute(args.caller, operation, params,
                                   value=args.value,
                                   timestamp=_timestamp(args))
@@ -225,6 +217,7 @@ def mutation(operation: str, build_params):
 
 
 def _node(args, node):
+    """`node` if a script holds one, else the dir's ledger."""
     return load_state(args.state_dir) if node is None else node
 
 

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from estateledger.canonical import canonical_json_bytes, sha256_hex
-from estateledger.chain import (GENESIS_PREV_HASH, Block, Chain, NativeLedger,
-                                Transaction)
+from estateledger.chain import (BLOCK_KEYS, GENESIS_PREV_HASH, Block, Chain,
+                                NativeLedger, Transaction)
 from estateledger.errors import LedgerError, err
 from estateledger.node import LedgerState, Node
 from estateledger.persistence import load_state, save_state
-from estateledger.records import read, read_object, to_json
+from estateledger.records import read, read_object, read_u64, to_json
 from estateledger.storage import ObjectStore
 from oracles import ref_block_hash
 
@@ -198,9 +198,22 @@ def test_block_log_refusals_keep_their_wording(case):
     assert (e.value.code, e.value.message) == ("CorruptSnapshot", message)
 
 
+def _block_by_readers(d) -> Block:
+    read_object(d, BLOCK_KEYS)
+    return Block(
+        index=read_u64(d["index"]),
+        timestamp=read_u64(d["timestamp"]),
+        nonce=read_u64(d["nonce"]),
+        data=[canonical_json_bytes(tx)
+              for tx in read(list[dict], d["transactions"])],
+        prev_hash=read(bytes, d["prevHash"]),
+        hash=read(bytes, d["hash"]),
+    )
+
+
 def _read_by_readers(d) -> Chain:
     """The block log as the record readers alone decode it."""
-    blocks = [Block.from_dict(b) for b in
+    blocks = [_block_by_readers(b) for b in
               read(list[dict], read_object(d, {"blocks"})["blocks"])]
     for i, b in enumerate(blocks):
         if b.index != i or b.nonce != i:
