@@ -100,7 +100,11 @@ class Block:
         txs = d["transactions"]
         if type(txs) is not list or any(type(tx) is not dict for tx in txs):
             read_dicts(txs)
-        data = [canonical_json_bytes(tx) for tx in txs]
+        try:
+            data = [canonical_json_bytes(tx) for tx in txs]
+        except UnicodeEncodeError as exc:  # a lone surrogate's \u escape
+            raise err("CorruptSnapshot", f"block {index} holds a string "
+                      f"that is not UTF-8: {exc}") from exc
         prev, hash_ = d["prevHash"], d["hash"]
         try:
             prev_b, hash_b = bytes.fromhex(prev), bytes.fromhex(hash_)

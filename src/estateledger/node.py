@@ -22,7 +22,8 @@ spliced in undecoded, and ``state_digest`` hashes them piece by piece.
 
 Replaying a recorded chain from genesis re-executes every transaction
 on a fresh node and must reproduce the recorded block hashes and the
-final state digest.
+final state digest. ``redo``, the loop replay runs, also brings a
+loaded checkpoint up to the tip of its block log.
 """
 
 import hashlib
@@ -107,6 +108,8 @@ def state_digest(d: dict, chain: Chain) -> str:
 class Node:
     def __init__(self, state: LedgerState = None):
         self.state = state if state is not None else LedgerState()
+        # where `persistence` last found this chain in a state dir's log
+        self.stored_log = None
 
     # -- digests ------------------------------------------------------------
 
@@ -188,42 +191,57 @@ class Node:
     def replay(self) -> "Node":
         """Re-execute the recorded chain from genesis on a fresh node.
 
-        Returns the rebuilt node; raises HashMismatch if any replayed
-        block hash differs from the recorded one, and CorruptSnapshot if
-        a recorded transaction cannot be decoded or re-executed.
+        Returns the rebuilt node; raises as ``redo`` does.
         """
         blocks = self.state.chain.blocks
         if not blocks:
             raise err("Uninitialized", "nothing to replay")
-        # the fresh node has no allowlist: recorded registrations are
-        # trusted, as the list that approved them may have changed since
         fresh = Node()
         fresh.state.chain.append_genesis(blocks[0].timestamp)
         if fresh.state.chain.blocks[0].hash != blocks[0].hash:
             raise err("HashMismatch", "genesis block differs")
-        for block in blocks[1:]:
-            where = f"block {block.index} holds a malformed transaction"
-            try:  # a blob that is not JSON, or a record the codec refuses
-                txs = [read(Transaction, json.loads(b)) for b in block.data]
-            except (ValueError, LedgerError) as exc:
-                raise err("CorruptSnapshot", f"{where}: {exc}") from exc
-            commands = [tx for tx in txs if tx.operation not in EVENT_OPS]
-            if len(commands) != 1:
-                raise err("CorruptSnapshot", f"block {block.index} "
-                          f"holds {len(commands)} commands")
-            tx = commands[0]
-            args = (tx.caller, tx.operation, tx.params, tx.attached_value,
-                    block.timestamp)
-            try:  # a raise abandons `fresh` whole
-                fresh.execute(*args)
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
-                raise err("CorruptSnapshot", f"{where}: "
-                          f"{type(exc).__name__}: {exc}") from exc
-            if fresh.state.chain.blocks[-1].hash != block.hash:
-                raise err("HashMismatch",
-                          f"block {block.index} hash diverged on replay")
+        fresh.redo(blocks[1:])
         fresh.state.config = dict(self.state.config)
         return fresh
+
+    def redo(self, blocks: list):
+        """Re-execute the recorded `blocks`, which follow this node's tip.
+
+        Recorded registrations are trusted: no allowlist applies, as the
+        list that approved them may have changed since. Raises
+        HashMismatch if a re-executed block's hash differs from the
+        recorded one, and CorruptSnapshot if a recorded transaction
+        cannot be decoded or re-executed; a raise leaves this node part
+        way through `blocks`.
+        """
+        config = self.state.config
+        self.state.config = dict(config, allowlist=None)
+        try:
+            for block in blocks:
+                self._redo_block(block)
+        finally:
+            self.state.config = config
+
+    def _redo_block(self, block):
+        where = f"block {block.index} holds a malformed transaction"
+        try:  # a blob that is not JSON, or a record the codec refuses
+            txs = [read(Transaction, json.loads(b)) for b in block.data]
+        except (ValueError, LedgerError) as exc:
+            raise err("CorruptSnapshot", f"{where}: {exc}") from exc
+        commands = [tx for tx in txs if tx.operation not in EVENT_OPS]
+        if len(commands) != 1:
+            raise err("CorruptSnapshot", f"block {block.index} "
+                      f"holds {len(commands)} commands")
+        tx = commands[0]
+        try:
+            self.execute(tx.caller, tx.operation, tx.params,
+                         tx.attached_value, block.timestamp)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise err("CorruptSnapshot", f"{where}: "
+                      f"{type(exc).__name__}: {exc}") from exc
+        if self.state.chain.blocks[-1].hash != block.hash:
+            raise err("HashMismatch",
+                      f"block {block.index} hash diverged on replay")
 
 
 def _check_timestamp(timestamp: int):

@@ -1,15 +1,32 @@
-"""State directory layout, snapshot export/import, and the write lock.
+"""State directory layout, the commit point of a write, snapshot
+export/import, and the write lock.
 
 Layout inside a state directory:
 
-    chain.json   the block log, canonical JSON
-    state.json   ``LedgerState.state_dict()``: accounts, stakeholders,
-                 factory, properties, config
+    chain.json   the block log, canonical JSON: {"blocks":[...]}
+    state.json   the checkpoint: ``LedgerState.state_dict()`` (accounts,
+                 stakeholders, factory, properties, config) plus its tag
+                 "block", the index and hash of the block it reflects
     objects/     one <hex-digest>.bin file per stored object
     .lock        flock target guarding against concurrent writers
 
-Files are written to a temp name and renamed so a kill mid-write never
-leaves a half-written file.
+``save_state`` encodes the checkpoint before its first write. When the
+node was loaded from, or last saved to, the same dir, it appends only
+the new blocks to ``chain.json`` in place: it writes ``,<block>...]}``
+over the closing ``]}`` and fsyncs. That fsync is the one commit point.
+Only then does it write the new object files and the checkpoint, each
+to a temp name that is fsynced and renamed. A dir that holds no log of
+this chain (``init``, ``state import``) gets the whole log the same
+way, then the objects and the checkpoint.
+
+``load_state`` refuses a checkpoint tagged past the log or with a hash
+the log does not hold at that index, and redoes the blocks after the
+tag (``Node.redo``). So a write that stops before its commit point
+leaves the state before the command, and one that stops after it the
+state after. A log that does not parse because its last append was
+torn loads without the torn tail, if it still holds the checkpoint's
+block; the read writes nothing, and the next write overwrites the tail.
+A ``state.json`` without a tag is a checkpoint at the log's tip.
 
 A snapshot is ``state_dict(objects=True)`` with the block log under
 ``chain``, plus a ``digest`` of that body. The digest is
@@ -28,21 +45,40 @@ address.
 import fcntl
 import json
 import os
+from dataclasses import dataclass
 from typing import Optional
 
 from .canonical import canonical_json_bytes, sha256_hex
 from .chain import Chain, NativeLedger
-from .errors import err
+from .errors import LedgerError, err
 from .factory import Factory
 from .identity import StakeholderRegistry
 from .node import (STATE_VERSION, LedgerState, Node, state_digest,
                    state_pieces)
 from .property_contract import PropertyContract
-from .records import read, read_object
+from .records import read, read_object, to_json
 from .storage import ObjectStore
 
 STATE_KEYS = frozenset(("version", "config", "accounts", "stakeholders",
                         "factory", "properties"))
+LOG_HEAD = b'{"blocks":['
+
+
+@dataclass
+class Checkpoint:
+    """The tag of ``state.json``: the block whose state it holds."""
+    index: int
+    hash: bytes
+
+
+@dataclass(frozen=True)
+class StoredLog:
+    """A node's chain as a dir's ``chain.json`` holds it: the log at
+    `path` holds its first `blocks` blocks, and the last of them ends at
+    byte `end`, where the closing ``]}`` (or a torn tail) begins."""
+    path: str
+    blocks: int
+    end: int
 
 
 def _write_atomic(path: str, data: bytes):
@@ -54,16 +90,60 @@ def _write_atomic(path: str, data: bytes):
     os.replace(tmp, path)
 
 
+def _append(stored: StoredLog, blocks: list) -> Optional[int]:
+    """Write the blocks after the first `stored.blocks` over the closing
+    ``]}`` of the log and fsync it: the commit point. Returns where the
+    new ``]}`` begins; None, having written nothing, if the log no longer
+    ends block ``stored.blocks - 1`` at `stored.end`."""
+    if stored.blocks > len(blocks):
+        return None
+    last = blocks[stored.blocks - 1].canonical_json()
+    tail = b"".join(b"," + block.canonical_json()
+                    for block in blocks[stored.blocks:]) + b"]}"
+    try:
+        fh = open(stored.path, "r+b")
+    except FileNotFoundError:
+        return None
+    with fh:
+        fh.seek(stored.end - len(last))
+        if fh.read(len(last)) != last:
+            return None
+        if os.fstat(fh.fileno()).st_size != stored.end + 2:  # a torn tail
+            fh.truncate(stored.end)
+        fh.write(tail)
+        fh.flush()
+        os.fsync(fh.fileno())
+    return stored.end + len(tail) - 2
+
+
 def save_state(state_dir: str, node: Node):
-    os.makedirs(os.path.join(state_dir, "objects"), exist_ok=True)
-    for digest, data in node.state.store.objects.items():
-        path = os.path.join(state_dir, "objects", digest + ".bin")
+    """Write `node` to `state_dir`: append its new blocks to a log that
+    holds the rest of its chain, else write the log whole; then the new
+    objects and the checkpoint. The checkpoint is encoded first, so a
+    state it cannot encode leaves the dir untouched."""
+    state, blocks = node.state, node.state.chain.blocks
+    tip = blocks[-1]
+    checkpoint = canonical_json_bytes(state.state_dict() | {
+        "block": to_json(Checkpoint(tip.index, tip.hash))})
+    objects_dir = os.path.join(state_dir, "objects")
+    objects = {}
+    for digest, data in state.store.objects.items():
+        path = os.path.join(objects_dir, digest + ".bin")
         if not os.path.exists(path):  # content-addressed: never rewritten
-            _write_atomic(path, data)
-    _write_atomic(os.path.join(state_dir, "state.json"),
-                  canonical_json_bytes(node.state.state_dict()))
-    _write_atomic(os.path.join(state_dir, "chain.json"),
-                  node.state.chain.canonical_json())
+            objects[path] = data
+    chain_path = os.path.abspath(os.path.join(state_dir, "chain.json"))
+    stored = node.stored_log
+    end = (_append(stored, blocks)
+           if stored is not None and stored.path == chain_path else None)
+    os.makedirs(objects_dir, exist_ok=True)
+    if end is None:  # the dir holds no log of this chain
+        log = state.chain.canonical_json()
+        _write_atomic(chain_path, log)
+        end = len(log) - 2
+    node.stored_log = StoredLog(chain_path, len(blocks), end)
+    for path, data in objects.items():
+        _write_atomic(path, data)
+    _write_atomic(os.path.join(state_dir, "state.json"), checkpoint)
 
 
 def _read_json_object(path: str) -> dict:
@@ -76,6 +156,53 @@ def _read_json_object(path: str) -> dict:
     if not isinstance(value, dict):
         raise err("CorruptSnapshot", f"{path} is not a JSON object")
     return value
+
+
+def _whole_blocks(data: bytes) -> Optional[tuple]:
+    """The blocks of a log whose last append was torn, and the byte where
+    the last whole one ends; None unless what follows that block is one
+    torn block at most."""
+    if not data.startswith(LOG_HEAD):
+        return None
+    text = data.decode("utf-8", "surrogateescape")
+    scan = json.JSONDecoder().raw_decode
+    blocks, pos = [], len(LOG_HEAD)
+    while True:
+        try:
+            block, end = scan(text, pos)
+        except (ValueError, RecursionError):
+            break
+        blocks.append(block)
+        if text[end:end + 1] != ",":
+            break
+        pos = end + 1
+    if not blocks or ',{"hash":"' in text[end + 1:]:
+        return None
+    return blocks, len(text[:end].encode("utf-8", "surrogateescape"))
+
+
+def _read_log(path: str, need: Optional[int]) -> tuple:
+    """The block log at `path`, and the byte where its closing ``]}``
+    begins if its last block is stored in canonical form (else None). A
+    log that does not parse loads without its torn tail if it still holds
+    block `need`; a `need` of None allows no torn tail."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        value, end = json.loads(data.decode("utf-8")), len(data) - 2
+    except (ValueError, RecursionError):  # JSON or UTF-8, torn or broken
+        whole = None if need is None else _whole_blocks(data)
+        if whole is None or len(whole[0]) <= need:
+            raise err("CorruptSnapshot", f"{path} is not a JSON object")
+        value, end = {"blocks": whole[0]}, whole[1]
+    if not isinstance(value, dict):
+        raise err("CorruptSnapshot", f"{path} is not a JSON object")
+    chain = Chain.from_dict(value)
+    if not chain.blocks:
+        raise err("CorruptSnapshot", f"{path} holds no block")
+    if not data.endswith(chain.blocks[-1].canonical_json(), 0, end):
+        end = None
+    return chain, end
 
 
 def _check_version(body: dict, what: str):
@@ -128,6 +255,7 @@ def holds_ledger(state_dir: str) -> bool:
 
 
 def load_state(state_dir: str) -> Node:
+    """The checkpoint in `state_dir` brought up to the tip of its log."""
     state_path = os.path.join(state_dir, "state.json")
     chain_path = os.path.join(state_dir, "chain.json")
     if not holds_ledger(state_dir):
@@ -138,8 +266,11 @@ def load_state(state_dir: str) -> Node:
                       "`state import --force` restores the dir")
     state_d = _read_json_object(state_path)
     _check_version(state_d, "state")
+    tag = state_d.pop("block", None)
+    if tag is not None:
+        tag = read(Checkpoint, tag)
     read_object(state_d, STATE_KEYS)
-    chain = Chain.from_dict(_read_json_object(chain_path))
+    # objects before the log: a write adds them only after its append
     objects = {}
     objects_dir = os.path.join(state_dir, "objects")
     if os.path.isdir(objects_dir):
@@ -148,7 +279,28 @@ def load_state(state_dir: str) -> Node:
                 continue
             with open(os.path.join(objects_dir, name), "rb") as fh:
                 objects[name[:-len(".bin")]] = fh.read()
-    return _state_from_dicts(state_d, chain, objects)
+    chain, end = _read_log(chain_path, None if tag is None else tag.index)
+    blocks = chain.blocks
+    if tag is None:  # written before checkpoints were tagged
+        tag = Checkpoint(len(blocks) - 1, blocks[-1].hash)
+    if not 0 <= tag.index < len(blocks):
+        raise err("CorruptSnapshot", f"{state_path} reflects block "
+                  f"{tag.index}; the log holds {len(blocks)} blocks")
+    if blocks[tag.index].hash != tag.hash:
+        raise err("CorruptSnapshot", f"{state_path} reflects a block "
+                  f"{tag.index} the log does not hold")
+    later = blocks[tag.index + 1:]
+    del blocks[tag.index + 1:]
+    node = _state_from_dicts(state_d, chain, objects)
+    try:
+        node.redo(later)
+    except LedgerError as exc:
+        raise err("CorruptSnapshot", f"the blocks after {state_path} "
+                  f"do not redo: {exc}") from exc
+    if end is not None:
+        node.stored_log = StoredLog(os.path.abspath(chain_path),
+                                    len(node.state.chain.blocks), end)
+    return node
 
 
 # -- snapshots -------------------------------------------------------------

@@ -455,6 +455,19 @@ def test_chain_replay_of_malformed_record_exits_3(ledger):
     assert "KeyError" in errtxt
 
 
+def test_a_lone_surrogate_in_the_block_log_is_corrupt_snapshot(estate):
+    estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+    chain_path = os.path.join(estate.state_dir, "chain.json")
+    with open(chain_path, "rb") as fh:
+        data = fh.read()
+    assert data.count(b'"infoCid":""') == 1
+    with open(chain_path, "wb") as fh:  # valid JSON, but not UTF-8 text
+        fh.write(data.replace(b'"infoCid":""', b'"infoCid":"\\udcff"'))
+    _, _, errtxt = estate("chain", "verify", expect=3)
+    assert errtxt.startswith("error: CorruptSnapshot: block 1 holds a "
+                             "string that is not UTF-8: ")
+
+
 # -- snapshots and digests -----------------------------------------------------
 
 
@@ -668,6 +681,16 @@ def _nest_past_the_recursion_limit(path):
         fh.write('{"version": 1, "config": ' + DEEP_JSON + "}")
 
 
+def _replace_bytes(old, new):
+    def apply(path):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        assert old in data
+        with open(path, "wb") as fh:
+            fh.write(data.replace(old, new, 1))
+    return apply
+
+
 def _edit_state(edit):
     def apply(path):
         with open(path, "r", encoding="utf-8") as fh:
@@ -742,6 +765,8 @@ MALFORMED_DIRS = {
         lambda b: b.update(index=2 ** 64 - 1))),
     "chain-nonce-2-64-minus-1": ("chain.json", _edit_last_block(
         lambda b: b.update(nonce=2 ** 64 - 1))),
+    "chain-not-utf-8": ("chain.json",
+                        _replace_bytes(b'"infoCid":""', b'"infoCid":"\xff"')),
 }
 # the exact refusal of each block-log case; "{dir}" is the state dir
 CHAIN_REFUSALS = {

@@ -82,7 +82,7 @@ TAIL_FULL_DIGEST = (
 
 
 TOUR_STATE_JSON_SHA256 = (
-    "2a5f00091f85ca5d9e4b9dff86e3de4816a56beedba7a1648934fbe9a3fc70b4")
+    "2d7200ec87c35f8bc89cc02437ea58539d31b9787c875e3c3d3b7e992781590a")
 TOUR_CHAIN_JSON_SHA256 = (
     "df50cf70be492aa14ab71c82211f6bfe87dece8c118d7f0a350dacd320d5b7b2")
 CLI_VERB_BLOCK_HASHES = [
