@@ -6,6 +6,7 @@ reserved as a non-account sentinel and may never hold or receive
 anything.
 """
 
+import functools
 import re
 
 from .canonical import sha256
@@ -13,19 +14,17 @@ from .errors import err
 
 ZERO_ADDRESS = "0x" + "00" * 20
 
-_ADDRESS_RE = re.compile(r"^0x[0-9a-f]{40}$")
+# commands name the same few addresses over and over
+_match_address = functools.lru_cache(maxsize=4096)(
+    re.compile(r"0x[0-9a-f]{40}").fullmatch)
 
 
 def derive_address(public_key: bytes) -> str:
     return "0x" + sha256(public_key)[:20].hex()
 
 
-def is_address(s) -> bool:
-    return isinstance(s, str) and bool(_ADDRESS_RE.match(s))
-
-
 def check_address(s: str) -> str:
-    if not is_address(s):
+    if type(s) is not str or _match_address(s) is None:
         raise err("ParseError", f"not a valid address: {s!r}")
     return s
 

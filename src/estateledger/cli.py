@@ -244,11 +244,6 @@ def _object_put_params(args) -> dict:
     return {"dataHex": data.hex()}
 
 
-def _approve_params(args) -> dict:
-    parse_hex_digest(args.parent_hash)  # recorded verbatim once checked
-    return {"property": args.property, "parentHash": args.parent_hash}
-
-
 def _swap_terms(args) -> tuple:
     return (check_address(args.party_a), parse_legs(args.legs_a),
             args.value_a, check_address(args.party_b),
@@ -470,8 +465,11 @@ COMMANDS = {
     ("property", "adddoc"): ([PROPERTY, ("--cid", REQUIRED)], mutation(
         "registerDocument",
         lambda a: {"property": a.property, "cid": a.cid})),
-    ("property", "approve"): ([PROPERTY, ("--parent-hash", REQUIRED)],
-                              mutation("approvedProperty", _approve_params)),
+    ("property", "approve"): (
+        [PROPERTY, ("--parent-hash", REQUIRED)],
+        mutation("approvedProperty", lambda a: {
+            "property": a.property,
+            "parentHash": parse_hex_digest(a.parent_hash).hex()})),
     ("property", "mint"): (
         [PROPERTY, ("--id", REQUIRED), ("--price", REQUIRED_INT),
          ("--data", EMPTY)],

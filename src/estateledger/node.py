@@ -1,15 +1,16 @@
 """Single-writer node: executes commands atomically and seals blocks.
 
-``execute`` is check-then-apply, in place. Admission checks everything
-the seal needs (the caller, the attached value, the timestamp range)
-and encodes the operation's transaction, fixing the block's bytes
-before anything is written; the executor then runs on the live state
-and runs all its checks before its first write; the seal cannot fail,
-as the decoder pins each block's index and nonce to its position. So
-on success exactly one block is appended holding the operation's
-transaction (deployments add an event transaction), and a failure
-changes nothing and appends nothing. What no command can break (an
-active administrator, each contract initialized at its own address) is
+``execute`` is check-then-apply, in place. Admission types the params
+against the op's declaration (``@op``), checks everything the seal
+needs (the caller, the attached value, the timestamp range) and encodes
+the operation's transaction, fixing the block's bytes before anything
+is written; the executor then runs on the live state and runs all its
+checks before its first write; the seal cannot fail, as the decoder
+pins each block's index and nonce to its position. So on success
+exactly one block is appended holding the operation's transaction
+(deployments add an event transaction), and a failure changes nothing
+and appends nothing. What no command can break (an active
+administrator, each contract initialized at its own address) is
 checked once, when ``persistence`` decodes a loaded ledger.
 
 ``LedgerState.state_dict`` is the one serialization of the state:
@@ -20,34 +21,30 @@ snapshots add both the object store and the block log.
 ``state_pieces`` streams those bytes with each block's stored bytes
 spliced in undecoded, and ``state_digest`` hashes them piece by piece.
 
-Replaying a recorded chain from genesis re-executes every transaction
-on a fresh node and must reproduce the recorded block hashes and the
-final state digest. ``redo``, the loop replay runs, also brings a
-loaded checkpoint up to the tip of its block log.
+Replaying a recorded chain from genesis re-executes each block's
+command, its first transaction, on a fresh node and must reproduce the
+recorded block hashes and the final state digest. ``redo``, the loop
+replay runs, also brings a loaded checkpoint up to the tip of its log.
 """
 
 import hashlib
 import json
 from dataclasses import dataclass, field
+from types import FunctionType
+from typing import NamedTuple, Optional
 
 from . import factory as factory_mod
-from .addresses import derive_address
+from .addresses import check_address, derive_address
 from .canonical import canonical_json_bytes, sha256_hex
 from .chain import Chain, NativeLedger, Transaction
 from .errors import LedgerError, err
 from .factory import Factory, ImplementationVersion
 from .identity import AllowlistVerifier, Role, StakeholderRegistry, parse_role
-from .records import read, to_json
+from .records import read, reader, to_json
 from .storage import ObjectStore, build_right_metadata
 from .tokens import atomic_swap, swap_descriptor_digest
 
 STATE_VERSION = 1
-
-# ops that may carry attached native value
-PAYABLE = {"mintNFT", "mintBatchNFTs", "transferNFT", "distributeEarnings"}
-
-# event transactions are emitted by executors, never invoked directly
-EVENT_OPS = {"DeployedProperty"}
 
 
 @dataclass
@@ -159,15 +156,16 @@ class Node:
         """Admit the command, run its executor on the live state and seal
         its block; a failure raises before anything is written."""
         state = self.state
-        if operation in EVENT_OPS:
-            raise err("ParseError", f"{operation} is an event, not a command")
-        if operation not in EXECUTORS:
+        decl = OPS.get(operation)
+        if decl is None:
             raise err("ParseError", f"unknown operation {operation!r}")
+        _check_params(operation, decl, params)
         if not state.chain.blocks:
             raise err("Uninitialized", "no genesis block; run init first")
-        if value < 0:
-            raise err("ParseError", "negative attached value")
-        if value and operation not in PAYABLE:
+        if type(value) is not int or value < 0:
+            raise err("ParseError",
+                      f"attached value {value!r} is not an int >= 0")
+        if value and not decl.payable:
             raise err("UnexpectedValue",
                       f"{operation} does not accept attached value")
         _check_timestamp(timestamp)
@@ -179,11 +177,12 @@ class Node:
             raise err("NotAuthorized",
                       f"{caller} is not an active stakeholder")
         # the block's bytes are fixed before anything is written
-        blob = Transaction(caller=caller, operation=operation, params=params,
-                           attached_value=value).canonical_bytes()
+        blobs = [Transaction(caller=caller, operation=operation, params=params,
+                             attached_value=value).canonical_bytes()]
         result, events = EXECUTORS[operation](state, caller, params, value)
-        state.chain.append_block(
-            [blob, *(tx.canonical_bytes() for tx in events)], timestamp)
+        for event in events:
+            blobs.append(event.canonical_bytes())
+        state.chain.append_block(blobs, timestamp)
         return result
 
     # -- replay -----------------------------------------------------------------
@@ -210,9 +209,10 @@ class Node:
         Recorded registrations are trusted: no allowlist applies, as the
         list that approved them may have changed since. Raises
         HashMismatch if a re-executed block's hash differs from the
-        recorded one, and CorruptSnapshot if a recorded transaction
-        cannot be decoded or re-executed; a raise leaves this node part
-        way through `blocks`.
+        recorded one, and CorruptSnapshot if a block holds no command or
+        one that cannot be decoded or that admission refuses; any other
+        refusal raises as ``execute`` raised it. A raise leaves this node
+        part way through `blocks`.
         """
         config = self.state.config
         self.state.config = dict(config, allowlist=None)
@@ -223,22 +223,23 @@ class Node:
             self.state.config = config
 
     def _redo_block(self, block):
+        # `execute` records the command first and its events after it;
+        # the hash compare covers the events
         where = f"block {block.index} holds a malformed transaction"
+        if not block.data:
+            raise err("CorruptSnapshot", f"block {block.index} holds no "
+                      "transaction")
         try:  # a blob that is not JSON, or a record the codec refuses
-            txs = [read(Transaction, json.loads(b)) for b in block.data]
+            tx = read(Transaction, json.loads(block.data[0]))
         except (ValueError, LedgerError) as exc:
             raise err("CorruptSnapshot", f"{where}: {exc}") from exc
-        commands = [tx for tx in txs if tx.operation not in EVENT_OPS]
-        if len(commands) != 1:
-            raise err("CorruptSnapshot", f"block {block.index} "
-                      f"holds {len(commands)} commands")
-        tx = commands[0]
         try:
             self.execute(tx.caller, tx.operation, tx.params,
                          tx.attached_value, block.timestamp)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise err("CorruptSnapshot", f"{where}: "
-                      f"{type(exc).__name__}: {exc}") from exc
+        except LedgerError as exc:
+            if exc.code != "ParseError":
+                raise
+            raise err("CorruptSnapshot", f"{where}: {exc.message}") from exc
         if self.state.chain.blocks[-1].hash != block.hash:
             raise err("HashMismatch",
                       f"block {block.index} hash diverged on replay")
@@ -246,14 +247,72 @@ class Node:
 
 def _check_timestamp(timestamp: int):
     # a block header stores it as 8 unsigned bytes
-    if not 0 <= timestamp < 2 ** 64:
-        raise err("ParseError", f"timestamp {timestamp} is outside [0, 2**64)")
+    if type(timestamp) is not int or not 0 <= timestamp < 2 ** 64:
+        raise err("ParseError",
+                  f"timestamp {timestamp!r} is not an int in [0, 2**64)")
+
+
+# -- op declarations --------------------------------------------------------
+# @op declares each executor once: whether a command may attach value, and
+# the type of each param, as the record codec reads it (exactly: a bool is
+# no int, and bytes are lowercase hex) or as a check of its own.
+
+
+class Op(NamedTuple):
+    payable: bool
+    params: dict  # name -> reader, which raises on a value of another type
+    required: frozenset
+
+
+ADDRESS = check_address
+OPS = {}        # op -> Op
+EXECUTORS = {}  # op -> executor, looked up on every call
+
+
+def op(name, /, payable=False, optional=(), **required):
+    """Declare the executor of op `name`; `optional` maps the params a
+    command may leave out to their types."""
+    def declare(executor):
+        types = required | dict(optional)
+        OPS[name] = Op(payable, {k: t if isinstance(t, FunctionType)
+                                 else reader(t) for k, t in types.items()},
+                       frozenset(required))
+        EXECUTORS[name] = executor
+        return executor
+    return declare
+
+
+def _check_params(operation: str, decl: Op, params):
+    """Refuse, as ParseError, params that `decl` does not describe."""
+    if type(params) is not dict:
+        raise err("ParseError", f"{operation} params are not an object")
+    if len(params) != len(decl.params):  # if equal, a missing key means
+        # an extra one, which the loop below refuses
+        for key in sorted(decl.required - params.keys()):
+            raise err("ParseError", f"{operation} lacks param {key!r}")
+    try:
+        for key, value in params.items():
+            decl.params[key](value)
+    except KeyError:  # an undeclared key: no reader raises KeyError
+        raise err("ParseError", f"{operation} has no param {key!r}") from None
+    except LedgerError as exc:
+        raise err("ParseError",
+                  f"{operation} param {key!r}: {exc.message}") from None
+
+
+def _legs(value):
+    """A swap side's legs: [[token id, amount], ...]."""
+    if type(value) is not list or any(
+            type(leg) is not list or list(map(type, leg)) != [int, int]
+            for leg in value):
+        raise err("ParseError", f"expected legs, got {value!r:.60}")
 
 
 # -- executors ------------------------------------------------------------------
 # each returns (result dict, extra event transactions)
 
 
+@op("bootstrapAdmin", publicKey=bytes, optional={"infoCid": str})
 def _ex_bootstrap_admin(state, caller, params, value):
     key = bytes.fromhex(params["publicKey"])
     # the operator seats the first administrator; no allowlist applies
@@ -264,6 +323,8 @@ def _ex_bootstrap_admin(state, caller, params, value):
     return {"address": address}, []
 
 
+@op("registerStakeholder", role=str, publicKey=bytes,
+    optional={"infoCid": str})
 def _ex_register_stakeholder(state, caller, params, value):
     key = bytes.fromhex(params["publicKey"])
     role = parse_role(params["role"])
@@ -275,29 +336,35 @@ def _ex_register_stakeholder(state, caller, params, value):
     return {"address": address}, []
 
 
+@op("removeStakeholder", target=ADDRESS)
 def _ex_remove_stakeholder(state, caller, params, value):
     state.registry.remove(caller, params["target"])
     return {}, []
 
 
+@op("transferNative", to=ADDRESS, amount=int)
 def _ex_transfer_native(state, caller, params, value):
-    state.native.transfer(caller, params["to"], int(params["amount"]))
+    state.native.transfer(caller, params["to"], params["amount"])
     return {}, []
 
 
+@op("faucet", to=ADDRESS, amount=int)
 def _ex_faucet(state, caller, params, value):
     # the faucet is the only supply source; administrators only
     if not state.registry.is_active_admin(caller):
         raise err("NotAuthorized", f"{caller} is not an active administrator")
-    state.native.credit(params["to"], int(params["amount"]))
+    state.native.credit(params["to"], params["amount"])
     return {}, []
 
 
+@op("putObject", dataHex=bytes)
 def _ex_put_object(state, caller, params, value):
     cid = state.store.put(bytes.fromhex(params["dataHex"]))
     return {"cid": cid}, []
 
 
+@op("buildRightMetadata", nameOfRight=str, optional={
+    "description": str, "documents": list[dict], "extra": Optional[dict]})
 def _ex_build_metadata(state, caller, params, value):
     cid = build_right_metadata(
         state.store, params["nameOfRight"], params.get("description", ""),
@@ -305,6 +372,7 @@ def _ex_build_metadata(state, caller, params, value):
     return {"cid": cid}, []
 
 
+@op("registerDocument", property=str, cid=str)
 def _ex_register_document(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.register_document(caller, params["cid"], registry=state.registry,
@@ -312,6 +380,7 @@ def _ex_register_document(state, caller, params, value):
     return {"documents": len(prop.documents)}, []
 
 
+@op("approvedProperty", property=str, parentHash=bytes)
 def _ex_approved_property(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.approved_property(caller, bytes.fromhex(params["parentHash"]),
@@ -319,17 +388,21 @@ def _ex_approved_property(state, caller, params, value):
     return {"approved": True}, []
 
 
+@op("initializeFactory", versionId=int, optional={
+    "behaviorTag": str, "admin": ADDRESS, "upgrader": ADDRESS})
 def _ex_initialize_factory(state, caller, params, value):
     if not state.registry.is_active_admin(caller):
         raise err("NotAuthorized", f"{caller} is not an active administrator")
     state.factory.initialize(
-        ImplementationVersion(int(params["versionId"]),
+        ImplementationVersion(params["versionId"],
                               params.get("behaviorTag", "base")),
         admin=params.get("admin", caller),
         upgrader=params.get("upgrader", caller))
     return {"factory": state.factory.address}, []
 
 
+@op("deployProperty", treasury=ADDRESS, upgrader=ADDRESS, admin=ADDRESS,
+    uri=str, optional={"contractName": str, "description": str})
 def _ex_deploy_property(state, caller, params, value):
     address = factory_mod.deploy_property(
         state.factory, state.properties, caller,
@@ -345,102 +418,117 @@ def _ex_deploy_property(state, caller, params, value):
     return {"address": address, "propertyId": prop_id}, [event]
 
 
+@op("pause")
 def _ex_pause(state, caller, params, value):
     state.factory.pause(caller)
     return {"paused": True}, []
 
 
+@op("unpause")
 def _ex_unpause(state, caller, params, value):
     state.factory.unpause(caller)
     return {"paused": False}, []
 
 
+@op("authorizeUpgrade", versionId=int, optional={"behaviorTag": str})
 def _ex_authorize_upgrade(state, caller, params, value):
     state.factory.authorize_upgrade(
-        caller, ImplementationVersion(int(params["versionId"]),
+        caller, ImplementationVersion(params["versionId"],
                                       params.get("behaviorTag", "base")))
     return {"version": to_json(state.factory.logic)}, []
 
 
+@op("mintNFT", payable=True, property=str, id=int, price=int,
+    optional={"data": str})
 def _ex_mint_nft(state, caller, params, value):
     prop = state.property_at(params["property"])
     token_id, amount = prop.mint_nft(
-        caller, int(params["id"]), int(params["price"]), value,
+        caller, params["id"], params["price"], value,
         registry=state.registry, native=state.native,
         paused=state.factory.paused)
     return {"id": token_id, "amount": amount}, []
 
 
+@op("mintBatchNFTs", payable=True, property=str, ids=list[int],
+    amounts=list[int], prices=list[int], optional={"data": str})
 def _ex_mint_batch(state, caller, params, value):
     prop = state.property_at(params["property"])
     ids, amounts = prop.mint_batch(
-        caller, [int(i) for i in params["ids"]],
-        [int(a) for a in params["amounts"]],
-        [int(p) for p in params["prices"]], value,
+        caller, params["ids"], params["amounts"], params["prices"], value,
         registry=state.registry, native=state.native,
         paused=state.factory.paused)
     return {"ids": ids, "amounts": amounts}, []
 
 
+@op("mintFractional", property=str, rightId=int, units=int,
+    pricePerUnit=int)
 def _ex_mint_fractional(state, caller, params, value):
     prop = state.property_at(params["property"])
     frac_id = prop.mint_fractional(
-        caller, int(params["rightId"]), int(params["units"]),
-        int(params["pricePerUnit"]), registry=state.registry,
-        paused=state.factory.paused)
-    return {"id": frac_id, "units": int(params["units"])}, []
+        caller, params["rightId"], params["units"], params["pricePerUnit"],
+        registry=state.registry, paused=state.factory.paused)
+    return {"id": frac_id, "units": params["units"]}, []
 
 
+@op("transferNFT", payable=True, property=str, to=ADDRESS, id=int,
+    amount=int, optional={"data": str})
 def _ex_transfer_nft(state, caller, params, value):
     prop = state.property_at(params["property"])
-    prop.transfer_nft(caller, params["to"], int(params["id"]),
-                      int(params["amount"]), value, native=state.native)
+    prop.transfer_nft(caller, params["to"], params["id"], params["amount"],
+                      value, native=state.native)
     return {}, []
 
 
+@op("burnNFT", property=str, id=int, amount=int, **{"from": ADDRESS})
 def _ex_burn_nft(state, caller, params, value):
     prop = state.property_at(params["property"])
-    prop.burn_nft(caller, params["from"], int(params["id"]),
-                  int(params["amount"]))
+    prop.burn_nft(caller, params["from"], params["id"], params["amount"])
     return {}, []
 
 
+@op("burnBatchNFTs", property=str, ids=list[int], amounts=list[int],
+    **{"from": ADDRESS})
 def _ex_burn_batch(state, caller, params, value):
     prop = state.property_at(params["property"])
-    prop.burn_batch(caller, params["from"], [int(i) for i in params["ids"]],
-                    [int(a) for a in params["amounts"]])
+    prop.burn_batch(caller, params["from"], params["ids"], params["amounts"])
     return {}, []
 
 
+@op("setPrice", property=str, id=int, pricePerUnit=int)
 def _ex_set_price(state, caller, params, value):
     prop = state.property_at(params["property"])
-    prop.set_price(caller, int(params["id"]), int(params["pricePerUnit"]))
+    prop.set_price(caller, params["id"], params["pricePerUnit"])
     return {}, []
 
 
+@op("distributeEarnings", payable=True, property=str, rightId=int,
+    total=int)
 def _ex_distribute(state, caller, params, value):
     prop = state.property_at(params["property"])
     payouts, remainder = prop.distribute_earnings(
-        caller, int(params["rightId"]), int(params["total"]), value,
+        caller, params["rightId"], params["total"], value,
         native=state.native)
     return {"payouts": payouts, "remainder": remainder}, []
 
 
+@op("setApprovalForAll", property=str, operator=ADDRESS, approved=bool)
 def _ex_set_approval(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.tokens.set_approval_for_all(caller, params["operator"],
-                                     bool(params["approved"]))
+                                     params["approved"])
     return {}, []
 
 
+@op("safeTransferBatch", property=str, to=ADDRESS, ids=list[int],
+    amounts=list[int], **{"from": ADDRESS})
 def _ex_safe_transfer_batch(state, caller, params, value):
     prop = state.property_at(params["property"])
-    prop.tokens.safe_transfer_batch(
-        caller, params["from"], params["to"],
-        [int(i) for i in params["ids"]], [int(a) for a in params["amounts"]])
+    prop.tokens.safe_transfer_batch(caller, params["from"], params["to"],
+                                    params["ids"], params["amounts"])
     return {}, []
 
 
+@op("consentSwap", property=str, digest=bytes)
 def _ex_consent_swap(state, caller, params, value):
     prop = state.property_at(params["property"])
     digest = params["digest"]
@@ -448,45 +536,14 @@ def _ex_consent_swap(state, caller, params, value):
     return {"digest": digest}, []
 
 
+@op("atomicSwap", property=str, partyA=ADDRESS, legsA=_legs, valueA=int,
+    partyB=ADDRESS, legsB=_legs, valueB=int)
 def _ex_atomic_swap(state, caller, params, value):
     prop = state.property_at(params["property"])
     party_a, party_b = params["partyA"], params["partyB"]
     if caller not in (party_a, party_b):
         raise err("NotAuthorized", "only a swap party may execute the swap")
     digest = atomic_swap(
-        prop.tokens, state.native,
-        party_a, [(int(t), int(n)) for t, n in params["legsA"]],
-        int(params["valueA"]),
-        party_b, [(int(t), int(n)) for t, n in params["legsB"]],
-        int(params["valueB"]))
+        prop.tokens, state.native, party_a, params["legsA"], params["valueA"],
+        party_b, params["legsB"], params["valueB"])
     return {"digest": digest}, []
-
-
-EXECUTORS = {
-    "bootstrapAdmin": _ex_bootstrap_admin,
-    "registerStakeholder": _ex_register_stakeholder,
-    "removeStakeholder": _ex_remove_stakeholder,
-    "transferNative": _ex_transfer_native,
-    "faucet": _ex_faucet,
-    "putObject": _ex_put_object,
-    "buildRightMetadata": _ex_build_metadata,
-    "registerDocument": _ex_register_document,
-    "approvedProperty": _ex_approved_property,
-    "initializeFactory": _ex_initialize_factory,
-    "deployProperty": _ex_deploy_property,
-    "pause": _ex_pause,
-    "unpause": _ex_unpause,
-    "authorizeUpgrade": _ex_authorize_upgrade,
-    "mintNFT": _ex_mint_nft,
-    "mintBatchNFTs": _ex_mint_batch,
-    "mintFractional": _ex_mint_fractional,
-    "transferNFT": _ex_transfer_nft,
-    "burnNFT": _ex_burn_nft,
-    "burnBatchNFTs": _ex_burn_batch,
-    "setPrice": _ex_set_price,
-    "distributeEarnings": _ex_distribute,
-    "setApprovalForAll": _ex_set_approval,
-    "safeTransferBatch": _ex_safe_transfer_batch,
-    "consentSwap": _ex_consent_swap,
-    "atomicSwap": _ex_atomic_swap,
-}

@@ -148,10 +148,10 @@ def save_state(state_dir: str, node: Node):
 
 def _read_json_object(path: str) -> dict:
     with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
-    try:
-        value = json.loads(text)
-    except (json.JSONDecodeError, RecursionError):
+        data = fh.read()
+    try:  # JSON text is UTF-8
+        value = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError):
         value = None
     if not isinstance(value, dict):
         raise err("CorruptSnapshot", f"{path} is not a JSON object")

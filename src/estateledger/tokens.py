@@ -159,13 +159,10 @@ class TokenLedger:
     def set_approval_for_all(self, owner: str, operator: str, approved: bool):
         if owner == operator:
             raise err("SelfApproval", "cannot change approval for yourself")
-        ops = self.approvals.get(owner, set())
-        # built aside, so an unhashable operator raises before any write
-        ops = ops | {operator} if approved else ops - {operator}
-        if ops:
-            self.approvals[owner] = ops
-        else:
-            self.approvals.pop(owner, None)
+        ops = self.approvals.setdefault(owner, set())
+        (ops.add if approved else ops.discard)(operator)
+        if not ops:
+            del self.approvals[owner]
 
     def safe_transfer_batch(self, caller: str, src: str, dst: str,
                             token_ids: list, amounts: list):
@@ -183,9 +180,7 @@ class TokenLedger:
             for token_id, amount in zip(token_ids, amounts)))
 
     def give_consent(self, party: str, descriptor_digest: str):
-        # built aside, so an unhashable digest raises before any write
-        self.consents[party] = (self.consents.get(party, set())
-                                | {descriptor_digest})
+        self.consents.setdefault(party, set()).add(descriptor_digest)
 
     def has_consent(self, party: str, descriptor_digest: str) -> bool:
         return descriptor_digest in self.consents.get(party, set())
@@ -195,12 +190,12 @@ def swap_descriptor_digest(party_a: str, legs_a: list, value_a: int,
                            party_b: str, legs_b: list, value_b: int) -> str:
     """Digest of a proposed swap; both parties consent to this exact value."""
     descriptor = {
-        "legsA": [[int(t), int(n)] for t, n in legs_a],
-        "legsB": [[int(t), int(n)] for t, n in legs_b],
+        "legsA": legs_a,
+        "legsB": legs_b,
         "partyA": party_a,
         "partyB": party_b,
-        "valueA": int(value_a),
-        "valueB": int(value_b),
+        "valueA": value_a,
+        "valueB": value_b,
     }
     return sha256_hex(canonical_json_bytes(descriptor))
 

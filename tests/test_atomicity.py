@@ -3,12 +3,14 @@
 ``Node.execute`` runs each command in place on the live state, so every
 way a command can fail must fail before its first write. Every op gets
 a case whose executor succeeds; each of its params is then dropped, set
-to a value of the wrong type or range, or joined by an extra key, and
-whatever raises must leave the ledger exactly as it was. The seal that
-follows the executor must not fail at all: its command encoding runs
-before the executor, and a block log whose next header would overflow
-is refused when it is decoded. A successful op must append to the very
-same Chain and copy none of its earlier blocks.
+to a value of another type or out of range, or joined by an extra key.
+Admission refuses a missing, extra or mistyped param as ParseError;
+anything else may fail only as a LedgerError, and a failure must leave
+the ledger exactly as it was. The seal that follows the executor must
+not fail at all: its command encoding runs before the executor, and a
+block log whose next header would overflow is refused when it is
+decoded. A successful op must append to the very same Chain and copy
+none of its earlier blocks.
 
 Every op also gets a case its executor rejects. Run straight against
 the live state, the rejection must leave the digest unchanged: each
@@ -23,12 +25,13 @@ import pytest
 
 from conftest import (ADMIN_KEY, BUYER_KEY, SELLER_KEY, TREASURY, URI,
                       add_doc, approve, deploy, register)
-from estateledger.addresses import ZERO_ADDRESS, derive_address
+from estateledger.addresses import ZERO_ADDRESS, check_address, derive_address
 from estateledger.chain import Transaction
 from estateledger.errors import LedgerError
-from estateledger.node import EXECUTORS, PAYABLE, Node, state_digest
+from estateledger.node import EXECUTORS, OPS, Node, state_digest
 from estateledger.persistence import (export_snapshot, import_snapshot,
                                       load_state, save_state)
+from estateledger.records import reader
 from estateledger.storage import make_cid
 from estateledger.tokens import fractional_of, swap_descriptor_digest
 
@@ -172,30 +175,38 @@ def test_every_op_has_a_case():
 
 
 # each param of a case is dropped, and set to each of these in turn
-MALFORMED = (None, "x", True, 1.5, [], {}, -1, 2 ** 300)
+VARIANTS = (None, "x", True, 1.5, [], {}, -1, 2 ** 300)
 
 
-def _malformed(params):
-    """`params` with one param missing or set to a MALFORMED value, for
-    each param, then with an extra key."""
-    for key in params:
-        yield {k: v for k, v in params.items() if k != key}
-        for bad in MALFORMED:
-            yield params | {key: bad}
-    yield params | {"extra": 1}
+def _variants(op, params):
+    """(params, whether admission must refuse them as ParseError): `params`
+    with one param missing or set to a VARIANTS value, for each param, then
+    with an extra key. A value of the param's own type, or the absence of
+    a param the op declares optional, may pass admission; an address or
+    hex param in upper case with a newline may not."""
+    for key, good in params.items():
+        yield ({k: v for k, v in params.items() if k != key},
+               key in OPS[op].required)
+        for bad in VARIANTS:
+            yield params | {key: bad}, type(bad) is not type(good)
+        if OPS[op].params[key] in (check_address, reader(bytes)):
+            yield params | {key: good.upper() + "\n"}, True
+    yield params | {"memo": 1}, True
 
 
 @pytest.mark.parametrize("op", sorted(EXECUTORS))
 def test_failed_op_leaves_no_trace(market, op):
     n, caller, good, value = _prepared(market, op)
-    for params in _malformed(good):
+    for params, refused in _variants(op, good):
         before = n.full_digest(), len(n.state.chain.blocks)
         try:
             n.execute(caller, op, params, value=value, timestamp=4000)
-        except Exception:  # any raise at all, not only a LedgerError
+        except LedgerError as e:  # never another exception
+            assert e.code == "ParseError" or not refused, (params, e)
             assert (n.full_digest(), len(n.state.chain.blocks)) == before, \
                 params
         else:  # the ledger changed: the next variant starts afresh
+            assert not refused, params
             n = _prepared(market, op)[0]
 
 
@@ -361,9 +372,9 @@ ADMIN_OPS = {"bootstrapAdmin", "registerStakeholder", "removeStakeholder",
              "unpause", "authorizeUpgrade"}
 # every kind, market ops twice; unpause twice, so the factory is paused
 # about a third of the time
-OPS = sorted(EXECUTORS) + ["mintNFT", "mintBatchNFTs", "mintFractional",
-                           "transferNFT", "distributeEarnings",
-                           "consentSwap", "atomicSwap", "unpause"]
+OP_MIX = sorted(EXECUTORS) + ["mintNFT", "mintBatchNFTs", "mintFractional",
+                              "transferNFT", "distributeEarnings",
+                              "consentSwap", "atomicSwap", "unpause"]
 SELLER_OPS = {"putObject", "buildRightMetadata", "registerDocument",
               "deployProperty", "mintNFT", "mintBatchNFTs", "mintFractional",
               "setPrice", "distributeEarnings"}
@@ -372,7 +383,7 @@ SELLER_OPS = {"putObject", "buildRightMetadata", "registerDocument",
 def _random_op(rng, n, swaps):
     """(caller, op, params, value) for one random op of any kind, often
     one that fails."""
-    op = rng.choice(OPS)
+    op = rng.choice(OP_MIX)
     people = n.people + [n.admin, derive_address(b"stranger")]
     who = rng.choice(people)
     if rng.random() < 0.7:  # mostly a caller the op admits
@@ -384,7 +395,7 @@ def _random_op(rng, n, swaps):
     token = rng.choice([1, 2, 3, FRAC1, FRAC1, FRAC2])
     amount = rng.choice([-1, 0, 1, 3, 40, 600])
     value = rng.choice([0, 1, 40, 600, BIG])
-    if op not in PAYABLE and rng.random() < 0.9:
+    if not OPS[op].payable and rng.random() < 0.9:
         value = 0
     if op in ("bootstrapAdmin", "registerStakeholder"):
         key = rng.choice([b"k1", b"k2", b"k3", SELLER_KEY]).hex()
@@ -449,7 +460,9 @@ def _random_op(rng, n, swaps):
                 a, legs_a, value_a, b, legs_b, value_b)}
         else:
             params = {"property": prop, **terms}
-    return who, op, params, value
+    # the builders above share keys between ops; each op gets its own
+    return who, op, {k: v for k, v in params.items()
+                     if k in OPS[op].params}, value
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

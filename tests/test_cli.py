@@ -353,6 +353,25 @@ def test_full_property_lifecycle(prop):
                 "--address", TREASURY)["balance"] == 700 + 1
 
 
+def test_approve_records_the_parent_hash_in_lowercase(ledger):
+    # admission takes only lowercase hex, so the CLI records the digest
+    # it parsed rather than the text it was given
+    addr = jget(ledger, "factory", "deploy", "--treasury", TREASURY,
+                "--upgrader", ADMIN, "--admin", SELLER, "--uri", URI,
+                "--as", SELLER, "--timestamp", "6")["address"]
+    cid = jget(ledger, "object", "put", "--data", "deed scan",
+               "--as", SELLER, "--timestamp", "7")["cid"]
+    ledger("property", "adddoc", "--property", addr, "--cid", cid,
+           "--as", SELLER, "--timestamp", "8")
+    root = jget(ledger, "merkle", "root", "--property", addr)["root"]
+    ledger("property", "approve", "--property", addr,
+           "--parent-hash", root.upper(), "--as", ADMIN, "--timestamp", "9")
+    tx = json.loads(load_state(ledger.state_dir).state.chain.blocks[-1]
+                    .data[0])
+    assert tx["params"] == {"property": addr, "parentHash": root}
+    assert jget(ledger, "property", "info", "--property", addr)["approved"]
+
+
 def test_mint_negative_price_on_minted_right_exits_2(prop):
     ledger, addr = prop
     ledger("property", "mint", "--property", addr, "--id", "1",
@@ -452,7 +471,7 @@ def test_chain_replay_of_malformed_record_exits_3(ledger):
         json.dump(chain_d, fh)
     _, _, errtxt = ledger("chain", "replay", expect=3)
     assert errtxt.startswith("error: CorruptSnapshot: block ")
-    assert "KeyError" in errtxt
+    assert "faucet lacks param 'amount'" in errtxt
 
 
 def test_a_lone_surrogate_in_the_block_log_is_corrupt_snapshot(estate):
@@ -767,6 +786,8 @@ MALFORMED_DIRS = {
         lambda b: b.update(nonce=2 ** 64 - 1))),
     "chain-not-utf-8": ("chain.json",
                         _replace_bytes(b'"infoCid":""', b'"infoCid":"\xff"')),
+    "state-not-utf-8": ("state.json",
+                        _replace_bytes(b'"accounts"', b'"acc\xffounts"')),
 }
 # the exact refusal of each block-log case; "{dir}" is the state dir
 CHAIN_REFUSALS = {
@@ -1013,7 +1034,7 @@ BAD_INPUTS = [
     pytest.param(["run", "{w}/latin1.txt"], 2, "ParseError: ",
                  id="run-latin1"),
     pytest.param(["state", "import", "--in", "{w}/latin1.txt", "--force"],
-                 2, "ParseError: ", id="import-latin1"),
+                 3, "CorruptSnapshot: ", id="import-latin1"),
     pytest.param(["run", "{w}/missing.txt"], 3,
                  "NotFound: {w}/missing.txt: No such file or directory",
                  id="run-missing"),
@@ -1164,6 +1185,14 @@ def test_state_show_and_factory_queries(prop):
     assert jget(ledger, "factory", "proxy-length") == {"proxyLength": 1}
     _, out, _ = ledger("factory", "proxy-length")
     assert out == "proxyLength: 1"
+
+
+def test_an_address_with_a_trailing_newline_is_malformed(ledger):
+    blocks = len(load_state(ledger.state_dir).state.chain.blocks)
+    _, _, errtxt = ledger("chain", "faucet", "--to", ADMIN + "\n",
+                          "--amount", "1", "--as", ADMIN, expect=2)
+    assert "ParseError: not a valid address" in errtxt
+    assert len(load_state(ledger.state_dir).state.chain.blocks) == blocks
 
 
 # each malformed address must stop the command before it loads the state

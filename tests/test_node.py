@@ -181,17 +181,27 @@ def _amount_a_list(block):
     block.data[0] = _edit_params(lambda p: {**p, "amount": [7]})(block.data[0])
 
 
-@pytest.mark.parametrize("breaker, code", [
-    (_tamper_amount, "HashMismatch"),
-    (_reseal_overdrawn, "InsufficientFunds"),
-    (_amount_a_list, "CorruptSnapshot"),
-], ids=["tampered-param", "resealed-op-fails", "param-mistyped"])
-def test_failed_replay_leaves_the_replayed_node_unchanged(node, breaker, code):
+def _reseal_amount_a_string(block):
+    # the last block, so the chain still verifies
+    block.data[0] = _edit_params(lambda p: {**p, "amount": str(p["amount"])})(
+        block.data[0])
+    block.seal()
+
+
+@pytest.mark.parametrize("breaker, code, index", [
+    (_tamper_amount, "HashMismatch", -2),
+    (_reseal_overdrawn, "InsufficientFunds", -2),
+    (_amount_a_list, "CorruptSnapshot", -2),
+    (_reseal_amount_a_string, "CorruptSnapshot", -1),
+], ids=["tampered-param", "resealed-op-fails", "param-mistyped",
+        "resealed-param-mistyped"])
+def test_failed_replay_leaves_the_replayed_node_unchanged(node, breaker, code,
+                                                          index):
     node.execute(node.seller, "transferNative",
                  {"to": node.buyer, "amount": 7}, timestamp=80)
     node.execute(node.admin, "faucet", {"to": node.buyer, "amount": 3},
                  timestamp=81)
-    block = node.state.chain.blocks[-2]
+    block = node.state.chain.blocks[index]
     breaker(block)
     state, digest = node.state, node.full_digest()
     chain = copy.deepcopy(node.state.chain)
@@ -200,6 +210,7 @@ def test_failed_replay_leaves_the_replayed_node_unchanged(node, breaker, code):
     assert e.value.code == code
     if code == "CorruptSnapshot":
         assert e.value.message.startswith(f"block {block.index} ")
+    assert node.state.chain.verify() is (index == -1)
     assert node.state is state and node.state.chain == chain
     assert node.full_digest() == digest
 
@@ -248,9 +259,10 @@ def _spy_on(monkeypatch, op):
 def test_unencodable_param_is_refused_before_the_executor(node, monkeypatch):
     calls = _spy_on(monkeypatch, "transferNative")
     before, length = node.full_digest(), len(node.state.chain.blocks)
-    with pytest.raises(TypeError):
+    with pytest.raises(LedgerError) as e:
         node.execute(node.buyer, "transferNative",
                      {"to": node.seller, "amount": 5, "memo": {"a set"}})
+    assert e.value.code == "ParseError"
     assert calls == []
     assert node.full_digest() == before
     assert len(node.state.chain.blocks) == length
@@ -272,6 +284,19 @@ def test_timestamp_outside_u64_is_a_parse_error(node, timestamp):
     assert fresh.state.chain.blocks == []
     node.execute(node.admin, "faucet", {"to": node.buyer, "amount": 5},
                  timestamp=2 ** 64 - 1)  # the largest one is fine
+
+
+@pytest.mark.parametrize("value, timestamp", [
+    (True, 0), ("5", 0), (0, True), (0, 1.5)])
+def test_value_or_timestamp_of_another_type_is_a_parse_error(
+        node, value, timestamp):
+    before, length = node.full_digest(), len(node.state.chain.blocks)
+    with pytest.raises(LedgerError) as e:
+        node.execute(node.admin, "faucet", {"to": node.buyer, "amount": 5},
+                     value=value, timestamp=timestamp)
+    assert e.value.code == "ParseError"
+    assert node.full_digest() == before
+    assert len(node.state.chain.blocks) == length
 
 
 def test_allowlist_gates_cli_level_registration(tmp_path):

@@ -261,7 +261,8 @@ def test_an_append_fsyncs_twice_and_a_whole_write_once_a_file(
 def test_a_block_the_checkpoint_cannot_encode_is_refused_before_any_write(
         base, tmp_path):
     node = load_state(str(base))
-    node.execute(ADMIN, "faucet", {"to": 5, "amount": 10}, timestamp=9)
+    node.execute(ADMIN, "faucet", {"to": SELLER, "amount": 10}, timestamp=9)
+    node.state.native.accounts[5] = 10  # an int key among the addresses
     before = dir_bytes(base)
     with pytest.raises(TypeError):
         save_state(str(base), node)
