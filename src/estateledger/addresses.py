@@ -6,7 +6,6 @@ reserved as a non-account sentinel and may never hold or receive
 anything.
 """
 
-import functools
 import re
 
 from .canonical import sha256
@@ -14,9 +13,7 @@ from .errors import err
 
 ZERO_ADDRESS = "0x" + "00" * 20
 
-# commands name the same few addresses over and over
-_match_address = functools.lru_cache(maxsize=4096)(
-    re.compile(r"0x[0-9a-f]{40}").fullmatch)
+_match_address = re.compile(r"0x[0-9a-f]{40}").fullmatch
 
 
 def derive_address(public_key: bytes) -> str:

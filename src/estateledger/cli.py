@@ -109,8 +109,7 @@ def parse_doc(s: str) -> dict:
 def parse_json_object(s: str) -> dict:
     try:
         value = json.loads(s)
-        canonical_json_bytes(value)  # a lone surrogate cannot be recorded
-    except (ValueError, RecursionError) as exc:  # or nesting past the limit
+    except (ValueError, RecursionError) as exc:  # or nested past the limit
         raise err("ParseError", f"bad JSON {s!r:.60}: {exc}")
     if not isinstance(value, dict):
         raise err("ParseError", f"expected a JSON object, got {s!r}")

@@ -1,17 +1,16 @@
 """Single-writer node: executes commands atomically and seals blocks.
 
 ``execute`` is check-then-apply, in place. Admission types the params
-against the op's declaration (``@op``), checks everything the seal
-needs (the caller, the attached value, the timestamp range) and encodes
-the operation's transaction, fixing the block's bytes before anything
-is written; the executor then runs on the live state and runs all its
-checks before its first write; the seal cannot fail, as the decoder
-pins each block's index and nonce to its position. So on success
-exactly one block is appended holding the operation's transaction
-(deployments add an event transaction), and a failure changes nothing
-and appends nothing. What no command can break (an active
-administrator, each contract initialized at its own address) is
-checked once, when ``persistence`` decodes a loaded ledger.
+against the op's ``@op`` declaration, checks the caller, the attached
+value and the timestamp, and encodes the transaction, fixing the
+block's bytes before anything is written; the executor then runs on
+the live state and runs all its checks before its first write; the
+seal cannot fail, as the decoder pins each block's index and nonce to
+its position. So on success exactly one block is appended holding the
+operation's transaction (deployments add an event transaction), and a
+failure changes nothing and appends nothing. What no command can break
+(an active administrator, each contract initialized at its own
+address) is checked once, when ``persistence`` decodes a loaded ledger.
 
 ``LedgerState.state_dict`` is the one serialization of the state:
 ``state.json`` is its default form, ``full_digest`` and
@@ -29,12 +28,12 @@ replay runs, also brings a loaded checkpoint up to the tip of its log.
 
 import hashlib
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
-from types import FunctionType
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import factory as factory_mod
-from .addresses import check_address, derive_address
+from .addresses import check_address as ADDRESS, derive_address
 from .canonical import canonical_json_bytes, sha256_hex
 from .chain import Chain, NativeLedger, Transaction
 from .errors import LedgerError, err
@@ -159,12 +158,24 @@ class Node:
         decl = OPS.get(operation)
         if decl is None:
             raise err("ParseError", f"unknown operation {operation!r}")
-        _check_params(operation, decl, params)
+        if type(params) is not dict:
+            raise err("ParseError", f"{operation} params are not an object")
+        if not params.keys() >= decl.required:
+            key = min(decl.required - params.keys())
+            raise err("ParseError", f"{operation} lacks param {key!r}")
+        try:
+            for key, x in params.items():
+                decl.params[key](x)
+        except KeyError:  # an undeclared key: no reader raises KeyError
+            raise err("ParseError",
+                      f"{operation} has no param {key!r}") from None
+        except LedgerError as exc:
+            raise err("ParseError",
+                      f"{operation} param {key!r}: {exc.message}") from None
         if not state.chain.blocks:
             raise err("Uninitialized", "no genesis block; run init first")
         if type(value) is not int or value < 0:
-            raise err("ParseError",
-                      f"attached value {value!r} is not an int >= 0")
+            raise err("ParseError", f"attached value {value!r} is no int >= 0")
         if value and not decl.payable:
             raise err("UnexpectedValue",
                       f"{operation} does not accept attached value")
@@ -177,12 +188,14 @@ class Node:
             raise err("NotAuthorized",
                       f"{caller} is not an active stakeholder")
         # the block's bytes are fixed before anything is written
-        blobs = [Transaction(caller=caller, operation=operation, params=params,
-                             attached_value=value).canonical_bytes()]
+        tx = Transaction(caller, operation, params, value)
+        try:  # a value nested in a param that JSON cannot hold
+            blob = tx.canonical_bytes()
+        except (TypeError, ValueError, RecursionError) as exc:
+            raise err("ParseError", f"{operation} params: {exc}") from None
         result, events = EXECUTORS[operation](state, caller, params, value)
-        for event in events:
-            blobs.append(event.canonical_bytes())
-        state.chain.append_block(blobs, timestamp)
+        state.chain.append_block(
+            [blob, *(e.canonical_bytes() for e in events)], timestamp)
         return result
 
     # -- replay -----------------------------------------------------------------
@@ -209,10 +222,9 @@ class Node:
         Recorded registrations are trusted: no allowlist applies, as the
         list that approved them may have changed since. Raises
         HashMismatch if a re-executed block's hash differs from the
-        recorded one, and CorruptSnapshot if a block holds no command or
-        one that cannot be decoded or that admission refuses; any other
-        refusal raises as ``execute`` raised it. A raise leaves this node
-        part way through `blocks`.
+        recorded one, and CorruptSnapshot if a block's command cannot be
+        decoded or admission refuses it; a raise leaves this node part
+        way through `blocks`.
         """
         config = self.state.config
         self.state.config = dict(config, allowlist=None)
@@ -223,12 +235,9 @@ class Node:
             self.state.config = config
 
     def _redo_block(self, block):
-        # `execute` records the command first and its events after it;
-        # the hash compare covers the events
         where = f"block {block.index} holds a malformed transaction"
         if not block.data:
-            raise err("CorruptSnapshot", f"block {block.index} holds no "
-                      "transaction")
+            raise err("CorruptSnapshot", f"block {block.index} is empty")
         try:  # a blob that is not JSON, or a record the codec refuses
             tx = read(Transaction, json.loads(block.data[0]))
         except (ValueError, LedgerError) as exc:
@@ -248,60 +257,29 @@ class Node:
 def _check_timestamp(timestamp: int):
     # a block header stores it as 8 unsigned bytes
     if type(timestamp) is not int or not 0 <= timestamp < 2 ** 64:
-        raise err("ParseError",
-                  f"timestamp {timestamp!r} is not an int in [0, 2**64)")
+        raise err("ParseError", f"timestamp {timestamp!r} is not a u64")
 
 
 # -- op declarations --------------------------------------------------------
-# @op declares each executor once: whether a command may attach value, and
-# the type of each param, as the record codec reads it (exactly: a bool is
-# no int, and bytes are lowercase hex) or as a check of its own.
 
-
-class Op(NamedTuple):
-    payable: bool
-    params: dict  # name -> reader, which raises on a value of another type
-    required: frozenset
-
-
-ADDRESS = check_address
+Op = namedtuple("Op", "payable params required")  # params: name -> reader
+BOOL, BYTES, INT, INTS, STR = map(reader, (bool, bytes, int, list[int], str))
 OPS = {}        # op -> Op
 EXECUTORS = {}  # op -> executor, looked up on every call
 
 
 def op(name, /, payable=False, optional=(), **required):
-    """Declare the executor of op `name`; `optional` maps the params a
-    command may leave out to their types."""
+    """Declare the executor of op `name`: whether a command may attach
+    value, and each param's reader, which refuses a value of another exact
+    type; `optional` maps the params a command may leave out to theirs."""
     def declare(executor):
-        types = required | dict(optional)
-        OPS[name] = Op(payable, {k: t if isinstance(t, FunctionType)
-                                 else reader(t) for k, t in types.items()},
-                       frozenset(required))
+        OPS[name] = Op(payable, required | dict(optional), frozenset(required))
         EXECUTORS[name] = executor
         return executor
     return declare
 
 
-def _check_params(operation: str, decl: Op, params):
-    """Refuse, as ParseError, params that `decl` does not describe."""
-    if type(params) is not dict:
-        raise err("ParseError", f"{operation} params are not an object")
-    if len(params) != len(decl.params):  # if equal, a missing key means
-        # an extra one, which the loop below refuses
-        for key in sorted(decl.required - params.keys()):
-            raise err("ParseError", f"{operation} lacks param {key!r}")
-    try:
-        for key, value in params.items():
-            decl.params[key](value)
-    except KeyError:  # an undeclared key: no reader raises KeyError
-        raise err("ParseError", f"{operation} has no param {key!r}") from None
-    except LedgerError as exc:
-        raise err("ParseError",
-                  f"{operation} param {key!r}: {exc.message}") from None
-
-
-def _legs(value):
-    """A swap side's legs: [[token id, amount], ...]."""
+def _legs(value):  # a swap side: [[token id, amount], ...]
     if type(value) is not list or any(
             type(leg) is not list or list(map(type, leg)) != [int, int]
             for leg in value):
@@ -312,7 +290,7 @@ def _legs(value):
 # each returns (result dict, extra event transactions)
 
 
-@op("bootstrapAdmin", publicKey=bytes, optional={"infoCid": str})
+@op("bootstrapAdmin", publicKey=BYTES, optional={"infoCid": STR})
 def _ex_bootstrap_admin(state, caller, params, value):
     key = bytes.fromhex(params["publicKey"])
     # the operator seats the first administrator; no allowlist applies
@@ -323,8 +301,8 @@ def _ex_bootstrap_admin(state, caller, params, value):
     return {"address": address}, []
 
 
-@op("registerStakeholder", role=str, publicKey=bytes,
-    optional={"infoCid": str})
+@op("registerStakeholder", role=STR, publicKey=BYTES,
+    optional={"infoCid": STR})
 def _ex_register_stakeholder(state, caller, params, value):
     key = bytes.fromhex(params["publicKey"])
     role = parse_role(params["role"])
@@ -342,13 +320,13 @@ def _ex_remove_stakeholder(state, caller, params, value):
     return {}, []
 
 
-@op("transferNative", to=ADDRESS, amount=int)
+@op("transferNative", to=ADDRESS, amount=INT)
 def _ex_transfer_native(state, caller, params, value):
     state.native.transfer(caller, params["to"], params["amount"])
     return {}, []
 
 
-@op("faucet", to=ADDRESS, amount=int)
+@op("faucet", to=ADDRESS, amount=INT)
 def _ex_faucet(state, caller, params, value):
     # the faucet is the only supply source; administrators only
     if not state.registry.is_active_admin(caller):
@@ -357,14 +335,15 @@ def _ex_faucet(state, caller, params, value):
     return {}, []
 
 
-@op("putObject", dataHex=bytes)
+@op("putObject", dataHex=BYTES)
 def _ex_put_object(state, caller, params, value):
     cid = state.store.put(bytes.fromhex(params["dataHex"]))
     return {"cid": cid}, []
 
 
-@op("buildRightMetadata", nameOfRight=str, optional={
-    "description": str, "documents": list[dict], "extra": Optional[dict]})
+@op("buildRightMetadata", nameOfRight=STR, optional={
+    "description": STR, "documents": reader(list[dict]),
+    "extra": reader(Optional[dict])})
 def _ex_build_metadata(state, caller, params, value):
     cid = build_right_metadata(
         state.store, params["nameOfRight"], params.get("description", ""),
@@ -372,7 +351,7 @@ def _ex_build_metadata(state, caller, params, value):
     return {"cid": cid}, []
 
 
-@op("registerDocument", property=str, cid=str)
+@op("registerDocument", property=STR, cid=STR)
 def _ex_register_document(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.register_document(caller, params["cid"], registry=state.registry,
@@ -380,7 +359,7 @@ def _ex_register_document(state, caller, params, value):
     return {"documents": len(prop.documents)}, []
 
 
-@op("approvedProperty", property=str, parentHash=bytes)
+@op("approvedProperty", property=STR, parentHash=BYTES)
 def _ex_approved_property(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.approved_property(caller, bytes.fromhex(params["parentHash"]),
@@ -388,8 +367,8 @@ def _ex_approved_property(state, caller, params, value):
     return {"approved": True}, []
 
 
-@op("initializeFactory", versionId=int, optional={
-    "behaviorTag": str, "admin": ADDRESS, "upgrader": ADDRESS})
+@op("initializeFactory", versionId=INT, optional={
+    "behaviorTag": STR, "admin": ADDRESS, "upgrader": ADDRESS})
 def _ex_initialize_factory(state, caller, params, value):
     if not state.registry.is_active_admin(caller):
         raise err("NotAuthorized", f"{caller} is not an active administrator")
@@ -402,7 +381,7 @@ def _ex_initialize_factory(state, caller, params, value):
 
 
 @op("deployProperty", treasury=ADDRESS, upgrader=ADDRESS, admin=ADDRESS,
-    uri=str, optional={"contractName": str, "description": str})
+    uri=STR, optional={"contractName": STR, "description": STR})
 def _ex_deploy_property(state, caller, params, value):
     address = factory_mod.deploy_property(
         state.factory, state.properties, caller,
@@ -430,7 +409,7 @@ def _ex_unpause(state, caller, params, value):
     return {"paused": False}, []
 
 
-@op("authorizeUpgrade", versionId=int, optional={"behaviorTag": str})
+@op("authorizeUpgrade", versionId=INT, optional={"behaviorTag": STR})
 def _ex_authorize_upgrade(state, caller, params, value):
     state.factory.authorize_upgrade(
         caller, ImplementationVersion(params["versionId"],
@@ -438,8 +417,8 @@ def _ex_authorize_upgrade(state, caller, params, value):
     return {"version": to_json(state.factory.logic)}, []
 
 
-@op("mintNFT", payable=True, property=str, id=int, price=int,
-    optional={"data": str})
+@op("mintNFT", payable=True, property=STR, id=INT, price=INT,
+    optional={"data": STR})
 def _ex_mint_nft(state, caller, params, value):
     prop = state.property_at(params["property"])
     token_id, amount = prop.mint_nft(
@@ -449,8 +428,8 @@ def _ex_mint_nft(state, caller, params, value):
     return {"id": token_id, "amount": amount}, []
 
 
-@op("mintBatchNFTs", payable=True, property=str, ids=list[int],
-    amounts=list[int], prices=list[int], optional={"data": str})
+@op("mintBatchNFTs", payable=True, property=STR, ids=INTS,
+    amounts=INTS, prices=INTS, optional={"data": STR})
 def _ex_mint_batch(state, caller, params, value):
     prop = state.property_at(params["property"])
     ids, amounts = prop.mint_batch(
@@ -460,8 +439,7 @@ def _ex_mint_batch(state, caller, params, value):
     return {"ids": ids, "amounts": amounts}, []
 
 
-@op("mintFractional", property=str, rightId=int, units=int,
-    pricePerUnit=int)
+@op("mintFractional", property=STR, rightId=INT, units=INT, pricePerUnit=INT)
 def _ex_mint_fractional(state, caller, params, value):
     prop = state.property_at(params["property"])
     frac_id = prop.mint_fractional(
@@ -470,8 +448,8 @@ def _ex_mint_fractional(state, caller, params, value):
     return {"id": frac_id, "units": params["units"]}, []
 
 
-@op("transferNFT", payable=True, property=str, to=ADDRESS, id=int,
-    amount=int, optional={"data": str})
+@op("transferNFT", payable=True, property=STR, to=ADDRESS, id=INT,
+    amount=INT, optional={"data": STR})
 def _ex_transfer_nft(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.transfer_nft(caller, params["to"], params["id"], params["amount"],
@@ -479,30 +457,28 @@ def _ex_transfer_nft(state, caller, params, value):
     return {}, []
 
 
-@op("burnNFT", property=str, id=int, amount=int, **{"from": ADDRESS})
+@op("burnNFT", property=STR, id=INT, amount=INT, **{"from": ADDRESS})
 def _ex_burn_nft(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.burn_nft(caller, params["from"], params["id"], params["amount"])
     return {}, []
 
 
-@op("burnBatchNFTs", property=str, ids=list[int], amounts=list[int],
-    **{"from": ADDRESS})
+@op("burnBatchNFTs", property=STR, ids=INTS, amounts=INTS, **{"from": ADDRESS})
 def _ex_burn_batch(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.burn_batch(caller, params["from"], params["ids"], params["amounts"])
     return {}, []
 
 
-@op("setPrice", property=str, id=int, pricePerUnit=int)
+@op("setPrice", property=STR, id=INT, pricePerUnit=INT)
 def _ex_set_price(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.set_price(caller, params["id"], params["pricePerUnit"])
     return {}, []
 
 
-@op("distributeEarnings", payable=True, property=str, rightId=int,
-    total=int)
+@op("distributeEarnings", payable=True, property=STR, rightId=INT, total=INT)
 def _ex_distribute(state, caller, params, value):
     prop = state.property_at(params["property"])
     payouts, remainder = prop.distribute_earnings(
@@ -511,7 +487,7 @@ def _ex_distribute(state, caller, params, value):
     return {"payouts": payouts, "remainder": remainder}, []
 
 
-@op("setApprovalForAll", property=str, operator=ADDRESS, approved=bool)
+@op("setApprovalForAll", property=STR, operator=ADDRESS, approved=BOOL)
 def _ex_set_approval(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.tokens.set_approval_for_all(caller, params["operator"],
@@ -519,8 +495,8 @@ def _ex_set_approval(state, caller, params, value):
     return {}, []
 
 
-@op("safeTransferBatch", property=str, to=ADDRESS, ids=list[int],
-    amounts=list[int], **{"from": ADDRESS})
+@op("safeTransferBatch", property=STR, to=ADDRESS, ids=INTS,
+    amounts=INTS, **{"from": ADDRESS})
 def _ex_safe_transfer_batch(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.tokens.safe_transfer_batch(caller, params["from"], params["to"],
@@ -528,16 +504,15 @@ def _ex_safe_transfer_batch(state, caller, params, value):
     return {}, []
 
 
-@op("consentSwap", property=str, digest=bytes)
+@op("consentSwap", property=STR, digest=BYTES)
 def _ex_consent_swap(state, caller, params, value):
     prop = state.property_at(params["property"])
-    digest = params["digest"]
-    prop.tokens.give_consent(caller, digest)
-    return {"digest": digest}, []
+    prop.tokens.give_consent(caller, params["digest"])
+    return {"digest": params["digest"]}, []
 
 
-@op("atomicSwap", property=str, partyA=ADDRESS, legsA=_legs, valueA=int,
-    partyB=ADDRESS, legsB=_legs, valueB=int)
+@op("atomicSwap", property=STR, partyA=ADDRESS, legsA=_legs, valueA=INT,
+    partyB=ADDRESS, legsB=_legs, valueB=INT)
 def _ex_atomic_swap(state, caller, params, value):
     prop = state.property_at(params["property"])
     party_a, party_b = params["partyA"], params["partyB"]

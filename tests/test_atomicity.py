@@ -75,8 +75,8 @@ CASES = {
                   0, None),
     "buildRightMetadata": ("seller", lambda n: {
         "nameOfRight": "title", "description": "d", "documents": [
-            {"name": "deed", "link": make_cid(b"deed of the house")}]},
-        0, None),
+            {"name": "deed", "link": make_cid(b"deed of the house")}],
+        "extra": {"appraisal": 1}}, 0, None),
     "registerDocument": ("seller", lambda n: {
         "property": n.prop, "cid": make_cid(b"deed of the house")}, 0, None),
     "approvedProperty": ("admin", lambda n: {
@@ -183,14 +183,20 @@ def _variants(op, params):
     with one param missing or set to a VARIANTS value, for each param, then
     with an extra key. A value of the param's own type, or the absence of
     a param the op declares optional, may pass admission; an address or
-    hex param in upper case with a newline may not."""
+    hex param in upper case with a newline may not, nor an object nested
+    in a param whose keys are not all strings."""
     for key, good in params.items():
         yield ({k: v for k, v in params.items() if k != key},
                key in OPS[op].required)
-        for bad in VARIANTS:
-            yield params | {key: bad}, type(bad) is not type(good)
+        for bad in VARIANTS:  # `extra` is the one param that may be null
+            yield params | {key: bad}, type(bad) is not type(good) and (
+                bad is not None or key != "extra")
         if OPS[op].params[key] in (check_address, reader(bytes)):
             yield params | {key: good.upper() + "\n"}, True
+        if type(good) is dict:
+            yield params | {key: {1: 0, "a": 0}}, True
+        elif type(good) is list and dict in map(type, good):
+            yield params | {key: [{1: 0, "a": 0}]}, True
     yield params | {"memo": 1}, True
 
 

@@ -13,7 +13,7 @@ from estateledger import cli
 from estateledger.addresses import derive_address
 from estateledger.canonical import canonical_json_bytes
 from estateledger.errors import LedgerError
-from estateledger.persistence import load_state
+from estateledger.persistence import load_state, save_state
 
 from oracles import ref_merkle_root
 
@@ -472,6 +472,28 @@ def test_chain_replay_of_malformed_record_exits_3(ledger):
     _, _, errtxt = ledger("chain", "replay", expect=3)
     assert errtxt.startswith("error: CorruptSnapshot: block ")
     assert "faucet lacks param 'amount'" in errtxt
+
+
+def test_a_ledger_recording_uppercase_hex_loads_but_does_not_replay(
+        prop, tmp_path, capsys):
+    # the previous version's `property approve` recorded --parent-hash as
+    # typed; admission now refuses hex that is not lowercase
+    ledger, _ = prop
+    node = load_state(ledger.state_dir)
+    block = node.state.chain.blocks[-1]
+    tx = json.loads(block.data[0])
+    assert tx["operation"] == "approvedProperty"
+    tx["params"]["parentHash"] = upper = tx["params"]["parentHash"].upper()
+    block.data[0] = canonical_json_bytes(tx)
+    block.seal()
+    old = str(tmp_path / "old")
+    save_state(old, node)
+    assert cli.main(["chain", "verify", "--state-dir", old]) == 0
+    assert cli.main(["chain", "replay", "--state-dir", old]) == 3
+    assert capsys.readouterr().err == (
+        f"error: CorruptSnapshot: block {block.index} holds a malformed "
+        "transaction: approvedProperty param 'parentHash': expected "
+        f"lowercase hex, got {upper!r:.60}\n")
 
 
 def test_a_lone_surrogate_in_the_block_log_is_corrupt_snapshot(estate):
