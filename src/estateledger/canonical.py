@@ -11,9 +11,10 @@ from json.encoder import c_make_encoder, encode_basestring
 # sorted keys + minimal separators: the one serialization every digest
 # in the system agrees on. The C encoder is built once, not per call as
 # `json.dumps` does; with no markers dict it keeps no state between
-# calls, and a circular value raises RecursionError.
+# calls, and a circular value raises RecursionError. NaN and the
+# infinities are not JSON: they raise ValueError.
 _encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring,
-                         None, ":", ",", True, False, True)
+                         None, ":", ",", True, False, False)
 
 
 def canonical_json_bytes(value) -> bytes:

@@ -105,6 +105,9 @@ class Block:
         except UnicodeEncodeError as exc:  # a lone surrogate's \u escape
             raise err("CorruptSnapshot", f"block {index} holds a string "
                       f"that is not UTF-8: {exc}") from exc
+        except ValueError as exc:  # NaN or an infinity, which JSON lacks
+            raise err("CorruptSnapshot", f"block {index} holds a number "
+                      f"that is not JSON: {exc}") from exc
         prev, hash_ = d["prevHash"], d["hash"]
         try:
             prev_b, hash_b = bytes.fromhex(prev), bytes.fromhex(hash_)
@@ -115,40 +118,63 @@ class Block:
         return cls(index, timestamp, nonce, data, prev_b, hash_b)
 
 
-@dataclass
 class Chain:
-    blocks: list = field(default_factory=list)
+    """The block log. `held` lists the blocks in memory: the whole log,
+    or, for a chain loaded from a state dir, its checkpoint's block and
+    the blocks after it, with `history` a loader of the blocks before
+    them. Appending needs only `held` and `height`; `blocks`, the whole
+    log, calls `history` once."""
+
+    def __init__(self, blocks: list = None, history=None):
+        self.held = [] if blocks is None else blocks
+        self.history = history
+
+    @property
+    def blocks(self) -> list:
+        if self.history is not None:
+            self.held[:0] = self.history()
+            self.history = None
+        return self.held
+
+    @property
+    def height(self) -> int:
+        """The number of blocks in the log, counted from its tip."""
+        return self.held[-1].index + 1
+
+    def __eq__(self, other):
+        return type(other) is Chain and self.blocks == other.blocks
 
     def append_genesis(self, timestamp: int) -> Block:
-        if self.blocks:
+        if self.held:
             raise err("AlreadyInitialized", "chain already has a genesis block")
         block = Block(index=0, timestamp=timestamp, nonce=0, data=[],
                       prev_hash=GENESIS_PREV_HASH).seal()
-        self.blocks.append(block)
+        self.held.append(block)
         return block
 
     def append_block(self, blobs: list, timestamp: int) -> Block:
         """Seal and append a block of encoded transactions."""
-        if not self.blocks:
+        if not self.held:
             raise err("Uninitialized", "no genesis block")
-        prev = self.blocks[-1]
+        prev = self.held[-1]
         block = Block(index=prev.index + 1, timestamp=timestamp,
                       nonce=prev.nonce + 1, data=blobs,
                       prev_hash=prev.hash).seal()
-        self.blocks.append(block)
+        self.held.append(block)
         return block
 
     def verify(self) -> bool:
         """Recompute every hash and check the prev-hash linkage."""
-        if not self.blocks:
+        blocks = self.blocks
+        if not blocks:
             return False
-        g = self.blocks[0]
+        g = blocks[0]
         if g.index != 0 or g.prev_hash != GENESIS_PREV_HASH or g.nonce != 0 or g.data:
             return False
         if g.hash != g.compute_hash():
             return False
-        for i in range(1, len(self.blocks)):
-            b, prev = self.blocks[i], self.blocks[i - 1]
+        for i in range(1, len(blocks)):
+            b, prev = blocks[i], blocks[i - 1]
             if b.index != prev.index + 1:
                 return False
             if b.nonce != prev.nonce + 1:

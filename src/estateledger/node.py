@@ -144,7 +144,7 @@ class Node:
                 timestamp=timestamp,
             )
         except Exception:
-            chain.blocks.clear()  # no genesis without its administrator
+            chain.held.clear()  # no genesis without its administrator
             raise
         return result["address"]
 
@@ -172,7 +172,7 @@ class Node:
         except LedgerError as exc:
             raise err("ParseError",
                       f"{operation} param {key!r}: {exc.message}") from None
-        if not state.chain.blocks:
+        if not state.chain.held:
             raise err("Uninitialized", "no genesis block; run init first")
         if type(value) is not int or value < 0:
             raise err("ParseError", f"attached value {value!r} is no int >= 0")
@@ -249,7 +249,7 @@ class Node:
             if exc.code != "ParseError":
                 raise
             raise err("CorruptSnapshot", f"{where}: {exc.message}") from exc
-        if self.state.chain.blocks[-1].hash != block.hash:
+        if self.state.chain.held[-1].hash != block.hash:
             raise err("HashMismatch",
                       f"block {block.index} hash diverged on replay")
 

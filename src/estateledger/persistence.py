@@ -19,14 +19,21 @@ to a temp name that is fsynced and renamed. A dir that holds no log of
 this chain (``init``, ``state import``) gets the whole log the same
 way, then the objects and the checkpoint.
 
-``load_state`` refuses a checkpoint tagged past the log or with a hash
-the log does not hold at that index, and redoes the blocks after the
-tag (``Node.redo``). So a write that stops before its commit point
-leaves the state before the command, and one that stops after it the
-state after. A log that does not parse because its last append was
-torn loads without the torn tail, if it still holds the checkpoint's
-block; the read writes nothing, and the next write overwrites the tail.
-A ``state.json`` without a tag is a checkpoint at the log's tip.
+``load_state`` reads the checkpoint, then the objects, then the log from
+its end back to the tag's block: it finds that block's header, decodes
+it and the blocks after it, checks its hash, index and nonce, and
+redoes the blocks after it (``Node.redo``). So a write that stops
+before its commit point leaves the state before the command, and one
+that stops after it the state after. The loaded ``Chain`` holds the
+tag's block and those after it; a reader of the whole history (verify,
+replay, the full digest, a snapshot) has it decode the blocks before
+them once. Only a log that ends in ``]}`` right after those blocks is
+read so; a torn log, a header not found, a failed check or a tag-less
+``state.json`` (a checkpoint at the log's tip) read the log whole. That
+read refuses a tag past the log or with a hash the log does not hold at
+that index, and drops a torn last append if what remains still holds
+the checkpoint's block; it writes nothing, and the next write
+overwrites the tail.
 
 A snapshot is ``state_dict(objects=True)`` with the block log under
 ``chain``, plus a ``digest`` of that body. The digest is
@@ -49,7 +56,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .canonical import canonical_json_bytes, sha256_hex
-from .chain import Chain, NativeLedger
+from .chain import Block, Chain, NativeLedger
 from .errors import LedgerError, err
 from .factory import Factory
 from .identity import StakeholderRegistry
@@ -62,6 +69,8 @@ from .storage import ObjectStore
 STATE_KEYS = frozenset(("version", "config", "accounts", "stakeholders",
                         "factory", "properties"))
 LOG_HEAD = b'{"blocks":['
+TAIL_WINDOW = 1 << 14  # bytes a load first reads back from the log's end
+_SCAN = json.JSONDecoder().raw_decode
 
 
 @dataclass
@@ -90,16 +99,17 @@ def _write_atomic(path: str, data: bytes):
     os.replace(tmp, path)
 
 
-def _append(stored: StoredLog, blocks: list) -> Optional[int]:
-    """Write the blocks after the first `stored.blocks` over the closing
-    ``]}`` of the log and fsync it: the commit point. Returns where the
-    new ``]}`` begins; None, having written nothing, if the log no longer
-    ends block ``stored.blocks - 1`` at `stored.end`."""
-    if stored.blocks > len(blocks):
+def _append(stored: StoredLog, held: list) -> Optional[int]:
+    """Write the blocks of `held` after the first `stored.blocks` of the
+    log over its closing ``]}`` and fsync it: the commit point. Returns
+    where the new ``]}`` begins; None, having written nothing, if the
+    log no longer ends block ``stored.blocks - 1`` at `stored.end`."""
+    i = stored.blocks - 1 - held[0].index  # the stored tip's place in held
+    if not 0 <= i < len(held):
         return None
-    last = blocks[stored.blocks - 1].canonical_json()
+    last = held[i].canonical_json()
     tail = b"".join(b"," + block.canonical_json()
-                    for block in blocks[stored.blocks:]) + b"]}"
+                    for block in held[i + 1:]) + b"]}"
     try:
         fh = open(stored.path, "r+b")
     except FileNotFoundError:
@@ -121,8 +131,8 @@ def save_state(state_dir: str, node: Node):
     holds the rest of its chain, else write the log whole; then the new
     objects and the checkpoint. The checkpoint is encoded first, so a
     state it cannot encode leaves the dir untouched."""
-    state, blocks = node.state, node.state.chain.blocks
-    tip = blocks[-1]
+    state, chain = node.state, node.state.chain
+    tip = chain.held[-1]
     checkpoint = canonical_json_bytes(state.state_dict() | {
         "block": to_json(Checkpoint(tip.index, tip.hash))})
     objects_dir = os.path.join(state_dir, "objects")
@@ -133,29 +143,59 @@ def save_state(state_dir: str, node: Node):
             objects[path] = data
     chain_path = os.path.abspath(os.path.join(state_dir, "chain.json"))
     stored = node.stored_log
-    end = (_append(stored, blocks)
+    end = (_append(stored, chain.held)
            if stored is not None and stored.path == chain_path else None)
     os.makedirs(objects_dir, exist_ok=True)
     if end is None:  # the dir holds no log of this chain
-        log = state.chain.canonical_json()
+        log = chain.canonical_json()
         _write_atomic(chain_path, log)
         end = len(log) - 2
-    node.stored_log = StoredLog(chain_path, len(blocks), end)
+    node.stored_log = StoredLog(chain_path, chain.height, end)
     for path, data in objects.items():
         _write_atomic(path, data)
     _write_atomic(os.path.join(state_dir, "state.json"), checkpoint)
 
 
-def _read_json_object(path: str) -> dict:
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _json_object(path: str, data: bytes, errors: str = "strict") -> dict:
     try:  # JSON text is UTF-8
-        value = json.loads(data.decode("utf-8"))
+        value = json.loads(data.decode("utf-8", errors))
     except (ValueError, RecursionError):
         value = None
     if not isinstance(value, dict):
         raise err("CorruptSnapshot", f"{path} is not a JSON object")
     return value
+
+
+def _read_json_object(path: str) -> dict:
+    """The JSON object in the file at `path`; a string in it that holds a
+    lone surrogate, which no UTF-8 text can, is refused here."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    value = _json_object(path, data)
+    if b"\\ud" in data or b"\\uD" in data:  # a \u escape of a surrogate?
+        try:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise err("CorruptSnapshot", f"{path} holds a string that is "
+                      f"not UTF-8: {exc}") from exc
+    return value
+
+
+def _scan_blocks(text: str, pos: int) -> tuple:
+    """The JSON values stored one after another from `pos` in `text`, a
+    comma between each two, and where each ends; the scan stops at a
+    value that does not parse or that no comma follows."""
+    values, ends = [], []
+    while True:
+        try:
+            value, end = _SCAN(text, pos)
+        except (ValueError, RecursionError):
+            return values, ends
+        values.append(value)
+        ends.append(end)
+        if text[end:end + 1] != ",":
+            return values, ends
+        pos = end + 1
 
 
 def _whole_blocks(data: bytes) -> Optional[tuple]:
@@ -165,20 +205,10 @@ def _whole_blocks(data: bytes) -> Optional[tuple]:
     if not data.startswith(LOG_HEAD):
         return None
     text = data.decode("utf-8", "surrogateescape")
-    scan = json.JSONDecoder().raw_decode
-    blocks, pos = [], len(LOG_HEAD)
-    while True:
-        try:
-            block, end = scan(text, pos)
-        except (ValueError, RecursionError):
-            break
-        blocks.append(block)
-        if text[end:end + 1] != ",":
-            break
-        pos = end + 1
-    if not blocks or ',{"hash":"' in text[end + 1:]:
+    blocks, ends = _scan_blocks(text, len(LOG_HEAD))
+    if not blocks or ',{"hash":"' in text[ends[-1] + 1:]:
         return None
-    return blocks, len(text[:end].encode("utf-8", "surrogateescape"))
+    return blocks, len(text[:ends[-1]].encode("utf-8", "surrogateescape"))
 
 
 def _read_log(path: str, need: Optional[int]) -> tuple:
@@ -188,21 +218,81 @@ def _read_log(path: str, need: Optional[int]) -> tuple:
     block `need`; a `need` of None allows no torn tail."""
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        value, end = json.loads(data.decode("utf-8")), len(data) - 2
-    except (ValueError, RecursionError):  # JSON or UTF-8, torn or broken
+    try:  # bytes that are not UTF-8 reach Block.from_dict, naming a block
+        value, end = _json_object(path, data, "surrogateescape"), len(data) - 2
+    except LedgerError:  # not JSON: torn or broken
         whole = None if need is None else _whole_blocks(data)
         if whole is None or len(whole[0]) <= need:
-            raise err("CorruptSnapshot", f"{path} is not a JSON object")
+            raise
         value, end = {"blocks": whole[0]}, whole[1]
-    if not isinstance(value, dict):
-        raise err("CorruptSnapshot", f"{path} is not a JSON object")
     chain = Chain.from_dict(value)
-    if not chain.blocks:
+    if not chain.held:
         raise err("CorruptSnapshot", f"{path} holds no block")
-    if not data.endswith(chain.blocks[-1].canonical_json(), 0, end):
+    if not data.endswith(chain.held[-1].canonical_json(), 0, end):
         end = None
     return chain, end
+
+
+def _history(path: str, index: int, start: int, stored: bytes):
+    """A loader of the `index` blocks before block `index`, which the log
+    at `path` stores as `stored` from byte `start`: once it finds `stored`
+    still there, it decodes the bytes before it as a whole log."""
+    def load() -> list:
+        with open(path, "rb") as fh:
+            data = fh.read(start + len(stored))
+        if data[start - 1:] != b"," + stored:
+            raise err("CorruptSnapshot", f"{path} no longer holds block "
+                      f"{index} at byte {start}")
+        blocks = Chain.from_dict(_json_object(
+            path, data[:start - 1] + b"]}", "surrogateescape")).held
+        if len(blocks) != index:
+            raise err("CorruptSnapshot", f"{path} holds {len(blocks)} "
+                      f"blocks before block {index}")
+        return blocks
+    return load
+
+
+def _read_tail(path: str, tag: Checkpoint) -> Optional[tuple]:
+    """The log at `path` read back from its end to the block `tag` names:
+    a chain holding that block, with a loader of the blocks before it;
+    the blocks after it; and the byte where the log's closing ``]}``
+    begins if the last block is stored in canonical form (else None).
+    None unless the log stores that block after a comma, with the tag's
+    hash, index and nonce, and only whole blocks and ``]}`` after it."""
+    header = (f'{{"hash":"{tag.hash.hex()}","index":{tag.index},'
+              .encode("utf-8"))
+    with open(path, "rb") as fh:
+        size, window = os.fstat(fh.fileno()).st_size, TAIL_WINDOW
+        while True:
+            start = max(0, size - window)
+            fh.seek(start)
+            data = fh.read(size - start)
+            at = data.rfind(header, 1)  # and the byte before it
+            if at >= 0 or start == 0:
+                break
+            window *= 4
+    if at < 0 or data[at - 1:at] != b",":
+        return None
+    text = data[at:].decode("utf-8", "surrogateescape")
+    found, ends = _scan_blocks(text, 0)
+    # only the log's own list of blocks ends the file with "]}": a scan
+    # that stops elsewhere began at a block-shaped value nested in a
+    # transaction, or the log is torn, and the whole log tells which
+    if not found or text[ends[-1]:] != "]}":
+        return None
+    try:
+        blocks = [Block.from_dict(d) for d in found]
+    except LedgerError:
+        return None
+    if blocks[0].compute_hash() != tag.hash or any(
+            b.index != tag.index + i or b.nonce != tag.index + i
+            for i, b in enumerate(blocks)):
+        return None
+    first = at + len(text[:ends[0]].encode("utf-8", "surrogateescape"))
+    history = _history(path, tag.index, start + at, data[at:first])
+    end = (size - 2 if data.endswith(blocks[-1].canonical_json(), 0,
+                                     len(data) - 2) else None)
+    return Chain(blocks[:1], history), blocks[1:], end
 
 
 def _check_version(body: dict, what: str):
@@ -279,18 +369,23 @@ def load_state(state_dir: str) -> Node:
                 continue
             with open(os.path.join(objects_dir, name), "rb") as fh:
                 objects[name[:-len(".bin")]] = fh.read()
-    chain, end = _read_log(chain_path, None if tag is None else tag.index)
-    blocks = chain.blocks
-    if tag is None:  # written before checkpoints were tagged
-        tag = Checkpoint(len(blocks) - 1, blocks[-1].hash)
-    if not 0 <= tag.index < len(blocks):
-        raise err("CorruptSnapshot", f"{state_path} reflects block "
-                  f"{tag.index}; the log holds {len(blocks)} blocks")
-    if blocks[tag.index].hash != tag.hash:
-        raise err("CorruptSnapshot", f"{state_path} reflects a block "
-                  f"{tag.index} the log does not hold")
-    later = blocks[tag.index + 1:]
-    del blocks[tag.index + 1:]
+    tail = None if tag is None else _read_tail(chain_path, tag)
+    if tail is None:  # the whole log
+        need = None if tag is None else tag.index
+        chain, end = _read_log(chain_path, need)
+        blocks = chain.held
+        if tag is None:  # written before checkpoints were tagged
+            tag = Checkpoint(len(blocks) - 1, blocks[-1].hash)
+        if not 0 <= tag.index < len(blocks):
+            raise err("CorruptSnapshot", f"{state_path} reflects block "
+                      f"{tag.index}; the log holds {len(blocks)} blocks")
+        if blocks[tag.index].hash != tag.hash:
+            raise err("CorruptSnapshot", f"{state_path} reflects a block "
+                      f"{tag.index} the log does not hold")
+        later = blocks[tag.index + 1:]
+        del blocks[tag.index + 1:]
+    else:
+        chain, later, end = tail
     node = _state_from_dicts(state_d, chain, objects)
     try:
         node.redo(later)
@@ -299,7 +394,7 @@ def load_state(state_dir: str) -> Node:
                   f"do not redo: {exc}") from exc
     if end is not None:
         node.stored_log = StoredLog(os.path.abspath(chain_path),
-                                    len(node.state.chain.blocks), end)
+                                    chain.height, end)
     return node
 
 

@@ -8,7 +8,8 @@ from estateledger.canonical import (canonical_json_bytes, sha256, sha256_hex,
                                     u32be, u64be)
 
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
     lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
     max_leaves=20,
 )
@@ -33,7 +34,7 @@ def test_round_trip_is_stable(value):
 
 def _dumps(value) -> bytes:
     return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False).encode()
+                      ensure_ascii=False, allow_nan=False).encode()
 
 
 @given(json_values)
@@ -44,6 +45,14 @@ def test_equals_json_dumps_even_after_a_failed_encode(value):
         canonical_json_bytes(doc)
     del doc["b"]  # the same object, now encodable
     assert canonical_json_bytes(doc) == _dumps(doc)
+
+
+@pytest.mark.parametrize("number", [float("nan"), float("inf"),
+                                    float("-inf")])
+def test_a_number_json_lacks_is_a_value_error(number):
+    for value in (number, [1, number], {"a": {"b": number}}):
+        with pytest.raises(ValueError):
+            canonical_json_bytes(value)
 
 
 def test_a_circular_value_is_a_recursion_error():

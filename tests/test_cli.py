@@ -509,6 +509,70 @@ def test_a_lone_surrogate_in_the_block_log_is_corrupt_snapshot(estate):
                              "string that is not UTF-8: ")
 
 
+def test_a_write_skips_a_corrupt_older_block_that_history_readers_refuse(
+        ledger, tmp_path):
+    chain_path = os.path.join(ledger.state_dir, "chain.json")
+    _replace_bytes(b'"infoCid":""', b'"infoCid":"\xff"')(chain_path)
+    with open(chain_path, "rb") as fh:
+        before = fh.read()
+    ledger("chain", "faucet", "--to", SELLER, "--amount", "1",
+           "--as", ADMIN, "--timestamp", "6")
+    with open(chain_path, "rb") as fh:
+        after = fh.read()
+    tip = load_state(ledger.state_dir).state.chain.held[-1]
+    assert tip.index == 7
+    assert after == before[:-2] + b"," + tip.canonical_json() + b"]}"
+    files = _dir_bytes(ledger.state_dir)
+    for command in (["chain", "verify"], ["chain", "show"],
+                    ["chain", "replay"], ["state", "digest"],
+                    ["state", "export", "--out", str(tmp_path / "s.json")]):
+        _, _, errtxt = ledger(*command, expect=3)
+        assert errtxt.startswith("error: CorruptSnapshot: block 1 holds a "
+                                 "string that is not UTF-8: "), command
+    assert _dir_bytes(ledger.state_dir) == files
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["chain", "balance", "--address", ADMIN], ["chain", "verify"],
+    ["state", "digest", "--scope", "ledger"], ["state", "show"],
+    ["chain", "faucet", "--to", ADMIN, "--amount", "1", "--as", ADMIN]])
+def test_a_lone_surrogate_in_state_json_is_corrupt_snapshot(estate, command):
+    estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+    _replace_bytes(b'"publicInfo":""', b'"publicInfo":"\\udcff"')(
+        os.path.join(estate.state_dir, "state.json"))
+    before = _dir_bytes(estate.state_dir)
+    _, _, errtxt = estate(*command, expect=3)
+    assert errtxt.startswith(
+        f"error: CorruptSnapshot: {estate.state_dir}/state.json holds a "
+        "string that is not UTF-8: ")
+    assert _dir_bytes(estate.state_dir) == before
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+def test_a_number_json_lacks_is_never_recorded_nor_loaded(ledger, number):
+    files = _dir_bytes(ledger.state_dir)
+    _, _, errtxt = ledger("object", "metadata", "--name", "n", "--extra",
+                          f'{{"a": [{number}]}}', "--as", ADMIN,
+                          "--timestamp", "6", expect=2)
+    assert errtxt.startswith("error: ParseError: buildRightMetadata params: ")
+    assert _dir_bytes(ledger.state_dir) == files
+    # a log that already holds one: in block 1, and in the tip block
+    chain_path = os.path.join(ledger.state_dir, "chain.json")
+    for old, index, command in (
+            (b'"infoCid":""', 1, ["chain", "verify"]),
+            (b'"versionId":1', 6, ["chain", "faucet", "--to", SELLER,
+                                   "--amount", "1", "--as", ADMIN])):
+        with open(chain_path, "wb") as fh:
+            fh.write(files["chain.json"].replace(
+                old, old.split(b":")[0] + b":" + number.encode(), 1))
+        broken = _dir_bytes(ledger.state_dir)
+        _, _, errtxt = ledger(*command, expect=3)
+        assert errtxt.startswith(f"error: CorruptSnapshot: block {index} "
+                                 "holds a number that is not JSON: ")
+        assert _dir_bytes(ledger.state_dir) == broken
+
+
 # -- snapshots and digests -----------------------------------------------------
 
 
@@ -806,11 +870,19 @@ MALFORMED_DIRS = {
         lambda b: b.update(index=2 ** 64 - 1))),
     "chain-nonce-2-64-minus-1": ("chain.json", _edit_last_block(
         lambda b: b.update(nonce=2 ** 64 - 1))),
-    "chain-not-utf-8": ("chain.json",
-                        _replace_bytes(b'"infoCid":""', b'"infoCid":"\xff"')),
+    # in the tip block, which a write reads
+    "chain-not-utf-8": ("chain.json", _replace_bytes(
+        b'"description":""', b'"description":"\xff"')),
+    # in block 1, which only a reader of the whole history decodes
+    "chain-not-utf-8-in-block-1": (
+        "chain.json", _replace_bytes(b'"infoCid":""', b'"infoCid":"\xff"')),
     "state-not-utf-8": ("state.json",
                         _replace_bytes(b'"accounts"', b'"acc\xffounts"')),
+    "state-lone-surrogate": ("state.json", _replace_bytes(
+        b'"publicInfo":""', b'"publicInfo":"\\udcff"')),
 }
+# the command each case runs, if not `chain faucet`
+HISTORY_READERS = {"chain-not-utf-8-in-block-1": ["chain", "verify"]}
 # the exact refusal of each block-log case; "{dir}" is the state dir
 CHAIN_REFUSALS = {
     "truncated-chain": "{dir}/chain.json is not a JSON object",
@@ -843,8 +915,9 @@ def test_malformed_ledger_data_is_corrupt_snapshot(estate, case):
     if case in MALFORMED_DIRS:
         name, breaker = MALFORMED_DIRS[case]
         breaker(os.path.join(estate.state_dir, name))
-        command = ["chain", "faucet", "--to", ADMIN, "--amount", "1",
-                   "--as", ADMIN, "--timestamp", "3"]
+        command = HISTORY_READERS.get(case, [
+            "chain", "faucet", "--to", ADMIN, "--amount", "1",
+            "--as", ADMIN, "--timestamp", "3"])
     elif case == "import-version-only":
         # a well-signed snapshot whose body holds nothing but a version
         _signed_snapshot(snap, {"version": 1})

@@ -12,7 +12,7 @@ import shutil
 
 import pytest
 
-from estateledger import cli, persistence
+from estateledger import chain as chain_mod, cli, persistence
 from estateledger.addresses import derive_address
 from estateledger.canonical import canonical_json_bytes
 from estateledger.errors import LedgerError
@@ -359,3 +359,149 @@ def test_a_lagging_checkpoint_trusts_its_recorded_registrations(
     assert node.full_digest() == post
     assert node.state.config["allowlist"] == str(allow)
     capsys.readouterr()
+
+
+# -- reading the log from its end --------------------------------------------
+
+
+def _decoded_blocks(monkeypatch) -> list:
+    """Counts each block the program decodes, one item per block."""
+    calls, real = [], vars(chain_mod.Block)["from_dict"].__func__
+    monkeypatch.setattr(chain_mod.Block, "from_dict", classmethod(
+        lambda cls, d: calls.append(1) or real(cls, d)))
+    return calls
+
+
+def test_a_command_decodes_as_many_blocks_at_300_blocks_as_after_init(
+        tmp_path, monkeypatch, capsys):
+    fresh, grown = tmp_path / "fresh", tmp_path / "grown"
+    assert estate(fresh, "init", "--admin-key", ADMIN_KEY,
+                  "--timestamp", "0") == 0
+    save_state(str(grown), ledger_of(300))
+    script = tmp_path / "three.txt"
+    script.write_text(f"chain faucet --to {ADMIN} --amount 1 --as {ADMIN}\n"
+                      f"chain balance --address {ADMIN}\n"
+                      f"chain faucet --to {ADMIN} --amount 2 --as {ADMIN}\n")
+    calls = _decoded_blocks(monkeypatch)
+    # the count when `estate run` takes its final digest, which reads
+    # the whole history
+    at_digest, real_digest = [], Node.full_digest
+    monkeypatch.setattr(Node, "full_digest", lambda self: at_digest.append(
+        len(calls)) or real_digest(self))
+    counts = {}
+    for state_dir in (fresh, grown):
+        seen = []
+        for argv in (["chain", "balance", "--address", ADMIN],
+                     ["chain", "faucet", "--to", ADMIN, "--amount", "5",
+                      "--as", ADMIN, "--timestamp", "3"],
+                     ["run", str(script), "--timestamp", "4"]):
+            calls.clear()
+            assert estate(state_dir, *argv) == 0
+            seen.append(at_digest.pop() if argv[0] == "run" else len(calls))
+        counts[state_dir.name] = seen
+    assert counts["fresh"] == counts["grown"] == [1, 1, 1]
+    capsys.readouterr()
+
+
+def _whole_log_load(state_dir, monkeypatch) -> Node:
+    with monkeypatch.context() as patch:
+        patch.setattr(persistence, "_read_tail", lambda path, tag: None)
+        return load_state(str(state_dir))
+
+
+def _load_outcome(node) -> tuple:
+    chain = node.state.chain
+    return (node.full_digest(), len(chain.blocks), chain.verify(),
+            node.stored_log.end)
+
+
+@pytest.mark.parametrize("torn", [False, True], ids=["whole", "torn"])
+@pytest.mark.parametrize("lag", [0, 1, 5])
+def test_a_load_from_the_log_end_equals_a_whole_log_load(
+        tmp_path, monkeypatch, lag, torn):
+    state_dir = str(tmp_path / "ledger")
+    node = ledger_of(9 - lag)
+    save_state(state_dir, node)
+    checkpoint = read(state_dir, "state.json")
+    for timestamp in range(lag):
+        node.execute(ADMIN, "faucet", {"to": SELLER, "amount": 1},
+                     timestamp=3 + timestamp)
+        save_state(state_dir, node)
+    with open(os.path.join(state_dir, "state.json"), "wb") as fh:
+        fh.write(checkpoint)
+    whole = _whole_log_load(state_dir, monkeypatch)
+    assert whole.state.chain.history is None
+    if torn:  # a kill part way through the next append
+        log = read(state_dir, "chain.json")
+        with open(os.path.join(state_dir, "chain.json"), "wb") as fh:
+            fh.write(log[:-2] + b',{"hash":"' + b"ab" * 20)
+    lazy = load_state(state_dir)
+    chain = lazy.state.chain
+    # a torn log is read whole: only an intact end shows where the scan is
+    assert [b.index for b in chain.held] == list(
+        range(0 if torn else 8 - lag, 9))
+    assert (chain.history is None) is torn
+    assert _load_outcome(lazy) == _load_outcome(whole)
+    assert chain.held == whole.state.chain.held
+
+
+def test_a_block_shaped_param_is_never_read_as_the_checkpoints_block(
+        base, capsys):
+    """A param may hold a copy of the checkpoint's block, header and all;
+    found from the log's end, it ends no log, so the load reads the log
+    whole and redoes the block that holds it."""
+    state_dir, lagging = str(base), read(base, "state.json")
+    log = read(base, "chain.json")
+    tip = json.loads(log)["blocks"][-1]
+    assert estate(base, "object", "metadata", "--name", "n", "--extra",
+                  json.dumps({"x": [0, tip]}), "--as", ADMIN,
+                  "--timestamp", "9") == 0
+    post, log = digest(base), read(base, "chain.json")
+    assert log.count(canonical_json_bytes(tip)) == 2
+    with open(os.path.join(state_dir, "state.json"), "wb") as fh:
+        fh.write(lagging)  # as a kill before the checkpoint's rename leaves it
+    node = load_state(state_dir)
+    assert node.state.chain.history is None
+    assert node.full_digest() == post
+    torn = log[:log.rindex(canonical_json_bytes(tip)) + len(
+        canonical_json_bytes(tip))]  # a tear just after the copy
+    with open(os.path.join(state_dir, "chain.json"), "wb") as fh:
+        fh.write(torn)
+    files = dir_bytes(base)
+    assert estate(base, *faucet(1, 10)) == 3
+    assert dir_bytes(base) == files
+    capsys.readouterr()
+
+
+def test_a_tip_stored_otherwise_takes_the_whole_log_path(
+        base, monkeypatch):
+    """A re-dumped log holds no header to find, and a tip edited in place
+    fails the hash check: both load as the whole log does."""
+    calls = _decoded_blocks(monkeypatch)
+    state_dir, log = str(base), read(base, "chain.json")
+    blocks = load_state(state_dir).state.chain.blocks
+    path = os.path.join(state_dir, "chain.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(json.loads(log), fh)  # ", " and ": " separators
+    calls.clear()
+    assert load_state(state_dir).state.chain.held == blocks
+    assert len(calls) == len(blocks)
+    with open(path, "wb") as fh:  # the tip's timestamp edited in place
+        fh.write(log.replace(b'"timestamp":3,', b'"timestamp":4,'))
+    calls.clear()
+    node = load_state(state_dir)
+    assert len(calls) == len(blocks) + 1
+    assert node.state.chain.history is None
+    assert not node.state.chain.verify()
+
+
+def test_the_history_loader_refuses_a_log_replaced_since_the_load(
+        base, tmp_path):
+    node = load_state(str(base))
+    other = tmp_path / "other"
+    save_state(str(other), ledger_of(6))
+    shutil.copy(other / "chain.json", base / "chain.json")
+    with pytest.raises(LedgerError) as e:
+        node.state.chain.verify()
+    assert e.value.code == "CorruptSnapshot"
+    assert "no longer holds block" in e.value.message
