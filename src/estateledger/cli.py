@@ -280,6 +280,7 @@ def _token_balance(args, node) -> dict:
 
 
 def _chain_verify(args, node) -> dict:
+    node.state.store.read_all()  # an audit checks every object file too
     if not node.state.chain.verify():
         raise err("HashMismatch", "chain verification FAILED")
     return {"chain": "OK", "blocks": len(node.state.chain.blocks)}

@@ -74,8 +74,8 @@ class LedgerState:
             "properties": {a: to_json(p) for a, p in self.properties.items()},
         }
         if objects:
-            d["objects"] = {k: v.hex()
-                            for k, v in sorted(self.store.objects.items())}
+            d["objects"] = {k: v.hex() for k, v in
+                            sorted(self.store.read_all().items())}
         return d
 
 
@@ -263,7 +263,8 @@ def _check_timestamp(timestamp: int):
 # -- op declarations --------------------------------------------------------
 
 Op = namedtuple("Op", "payable params required")  # params: name -> reader
-BOOL, BYTES, INT, INTS, STR = map(reader, (bool, bytes, int, list[int], str))
+BOOL, BYTES, DICTS, INT, INTS, STR = map(reader, (
+    bool, bytes, list[dict], int, list[int], str))
 OPS = {}        # op -> Op
 EXECUTORS = {}  # op -> executor, looked up on every call
 
@@ -284,6 +285,14 @@ def _legs(value):  # a swap side: [[token id, amount], ...]
             type(leg) is not list or list(map(type, leg)) != [int, int]
             for leg in value):
         raise err("ParseError", f"expected legs, got {value!r:.60}")
+
+
+def _documents(value):  # [{"link": cid, "name": ..., ...}, ...]
+    for doc in DICTS(value):
+        for key in ("link", "name", "description"):
+            if key in doc and type(doc[key]) is not str:
+                raise err("ParseError", f"expected a str document {key}, "
+                          f"got {doc[key]!r:.60}")
 
 
 # -- executors ------------------------------------------------------------------
@@ -342,7 +351,7 @@ def _ex_put_object(state, caller, params, value):
 
 
 @op("buildRightMetadata", nameOfRight=STR, optional={
-    "description": STR, "documents": reader(list[dict]),
+    "description": STR, "documents": _documents,
     "extra": reader(Optional[dict])})
 def _ex_build_metadata(state, caller, params, value):
     cid = build_right_metadata(

@@ -14,44 +14,50 @@ Layout inside a state directory:
 node was loaded from, or last saved to, the same dir, it appends only
 the new blocks to ``chain.json`` in place: it writes ``,<block>...]}``
 over the closing ``]}`` and fsyncs. That fsync is the one commit point.
-Only then does it write the new object files and the checkpoint, each
-to a temp name that is fsynced and renamed. A dir that holds no log of
-this chain (``init``, ``state import``) gets the whole log the same
-way, then the objects and the checkpoint.
+Only then does it write the new object files and the checkpoint, each to
+a temp name that is fsynced and renamed. A dir that holds no log of this
+chain (``init``, ``state import``) gets the whole log the same way, then
+the objects and the checkpoint, and then loses each object file of a
+ledger it held before. Which objects a dir holds is the listing of
+``objects/`` that the node's store was loaded with, or last saved to;
+another dir is listed once.
 
-``load_state`` reads the checkpoint, then the objects, then the log from
-its end back to the tag's block: it finds that block's header, decodes
-it and the blocks after it, checks its hash, index and nonce, and
-redoes the blocks after it (``Node.redo``). So a write that stops
-before its commit point leaves the state before the command, and one
-that stops after it the state after. The loaded ``Chain`` holds the
+``load_state`` reads the checkpoint, then lists the objects, then reads
+the log from its end back to the tag's block: it finds that block's
+header, decodes it and the blocks after it, checks its hash, index and
+nonce, and redoes the blocks after it (``Node.redo``). So a write that
+stops before its commit point leaves the state before the command, and
+one that stops after it the state after. The loaded ``Chain`` holds the
 tag's block and those after it; a reader of the whole history (verify,
 replay, the full digest, a snapshot) has it decode the blocks before
 them once. Only a log that ends in ``]}`` right after those blocks is
 read so; a torn log, a header not found, a failed check or a tag-less
 ``state.json`` (a checkpoint at the log's tip) read the log whole. That
 read refuses a tag past the log or with a hash the log does not hold at
-that index, and drops a torn last append if what remains still holds
-the checkpoint's block; it writes nothing, and the next write
-overwrites the tail.
+that index, and drops a torn last append if what remains still holds the
+checkpoint's block; it writes nothing, and the next write overwrites the
+tail.
 
 A snapshot is ``state_dict(objects=True)`` with the block log under
 ``chain``, plus a ``digest`` of that body. The digest is
 ``state_digest``, taken over the body's encoding with the log's stored
 bytes spliced in; ``write_snapshot`` writes the same pieces, digest
-included, and never decodes a stored block. Import decodes the log
-once and checks the digest over the bytes it splices back. Loading a
-directory and importing a snapshot feed the one decoder: it reads
-every record through ``records.read``, checks each object against its
-digest, and alone checks what no command can break. It refuses a
-ledger with no active administrator, or whose stored contracts are
-not exactly the factory's proxies, each initialized at its own
-address.
+included, and never decodes a stored block. Import decodes the log once
+and checks the digest over the bytes it splices back. Loading a
+directory and importing a snapshot feed the one decoder: it reads every
+record through ``records.read`` and alone checks what no command can
+break. It checks each of a snapshot's objects against its digest; the
+store checks an object file so when it first reads it, which only a
+reader of that object's bytes does (``object get``, ``chain verify``,
+the digests, a snapshot). It refuses a ledger with no active
+administrator, or whose stored contracts are not exactly the factory's
+proxies, each initialized at its own address.
 """
 
 import fcntl
 import json
 import os
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,6 +77,9 @@ STATE_KEYS = frozenset(("version", "config", "accounts", "stakeholders",
 LOG_HEAD = b'{"blocks":['
 TAIL_WINDOW = 1 << 14  # bytes a load first reads back from the log's end
 _SCAN = json.JSONDecoder().raw_decode
+# where a block starts in a log; a param's {"hash": ...} matches only if
+# it copies a whole header
+_BLOCK_HEADER = re.compile(r',\{"hash":"[0-9a-f]{64}","index":')
 
 
 @dataclass
@@ -135,25 +144,40 @@ def save_state(state_dir: str, node: Node):
     tip = chain.held[-1]
     checkpoint = canonical_json_bytes(state.state_dict() | {
         "block": to_json(Checkpoint(tip.index, tip.hash))})
-    objects_dir = os.path.join(state_dir, "objects")
-    objects = {}
-    for digest, data in state.store.objects.items():
-        path = os.path.join(objects_dir, digest + ".bin")
-        if not os.path.exists(path):  # content-addressed: never rewritten
-            objects[path] = data
+    store = state.store
+    objects_dir = os.path.abspath(os.path.join(state_dir, "objects"))
+    # content-addressed: a file once written is never rewritten
+    on_disk = (store.listed if store.path == objects_dir
+               else _listing(objects_dir))
+    objects = {digest: store.read(digest)
+               for digest in sorted(store.digests() - on_disk)}
     chain_path = os.path.abspath(os.path.join(state_dir, "chain.json"))
     stored = node.stored_log
     end = (_append(stored, chain.held)
            if stored is not None and stored.path == chain_path else None)
     os.makedirs(objects_dir, exist_ok=True)
-    if end is None:  # the dir holds no log of this chain
+    whole = end is None  # the dir holds no log of this chain
+    if whole:
         log = chain.canonical_json()
         _write_atomic(chain_path, log)
         end = len(log) - 2
     node.stored_log = StoredLog(chain_path, chain.height, end)
-    for path, data in objects.items():
-        _write_atomic(path, data)
+    for digest, data in objects.items():
+        _write_atomic(os.path.join(objects_dir, digest + ".bin"), data)
     _write_atomic(os.path.join(state_dir, "state.json"), checkpoint)
+    held = store.digests()
+    if whole:  # the objects of a ledger this one replaced
+        for digest in on_disk - held:
+            os.remove(os.path.join(objects_dir, digest + ".bin"))
+    store.path, store.listed = objects_dir, held
+
+
+def _listing(objects_dir: str) -> set:
+    """The digests `objects_dir` holds a ``<digest>.bin`` file of."""
+    if not os.path.isdir(objects_dir):
+        return set()
+    return {name[:-len(".bin")] for name in os.listdir(objects_dir)
+            if name.endswith(".bin")}
 
 
 def _json_object(path: str, data: bytes, errors: str = "strict") -> dict:
@@ -206,7 +230,7 @@ def _whole_blocks(data: bytes) -> Optional[tuple]:
         return None
     text = data.decode("utf-8", "surrogateescape")
     blocks, ends = _scan_blocks(text, len(LOG_HEAD))
-    if not blocks or ',{"hash":"' in text[ends[-1] + 1:]:
+    if not blocks or _BLOCK_HEADER.search(text, ends[-1] + 1):
         return None
     return blocks, len(text[:ends[-1]].encode("utf-8", "surrogateescape"))
 
@@ -303,22 +327,23 @@ def _check_version(body: dict, what: str):
                   f"expected {STATE_VERSION}")
 
 
-def _state_from_dicts(d: dict, chain: Chain, objects: dict = None) -> Node:
-    """Decode a ``state_dict()`` beside its `chain` and `objects` (digest
-    -> bytes) or hex ``objects``; refuse what no command produces."""
-    read_object(d, STATE_KEYS | ({"objects"} if objects is None else set()))
-    if objects is None:
-        objects = read(dict[str, bytes], d["objects"])
-    for digest, data in objects.items():
-        if sha256_hex(data) != digest:
-            raise err("CorruptSnapshot",
-                      f"object {digest} does not match its digest")
+def _state_from_dicts(d: dict, chain: Chain, store: ObjectStore = None
+                     ) -> Node:
+    """Decode a ``state_dict()`` beside its `chain` and `store`, or its
+    hex ``objects``; refuse what no command produces."""
+    read_object(d, STATE_KEYS | ({"objects"} if store is None else set()))
+    if store is None:
+        store = ObjectStore(read(dict[str, bytes], d["objects"]))
+        for digest, data in store.objects.items():
+            if sha256_hex(data) != digest:
+                raise err("CorruptSnapshot",
+                          f"object {digest} does not match its digest")
     state = LedgerState(
         config=read(dict[str, Optional[str]], d["config"]),
         chain=chain,
         native=read(NativeLedger, d["accounts"]),
         registry=read(StakeholderRegistry, d["stakeholders"]),
-        store=ObjectStore(objects=objects),
+        store=store,
         factory=read(Factory, d["factory"]),
         properties=read(dict[str, PropertyContract], d["properties"]),
     )
@@ -361,14 +386,8 @@ def load_state(state_dir: str) -> Node:
         tag = read(Checkpoint, tag)
     read_object(state_d, STATE_KEYS)
     # objects before the log: a write adds them only after its append
-    objects = {}
-    objects_dir = os.path.join(state_dir, "objects")
-    if os.path.isdir(objects_dir):
-        for name in sorted(os.listdir(objects_dir)):
-            if not name.endswith(".bin"):
-                continue
-            with open(os.path.join(objects_dir, name), "rb") as fh:
-                objects[name[:-len(".bin")]] = fh.read()
+    objects_dir = os.path.abspath(os.path.join(state_dir, "objects"))
+    store = ObjectStore(path=objects_dir, listed=_listing(objects_dir))
     tail = None if tag is None else _read_tail(chain_path, tag)
     if tail is None:  # the whole log
         need = None if tag is None else tag.index
@@ -386,7 +405,7 @@ def load_state(state_dir: str) -> Node:
         del blocks[tag.index + 1:]
     else:
         chain, later, end = tail
-    node = _state_from_dicts(state_d, chain, objects)
+    node = _state_from_dicts(state_d, chain, store)
     try:
         node.redo(later)
     except LedgerError as exc:

@@ -4,13 +4,20 @@ Objects are addressed by a cid of the form
 
     cidv0-sha256:<64 lowercase hex chars>
 
-where the hex is the SHA-256 of the object bytes. Right metadata is a
-JSON document listing the name of the right, a description, and the
-supporting documents, each document pointing at a stored object by cid.
+where the hex is the SHA-256 of the object bytes. A store loaded from a
+state dir starts from the dir's listing of ``objects/``: it knows which
+objects the dir holds without reading them, and reads and checks one
+object's file only when that object's bytes are asked for. Files are
+content-addressed and never rewritten, so a later read finds the bytes
+the listing named. Right metadata is a JSON document listing the name of
+the right, a description, and the supporting documents, each document
+pointing at a stored object by cid.
 """
 
+import os
 import re
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .canonical import canonical_json_bytes, sha256_hex
 from .errors import err
@@ -36,7 +43,13 @@ def cid_digest(cid: str) -> bytes:
 
 @dataclass
 class ObjectStore:
+    """The objects by hex digest: `objects` holds the bytes read or
+    given, and `listed` the digests that the dir `path` holds a
+    ``<digest>.bin`` file of. A listed object's file is read, and checked
+    against its digest, the first time its bytes are needed."""
     objects: dict = field(default_factory=dict)  # hex digest -> bytes
+    path: Optional[str] = None
+    listed: set = field(default_factory=set)
 
     def put(self, data: bytes) -> str:
         if not data:
@@ -47,12 +60,40 @@ class ObjectStore:
 
     def get(self, cid: str) -> bytes:
         key = cid_digest(cid).hex()
-        if key not in self.objects:
+        if key not in self.objects and key not in self.listed:
             raise err("NotFound", cid)
-        return self.objects[key]
+        return self.read(key)
 
     def has(self, cid: str) -> bool:
-        return is_cid(cid) and cid[len(CID_PREFIX):] in self.objects
+        if not is_cid(cid):
+            return False
+        key = cid[len(CID_PREFIX):]
+        return key in self.objects or key in self.listed
+
+    def digests(self) -> set:
+        return self.objects.keys() | self.listed
+
+    def read(self, digest: str) -> bytes:
+        """The bytes of the object `digest`, which the store holds."""
+        data = self.objects.get(digest)
+        if data is None:
+            path = os.path.join(self.path, digest + ".bin")
+            try:
+                with open(path, "rb") as fh:
+                    data = fh.read()
+            except FileNotFoundError:
+                raise err("CorruptSnapshot", f"{path} is missing") from None
+            if sha256_hex(data) != digest:
+                raise err("CorruptSnapshot",
+                          f"object {digest} does not match its digest")
+            self.objects[digest] = data
+        return data
+
+    def read_all(self) -> dict:
+        """`objects` once every listed file has been read into it."""
+        for digest in self.listed:
+            self.read(digest)
+        return self.objects
 
 
 def build_right_metadata(store: ObjectStore, name_of_right: str,

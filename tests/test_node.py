@@ -268,6 +268,30 @@ def test_unencodable_param_is_refused_before_the_executor(node, monkeypatch):
     assert len(node.state.chain.blocks) == length
 
 
+@pytest.mark.parametrize("key, bad", [
+    ("name", 5), ("description", None), ("link", ["cid"]), ("name", True)],
+    ids=["name-int", "description-null", "link-list", "name-bool"])
+def test_a_document_field_of_another_type_is_a_parse_error(node, key, bad):
+    cid = node.execute(node.seller, "putObject",
+                       {"dataHex": b"a deed".hex()})["cid"]
+    good = {"name": "deed", "description": "", "link": cid, "page": 2}
+    before, length = node.full_digest(), len(node.state.chain.blocks)
+    with pytest.raises(LedgerError) as e:
+        node.execute(node.seller, "buildRightMetadata", {
+            "nameOfRight": "title", "documents": [good, good | {key: bad}]})
+    assert e.value.code == "ParseError"
+    assert f"expected a str document {key}" in e.value.message
+    assert node.full_digest() == before
+    assert len(node.state.chain.blocks) == length
+    # an undeclared key rides along, as before; a missing link is refused
+    node.execute(node.seller, "buildRightMetadata", {
+        "nameOfRight": "title", "documents": [good]})
+    with pytest.raises(LedgerError) as e:
+        node.execute(node.seller, "buildRightMetadata", {
+            "nameOfRight": "title", "documents": [{"name": "deed"}]})
+    assert e.value.code == "InvalidDocumentLink"
+
+
 @pytest.mark.parametrize("timestamp", [-1, 2 ** 64])
 def test_timestamp_outside_u64_is_a_parse_error(node, timestamp):
     before, length = node.full_digest(), len(node.state.chain.blocks)

@@ -18,6 +18,7 @@ from estateledger.canonical import canonical_json_bytes
 from estateledger.errors import LedgerError
 from estateledger.node import Node
 from estateledger.persistence import load_state, save_state
+from estateledger.storage import ObjectStore
 
 ADMIN_KEY = "admin-key-1"
 ADMIN = derive_address(ADMIN_KEY.encode())
@@ -473,6 +474,33 @@ def test_a_block_shaped_param_is_never_read_as_the_checkpoints_block(
     capsys.readouterr()
 
 
+def test_a_torn_append_of_a_param_holding_a_hash_key_loads(base, capsys):
+    """Only a whole block header after the last whole block marks a
+    second block: an object in a param whose first key is "hash" is
+    none."""
+    pre, files = digest(base), dir_bytes(base)
+    capsys.readouterr()
+    assert estate(base, "object", "metadata", "--name", "n", "--extra",
+                  '{"x": [0, {"hash": "a"}]}', "--as", ADMIN,
+                  "--timestamp", "9", "--json") == 0
+    cid = json.loads(capsys.readouterr().out)["cid"]
+    log = read(base, "chain.json")
+    # a kill in the append leaves the dir as it was but for a torn tail
+    os.remove(os.path.join(base, "objects", cid.split(":")[1] + ".bin"))
+    with open(os.path.join(base, "state.json"), "wb") as fh:
+        fh.write(files["state.json"])
+    with open(os.path.join(base, "chain.json"), "wb") as fh:
+        fh.write(log[:log.index(b'{"hash":"a"}') + len(b'{"hash":"a"}')])
+    files = dir_bytes(base)
+    assert estate(base, "chain", "balance", "--address", SELLER) == 0
+    assert dir_bytes(base) == files
+    assert digest(base) == pre
+    assert estate(base, *faucet(1, 10)) == 0
+    assert read(base, "chain.json") == whole_log(base)
+    assert estate(base, "chain", "verify") == 0
+    capsys.readouterr()
+
+
 def test_a_tip_stored_otherwise_takes_the_whole_log_path(
         base, monkeypatch):
     """A re-dumped log holds no header to find, and a tip edited in place
@@ -505,3 +533,157 @@ def test_the_history_loader_refuses_a_log_replaced_since_the_load(
         node.state.chain.verify()
     assert e.value.code == "CorruptSnapshot"
     assert "no longer holds block" in e.value.message
+
+
+# -- reading an object only when its bytes are needed ------------------------
+
+
+def _opened_objects(monkeypatch) -> list:
+    """Records each object file the program opens."""
+    opened, real = [], builtins.open
+
+    def opener(file, *args, **kwargs):
+        if os.path.basename(os.path.dirname(str(file))) == "objects":
+            opened.append(file)
+        return real(file, *args, **kwargs)
+    monkeypatch.setattr(builtins, "open", opener)
+    return opened
+
+
+@pytest.fixture
+def stocked(tmp_path, monkeypatch, capsys):
+    """A CLI-built ledger with a deployed property and 300 objects, and
+    the cids of those objects."""
+    state_dir = tmp_path / "stocked"
+    for argv in (["init", "--admin-key", ADMIN_KEY, "--timestamp", "0"],
+                 ["factory", "init", "--version", "1", "--as", ADMIN,
+                  "--timestamp", "1"],
+                 ["factory", "deploy", "--treasury", SELLER, "--upgrader",
+                  ADMIN, "--admin", ADMIN, "--uri", "u/{id}", "--as", ADMIN,
+                  "--timestamp", "2"]):
+        assert estate(state_dir, *argv) == 0
+    node = load_state(str(state_dir))
+    cids = [node.execute(ADMIN, "putObject", {"dataHex": f"deed {i}".encode(
+        ).hex()}, timestamp=3)["cid"] for i in range(300)]
+    with monkeypatch.context() as patch:  # 300 fsyncs would only add time
+        patch.setattr(persistence.os, "fsync", lambda fd: None)
+        save_state(str(state_dir), node)
+    capsys.readouterr()
+    return state_dir, next(iter(node.state.properties)), cids
+
+
+def test_a_command_opens_only_the_object_files_whose_bytes_it_reads(
+        stocked, tmp_path, monkeypatch, capsys):
+    state_dir, prop, cids = stocked
+    script = tmp_path / "three.txt"
+    script.write_text(f"chain faucet --to {ADMIN} --amount 1 --as {ADMIN}\n"
+                      f"chain balance --address {ADMIN}\n"
+                      f"chain faucet --to {ADMIN} --amount 2 --as {ADMIN}\n")
+    opened = _opened_objects(monkeypatch)
+    # the count when `estate run` takes its final digest, which reads
+    # every object
+    at_digest, real_digest = [], Node.full_digest
+    monkeypatch.setattr(Node, "full_digest", lambda self: at_digest.append(
+        len(opened)) or real_digest(self))
+    for argv in (["chain", "balance", "--address", ADMIN],
+                 ["token", "balance", "--property", prop, "--owner", ADMIN,
+                  "--id", "1"],
+                 faucet(5, 4),
+                 ["run", str(script), "--timestamp", "5"]):
+        opened.clear()
+        assert estate(state_dir, *argv) == 0
+        assert (at_digest.pop() if argv[0] == "run" else len(opened)) == 0
+    capsys.readouterr()
+    opened.clear()
+    assert estate(state_dir, "object", "get", "--cid", cids[150]) == 0
+    assert opened == [os.path.join(str(state_dir), "objects",
+                                   cids[150].split(":")[1] + ".bin")]
+    assert capsys.readouterr().out == f"cid: {cids[150]}\ntext: deed 150\n"
+
+
+def _corrupt_object(state_dir) -> str:
+    """Overwrite the dir's one object file; returns its cid."""
+    (name,) = os.listdir(os.path.join(state_dir, "objects"))
+    with open(os.path.join(state_dir, "objects", name), "wb") as fh:
+        fh.write(b"tampered")
+    return "cidv0-sha256:" + name[:-len(".bin")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["object", "get", "--cid", "{cid}"], ["state", "digest"],
+    ["state", "export", "--out", "{out}"], ["chain", "verify"],
+    ["chain", "replay"]], ids=lambda argv: " ".join(argv[:2]))
+def test_a_reader_of_a_corrupt_object_file_refuses_it(
+        base, tmp_path, capsys, argv):
+    cid = _corrupt_object(base)
+    out = tmp_path / "snap.json"
+    argv = [a.format(cid=cid, out=out) for a in argv]
+    files = dir_bytes(base)
+    assert estate(base, *argv) == 3
+    digest_ = cid.split(":")[1]
+    assert capsys.readouterr().err == (f"error: CorruptSnapshot: object "
+                                       f"{digest_} does not match its "
+                                       f"digest\n")
+    assert dir_bytes(base) == files
+    assert not out.exists()
+
+
+def test_a_corrupt_object_file_fails_no_command_that_skips_its_bytes(
+        base, capsys):
+    cid = _corrupt_object(base)
+    path = os.path.join(base, "objects", cid.split(":")[1] + ".bin")
+    assert estate(base, "chain", "balance", "--address", SELLER) == 0
+    assert estate(base, *faucet(5, 10)) == 0
+    assert estate(base, "object", "put", "--data", "survey", "--as", ADMIN,
+                  "--timestamp", "11") == 0
+    assert read(base, "objects/" + os.path.basename(path)) == b"tampered"
+    assert load_state(str(base)).state.store.has(cid)
+    capsys.readouterr()
+
+
+def test_a_missing_object_file_is_corrupt_snapshot_naming_it(base, capsys):
+    (name,) = os.listdir(os.path.join(base, "objects"))
+    node = load_state(str(base))
+    path = os.path.join(os.path.abspath(base), "objects", name)
+    os.remove(path)
+    with pytest.raises(LedgerError) as e:
+        node.full_digest()
+    assert e.value.code == "CorruptSnapshot"
+    assert e.value.message == f"{path} is missing"
+
+
+def test_a_lazily_loaded_digest_equals_an_eagerly_read_one(stocked):
+    state_dir, _, cids = stocked
+    lazy = load_state(str(state_dir))
+    assert lazy.state.store.objects == {}  # nothing read yet
+    eager = load_state(str(state_dir))
+    objects_dir = os.path.join(state_dir, "objects")
+    eager.state.store = ObjectStore({
+        name[:-len(".bin")]: read(objects_dir, name)
+        for name in os.listdir(objects_dir)})
+    assert len(eager.state.store.objects) == len(cids)
+    assert lazy.full_digest() == eager.full_digest()
+    assert lazy.ledger_digest() == eager.ledger_digest()
+    assert lazy.state.store.objects == eager.state.store.objects
+
+
+def test_an_import_over_a_ledger_removes_its_object_files(tmp_path, capsys):
+    """`state import --force` used to leave the replaced ledger's object
+    files, which every later load read into the imported ledger."""
+    a, b, snap = tmp_path / "a", tmp_path / "b", tmp_path / "b.json"
+    for state_dir in (a, b):
+        assert estate(state_dir, "init", "--admin-key", ADMIN_KEY,
+                      "--timestamp", "0") == 0
+    assert estate(a, "object", "put", "--data", "stale deed", "--as", ADMIN,
+                  "--timestamp", "1") == 0
+    assert estate(b, "state", "export", "--out", str(snap)) == 0
+    capsys.readouterr()
+    assert estate(a, "state", "import", "--in", str(snap), "--force",
+                  "--json") == 0
+    imported = json.loads(capsys.readouterr().out)["digest"]
+    assert imported == digest(b)
+    assert os.listdir(a / "objects") == []
+    assert estate(a, "state", "digest", "--json") == 0
+    assert json.loads(capsys.readouterr().out)["digest"] == imported
+    assert estate(a, "chain", "replay") == 0
+    capsys.readouterr()
