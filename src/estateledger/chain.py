@@ -121,19 +121,18 @@ class Block:
 class Chain:
     """The block log. `held` lists the blocks in memory: the whole log,
     or, for a chain loaded from a state dir, its checkpoint's block and
-    the blocks after it, with `history` a loader of the blocks before
-    them. Appending needs only `held` and `height`; `blocks`, the whole
-    log, calls `history` once."""
+    the blocks after it. `log` is ``persistence``'s record of where a dir
+    stores the chain. Appending needs only `held` and `height`; `blocks`,
+    the whole log, has `log` read the blocks before `held` once."""
 
-    def __init__(self, blocks: list = None, history=None):
+    def __init__(self, blocks: list = None, log=None):
         self.held = [] if blocks is None else blocks
-        self.history = history
+        self.log = log
 
     @property
     def blocks(self) -> list:
-        if self.history is not None:
-            self.held[:0] = self.history()
-            self.history = None
+        if self.log is not None and self.log.first:
+            self.held[:0] = self.log.before(self.held[0].index)
         return self.held
 
     @property

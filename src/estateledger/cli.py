@@ -10,7 +10,6 @@ state directory; queries read the state without touching it.
 """
 
 import argparse
-import contextlib
 import json
 import os
 import shlex
@@ -23,8 +22,7 @@ from .errors import LedgerError, err
 from .identity import parse_role
 from .merkle import MerkleProof, MerkleTree, verify_proof
 from .node import Node
-from .persistence import (StateLock, holds_ledger, load_state, read_snapshot,
-                          save_state, write_snapshot)
+from .persistence import LedgerDir, read_snapshot, write_snapshot
 from .records import to_json
 from .storage import cid_digest, resolve_uri
 from .tokens import check_token_id, fractional_of, swap_descriptor_digest
@@ -181,15 +179,14 @@ def build_parser(argv=None) -> Parser:
 
 
 # -- handlers ------------------------------------------------------------------
-# Every handler is called as handler(args, node): `node` is the ledger an
-# `estate run` script holds across its lines, or None for a command run
-# on its own. A mutating command's handler is mutation(operation,
-# build_params) and a read's is query(read); given a node, they and
-# _leaves_from_args use it instead of locking and loading the dir. init,
-# run and state import replace or lock the whole dir, so a script
-# refuses them (SCRIPT_REFUSED). Params builders check address
-# arguments and raise parse errors before --as is checked or the state
-# is loaded.
+# Every handler is called as handler(args, ledger), `ledger` being the
+# LedgerDir of --state-dir that an `estate run` script shares with its
+# lines. A read's handler is query(read) over `ledger.node`; a mutating
+# command's is mutation(operation, build_params), which commits under
+# `ledger.writing()`. init, run and state import replace or lock the
+# whole dir, so a script refuses them (SCRIPT_REFUSED). Params builders
+# check address arguments and raise parse errors before --as is checked
+# or the state is loaded.
 
 
 def _timestamp(args) -> int:
@@ -200,36 +197,29 @@ def mutation(operation: str, build_params):
     """The handler of a mutating command: `operation` with the params
     `build_params(args)` runs as one block and is saved to the state dir
     before the handler returns."""
-    def run(args, node) -> dict:
+    def run(args, ledger) -> dict:
         params = build_params(args)
         if not args.caller:
             raise err("ParseError", "this command needs --as <address>")
-        with (StateLock(args.state_dir) if node is None
-              else contextlib.nullcontext()):
-            node = _node(args, node)
-            result = node.execute(args.caller, operation, params,
-                                  value=args.value,
-                                  timestamp=_timestamp(args))
-            save_state(args.state_dir, node)
+        with ledger.writing():
+            result = ledger.node.execute(args.caller, operation, params,
+                                         value=args.value,
+                                         timestamp=_timestamp(args))
+            ledger.commit()
         return result
     return run
 
 
-def _node(args, node):
-    """`node` if a script holds one, else the dir's ledger."""
-    return load_state(args.state_dir) if node is None else node
-
-
 def query(read):
     """The handler of a read: `read(args, node)` over the ledger."""
-    return lambda args, node: read(args, _node(args, node))
+    return lambda args, ledger: read(args, ledger.node)
 
 
-def _leaves_from_args(args, node) -> list:
+def _leaves_from_args(args, ledger) -> list:
     leaves = [parse_hex_digest(h) for h in args.leaf]
     leaves.extend(cid_digest(c) for c in args.cid)
     if getattr(args, "property", None):
-        prop = _node(args, node).state.property_at(args.property)
+        prop = ledger.node.state.property_at(args.property)
         leaves.extend(cid_digest(c) for c in prop.documents)
     return leaves
 
@@ -307,47 +297,26 @@ def _state_export(args, node) -> dict:
     return {"out": args.out, "digest": node.full_digest()}
 
 
-@contextlib.contextmanager
-def _new_ledger(state_dir: str, overwrite: bool = False):
-    """Lock `state_dir`, creating it if missing, and refuse a ledger in it
-    unless `overwrite`; a failure removes the lock and a dir it created."""
-    created = not os.path.isdir(state_dir)
-    os.makedirs(state_dir, exist_ok=True)
-    with StateLock(state_dir) as lock:
-        try:
-            if holds_ledger(state_dir) and not overwrite:
-                raise err("AlreadyInitialized",
-                          f"{state_dir} already holds a ledger; "
-                          "`state import --force` overwrites it")
-            yield
-        except BaseException:
-            if created:
-                os.remove(lock.path)
-                with contextlib.suppress(OSError):  # another writer's files
-                    os.rmdir(state_dir)
-            raise
-
-
-def _init(args, _) -> dict:
+def _init(args, ledger) -> dict:
     node = Node()
     if args.allowlist:
         node.state.config["allowlist"] = os.path.abspath(args.allowlist)
-    with _new_ledger(args.state_dir):
+    with ledger.writing(create=True):
         admin = node.init_genesis(parse_key(args.admin_key),
                                   args.info_cid, _timestamp(args))
-        save_state(args.state_dir, node)
+        ledger.commit(node)
     return {"admin": admin, "genesis": node.state.chain.blocks[0].hash.hex()}
 
 
-def _state_import(args, _) -> dict:
-    with _new_ledger(args.state_dir, overwrite=args.force):
+def _state_import(args, ledger) -> dict:
+    with ledger.writing(create=True, overwrite=args.force):
         node = read_snapshot(args.infile)
-        save_state(args.state_dir, node)
+        ledger.commit(node)
     return {"imported": args.infile, "digest": node.full_digest()}
 
 
-def _merkle_prove(args, node) -> dict:
-    tree = MerkleTree(_leaves_from_args(args, node))
+def _merkle_prove(args, ledger) -> dict:
+    tree = MerkleTree(_leaves_from_args(args, ledger))
     proof = tree.prove(args.index)
     return {"leaf": tree.leaves[args.index].hex(), "root": tree.root.hex(),
             "proof": proof.to_dict()}
@@ -371,8 +340,8 @@ SCRIPT_REFUSED = {("init", None), ("run", None), ("state", "import")}
 
 
 def _script_command(args, line: str):
-    """The parsed command of one script line, bound to the state dir and
-    default timestamp of the `estate run` command `args`."""
+    """The parsed command of one script line, bound to the default
+    timestamp of the `estate run` command `args`."""
     try:
         tokens = shlex.split(line)
     except ValueError as exc:  # an unbalanced quote
@@ -388,13 +357,12 @@ def _script_command(args, line: str):
     if key in SCRIPT_REFUSED:
         raise err("ParseError",
                   f"{' '.join(filter(None, key))} cannot run inside a script")
-    sub.state_dir = args.state_dir
     if args.timestamp is not None and sub.timestamp is None:
         sub.timestamp = args.timestamp
     return sub
 
 
-def run_script(args, _) -> dict:
+def run_script(args, ledger) -> dict:
     """Run each line of the script against one ledger, loaded once under
     one lock; a mutating line is saved before the next line runs, so a
     failing line leaves the lines before it committed."""
@@ -403,14 +371,14 @@ def run_script(args, _) -> dict:
         # would also break at \x0c, \x85 and U+2028
         lines = fh.read().split("\n")
     executed = 0
-    with StateLock(args.state_dir):
-        node = load_state(args.state_dir)
+    with ledger.writing():
+        node = ledger.node
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             try:
-                dispatch(_script_command(args, line), node)
+                dispatch(_script_command(args, line), ledger)
             except LedgerError as exc:
                 raise LedgerError(exc.code, f"line {lineno}: {exc.message}")
             executed += 1
@@ -455,8 +423,8 @@ COMMANDS = {
             a.base_uri, check_token_id(parse_token_id(a.id)))}),
     ("merkle", "root"): (
         [("--leaf", REPEATABLE), ("--cid", REPEATABLE), ("--property", {})],
-        lambda a, n: {
-            "root": MerkleTree(_leaves_from_args(a, n)).root.hex()}),
+        lambda a, ledger: {
+            "root": MerkleTree(_leaves_from_args(a, ledger)).root.hex()}),
     ("merkle", "prove"): ([("--index", REQUIRED_INT), ("--leaf", REPEATABLE),
                            ("--cid", REPEATABLE), ("--property", {})],
                           _merkle_prove),
@@ -600,16 +568,18 @@ COMMANDS = {
 }
 
 
-def dispatch(args, node=None) -> dict:
-    """Run the command `args` names; `node` is the ledger a script holds.
-    A file the command names may be missing, unreadable or not UTF-8;
-    converting here gives script lines their "line N:" prefix too."""
+def dispatch(args, ledger: LedgerDir) -> dict:
+    """Run the command `args` names on `ledger`. A file may be missing,
+    unreadable or not UTF-8, or a write fail naming no file; converting
+    here gives script lines their "line N:" prefix too."""
     try:
         return COMMANDS[args.noun, getattr(args, "verb", None)][1](
-            args, node)
+            args, ledger)
     except UnicodeError as exc:
         raise err("ParseError", str(exc)) from exc
     except OSError as exc:
+        if exc.filename is None:
+            raise err("IOError", exc.strerror or str(exc)) from exc
         raise err("NotFound", f"{exc.filename}: {exc.strerror}") from exc
 
 
@@ -638,7 +608,7 @@ def main(argv=None) -> int:
         except UnicodeEncodeError as exc:
             raise err("ParseError", str(exc)) from exc
         args = build_parser(argv).parse_args(argv)
-        result = dispatch(args)
+        result = dispatch(args, LedgerDir(args.state_dir))
     except LedgerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES.get(exc.code, 3)

@@ -104,8 +104,6 @@ def state_digest(d: dict, chain: Chain) -> str:
 class Node:
     def __init__(self, state: LedgerState = None):
         self.state = state if state is not None else LedgerState()
-        # where `persistence` last found this chain in a state dir's log
-        self.stored_log = None
 
     # -- digests ------------------------------------------------------------
 

@@ -1,5 +1,5 @@
 """State directory layout, the commit point of a write, snapshot
-export/import, and the write lock.
+export/import, and ``LedgerDir``, which holds a dir for one command.
 
 Layout inside a state directory:
 
@@ -10,8 +10,13 @@ Layout inside a state directory:
     objects/     one <hex-digest>.bin file per stored object
     .lock        flock target guarding against concurrent writers
 
+``LedgerDir(path)`` is one command's hold on a state dir: its ``node``
+calls ``load_state`` on first use, ``writing()`` holds the flock on
+``.lock``, once per hold, so a script's lines share it, and ``commit()``
+calls ``save_state``. A read takes no lock.
+
 ``save_state`` encodes the checkpoint before its first write. When the
-node was loaded from, or last saved to, the same dir, it appends only
+chain was loaded from, or last saved to, the same dir, it appends only
 the new blocks to ``chain.json`` in place: it writes ``,<block>...]}``
 over the closing ``]}`` and fsyncs. That fsync is the one commit point.
 Only then does it write the new object files and the checkpoint, each to
@@ -28,15 +33,16 @@ header, decodes it and the blocks after it, checks its hash, index and
 nonce, and redoes the blocks after it (``Node.redo``). So a write that
 stops before its commit point leaves the state before the command, and
 one that stops after it the state after. The loaded ``Chain`` holds the
-tag's block and those after it; a reader of the whole history (verify,
-replay, the full digest, a snapshot) has it decode the blocks before
-them once. Only a log that ends in ``]}`` right after those blocks is
-read so; a torn log, a header not found, a failed check or a tag-less
-``state.json`` (a checkpoint at the log's tip) read the log whole. That
-read refuses a tag past the log or with a hash the log does not hold at
-that index, and drops a torn last append if what remains still holds the
-checkpoint's block; it writes nothing, and the next write overwrites the
-tail.
+tag's block and those after it. Its ``log``, a ``StoredLog``, records
+where the log stores them: ``save_state`` appends after them, and a
+reader of the whole history (verify, replay, the full digest, a
+snapshot) has it decode the blocks before them once. Only a log that
+ends in ``]}`` right after those blocks is read so; a torn log, a header
+not found, a failed check or a tag-less ``state.json`` (a checkpoint at
+the log's tip) read the log whole. That read refuses a tag past the log
+or with a hash the log does not hold at that index, and drops a torn
+last append if what remains still holds the checkpoint's block; it
+writes nothing, and the next write overwrites the tail.
 
 A snapshot is ``state_dict(objects=True)`` with the block log under
 ``chain``, plus a ``digest`` of that body. The digest is
@@ -54,6 +60,7 @@ administrator, or whose stored contracts are not exactly the factory's
 proxies, each initialized at its own address.
 """
 
+import contextlib
 import fcntl
 import json
 import os
@@ -89,14 +96,33 @@ class Checkpoint:
     hash: bytes
 
 
-@dataclass(frozen=True)
+@dataclass
 class StoredLog:
-    """A node's chain as a dir's ``chain.json`` holds it: the log at
-    `path` holds its first `blocks` blocks, and the last of them ends at
-    byte `end`, where the closing ``]}`` (or a torn tail) begins."""
+    """Where a chain sits in a dir's log: the file at `path` holds its
+    first `blocks` blocks, the last ending at byte `end` (None unless
+    stored canonically) before ``]}`` or a torn tail. Unless the chain
+    holds the whole log, its first held block is `first` from `start`."""
     path: str
     blocks: int
-    end: int
+    end: Optional[int]
+    start: int = 0
+    first: bytes = b""
+
+    def before(self, index: int) -> list:
+        """The `index` blocks before held block `index`, read once: the
+        bytes before `first`, which must still be at `start`."""
+        with open(self.path, "rb") as fh:
+            data = fh.read(self.start + len(self.first))
+        if data[self.start - 1:] != b"," + self.first:
+            raise err("CorruptSnapshot", f"{self.path} no longer holds "
+                      f"block {index} at byte {self.start}")
+        blocks = Chain.from_dict(_json_object(
+            self.path, data[:self.start - 1] + b"]}", "surrogateescape")).held
+        if len(blocks) != index:
+            raise err("CorruptSnapshot", f"{self.path} holds {len(blocks)} "
+                      f"blocks before block {index}")
+        self.first = b""  # the chain now holds the whole log
+        return blocks
 
 
 def _write_atomic(path: str, data: bytes):
@@ -108,11 +134,14 @@ def _write_atomic(path: str, data: bytes):
     os.replace(tmp, path)
 
 
-def _append(stored: StoredLog, held: list) -> Optional[int]:
+def _append(stored, path: str, held: list) -> Optional[int]:
     """Write the blocks of `held` after the first `stored.blocks` of the
-    log over its closing ``]}`` and fsync it: the commit point. Returns
-    where the new ``]}`` begins; None, having written nothing, if the
-    log no longer ends block ``stored.blocks - 1`` at `stored.end`."""
+    log at `path` over its closing ``]}`` and fsync it: the commit point.
+    Returns where the new ``]}`` begins; None, having written nothing,
+    unless `stored` is that log and it still ends block
+    ``stored.blocks - 1`` at `stored.end`."""
+    if stored is None or stored.path != path or stored.end is None:
+        return None
     i = stored.blocks - 1 - held[0].index  # the stored tip's place in held
     if not 0 <= i < len(held):
         return None
@@ -120,7 +149,7 @@ def _append(stored: StoredLog, held: list) -> Optional[int]:
     tail = b"".join(b"," + block.canonical_json()
                     for block in held[i + 1:]) + b"]}"
     try:
-        fh = open(stored.path, "r+b")
+        fh = open(path, "r+b")
     except FileNotFoundError:
         return None
     with fh:
@@ -152,16 +181,15 @@ def save_state(state_dir: str, node: Node):
     objects = {digest: store.read(digest)
                for digest in sorted(store.digests() - on_disk)}
     chain_path = os.path.abspath(os.path.join(state_dir, "chain.json"))
-    stored = node.stored_log
-    end = (_append(stored, chain.held)
-           if stored is not None and stored.path == chain_path else None)
+    end = _append(chain.log, chain_path, chain.held)
     os.makedirs(objects_dir, exist_ok=True)
     whole = end is None  # the dir holds no log of this chain
     if whole:
         log = chain.canonical_json()
         _write_atomic(chain_path, log)
-        end = len(log) - 2
-    node.stored_log = StoredLog(chain_path, chain.height, end)
+        chain.log = StoredLog(chain_path, chain.height, len(log) - 2)
+    else:
+        chain.log.blocks, chain.log.end = chain.height, end
     for digest, data in objects.items():
         _write_atomic(os.path.join(objects_dir, digest + ".bin"), data)
     _write_atomic(os.path.join(state_dir, "state.json"), checkpoint)
@@ -257,32 +285,12 @@ def _read_log(path: str, need: Optional[int]) -> tuple:
     return chain, end
 
 
-def _history(path: str, index: int, start: int, stored: bytes):
-    """A loader of the `index` blocks before block `index`, which the log
-    at `path` stores as `stored` from byte `start`: once it finds `stored`
-    still there, it decodes the bytes before it as a whole log."""
-    def load() -> list:
-        with open(path, "rb") as fh:
-            data = fh.read(start + len(stored))
-        if data[start - 1:] != b"," + stored:
-            raise err("CorruptSnapshot", f"{path} no longer holds block "
-                      f"{index} at byte {start}")
-        blocks = Chain.from_dict(_json_object(
-            path, data[:start - 1] + b"]}", "surrogateescape")).held
-        if len(blocks) != index:
-            raise err("CorruptSnapshot", f"{path} holds {len(blocks)} "
-                      f"blocks before block {index}")
-        return blocks
-    return load
-
-
 def _read_tail(path: str, tag: Checkpoint) -> Optional[tuple]:
     """The log at `path` read back from its end to the block `tag` names:
-    a chain holding that block, with a loader of the blocks before it;
-    the blocks after it; and the byte where the log's closing ``]}``
-    begins if the last block is stored in canonical form (else None).
-    None unless the log stores that block after a comma, with the tag's
-    hash, index and nonce, and only whole blocks and ``]}`` after it."""
+    a chain holding that block, which records where the log stores it,
+    and the blocks after it. None unless the log stores that block after
+    a comma, with the tag's hash, index and nonce, and only whole blocks
+    and ``]}`` after it."""
     header = (f'{{"hash":"{tag.hash.hex()}","index":{tag.index},'
               .encode("utf-8"))
     with open(path, "rb") as fh:
@@ -312,11 +320,11 @@ def _read_tail(path: str, tag: Checkpoint) -> Optional[tuple]:
             b.index != tag.index + i or b.nonce != tag.index + i
             for i, b in enumerate(blocks)):
         return None
-    first = at + len(text[:ends[0]].encode("utf-8", "surrogateescape"))
-    history = _history(path, tag.index, start + at, data[at:first])
+    first = text[:ends[0]].encode("utf-8", "surrogateescape")
     end = (size - 2 if data.endswith(blocks[-1].canonical_json(), 0,
                                      len(data) - 2) else None)
-    return Chain(blocks[:1], history), blocks[1:], end
+    log = StoredLog(path, blocks[-1].index + 1, end, start + at, first)
+    return Chain(blocks[:1], log), blocks[1:]
 
 
 def _check_version(body: dict, what: str):
@@ -388,7 +396,8 @@ def load_state(state_dir: str) -> Node:
     # objects before the log: a write adds them only after its append
     objects_dir = os.path.abspath(os.path.join(state_dir, "objects"))
     store = ObjectStore(path=objects_dir, listed=_listing(objects_dir))
-    tail = None if tag is None else _read_tail(chain_path, tag)
+    log_path = os.path.abspath(chain_path)
+    tail = None if tag is None else _read_tail(log_path, tag)
     if tail is None:  # the whole log
         need = None if tag is None else tag.index
         chain, end = _read_log(chain_path, need)
@@ -401,20 +410,75 @@ def load_state(state_dir: str) -> Node:
         if blocks[tag.index].hash != tag.hash:
             raise err("CorruptSnapshot", f"{state_path} reflects a block "
                       f"{tag.index} the log does not hold")
+        chain.log = StoredLog(log_path, len(blocks), end)
         later = blocks[tag.index + 1:]
         del blocks[tag.index + 1:]
     else:
-        chain, later, end = tail
+        chain, later = tail
     node = _state_from_dicts(state_d, chain, store)
     try:
         node.redo(later)
     except LedgerError as exc:
         raise err("CorruptSnapshot", f"the blocks after {state_path} "
                   f"do not redo: {exc}") from exc
-    if end is not None:
-        node.stored_log = StoredLog(os.path.abspath(chain_path),
-                                    chain.height, end)
     return node
+
+
+class LedgerDir:
+    """One command's hold on the state dir at `path`, which reads nothing
+    until its `node` is first used; `writing()` holds the dir's flock and
+    `commit()` saves the ledger."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self._node = None
+        self._locked = False  # whether this hold has the flock
+
+    @property
+    def node(self) -> Node:
+        if self._node is None:
+            self._node = load_state(self.path)
+        return self._node
+
+    @contextlib.contextmanager
+    def writing(self, create: bool = False, overwrite: bool = False):
+        """Hold the flock on ``.lock``; inside a hold that has it, a no-op.
+        With `create`, make a missing dir and refuse a ledger in it unless
+        `overwrite`; a failure then removes the lock and a dir it made."""
+        if self._locked:
+            yield
+            return
+        created = not os.path.isdir(self.path)
+        if created and not create:  # the lock creates nothing
+            raise _uninitialized(self.path)
+        os.makedirs(self.path, exist_ok=True)
+        lock = os.path.join(self.path, ".lock")
+        with open(lock, "a+") as fh:  # closing it releases the flock
+            try:
+                fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except OSError:
+                raise err("StateLocked", f"another process holds {lock}")
+            self._locked = True
+            try:
+                if create and not overwrite and holds_ledger(self.path):
+                    raise err("AlreadyInitialized",
+                              f"{self.path} already holds a ledger; "
+                              "`state import --force` overwrites it")
+                yield
+            except BaseException:
+                if created:
+                    os.remove(lock)
+                    with contextlib.suppress(OSError):  # others' files stay
+                        os.rmdir(self.path)
+                raise
+            finally:
+                self._locked = False
+
+    def commit(self, node: Node = None):
+        """Save `node`, from now on this hold's ledger, or the loaded one."""
+        if node is not None:
+            self._node = node
+        save_state(self.path, self.node)
 
 
 # -- snapshots -------------------------------------------------------------
@@ -447,35 +511,3 @@ def read_snapshot(path: str) -> Node:
     if not os.path.exists(path):
         raise err("NotFound", path)
     return import_snapshot(_read_json_object(path))
-
-
-# -- locking ----------------------------------------------------------------
-
-
-class StateLock:
-    """flock-based exclusive lock on <state_dir>/.lock; a missing
-    `state_dir` is Uninitialized, as the lock creates nothing."""
-
-    def __init__(self, state_dir: str):
-        if not os.path.isdir(state_dir):
-            raise _uninitialized(state_dir)
-        self.path = os.path.join(state_dir, ".lock")
-        self._fh = None
-
-    def __enter__(self):
-        self._fh = open(self.path, "a+")
-        try:
-            fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            self._fh.close()
-            self._fh = None
-            raise err("StateLocked",
-                      f"another process holds {self.path}")
-        return self
-
-    def __exit__(self, *exc):
-        if self._fh is not None:
-            fcntl.flock(self._fh.fileno(), fcntl.LOCK_UN)
-            self._fh.close()
-            self._fh = None
-        return False

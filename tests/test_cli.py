@@ -9,7 +9,7 @@ import shlex
 
 import pytest
 
-from estateledger import cli
+from estateledger import cli, persistence
 from estateledger.addresses import derive_address
 from estateledger.canonical import canonical_json_bytes
 from estateledger.errors import LedgerError
@@ -727,6 +727,33 @@ def _dir_bytes(state_dir) -> dict:
     return out
 
 
+LEAF = "ab" * 32
+
+
+@pytest.mark.parametrize("argv", [
+    ["chain", "balance", "--address", ADMIN],
+    ["state", "digest"],
+    ["chain", "verify"],
+    ["object", "resolve", "--base-uri", URI, "--id", "7"],
+    ["merkle", "verify", "--root", LEAF, "--leaf", LEAF,
+     "--proof", '{"leafIndex": 0, "siblings": []}'],
+    ["merkle", "root", "--leaf", LEAF]],
+    ids=["chain-balance", "state-digest", "chain-verify", "object-resolve",
+         "merkle-verify", "merkle-root"])
+def test_a_read_takes_no_lock_and_a_stateless_command_needs_no_dir(
+        estate, argv):
+    if argv[0] in ("chain", "state"):  # a read while a writer holds .lock
+        estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+        before = _dir_bytes(estate.state_dir)
+        with open(os.path.join(estate.state_dir, ".lock"), "a+") as holder:
+            fcntl.flock(holder.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+            estate(*argv)
+        assert _dir_bytes(estate.state_dir) == before
+    else:  # no --state-dir at all
+        estate(*argv)
+        assert not os.path.exists(estate.state_dir)
+
+
 OTHER_KEY = "other-admin-key"
 
 
@@ -742,18 +769,17 @@ def test_ledger_check_runs_under_the_lock(estate, monkeypatch, command):
                      "--state-dir", other]) == 0
     assert cli.main(["state", "export", "--out", snap,
                      "--state-dir", other]) == 0
-    real_lock, first = cli.StateLock, {}
+    real_flock, first = persistence.fcntl.flock, {}
 
-    class RacingLock(real_lock):
-        def __enter__(self):
-            monkeypatch.setattr(cli, "StateLock", real_lock)
-            assert cli.main(["init", "--admin-key", OTHER_KEY,
-                             "--timestamp", "7",
-                             "--state-dir", estate.state_dir]) == 0
-            first.update(_dir_bytes(estate.state_dir))
-            return super().__enter__()
+    def racing_flock(fd, operation):
+        monkeypatch.setattr(persistence.fcntl, "flock", real_flock)
+        assert cli.main(["init", "--admin-key", OTHER_KEY,
+                         "--timestamp", "7",
+                         "--state-dir", estate.state_dir]) == 0
+        first.update(_dir_bytes(estate.state_dir))
+        return real_flock(fd, operation)
 
-    monkeypatch.setattr(cli, "StateLock", RacingLock)
+    monkeypatch.setattr(persistence.fcntl, "flock", racing_flock)
     _, _, errtxt = estate(*[a.replace("{snap}", snap) for a in command],
                           expect=3)
     assert errtxt.startswith("error: AlreadyInitialized: ")
@@ -1030,13 +1056,9 @@ def test_run_script_error_names_its_code_once(estate, tmp_path):
     assert errtxt == f"error: UnknownAccount: line 1: {SELLER}"
 
 
-def test_script_loads_once_and_saves_each_line(estate, tmp_path,
-                                               monkeypatch):
-    estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
-    script = tmp_path / "ten.txt"
-    script.write_text(f"# ten faucets\nchain verify\n" + "".join(
-        f"as {ADMIN} chain faucet --to {ADMIN} --amount {i}\n"
-        for i in range(1, 11)))
+def _count_loads_and_saves(monkeypatch) -> dict:
+    """Counts calls of the module-wide load_state and save_state, the
+    names the bench harness rebinds to time them."""
     calls = {"load": 0, "save": 0}
 
     def counted(name, fn):
@@ -1044,8 +1066,21 @@ def test_script_loads_once_and_saves_each_line(estate, tmp_path,
             calls[name] += 1
             return fn(*args)
         return wrapper
-    monkeypatch.setattr(cli, "load_state", counted("load", cli.load_state))
-    monkeypatch.setattr(cli, "save_state", counted("save", cli.save_state))
+    monkeypatch.setattr(persistence, "load_state",
+                        counted("load", persistence.load_state))
+    monkeypatch.setattr(persistence, "save_state",
+                        counted("save", persistence.save_state))
+    return calls
+
+
+def test_script_loads_once_and_saves_each_line(estate, tmp_path,
+                                               monkeypatch):
+    estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+    script = tmp_path / "ten.txt"
+    script.write_text(f"# ten faucets\nchain verify\n" + "".join(
+        f"as {ADMIN} chain faucet --to {ADMIN} --amount {i}\n"
+        for i in range(1, 11)))
+    calls = _count_loads_and_saves(monkeypatch)
     result = jget(estate, "run", str(script), "--timestamp", "1")
     assert calls == {"load": 1, "save": 10}
     assert result["commands"] == 11
@@ -1053,6 +1088,18 @@ def test_script_loads_once_and_saves_each_line(estate, tmp_path,
     assert result["digest"] == load_state(estate.state_dir).full_digest()
     assert jget(estate, "chain", "balance",
                 "--address", ADMIN)["balance"] == 55
+
+
+@pytest.mark.parametrize("argv, saves", [
+    (["chain", "balance", "--address", ADMIN], 0),
+    (["chain", "faucet", "--to", ADMIN, "--amount", "1", "--as", ADMIN,
+      "--timestamp", "1"], 1)], ids=["read", "write"])
+def test_a_lone_command_loads_once_and_saves_only_a_write(
+        estate, monkeypatch, argv, saves):
+    estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+    calls = _count_loads_and_saves(monkeypatch)
+    estate(*argv)
+    assert calls == {"load": 1, "save": saves}
 
 
 def test_script_against_a_locked_dir_is_state_locked(estate, tmp_path):

@@ -179,6 +179,9 @@ def test_a_fault_at_any_write_boundary_leaves_the_state_before_or_after(
             assert rc == 0
             break
         assert rc == 3, faults.fired
+        # an I/O error that names no file is no missing file
+        errtxt = capsys.readouterr().err
+        assert "NotFound" not in errtxt and "None" not in errtxt, errtxt
         got = digest(state_dir)
         assert got in (pre, post), faults.fired
         outcomes.append((faults.fired, "pre" if got == pre else "post"))
@@ -413,7 +416,7 @@ def _whole_log_load(state_dir, monkeypatch) -> Node:
 def _load_outcome(node) -> tuple:
     chain = node.state.chain
     return (node.full_digest(), len(chain.blocks), chain.verify(),
-            node.stored_log.end)
+            chain.log.end)
 
 
 @pytest.mark.parametrize("torn", [False, True], ids=["whole", "torn"])
@@ -431,7 +434,7 @@ def test_a_load_from_the_log_end_equals_a_whole_log_load(
     with open(os.path.join(state_dir, "state.json"), "wb") as fh:
         fh.write(checkpoint)
     whole = _whole_log_load(state_dir, monkeypatch)
-    assert whole.state.chain.history is None
+    assert not whole.state.chain.log.first
     if torn:  # a kill part way through the next append
         log = read(state_dir, "chain.json")
         with open(os.path.join(state_dir, "chain.json"), "wb") as fh:
@@ -441,7 +444,7 @@ def test_a_load_from_the_log_end_equals_a_whole_log_load(
     # a torn log is read whole: only an intact end shows where the scan is
     assert [b.index for b in chain.held] == list(
         range(0 if torn else 8 - lag, 9))
-    assert (chain.history is None) is torn
+    assert (not chain.log.first) is torn
     assert _load_outcome(lazy) == _load_outcome(whole)
     assert chain.held == whole.state.chain.held
 
@@ -462,7 +465,7 @@ def test_a_block_shaped_param_is_never_read_as_the_checkpoints_block(
     with open(os.path.join(state_dir, "state.json"), "wb") as fh:
         fh.write(lagging)  # as a kill before the checkpoint's rename leaves it
     node = load_state(state_dir)
-    assert node.state.chain.history is None
+    assert not node.state.chain.log.first
     assert node.full_digest() == post
     torn = log[:log.rindex(canonical_json_bytes(tip)) + len(
         canonical_json_bytes(tip))]  # a tear just after the copy
@@ -519,7 +522,7 @@ def test_a_tip_stored_otherwise_takes_the_whole_log_path(
     calls.clear()
     node = load_state(state_dir)
     assert len(calls) == len(blocks) + 1
-    assert node.state.chain.history is None
+    assert not node.state.chain.log.first
     assert not node.state.chain.verify()
 
 

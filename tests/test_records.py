@@ -2,9 +2,14 @@
 `to_json` writes, and anything else is CorruptSnapshot."""
 
 import json
+import os
+import shutil
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from estateledger import cli
+from estateledger.addresses import derive_address
 from estateledger.errors import LedgerError
 from estateledger.persistence import load_state, save_state
 from estateledger.records import read
@@ -29,14 +34,14 @@ def _leaves(value, path=()):
         yield path, value
 
 
-def _dumped_with(doc, path, new) -> str:
+def _dumped_with(doc, path, new, **dump) -> str:
     """`doc` as JSON text with the leaf at `path` swapped for `new`."""
     inner = doc
     for key in path[:-1]:
         inner = inner[key]
     old, inner[path[-1]] = inner[path[-1]], new
     try:
-        return json.dumps(doc)
+        return json.dumps(doc, **dump)
     finally:
         inner[path[-1]] = old
 
@@ -91,3 +96,86 @@ def test_non_canonical_forms_are_refused(t, value):
     with pytest.raises(LedgerError) as e:
         read(t, value)
     assert e.value.code == "CorruptSnapshot"
+
+
+# -- fuzzing the files of a state dir ------------------------------------------
+
+FUZZ_ADMIN = derive_address(b"admin-key-1")
+FUZZ_SELLER = derive_address(b"seller-key")
+# the text a leaf is swapped for: numbers JSON cannot hold or a u64
+# cannot, a lone surrogate, and nesting past the recursion limit
+BAD_LEAVES = ("NaN", "1e999", str(2 ** 64), '"\\ud800"',
+              "[" * 5000 + "]" * 5000)
+FUZZ_COMMANDS = (
+    ["chain", "verify"],
+    ["chain", "balance", "--address", FUZZ_ADMIN],
+    ["state", "digest"],
+    ["chain", "faucet", "--to", FUZZ_SELLER, "--amount", "1",
+     "--as", FUZZ_ADMIN, "--timestamp", "9"],
+    ["chain", "replay"],
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A CLI-built ledger: an admin, a seller, a faucet and one object."""
+    base = tmp_path_factory.mktemp("fuzz") / "base"
+    for argv in (["init", "--admin-key", "admin-key-1", "--timestamp", "0"],
+                 ["stakeholder", "register", "--role", "Seller", "--key",
+                  "seller-key", "--as", FUZZ_ADMIN, "--timestamp", "1"],
+                 FUZZ_COMMANDS[3],
+                 ["object", "put", "--data", "deed", "--as", FUZZ_ADMIN,
+                  "--timestamp", "3"]):
+        assert cli.main([*argv, "--state-dir", str(base)]) == 0
+    return base
+
+
+def _all_bytes(state_dir) -> dict:
+    out = {}
+    for root, _, names in os.walk(state_dir):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, state_dir)] = fh.read()
+    return out
+
+
+@st.composite
+def mutations(draw, original: bytes):
+    """`original` with bytes flipped, truncated or inserted, or with one
+    leaf of its JSON swapped for one of BAD_LEAVES."""
+    kind = draw(st.sampled_from(("flip", "truncate", "insert", "leaf")))
+    at = draw(st.integers(0, len(original) - 1))
+    if kind == "flip":
+        bit = 1 << draw(st.integers(0, 7))
+        return original[:at] + bytes([original[at] ^ bit]) + original[at + 1:]
+    if kind == "truncate":
+        return original[:at]
+    if kind == "insert":
+        inserted = draw(st.binary(min_size=1, max_size=4))
+        return original[:at] + inserted + original[at:]
+    doc = json.loads(original)
+    path = draw(st.sampled_from([path for path, _ in _leaves(doc)]))
+    text = _dumped_with(doc, path, "@leaf@", separators=(",", ":"),
+                        ensure_ascii=False)
+    return text.replace('"@leaf@"', draw(st.sampled_from(BAD_LEAVES)),
+                        1).encode("utf-8")
+
+
+@given(data=st.data(), name=st.sampled_from(("state.json", "chain.json")))
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+def test_a_corrupt_ledger_file_exits_cleanly_and_writes_nothing(
+        fuzz_base, data, name):
+    """No mutation of a ledger file makes a command raise out of main or
+    exit 2, and a command that fails leaves the dir as it found it."""
+    original = (fuzz_base / name).read_bytes()
+    state_dir = fuzz_base.parent / "case"
+    shutil.rmtree(state_dir, ignore_errors=True)
+    shutil.copytree(fuzz_base, state_dir)
+    (state_dir / name).write_bytes(data.draw(mutations(original)))
+    for argv in FUZZ_COMMANDS:
+        before = _all_bytes(state_dir)
+        rc = cli.main([*argv, "--state-dir", str(state_dir)])
+        assert rc in (0, 3, 4), argv
+        if rc:
+            assert _all_bytes(state_dir) == before, argv
