@@ -29,6 +29,10 @@ from .tokens import check_token_id, fractional_of, swap_descriptor_digest
 
 
 class Parser(argparse.ArgumentParser):
+    def parse_args(self, argv):
+        # a command's own parser skips the command words its prog names
+        return super().parse_args(argv[self.prog.count(" "):])
+
     # argparse exits the process on error; we want an exit code instead
     def error(self, message):
         raise err("ParseError", message)
@@ -116,9 +120,9 @@ def parse_json_object(s: str) -> dict:
 
 # -- leaf arguments ------------------------------------------------------------
 # COMMANDS, at the end of this module, maps each (noun, verb) pair to its
-# leaf arguments and its handler; build_parser and dispatch read the same
-# entry. Each argument is (flag, add_argument kwargs). A list in place of
-# the flag is a required mutually exclusive group of such arguments.
+# leaf arguments, which build_parser adds after COMMON to that command's
+# parser, and its handler. Each argument is (flag, add_argument kwargs). A
+# list in place of the flag is a required mutually exclusive group of them.
 
 REQUIRED = {"required": True}
 REQUIRED_INT = {"type": int, "required": True}
@@ -152,21 +156,21 @@ def _add_args(parser, args):
 
 
 def build_parser(argv=None) -> Parser:
-    """The parser for `argv`: when its first words name a command, only
-    the path from the root to that command's leaf is built. Otherwise
-    (no argv, root help, an unknown noun or verb) the whole tree is, so
-    help and error text come from the full tree."""
-    commands = COMMANDS
-    if argv:
-        key = (argv[0], None)
-        if key not in COMMANDS:
-            key = tuple(argv[:2])
+    """The parser of `argv`: when its first words name a command, that
+    command's alone, with `noun` and `verb` as defaults; otherwise (no argv,
+    root help, a bare noun, an unknown noun or verb, an option before the
+    command) the whole tree, so help and error text list every choice."""
+    for key in ((argv[0], None), tuple(argv[:2])) if argv else ():
         if key in COMMANDS:
-            commands = {key: COMMANDS[key]}
+            words = [word for word in key if word]
+            leaf = Parser(prog=" ".join(["estate"] + words))
+            leaf.set_defaults(**dict(zip(("noun", "verb"), words)))
+            _add_args(leaf, COMMON + COMMANDS[key][0])
+            return leaf
     root = Parser(prog="estate", description=__doc__)
     nouns = root.add_subparsers(dest="noun", required=True)
     verbs = {}
-    for (noun, verb), (args, _) in commands.items():
+    for (noun, verb), (args, _) in COMMANDS.items():
         if verb is None:
             leaf = nouns.add_parser(noun)
         else:

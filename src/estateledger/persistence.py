@@ -224,7 +224,8 @@ def _read_json_object(path: str) -> dict:
     with open(path, "rb") as fh:
         data = fh.read()
     value = _json_object(path, data)
-    if b"\\ud" in data or b"\\uD" in data:  # a \u escape of a surrogate?
+    # a \u escape of a surrogate? A file with no backslash holds no escape
+    if b"\\" in data and (b"\\ud" in data or b"\\uD" in data):
         try:
             json.dumps(value, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError as exc:

@@ -1,6 +1,5 @@
 """End-to-end tests driving the installed command grammar in-process."""
 
-import argparse
 import fcntl
 import hashlib
 import json
@@ -547,6 +546,19 @@ def test_a_lone_surrogate_in_state_json_is_corrupt_snapshot(estate, command):
         f"error: CorruptSnapshot: {estate.state_dir}/state.json holds a "
         "string that is not UTF-8: ")
     assert _dir_bytes(estate.state_dir) == before
+
+
+def test_a_state_json_with_escapes_but_no_surrogate_loads(estate):
+    admin = jget(estate, "init", "--admin-key", ADMIN_KEY, "--info-cid",
+                 'a "quoted" \\ cid\n', "--timestamp", "0")["admin"]
+    with open(os.path.join(estate.state_dir, "state.json"), "rb") as fh:
+        data = fh.read()
+    assert b'a \\"quoted\\" \\\\ cid\\n' in data and b"\\u" not in data
+    shown = jget(estate, "stakeholder", "show", "--address", admin)
+    assert shown["publicInfo"] == 'a "quoted" \\ cid\n'
+    estate("chain", "faucet", "--to", admin, "--amount", "1", "--as", admin,
+           "--timestamp", "1")
+    estate("chain", "verify")
 
 
 @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
@@ -1240,11 +1252,6 @@ def test_scripts_are_deterministic(estate, tmp_path, capsys):
 # -- the command table ---------------------------------------------------------
 
 
-def _subcommands(parser) -> dict:
-    return next((action.choices for action in parser._actions
-                 if isinstance(action, argparse._SubParsersAction)), {})
-
-
 @pytest.fixture(scope="module")
 def full_parser():
     return cli.build_parser()
@@ -1274,17 +1281,29 @@ def _parse_error(parser, argv) -> str:
     return exc.value.message
 
 
+def _parsers_built(monkeypatch, argv) -> int:
+    built = []
+    init = cli.Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.Parser, "__init__", counted)
+        cli.build_parser(argv)
+    return len(built)
+
+
 @pytest.mark.parametrize("key", list(cli.COMMANDS), ids=str)
-def test_leaf_parser_matches_full_parser(full_parser, key):
+def test_leaf_parser_matches_full_parser(full_parser, monkeypatch, key):
     command = [word for word in key if word]
     args = _leaf_args(key)
     argv = command + [t for tokens, _ in args for t in tokens] + [
         "--as", ADMIN, "--value", "1", "--timestamp", "2", "--json"]
+    # a command is parsed by one parser of its own, not a path of the tree
+    assert _parsers_built(monkeypatch, argv) == 1
+    assert _parsers_built(monkeypatch, command) == 1
     leaf_parser = cli.build_parser(argv)
-    # only the path to the one leaf is built
-    nouns = _subcommands(leaf_parser)
-    assert list(nouns) == [key[0]]
-    assert list(_subcommands(nouns[key[0]])) == ([key[1]] if key[1] else [])
     assert leaf_parser.parse_args(argv) == full_parser.parse_args(argv)
     for i, (_, required) in enumerate(args):
         if required:
@@ -1292,6 +1311,19 @@ def test_leaf_parser_matches_full_parser(full_parser, key):
                                  if j != i for t in tokens]
             assert (_parse_error(cli.build_parser(missing), missing)
                     == _parse_error(full_parser, missing))
+    # an unknown flag, a flag missing its value, a bad int
+    for bad in (argv + ["--bogus"], argv + ["--timestamp"],
+                argv + ["--value", "x"]):
+        assert (_parse_error(cli.build_parser(bad), bad)
+                == _parse_error(full_parser, bad))
+
+
+@pytest.mark.parametrize("argv", [[], ["chain"], ["chain", "nope"],
+                                  ["--help"], ["--json", "chain", "verify"]])
+def test_no_command_builds_the_full_tree(full_parser, monkeypatch, argv):
+    assert _parsers_built(monkeypatch, argv) == _parsers_built(
+        monkeypatch, None) > len(cli.COMMANDS)
+    assert cli.build_parser(argv).format_help() == full_parser.format_help()
 
 
 @pytest.mark.parametrize("argv", [
