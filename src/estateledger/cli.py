@@ -10,14 +10,16 @@ state directory; queries read the state without touching it.
 """
 
 import argparse
+import functools
 import json
 import os
 import shlex
+import shutil
 import sys
 import time
 
 from .addresses import check_address
-from .canonical import canonical_json_bytes
+from .canonical import canonical_json_bytes, sha256_hex
 from .errors import LedgerError, err
 from .identity import parse_role
 from .merkle import MerkleProof, MerkleTree, verify_proof
@@ -28,7 +30,18 @@ from .storage import cid_digest, resolve_uri
 from .tokens import check_token_id, fractional_of, swap_descriptor_digest
 
 
+@functools.cache
+def _help_width() -> int:
+    """The width argparse gives a formatter, asked of the terminal once."""
+    return shutil.get_terminal_size().columns - 2
+
+
 class Parser(argparse.ArgumentParser):
+    # argparse builds a formatter on every add_argument, to check its
+    # metavar, and each would ask the terminal for its width
+    def _get_formatter(self):
+        return self.formatter_class(prog=self.prog, width=_help_width())
+
     def parse_args(self, argv):
         # a command's own parser skips the command words its prog names
         return super().parse_args(argv[self.prog.count(" "):])
@@ -339,6 +352,15 @@ def _merkle_verify(args, _) -> dict:
                                   parse_hex_digest(args.leaf), proof)}
 
 
+# state digest --scope: scope -> the digest of a node
+DIGESTS = {
+    "full": lambda node: node.full_digest(),
+    "ledger": lambda node: node.ledger_digest(),
+    "properties": lambda node: sha256_hex(canonical_json_bytes(
+        node.state.state_dict()["properties"])),
+}
+
+
 # commands that replace or lock the whole state dir: a script refuses them
 SCRIPT_REFUSED = {("init", None), ("run", None), ("state", "import")}
 
@@ -560,10 +582,9 @@ COMMANDS = {
     ("chain", "balance"): ([("--address", REQUIRED)], query(lambda a, n: {
         "address": a.address, "balance": n.state.native.balance(a.address)})),
     ("state", "digest"): (
-        [("--scope", {"choices": ("full", "ledger", "properties"),
-                      "default": "full"})],
+        [("--scope", {"choices": tuple(DIGESTS), "default": "full"})],
         query(lambda a, n: {"scope": a.scope,
-                            "digest": getattr(n, f"{a.scope}_digest")()})),
+                            "digest": DIGESTS[a.scope](n)})),
     ("state", "export"): ([("--out", REQUIRED)], query(_state_export)),
     ("state", "import"): ([("--in", {"dest": "infile", "required": True}),
                            ("--force", {"action": "store_true"})],

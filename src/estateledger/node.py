@@ -10,7 +10,9 @@ its position. So on success exactly one block is appended holding the
 operation's transaction (deployments add an event transaction), and a
 failure changes nothing and appends nothing. What no command can break
 (an active administrator, each contract initialized at its own
-address) is checked once, when ``persistence`` decodes a loaded ledger.
+address) is checked once, when ``persistence`` decodes a loaded
+ledger's section; a loaded ``PendingState`` decodes each section on
+first use, and ``execute`` decodes them all before admission.
 
 ``LedgerState.state_dict`` is the one serialization of the state:
 ``state.json`` is its default form, ``full_digest`` and
@@ -79,6 +81,38 @@ class LedgerState:
         return d
 
 
+class PendingState(LedgerState):
+    """A loaded ``LedgerState`` whose sections are decoded on first use.
+    `pending` maps the attribute of each section not yet decoded to
+    ``(decode, raw)``: ``decode(raw)`` checks the section and returns its
+    attributes. Once none is left the state is a plain ``LedgerState``
+    again, so the attribute reads of ``execute`` pay for no
+    ``__getattr__``."""
+
+    def __init__(self, pending: dict, **attrs):
+        vars(self).update(attrs, pending=pending)
+
+    def __getattr__(self, name):  # only an attribute not yet set gets here
+        pending = vars(self).get("pending", {})
+        if name not in pending:
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        decode, raw = pending[name]
+        attrs = decode(raw)
+        vars(self).update(attrs)
+        for key in attrs:
+            del pending[key]
+        if not pending:
+            del self.pending
+            self.__class__ = LedgerState
+        return attrs[name]
+
+    def decode(self):
+        """Decode every section not yet decoded."""
+        for name in list(self.pending):
+            getattr(self, name)
+
+
 def state_pieces(d: dict, chain: Chain):
     """The bytes of ``canonical_json_bytes(d | {"chain": chain.to_dict()})``
     in pieces, without decoding a block: the keys of `d` that sort before
@@ -123,10 +157,6 @@ class Node:
         no-ops leave this unchanged."""
         return self._digest(chain=False)
 
-    def properties_digest(self) -> str:
-        return sha256_hex(canonical_json_bytes(
-            self.state.state_dict()["properties"]))
-
     # -- lifecycle ------------------------------------------------------------
 
     def init_genesis(self, admin_key: bytes, info_cid: str = "",
@@ -153,6 +183,8 @@ class Node:
         """Admit the command, run its executor on the live state and seal
         its block; a failure raises before anything is written."""
         state = self.state
+        if type(state) is not LedgerState:  # decode what a load left
+            state.decode()
         decl = OPS.get(operation)
         if decl is None:
             raise err("ParseError", f"unknown operation {operation!r}")

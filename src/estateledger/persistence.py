@@ -7,6 +7,7 @@ Layout inside a state directory:
     state.json   the checkpoint: ``LedgerState.state_dict()`` (accounts,
                  stakeholders, factory, properties, config) plus its tag
                  "block", the index and hash of the block it reflects
+                 and the file's own digest, "state"
     objects/     one <hex-digest>.bin file per stored object
     .lock        flock target guarding against concurrent writers
 
@@ -26,6 +27,17 @@ the objects and the checkpoint, and then loses each object file of a
 ledger it held before. Which objects a dir holds is the listing of
 ``objects/`` that the node's store was loaded with, or last saved to;
 another dir is listed once.
+
+The tag's digest is the SHA-256 of ``state.json`` with the digest's own
+hex digits zeroed: ``save_state`` hashes the one encoding it writes, and
+``load_state`` recomputes the digest over the bytes it read and refuses
+a mismatch before it decodes a section. A tag with no digest, as
+written before tags held one, loads unchecked. The object keys stay out
+of it: a write adds object files after its append. Each section of a
+checked checkpoint (accounts, stakeholders, factory with properties) is
+decoded, and its invariants checked, when a command first uses it: the
+loaded state is a ``PendingState``, and ``Node.execute`` decodes every
+section before it admits a command.
 
 ``load_state`` reads the checkpoint, then lists the objects, then reads
 the log from its end back to the tag's block: it finds that block's
@@ -62,6 +74,7 @@ proxies, each initialized at its own address.
 
 import contextlib
 import fcntl
+import hashlib
 import json
 import os
 import re
@@ -73,7 +86,7 @@ from .chain import Block, Chain, NativeLedger
 from .errors import LedgerError, err
 from .factory import Factory
 from .identity import StakeholderRegistry
-from .node import (STATE_VERSION, LedgerState, Node, state_digest,
+from .node import (STATE_VERSION, Node, PendingState, state_digest,
                    state_pieces)
 from .property_contract import PropertyContract
 from .records import read, read_object, to_json
@@ -91,9 +104,26 @@ _BLOCK_HEADER = re.compile(r',\{"hash":"[0-9a-f]{64}","index":')
 
 @dataclass
 class Checkpoint:
-    """The tag of ``state.json``: the block whose state it holds."""
+    """The tag of ``state.json``: the block whose state it holds, and the
+    SHA-256 of the file with the digest's own hex digits zeroed; None in a
+    tag written before tags held one."""
     index: int
     hash: bytes
+    state: Optional[bytes] = None
+
+
+def _tag_json(tag: Checkpoint) -> bytes:
+    """`tag` as the bytes of a checkpoint hold it."""
+    return b'"block":' + canonical_json_bytes(to_json(tag))
+
+
+def _signed(data: bytes, tag: Checkpoint) -> bool:
+    """Whether the checkpoint bytes `data` hold `tag`, and its digest is
+    the SHA-256 of `data` with the digest's hex digits zeroed."""
+    signed = _tag_json(tag)
+    zeroed = _tag_json(Checkpoint(tag.index, tag.hash, bytes(len(tag.state))))
+    return signed in data and hashlib.sha256(
+        data.replace(signed, zeroed, 1)).digest() == tag.state
 
 
 @dataclass
@@ -171,8 +201,11 @@ def save_state(state_dir: str, node: Node):
     state it cannot encode leaves the dir untouched."""
     state, chain = node.state, node.state.chain
     tip = chain.held[-1]
+    tag = Checkpoint(tip.index, tip.hash, bytes(32))  # the digest zeroed
     checkpoint = canonical_json_bytes(state.state_dict() | {
-        "block": to_json(Checkpoint(tip.index, tip.hash))})
+        "block": to_json(tag)})
+    zeroed, tag.state = _tag_json(tag), hashlib.sha256(checkpoint).digest()
+    checkpoint = checkpoint.replace(zeroed, _tag_json(tag), 1)
     store = state.store
     objects_dir = os.path.abspath(os.path.join(state_dir, "objects"))
     # content-addressed: a file once written is never rewritten
@@ -218,9 +251,10 @@ def _json_object(path: str, data: bytes, errors: str = "strict") -> dict:
     return value
 
 
-def _read_json_object(path: str) -> dict:
-    """The JSON object in the file at `path`; a string in it that holds a
-    lone surrogate, which no UTF-8 text can, is refused here."""
+def _read_json_object(path: str) -> tuple:
+    """The JSON object in the file at `path`, and the file's bytes; a
+    string in it that holds a lone surrogate, which no UTF-8 text can, is
+    refused here."""
     with open(path, "rb") as fh:
         data = fh.read()
     value = _json_object(path, data)
@@ -231,7 +265,7 @@ def _read_json_object(path: str) -> dict:
         except UnicodeEncodeError as exc:
             raise err("CorruptSnapshot", f"{path} holds a string that is "
                       f"not UTF-8: {exc}") from exc
-    return value
+    return value, data
 
 
 def _scan_blocks(text: str, pos: int) -> tuple:
@@ -336,10 +370,34 @@ def _check_version(body: dict, what: str):
                   f"expected {STATE_VERSION}")
 
 
+def _accounts(raw) -> dict:
+    return {"native": read(NativeLedger, raw)}
+
+
+def _stakeholders(raw) -> dict:
+    registry = read(StakeholderRegistry, raw)
+    if not registry.active_admins():
+        raise err("CorruptSnapshot", "no active administrator")
+    return {"registry": registry}
+
+
+def _contracts(raw) -> dict:
+    factory = read(Factory, raw[0])
+    properties = read(dict[str, PropertyContract], raw[1])
+    if sorted(properties) != sorted(factory.proxies):
+        raise err("CorruptSnapshot", "properties differ from proxies")
+    for address, prop in properties.items():
+        if not prop.initialized or prop.address != address:
+            raise err("CorruptSnapshot", f"the contract at {address} is "
+                      "uninitialized or records another address")
+    return {"factory": factory, "properties": properties}
+
+
 def _state_from_dicts(d: dict, chain: Chain, store: ObjectStore = None
                      ) -> Node:
     """Decode a ``state_dict()`` beside its `chain` and `store`, or its
-    hex ``objects``; refuse what no command produces."""
+    hex ``objects``; refuse what no command produces. Each section is
+    read, and its invariants checked, on first use (``PendingState``)."""
     read_object(d, STATE_KEYS | ({"objects"} if store is None else set()))
     if store is None:
         store = ObjectStore(read(dict[str, bytes], d["objects"]))
@@ -347,24 +405,13 @@ def _state_from_dicts(d: dict, chain: Chain, store: ObjectStore = None
             if sha256_hex(data) != digest:
                 raise err("CorruptSnapshot",
                           f"object {digest} does not match its digest")
-    state = LedgerState(
+    contracts = (_contracts, (d["factory"], d["properties"]))
+    return Node(PendingState(
+        {"native": (_accounts, d["accounts"]),
+         "registry": (_stakeholders, d["stakeholders"]),
+         "factory": contracts, "properties": contracts},
         config=read(dict[str, Optional[str]], d["config"]),
-        chain=chain,
-        native=read(NativeLedger, d["accounts"]),
-        registry=read(StakeholderRegistry, d["stakeholders"]),
-        store=store,
-        factory=read(Factory, d["factory"]),
-        properties=read(dict[str, PropertyContract], d["properties"]),
-    )
-    if not state.registry.active_admins():
-        raise err("CorruptSnapshot", "no active administrator")
-    if sorted(state.properties) != sorted(state.factory.proxies):
-        raise err("CorruptSnapshot", "properties differ from proxies")
-    for address, prop in state.properties.items():
-        if not prop.initialized or prop.address != address:
-            raise err("CorruptSnapshot", f"the contract at {address} is "
-                      "uninitialized or records another address")
-    return Node(state)
+        chain=chain, store=store))
 
 
 def _uninitialized(state_dir: str):
@@ -388,11 +435,15 @@ def load_state(state_dir: str) -> Node:
         if not os.path.exists(path):
             raise err("CorruptSnapshot", f"{path} is missing; "
                       "`state import --force` restores the dir")
-    state_d = _read_json_object(state_path)
+    state_d, data = _read_json_object(state_path)
     _check_version(state_d, "state")
     tag = state_d.pop("block", None)
-    if tag is not None:
-        tag = read(Checkpoint, tag)
+    if tag is not None:  # a tag with no digest loads unchecked
+        tag = read(Checkpoint, {"state": None} | tag
+                   if type(tag) is dict else tag)
+        if tag.state is not None and not _signed(data, tag):
+            raise err("CorruptSnapshot",
+                      f"{state_path} does not match its digest")
     read_object(state_d, STATE_KEYS)
     # objects before the log: a write adds them only after its append
     objects_dir = os.path.abspath(os.path.join(state_dir, "objects"))
@@ -497,7 +548,9 @@ def import_snapshot(snapshot: dict) -> Node:
     body = {k: v for k, v in snapshot.items() if k not in ("chain", "digest")}
     if state_digest(body, chain) != snapshot.get("digest"):
         raise err("CorruptSnapshot", "snapshot digest does not match")
-    return _state_from_dicts(body, chain)
+    node = _state_from_dicts(body, chain)
+    node.state.decode()  # an import checks every section
+    return node
 
 
 def write_snapshot(path: str, node: Node):
@@ -511,4 +564,4 @@ def write_snapshot(path: str, node: Node):
 def read_snapshot(path: str) -> Node:
     if not os.path.exists(path):
         raise err("NotFound", path)
-    return import_snapshot(_read_json_object(path))
+    return import_snapshot(_read_json_object(path)[0])

@@ -5,8 +5,9 @@ of leaves, a dict with str or int keys, records) are its stored form.
 sorted list, bytes as lowercase hex and an int key in decimal. `read(T,
 value)` raises CorruptSnapshot, naming the path to the value, on what
 `to_json` cannot have written: a value of the wrong exact type (a bool
-is no int), a missing or extra record key, or a non-canonical int key or
-hex string. Both directions are built once per type."""
+is no int), a missing or extra record key, a non-canonical int key or
+hex string, or a set's list out of order or holding a member twice.
+Both directions are built once per type."""
 
 import dataclasses
 import functools
@@ -114,7 +115,12 @@ def reader(t):
         def read_list(v):
             if type(v) is not list:
                 raise _refused("a list", v)
-            return origin(map(reader(args[0]), v))
+            items = list(map(reader(args[0]), v))
+            if origin is list:
+                return items
+            if any(a >= b for a, b in zip(items, items[1:])):
+                raise _refused("a set's members sorted, each once", v)
+            return set(items)
         return read_list
     if origin is not dict or args[0] not in (str, int):
         raise TypeError(f"the record codec cannot store {t!r}")

@@ -834,7 +834,7 @@ def _replace_bytes(old, new):
     return apply
 
 
-def _edit_state(edit):
+def _edit_json(edit):
     def apply(path):
         with open(path, "r", encoding="utf-8") as fh:
             d = json.load(fh)
@@ -842,6 +842,15 @@ def _edit_state(edit):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(d, fh)
     return apply
+
+
+def _edit_state(edit):
+    """`edit` state.json and drop its tag's digest: a tag without one
+    loads unchecked, so the command reaches the check the edit targets."""
+    def unsigned(d):
+        del d["block"]["state"]
+        edit(d)
+    return _edit_json(unsigned)
 
 
 def _only_property(d) -> tuple:
@@ -865,7 +874,7 @@ def _deactivate_admin(d):
 
 
 def _edit_last_block(edit):
-    return _edit_state(lambda d: edit(d["blocks"][-1]))
+    return _edit_json(lambda d: edit(d["blocks"][-1]))
 
 
 # name of the file to break in a state dir holding one deployed property
@@ -934,6 +943,23 @@ CHAIN_REFUSALS = {
         "block 3 records index 3 and nonce 18446744073709551615",
 }
 
+# the refusal of each state.json case whose edit drops the digest: the
+# check the edit targets, reached when the command decodes the section
+STATE_REFUSALS = {
+    "accounts-not-an-object": "expected an object, got 5",
+    "admin-inactive": "no active administrator",
+    "contract-uninitialized": "is uninitialized or records another address",
+    "contract-under-another-key":
+        "is uninitialized or records another address",
+    "proxy-dropped": "properties differ from proxies",
+    "admin-active-a-string": "active: expected bool, got 'false'",
+    "balance-a-string": "expected int, got '7'",
+    "paused-an-int": "paused: expected bool, got 0",
+    "record-extra-key": "keys ['active', 'address', 'keyFingerprint', "
+                        "'note', 'publicInfo', 'roles']",
+    "token-key-not-canonical": "listings: 01: expected a decimal integer",
+}
+
 
 def _signed_snapshot(path, body):
     body = {k: v for k, v in body.items() if k != "digest"}
@@ -972,6 +998,7 @@ def test_malformed_ledger_data_is_corrupt_snapshot(estate, case):
     if case in CHAIN_REFUSALS:
         assert errtxt == "error: CorruptSnapshot: " + CHAIN_REFUSALS[
             case].replace("{dir}", estate.state_dir)
+    assert STATE_REFUSALS.get(case, "") in errtxt
     assert _dir_bytes(estate.state_dir) == before
 
 

@@ -4,6 +4,7 @@ state.json; a load redoes the blocks after the tag and drops a torn
 last append."""
 
 import builtins
+import dataclasses
 import errno
 import hashlib
 import json
@@ -12,11 +13,13 @@ import shutil
 
 import pytest
 
-from estateledger import chain as chain_mod, cli, persistence
+from estateledger import (chain as chain_mod, cli, node as node_mod,
+                          persistence)
 from estateledger.addresses import derive_address
 from estateledger.canonical import canonical_json_bytes
 from estateledger.errors import LedgerError
-from estateledger.node import Node
+from estateledger.identity import StakeholderRecord
+from estateledger.node import LedgerState, Node, PendingState
 from estateledger.persistence import load_state, save_state
 from estateledger.storage import ObjectStore
 
@@ -294,8 +297,9 @@ def test_an_untagged_checkpoint_is_one_at_the_tip_and_its_write_appends(
     assert os.stat(os.path.join(base, "chain.json")).st_ino == inode
     assert read(base, "chain.json") == whole_log(base)
     tip = load_state(str(base)).state.chain.blocks[-1]
-    assert json.loads(read(base, "state.json"))["block"] == {
-        "index": tip.index, "hash": tip.hash.hex()}
+    tag = json.loads(read(base, "state.json"))["block"]
+    assert tag == {"index": tip.index, "hash": tip.hash.hex(),
+                   "state": tag["state"]}  # the write signs it, too
     capsys.readouterr()
 
 
@@ -690,3 +694,125 @@ def test_an_import_over_a_ledger_removes_its_object_files(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["digest"] == imported
     assert estate(a, "chain", "replay") == 0
     capsys.readouterr()
+
+
+# -- the checkpoint's digest, and sections decoded on first use ---------------
+
+
+def _add_to_balance(state_dir, address, amount):
+    """Edit state.json by hand: `amount` more for `address`, digest kept."""
+    path = os.path.join(state_dir, "state.json")
+    balance = json.loads(read(state_dir, "state.json"))[
+        "accounts"]["accounts"][address]
+    old = f'"{address}":{balance}'.encode()
+    data = read(state_dir, "state.json")
+    assert data.count(old) == 1
+    with open(path, "wb") as fh:
+        fh.write(data.replace(old, f'"{address}":{balance + amount}'.encode()))
+
+
+def _drop_digest(state_dir):
+    """state.json as a version without digests wrote it."""
+    path = os.path.join(state_dir, "state.json")
+    data = read(state_dir, "state.json")
+    tag = json.loads(data)["block"]
+    signed = f',"state":"{tag["state"]}"}}'.encode()
+    assert data.count(signed) == 1
+    with open(path, "wb") as fh:
+        fh.write(data.replace(signed, b"}"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["chain", "verify"], ["chain", "balance", "--address", ADMIN],
+    faucet(5, 10), ["state", "digest"]], ids=" ".join)
+def test_an_edited_checkpoint_is_refused_by_every_command(base, capsys, argv):
+    _add_to_balance(base, ADMIN, 1000)
+    files = dir_bytes(base)
+    capsys.readouterr()
+    assert estate(base, *argv) == 3
+    path = os.path.join(base, "state.json")
+    assert capsys.readouterr().err == (
+        f"error: CorruptSnapshot: {path} does not match its digest\n")
+    assert dir_bytes(base) == files
+
+
+def test_a_checkpoint_without_a_digest_loads_and_its_write_adds_one(
+        base, capsys):
+    pre = digest(base)
+    _drop_digest(base)
+    assert "state" not in json.loads(read(base, "state.json"))["block"]
+    assert digest(base) == pre
+    assert estate(base, "chain", "balance", "--address", SELLER) == 0
+    _add_to_balance(base, SELLER, 1)  # loads unchecked, as before digests
+    assert load_state(str(base)).state.native.balance(SELLER) == 501
+    assert estate(base, *faucet(5, 10)) == 0
+    assert "state" in json.loads(read(base, "state.json"))["block"]
+    assert load_state(str(base)).state.native.balance(SELLER) == 506
+    _add_to_balance(base, SELLER, 1)
+    with pytest.raises(LedgerError) as e:
+        load_state(str(base))
+    assert e.value.code == "CorruptSnapshot"
+    capsys.readouterr()
+
+
+def test_a_checkpoint_written_after_redo_equals_one_written_after_execute(
+        base, capsys):
+    lagging = read(base, "state.json")
+    assert estate(base, *faucet(5, 10)) == 0
+    executed = read(base, "state.json")
+    with open(os.path.join(base, "state.json"), "wb") as fh:
+        fh.write(lagging)
+    save_state(str(base), load_state(str(base)))  # redoes the faucet
+    assert read(base, "state.json") == executed
+    capsys.readouterr()
+
+
+def test_a_read_decodes_only_the_sections_it_uses(base, monkeypatch, capsys):
+    built, real = [], StakeholderRecord.__init__
+    monkeypatch.setattr(StakeholderRecord, "__init__", lambda self, *a, **kw:
+                        built.append(1) or real(self, *a, **kw))
+    assert estate(base, "chain", "balance", "--address", SELLER) == 0
+    assert built == []  # the stakeholder registry was never decoded
+    state = load_state(str(base)).state
+    assert type(state) is PendingState
+    assert state.native.balance(SELLER) == 500
+    assert "registry" not in vars(state) and built == []
+    assert state.registry.is_active(SELLER) and len(built) == 2
+    assert type(state) is PendingState  # factory and properties are left
+    assert state.properties == {}
+    assert type(state) is LedgerState
+    capsys.readouterr()
+
+
+def test_a_write_decodes_every_section_before_its_executor_runs(
+        base, monkeypatch, capsys):
+    seen, real = [], node_mod.EXECUTORS["faucet"]
+
+    def spy(state, *args):
+        seen.append((type(state), sorted(vars(state))))
+        return real(state, *args)
+    monkeypatch.setitem(node_mod.EXECUTORS, "faucet", spy)
+    assert estate(base, *faucet(5, 10)) == 0
+    assert seen == [(LedgerState, sorted(
+        f.name for f in dataclasses.fields(LedgerState)))]
+    capsys.readouterr()
+
+
+def test_a_section_no_command_reads_fails_only_the_commands_that_read_it(
+        base, capsys):
+    """With no digest to check, a mistyped stakeholder record fails the
+    commands that decode the registry: every write, and a read of it."""
+    _drop_digest(base)
+    path = os.path.join(base, "state.json")
+    data = read(base, "state.json")
+    with open(path, "wb") as fh:
+        fh.write(data.replace(b'"active":true', b'"active":1', 1))
+    files = dir_bytes(base)
+    assert estate(base, "chain", "balance", "--address", SELLER) == 0
+    assert estate(base, "chain", "verify") == 0
+    capsys.readouterr()
+    for argv in (["stakeholder", "show", "--address", SELLER],
+                 ["state", "digest"], faucet(5, 10)):
+        assert estate(base, *argv) == 3
+        assert "active: expected bool, got 1" in capsys.readouterr().err
+    assert dir_bytes(base) == files
