@@ -136,13 +136,22 @@ def parse_json_object(s: str) -> dict:
 # leaf arguments, which build_parser adds after COMMON to that command's
 # parser, and its handler. Each argument is (flag, add_argument kwargs). A
 # list in place of the flag is a required mutually exclusive group of them.
+# A mutating command's row, mutation(...), gives each its parse and op param.
 
 REQUIRED = {"required": True}
 REQUIRED_INT = {"type": int, "required": True}
 EMPTY = {"default": ""}
 REPEATABLE = {"action": "append", "default": []}
-FROM_ADDR = {"dest": "from_addr", "required": True}
 PROPERTY = ("--property", REQUIRED)
+TO = ("--to", REQUIRED, check_address)
+FROM = ("--from", {"dest": "from_addr", "required": True}, check_address)
+ID = ("--id", REQUIRED, parse_token_id)
+IDS = ("--ids", REQUIRED, parse_id_list)
+AMOUNT = ("--amount", REQUIRED_INT)
+AMOUNTS = ("--amounts", REQUIRED, parse_int_list)
+RIGHT_ID = ("--right-id", REQUIRED, parse_token_id)
+VERSION = ("--version", REQUIRED_INT, None, "versionId")
+TAG = ("--tag", {"default": "base"}, None, "behaviorTag")
 
 COMMON = [
     ("--state-dir", {"default": "estate-state"}),
@@ -199,32 +208,50 @@ def build_parser(argv=None) -> Parser:
 # Every handler is called as handler(args, ledger), `ledger` being the
 # LedgerDir of --state-dir that an `estate run` script shares with its
 # lines. A read's handler is query(read) over `ledger.node`; a mutating
-# command's is mutation(operation, build_params), which commits under
-# `ledger.writing()`. init, run and state import replace or lock the
-# whole dir, so a script refuses them (SCRIPT_REFUSED). Params builders
-# check address arguments and raise parse errors before --as is checked
-# or the state is loaded.
+# command's builds its op params, raising parse errors before --as is
+# checked or the state is loaded, and hands them to commit. init, run and
+# state import replace or lock the whole dir, so a script refuses them
+# (SCRIPT_REFUSED).
 
 
 def _timestamp(args) -> int:
     return args.timestamp if args.timestamp is not None else int(time.time())
 
 
-def mutation(operation: str, build_params):
-    """The handler of a mutating command: `operation` with the params
-    `build_params(args)` runs as one block and is saved to the state dir
-    before the handler returns."""
+def commit(args, ledger, operation: str, params: dict) -> dict:
+    """Run `operation` with `params` as one block, saved to the state dir
+    before this returns."""
+    if not args.caller:
+        raise err("ParseError", "this command needs --as <address>")
+    with ledger.writing():
+        result = ledger.node.execute(args.caller, operation, params,
+                                     value=args.value,
+                                     timestamp=_timestamp(args))
+        ledger.commit()
+    return result
+
+
+def _field(flag, kwargs, parse=None, param=None) -> tuple:
+    """(dest, op param, parse) of one argument of a mutation row."""
+    words = flag[2:].split("-")
+    return (kwargs.get("dest", "_".join(words)),
+            param or words[0] + "".join(map(str.title, words[1:])), parse)
+
+
+def mutation(operation: str, *arguments) -> tuple:
+    """The row of a mutating command. Each argument is (flag, kwargs[,
+    parse[, param]]): the op param `param`, by default the flag's words in
+    camelCase, holds its value, through `parse` if given. The handler
+    builds the params in order, then commits `operation`."""
+    fields = [_field(*argument) for argument in arguments]
+
     def run(args, ledger) -> dict:
-        params = build_params(args)
-        if not args.caller:
-            raise err("ParseError", "this command needs --as <address>")
-        with ledger.writing():
-            result = ledger.node.execute(args.caller, operation, params,
-                                         value=args.value,
-                                         timestamp=_timestamp(args))
-            ledger.commit()
-        return result
-    return run
+        params = {}
+        for dest, param, parse in fields:
+            value = getattr(args, dest)
+            params[param] = value if parse is None else parse(value)
+        return commit(args, ledger, operation, params)
+    return [argument[:2] for argument in arguments], run
 
 
 def query(read):
@@ -241,13 +268,13 @@ def _leaves_from_args(args, ledger) -> list:
     return leaves
 
 
-def _object_put_params(args) -> dict:
+def _object_put(args, ledger) -> dict:
     if args.file:
         with open(args.file, "rb") as fh:
             data = fh.read()
     else:
         data = args.data.encode("utf-8")
-    return {"dataHex": data.hex()}
+    return commit(args, ledger, "putObject", {"dataHex": data.hex()})
 
 
 def _swap_terms(args) -> tuple:
@@ -256,15 +283,24 @@ def _swap_terms(args) -> tuple:
             parse_legs(args.legs_b), args.value_b)
 
 
-SWAP_KEYS = ("partyA", "legsA", "valueA", "partyB", "legsB", "valueB")
+def _token_consent(args, ledger) -> dict:
+    return commit(args, ledger, "consentSwap", {
+        "property": args.property,
+        "digest": swap_descriptor_digest(*_swap_terms(args))})
 
 
-def _factory_init_params(args) -> dict:
+def _token_swap(args, ledger) -> dict:
+    keys = ("partyA", "legsA", "valueA", "partyB", "legsB", "valueB")
+    return commit(args, ledger, "atomicSwap", {
+        "property": args.property, **dict(zip(keys, _swap_terms(args)))})
+
+
+def _factory_init(args, ledger) -> dict:
     params = {"versionId": args.version, "behaviorTag": args.tag}
     for key in ("admin", "upgrader"):
         if getattr(args, key):
             params[key] = check_address(getattr(args, key))
-    return params
+    return commit(args, ledger, "initializeFactory", params)
 
 
 def _object_get(args, node) -> dict:
@@ -419,13 +455,12 @@ COMMANDS = {
     ("init", None): ([("--admin-key", REQUIRED), ("--info-cid", EMPTY),
                       ("--allowlist", {})], _init),
     ("run", None): ([("script", {})], run_script),
-    ("stakeholder", "register"): (
-        [("--role", REQUIRED), ("--key", REQUIRED), ("--info-cid", EMPTY)],
-        mutation("registerStakeholder", lambda a: {
-            "role": a.role, "publicKey": parse_key(a.key).hex(),
-            "infoCid": a.info_cid})),
-    ("stakeholder", "remove"): ([("--target", REQUIRED)], mutation(
-        "removeStakeholder", lambda a: {"target": check_address(a.target)})),
+    ("stakeholder", "register"): mutation(
+        "registerStakeholder", ("--role", REQUIRED),
+        ("--key", REQUIRED, lambda key: parse_key(key).hex(), "publicKey"),
+        ("--info-cid", EMPTY)),
+    ("stakeholder", "remove"): mutation(
+        "removeStakeholder", ("--target", REQUIRED, check_address)),
     ("stakeholder", "show"): ([("--address", REQUIRED)], query(
         lambda a, n: to_json(n.state.registry.get(a.address)))),
     ("stakeholder", "has-role"): (
@@ -433,16 +468,15 @@ COMMANDS = {
         query(lambda a, n: {"hasRole": n.state.registry.has_role(
             a.address, parse_role(a.role))})),
     ("object", "put"): ([([("--file", {}), ("--data", {})], REQUIRED)],
-                        mutation("putObject", _object_put_params)),
+                        _object_put),
     ("object", "get"): ([("--cid", REQUIRED), ("--out", {})],
                         query(_object_get)),
-    ("object", "metadata"): (
-        [("--name", REQUIRED), ("--description", EMPTY),
-         ("--doc", REPEATABLE), ("--extra", {})],
-        mutation("buildRightMetadata", lambda a: {
-            "nameOfRight": a.name, "description": a.description,
-            "documents": [parse_doc(d) for d in a.doc],
-            "extra": parse_json_object(a.extra) if a.extra else None})),
+    ("object", "metadata"): mutation(
+        "buildRightMetadata", ("--name", REQUIRED, None, "nameOfRight"),
+        ("--description", EMPTY),
+        ("--doc", REPEATABLE, lambda docs: [parse_doc(d) for d in docs],
+         "documents"),
+        ("--extra", {}, lambda s: parse_json_object(s) if s else None)),
     ("object", "resolve"): (
         [("--base-uri", REQUIRED), ("--id", REQUIRED)],
         lambda a, _: {"uri": resolve_uri(
@@ -456,63 +490,28 @@ COMMANDS = {
                           _merkle_prove),
     ("merkle", "verify"): ([("--root", REQUIRED), ("--leaf", REQUIRED),
                             ("--proof", REQUIRED)], _merkle_verify),
-    ("property", "adddoc"): ([PROPERTY, ("--cid", REQUIRED)], mutation(
-        "registerDocument",
-        lambda a: {"property": a.property, "cid": a.cid})),
-    ("property", "approve"): (
-        [PROPERTY, ("--parent-hash", REQUIRED)],
-        mutation("approvedProperty", lambda a: {
-            "property": a.property,
-            "parentHash": parse_hex_digest(a.parent_hash).hex()})),
-    ("property", "mint"): (
-        [PROPERTY, ("--id", REQUIRED), ("--price", REQUIRED_INT),
-         ("--data", EMPTY)],
-        mutation("mintNFT", lambda a: {
-            "property": a.property, "id": parse_token_id(a.id),
-            "data": a.data, "price": a.price})),
-    ("property", "mint-batch"): (
-        [PROPERTY, ("--ids", REQUIRED), ("--amounts", REQUIRED),
-         ("--prices", REQUIRED), ("--data", EMPTY)],
-        mutation("mintBatchNFTs", lambda a: {
-            "property": a.property, "ids": parse_id_list(a.ids),
-            "amounts": parse_int_list(a.amounts), "data": a.data,
-            "prices": parse_int_list(a.prices)})),
-    ("property", "fractionalize"): (
-        [PROPERTY, ("--right-id", REQUIRED), ("--units", REQUIRED_INT),
-         ("--price-per-unit", REQUIRED_INT)],
-        mutation("mintFractional", lambda a: {
-            "property": a.property, "rightId": parse_token_id(a.right_id),
-            "units": a.units, "pricePerUnit": a.price_per_unit})),
-    ("property", "transfer"): (
-        [PROPERTY, ("--to", REQUIRED), ("--id", REQUIRED),
-         ("--amount", REQUIRED_INT), ("--data", EMPTY)],
-        mutation("transferNFT", lambda a: {
-            "property": a.property, "to": check_address(a.to),
-            "id": parse_token_id(a.id), "amount": a.amount,
-            "data": a.data})),
-    ("property", "burn"): (
-        [PROPERTY, ("--from", FROM_ADDR), ("--id", REQUIRED),
-         ("--amount", REQUIRED_INT)],
-        mutation("burnNFT", lambda a: {
-            "property": a.property, "from": check_address(a.from_addr),
-            "id": parse_token_id(a.id), "amount": a.amount})),
-    ("property", "burn-batch"): (
-        [PROPERTY, ("--from", FROM_ADDR), ("--ids", REQUIRED),
-         ("--amounts", REQUIRED)],
-        mutation("burnBatchNFTs", lambda a: {
-            "property": a.property, "from": check_address(a.from_addr),
-            "ids": parse_id_list(a.ids),
-            "amounts": parse_int_list(a.amounts)})),
-    ("property", "set-price"): (
-        [PROPERTY, ("--id", REQUIRED), ("--price-per-unit", REQUIRED_INT)],
-        mutation("setPrice", lambda a: {
-            "property": a.property, "id": parse_token_id(a.id),
-            "pricePerUnit": a.price_per_unit})),
-    ("property", "distribute"): (
-        [PROPERTY, ("--right-id", REQUIRED), ("--total", REQUIRED_INT)],
-        mutation("distributeEarnings", lambda a: {
-            "property": a.property, "rightId": parse_token_id(a.right_id),
-            "total": a.total})),
+    ("property", "adddoc"): mutation(
+        "registerDocument", PROPERTY, ("--cid", REQUIRED)),
+    ("property", "approve"): mutation(
+        "approvedProperty", PROPERTY,
+        ("--parent-hash", REQUIRED, lambda h: parse_hex_digest(h).hex())),
+    ("property", "mint"): mutation(
+        "mintNFT", PROPERTY, ID, ("--price", REQUIRED_INT), ("--data", EMPTY)),
+    ("property", "mint-batch"): mutation(
+        "mintBatchNFTs", PROPERTY, IDS, AMOUNTS,
+        ("--prices", REQUIRED, parse_int_list), ("--data", EMPTY)),
+    ("property", "fractionalize"): mutation(
+        "mintFractional", PROPERTY, RIGHT_ID, ("--units", REQUIRED_INT),
+        ("--price-per-unit", REQUIRED_INT)),
+    ("property", "transfer"): mutation(
+        "transferNFT", PROPERTY, TO, ID, AMOUNT, ("--data", EMPTY)),
+    ("property", "burn"): mutation("burnNFT", PROPERTY, FROM, ID, AMOUNT),
+    ("property", "burn-batch"): mutation(
+        "burnBatchNFTs", PROPERTY, FROM, IDS, AMOUNTS),
+    ("property", "set-price"): mutation(
+        "setPrice", PROPERTY, ID, ("--price-per-unit", REQUIRED_INT)),
+    ("property", "distribute"): mutation(
+        "distributeEarnings", PROPERTY, RIGHT_ID, ("--total", REQUIRED_INT)),
     ("property", "info"): ([PROPERTY], query(
         lambda a, n: to_json(n.state.property_at(a.property)))),
     ("property", "id"): ([PROPERTY], query(lambda a, n: {
@@ -529,56 +528,33 @@ COMMANDS = {
     ("token", "balance"): (
         [PROPERTY, ("--owner", REQUIRED), ("--id", REQUIRED)],
         query(_token_balance)),
-    ("token", "approve"): (
-        [PROPERTY, ("--operator", REQUIRED), ("--approved", REQUIRED)],
-        mutation("setApprovalForAll", lambda a: {
-            "property": a.property, "operator": check_address(a.operator),
-            "approved": parse_bool(a.approved)})),
-    ("token", "transfer"): (
-        [PROPERTY, ("--from", FROM_ADDR), ("--to", REQUIRED),
-         ("--ids", REQUIRED), ("--amounts", REQUIRED)],
-        mutation("safeTransferBatch", lambda a: {
-            "property": a.property, "from": check_address(a.from_addr),
-            "to": check_address(a.to), "ids": parse_id_list(a.ids),
-            "amounts": parse_int_list(a.amounts)})),
-    ("token", "consent"): (SWAP_ARGS, mutation("consentSwap", lambda a: {
-        "property": a.property,
-        "digest": swap_descriptor_digest(*_swap_terms(a))})),
-    ("token", "swap"): (SWAP_ARGS, mutation("atomicSwap", lambda a: {
-        "property": a.property, **dict(zip(SWAP_KEYS, _swap_terms(a)))})),
+    ("token", "approve"): mutation(
+        "setApprovalForAll", PROPERTY,
+        ("--operator", REQUIRED, check_address),
+        ("--approved", REQUIRED, parse_bool)),
+    ("token", "transfer"): mutation(
+        "safeTransferBatch", PROPERTY, FROM, TO, IDS, AMOUNTS),
+    ("token", "consent"): (SWAP_ARGS, _token_consent),
+    ("token", "swap"): (SWAP_ARGS, _token_swap),
     ("factory", "init"): (
-        [("--version", REQUIRED_INT), ("--tag", {"default": "base"}),
-         ("--admin", {}), ("--upgrader", {})],
-        mutation("initializeFactory", _factory_init_params)),
-    ("factory", "deploy"): (
-        [("--treasury", REQUIRED), ("--upgrader", REQUIRED),
-         ("--admin", REQUIRED), ("--uri", REQUIRED), ("--name", EMPTY),
-         ("--description", EMPTY)],
-        mutation("deployProperty", lambda a: {
-            "treasury": check_address(a.treasury),
-            "upgrader": check_address(a.upgrader),
-            "admin": check_address(a.admin), "uri": a.uri,
-            "contractName": a.name, "description": a.description})),
-    ("factory", "pause"): ([], mutation("pause", lambda a: {})),
-    ("factory", "unpause"): ([], mutation("unpause", lambda a: {})),
-    ("factory", "upgrade"): (
-        [("--version", REQUIRED_INT), ("--tag", {"default": "base"})],
-        mutation("authorizeUpgrade", lambda a: {
-            "versionId": a.version, "behaviorTag": a.tag})),
+        [VERSION[:2], TAG[:2], ("--admin", {}), ("--upgrader", {})],
+        _factory_init),
+    ("factory", "deploy"): mutation(
+        "deployProperty", ("--treasury", REQUIRED, check_address),
+        ("--upgrader", REQUIRED, check_address),
+        ("--admin", REQUIRED, check_address), ("--uri", REQUIRED),
+        ("--name", EMPTY, None, "contractName"), ("--description", EMPTY)),
+    ("factory", "pause"): mutation("pause"),
+    ("factory", "unpause"): mutation("unpause"),
+    ("factory", "upgrade"): mutation("authorizeUpgrade", VERSION, TAG),
     ("factory", "info"): ([], query(lambda a, n: to_json(n.state.factory))),
     ("factory", "proxy-length"): ([], query(lambda a, n: {
         "proxyLength": n.state.factory.proxy_length()})),
     ("chain", "verify"): ([], query(_chain_verify)),
     ("chain", "show"): ([("--index", {"type": int})], query(_chain_show)),
     ("chain", "replay"): ([], query(_chain_replay)),
-    ("chain", "faucet"): (
-        [("--to", REQUIRED), ("--amount", REQUIRED_INT)],
-        mutation("faucet", lambda a: {
-            "to": check_address(a.to), "amount": a.amount})),
-    ("chain", "transfer"): (
-        [("--to", REQUIRED), ("--amount", REQUIRED_INT)],
-        mutation("transferNative", lambda a: {
-            "to": check_address(a.to), "amount": a.amount})),
+    ("chain", "faucet"): mutation("faucet", TO, AMOUNT),
+    ("chain", "transfer"): mutation("transferNative", TO, AMOUNT),
     ("chain", "balance"): ([("--address", REQUIRED)], query(lambda a, n: {
         "address": a.address, "balance": n.state.native.balance(a.address)})),
     ("state", "digest"): (

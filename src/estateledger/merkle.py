@@ -11,7 +11,7 @@ tagged with the side that sibling sits on.
 
 from dataclasses import dataclass
 
-from .canonical import canonical_json_bytes, sha256
+from .canonical import sha256
 from .errors import err
 
 
@@ -39,9 +39,6 @@ class MerkleProof:
     def to_dict(self) -> dict:
         return {"leafIndex": self.leaf_index,
                 "siblings": [s.to_dict() for s in self.siblings]}
-
-    def canonical_bytes(self) -> bytes:
-        return canonical_json_bytes(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "MerkleProof":

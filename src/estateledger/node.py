@@ -43,7 +43,7 @@ from .factory import Factory, ImplementationVersion
 from .identity import AllowlistVerifier, Role, StakeholderRegistry, parse_role
 from .records import read, reader, to_json
 from .storage import ObjectStore, build_right_metadata
-from .tokens import atomic_swap, swap_descriptor_digest
+from .tokens import atomic_swap
 
 STATE_VERSION = 1
 

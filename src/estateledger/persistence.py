@@ -17,12 +17,15 @@ calls ``load_state`` on first use, ``writing()`` holds the flock on
 calls ``save_state``. A read takes no lock.
 
 ``save_state`` encodes the checkpoint before its first write. When the
-chain was loaded from, or last saved to, the same dir, it appends only
-the new blocks to ``chain.json`` in place: it writes ``,<block>...]}``
-over the closing ``]}`` and fsyncs. That fsync is the one commit point.
+chain was loaded from, or last saved to, the same dir, and the file still
+ends with the chain's stored tip in canonical form and ``]}``, it appends
+only the new blocks to ``chain.json`` in place: it writes
+``,<block>...]}`` over the closing ``]}`` and fsyncs. That fsync is the
+one commit point.
 Only then does it write the new object files and the checkpoint, each to
 a temp name that is fsynced and renamed. A dir that holds no log of this
-chain (``init``, ``state import``) gets the whole log the same way, then
+chain (``init``, ``state import``), or a log torn or stored in another
+form, gets the whole log the same way, then
 the objects and the checkpoint, and then loses each object file of a
 ledger it held before. Which objects a dir holds is the listing of
 ``objects/`` that the node's store was loaded with, or last saved to;
@@ -54,7 +57,7 @@ not found, a failed check or a tag-less ``state.json`` (a checkpoint at
 the log's tip) read the log whole. That read refuses a tag past the log
 or with a hash the log does not hold at that index, and drops a torn
 last append if what remains still holds the checkpoint's block; it
-writes nothing, and the next write overwrites the tail.
+writes nothing, and the next write rewrites the log whole.
 
 A snapshot is ``state_dict(objects=True)`` with the block log under
 ``chain``, plus a ``digest`` of that body. The digest is
@@ -129,12 +132,10 @@ def _signed(data: bytes, tag: Checkpoint) -> bool:
 @dataclass
 class StoredLog:
     """Where a chain sits in a dir's log: the file at `path` holds its
-    first `blocks` blocks, the last ending at byte `end` (None unless
-    stored canonically) before ``]}`` or a torn tail. Unless the chain
-    holds the whole log, its first held block is `first` from `start`."""
+    first `blocks` blocks. Unless the chain holds the whole log, its first
+    held block is `first` from `start`."""
     path: str
     blocks: int
-    end: Optional[int]
     start: int = 0
     first: bytes = b""
 
@@ -164,34 +165,33 @@ def _write_atomic(path: str, data: bytes):
     os.replace(tmp, path)
 
 
-def _append(stored, path: str, held: list) -> Optional[int]:
+def _append(stored, path: str, held: list) -> bool:
     """Write the blocks of `held` after the first `stored.blocks` of the
     log at `path` over its closing ``]}`` and fsync it: the commit point.
-    Returns where the new ``]}`` begins; None, having written nothing,
-    unless `stored` is that log and it still ends block
-    ``stored.blocks - 1`` at `stored.end`."""
-    if stored is None or stored.path != path or stored.end is None:
-        return None
+    False, having written nothing, unless `stored` is that log and the
+    file ends with block ``stored.blocks - 1`` in canonical form and
+    ``]}``."""
+    if stored is None or stored.path != path:
+        return False
     i = stored.blocks - 1 - held[0].index  # the stored tip's place in held
     if not 0 <= i < len(held):
-        return None
-    last = held[i].canonical_json()
-    tail = b"".join(b"," + block.canonical_json()
-                    for block in held[i + 1:]) + b"]}"
+        return False
+    end = held[i].canonical_json() + b"]}"
     try:
         fh = open(path, "r+b")
     except FileNotFoundError:
-        return None
+        return False
     with fh:
-        fh.seek(stored.end - len(last))
-        if fh.read(len(last)) != last:
-            return None
-        if os.fstat(fh.fileno()).st_size != stored.end + 2:  # a torn tail
-            fh.truncate(stored.end)
-        fh.write(tail)
+        size = os.fstat(fh.fileno()).st_size
+        fh.seek(max(0, size - len(end)))
+        if fh.read(len(end)) != end:
+            return False
+        fh.seek(size - 2)
+        fh.write(b"".join(b"," + block.canonical_json()
+                          for block in held[i + 1:]) + b"]}")
         fh.flush()
         os.fsync(fh.fileno())
-    return stored.end + len(tail) - 2
+    return True
 
 
 def save_state(state_dir: str, node: Node):
@@ -214,15 +214,13 @@ def save_state(state_dir: str, node: Node):
     objects = {digest: store.read(digest)
                for digest in sorted(store.digests() - on_disk)}
     chain_path = os.path.abspath(os.path.join(state_dir, "chain.json"))
-    end = _append(chain.log, chain_path, chain.held)
+    whole = not _append(chain.log, chain_path, chain.held)
     os.makedirs(objects_dir, exist_ok=True)
-    whole = end is None  # the dir holds no log of this chain
-    if whole:
-        log = chain.canonical_json()
-        _write_atomic(chain_path, log)
-        chain.log = StoredLog(chain_path, chain.height, len(log) - 2)
+    if whole:  # the dir holds no log of this chain, or a torn one
+        _write_atomic(chain_path, chain.canonical_json())
+        chain.log = StoredLog(chain_path, chain.height)
     else:
-        chain.log.blocks, chain.log.end = chain.height, end
+        chain.log.blocks = chain.height
     for digest, data in objects.items():
         _write_atomic(os.path.join(objects_dir, digest + ".bin"), data)
     _write_atomic(os.path.join(state_dir, "state.json"), checkpoint)
@@ -285,39 +283,35 @@ def _scan_blocks(text: str, pos: int) -> tuple:
         pos = end + 1
 
 
-def _whole_blocks(data: bytes) -> Optional[tuple]:
-    """The blocks of a log whose last append was torn, and the byte where
-    the last whole one ends; None unless what follows that block is one
-    torn block at most."""
+def _whole_blocks(data: bytes) -> Optional[list]:
+    """The blocks of a log whose last append was torn; None unless what
+    follows the last whole one is one torn block at most."""
     if not data.startswith(LOG_HEAD):
         return None
     text = data.decode("utf-8", "surrogateescape")
     blocks, ends = _scan_blocks(text, len(LOG_HEAD))
     if not blocks or _BLOCK_HEADER.search(text, ends[-1] + 1):
         return None
-    return blocks, len(text[:ends[-1]].encode("utf-8", "surrogateescape"))
+    return blocks
 
 
-def _read_log(path: str, need: Optional[int]) -> tuple:
-    """The block log at `path`, and the byte where its closing ``]}``
-    begins if its last block is stored in canonical form (else None). A
-    log that does not parse loads without its torn tail if it still holds
-    block `need`; a `need` of None allows no torn tail."""
+def _read_log(path: str, need: Optional[int]) -> Chain:
+    """The block log at `path`. A log that does not parse loads without
+    its torn tail if it still holds block `need`; a `need` of None allows
+    no torn tail."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:  # bytes that are not UTF-8 reach Block.from_dict, naming a block
-        value, end = _json_object(path, data, "surrogateescape"), len(data) - 2
+        value = _json_object(path, data, "surrogateescape")
     except LedgerError:  # not JSON: torn or broken
         whole = None if need is None else _whole_blocks(data)
-        if whole is None or len(whole[0]) <= need:
+        if whole is None or len(whole) <= need:
             raise
-        value, end = {"blocks": whole[0]}, whole[1]
+        value = {"blocks": whole}
     chain = Chain.from_dict(value)
     if not chain.held:
         raise err("CorruptSnapshot", f"{path} holds no block")
-    if not data.endswith(chain.held[-1].canonical_json(), 0, end):
-        end = None
-    return chain, end
+    return chain
 
 
 def _read_tail(path: str, tag: Checkpoint) -> Optional[tuple]:
@@ -356,9 +350,7 @@ def _read_tail(path: str, tag: Checkpoint) -> Optional[tuple]:
             for i, b in enumerate(blocks)):
         return None
     first = text[:ends[0]].encode("utf-8", "surrogateescape")
-    end = (size - 2 if data.endswith(blocks[-1].canonical_json(), 0,
-                                     len(data) - 2) else None)
-    log = StoredLog(path, blocks[-1].index + 1, end, start + at, first)
+    log = StoredLog(path, blocks[-1].index + 1, start + at, first)
     return Chain(blocks[:1], log), blocks[1:]
 
 
@@ -452,7 +444,7 @@ def load_state(state_dir: str) -> Node:
     tail = None if tag is None else _read_tail(log_path, tag)
     if tail is None:  # the whole log
         need = None if tag is None else tag.index
-        chain, end = _read_log(chain_path, need)
+        chain = _read_log(chain_path, need)
         blocks = chain.held
         if tag is None:  # written before checkpoints were tagged
             tag = Checkpoint(len(blocks) - 1, blocks[-1].hash)
@@ -462,7 +454,7 @@ def load_state(state_dir: str) -> Node:
         if blocks[tag.index].hash != tag.hash:
             raise err("CorruptSnapshot", f"{state_path} reflects a block "
                       f"{tag.index} the log does not hold")
-        chain.log = StoredLog(log_path, len(blocks), end)
+        chain.log = StoredLog(log_path, len(blocks))
         later = blocks[tag.index + 1:]
         del blocks[tag.index + 1:]
     else:

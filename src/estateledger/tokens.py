@@ -153,9 +153,6 @@ class TokenLedger:
     def mint(self, to: str, token_id: int, amount: int):
         self.apply(self.plan_moves([(None, to, token_id, amount)]))
 
-    def burn(self, owner: str, token_id: int, amount: int):
-        self.apply(self.plan_moves([(owner, None, token_id, amount)]))
-
     def set_approval_for_all(self, owner: str, operator: str, approved: bool):
         if owner == operator:
             raise err("SelfApproval", "cannot change approval for yourself")

@@ -82,7 +82,7 @@ def _random_op(rng, tokens, native, tracker):
             held = tokens.balance_of(owner, token_id)
             amount = 1 if token_id in RIGHT_IDS else rng.randint(
                 1, max(held, 1))
-            tokens.burn(owner, token_id, amount)
+            tokens.apply(tokens.plan_moves([(owner, None, token_id, amount)]))
             tracker.burn(owner, token_id, amount)
         elif kind == "swap":
             a, b = rng.sample(ACCOUNTS, 2)

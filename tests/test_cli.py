@@ -12,6 +12,7 @@ from estateledger import cli, persistence
 from estateledger.addresses import derive_address
 from estateledger.canonical import canonical_json_bytes
 from estateledger.errors import LedgerError
+from estateledger.node import OPS, Node
 from estateledger.persistence import load_state, save_state
 
 from oracles import ref_merkle_root
@@ -1441,3 +1442,109 @@ def test_malformed_address_exits_2(prop, command, bad):
     _, _, errtxt = ledger(*argv, "--timestamp", "70", expect=2)
     assert "ParseError: not a valid address" in errtxt
     assert len(load_state(ledger.state_dir).state.chain.blocks) == blocks
+
+
+# -- what each mutating command hands Node.execute -----------------------------
+
+PROP = "0x" + "00" * 19 + "bb"
+LEGS = ["--party-a", SELLER, "--party-b", BUYER, "--legs-a", "1:2",
+        "--legs-b", "frac:7:3", "--value-a", "4", "--value-b", "5"]
+# command words and flags -> the op and params Node.execute receives
+EXECUTED = [
+    ("stakeholder register --role Seller --key k1 --info-cid c1",
+     "registerStakeholder",
+     {"role": "Seller", "publicKey": "6b31", "infoCid": "c1"}),
+    (f"stakeholder remove --target {SELLER}", "removeStakeholder",
+     {"target": SELLER}),
+    ("object put --data deed", "putObject", {"dataHex": "64656564"}),
+    ("object metadata --name Deed --description d --doc 'c1|n|t' --doc c2 "
+     "--extra '{\"a\": [1]}'", "buildRightMetadata",
+     {"nameOfRight": "Deed", "description": "d",
+      "documents": [{"link": "c1", "name": "n", "description": "t"},
+                    {"link": "c2", "name": "", "description": ""}],
+      "extra": {"a": [1]}}),
+    (f"property adddoc --property {PROP} --cid c1", "registerDocument",
+     {"property": PROP, "cid": "c1"}),
+    (f"property approve --property {PROP} --parent-hash {'ab' * 32}",
+     "approvedProperty", {"property": PROP, "parentHash": "ab" * 32}),
+    (f"property mint --property {PROP} --id 0x10 --price 5 --data x",
+     "mintNFT", {"property": PROP, "id": 16, "data": "x", "price": 5}),
+    (f"property mint-batch --property {PROP} --ids 1,frac:2 --amounts 3,4 "
+     "--prices 5,6 --data y", "mintBatchNFTs",
+     {"property": PROP, "ids": [1, 2**255 + 2], "amounts": [3, 4],
+      "prices": [5, 6], "data": "y"}),
+    (f"property fractionalize --property {PROP} --right-id 7 --units 100 "
+     "--price-per-unit 3", "mintFractional",
+     {"property": PROP, "rightId": 7, "units": 100, "pricePerUnit": 3}),
+    (f"property transfer --property {PROP} --to {BUYER} --id 1 --amount 2 "
+     "--data z", "transferNFT",
+     {"property": PROP, "to": BUYER, "id": 1, "amount": 2, "data": "z"}),
+    (f"property burn --property {PROP} --from {SELLER} --id 1 --amount 2",
+     "burnNFT", {"property": PROP, "from": SELLER, "id": 1, "amount": 2}),
+    (f"property burn-batch --property {PROP} --from {SELLER} --ids 1,2 "
+     "--amounts 3,4", "burnBatchNFTs",
+     {"property": PROP, "from": SELLER, "ids": [1, 2], "amounts": [3, 4]}),
+    (f"property set-price --property {PROP} --id 1 --price-per-unit 9",
+     "setPrice", {"property": PROP, "id": 1, "pricePerUnit": 9}),
+    (f"property distribute --property {PROP} --right-id 7 --total 50",
+     "distributeEarnings", {"property": PROP, "rightId": 7, "total": 50}),
+    (f"token approve --property {PROP} --operator {BUYER} --approved yes",
+     "setApprovalForAll",
+     {"property": PROP, "operator": BUYER, "approved": True}),
+    (f"token transfer --property {PROP} --from {SELLER} --to {BUYER} "
+     "--ids 1 --amounts 2", "safeTransferBatch",
+     {"property": PROP, "from": SELLER, "to": BUYER, "ids": [1],
+      "amounts": [2]}),
+    (f"token consent --property {PROP} {shlex.join(LEGS)}", "consentSwap",
+     {"property": PROP, "digest":
+      "4e5d8bc140d48495098ffa56bb0572f7668891230a7169a19ac6b2ec51e23550"}),
+    (f"token swap --property {PROP} {shlex.join(LEGS)}", "atomicSwap",
+     {"property": PROP, "partyA": SELLER, "legsA": [[1, 2]], "valueA": 4,
+      "partyB": BUYER, "legsB": [[2**255 + 7, 3]], "valueB": 5}),
+    (f"factory init --version 2 --tag v2 --admin {SELLER} "
+     f"--upgrader {BUYER}", "initializeFactory",
+     {"versionId": 2, "behaviorTag": "v2", "admin": SELLER,
+      "upgrader": BUYER}),
+    (f"factory deploy --treasury {TREASURY} --upgrader {ADMIN} "
+     f"--admin {SELLER} --uri {URI} --name N --description D",
+     "deployProperty",
+     {"treasury": TREASURY, "upgrader": ADMIN, "admin": SELLER, "uri": URI,
+      "contractName": "N", "description": "D"}),
+    ("factory pause", "pause", {}),
+    ("factory unpause", "unpause", {}),
+    ("factory upgrade --version 3 --tag t3", "authorizeUpgrade",
+     {"versionId": 3, "behaviorTag": "t3"}),
+    (f"chain faucet --to {SELLER} --amount 10", "faucet",
+     {"to": SELLER, "amount": 10}),
+    (f"chain transfer --to {BUYER} --amount 11", "transferNative",
+     {"to": BUYER, "amount": 11}),
+]
+
+
+class Executed(Exception):
+    """Raised in place of running the op a command hands Node.execute."""
+
+
+def test_every_mutating_command_is_in_the_table():
+    keys = [tuple(shlex.split(line)[:2]) for line, _, _ in EXECUTED]
+    assert len(set(keys)) == len(keys) == 25
+    assert set(keys) <= set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("line, operation, params", EXECUTED,
+                         ids=[line.split(" -")[0] for line, _, _ in EXECUTED])
+def test_each_flag_becomes_its_op_param(estate, monkeypatch, line, operation,
+                                        params):
+    estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+    seen = []
+
+    def execute(self, caller, op, op_params, value=0, timestamp=0):
+        seen.append((caller, op, op_params, value, timestamp))
+        raise Executed
+    monkeypatch.setattr(Node, "execute", execute)
+    with pytest.raises(Executed):
+        cli.main(shlex.split(line) + ["--as", ADMIN, "--timestamp", "9",
+                                      "--state-dir", estate.state_dir])
+    assert seen == [(ADMIN, operation, params, 0, 9)]
+    declared = OPS[operation]
+    assert declared.required <= params.keys() <= declared.params.keys()

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from estateledger.canonical import canonical_json_bytes
 from estateledger.errors import LedgerError
 from estateledger.merkle import (MerkleProof, MerkleTree, merkle_root,
                                  verify_proof)
@@ -106,9 +107,10 @@ def test_proof_round_trips_through_json():
     tree = MerkleTree(rand_leaves(5, seed=7))
     proof = tree.prove(4)
     again = MerkleProof.from_dict(
-        json.loads(proof.canonical_bytes().decode("utf-8")))
+        json.loads(canonical_json_bytes(proof.to_dict()).decode("utf-8")))
     assert verify_proof(tree.root, tree.leaves[4], again)
-    assert again.canonical_bytes() == proof.canonical_bytes()
+    assert (canonical_json_bytes(again.to_dict())
+            == canonical_json_bytes(proof.to_dict()))
 
 
 def test_bad_side_tag_rejected():

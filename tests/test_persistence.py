@@ -420,7 +420,7 @@ def _whole_log_load(state_dir, monkeypatch) -> Node:
 def _load_outcome(node) -> tuple:
     chain = node.state.chain
     return (node.full_digest(), len(chain.blocks), chain.verify(),
-            chain.log.end)
+            chain.log.blocks)
 
 
 @pytest.mark.parametrize("torn", [False, True], ids=["whole", "torn"])
@@ -528,6 +528,19 @@ def test_a_tip_stored_otherwise_takes_the_whole_log_path(
     assert len(calls) == len(blocks) + 1
     assert not node.state.chain.log.first
     assert not node.state.chain.verify()
+
+
+def test_a_log_stored_in_another_form_is_rewritten_whole_by_a_write(
+        base, capsys):
+    path = os.path.join(base, "chain.json")
+    with open(path, encoding="utf-8") as fh:
+        log = json.load(fh)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(log, fh, indent=1)  # no longer ends in the canonical tip
+    assert estate(base, *faucet(1, 10)) == 0
+    assert read(base, "chain.json") == whole_log(base)
+    assert estate(base, "chain", "verify") == 0
+    capsys.readouterr()
 
 
 def test_the_history_loader_refuses_a_log_replaced_since_the_load(

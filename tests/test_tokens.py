@@ -88,9 +88,9 @@ def test_burn_right_exactly_one():
     tokens = TokenLedger()
     tokens.mint(A, RIGHT, 1)
     with pytest.raises(LedgerError) as e:
-        tokens.burn(A, RIGHT, 2)
+        tokens.apply(tokens.plan_moves([(A, None, RIGHT, 2)]))
     assert e.value.code == "NonFungibleAmount"
-    tokens.burn(A, RIGHT, 1)
+    tokens.apply(tokens.plan_moves([(A, None, RIGHT, 1)]))
     assert tokens.total_supply(RIGHT) == 0
     # and the right can be minted again after a full burn
     tokens.mint(B, RIGHT, 1)
@@ -100,7 +100,7 @@ def test_burn_more_than_held():
     tokens = TokenLedger()
     tokens.mint(A, FRAC, 10)
     with pytest.raises(LedgerError) as e:
-        tokens.burn(A, FRAC, 11)
+        tokens.apply(tokens.plan_moves([(A, None, FRAC, 11)]))
     assert e.value.code == "InsufficientBalance"
     assert tokens.balance_of(A, FRAC) == 10
 
@@ -109,7 +109,7 @@ def test_burn_zero_is_a_no_op():
     tokens = TokenLedger()
     tokens.mint(A, FRAC, 10)
     before = digest(tokens)
-    tokens.burn(A, FRAC, 0)
+    tokens.apply(tokens.plan_moves([(A, None, FRAC, 0)]))
     assert digest(tokens) == before
 
 
@@ -118,7 +118,7 @@ def test_burn_zero_of_a_right_is_rejected():
     tokens.mint(A, RIGHT, 1)
     before = digest(tokens)
     with pytest.raises(LedgerError) as e:
-        tokens.burn(A, RIGHT, 0)
+        tokens.apply(tokens.plan_moves([(A, None, RIGHT, 0)]))
     assert e.value.code == "NonFungibleAmount"
     assert digest(tokens) == before
 
