@@ -34,13 +34,25 @@ another dir is listed once.
 The tag's digest is the SHA-256 of ``state.json`` with the digest's own
 hex digits zeroed: ``save_state`` hashes the one encoding it writes, and
 ``load_state`` recomputes the digest over the bytes it read and refuses
-a mismatch before it decodes a section. A tag with no digest, as
-written before tags held one, loads unchecked. The object keys stay out
-of it: a write adds object files after its append. Each section of a
-checked checkpoint (accounts, stakeholders, factory with properties) is
-decoded, and its invariants checked, when a command first uses it: the
-loaded state is a ``PendingState``, and ``Node.execute`` decodes every
-section before it admits a command.
+a mismatch before it decodes a section. A tag with no digest, as written
+before tags held one, loads unchecked. The object keys stay out of it: a
+write adds object files after its append. A checkpoint whose digest
+checks before anything is parsed is cut at the last ``,"stakeholders":``
+before its fixed suffix ``,"version":1}`` and the last ``,"factory":``
+before that, and only the head before the contracts (accounts, tag,
+config) is parsed at load. The contracts slice (factory, properties) and
+the registry slice (stakeholders) are each parsed when a command first
+uses them; a slice that does not parse to exactly its keys, because a
+key nested in a value cut it wrong or its bytes are broken, is read from
+a parse of the whole file. A file with no digest, a digest that does not
+match, a surrogate escape, no suffix or key to cut at, or a head not
+exactly its keys is parsed whole at load, as before; a file whose slices
+each parse to exactly their keys, as every file ``save_state`` writes
+does, loads to the values a whole parse gives. Each section (accounts,
+stakeholders, factory with properties) is decoded, and its invariants
+checked, when a command first uses it: the loaded state is a
+``PendingState``, and ``Node.execute`` decodes every section before it
+admits a command.
 
 ``load_state`` reads the checkpoint, then lists the objects, then reads
 the log from its end back to the tag's block: it finds that block's
@@ -57,7 +69,9 @@ not found, a failed check or a tag-less ``state.json`` (a checkpoint at
 the log's tip) read the log whole. That read refuses a tag past the log
 or with a hash the log does not hold at that index, and drops a torn
 last append if what remains still holds the checkpoint's block; it
-writes nothing, and the next write rewrites the log whole.
+writes nothing, and the next write rewrites the log whole. Cyclic GC is
+paused while a whole log is decoded: the decode frees nothing, so a
+collection would only scan the objects it builds.
 
 A snapshot is ``state_dict(objects=True)`` with the block log under
 ``chain``, plus a ``digest`` of that body. The digest is
@@ -77,6 +91,7 @@ proxies, each initialized at its own address.
 
 import contextlib
 import fcntl
+import gc
 import hashlib
 import json
 import os
@@ -97,6 +112,16 @@ from .storage import ObjectStore
 
 STATE_KEYS = frozenset(("version", "config", "accounts", "stakeholders",
                         "factory", "properties"))
+# a checked checkpoint is split at two keys: the head before the contracts
+# is parsed at load, the contracts and the registry each on first use
+HEAD_KEYS = frozenset(("accounts", "block", "config"))
+CONTRACTS_AT, CONTRACT_KEYS = b',"factory":', frozenset(("factory",
+                                                         "properties"))
+REGISTRY_AT, REGISTRY_KEYS = b',"stakeholders":', frozenset(("stakeholders",))
+STATE_END = b',"version":%d}' % STATE_VERSION
+# a tag with its digest, as a canonical checkpoint holds it
+_SIGNED_TAG = re.compile(rb',"block":\{"hash":"([0-9a-f]{64})","index":'
+                         rb'(0|[1-9][0-9]*),"state":"([0-9a-f]{64})"\},')
 LOG_HEAD = b'{"blocks":['
 TAIL_WINDOW = 1 << 14  # bytes a load first reads back from the log's end
 _SCAN = json.JSONDecoder().raw_decode
@@ -118,6 +143,16 @@ class Checkpoint:
 def _tag_json(tag: Checkpoint) -> bytes:
     """`tag` as the bytes of a checkpoint hold it."""
     return b'"block":' + canonical_json_bytes(to_json(tag))
+
+
+def _checkpoint_bytes(body: dict, index: int, hash_: bytes) -> bytes:
+    """`body`, a ``state_dict()``, tagged with block `index` of hash
+    `hash_` as ``state.json`` holds it: its digest is the SHA-256 of
+    these bytes with the digest's hex digits zeroed."""
+    tag = Checkpoint(index, hash_, bytes(32))  # the digest zeroed
+    data = canonical_json_bytes(body | {"block": to_json(tag)})
+    zeroed, tag.state = _tag_json(tag), hashlib.sha256(data).digest()
+    return data.replace(zeroed, _tag_json(tag), 1)
 
 
 def _signed(data: bytes, tag: Checkpoint) -> bool:
@@ -147,8 +182,10 @@ class StoredLog:
         if data[self.start - 1:] != b"," + self.first:
             raise err("CorruptSnapshot", f"{self.path} no longer holds "
                       f"block {index} at byte {self.start}")
-        blocks = Chain.from_dict(_json_object(
-            self.path, data[:self.start - 1] + b"]}", "surrogateescape")).held
+        with _gc_paused():
+            blocks = Chain.from_dict(_json_object(
+                self.path, data[:self.start - 1] + b"]}",
+                "surrogateescape")).held
         if len(blocks) != index:
             raise err("CorruptSnapshot", f"{self.path} holds {len(blocks)} "
                       f"blocks before block {index}")
@@ -201,11 +238,7 @@ def save_state(state_dir: str, node: Node):
     state it cannot encode leaves the dir untouched."""
     state, chain = node.state, node.state.chain
     tip = chain.held[-1]
-    tag = Checkpoint(tip.index, tip.hash, bytes(32))  # the digest zeroed
-    checkpoint = canonical_json_bytes(state.state_dict() | {
-        "block": to_json(tag)})
-    zeroed, tag.state = _tag_json(tag), hashlib.sha256(checkpoint).digest()
-    checkpoint = checkpoint.replace(zeroed, _tag_json(tag), 1)
+    checkpoint = _checkpoint_bytes(state.state_dict(), tip.index, tip.hash)
     store = state.store
     objects_dir = os.path.abspath(os.path.join(state_dir, "objects"))
     # content-addressed: a file once written is never rewritten
@@ -239,31 +272,52 @@ def _listing(objects_dir: str) -> set:
             if name.endswith(".bin")}
 
 
-def _json_object(path: str, data: bytes, errors: str = "strict") -> dict:
+@contextlib.contextmanager
+def _gc_paused():
+    """Cyclic GC off while a decode allocates many objects and frees
+    none, so no collection scans them; the caller's setting after."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse(data: bytes, errors: str = "strict"):
+    """The JSON value `data` holds, None if it holds none."""
     try:  # JSON text is UTF-8
-        value = json.loads(data.decode("utf-8", errors))
+        return json.loads(data.decode("utf-8", errors))
     except (ValueError, RecursionError):
-        value = None
+        return None
+
+
+def _json_object(path: str, data: bytes, errors: str = "strict") -> dict:
+    value = _parse(data, errors)
     if not isinstance(value, dict):
         raise err("CorruptSnapshot", f"{path} is not a JSON object")
     return value
 
 
-def _read_json_object(path: str) -> tuple:
-    """The JSON object in the file at `path`, and the file's bytes; a
+def _may_hold_surrogate(data: bytes) -> bool:
+    """Whether `data` holds a \\u escape of a surrogate; a file with no
+    backslash holds no escape."""
+    return b"\\" in data and (b"\\ud" in data or b"\\uD" in data)
+
+
+def _utf8_json_object(path: str, data: bytes) -> dict:
+    """The JSON object `data`, the bytes of the file at `path`, holds; a
     string in it that holds a lone surrogate, which no UTF-8 text can, is
     refused here."""
-    with open(path, "rb") as fh:
-        data = fh.read()
     value = _json_object(path, data)
-    # a \u escape of a surrogate? A file with no backslash holds no escape
-    if b"\\" in data and (b"\\ud" in data or b"\\uD" in data):
+    if _may_hold_surrogate(data):
         try:
             json.dumps(value, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError as exc:
             raise err("CorruptSnapshot", f"{path} holds a string that is "
                       f"not UTF-8: {exc}") from exc
-    return value, data
+    return value
 
 
 def _scan_blocks(text: str, pos: int) -> tuple:
@@ -301,14 +355,15 @@ def _read_log(path: str, need: Optional[int]) -> Chain:
     no torn tail."""
     with open(path, "rb") as fh:
         data = fh.read()
-    try:  # bytes that are not UTF-8 reach Block.from_dict, naming a block
-        value = _json_object(path, data, "surrogateescape")
-    except LedgerError:  # not JSON: torn or broken
-        whole = None if need is None else _whole_blocks(data)
-        if whole is None or len(whole) <= need:
-            raise
-        value = {"blocks": whole}
-    chain = Chain.from_dict(value)
+    with _gc_paused():
+        try:  # bytes not UTF-8 reach Block.from_dict, naming a block
+            value = _json_object(path, data, "surrogateescape")
+        except LedgerError:  # not JSON: torn or broken
+            whole = None if need is None else _whole_blocks(data)
+            if whole is None or len(whole) <= need:
+                raise
+            value = {"blocks": whole}
+        chain = Chain.from_dict(value)
     if not chain.held:
         raise err("CorruptSnapshot", f"{path} holds no block")
     return chain
@@ -366,16 +421,17 @@ def _accounts(raw) -> dict:
     return {"native": read(NativeLedger, raw)}
 
 
-def _stakeholders(raw) -> dict:
-    registry = read(StakeholderRegistry, raw)
+def _stakeholders(part) -> dict:
+    registry = read(StakeholderRegistry, part()["stakeholders"])
     if not registry.active_admins():
         raise err("CorruptSnapshot", "no active administrator")
     return {"registry": registry}
 
 
-def _contracts(raw) -> dict:
-    factory = read(Factory, raw[0])
-    properties = read(dict[str, PropertyContract], raw[1])
+def _contracts(part) -> dict:
+    d = part()
+    factory = read(Factory, d["factory"])
+    properties = read(dict[str, PropertyContract], d["properties"])
     if sorted(properties) != sorted(factory.proxies):
         raise err("CorruptSnapshot", "properties differ from proxies")
     for address, prop in properties.items():
@@ -385,25 +441,110 @@ def _contracts(raw) -> dict:
     return {"factory": factory, "properties": properties}
 
 
-def _state_from_dicts(d: dict, chain: Chain, store: ObjectStore = None
-                     ) -> Node:
-    """Decode a ``state_dict()`` beside its `chain` and `store`, or its
-    hex ``objects``; refuse what no command produces. Each section is
-    read, and its invariants checked, on first use (``PendingState``)."""
-    read_object(d, STATE_KEYS | ({"objects"} if store is None else set()))
-    if store is None:
-        store = ObjectStore(read(dict[str, bytes], d["objects"]))
-        for digest, data in store.objects.items():
-            if sha256_hex(data) != digest:
-                raise err("CorruptSnapshot",
-                          f"object {digest} does not match its digest")
-    contracts = (_contracts, (d["factory"], d["properties"]))
+def _node(head: dict, contracts, registry, chain: Chain,
+          store: ObjectStore) -> Node:
+    """The ledger of `head`'s accounts and config, beside its `chain` and
+    `store`; `contracts` and `registry`, called, return a dict holding
+    their section's keys. Each section is parsed if it was not, read,
+    and its invariants checked, on first use (``PendingState``)."""
+    contracts = (_contracts, contracts)
     return Node(PendingState(
-        {"native": (_accounts, d["accounts"]),
-         "registry": (_stakeholders, d["stakeholders"]),
+        {"native": (_accounts, head["accounts"]),
+         "registry": (_stakeholders, registry),
          "factory": contracts, "properties": contracts},
-        config=read(dict[str, Optional[str]], d["config"]),
+        config=read(dict[str, Optional[str]], head["config"]),
         chain=chain, store=store))
+
+
+def _state_from_dicts(d: dict, chain: Chain) -> Node:
+    """Decode a ``state_dict(objects=True)`` beside its `chain`; refuse
+    what no command produces."""
+    read_object(d, STATE_KEYS | {"objects"})
+    store = ObjectStore(read(dict[str, bytes], d["objects"]))
+    for digest, data in store.objects.items():
+        if sha256_hex(data) != digest:
+            raise err("CorruptSnapshot",
+                      f"object {digest} does not match its digest")
+    return _node(d, lambda: d, lambda: d, chain, store)
+
+
+@dataclass
+class _Slice:
+    """Bytes `start` to `end` of the checked checkpoint `data` at `path`,
+    the members of its object that hold `keys`; called, it parses them.
+    Members that do not parse to exactly `keys`, broken ones or ones a
+    key nested in a value cut wrong, are read from the whole file, which
+    refuses what it refused before the split."""
+    path: str
+    data: bytes
+    start: int
+    end: int
+    keys: frozenset
+
+    def __call__(self) -> dict:
+        value = _parse(b"{" + self.data[self.start:self.end] + b"}")
+        if type(value) is dict and value.keys() == self.keys:
+            return value
+        return _read_whole(self.path, self.data)[0]
+
+
+def _read_whole(path: str, data: bytes) -> tuple:
+    """The checkpoint `data`, the bytes of the file at `path`, parsed
+    whole: its sections, and its tag, None if it has none."""
+    d = _utf8_json_object(path, data)
+    _check_version(d, "state")
+    tag = d.pop("block", None)
+    if tag is not None:  # a tag with no digest loads unchecked
+        tag = read(Checkpoint, {"state": None} | tag
+                   if type(tag) is dict else tag)
+        if tag.state is not None and not _signed(data, tag):
+            raise err("CorruptSnapshot", f"{path} does not match its digest")
+    return read_object(d, STATE_KEYS), tag
+
+
+def _split(path: str, data: bytes) -> Optional[tuple]:
+    """The checkpoint `data` at `path` cut at its sections once its tag's
+    digest checks: the head parsed, the contracts and the registry as
+    ``_Slice``s, and the tag. None, having parsed nothing, for a file
+    with no digest or one that does not match, a surrogate escape, no
+    version suffix or no key to cut at; and, having parsed the head,
+    for a head not exactly its keys or holding another tag."""
+    if not data.endswith(STATE_END) or _may_hold_surrogate(data):
+        return None
+    registry = data.rfind(REGISTRY_AT)
+    contracts = data.rfind(CONTRACTS_AT, 0, max(registry, 0))
+    found = _SIGNED_TAG.search(data, 0, max(contracts, 0))
+    if found is None:
+        return None
+    tag = Checkpoint(int(found[2]), bytes.fromhex(found[1].decode()),
+                     bytes.fromhex(found[3].decode()))
+    if not _signed(data, tag):
+        return None
+    # the head starts at the file's first byte and the registry ends at
+    # its fixed suffix, so a marker nested in a value leaves a bracket
+    # unmatched in a slice, which then parses as no section
+    head = _parse(data[:contracts] + b"}")
+    if (type(head) is not dict or head.keys() != HEAD_KEYS
+            or head.pop("block") != to_json(tag)):
+        return None
+    return (head, _Slice(path, data, contracts + 1, registry, CONTRACT_KEYS),
+            _Slice(path, data, registry + 1, len(data) - len(STATE_END),
+                   REGISTRY_KEYS), tag)
+
+
+def _read_checkpoint(path: str) -> tuple:
+    """The checkpoint at `path` as (head, contracts, registry, tag): the
+    head a dict holding the accounts and config, the others returning,
+    called, a dict holding their section's keys, and the tag, None if it
+    has none. A file whose digest checks is split, and only its head
+    parsed; any other is parsed whole."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    split = _split(path, data)
+    if split is not None:
+        return split
+    d, tag = _read_whole(path, data)
+    return d, lambda: d, lambda: d, tag
 
 
 def _uninitialized(state_dir: str):
@@ -427,16 +568,7 @@ def load_state(state_dir: str) -> Node:
         if not os.path.exists(path):
             raise err("CorruptSnapshot", f"{path} is missing; "
                       "`state import --force` restores the dir")
-    state_d, data = _read_json_object(state_path)
-    _check_version(state_d, "state")
-    tag = state_d.pop("block", None)
-    if tag is not None:  # a tag with no digest loads unchecked
-        tag = read(Checkpoint, {"state": None} | tag
-                   if type(tag) is dict else tag)
-        if tag.state is not None and not _signed(data, tag):
-            raise err("CorruptSnapshot",
-                      f"{state_path} does not match its digest")
-    read_object(state_d, STATE_KEYS)
+    head, contracts, registry, tag = _read_checkpoint(state_path)
     # objects before the log: a write adds them only after its append
     objects_dir = os.path.abspath(os.path.join(state_dir, "objects"))
     store = ObjectStore(path=objects_dir, listed=_listing(objects_dir))
@@ -459,7 +591,7 @@ def load_state(state_dir: str) -> Node:
         del blocks[tag.index + 1:]
     else:
         chain, later = tail
-    node = _state_from_dicts(state_d, chain, store)
+    node = _node(head, contracts, registry, chain, store)
     try:
         node.redo(later)
     except LedgerError as exc:
@@ -556,4 +688,6 @@ def write_snapshot(path: str, node: Node):
 def read_snapshot(path: str) -> Node:
     if not os.path.exists(path):
         raise err("NotFound", path)
-    return import_snapshot(_read_json_object(path)[0])
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return import_snapshot(_utf8_json_object(path, data))

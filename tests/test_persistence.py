@@ -4,14 +4,20 @@ state.json; a load redoes the blocks after the tag and drops a torn
 last append."""
 
 import builtins
+import contextlib
 import dataclasses
 import errno
+import gc
 import hashlib
+import io
 import json
 import os
+import re
 import shutil
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from estateledger import (chain as chain_mod, cli, node as node_mod,
                           persistence)
@@ -21,6 +27,7 @@ from estateledger.errors import LedgerError
 from estateledger.identity import StakeholderRecord
 from estateledger.node import LedgerState, Node, PendingState
 from estateledger.persistence import load_state, save_state
+from estateledger.records import to_json
 from estateledger.storage import ObjectStore
 
 ADMIN_KEY = "admin-key-1"
@@ -829,3 +836,315 @@ def test_a_section_no_command_reads_fails_only_the_commands_that_read_it(
         assert estate(base, *argv) == 3
         assert "active: expected bool, got 1" in capsys.readouterr().err
     assert dir_bytes(base) == files
+
+
+# -- the checkpoint split at its sections --------------------------------------
+
+
+def _slices(state_dir) -> tuple:
+    """The head, contracts and registry of the dir's state.json, each as
+    the bytes its parse is handed."""
+    data = read(state_dir, "state.json")
+    registry = data.rfind(b',"stakeholders":')
+    contracts = data.rfind(b',"factory":', 0, registry)
+    assert data.endswith(b',"version":1}')
+    return (data[:contracts] + b"}",
+            b"{" + data[contracts + 1:registry] + b"}",
+            b"{" + data[registry + 1:-len(b',"version":1}')] + b"}")
+
+
+def _parsed(monkeypatch) -> list:
+    """Records the bytes of each JSON parse of a checkpoint or log."""
+    parsed, real = [], persistence._parse
+    monkeypatch.setattr(persistence, "_parse", lambda data, *args: (
+        parsed.append(data) or real(data, *args)))
+    return parsed
+
+
+@pytest.fixture
+def deployed(base, capsys):
+    """`base` with the factory initialized and one property deployed, and
+    that property's address."""
+    for argv in (["factory", "init", "--version", "1", "--as", ADMIN,
+                  "--timestamp", "4"],
+                 ["factory", "deploy", "--treasury", SELLER, "--upgrader",
+                  ADMIN, "--admin", ADMIN, "--uri", "u/{id}", "--as", ADMIN,
+                  "--timestamp", "5"]):
+        assert estate(base, *argv) == 0
+    capsys.readouterr()
+    return base, next(iter(load_state(str(base)).state.properties))
+
+
+def test_a_command_parses_only_the_slices_of_the_sections_it_uses(
+        deployed, monkeypatch, capsys):
+    state_dir, prop = deployed
+    head, contracts, registry = _slices(state_dir)
+    parsed = _parsed(monkeypatch)
+    assert estate(state_dir, "chain", "balance", "--address", SELLER) == 0
+    assert parsed == [head]  # no byte of the contracts or the registry
+    parsed.clear()
+    assert estate(state_dir, "token", "balance", "--property", prop,
+                  "--owner", SELLER, "--id", "1") == 0
+    assert parsed == [head, contracts]
+    parsed.clear()
+    assert estate(state_dir, *faucet(5, 10)) == 0
+    assert sorted(parsed) == sorted([head, contracts, registry])
+    capsys.readouterr()
+
+
+def test_a_checkpoint_without_a_digest_is_parsed_whole_once(
+        base, monkeypatch, capsys):
+    _drop_digest(base)
+    data = read(base, "state.json")
+    parsed = _parsed(monkeypatch)
+    for argv in (["chain", "balance", "--address", SELLER], faucet(5, 10)):
+        parsed.clear()
+        assert estate(base, *argv) == 0
+        assert parsed == [data]
+    capsys.readouterr()
+
+
+def _resign(state_dir, old: bytes, new: bytes):
+    """Edit state.json by hand, `old` to `new`, and write the digest the
+    edited bytes have."""
+    data = read(state_dir, "state.json")
+    (digest_,) = re.findall(rb'"state":"([0-9a-f]{64})"', data)
+    assert data.count(old) == 1
+    data = data.replace(digest_, b"0" * 64).replace(old, new)
+    signed = hashlib.sha256(data).hexdigest().encode()
+    with open(os.path.join(state_dir, "state.json"), "wb") as fh:
+        fh.write(data.replace(b"0" * 64, signed, 1))
+
+
+def test_a_broken_registry_under_a_matching_digest_fails_only_its_readers(
+        base, capsys):
+    """With the digest rewritten to match, stakeholder bytes that are not
+    JSON fail the commands that use the registry, as the whole file
+    would have failed every command."""
+    _resign(base, b'"roles":["Seller"]', b'"roles":["Seller"')
+    files = dir_bytes(base)
+    assert estate(base, "chain", "balance", "--address", SELLER) == 0
+    assert capsys.readouterr().out.endswith("balance: 500\n")
+    path = os.path.join(base, "state.json")
+    for argv in (["stakeholder", "show", "--address", SELLER],
+                 ["state", "digest"], faucet(5, 10)):
+        assert estate(base, *argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: CorruptSnapshot: {path} is not a JSON object\n")
+    assert dir_bytes(base) == files
+
+
+@pytest.mark.parametrize("old, new, readers", [
+    (b',"stakeholders":', b',"q":0,"stakeholders":', [
+        ["token", "balance", "--property", "{prop}", "--owner", SELLER,
+         "--id", "1"], ["property", "info", "--property", "{prop}"]]),
+    (b',"version":1}', b',"t":0,"version":1}', [
+        ["stakeholder", "show", "--address", SELLER]])],
+    ids=["contracts", "registry"])
+def test_a_key_added_to_a_lazy_slice_fails_its_readers_as_before(
+        deployed, capsys, old, new, readers):
+    """A slice that parses but holds a key no section has is read from
+    the whole file, which refuses the key as a load did before."""
+    state_dir, prop = deployed
+    _resign(state_dir, old, new)
+    files = dir_bytes(state_dir)
+    assert estate(state_dir, "chain", "balance", "--address", SELLER) == 0
+    capsys.readouterr()
+    extra = "q" if b'"q"' in new else "t"
+    keys = sorted(persistence.STATE_KEYS | {extra})
+    for argv in [*readers, ["state", "digest"], faucet(5, 10)]:
+        assert estate(state_dir, *[a.format(prop=prop) for a in argv]) == 3
+        assert capsys.readouterr().err == (
+            f"error: CorruptSnapshot: keys {keys}, expected "
+            f"{sorted(persistence.STATE_KEYS)}\n")
+    assert dir_bytes(state_dir) == files
+
+
+def test_a_surrogate_escape_under_a_matching_digest_fails_every_command(
+        base, capsys):
+    _resign(base, b'"roles":["Seller"]', b'"roles":["Seller\\udcff"]')
+    path = os.path.join(base, "state.json")
+    for argv in (["chain", "balance", "--address", SELLER], faucet(5, 10)):
+        assert estate(base, *argv) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: CorruptSnapshot: {path} holds a string that is not "
+            "UTF-8: ")
+
+
+def test_a_tag_nested_before_the_checkpoints_own_is_not_its_tag(tmp_path):
+    """A block key in the accounts, signed in place of the file's own
+    digest-less tag, is found first: the load reads the file's own tag,
+    unchecked, as before the split."""
+    body = Node().state.state_dict()
+    nested = {"hash": "11" * 32, "index": 1, "state": "00" * 32}
+    body["accounts"] = {"a": 0, "block": nested, "c": 0}
+    data = canonical_json_bytes(body | {"block": {"hash": "22" * 32,
+                                                   "index": 3}})
+    signed = hashlib.sha256(data).hexdigest().encode()
+    data = data.replace(b"0" * 64, signed, 1)
+    assert persistence._SIGNED_TAG.search(data)[3] == signed
+    path = tmp_path / "state.json"
+    path.write_bytes(data)
+    head, contracts, registry, tag = persistence._read_checkpoint(str(path))
+    assert tag == persistence.Checkpoint(3, bytes.fromhex("22" * 32))
+    assert head["accounts"] == json.loads(data)["accounts"]
+
+
+def test_a_nested_marker_that_cuts_a_slice_wrong_reads_the_whole_file(
+        base, monkeypatch):
+    """A stakeholder key nested in the registry is the last one: the cut
+    there parses as no section, and both lazy slices read the whole
+    file."""
+    node = load_state(str(base))
+    body = node.state.state_dict()
+    body["stakeholders"]["x"] = {"a": 1, "stakeholders": {"roles": []}}
+    data = persistence._checkpoint_bytes(body, 3, bytes(32))
+    wholes, real = [], persistence._read_whole
+    monkeypatch.setattr(persistence, "_read_whole", lambda *args: (
+        wholes.append(1) or real(*args)))
+    head, contracts, registry, _ = persistence._split("state.json", data)
+    assert wholes == []
+    assert registry()["stakeholders"] == body["stakeholders"]
+    assert contracts()["properties"] == body["properties"]
+    assert wholes == [1, 1]
+
+
+def _records() -> list:
+    """A small ledger's sections and records, and a tag, as JSON."""
+    node = Node()
+    node.init_genesis(ADMIN_KEY.encode(), timestamp=0)
+    node.execute(ADMIN, "initializeFactory", {"versionId": 1}, timestamp=1)
+    node.execute(ADMIN, "deployProperty", {
+        "treasury": ADMIN, "upgrader": ADMIN, "admin": ADMIN,
+        "uri": "u/{id}"}, timestamp=2)
+    d = node.state.state_dict()
+    return [d["accounts"], d["stakeholders"], d["factory"],
+            *d["properties"].values(), *d["stakeholders"][
+                "stakeholders"].values(),
+            {"hash": "11" * 32, "index": 1, "state": "22" * 32}]
+
+
+SECTIONS = ("accounts", "config", "factory", "properties", "stakeholders")
+NESTED_KEYS = SECTIONS + ("block", "version", "a", "zz")
+# values that nest the checkpoint's own keys at any depth, holding
+# records, or a copy of a section marker or of the version suffix
+nesting = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.sampled_from([',"factory":{', ',"stakeholders":', ',"version":1}'])
+    | st.sampled_from(_records()),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(NESTED_KEYS), inner, max_size=4),
+    max_leaves=12)
+
+
+@given(st.fixed_dictionaries({name: st.dictionaries(
+    st.sampled_from(NESTED_KEYS), nesting, max_size=3) for name in SECTIONS}))
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+def test_a_split_checkpoint_yields_the_sections_of_a_whole_parse(sections):
+    data = persistence._checkpoint_bytes(sections | {"version": 1}, 7,
+                                         bytes(range(32)))
+    whole = json.loads(data)
+    split = persistence._split("state.json", data)
+    if split is None:  # the load parses the file whole, as before the split
+        return
+    head, contracts, registry, tag = split
+    assert to_json(tag) == whole["block"]
+    assert head == {k: whole[k] for k in ("accounts", "config")}
+    assert {k: contracts()[k] for k in ("factory", "properties")} == {
+        k: whole[k] for k in ("factory", "properties")}
+    assert registry()["stakeholders"] == whole["stakeholders"]
+
+
+READS = (["chain", "balance", "--address", SELLER],
+         ["token", "balance", "--property", "{prop}", "--owner", SELLER,
+          "--id", "1"],
+         ["property", "info", "--property", "{prop}"],
+         ["state", "digest"])
+
+
+def _outputs(state_dir, prop) -> list:
+    out = []
+    for argv in READS:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            rc = estate(state_dir, *[a.format(prop=prop) for a in argv])
+        out.append((rc, stdout.getvalue(), stderr.getvalue()))
+    return out
+
+
+@given(texts=st.lists(nesting.map(lambda v: json.dumps(v)), min_size=6,
+                      max_size=6),
+       extra=st.dictionaries(st.sampled_from(NESTED_KEYS), nesting,
+                             max_size=4))
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+def test_a_ledger_holding_nested_keys_reads_the_same_split_or_whole(
+        texts, extra):
+    """Document metadata, stakeholder and contract strings and config
+    values that nest the checkpoint's keys: every section the split
+    yields is the whole parse's, and the reads print the same bytes as
+    with the file parsed whole."""
+    node = Node()
+    node.init_genesis(ADMIN_KEY.encode(), info_cid=texts[0], timestamp=0)
+    node.execute(ADMIN, "registerStakeholder", {
+        "role": "Seller", "publicKey": b"seller-key".hex(),
+        "infoCid": texts[1]}, timestamp=1)
+    node.execute(ADMIN, "faucet", {"to": SELLER, "amount": 500}, timestamp=2)
+    node.execute(ADMIN, "initializeFactory", {
+        "versionId": 1, "behaviorTag": texts[2]}, timestamp=3)
+    prop = node.execute(ADMIN, "deployProperty", {
+        "treasury": SELLER, "upgrader": ADMIN, "admin": ADMIN,
+        "uri": texts[3] + "{id}", "contractName": texts[4],
+        "description": texts[5]}, timestamp=4)["address"]
+    cid = node.execute(ADMIN, "buildRightMetadata", {
+        "nameOfRight": texts[0], "extra": extra}, timestamp=5)["cid"]
+    node.execute(ADMIN, "registerDocument", {"property": prop, "cid": cid},
+                 timestamp=6)
+    node.state.config.update(zip(NESTED_KEYS, texts))
+    with tempfile.TemporaryDirectory() as state_dir, \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(persistence.os, "fsync", lambda fd: None)
+        save_state(state_dir, node)
+        data = read(state_dir, "state.json")
+        whole = json.loads(data)
+        split = persistence._split("state.json", data)
+        # every key nested in a string is escaped, so only a surrogate
+        # escape in one keeps a saved checkpoint whole
+        assert split is not None or persistence._may_hold_surrogate(data)
+        if split is not None:
+            head, contracts, registry, _ = split
+            assert head | contracts() | registry() == {
+                k: v for k, v in whole.items() if k not in ("block",
+                                                            "version")}
+        outputs = _outputs(state_dir, prop)
+        patch.setattr(persistence, "_split", lambda path, data: None)
+        assert outputs == _outputs(state_dir, prop)
+    assert [rc for rc, *_ in outputs] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc on", "gc off"])
+def test_a_whole_log_decode_pauses_gc_and_restores_the_callers_setting(
+        base, monkeypatch, capsys, enabled):
+    seen, real = [], persistence._json_object
+    monkeypatch.setattr(persistence, "_json_object", lambda *args: (
+        seen.append(gc.isenabled()) or real(*args)))
+    path = os.path.join(base, "chain.json")
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert estate(base, "chain", "verify") == 0  # StoredLog.before
+        assert gc.isenabled() is enabled
+        assert persistence._read_log(path, None).height == 5
+        assert gc.isenabled() is enabled
+        with open(path, "r+b") as fh:  # the log's first byte
+            fh.write(b"[")
+        assert estate(base, "chain", "verify") == 3
+        assert gc.isenabled() is enabled
+        with pytest.raises(LedgerError) as e:
+            persistence._read_log(path, None)
+        assert e.value.code == "CorruptSnapshot"
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert len(seen) == 4 and not any(seen)
+    capsys.readouterr()
