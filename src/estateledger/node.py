@@ -46,6 +46,18 @@ from .storage import ObjectStore, build_right_metadata
 from .tokens import atomic_swap
 
 STATE_VERSION = 1
+# each top-level key of ``LedgerState.state_dict`` -> its value in a state
+_STATE_ENCODERS = {
+    "version": lambda state: STATE_VERSION,
+    "config": lambda state: state.config,
+    "accounts": lambda state: to_json(state.native),
+    "stakeholders": lambda state: to_json(state.registry),
+    "factory": lambda state: to_json(state.factory),
+    "properties": lambda state: {a: to_json(p)
+                                 for a, p in state.properties.items()},
+}
+# the ``LedgerState`` attributes an executor may change
+SECTIONS = frozenset(("native", "registry", "store", "factory", "properties"))
 
 
 @dataclass
@@ -64,17 +76,11 @@ class LedgerState:
             raise err("NotFound", f"no property at {address}")
         return prop
 
-    def state_dict(self, *, objects: bool = False) -> dict:
+    def state_dict(self, *, objects: bool = False,
+                   keys=tuple(_STATE_ENCODERS)) -> dict:
         """The one serialization of the state; ``state.json`` is the
-        default form."""
-        d = {
-            "version": STATE_VERSION,
-            "config": self.config,
-            "accounts": to_json(self.native),
-            "stakeholders": to_json(self.registry),
-            "factory": to_json(self.factory),
-            "properties": {a: to_json(p) for a, p in self.properties.items()},
-        }
+        default form. Only the top-level `keys` are encoded."""
+        d = {key: _STATE_ENCODERS[key](self) for key in keys}
         if objects:
             d["objects"] = {k: v.hex() for k, v in
                             sorted(self.store.read_all().items())}
@@ -292,19 +298,27 @@ def _check_timestamp(timestamp: int):
 
 # -- op declarations --------------------------------------------------------
 
-Op = namedtuple("Op", "payable params required")  # params: name -> reader
+# params: name -> reader; writes: the SECTIONS the executor may change
+Op = namedtuple("Op", "payable params required writes")
 BOOL, BYTES, DICTS, INT, INTS, STR = map(reader, (
     bool, bytes, list[dict], int, list[int], str))
 OPS = {}        # op -> Op
 EXECUTORS = {}  # op -> executor, looked up on every call
 
 
-def op(name, /, payable=False, optional=(), **required):
+def op(name, /, payable=False, optional=(), writes=SECTIONS, **required):
     """Declare the executor of op `name`: whether a command may attach
     value, and each param's reader, which refuses a value of another exact
-    type; `optional` maps the params a command may leave out to theirs."""
+    type; `optional` maps the params a command may leave out to theirs.
+    `writes` names the ``LedgerState`` sections the executor may change;
+    an op that names none counts as changing every one. ``save_state``
+    re-encodes only the checkpoint slices (registry; factory and
+    properties) that the ops of the blocks since its last read or write
+    declare, and writes the others back as the checked bytes the file
+    held."""
     def declare(executor):
-        OPS[name] = Op(payable, required | dict(optional), frozenset(required))
+        OPS[name] = Op(payable, required | dict(optional), frozenset(required),
+                       frozenset(writes) or SECTIONS)
         EXECUTORS[name] = executor
         return executor
     return declare
@@ -329,7 +343,8 @@ def _documents(value):  # [{"link": cid, "name": ..., ...}, ...]
 # each returns (result dict, extra event transactions)
 
 
-@op("bootstrapAdmin", publicKey=BYTES, optional={"infoCid": STR})
+@op("bootstrapAdmin", publicKey=BYTES, optional={"infoCid": STR},
+    writes=("registry", "native"))
 def _ex_bootstrap_admin(state, caller, params, value):
     key = bytes.fromhex(params["publicKey"])
     # the operator seats the first administrator; no allowlist applies
@@ -341,7 +356,7 @@ def _ex_bootstrap_admin(state, caller, params, value):
 
 
 @op("registerStakeholder", role=STR, publicKey=BYTES,
-    optional={"infoCid": STR})
+    optional={"infoCid": STR}, writes=("registry", "native"))
 def _ex_register_stakeholder(state, caller, params, value):
     key = bytes.fromhex(params["publicKey"])
     role = parse_role(params["role"])
@@ -353,19 +368,19 @@ def _ex_register_stakeholder(state, caller, params, value):
     return {"address": address}, []
 
 
-@op("removeStakeholder", target=ADDRESS)
+@op("removeStakeholder", target=ADDRESS, writes=("registry",))
 def _ex_remove_stakeholder(state, caller, params, value):
     state.registry.remove(caller, params["target"])
     return {}, []
 
 
-@op("transferNative", to=ADDRESS, amount=INT)
+@op("transferNative", to=ADDRESS, amount=INT, writes=("native",))
 def _ex_transfer_native(state, caller, params, value):
     state.native.transfer(caller, params["to"], params["amount"])
     return {}, []
 
 
-@op("faucet", to=ADDRESS, amount=INT)
+@op("faucet", to=ADDRESS, amount=INT, writes=("native",))
 def _ex_faucet(state, caller, params, value):
     # the faucet is the only supply source; administrators only
     if not state.registry.is_active_admin(caller):
@@ -374,7 +389,7 @@ def _ex_faucet(state, caller, params, value):
     return {}, []
 
 
-@op("putObject", dataHex=BYTES)
+@op("putObject", dataHex=BYTES, writes=("store",))
 def _ex_put_object(state, caller, params, value):
     cid = state.store.put(bytes.fromhex(params["dataHex"]))
     return {"cid": cid}, []
@@ -382,7 +397,7 @@ def _ex_put_object(state, caller, params, value):
 
 @op("buildRightMetadata", nameOfRight=STR, optional={
     "description": STR, "documents": _documents,
-    "extra": reader(Optional[dict])})
+    "extra": reader(Optional[dict])}, writes=("store",))
 def _ex_build_metadata(state, caller, params, value):
     cid = build_right_metadata(
         state.store, params["nameOfRight"], params.get("description", ""),
@@ -390,7 +405,7 @@ def _ex_build_metadata(state, caller, params, value):
     return {"cid": cid}, []
 
 
-@op("registerDocument", property=STR, cid=STR)
+@op("registerDocument", property=STR, cid=STR, writes=("properties",))
 def _ex_register_document(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.register_document(caller, params["cid"], registry=state.registry,
@@ -398,7 +413,8 @@ def _ex_register_document(state, caller, params, value):
     return {"documents": len(prop.documents)}, []
 
 
-@op("approvedProperty", property=STR, parentHash=BYTES)
+@op("approvedProperty", property=STR, parentHash=BYTES,
+    writes=("properties",))
 def _ex_approved_property(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.approved_property(caller, bytes.fromhex(params["parentHash"]),
@@ -407,7 +423,8 @@ def _ex_approved_property(state, caller, params, value):
 
 
 @op("initializeFactory", versionId=INT, optional={
-    "behaviorTag": STR, "admin": ADDRESS, "upgrader": ADDRESS})
+    "behaviorTag": STR, "admin": ADDRESS, "upgrader": ADDRESS},
+    writes=("factory",))
 def _ex_initialize_factory(state, caller, params, value):
     if not state.registry.is_active_admin(caller):
         raise err("NotAuthorized", f"{caller} is not an active administrator")
@@ -420,7 +437,8 @@ def _ex_initialize_factory(state, caller, params, value):
 
 
 @op("deployProperty", treasury=ADDRESS, upgrader=ADDRESS, admin=ADDRESS,
-    uri=STR, optional={"contractName": STR, "description": STR})
+    uri=STR, optional={"contractName": STR, "description": STR},
+    writes=("factory", "properties", "native"))
 def _ex_deploy_property(state, caller, params, value):
     address = factory_mod.deploy_property(
         state.factory, state.properties, caller,
@@ -436,19 +454,20 @@ def _ex_deploy_property(state, caller, params, value):
     return {"address": address, "propertyId": prop_id}, [event]
 
 
-@op("pause")
+@op("pause", writes=("factory",))
 def _ex_pause(state, caller, params, value):
     state.factory.pause(caller)
     return {"paused": True}, []
 
 
-@op("unpause")
+@op("unpause", writes=("factory",))
 def _ex_unpause(state, caller, params, value):
     state.factory.unpause(caller)
     return {"paused": False}, []
 
 
-@op("authorizeUpgrade", versionId=INT, optional={"behaviorTag": STR})
+@op("authorizeUpgrade", versionId=INT, optional={"behaviorTag": STR},
+    writes=("factory",))
 def _ex_authorize_upgrade(state, caller, params, value):
     state.factory.authorize_upgrade(
         caller, ImplementationVersion(params["versionId"],
@@ -457,7 +476,7 @@ def _ex_authorize_upgrade(state, caller, params, value):
 
 
 @op("mintNFT", payable=True, property=STR, id=INT, price=INT,
-    optional={"data": STR})
+    optional={"data": STR}, writes=("properties", "native"))
 def _ex_mint_nft(state, caller, params, value):
     prop = state.property_at(params["property"])
     token_id, amount = prop.mint_nft(
@@ -468,7 +487,8 @@ def _ex_mint_nft(state, caller, params, value):
 
 
 @op("mintBatchNFTs", payable=True, property=STR, ids=INTS,
-    amounts=INTS, prices=INTS, optional={"data": STR})
+    amounts=INTS, prices=INTS, optional={"data": STR},
+    writes=("properties", "native"))
 def _ex_mint_batch(state, caller, params, value):
     prop = state.property_at(params["property"])
     ids, amounts = prop.mint_batch(
@@ -478,7 +498,8 @@ def _ex_mint_batch(state, caller, params, value):
     return {"ids": ids, "amounts": amounts}, []
 
 
-@op("mintFractional", property=STR, rightId=INT, units=INT, pricePerUnit=INT)
+@op("mintFractional", property=STR, rightId=INT, units=INT, pricePerUnit=INT,
+    writes=("properties",))
 def _ex_mint_fractional(state, caller, params, value):
     prop = state.property_at(params["property"])
     frac_id = prop.mint_fractional(
@@ -488,7 +509,7 @@ def _ex_mint_fractional(state, caller, params, value):
 
 
 @op("transferNFT", payable=True, property=STR, to=ADDRESS, id=INT,
-    amount=INT, optional={"data": STR})
+    amount=INT, optional={"data": STR}, writes=("properties", "native"))
 def _ex_transfer_nft(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.transfer_nft(caller, params["to"], params["id"], params["amount"],
@@ -496,28 +517,32 @@ def _ex_transfer_nft(state, caller, params, value):
     return {}, []
 
 
-@op("burnNFT", property=STR, id=INT, amount=INT, **{"from": ADDRESS})
+@op("burnNFT", property=STR, id=INT, amount=INT, **{"from": ADDRESS},
+    writes=("properties",))
 def _ex_burn_nft(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.burn_nft(caller, params["from"], params["id"], params["amount"])
     return {}, []
 
 
-@op("burnBatchNFTs", property=STR, ids=INTS, amounts=INTS, **{"from": ADDRESS})
+@op("burnBatchNFTs", property=STR, ids=INTS, amounts=INTS, **{"from": ADDRESS},
+    writes=("properties",))
 def _ex_burn_batch(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.burn_batch(caller, params["from"], params["ids"], params["amounts"])
     return {}, []
 
 
-@op("setPrice", property=STR, id=INT, pricePerUnit=INT)
+@op("setPrice", property=STR, id=INT, pricePerUnit=INT,
+    writes=("properties",))
 def _ex_set_price(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.set_price(caller, params["id"], params["pricePerUnit"])
     return {}, []
 
 
-@op("distributeEarnings", payable=True, property=STR, rightId=INT, total=INT)
+@op("distributeEarnings", payable=True, property=STR, rightId=INT, total=INT,
+    writes=("properties", "native"))
 def _ex_distribute(state, caller, params, value):
     prop = state.property_at(params["property"])
     payouts, remainder = prop.distribute_earnings(
@@ -526,7 +551,8 @@ def _ex_distribute(state, caller, params, value):
     return {"payouts": payouts, "remainder": remainder}, []
 
 
-@op("setApprovalForAll", property=STR, operator=ADDRESS, approved=BOOL)
+@op("setApprovalForAll", property=STR, operator=ADDRESS, approved=BOOL,
+    writes=("properties",))
 def _ex_set_approval(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.tokens.set_approval_for_all(caller, params["operator"],
@@ -535,7 +561,7 @@ def _ex_set_approval(state, caller, params, value):
 
 
 @op("safeTransferBatch", property=STR, to=ADDRESS, ids=INTS,
-    amounts=INTS, **{"from": ADDRESS})
+    amounts=INTS, **{"from": ADDRESS}, writes=("properties",))
 def _ex_safe_transfer_batch(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.tokens.safe_transfer_batch(caller, params["from"], params["to"],
@@ -543,7 +569,7 @@ def _ex_safe_transfer_batch(state, caller, params, value):
     return {}, []
 
 
-@op("consentSwap", property=STR, digest=BYTES)
+@op("consentSwap", property=STR, digest=BYTES, writes=("properties",))
 def _ex_consent_swap(state, caller, params, value):
     prop = state.property_at(params["property"])
     prop.tokens.give_consent(caller, params["digest"])
@@ -551,7 +577,7 @@ def _ex_consent_swap(state, caller, params, value):
 
 
 @op("atomicSwap", property=STR, partyA=ADDRESS, legsA=_legs, valueA=INT,
-    partyB=ADDRESS, legsB=_legs, valueB=INT)
+    partyB=ADDRESS, legsB=_legs, valueB=INT, writes=("properties", "native"))
 def _ex_atomic_swap(state, caller, params, value):
     prop = state.property_at(params["property"])
     party_a, party_b = params["partyA"], params["partyB"]

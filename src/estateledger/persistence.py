@@ -42,17 +42,30 @@ before its fixed suffix ``,"version":1}`` and the last ``,"factory":``
 before that, and only the head before the contracts (accounts, tag,
 config) is parsed at load. The contracts slice (factory, properties) and
 the registry slice (stakeholders) are each parsed when a command first
-uses them; a slice that does not parse to exactly its keys, because a
-key nested in a value cut it wrong or its bytes are broken, is read from
-a parse of the whole file. A file with no digest, a digest that does not
-match, a surrogate escape, no suffix or key to cut at, or a head not
-exactly its keys is parsed whole at load, as before; a file whose slices
-each parse to exactly their keys, as every file ``save_state`` writes
-does, loads to the values a whole parse gives. Each section (accounts,
-stakeholders, factory with properties) is decoded, and its invariants
-checked, when a command first uses it: the loaded state is a
-``PendingState``, and ``Node.execute`` decodes every section before it
-admits a command.
+uses them; a slice that holds a key of the head or of the other slice
+is refused, and one that does not otherwise parse to exactly its keys,
+because a key nested in a value cut it wrong or its bytes are broken,
+is read from a parse of the whole file. A file with no digest, a
+digest that does not match, a surrogate escape, no suffix or key to cut
+at, or a head not exactly its keys is parsed whole at load, as before;
+a file whose slices each parse to exactly their keys, as every file
+``save_state`` writes does, loads to the values a whole parse gives.
+Each section (accounts, stakeholders, factory with properties) is
+decoded, and its invariants checked, when a command first uses it: the
+loaded state is a ``PendingState``, and ``Node.execute`` decodes every
+section before it admits a command.
+
+A write encodes the head whole, and a slice only if an op of a block
+since the checkpoint was read or last written declares a section of
+that slice (``@op(writes=...)``): the ops are read from each block's
+first transaction, so blocks a load redid count. Each other slice is
+written back as the bytes the file held, once they parsed to exactly
+their keys, or as the last write wrote them: ``Slices``, kept beside
+the chain's log. A checkpoint parsed whole, ``init`` and ``state
+import`` keep none, so their next write encodes every slice. Every
+section is still decoded and checked before a write; read from a file
+a write left, the file the next write leaves is the one
+``_checkpoint_bytes`` encodes from the whole state.
 
 ``load_state`` reads the checkpoint, then lists the objects, then reads
 the log from its end back to the tag's block: it finds that block's
@@ -104,8 +117,8 @@ from .chain import Block, Chain, NativeLedger
 from .errors import LedgerError, err
 from .factory import Factory
 from .identity import StakeholderRegistry
-from .node import (STATE_VERSION, Node, PendingState, state_digest,
-                   state_pieces)
+from .node import (OPS, SECTIONS, STATE_VERSION, Node, PendingState,
+                   state_digest, state_pieces)
 from .property_contract import PropertyContract
 from .records import read, read_object, to_json
 from .storage import ObjectStore
@@ -119,6 +132,11 @@ CONTRACTS_AT, CONTRACT_KEYS = b',"factory":', frozenset(("factory",
                                                          "properties"))
 REGISTRY_AT, REGISTRY_KEYS = b',"stakeholders":', frozenset(("stakeholders",))
 STATE_END = b',"version":%d}' % STATE_VERSION
+SECTION_KEYS = HEAD_KEYS | CONTRACT_KEYS | REGISTRY_KEYS
+# each slice after the head, in file order: the ``state_dict`` keys it
+# holds, and the ``LedgerState`` sections they encode
+SLICES = ((CONTRACT_KEYS, CONTRACT_KEYS),
+          (REGISTRY_KEYS, frozenset(("registry",))))
 # a tag with its digest, as a canonical checkpoint holds it
 _SIGNED_TAG = re.compile(rb',"block":\{"hash":"([0-9a-f]{64})","index":'
                          rb'(0|[1-9][0-9]*),"state":"([0-9a-f]{64})"\},')
@@ -145,14 +163,19 @@ def _tag_json(tag: Checkpoint) -> bytes:
     return b'"block":' + canonical_json_bytes(to_json(tag))
 
 
-def _checkpoint_bytes(body: dict, index: int, hash_: bytes) -> bytes:
-    """`body`, a ``state_dict()``, tagged with block `index` of hash
-    `hash_` as ``state.json`` holds it: its digest is the SHA-256 of
-    these bytes with the digest's hex digits zeroed."""
-    tag = Checkpoint(index, hash_, bytes(32))  # the digest zeroed
-    data = canonical_json_bytes(body | {"block": to_json(tag)})
+def _sign(data: bytes, tag: Checkpoint) -> bytes:
+    """The checkpoint `data`, which holds `tag` with its digest zeroed,
+    with the digest: the SHA-256 of `data`."""
     zeroed, tag.state = _tag_json(tag), hashlib.sha256(data).digest()
     return data.replace(zeroed, _tag_json(tag), 1)
+
+
+def _checkpoint_bytes(body: dict, index: int, hash_: bytes) -> bytes:
+    """`body`, a ``state_dict()``, tagged with block `index` of hash
+    `hash_` as ``state.json`` holds it, encoded whole: its digest is the
+    SHA-256 of these bytes with the digest's hex digits zeroed."""
+    tag = Checkpoint(index, hash_, bytes(32))  # the digest zeroed
+    return _sign(canonical_json_bytes(body | {"block": to_json(tag)}), tag)
 
 
 def _signed(data: bytes, tag: Checkpoint) -> bool:
@@ -165,14 +188,28 @@ def _signed(data: bytes, tag: Checkpoint) -> bool:
 
 
 @dataclass
+class Slices:
+    """The checkpoint slices after the head, in ``SLICES`` order, that
+    reflect the state at block `index`, of hash `hash`, of a chain: each
+    one's bytes, or the ``_Slice`` of a loaded checkpoint, whose bytes
+    count once it parsed to exactly its keys."""
+    index: int
+    hash: bytes
+    pieces: list
+
+
+@dataclass
 class StoredLog:
     """Where a chain sits in a dir's log: the file at `path` holds its
     first `blocks` blocks. Unless the chain holds the whole log, its first
-    held block is `first` from `start`."""
+    held block is `first` from `start`. `slices`, the checkpoint slices
+    last read or written beside the log, are what a write carries over
+    of each slice no op since has changed."""
     path: str
     blocks: int
     start: int = 0
     first: bytes = b""
+    slices: Optional[Slices] = None
 
     def before(self, index: int) -> list:
         """The `index` blocks before held block `index`, read once: the
@@ -231,14 +268,46 @@ def _append(stored, path: str, held: list) -> bool:
     return True
 
 
+def _writes(block) -> frozenset:
+    """The sections the op of `block`, its first transaction, may change;
+    every section, for a block whose op is not known."""
+    try:
+        decl = OPS.get(json.loads(block.data[0])["operation"])
+    except (IndexError, ValueError, TypeError, KeyError):
+        decl = None
+    return SECTIONS if decl is None else decl.writes
+
+
+def _carried(chain: Chain) -> list:
+    """For each slice in ``SLICES``, its stored bytes if no block after
+    the one they reflect may have changed it, else None."""
+    slices = chain.log.slices if chain.log is not None else None
+    at = -1 if slices is None else slices.index - chain.held[0].index
+    if not 0 <= at < len(chain.held) or chain.held[at].hash != slices.hash:
+        return [None] * len(SLICES)
+    written = frozenset().union(*map(_writes, chain.held[at + 1:]))
+    return [None if sections & written else
+            piece.stored if isinstance(piece, _Slice) else piece
+            for (_, sections), piece in zip(SLICES, slices.pieces)]
+
+
 def save_state(state_dir: str, node: Node):
     """Write `node` to `state_dir`: append its new blocks to a log that
     holds the rest of its chain, else write the log whole; then the new
     objects and the checkpoint. The checkpoint is encoded first, so a
-    state it cannot encode leaves the dir untouched."""
+    state it cannot encode leaves the dir untouched: the head whole, and
+    each slice whole unless no op since it was last read or written may
+    have changed it, which is then its stored bytes."""
     state, chain = node.state, node.state.chain
+    if isinstance(state, PendingState):  # a write checks every section
+        state.decode()
     tip = chain.held[-1]
-    checkpoint = _checkpoint_bytes(state.state_dict(), tip.index, tip.hash)
+    pieces = [stored or canonical_json_bytes(state.state_dict(keys=keys))[1:-1]
+              for (keys, _), stored in zip(SLICES, _carried(chain))]
+    tag = Checkpoint(tip.index, tip.hash, bytes(32))  # the digest zeroed
+    head = canonical_json_bytes(state.state_dict(keys=("accounts", "config"))
+                                | {"block": to_json(tag)})
+    checkpoint = _sign(b",".join([head[:-1], *pieces]) + STATE_END, tag)
     store = state.store
     objects_dir = os.path.abspath(os.path.join(state_dir, "objects"))
     # content-addressed: a file once written is never rewritten
@@ -257,6 +326,7 @@ def save_state(state_dir: str, node: Node):
     for digest, data in objects.items():
         _write_atomic(os.path.join(objects_dir, digest + ".bin"), data)
     _write_atomic(os.path.join(state_dir, "state.json"), checkpoint)
+    chain.log.slices = Slices(tip.index, tip.hash, pieces)
     held = store.digests()
     if whole:  # the objects of a ledger this one replaced
         for digest in on_disk - held:
@@ -471,20 +541,31 @@ def _state_from_dicts(d: dict, chain: Chain) -> Node:
 @dataclass
 class _Slice:
     """Bytes `start` to `end` of the checked checkpoint `data` at `path`,
-    the members of its object that hold `keys`; called, it parses them.
-    Members that do not parse to exactly `keys`, broken ones or ones a
-    key nested in a value cut wrong, are read from the whole file, which
-    refuses what it refused before the split."""
+    the members of its object that hold `keys`; called, it parses them,
+    and once they parse to exactly `keys` they are its `stored` bytes.
+    Members that hold a key of another section are refused: the head or
+    the other slice holds it, too, and a whole parse would take the later
+    one. Others that do not parse to exactly `keys`, broken ones or ones
+    a key nested in a value cut wrong, are read from the whole file,
+    which refuses what it refused before the split."""
     path: str
     data: bytes
     start: int
     end: int
     keys: frozenset
+    stored: Optional[bytes] = None
 
     def __call__(self) -> dict:
-        value = _parse(b"{" + self.data[self.start:self.end] + b"}")
-        if type(value) is dict and value.keys() == self.keys:
-            return value
+        members = self.data[self.start:self.end]
+        value = _parse(b"{" + members + b"}")
+        if type(value) is dict:
+            if value.keys() == self.keys:
+                self.stored = members
+                return value
+            other = value.keys() & SECTION_KEYS - self.keys
+            if other:
+                raise err("CorruptSnapshot", f"{self.path} holds "
+                          f"{min(other)!r} twice")
         return _read_whole(self.path, self.data)[0]
 
 
@@ -591,6 +672,8 @@ def load_state(state_dir: str) -> Node:
         del blocks[tag.index + 1:]
     else:
         chain, later = tail
+    if isinstance(registry, _Slice):  # split: its slices may be carried
+        chain.log.slices = Slices(tag.index, tag.hash, [contracts, registry])
     node = _node(head, contracts, registry, chain, store)
     try:
         node.redo(later)

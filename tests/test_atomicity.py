@@ -18,6 +18,7 @@ executor checks everything before it writes.
 """
 
 import copy
+import dataclasses
 import hashlib
 import random
 
@@ -26,9 +27,11 @@ import pytest
 from conftest import (ADMIN_KEY, BUYER_KEY, SELLER_KEY, TREASURY, URI,
                       add_doc, approve, deploy, register)
 from estateledger.addresses import ZERO_ADDRESS, check_address, derive_address
+from estateledger.canonical import canonical_json_bytes
 from estateledger.chain import Transaction
 from estateledger.errors import LedgerError
-from estateledger.node import EXECUTORS, OPS, Node, state_digest
+from estateledger.node import (EXECUTORS, OPS, SECTIONS, LedgerState, Node,
+                               state_digest)
 from estateledger.persistence import (export_snapshot, import_snapshot,
                                       load_state, save_state)
 from estateledger.records import reader
@@ -520,3 +523,67 @@ def test_random_sequences_check_before_they_write(market, seed, tmp_path):
                                         tokens.balances.items() if per}
         for token_id, supply in tokens.supplies.items():
             assert supply == sum(tokens.balances[token_id].values())
+
+
+# -- what each op declares it writes ------------------------------------------
+
+
+def test_every_op_declares_only_ledger_state_sections():
+    fields = {f.name for f in dataclasses.fields(LedgerState)}
+    assert SECTIONS <= fields - {"config", "chain"}
+    for op, decl in OPS.items():
+        assert decl.writes and decl.writes <= SECTIONS, op
+
+
+def _section_bytes(state) -> dict:
+    """Each section an op may write, as canonical bytes."""
+    d = state.state_dict()
+    return {"native": canonical_json_bytes(d["accounts"]),
+            "registry": canonical_json_bytes(d["stakeholders"]),
+            "factory": canonical_json_bytes(d["factory"]),
+            "properties": canonical_json_bytes(d["properties"]),
+            "store": canonical_json_bytes(sorted(state.store.digests()))}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_each_op_leaves_the_sections_it_does_not_declare_unchanged(
+        market, seed):
+    """``save_state`` writes back the stored bytes of a checkpoint slice
+    no op since declares, so an op must change no section outside its
+    ``writes``, byte for byte."""
+    n = copy.deepcopy(market)
+    n.seller2 = register(n, n.admin, "Seller", SELLER2_KEY, 2001)
+    n.buyer2 = register(n, n.admin, "Buyer", BUYER2_KEY, 2002)
+    n.people = [n.seller, n.seller2, n.buyer, n.buyer2]  # sellers first
+    for who in (n.seller2, n.buyer2):
+        n.execute(n.admin, "faucet", {"to": who, "amount": 500},
+                  timestamp=2003)
+    swaps = [(n.seller, n.buyer, [[FRAC1, 10]], [], 0, 5),
+             (n.buyer, n.seller2, [[FRAC1, 1]], [], 0, BIG),
+             (n.seller2, n.buyer2, [], [[FRAC1, 600]], 40, 0)]
+    rng = random.Random(seed)
+    succeeded = set()
+    before = _section_bytes(n.state)
+    for step in range(400):
+        who, op, params, value = _random_op(rng, n, swaps)
+        try:
+            n.execute(who, op, params, value=value, timestamp=3000 + step)
+        except LedgerError:
+            continue
+        after = _section_bytes(n.state)
+        changed = {name for name in after if after[name] != before[name]}
+        assert changed <= OPS[op].writes, (step, op, params)
+        succeeded.add(op)
+        before = after
+    assert len(succeeded) >= 12  # many kinds were seen succeeding
+
+
+@pytest.mark.parametrize("op", sorted(EXECUTORS))
+def test_an_op_that_succeeds_changes_only_the_sections_it_declares(
+        market, op):
+    n, caller, params, value = _prepared(market, op)
+    before = _section_bytes(n.state)
+    n.execute(caller, op, params, value=value, timestamp=4000)
+    after = _section_bytes(n.state)
+    assert {name for name in after if after[name] != before[name]} \
+        <= OPS[op].writes
