@@ -177,18 +177,27 @@ def _add_args(parser, args):
             parser.add_argument(flag, **kwargs)
 
 
+def command_key(argv):
+    """The (noun, verb) key of the command the first words of `argv`
+    name; None if they name none."""
+    for key in ((argv[0], None), tuple(argv[:2])) if argv else ():
+        if key in COMMANDS:
+            return key
+    return None
+
+
 def build_parser(argv=None) -> Parser:
     """The parser of `argv`: when its first words name a command, that
     command's alone, with `noun` and `verb` as defaults; otherwise (no argv,
     root help, a bare noun, an unknown noun or verb, an option before the
     command) the whole tree, so help and error text list every choice."""
-    for key in ((argv[0], None), tuple(argv[:2])) if argv else ():
-        if key in COMMANDS:
-            words = [word for word in key if word]
-            leaf = Parser(prog=" ".join(["estate"] + words))
-            leaf.set_defaults(**dict(zip(("noun", "verb"), words)))
-            _add_args(leaf, COMMON + COMMANDS[key][0])
-            return leaf
+    key = command_key(argv)
+    if key is not None:
+        words = [word for word in key if word]
+        leaf = Parser(prog=" ".join(["estate"] + words))
+        leaf.set_defaults(**dict(zip(("noun", "verb"), words)))
+        _add_args(leaf, COMMON + COMMANDS[key][0])
+        return leaf
     root = Parser(prog="estate", description=__doc__)
     nouns = root.add_subparsers(dest="noun", required=True)
     verbs = {}
@@ -401,22 +410,26 @@ DIGESTS = {
 SCRIPT_REFUSED = {("init", None), ("run", None), ("state", "import")}
 
 
-def _script_command(args, line: str):
+def _script_command(args, line: str, parsers: dict):
     """The parsed command of one script line, bound to the default
-    timestamp of the `estate run` command `args`."""
+    timestamp of the `estate run` command `args`. `parsers` holds the
+    parser of each command the script has parsed a line of so far."""
     try:
         tokens = shlex.split(line)
     except ValueError as exc:  # an unbalanced quote
         raise err("ParseError", str(exc))
+    caller = None
     if tokens[0] == "as":
         if len(tokens) < 3:
             raise err("ParseError", "bare caller prefix")
         caller, tokens = tokens[1], tokens[2:]
-        if "--as" not in tokens:
-            tokens += ["--as", caller]
-    sub = build_parser(tokens).parse_args(tokens)
-    key = (sub.noun, getattr(sub, "verb", None))
-    if key in SCRIPT_REFUSED:
+    key = command_key(tokens)
+    if key not in parsers:
+        parsers[key] = build_parser(tokens)
+    sub = parsers[key].parse_args(tokens)
+    if sub.caller is None:  # an explicit --as wins over the prefix
+        sub.caller = caller
+    if key in SCRIPT_REFUSED:  # a line parses only by its command's parser
         raise err("ParseError",
                   f"{' '.join(filter(None, key))} cannot run inside a script")
     if args.timestamp is not None and sub.timestamp is None:
@@ -426,13 +439,15 @@ def _script_command(args, line: str):
 
 def run_script(args, ledger) -> dict:
     """Run each line of the script against one ledger, loaded once under
-    one lock; a mutating line is saved before the next line runs, so a
-    failing line leaves the lines before it committed."""
+    one lock; a mutating line is committed, its block appended and
+    fsynced, before the next line runs, so a failing line leaves the
+    lines before it committed. The checkpoint is written once, as the
+    hold ends. Lines of one command share its parser."""
     with open(args.script, "r", encoding="utf-8") as fh:
         # text mode has already turned \r\n and \r into \n; str.splitlines
         # would also break at \x0c, \x85 and U+2028
         lines = fh.read().split("\n")
-    executed = 0
+    executed, parsers = 0, {}
     with ledger.writing():
         node = ledger.node
         for lineno, raw in enumerate(lines, start=1):
@@ -440,7 +455,7 @@ def run_script(args, ledger) -> dict:
             if not line or line.startswith("#"):
                 continue
             try:
-                dispatch(_script_command(args, line), ledger)
+                dispatch(_script_command(args, line, parsers), ledger)
             except LedgerError as exc:
                 raise LedgerError(exc.code, f"line {lineno}: {exc.message}")
             executed += 1

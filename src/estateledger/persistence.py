@@ -23,13 +23,20 @@ only the new blocks to ``chain.json`` in place: it writes
 ``,<block>...]}`` over the closing ``]}`` and fsyncs. That fsync is the
 one commit point.
 Only then does it write the new object files and the checkpoint, each to
-a temp name that is fsynced and renamed. A dir that holds no log of this
-chain (``init``, ``state import``), or a log torn or stored in another
-form, gets the whole log the same way, then
-the objects and the checkpoint, and then loses each object file of a
-ledger it held before. Which objects a dir holds is the listing of
-``objects/`` that the node's store was loaded with, or last saved to;
-another dir is listed once.
+a temp name that is fsynced and renamed. Inside a hold, an append leaves
+the checkpoint to the hold, which writes the last one it was left once,
+as it ends, returned or raised, before it lets the flock go: the
+checkpoint bounds the blocks a load redoes, and commits nothing. So a
+lone command writes the same files in the same order, and a script of
+ten writes fsyncs eleven times, not twenty; a line that fails leaves a
+checkpoint at the last block committed, and a reader that loads while a
+script runs redoes the lines committed so far. A dir that holds no log
+of this chain (``init``, ``state import``), or a log torn or stored in
+another form, gets the whole log the same way, then the objects and the
+checkpoint, at once, and then loses each object file of a ledger it held
+before. Which objects a dir holds is the listing of ``objects/`` that
+the node's store was loaded with, or last saved to; another dir is
+listed once.
 
 The tag's digest is the SHA-256 of ``state.json`` with the digest's own
 hex digits zeroed: ``save_state`` hashes the one encoding it writes, and
@@ -116,7 +123,7 @@ from .canonical import canonical_json_bytes, sha256_hex
 from .chain import Block, Chain, NativeLedger
 from .errors import LedgerError, err
 from .factory import Factory
-from .identity import StakeholderRegistry
+from .identity import Role, StakeholderRegistry
 from .node import (OPS, SECTIONS, STATE_VERSION, Node, PendingState,
                    state_digest, state_pieces)
 from .property_contract import PropertyContract
@@ -291,13 +298,15 @@ def _carried(chain: Chain) -> list:
             for (_, sections), piece in zip(SLICES, slices.pieces)]
 
 
-def save_state(state_dir: str, node: Node):
+def save_state(state_dir: str, node: Node, defer: bool = False):
     """Write `node` to `state_dir`: append its new blocks to a log that
     holds the rest of its chain, else write the log whole; then the new
     objects and the checkpoint. The checkpoint is encoded first, so a
     state it cannot encode leaves the dir untouched: the head whole, and
     each slice whole unless no op since it was last read or written may
-    have changed it, which is then its stored bytes."""
+    have changed it, which is then its stored bytes. With `defer`, a
+    write that appended returns the checkpoint for its caller to write,
+    in place of writing it; any other returns None."""
     state, chain = node.state, node.state.chain
     if isinstance(state, PendingState):  # a write checks every section
         state.decode()
@@ -325,13 +334,16 @@ def save_state(state_dir: str, node: Node):
         chain.log.blocks = chain.height
     for digest, data in objects.items():
         _write_atomic(os.path.join(objects_dir, digest + ".bin"), data)
-    _write_atomic(os.path.join(state_dir, "state.json"), checkpoint)
+    deferred = checkpoint if defer and not whole else None
+    if deferred is None:  # a whole write removes objects after it
+        _write_atomic(os.path.join(state_dir, "state.json"), checkpoint)
     chain.log.slices = Slices(tip.index, tip.hash, pieces)
     held = store.digests()
     if whole:  # the objects of a ledger this one replaced
         for digest in on_disk - held:
             os.remove(os.path.join(objects_dir, digest + ".bin"))
     store.path, store.listed = objects_dir, held
+    return deferred
 
 
 def _listing(objects_dir: str) -> set:
@@ -493,7 +505,8 @@ def _accounts(raw) -> dict:
 
 def _stakeholders(part) -> dict:
     registry = read(StakeholderRegistry, part()["stakeholders"])
-    if not registry.active_admins():
+    if not any(record.active and Role.ADMINISTRATOR.value in record.roles
+               for record in registry.stakeholders.values()):
         raise err("CorruptSnapshot", "no active administrator")
     return {"registry": registry}
 
@@ -686,12 +699,17 @@ def load_state(state_dir: str) -> Node:
 class LedgerDir:
     """One command's hold on the state dir at `path`, which reads nothing
     until its `node` is first used; `writing()` holds the dir's flock and
-    `commit()` saves the ledger."""
+    `commit()` saves the ledger. A commit inside a hold appends and
+    fsyncs its blocks, the commit point, and leaves `checkpoint`, the
+    ``state.json`` bytes it encoded, to the hold, which writes the last
+    one once, as it ends: a script's lines each pay their append, and
+    the script one checkpoint. A load redoes the blocks after it."""
 
     def __init__(self, path: str):
         self.path = path
         self._node = None
         self._locked = False  # whether this hold has the flock
+        self.checkpoint = None  # the state.json this hold has yet to write
 
     @property
     def node(self) -> Node:
@@ -703,7 +721,10 @@ class LedgerDir:
     def writing(self, create: bool = False, overwrite: bool = False):
         """Hold the flock on ``.lock``; inside a hold that has it, a no-op.
         With `create`, make a missing dir and refuse a ledger in it unless
-        `overwrite`; a failure then removes the lock and a dir it made."""
+        `overwrite`; a failure then removes the lock and a dir it made.
+        As the hold ends, returned or raised, it writes the checkpoint a
+        commit left it before it lets the flock go; an error that write
+        raises never replaces one already raised."""
         if self._locked:
             yield
             return
@@ -723,7 +744,13 @@ class LedgerDir:
                     raise err("AlreadyInitialized",
                               f"{self.path} already holds a ledger; "
                               "`state import --force` overwrites it")
-                yield
+                try:
+                    yield
+                except BaseException:
+                    with contextlib.suppress(OSError):
+                        self._write_checkpoint()
+                    raise
+                self._write_checkpoint()
             except BaseException:
                 if created:
                     os.remove(lock)
@@ -733,11 +760,17 @@ class LedgerDir:
             finally:
                 self._locked = False
 
+    def _write_checkpoint(self):
+        checkpoint, self.checkpoint = self.checkpoint, None
+        if checkpoint is not None:
+            _write_atomic(os.path.join(self.path, "state.json"), checkpoint)
+
     def commit(self, node: Node = None):
-        """Save `node`, from now on this hold's ledger, or the loaded one."""
+        """Save `node`, from now on this hold's ledger, or the loaded one;
+        outside a hold, the checkpoint too."""
         if node is not None:
             self._node = node
-        save_state(self.path, self.node)
+        self.checkpoint = save_state(self.path, self.node, self._locked)
 
 
 # -- snapshots -------------------------------------------------------------

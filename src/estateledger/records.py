@@ -99,28 +99,30 @@ def reader(t):
 
         def read_record(v):
             read_object(v, keys)
-            kwargs = {}
-            try:
-                for key, name, r, leaf in fields:
-                    x = v[key]
-                    kwargs[name] = x if type(x) is leaf else r(x)
+            try:  # `at` names the field a refusal is of
+                kwargs = {name: x if type(x := v[(at := key)]) is leaf
+                          else r(x) for key, name, r, leaf in fields}
             except LedgerError as exc:
-                raise err(exc.code, f"{key}: {exc.message}") from None
+                raise err(exc.code, f"{at}: {exc.message}") from None
             return t(**kwargs)
         return read_record
     if origin is typing.Union and args[1:] == (type(None),):
         r = reader(args[0])
         return lambda v: None if v is None else r(v)
     if origin in (list, set) and args[0] in LEAVES:
+        leaf, read_leaf = args[0], reader(args[0])
+
         def read_list(v):
             if type(v) is not list:
                 raise _refused("a list", v)
-            items = list(map(reader(args[0]), v))
+            for x in v:
+                if type(x) is not leaf:
+                    read_leaf(x)  # words the refusal
             if origin is list:
-                return items
-            if any(a >= b for a, b in zip(items, items[1:])):
+                return list(v)
+            if len(v) > 1 and any(a >= b for a, b in zip(v, v[1:])):
                 raise _refused("a set's members sorted, each once", v)
-            return set(items)
+            return set(v)
         return read_list
     if origin is not dict or args[0] not in (str, int):
         raise TypeError(f"the record codec cannot store {t!r}")

@@ -1203,6 +1203,46 @@ def test_script_lines_break_only_at_newlines(estate, tmp_path):
     assert put["params"] == {"dataHex": "left\u2028right".encode().hex()}
 
 
+def test_script_lines_of_one_command_share_its_parser(estate, tmp_path,
+                                                      monkeypatch):
+    estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+    lines = [line for i in range(1, 6) for line in (
+        f"chain faucet --to {ADMIN} --amount {i} --as {ADMIN} "
+        f"--timestamp {i}",
+        f"merkle root --leaf {f'{i:02x}' * 32} --leaf {'ee' * 32}")]
+    script = tmp_path / "two-commands.txt"
+    script.write_text("\n".join(lines) + "\n")
+    built, parsed = [], []
+    real_build, real_dispatch = cli.build_parser, cli.dispatch
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: (
+        built.append(argv) or real_build(argv)))
+    monkeypatch.setattr(cli, "dispatch", lambda args, ledger: (
+        parsed.append(args) or real_dispatch(args, ledger)))
+    assert jget(estate, "run", str(script))["commands"] == 10
+    assert len(built) == 1 + 2  # the `run` command's own, then one each
+    monkeypatch.undo()
+    assert parsed[1:] == [cli.build_parser(shlex.split(line)).parse_args(
+        shlex.split(line)) for line in lines]
+
+
+@pytest.mark.parametrize("flag", [["--as", ADMIN], [f"--as={ADMIN}"]],
+                         ids=["as-space", "as-equals"])
+def test_script_caller_prefix_yields_to_an_explicit_as(estate, tmp_path,
+                                                       flag):
+    estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+    estate("stakeholder", "register", "--role", "Seller",
+           "--key", SELLER_KEY, "--as", ADMIN, "--timestamp", "1")
+    script = tmp_path / "override.txt"
+    script.write_text(f"as {SELLER} chain faucet --to {SELLER} --amount 5 "
+                      f"{shlex.join(flag)}\n")
+    estate("run", str(script), "--timestamp", "2")
+    tip = json.loads(load_state(estate.state_dir).state.chain.blocks[-1]
+                     .data[0])
+    assert tip["caller"] == ADMIN
+    assert jget(estate, "chain", "balance",
+                "--address", SELLER)["balance"] == 5
+
+
 # Bad text and bad files named on the command line exit with a code, never
 # a traceback, and append nothing. "{w}" is the test's work directory.
 BAD_INPUTS = [

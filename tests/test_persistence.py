@@ -232,6 +232,130 @@ def test_a_failed_rename_of_chain_json_leaves_the_state_before_or_after(
     capsys.readouterr()
 
 
+def script_of(tmp_path, *lines) -> str:
+    path = tmp_path / f"script{len(lines)}.txt"
+    path.write_text("".join(line + "\n" for line in lines))
+    return str(path)
+
+
+SCRIPT_LINES = (f"as {ADMIN} chain faucet --to {SELLER} --amount 25",
+                f"as {ADMIN} object put --data survey",
+                f"as {SELLER} chain transfer --to {ADMIN} --amount 5")
+
+
+def test_a_fault_at_any_write_boundary_of_a_script_leaves_a_prefix(
+        base, tmp_path, monkeypatch, capsys):
+    """A script's lines each commit at their append; its checkpoint is
+    written once, as the script ends, whether a line failed or not."""
+    prefixes = []
+    for lines in range(len(SCRIPT_LINES) + 1):
+        state_dir = tmp_path / f"prefix{lines}"
+        shutil.copytree(base, state_dir)
+        assert estate(state_dir, "run", script_of(
+            tmp_path, *SCRIPT_LINES[:lines]), "--timestamp", "10") == 0
+        prefixes.append(digest(state_dir))
+    assert len(set(prefixes)) == len(prefixes)
+    script = script_of(tmp_path, *SCRIPT_LINES)
+    outcomes, at = [], 1
+    while True:
+        state_dir = tmp_path / f"fault{at}"
+        shutil.copytree(base, state_dir)
+        faults = Faults(at)
+        with monkeypatch.context() as patch:
+            faults.install(patch)
+            rc = estate(state_dir, "run", script, "--timestamp", "10")
+        if faults.fired is None:  # past the last boundary
+            assert rc == 0
+            break
+        assert rc == 3, faults.fired
+        outcomes.append(prefixes.index(digest(state_dir)))
+        assert estate(state_dir, "chain", "verify") == 0
+        assert estate(state_dir, "chain", "replay") == 0
+        assert estate(state_dir, *faucet(1, 11)) == 0
+        assert read(state_dir, "chain.json") == whole_log(state_dir)
+        at += 1
+    capsys.readouterr()
+    # each line's append and fsync, the object's write, fsync and rename,
+    # then the one checkpoint's write, fsync and rename
+    assert outcomes == [0, 1, 1, 2, 2, 2, 2, 2, 3, 3, 3, 3]
+
+
+def test_a_script_writes_its_checkpoint_once_and_fsyncs_each_append(
+        base, tmp_path, monkeypatch, capsys):
+    fsyncs, checkpoints = [], []
+    real_fsync, real_write = os.fsync, persistence._write_atomic
+
+    def write(path, data):
+        if path.endswith("state.json"):
+            checkpoints.append(path)
+        real_write(path, data)
+    monkeypatch.setattr(persistence.os, "fsync",
+                        lambda fd: fsyncs.append(fd) or real_fsync(fd))
+    monkeypatch.setattr(persistence, "_write_atomic", write)
+    assert estate(base, *faucet(1, 10)) == 0
+    assert (len(fsyncs), len(checkpoints)) == (2, 1)
+    fsyncs.clear(), checkpoints.clear()
+    assert estate(base, "run", script_of(tmp_path, *[
+        f"as {ADMIN} chain faucet --to {SELLER} --amount {i}"
+        for i in range(10)]), "--timestamp", "11") == 0
+    assert (len(fsyncs), len(checkpoints)) == (11, 1)
+    monkeypatch.undo()
+    assert read(base, "state.json") == _whole_encoding(base)
+    tag = json.loads(read(base, "state.json"))["block"]
+    assert tag["index"] == len(load_state(str(base)).state.chain.blocks) - 1
+    capsys.readouterr()
+
+
+def test_a_failing_line_leaves_the_checkpoint_at_the_last_committed_block(
+        base, tmp_path, capsys):
+    assert estate(base, "run", script_of(
+        tmp_path, *SCRIPT_LINES[:2],
+        f"as {SELLER} chain transfer --to {ADMIN} --amount {10 ** 9}"),
+        "--timestamp", "10") == 3
+    tip = load_state(str(base)).state.chain.blocks[-1]
+    tag = json.loads(read(base, "state.json"))["block"]
+    assert (tag["index"], tag["hash"]) == (tip.index, tip.hash.hex())
+    assert json.loads(tip.data[0])["operation"] == "putObject"
+    assert read(base, "state.json") == _whole_encoding(base)
+    capsys.readouterr()
+
+
+def test_a_reader_during_a_script_redoes_the_lines_committed_so_far(
+        base, tmp_path, monkeypatch, capsys):
+    seen, real_save = [], persistence.save_state
+
+    def save(state_dir, node, *defer):
+        checkpoint = real_save(state_dir, node, *defer)
+        seen.append(load_state(state_dir).full_digest() == node.full_digest())
+        return checkpoint
+    monkeypatch.setattr(persistence, "save_state", save)
+    assert estate(base, "run", script_of(tmp_path, *SCRIPT_LINES),
+                  "--timestamp", "10") == 0
+    assert seen == [True] * len(SCRIPT_LINES)
+    capsys.readouterr()
+
+
+def test_an_error_writing_the_checkpoint_never_replaces_one_raised(
+        base, monkeypatch):
+    ledger = persistence.LedgerDir(str(base))
+
+    def fail(path, data):
+        raise OSError(errno.EIO, "injected fault")
+    with pytest.raises(LedgerError) as e:
+        with ledger.writing():
+            ledger.node.execute(ADMIN, "faucet", {"to": SELLER, "amount": 1},
+                                timestamp=10)
+            ledger.commit()
+            assert ledger.checkpoint is not None
+            monkeypatch.setattr(persistence, "_write_atomic", fail)
+            ledger.node.execute(SELLER, "transferNative",
+                                {"to": ADMIN, "amount": 10 ** 9})
+    assert e.value.code == "InsufficientFunds"
+    assert ledger.checkpoint is None
+    monkeypatch.undo()
+    assert digest(base) == ledger.node.full_digest()  # redone from the log
+
+
 # -- what a write writes -------------------------------------------------------
 
 
@@ -1324,3 +1448,16 @@ def test_a_write_checks_a_slice_it_writes_back_as_it_was_read(
             save_state(str(tmp_path / "copy"), node)
         assert e.value.code == "CorruptSnapshot"
     assert not (tmp_path / "copy").exists()
+
+
+def test_slices_stored_for_a_block_of_another_hash_are_not_carried(base):
+    """Slices that reflect a block at an index the chain holds, but of
+    another hash, reflect another history: every slice is re-encoded."""
+    node = load_state(str(base))
+    node.state.decode()  # parses each slice, so its bytes count
+    chain = node.state.chain
+    slices = chain.log.slices
+    assert slices.index == chain.held[0].index
+    assert None not in persistence._carried(chain)
+    chain.log.slices = dataclasses.replace(slices, hash=bytes(32))
+    assert persistence._carried(chain) == [None] * len(persistence.SLICES)
