@@ -8,6 +8,7 @@ import hashlib
 import json
 from json.encoder import c_make_encoder, encode_basestring
 
+raw_decode = json.JSONDecoder().raw_decode  # built once, like the encoder
 # sorted keys + minimal separators: the one serialization every digest
 # in the system agrees on. The C encoder is built once, not per call as
 # `json.dumps` does; with no markers dict it keeps no state between

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 
 from .addresses import ZERO_ADDRESS, require_nonzero
-from .canonical import canonical_json_bytes, sha256, u32be, u64be
+from .canonical import canonical_json_bytes, raw_decode, sha256, u32be, u64be
 from .errors import err
 from .records import read_object, read_u64, reader, to_json
 
@@ -41,6 +41,17 @@ class Transaction:
         return canonical_json_bytes(to_json(self))
 
 
+def decode_blob(blob: bytes) -> tuple:
+    """``json.loads(blob)``, and whether one raw decode of its UTF-8 text
+    fits it exactly, as it fits every blob a ``Block`` holds."""
+    try:
+        text = blob.decode("utf-8")
+        value, end = raw_decode(text)
+    except ValueError:  # not UTF-8, or no JSON value at its start
+        return json.loads(blob), False  # words the refusal
+    return (value, True) if end == len(text) else (json.loads(blob), False)
+
+
 def block_payload(index: int, timestamp: int, nonce: int, prev_hash: bytes,
                   tx_blobs: list) -> bytes:
     parts = [u64be(index), u64be(timestamp), u64be(nonce), prev_hash]
@@ -52,6 +63,9 @@ def block_payload(index: int, timestamp: int, nonce: int, prev_hash: bytes,
 
 @dataclass(slots=True)
 class Block:
+    """A held blob is the canonical encoding of what it decodes to, as
+    ``from_dict`` and ``Node.execute`` encode each one: ``canonical_json``
+    splices the blobs, and ``Node.redo`` seals them as they are held."""
     index: int
     timestamp: int
     nonce: int
@@ -68,18 +82,13 @@ class Block:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "timestamp": self.timestamp,
-            "nonce": self.nonce,
-            "transactions": [json.loads(blob.decode("utf-8")) for blob in self.data],
-            "prevHash": self.prev_hash.hex(),
-            "hash": self.hash.hex(),
-        }
+        return {"index": self.index, "timestamp": self.timestamp,
+                "nonce": self.nonce,
+                "transactions": [decode_blob(blob)[0] for blob in self.data],
+                "prevHash": self.prev_hash.hex(), "hash": self.hash.hex()}
 
     def canonical_json(self) -> bytes:
-        """``canonical_json_bytes(self.to_dict())``, spliced: each stored
-        blob already is its transaction's canonical JSON."""
+        """``canonical_json_bytes(self.to_dict())``, spliced."""
         head = (f'{{"hash":"{self.hash.hex()}","index":{self.index},'
                 f'"nonce":{self.nonce},"prevHash":"{self.prev_hash.hex()}",'
                 f'"timestamp":{self.timestamp},"transactions":[')
@@ -168,19 +177,12 @@ class Chain:
         if not blocks:
             return False
         g = blocks[0]
-        if g.index != 0 or g.prev_hash != GENESIS_PREV_HASH or g.nonce != 0 or g.data:
+        if (g.index != 0 or g.prev_hash != GENESIS_PREV_HASH or g.nonce != 0
+                or g.data or g.hash != g.compute_hash()):
             return False
-        if g.hash != g.compute_hash():
-            return False
-        for i in range(1, len(blocks)):
-            b, prev = blocks[i], blocks[i - 1]
-            if b.index != prev.index + 1:
-                return False
-            if b.nonce != prev.nonce + 1:
-                return False
-            if b.prev_hash != prev.hash:
-                return False
-            if b.hash != b.compute_hash():
+        for prev, b in zip(blocks, blocks[1:]):
+            if (b.index != prev.index + 1 or b.nonce != prev.nonce + 1
+                    or b.prev_hash != prev.hash or b.hash != b.compute_hash()):
                 return False
         return True
 

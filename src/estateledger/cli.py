@@ -10,7 +10,9 @@ state directory; queries read the state without touching it.
 """
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import os
 import shlex
@@ -426,7 +428,11 @@ def _script_command(args, line: str, parsers: dict):
     key = command_key(tokens)
     if key not in parsers:
         parsers[key] = build_parser(tokens)
-    sub = parsers[key].parse_args(tokens)
+    try:  # argparse's help prints usage and exits; a line may not
+        with contextlib.redirect_stdout(io.StringIO()):
+            sub = parsers[key].parse_args(tokens)
+    except SystemExit:
+        raise err("ParseError", "a script line cannot ask for help") from None
     if sub.caller is None:  # an explicit --as wins over the prefix
         sub.caller = caller
     if key in SCRIPT_REFUSED:  # a line parses only by its command's parser

@@ -26,10 +26,13 @@ Replaying a recorded chain from genesis re-executes each block's
 command, its first transaction, on a fresh node and must reproduce the
 recorded block hashes and the final state digest. ``redo``, the loop
 replay runs, also brings a loaded checkpoint up to the tip of its log.
+It decodes each command once and seals the blob the block records: a
+held blob is the canonical encoding of what it decodes to
+(``chain.Block``), so it equals a new encoding of a command that records
+the status ``execute`` writes; any other blob is encoded again.
 """
 
 import hashlib
-import json
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
@@ -37,7 +40,7 @@ from typing import Optional
 from . import factory as factory_mod
 from .addresses import check_address as ADDRESS, derive_address
 from .canonical import canonical_json_bytes, sha256_hex
-from .chain import Chain, NativeLedger, Transaction
+from .chain import Chain, NativeLedger, Transaction, decode_blob
 from .errors import LedgerError, err
 from .factory import Factory, ImplementationVersion
 from .identity import AllowlistVerifier, Role, StakeholderRegistry, parse_role
@@ -185,9 +188,11 @@ class Node:
     # -- execution -------------------------------------------------------------
 
     def execute(self, caller: str, operation: str, params: dict,
-                value: int = 0, timestamp: int = 0) -> dict:
+                value: int = 0, timestamp: int = 0, *,
+                recorded: bytes = None) -> dict:
         """Admit the command, run its executor on the live state and seal
-        its block; a failure raises before anything is written."""
+        its block, with the blob ``redo`` passes as `recorded` if any; a
+        failure raises before anything is written."""
         state = self.state
         if type(state) is not LedgerState:  # decode what a load left
             state.decode()
@@ -224,9 +229,9 @@ class Node:
             raise err("NotAuthorized",
                       f"{caller} is not an active stakeholder")
         # the block's bytes are fixed before anything is written
-        tx = Transaction(caller, operation, params, value)
         try:  # a value nested in a param that JSON cannot hold
-            blob = tx.canonical_bytes()
+            blob = recorded or Transaction(
+                caller, operation, params, value).canonical_bytes()
         except (TypeError, ValueError, RecursionError) as exc:
             raise err("ParseError", f"{operation} params: {exc}") from None
         result, events = EXECUTORS[operation](state, caller, params, value)
@@ -275,12 +280,14 @@ class Node:
         if not block.data:
             raise err("CorruptSnapshot", f"block {block.index} is empty")
         try:  # a blob that is not JSON, or a record the codec refuses
-            tx = read(Transaction, json.loads(block.data[0]))
+            value, held = decode_blob(block.data[0])
+            tx = read(Transaction, value)
         except (ValueError, LedgerError) as exc:
             raise err("CorruptSnapshot", f"{where}: {exc}") from exc
-        try:
-            self.execute(tx.caller, tx.operation, tx.params,
-                         tx.attached_value, block.timestamp)
+        try:  # a held blob of execute's status is its command's encoding
+            self.execute(tx.caller, tx.operation, tx.params, tx.attached_value,
+                         block.timestamp, recorded=block.data[0] if held and
+                         tx.result_status == "success" else None)
         except LedgerError as exc:
             if exc.code != "ParseError":
                 raise

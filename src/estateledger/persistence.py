@@ -119,7 +119,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .canonical import canonical_json_bytes, sha256_hex
+from .canonical import canonical_json_bytes, raw_decode, sha256_hex
 from .chain import Block, Chain, NativeLedger
 from .errors import LedgerError, err
 from .factory import Factory
@@ -149,7 +149,6 @@ _SIGNED_TAG = re.compile(rb',"block":\{"hash":"([0-9a-f]{64})","index":'
                          rb'(0|[1-9][0-9]*),"state":"([0-9a-f]{64})"\},')
 LOG_HEAD = b'{"blocks":['
 TAIL_WINDOW = 1 << 14  # bytes a load first reads back from the log's end
-_SCAN = json.JSONDecoder().raw_decode
 # where a block starts in a log; a param's {"hash": ...} matches only if
 # it copies a whole header
 _BLOCK_HEADER = re.compile(r',\{"hash":"[0-9a-f]{64}","index":')
@@ -409,7 +408,7 @@ def _scan_blocks(text: str, pos: int) -> tuple:
     values, ends = [], []
     while True:
         try:
-            value, end = _SCAN(text, pos)
+            value, end = raw_decode(text, pos)
         except (ValueError, RecursionError):
             return values, ends
         values.append(value)

@@ -15,6 +15,10 @@ none of its earlier blocks.
 Every op also gets a case its executor rejects. Run straight against
 the live state, the rejection must leave the digest unchanged: each
 executor checks everything before it writes.
+
+Replaying each op's success case must reproduce every block hash and
+the full digest, with each command sealed as the blob its block
+records.
 """
 
 import copy
@@ -587,3 +591,20 @@ def test_an_op_that_succeeds_changes_only_the_sections_it_declares(
     after = _section_bytes(n.state)
     assert {name for name in after if after[name] != before[name]} \
         <= OPS[op].writes
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_replay_seals_each_op_with_the_bytes_its_block_records(market, op):
+    n, caller, params, value = _prepared(market, op)
+    n.execute(caller, op, params, value=value, timestamp=4000)
+    blocks = n.state.chain.blocks
+    # in memory, and from a snapshot's log, whose blobs are re-encoded
+    for node in (n, import_snapshot(export_snapshot(n))):
+        rebuilt = node.replay()
+        assert ([b.hash for b in rebuilt.state.chain.blocks]
+                == [b.hash for b in blocks])
+        assert rebuilt.full_digest() == n.full_digest()
+        # each command is sealed as the very blob its block records;
+        # an event (deployProperty's) is encoded again
+        assert all(a.data[0] is b.data[0] for a, b in zip(
+            rebuilt.state.chain.blocks[1:], node.state.chain.blocks[1:]))

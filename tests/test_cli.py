@@ -474,6 +474,31 @@ def test_chain_replay_of_malformed_record_exits_3(ledger):
     assert "faucet lacks param 'amount'" in errtxt
 
 
+@pytest.mark.parametrize("rewrite", [
+    lambda tx: json.dumps(dict(reversed(tx.items())), separators=(",", ":")),
+    lambda tx: json.dumps(tx, sort_keys=True),
+], ids=["keys-reordered", "spaces"])
+def test_a_resealed_non_canonical_transaction_in_the_log_is_a_hash_mismatch(
+        ledger, rewrite):
+    # a log read re-encodes each transaction, so only the canonical bytes
+    # of what a block records can match its hash
+    node = load_state(ledger.state_dir)
+    body, blocks = node.state.state_dict(), node.state.chain.blocks
+    blocks[3].data[0] = rewrite(json.loads(blocks[3].data[0])).encode()
+    for prev, block in zip(blocks[2:], blocks[3:]):  # reseal, relink the rest
+        block.prev_hash = prev.hash
+        block.seal()
+    with open(os.path.join(ledger.state_dir, "chain.json"), "wb") as fh:
+        fh.write(b'{"blocks":[' + b",".join(b.canonical_json() for b in blocks)
+                 + b"]}")
+    with open(os.path.join(ledger.state_dir, "state.json"), "wb") as fh:
+        fh.write(persistence._checkpoint_bytes(body, blocks[-1].index,
+                                               blocks[-1].hash))
+    for verb in ("verify", "replay"):
+        _, _, errtxt = ledger("chain", verb, expect=3)
+        assert errtxt.startswith("error: HashMismatch: "), verb
+
+
 def test_a_ledger_recording_uppercase_hex_loads_but_does_not_replay(
         prop, tmp_path, capsys):
     # the previous version's `property approve` recorded --parent-hash as
@@ -1241,6 +1266,23 @@ def test_script_caller_prefix_yields_to_an_explicit_as(estate, tmp_path,
     assert tip["caller"] == ADMIN
     assert jget(estate, "chain", "balance",
                 "--address", SELLER)["balance"] == 5
+
+
+@pytest.mark.parametrize("ask", [
+    "chain faucet --help", "chain faucet -h", "chain --help", "--help"],
+    ids=["command", "command-short", "noun", "root"])
+def test_script_line_asking_for_help_is_a_parse_error(estate, tmp_path, ask):
+    estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+    script = tmp_path / "asks-help.txt"
+    script.write_text(f"chain faucet --to {ADMIN} --amount 1 --as {ADMIN}\n"
+                      f"{ask}\n"
+                      f"chain faucet --to {ADMIN} --amount 2 --as {ADMIN}\n")
+    _, out, errtxt = estate("run", str(script), "--timestamp", "1", expect=2)
+    assert out == ""  # no usage text
+    assert errtxt.startswith("error: ParseError: line 2: ")
+    # line 1 stays committed, line 3 never ran
+    assert jget(estate, "chain", "balance",
+                "--address", ADMIN)["balance"] == 1
 
 
 # Bad text and bad files named on the command line exit with a code, never

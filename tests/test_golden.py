@@ -10,7 +10,9 @@ burn and factory-admin operations and pins those block hashes too. A
 third continues it through ``cli.main`` with every mutating verb the
 tour does not use, which pins the exact params each CLI verb records.
 A written snapshot file must hold exactly the canonical encoding of
-``export_snapshot``, produced without decoding a stored block.
+``export_snapshot``, produced without decoding a stored block, and every
+blob the tour records is the canonical encoding of the value it decodes
+to.
 
 A refactor must leave every literal here unchanged. Changing a hashed
 byte on purpose means bumping ``STATE_VERSION`` and re-pinning. The
@@ -302,3 +304,23 @@ def test_cli_verbs_are_pinned(tmp_path):
     assert [b.hash.hex() for b in blocks] == CLI_VERB_BLOCK_HASHES
     assert node.full_digest() == CLI_VERB_FULL_DIGEST
     assert node.replay().full_digest() == CLI_VERB_FULL_DIGEST
+
+
+def test_every_recorded_blob_is_the_canonical_encoding_of_its_value(tmp_path):
+    # what lets replay seal the blob a block records instead of encoding
+    # its command again: the blobs the CLI stored, and those that
+    # ``Node.execute`` sealed in process
+    verbs_dir, tail_dir = str(tmp_path / "verbs"), str(tmp_path / "tail")
+    cli_verbs(verbs_dir, quick_tour(verbs_dir))
+    stored = load_state(verbs_dir).state.chain
+    with open(os.path.join(verbs_dir, "chain.json"), "rb") as fh:
+        assert fh.read() == stored.canonical_json()
+    prop = quick_tour(tail_dir)
+    node = load_state(tail_dir)
+    tour_tail(node, prop)
+    blobs = [blob for chain in (stored, node.state.chain)
+             for block in chain.blocks for blob in block.data]
+    # two tours of 16 commands and a deploy event, 15 verbs, 10 tail ops
+    assert len(blobs) == 2 * (16 + 1) + 15 + 10
+    for blob in blobs:
+        assert blob == canonical_json_bytes(json.loads(blob))

@@ -143,6 +143,26 @@ def test_replay_detects_tampered_params(node):
     assert e.value.code == "HashMismatch"
 
 
+@pytest.mark.parametrize("edit", [
+    lambda blob: blob.replace(b'"success"', b'"failure"'),
+    lambda blob: blob + b" ",
+    lambda blob: b"\n" + blob,
+], ids=["status", "trailing-space", "leading-newline"])
+def test_replay_refuses_a_resealed_blob_its_command_does_not_encode_to(
+        node, edit):
+    # replay seals the recorded blob only when it is the command's own
+    # encoding; these decode to a command that encodes otherwise
+    node.execute(node.admin, "faucet", {"to": node.buyer, "amount": 7},
+                 timestamp=80)
+    block = node.state.chain.blocks[-1]
+    block.data[0] = edit(block.data[0])
+    block.seal()
+    assert node.state.chain.verify()
+    with pytest.raises(LedgerError) as e:
+        node.replay()
+    assert e.value.code == "HashMismatch"
+
+
 def _edit_params(edit):
     def breaker(blob):
         tx = json.loads(blob)
