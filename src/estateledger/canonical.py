@@ -6,6 +6,7 @@ drift here silently changes every block hash and state digest.
 
 import hashlib
 import json
+import struct
 from json.encoder import c_make_encoder, encode_basestring
 
 raw_decode = json.JSONDecoder().raw_decode  # built once, like the encoder
@@ -30,9 +31,5 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def u64be(n: int) -> bytes:
-    return n.to_bytes(8, "big")
-
-
-def u32be(n: int) -> bytes:
-    return n.to_bytes(4, "big")
+# fixed-width big-endian unsigned ints; a value that does not fit raises
+u64be, u32be = struct.Struct(">Q").pack, struct.Struct(">I").pack

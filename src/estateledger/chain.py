@@ -12,25 +12,40 @@ Block hash layout (all integers big-endian):
 
 The genesis block has index 0, no transactions, and a prevHash of 32
 zero bytes. Nonces are a monotone counter: genesis gets 0, each later
-block gets the previous nonce plus one.
+block gets the previous nonce plus one. ``Block.compute_hash`` streams
+these fields into SHA-256, and ``transaction_bytes`` encodes every blob.
 """
 
+import hashlib
 import json
+import struct
 from dataclasses import dataclass, field
 
 from .addresses import ZERO_ADDRESS, require_nonzero
-from .canonical import canonical_json_bytes, raw_decode, sha256, u32be, u64be
+from .canonical import canonical_json_bytes, raw_decode, u32be
 from .errors import err
-from .records import read_object, read_u64, reader, to_json
+from .records import read_object, read_u64, reader
 
 GENESIS_PREV_HASH = b"\x00" * 32
 BLOCK_KEYS = frozenset(
     ("index", "timestamp", "nonce", "transactions", "prevHash", "hash"))
 read_hex, read_dicts = reader(bytes), reader(list[dict])
+_HEADER = struct.Struct(">QQQ").pack
+
+
+def transaction_bytes(caller, operation, params, attached_value=0,
+                      result_status="success") -> bytes:
+    """A transaction's blob, encoded straight from its fields."""
+    return canonical_json_bytes({
+        "attachedValue": attached_value, "caller": caller,
+        "operation": operation, "params": params,
+        "resultStatus": result_status})
 
 
 @dataclass
 class Transaction:
+    """A command or an event. ``Node.execute`` encodes a command with
+    ``transaction_bytes``, so `canonical_bytes` must stay that encoder."""
     caller: str
     operation: str
     params: dict
@@ -38,7 +53,8 @@ class Transaction:
     result_status: str = "success"
 
     def canonical_bytes(self) -> bytes:
-        return canonical_json_bytes(to_json(self))
+        return transaction_bytes(self.caller, self.operation, self.params,
+                                 self.attached_value, self.result_status)
 
 
 def decode_blob(blob: bytes) -> tuple:
@@ -52,19 +68,10 @@ def decode_blob(blob: bytes) -> tuple:
     return (value, True) if end == len(text) else (json.loads(blob), False)
 
 
-def block_payload(index: int, timestamp: int, nonce: int, prev_hash: bytes,
-                  tx_blobs: list) -> bytes:
-    parts = [u64be(index), u64be(timestamp), u64be(nonce), prev_hash]
-    for blob in tx_blobs:
-        parts.append(u32be(len(blob)))
-        parts.append(blob)
-    return b"".join(parts)
-
-
 @dataclass(slots=True)
 class Block:
     """A held blob is the canonical encoding of what it decodes to, as
-    ``from_dict`` and ``Node.execute`` encode each one: ``canonical_json``
+    ``from_dict`` and ``transaction_bytes`` make each: ``canonical_json``
     splices the blobs, and ``Node.redo`` seals them as they are held."""
     index: int
     timestamp: int
@@ -74,8 +81,12 @@ class Block:
     hash: bytes = b""
 
     def compute_hash(self) -> bytes:
-        return sha256(block_payload(
-            self.index, self.timestamp, self.nonce, self.prev_hash, self.data))
+        h = hashlib.sha256(_HEADER(self.index, self.timestamp, self.nonce))
+        h.update(self.prev_hash)  # hashed as it is, whatever its length
+        for blob in self.data:
+            h.update(u32be(len(blob)))
+            h.update(blob)
+        return h.digest()
 
     def seal(self) -> "Block":
         self.hash = self.compute_hash()
@@ -155,8 +166,7 @@ class Chain:
     def append_genesis(self, timestamp: int) -> Block:
         if self.held:
             raise err("AlreadyInitialized", "chain already has a genesis block")
-        block = Block(index=0, timestamp=timestamp, nonce=0, data=[],
-                      prev_hash=GENESIS_PREV_HASH).seal()
+        block = Block(0, timestamp, 0, [], GENESIS_PREV_HASH).seal()
         self.held.append(block)
         return block
 
@@ -165,9 +175,8 @@ class Chain:
         if not self.held:
             raise err("Uninitialized", "no genesis block")
         prev = self.held[-1]
-        block = Block(index=prev.index + 1, timestamp=timestamp,
-                      nonce=prev.nonce + 1, data=blobs,
-                      prev_hash=prev.hash).seal()
+        block = Block(prev.index + 1, timestamp, prev.nonce + 1, blobs,
+                      prev.hash).seal()
         self.held.append(block)
         return block
 

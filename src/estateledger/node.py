@@ -40,7 +40,8 @@ from typing import Optional
 from . import factory as factory_mod
 from .addresses import check_address as ADDRESS, derive_address
 from .canonical import canonical_json_bytes, sha256_hex
-from .chain import Chain, NativeLedger, Transaction, decode_blob
+from .chain import (Chain, NativeLedger, Transaction, decode_blob,
+                    transaction_bytes)
 from .errors import LedgerError, err
 from .factory import Factory, ImplementationVersion
 from .identity import AllowlistVerifier, Role, StakeholderRegistry, parse_role
@@ -230,13 +231,14 @@ class Node:
                       f"{caller} is not an active stakeholder")
         # the block's bytes are fixed before anything is written
         try:  # a value nested in a param that JSON cannot hold
-            blob = recorded or Transaction(
-                caller, operation, params, value).canonical_bytes()
+            blob = recorded or transaction_bytes(
+                caller, operation, params, value)
         except (TypeError, ValueError, RecursionError) as exc:
             raise err("ParseError", f"{operation} params: {exc}") from None
         result, events = EXECUTORS[operation](state, caller, params, value)
-        state.chain.append_block(
-            [blob, *(e.canonical_bytes() for e in events)], timestamp)
+        state.chain.append_block([blob, *map(
+            Transaction.canonical_bytes, events)] if events else [blob],
+            timestamp)
         return result
 
     # -- replay -----------------------------------------------------------------
@@ -276,14 +278,14 @@ class Node:
             self.state.config = config
 
     def _redo_block(self, block):
-        where = f"block {block.index} holds a malformed transaction"
         if not block.data:
             raise err("CorruptSnapshot", f"block {block.index} is empty")
         try:  # a blob that is not JSON, or a record the codec refuses
             value, held = decode_blob(block.data[0])
             tx = read(Transaction, value)
         except (ValueError, LedgerError) as exc:
-            raise err("CorruptSnapshot", f"{where}: {exc}") from exc
+            raise err("CorruptSnapshot", f"block {block.index} holds a "
+                      f"malformed transaction: {exc}") from exc
         try:  # a held blob of execute's status is its command's encoding
             self.execute(tx.caller, tx.operation, tx.params, tx.attached_value,
                          block.timestamp, recorded=block.data[0] if held and
@@ -291,7 +293,8 @@ class Node:
         except LedgerError as exc:
             if exc.code != "ParseError":
                 raise
-            raise err("CorruptSnapshot", f"{where}: {exc.message}") from exc
+            raise err("CorruptSnapshot", f"block {block.index} holds a "
+                      f"malformed transaction: {exc.message}") from exc
         if self.state.chain.held[-1].hash != block.hash:
             raise err("HashMismatch",
                       f"block {block.index} hash diverged on replay")

@@ -18,7 +18,12 @@ executor checks everything before it writes.
 
 Replaying each op's success case must reproduce every block hash and
 the full digest, with each command sealed as the blob its block
-records.
+records. Each sealed blob, command or event, equals the record codec's
+``canonical_json_bytes(to_json(Transaction(...)))``, for every op's
+success case and for drawn params.
+
+Random op sequences, from the market and from a genesis-only ledger,
+check before they write and reach success at the ops they once missed.
 """
 
 import copy
@@ -27,20 +32,22 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (ADMIN_KEY, BUYER_KEY, SELLER_KEY, TREASURY, URI,
                       add_doc, approve, deploy, register)
+from estateledger import node as node_mod
 from estateledger.addresses import ZERO_ADDRESS, check_address, derive_address
 from estateledger.canonical import canonical_json_bytes
-from estateledger.chain import Transaction
+from estateledger.chain import Transaction, transaction_bytes
 from estateledger.errors import LedgerError
 from estateledger.node import (EXECUTORS, OPS, SECTIONS, LedgerState, Node,
                                state_digest)
 from estateledger.persistence import (export_snapshot, import_snapshot,
                                       load_state, save_state)
-from estateledger.records import reader
+from estateledger.records import reader, to_json
 from estateledger.storage import make_cid
-from estateledger.tokens import fractional_of, swap_descriptor_digest
+from estateledger.tokens import fractional_of, is_right, swap_descriptor_digest
 
 from oracles import ref_state_bytes
 
@@ -232,12 +239,12 @@ def test_failed_seal_after_executor_leaves_no_trace(market, op, monkeypatch):
     monkeypatch.setitem(EXECUTORS, op,
                         lambda *args: ran.append(op) or executor(*args))
 
-    def failing_encode(self):
+    def failing_encode(*fields):
         raise RuntimeError("injected seal failure")
 
     # the command's encoding fails before its executor runs
     with monkeypatch.context() as m:
-        m.setattr(Transaction, "canonical_bytes", failing_encode)
+        m.setattr(node_mod, "transaction_bytes", failing_encode)
         with pytest.raises(RuntimeError, match="injected seal failure"):
             n.execute(caller, op, params, value=value, timestamp=4000)
     assert ran == []
@@ -391,6 +398,23 @@ OP_MIX = sorted(EXECUTORS) + ["mintNFT", "mintBatchNFTs", "mintFractional",
 SELLER_OPS = {"putObject", "buildRightMetadata", "registerDocument",
               "deployProperty", "mintNFT", "mintBatchNFTs", "mintFractional",
               "setPrice", "distributeEarnings"}
+# the two ops only a genesis-only ledger admits: the market seats an
+# administrator and initializes its factory, after which both must fail
+GENESIS_OPS = ("bootstrapAdmin", "initializeFactory")
+
+
+def _held(n, prop, rights_only) -> list:
+    """(holder, token) for each positive balance in `prop` that no
+    outstanding fractional unit anchors: a right a holder may fractionalize
+    (`rights_only`) or a token a holder may burn."""
+    tokens = n.state.properties[prop].tokens
+    active = n.state.registry.is_active
+    return [(who, token) for token, per in sorted(tokens.balances.items())
+            for who, amount in sorted(per.items())
+            if amount > 0 and active(who)
+            and (is_right(token) or not rights_only)
+            and not (is_right(token)
+                     and tokens.total_supply(fractional_of(token)))]
 
 
 def _random_op(rng, n, swaps):
@@ -473,9 +497,47 @@ def _random_op(rng, n, swaps):
                 a, legs_a, value_a, b, legs_b, value_b)}
         else:
             params = {"property": prop, **terms}
+    # half the time, a right or a token the caller holds, which a burn
+    # or a fractional mint otherwise draws too rarely to reach success
+    if op in ("mintFractional", "burnBatchNFTs") and rng.random() < 0.5:
+        held = _held(n, n.prop, rights_only=op == "mintFractional")
+        if held:
+            who, token = rng.choice(held)
+            legs = 1 if is_right(token) else 2  # a right is one unit
+            params |= {"property": n.prop, "rightId": token, "from": who,
+                       "ids": [token] * legs, "amounts": [1] * legs}
     # the builders above share keys between ops; each op gets its own
     return who, op, {k: v for k, v in params.items()
                      if k in OPS[op].params}, value
+
+
+def _genesis_op(rng, n, op):
+    """(caller, op, params, value) for `op`, one of GENESIS_OPS, on a
+    ledger that holds genesis and whatever of them succeeded before."""
+    who = rng.choice(sorted(n.state.registry.stakeholders) * 2
+                     + [derive_address(b"stranger")])
+    if op == "bootstrapAdmin":
+        key = rng.choice([b"", b"k1", ADMIN_KEY])  # an empty key is refused
+        return who, op, {"publicKey": key.hex(), "infoCid": ""}, 0
+    return who, op, {"versionId": rng.choice([0, 1, 2]),
+                     "behaviorTag": "v"}, 0
+
+
+def _checked_step(n, who, op, params, value, timestamp) -> bool:
+    """Run the executor alone on a copy, then the op on `n`: whichever
+    fails must leave its digest as it was. Whether the op succeeded."""
+    probe = copy.deepcopy(n.state, {id(n.state.chain): n.state.chain})
+    digest = Node(probe).full_digest()
+    try:
+        EXECUTORS[op](probe, who, params, value)
+    except LedgerError:
+        assert Node(probe).full_digest() == digest, (timestamp, op, params)
+    try:
+        n.execute(who, op, params, value=value, timestamp=timestamp)
+    except LedgerError:
+        assert n.full_digest() == digest, (timestamp, op, params)
+        return False
+    return True
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -489,31 +551,37 @@ def test_random_sequences_check_before_they_write(market, seed, tmp_path):
         n.execute(n.admin, "faucet", {"to": who, "amount": 500},
                   timestamp=2003)
         minted += 500
+    # two rights no draw mints, held unfractionalized for a fractional mint
+    for who, right in ((n.seller, 5), (n.seller2, 6)):
+        n.execute(who, "mintNFT", {"property": n.prop, "id": right,
+                                   "price": 0}, timestamp=2004)
     swaps = [(n.seller, n.buyer, [[FRAC1, 10]], [], 0, 5),
              (n.buyer, n.seller2, [[FRAC1, 1]], [], 0, BIG),
              (n.seller2, n.buyer2, [], [[FRAC1, 600]], 40, 0)]
     rng = random.Random(seed)
-    failed = set()
+    failed, succeeded = set(), set()
+    # a short prefix from genesis, where the GENESIS_OPS can succeed
+    g = Node()
+    g.state.chain.append_genesis(1000)
+    for step in range(12):
+        who, op, params, value = _genesis_op(rng, g, GENESIS_OPS[step % 2])
+        if _checked_step(g, who, op, params, value, 1001 + step):
+            succeeded.add(op)
+    assert g.replay().full_digest() == g.full_digest()
     for step in range(400):
         if step % 50 == 0:  # the decoder accepts every state ops reach
             assert import_snapshot(export_snapshot(n)).full_digest() \
                 == n.full_digest()
         who, op, params, value = _random_op(rng, n, swaps)
-        probe = copy.deepcopy(n.state, {id(n.state.chain): n.state.chain})
-        digest = Node(probe).full_digest()
-        try:
-            EXECUTORS[op](probe, who, params, value)
-        except LedgerError:
-            assert Node(probe).full_digest() == digest, (step, op, params)
-        try:
-            n.execute(who, op, params, value=value, timestamp=3000 + step)
-        except LedgerError:
-            assert n.full_digest() == digest, (step, op, params)
+        if not _checked_step(n, who, op, params, value, 3000 + step):
             failed.add(op)
             continue
+        succeeded.add(op)
         if op == "faucet":
             minted += params["amount"]
     assert len(failed) >= 20  # most kinds were seen failing
+    # the kinds these draws once never reached succeed now
+    assert {"mintFractional", "burnBatchNFTs", *GENESIS_OPS} <= succeeded
     assert n.replay().full_digest() == n.full_digest()
     d = n.state.state_dict(objects=True)
     assert state_digest(d, n.state.chain) == hashlib.sha256(
@@ -608,3 +676,87 @@ def test_replay_seals_each_op_with_the_bytes_its_block_records(market, op):
         # an event (deployProperty's) is encoded again
         assert all(a.data[0] is b.data[0] for a, b in zip(
             rebuilt.state.chain.blocks[1:], node.state.chain.blocks[1:]))
+
+
+# -- the command encoder equals the record codec --------------------------------
+
+
+def _record_codec_bytes(record) -> bytes:
+    return canonical_json_bytes(to_json(record))
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_each_sealed_blob_is_the_record_codec_encoding(market, op,
+                                                       monkeypatch):
+    n, caller, params, value = _prepared(market, op)
+    given = copy.deepcopy(params)
+    emitted = []
+    executor = EXECUTORS[op]
+
+    def recording(*args):
+        result, events = executor(*args)
+        emitted.extend(events)
+        return result, events
+
+    monkeypatch.setitem(EXECUTORS, op, recording)
+    n.execute(caller, op, params, value=value, timestamp=4000)
+    block = n.state.chain.held[-1]
+    assert block.data[0] == _record_codec_bytes(
+        Transaction(caller, op, given, value))
+    assert block.data[1:] == [_record_codec_bytes(e) for e in emitted]
+    assert bool(emitted) == (op == "deployProperty")
+
+
+# non-ASCII text, ints past 2**64 and nested objects and lists
+texts = st.text() | st.sampled_from([
+    "Grundbuch Müller", "不动产", "\U0001f3e0", " ", '"\\'])
+big_ints = st.integers() | st.sampled_from([2 ** 64, 2 ** 64 + 1, -2 ** 70])
+json_values = st.recursive(
+    st.none() | st.booleans() | big_ints | texts
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(texts, inner, max_size=3)),
+    max_leaves=10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(texts.filter(bool), texts, st.dictionaries(texts, json_values,
+                                                  max_size=4),
+       st.integers(0, 2 ** 80) | st.sampled_from([2 ** 64, 2 ** 64 - 1]))
+def test_drawn_params_seal_as_the_record_codec_encodes_them(
+        name, description, extra, amount):
+    n = Node()
+    admin = n.init_genesis(ADMIN_KEY, timestamp=1000)
+    for op, params in (("buildRightMetadata", {
+            "nameOfRight": name, "description": description,
+            "extra": extra}), ("faucet", {"to": admin, "amount": amount})):
+        n.execute(admin, op, params, timestamp=1001)
+        assert n.state.chain.held[-1].data == [
+            _record_codec_bytes(Transaction(admin, op, params))]
+
+
+@given(texts, st.sampled_from(sorted(OPS)),
+       st.dictionaries(texts, json_values, max_size=4), big_ints, texts)
+def test_transaction_bytes_equals_the_record_codec(caller, op, params, value,
+                                                   status):
+    tx = Transaction(caller, op, params, value, status)
+    assert transaction_bytes(caller, op, params, value, status) \
+        == tx.canonical_bytes() == _record_codec_bytes(tx)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf"), {1: 0, "a": 0},
+                                 ["\ud800"]])
+def test_a_param_json_cannot_hold_is_refused_before_the_executor(
+        bad, monkeypatch):
+    n = Node()
+    admin = n.init_genesis(ADMIN_KEY, timestamp=1000)
+    params = {"nameOfRight": "title", "extra": {"x": bad}}
+    with pytest.raises(Exception) as want:
+        _record_codec_bytes(Transaction(admin, "buildRightMetadata", params))
+    monkeypatch.setitem(EXECUTORS, "buildRightMetadata", None)  # never runs
+    before = n.full_digest(), len(n.state.chain.blocks)
+    with pytest.raises(LedgerError) as e:
+        n.execute(admin, "buildRightMetadata", params, timestamp=1001)
+    assert (e.value.code, e.value.message) == (
+        "ParseError", f"buildRightMetadata params: {want.value}")
+    assert (n.full_digest(), len(n.state.chain.blocks)) == before

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -77,6 +79,53 @@ def test_block_hash_with_transactions_matches_reference():
     for b in chain.blocks:
         assert b.hash == ref_block_hash(b.index, b.timestamp, b.nonce,
                                         b.prev_hash, b.data)
+
+
+# -- the block hash layout, pinned apart from the code that computes it -----
+
+U64_MAX = 2 ** 64 - 1
+header_fields = st.integers(0, U64_MAX) | st.sampled_from([0, U64_MAX])
+# an empty blob and one over 64 KiB, whose length needs a third byte
+blobs = st.binary(max_size=80) | st.sampled_from([b"", b"\xab" * 65537])
+
+
+def readme_layout_hash(index, timestamp, nonce, prev_hash, data) -> bytes:
+    """SHA-256 over README "Byte layouts": index, timestamp and nonce as
+    8 bytes big-endian each, the prevHash bytes, then each blob after its
+    length as 4 bytes big-endian."""
+    payload = (index.to_bytes(8, "big") + timestamp.to_bytes(8, "big")
+               + nonce.to_bytes(8, "big") + prev_hash)
+    for blob in data:
+        payload += len(blob).to_bytes(4, "big") + blob
+    return hashlib.sha256(payload).digest()
+
+
+@given(header_fields, header_fields, header_fields,
+       st.binary(min_size=32, max_size=32) | st.binary(max_size=40),
+       st.lists(blobs, max_size=3))
+def test_block_hash_is_sha256_of_the_readme_layout(index, timestamp, nonce,
+                                                    prev_hash, data):
+    # a prevHash of any length is hashed as its bytes, not padded or cut
+    block = Block(index, timestamp, nonce, data, prev_hash)
+    assert block.compute_hash() == readme_layout_hash(
+        index, timestamp, nonce, prev_hash, data)
+
+
+@pytest.mark.parametrize("field", ["index", "timestamp", "nonce"])
+@pytest.mark.parametrize("value", [2 ** 64, -1])
+def test_a_header_field_outside_u64_raises_instead_of_wrapping(field, value):
+    fields = {"index": 1, "timestamp": 1, "nonce": 1} | {field: value}
+    block = Block(**fields, data=[b"{}"], prev_hash=GENESIS_PREV_HASH)
+    with pytest.raises((struct.error, OverflowError)):
+        block.compute_hash()
+
+
+def test_timestamp_zero_genesis_hash_is_pinned():
+    # 56 zero bytes: three zero header fields and the zero prevHash
+    genesis = Chain().append_genesis(0)
+    assert genesis.hash.hex() == ("d4817aa5497628e7c77e6b606107042b"
+                                  "bba3130888c5f47a375e6179be789fbb")
+    assert genesis.hash == hashlib.sha256(bytes(56)).digest()
 
 
 def test_verify_accepts_untampered_chain():
