@@ -248,15 +248,21 @@ class Node:
 
         Returns the rebuilt node; raises as ``redo`` does.
         """
-        blocks = self.state.chain.blocks
+        fresh = Node.from_log(self.state.chain.blocks)
+        fresh.state.config = dict(self.state.config)
+        return fresh
+
+    @classmethod
+    def from_log(cls, blocks: list, state: LedgerState = None) -> "Node":
+        """A node on `state`, a fresh one by default, that re-executes the
+        recorded `blocks` from genesis; raises as ``redo`` does."""
         if not blocks:
             raise err("Uninitialized", "nothing to replay")
-        fresh = Node()
+        fresh = cls(state)
         fresh.state.chain.append_genesis(blocks[0].timestamp)
         if fresh.state.chain.blocks[0].hash != blocks[0].hash:
             raise err("HashMismatch", "genesis block differs")
         fresh.redo(blocks[1:])
-        fresh.state.config = dict(self.state.config)
         return fresh
 
     def redo(self, blocks: list):

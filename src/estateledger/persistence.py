@@ -4,10 +4,13 @@ export/import, and ``LedgerDir``, which holds a dir for one command.
 Layout inside a state directory:
 
     chain.json   the block log, canonical JSON: {"blocks":[...]}
-    state.json   the checkpoint: ``LedgerState.state_dict()`` (accounts,
-                 stakeholders, factory, properties, config) plus its tag
-                 "block", the index and hash of the block it reflects
-                 and the file's own digest, "state"
+    config.json  the config, written once by a whole write; read only to
+                 rebuild a lost checkpoint
+    state.json   the checkpoint, a cache of the log:
+                 ``LedgerState.state_dict()`` (accounts, stakeholders,
+                 factory, properties, config) plus its tag "block", the
+                 index and hash of the block it reflects and the file's
+                 own digest, "state"
     objects/     one <hex-digest>.bin file per stored object
     .lock        flock target guarding against concurrent writers
 
@@ -16,27 +19,32 @@ calls ``load_state`` on first use, ``writing()`` holds the flock on
 ``.lock``, once per hold, so a script's lines share it, and ``commit()``
 calls ``save_state``. A read takes no lock.
 
-``save_state`` encodes the checkpoint before its first write. When the
-chain was loaded from, or last saved to, the same dir, and the file still
-ends with the chain's stored tip in canonical form and ``]}``, it appends
-only the new blocks to ``chain.json`` in place: it writes
-``,<block>...]}`` over the closing ``]}`` and fsyncs. That fsync is the
-one commit point.
-Only then does it write the new object files and the checkpoint, each to
-a temp name that is fsynced and renamed. Inside a hold, an append leaves
-the checkpoint to the hold, which writes the last one it was left once,
-as it ends, returned or raised, before it lets the flock go: the
-checkpoint bounds the blocks a load redoes, and commits nothing. So a
-lone command writes the same files in the same order, and a script of
-ten writes fsyncs eleven times, not twenty; a line that fails leaves a
+When the chain was loaded from, or last saved to, the same dir, and the
+file still ends with the chain's stored tip in canonical form and
+``]}``, ``save_state`` appends only the new blocks to ``chain.json`` in
+place: it writes ``,<block>...]}`` over the closing ``]}`` and fsyncs.
+That fsync is the one commit point. Beyond it a write fsyncs only its
+new object files, each written to a temp name that is fsynced and
+renamed, since the listing of ``objects/`` is which objects the dir
+holds.
+The checkpoint commits nothing, and only bounds the blocks a load
+redoes: it goes to a temp name renamed with no fsync. Inside a hold, an
+append leaves it to the hold, which encodes and writes it once, as the
+hold ends, returned or raised, before it lets the flock go, if the last
+commit left the ledger at a committed tip. So a lone write fsyncs once,
+and a script of ten writes ten times; a line that fails leaves a
 checkpoint at the last block committed, and a reader that loads while a
 script runs redoes the lines committed so far. A dir that holds no log
 of this chain (``init``, ``state import``), or a log torn or stored in
-another form, gets the whole log the same way, then the objects and the
-checkpoint, at once, and then loses each object file of a ledger it held
-before. Which objects a dir holds is the listing of ``objects/`` that
-the node's store was loaded with, or last saved to; another dir is
-listed once.
+another form, gets a whole write: the log, ``config.json`` and the
+objects, all fsynced and then renamed in that order, then the
+checkpoint; it then loses each object file of a ledger it held before,
+and fsyncs the dir.
+A dir an older version made, which holds no ``config.json``, gets it,
+fsynced with the dir, before an append. Which objects a dir holds is
+the listing of ``objects/`` that the node's store was loaded with, or
+last saved to; another dir is listed once. Outside a hold,
+``save_state`` encodes the checkpoint before its first write.
 
 The tag's digest is the SHA-256 of ``state.json`` with the digest's own
 hex digits zeroed: ``save_state`` hashes the one encoding it writes, and
@@ -93,6 +101,14 @@ writes nothing, and the next write rewrites the log whole. Cyclic GC is
 paused while a whole log is decoded: the decode frees nothing, so a
 collection would only scan the objects it builds.
 
+A ``state.json`` that is missing, or does not parse as one JSON object,
+as a crash can leave a file written without an fsync, is rebuilt: the
+load drops a torn last append, replays the log from genesis
+(``Node.from_log``) with the config of ``config.json``, prints one
+notice on stderr and writes nothing; the next write stores the
+checkpoint whole. A complete checkpoint that fails its digest or a
+check is refused as before.
+
 A snapshot is ``state_dict(objects=True)`` with the block log under
 ``chain``, plus a ``digest`` of that body. The digest is
 ``state_digest``, taken over the body's encoding with the log's stored
@@ -116,6 +132,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -124,8 +141,8 @@ from .chain import Block, Chain, NativeLedger
 from .errors import LedgerError, err
 from .factory import Factory
 from .identity import Role, StakeholderRegistry
-from .node import (OPS, SECTIONS, STATE_VERSION, Node, PendingState,
-                   state_digest, state_pieces)
+from .node import (OPS, SECTIONS, STATE_VERSION, LedgerState, Node,
+                   PendingState, state_digest, state_pieces)
 from .property_contract import PropertyContract
 from .records import read, read_object, to_json
 from .storage import ObjectStore
@@ -236,13 +253,29 @@ class StoredLog:
         return blocks
 
 
-def _write_atomic(path: str, data: bytes):
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+def _write_atomic(files: dict, durable: bool = True):
+    """Write each of `files`, path -> bytes, to a temp name and rename it
+    to its path, in order. If `durable`, each temp file is fsynced before
+    the first rename: written first, all of them, so the first fsync's
+    journal commit can carry the rest."""
+    for path, data in files.items():
+        with open(path + ".tmp", "wb") as fh:
+            fh.write(data)
+    if durable:
+        for path in files:
+            _fsync(path + ".tmp")
+    for path in files:
+        os.replace(path + ".tmp", path)
+
+
+def _fsync(path: str):
+    """fsync the file or dir `path`; a dir, so the renames into it
+    survive a crash."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _append(stored, path: str, held: list) -> bool:
@@ -297,25 +330,42 @@ def _carried(chain: Chain) -> list:
             for (_, sections), piece in zip(SLICES, slices.pieces)]
 
 
-def save_state(state_dir: str, node: Node, defer: bool = False):
-    """Write `node` to `state_dir`: append its new blocks to a log that
-    holds the rest of its chain, else write the log whole; then the new
-    objects and the checkpoint. The checkpoint is encoded first, so a
-    state it cannot encode leaves the dir untouched: the head whole, and
-    each slice whole unless no op since it was last read or written may
-    have changed it, which is then its stored bytes. With `defer`, a
-    write that appended returns the checkpoint for its caller to write,
-    in place of writing it; any other returns None."""
-    state, chain = node.state, node.state.chain
-    if isinstance(state, PendingState):  # a write checks every section
-        state.decode()
+def _encode(state, chain) -> tuple:
+    """The checkpoint of `state` at its chain's tip, as ``state.json``
+    holds it, and its slices: the head whole, and each slice whole unless
+    no op since it was last read or written may have changed it, which is
+    then its stored bytes."""
     tip = chain.held[-1]
     pieces = [stored or canonical_json_bytes(state.state_dict(keys=keys))[1:-1]
               for (keys, _), stored in zip(SLICES, _carried(chain))]
     tag = Checkpoint(tip.index, tip.hash, bytes(32))  # the digest zeroed
     head = canonical_json_bytes(state.state_dict(keys=("accounts", "config"))
                                 | {"block": to_json(tag)})
-    checkpoint = _sign(b",".join([head[:-1], *pieces]) + STATE_END, tag)
+    return _sign(b",".join([head[:-1], *pieces]) + STATE_END, tag), pieces
+
+
+def _store_checkpoint(state_dir: str, chain: Chain, encoded: tuple):
+    """Write the checkpoint `encoded` of `chain`'s tip without an fsync:
+    it commits nothing, and a load rebuilds what a crash loses of it."""
+    checkpoint, pieces = encoded
+    _write_atomic({os.path.join(state_dir, "state.json"): checkpoint},
+                  durable=False)
+    tip = chain.held[-1]
+    chain.log.slices = Slices(tip.index, tip.hash, pieces)
+
+
+def save_state(state_dir: str, node: Node, defer: bool = False):
+    """Write `node` to `state_dir`: append its new blocks to a log that
+    holds the rest of its chain, else write the log whole, and
+    ``config.json``; then the new objects and the checkpoint. The
+    checkpoint is encoded before the first write, so a state it cannot
+    encode leaves the dir untouched. With `defer`, a write that appended
+    leaves the checkpoint to its caller and returns True; any other
+    returns None."""
+    state, chain = node.state, node.state.chain
+    if isinstance(state, PendingState):  # a write checks every section
+        state.decode()
+    encoded = None if defer else _encode(state, chain)
     store = state.store
     objects_dir = os.path.abspath(os.path.join(state_dir, "objects"))
     # content-addressed: a file once written is never rewritten
@@ -324,25 +374,35 @@ def save_state(state_dir: str, node: Node, defer: bool = False):
     objects = {digest: store.read(digest)
                for digest in sorted(store.digests() - on_disk)}
     chain_path = os.path.abspath(os.path.join(state_dir, "chain.json"))
+    config_path = os.path.join(state_dir, "config.json")
+    if (chain.log is not None and chain.log.path == chain_path
+            and not os.path.exists(config_path)):  # an older version's dir
+        _write_atomic({config_path: canonical_json_bytes(state.config)})
+        _fsync(state_dir)
     whole = not _append(chain.log, chain_path, chain.held)
-    os.makedirs(objects_dir, exist_ok=True)
+    files = {}
     if whole:  # the dir holds no log of this chain, or a torn one
-        _write_atomic(chain_path, chain.canonical_json())
-        chain.log = StoredLog(chain_path, chain.height)
+        encoded = encoded or _encode(state, chain)
+        os.makedirs(state_dir, exist_ok=True)
+        files = {chain_path: chain.canonical_json(),
+                 config_path: canonical_json_bytes(state.config)}
     else:
         chain.log.blocks = chain.height
-    for digest, data in objects.items():
-        _write_atomic(os.path.join(objects_dir, digest + ".bin"), data)
-    deferred = checkpoint if defer and not whole else None
-    if deferred is None:  # a whole write removes objects after it
-        _write_atomic(os.path.join(state_dir, "state.json"), checkpoint)
-    chain.log.slices = Slices(tip.index, tip.hash, pieces)
+    os.makedirs(objects_dir, exist_ok=True)
+    files.update((os.path.join(objects_dir, digest + ".bin"), data)
+                 for digest, data in objects.items())
+    _write_atomic(files)
+    if whole:
+        chain.log = StoredLog(chain_path, chain.height)
+    if encoded is not None:
+        _store_checkpoint(state_dir, chain, encoded)
     held = store.digests()
     if whole:  # the objects of a ledger this one replaced
         for digest in on_disk - held:
             os.remove(os.path.join(objects_dir, digest + ".bin"))
+        _fsync(state_dir)
     store.path, store.listed = objects_dir, held
-    return deferred
+    return True if encoded is None else None
 
 
 def _listing(objects_dir: str) -> set:
@@ -625,18 +685,39 @@ def _split(path: str, data: bytes) -> Optional[tuple]:
                    REGISTRY_KEYS), tag)
 
 
-def _read_checkpoint(path: str) -> tuple:
+def _torn(data: bytes) -> bool:
+    """Whether the checkpoint bytes `data` do not parse as one JSON
+    object, as a crash can leave a file written without an fsync: empty,
+    cut short or holding zeros. One nested too deep to parse is whole."""
+    try:
+        return type(json.loads(data.decode("utf-8", "surrogateescape"))) \
+            is not dict
+    except RecursionError:
+        return False
+    except ValueError:
+        return True
+
+
+def _read_checkpoint(path: str) -> Optional[tuple]:
     """The checkpoint at `path` as (head, contracts, registry, tag): the
     head a dict holding the accounts and config, the others returning,
     called, a dict holding their section's keys, and the tag, None if it
     has none. A file whose digest checks is split, and only its head
-    parsed; any other is parsed whole."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    parsed; any other is parsed whole. None for a file missing or torn."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return None
     split = _split(path, data)
     if split is not None:
         return split
-    d, tag = _read_whole(path, data)
+    try:
+        d, tag = _read_whole(path, data)
+    except LedgerError:
+        if _torn(data):
+            return None
+        raise
     return d, lambda: d, lambda: d, tag
 
 
@@ -652,20 +733,23 @@ def holds_ledger(state_dir: str) -> bool:
 
 
 def load_state(state_dir: str) -> Node:
-    """The checkpoint in `state_dir` brought up to the tip of its log."""
+    """The checkpoint in `state_dir` brought up to the tip of its log; a
+    checkpoint missing or torn is rebuilt from the log."""
     state_path = os.path.join(state_dir, "state.json")
     chain_path = os.path.join(state_dir, "chain.json")
     if not holds_ledger(state_dir):
         raise _uninitialized(state_dir)
-    for path in (state_path, chain_path):
-        if not os.path.exists(path):
-            raise err("CorruptSnapshot", f"{path} is missing; "
-                      "`state import --force` restores the dir")
-    head, contracts, registry, tag = _read_checkpoint(state_path)
+    if not os.path.exists(chain_path):
+        raise err("CorruptSnapshot", f"{chain_path} is missing; "
+                  "`state import --force` restores the dir")
+    checkpoint = _read_checkpoint(state_path)
     # objects before the log: a write adds them only after its append
     objects_dir = os.path.abspath(os.path.join(state_dir, "objects"))
     store = ObjectStore(path=objects_dir, listed=_listing(objects_dir))
     log_path = os.path.abspath(chain_path)
+    if checkpoint is None:
+        return _rebuild(state_dir, store)
+    head, contracts, registry, tag = checkpoint
     tail = None if tag is None else _read_tail(log_path, tag)
     if tail is None:  # the whole log
         need = None if tag is None else tag.index
@@ -695,20 +779,47 @@ def load_state(state_dir: str) -> Node:
     return node
 
 
+def _rebuild(state_dir: str, store: ObjectStore) -> Node:
+    """The ledger of `state_dir` whose checkpoint is missing or torn,
+    replayed from genesis through the log, less a torn last append, with
+    the config of ``config.json``; `store` holds the listed objects. It
+    writes nothing: the next write stores the checkpoint whole."""
+    config_path = os.path.join(state_dir, "config.json")
+    chain_path = os.path.join(state_dir, "chain.json")
+    try:
+        with open(config_path, "rb") as fh:
+            config = read(dict[str, Optional[str]],
+                          _json_object(config_path, fh.read()))
+    except FileNotFoundError:
+        raise err("CorruptSnapshot", f"{state_dir}/state.json is missing or "
+                  f"torn, and {config_path}, which a rebuild from the log "
+                  "needs, is missing") from None
+    blocks = _read_log(chain_path, 0).held
+    try:
+        node = Node.from_log(blocks, LedgerState(config=config, store=store))
+    except LedgerError as exc:
+        raise err("CorruptSnapshot", f"{chain_path} does not replay: "
+                  f"{exc}") from exc
+    node.state.chain.log = StoredLog(os.path.abspath(chain_path), len(blocks))
+    print(f"notice: {state_dir}/state.json is missing or torn; rebuilt the "
+          f"state from {chain_path}", file=sys.stderr)
+    return node
+
+
 class LedgerDir:
     """One command's hold on the state dir at `path`, which reads nothing
     until its `node` is first used; `writing()` holds the dir's flock and
     `commit()` saves the ledger. A commit inside a hold appends and
-    fsyncs its blocks, the commit point, and leaves `checkpoint`, the
-    ``state.json`` bytes it encoded, to the hold, which writes the last
-    one once, as it ends: a script's lines each pay their append, and
-    the script one checkpoint. A load redoes the blocks after it."""
+    fsyncs its blocks, the commit point, and leaves `checkpoint`, the tip
+    block it committed, to the hold, which encodes and writes the
+    checkpoint once, as it ends: a script's lines each pay their append,
+    and the script one checkpoint. A load redoes the blocks after it."""
 
     def __init__(self, path: str):
         self.path = path
         self._node = None
         self._locked = False  # whether this hold has the flock
-        self.checkpoint = None  # the state.json this hold has yet to write
+        self.checkpoint = None  # the tip this hold has yet to checkpoint
 
     @property
     def node(self) -> Node:
@@ -760,16 +871,21 @@ class LedgerDir:
                 self._locked = False
 
     def _write_checkpoint(self):
-        checkpoint, self.checkpoint = self.checkpoint, None
-        if checkpoint is not None:
-            _write_atomic(os.path.join(self.path, "state.json"), checkpoint)
+        """Encode and write the checkpoint of the ledger's tip, if a commit
+        left it and no block uncommitted followed it."""
+        tip, self.checkpoint = self.checkpoint, None
+        if tip is not None and tip is self._node.state.chain.held[-1]:
+            state = self._node.state
+            _store_checkpoint(self.path, state.chain,
+                              _encode(state, state.chain))
 
     def commit(self, node: Node = None):
         """Save `node`, from now on this hold's ledger, or the loaded one;
         outside a hold, the checkpoint too."""
         if node is not None:
             self._node = node
-        self.checkpoint = save_state(self.path, self.node, self._locked)
+        appended = save_state(self.path, self.node, self._locked)
+        self.checkpoint = self.node.state.chain.held[-1] if appended else None
 
 
 # -- snapshots -------------------------------------------------------------
@@ -797,7 +913,7 @@ def write_snapshot(path: str, node: Node):
     digest's own pieces."""
     body, chain = node.state.state_dict(objects=True), node.state.chain
     body["digest"] = state_digest(body, chain)
-    _write_atomic(path, b"".join(state_pieces(body, chain)))
+    _write_atomic({path: b"".join(state_pieces(body, chain))})
 
 
 def read_snapshot(path: str) -> Node:

@@ -497,15 +497,24 @@ def _random_op(rng, n, swaps):
                 a, legs_a, value_a, b, legs_b, value_b)}
         else:
             params = {"property": prop, **terms}
-    # half the time, a right or a token the caller holds, which a burn
-    # or a fractional mint otherwise draws too rarely to reach success
-    if op in ("mintFractional", "burnBatchNFTs") and rng.random() < 0.5:
+    # half the time, a right or a token the caller holds, which a burn,
+    # a batch transfer or a fractional mint otherwise draws too rarely to
+    # reach success
+    if (op in ("mintFractional", "burnBatchNFTs", "safeTransferBatch")
+            and rng.random() < 0.5):
         held = _held(n, n.prop, rights_only=op == "mintFractional")
         if held:
             who, token = rng.choice(held)
             legs = 1 if is_right(token) else 2  # a right is one unit
             params |= {"property": n.prop, "rightId": token, "from": who,
                        "ids": [token] * legs, "amounts": [1] * legs}
+    # half the time, two rights not minted yet, which a batch mint
+    # otherwise draws too rarely to reach success
+    if op == "mintBatchNFTs" and rng.random() < 0.5:
+        tokens = n.state.properties[n.prop].tokens
+        params |= {"property": n.prop, "amounts": [1, 1], "prices": [0, 0],
+                   "ids": [right for right in range(1, 64)
+                           if not tokens.total_supply(right)][:2]}
     # the builders above share keys between ops; each op gets its own
     return who, op, {k: v for k, v in params.items()
                      if k in OPS[op].params}, value
@@ -581,7 +590,8 @@ def test_random_sequences_check_before_they_write(market, seed, tmp_path):
             minted += params["amount"]
     assert len(failed) >= 20  # most kinds were seen failing
     # the kinds these draws once never reached succeed now
-    assert {"mintFractional", "burnBatchNFTs", *GENESIS_OPS} <= succeeded
+    assert {"mintFractional", "burnBatchNFTs", "mintBatchNFTs",
+            "safeTransferBatch", *GENESIS_OPS} <= succeeded
     assert n.replay().full_digest() == n.full_digest()
     d = n.state.state_dict(objects=True)
     assert state_digest(d, n.state.chain) == hashlib.sha256(

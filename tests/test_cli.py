@@ -129,17 +129,86 @@ def test_write_command_against_missing_state_dir(estate):
                           "--amount", "1", "--as", ADMIN)
 
 
-@pytest.mark.parametrize("missing", ["state.json", "chain.json"])
+# each ledger file a dir may lose -> the exit code and stderr of a read:
+# the log is the ledger, and state.json only its cache
+MISSING = {
+    "state.json": (0, "notice: {dir}/state.json is missing or torn; rebuilt "
+                      "the state from {dir}/chain.json"),
+    "chain.json": (3, "error: CorruptSnapshot: {dir}/chain.json is missing; "
+                      "`state import --force` restores the dir"),
+}
+
+
+@pytest.mark.parametrize("missing", sorted(MISSING))
 def test_state_dir_missing_one_ledger_file(ledger, missing):
     snap = str(ledger.workdir / "snap.json")
     ledger("state", "export", "--out", snap)
     os.remove(os.path.join(ledger.state_dir, missing))
-    _, _, errtxt = ledger("chain", "verify", expect=3)
-    path = os.path.join(ledger.state_dir, missing)
-    assert errtxt == (f"error: CorruptSnapshot: {path} is missing; "
-                      "`state import --force` restores the dir")
+    code, notice = MISSING[missing]
+    _, _, errtxt = ledger("chain", "verify", expect=code)
+    assert errtxt == notice.replace("{dir}", ledger.state_dir)
     ledger("state", "import", "--in", snap, "--force")
-    ledger("chain", "verify")
+    _, _, errtxt = ledger("chain", "verify")
+    assert errtxt == ""
+
+
+def _zero(path):
+    with open(path, "rb") as fh:
+        size = len(fh.read())
+    with open(path, "wb") as fh:
+        fh.write(bytes(size))
+
+
+# what a crash can leave of a file written without an fsync
+TORN = {"truncated": lambda path: _truncate(path),
+        "emptied": lambda path: os.truncate(path, 0),
+        "zeroed": _zero,
+        "removed": os.remove}
+
+
+@pytest.mark.parametrize("case", sorted(TORN))
+def test_a_missing_or_torn_checkpoint_is_rebuilt_from_the_log(prop, case):
+    """A state.json that is gone or parses as no JSON object is rebuilt
+    from the log with one notice, writing nothing; the next write stores
+    it whole."""
+    ledger, _ = prop
+    path = os.path.join(ledger.state_dir, "state.json")
+    want, whole = jget(ledger, "state", "digest")["digest"], _read(path)
+    TORN[case](path)
+    before = _dir_bytes(ledger.state_dir)
+    _, out, errtxt = ledger("state", "digest", "--json")
+    assert json.loads(out)["digest"] == want
+    assert errtxt == (f"notice: {path} is missing or torn; rebuilt the "
+                      f"state from {ledger.state_dir}/chain.json")
+    assert _dir_bytes(ledger.state_dir) == before
+    ledger("chain", "faucet", "--to", BUYER, "--amount", "0", "--as", ADMIN,
+           "--timestamp", "10")
+    node = load_state(ledger.state_dir)
+    tip = node.state.chain.blocks[-1]
+    assert _read(path) == persistence._checkpoint_bytes(
+        node.state.state_dict(), tip.index, tip.hash) != whole
+
+
+def test_a_rebuild_takes_the_config_of_config_json(estate):
+    """config.json, written once by init, is the one durable copy of the
+    allowlist path besides state.json; a rebuild needs it."""
+    allow = estate.workdir / "allow.txt"
+    allow.write_text(hashlib.sha256(SELLER_KEY.encode()).hexdigest() + "\n")
+    estate("init", "--admin-key", ADMIN_KEY, "--allowlist", str(allow),
+           "--timestamp", "0")
+    config = os.path.join(estate.state_dir, "config.json")
+    assert _read(config) == canonical_json_bytes({"allowlist": str(allow)})
+    os.remove(os.path.join(estate.state_dir, "state.json"))
+    _, _, errtxt = estate("stakeholder", "register", "--role", "Buyer",
+                          "--key", BUYER_KEY, "--as", ADMIN, expect=3)
+    assert "VerificationRejected" in errtxt.splitlines()[-1]
+    os.remove(config)
+    before = _dir_bytes(estate.state_dir)
+    _, _, errtxt = estate("chain", "verify", expect=3)
+    assert errtxt == (f"error: CorruptSnapshot: {estate.state_dir}/state.json"
+                      f" is missing or torn, and {config}, which a rebuild "
+                      "from the log needs, is missing")
+    assert _dir_bytes(estate.state_dir) == before
 
 
 def test_bad_arguments_exit_2(estate):
@@ -752,6 +821,11 @@ def test_state_lock_blocks_second_writer(ledger):
            "--as", ADMIN, "--timestamp", "61")
 
 
+def _read(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def _dir_bytes(state_dir) -> dict:
     """Every file of a state dir but the (always empty) lock file."""
     out = {}
@@ -907,7 +981,6 @@ def _edit_last_block(edit):
 # -> how; `admin-inactive` to `proxy-dropped` break what no command can,
 # the cases after them the type or shape of one stored value
 MALFORMED_DIRS = {
-    "truncated-state": ("state.json", _truncate),
     "truncated-chain": ("chain.json", _truncate),
     "no-factory": ("state.json", _edit_state(lambda d: d.pop("factory"))),
     "accounts-not-an-object": ("state.json",

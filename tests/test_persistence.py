@@ -1,7 +1,8 @@
 """The state dir's one commit point: a write appends its block to
 chain.json in place and fsyncs it, then rewrites the tagged checkpoint
-state.json; a load redoes the blocks after the tag and drops a torn
-last append."""
+state.json, a cache of the log, without an fsync; a load redoes the
+blocks after the tag, drops a torn last append, and rebuilds a
+checkpoint a crash lost."""
 
 import builtins
 import contextlib
@@ -98,20 +99,66 @@ def ledger_of(blocks: int) -> Node:
 # -- crashes -------------------------------------------------------------------
 
 
+def _bytes_of(path):
+    """The bytes of the file at `path`, None if there is none."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
+
+
 class Faults:
     """Fails the `at`-th write boundary `save_state` reaches, as a crash
-    there would stop it: a write to a file it opened for writing (having
-    written the first half of the bytes), a truncate, an fsync or a
-    rename. `seen` counts the boundaries reached."""
+    there would stop it: a write to a file it opened for writing, a
+    truncate, an fsync or a rename. The fault fires before the boundary's
+    work, having written the first half of a write's bytes, or `after`
+    that work is done. `seen` counts the boundaries reached.
 
-    def __init__(self, at: int):
-        self.at, self.seen, self.fired = at, 0, None
+    It also tracks what a crash may still lose from the page cache: each
+    file written since its last fsync, with its bytes before (`lost`)."""
 
-    def boundary(self, what: str):
+    def __init__(self, at: int, after: bool = False):
+        self.at, self.after, self.seen, self.fired = at, after, 0, None
+        self.unsynced = {}  # path -> (bytes before, whether appended to)
+        self.synced = []  # the name of each file an fsync made durable
+        self._paths = {}  # fd -> path of each file open for writing
+
+    def boundary(self, what: str, work, torn=None):
         self.seen += 1
-        if self.seen == self.at:
-            self.fired = what
-            raise OSError(errno.EIO, f"injected fault at {what}")
+        if self.seen != self.at:
+            return work()
+        self.fired = what
+        if self.after:
+            work()
+        elif torn is not None:
+            torn()
+        raise OSError(errno.EIO, f"injected fault at {what}")
+
+    def lost(self) -> list:
+        """(path, how, bytes or None for no file) for each way a crash may
+        lose a file written since its last fsync: an append in place is
+        lost or cut to half of it; any other file is removed, emptied,
+        cut to its first half or restored to its bytes before. Temp names,
+        which no load reads, are left out."""
+        out = []
+        for path, (before, appended) in sorted(self.unsynced.items()):
+            now = _bytes_of(path)
+            if path.endswith(".tmp") or now is None:
+                continue
+            if appended:
+                at = len(os.path.commonprefix([before, now]))
+                ways = {"lost": before,
+                        "half": now[:at + (len(now) - at) // 2]}
+            else:
+                ways = {"removed": None, "emptied": b"",
+                        "half": now[:len(now) // 2], "restored": before}
+            seen = [now]
+            for how, data in ways.items():
+                if data not in seen:
+                    seen.append(data)
+                    out.append((path, how, data))
+        return out
 
     def install(self, patch):
         faults, real_os = self, os
@@ -119,6 +166,7 @@ class Faults:
         class File:
             def __init__(self, fh):
                 self._fh = fh
+                self._name = real_os.path.basename(fh.name)
 
             def __getattr__(self, name):
                 return getattr(self._fh, name)
@@ -127,42 +175,131 @@ class Faults:
                 return self
 
             def __exit__(self, *exc):
+                faults._paths.pop(self._fh.fileno(), None)
                 self._fh.close()
                 return False
 
             def write(self, data):
-                try:
-                    faults.boundary(
-                        f"write of {real_os.path.basename(self._fh.name)}")
-                except OSError:
+                def torn():
                     self._fh.write(data[:len(data) // 2])
                     self._fh.flush()
-                    raise
-                return self._fh.write(data)
+                return faults.boundary(f"write of {self._name}",
+                                       lambda: self._fh.write(data), torn)
 
             def truncate(self, *args):
-                faults.boundary(
-                    f"truncate of {real_os.path.basename(self._fh.name)}")
-                return self._fh.truncate(*args)
+                return faults.boundary(f"truncate of {self._name}",
+                                       lambda: self._fh.truncate(*args))
 
         class Os:
             def __getattr__(self, name):
                 return getattr(real_os, name)
 
+            def open(self, path, *args):
+                fd = real_os.open(path, *args)
+                faults._paths[fd] = real_os.path.abspath(path)
+                return fd
+
+            def close(self, fd):
+                faults._paths.pop(fd, None)
+                return real_os.close(fd)
+
             def fsync(self, fd):
-                faults.boundary("fsync")
-                return real_os.fsync(fd)
+                def work():
+                    real_os.fsync(fd)
+                    path = faults._paths.get(fd)
+                    if path is not None:
+                        faults.unsynced.pop(path, None)
+                        faults.synced.append(real_os.path.basename(path))
+                return faults.boundary("fsync", work)
 
             def replace(self, src, dst):
-                faults.boundary(f"rename to {real_os.path.basename(dst)}")
-                return real_os.replace(src, dst)
+                src, dst = real_os.path.abspath(src), real_os.path.abspath(dst)
+
+                def work():
+                    before = _bytes_of(dst)
+                    real_os.replace(src, dst)
+                    if src in faults.unsynced:  # its bytes may still be lost
+                        del faults.unsynced[src]
+                        faults.unsynced.setdefault(dst, (before, False))
+                    else:
+                        faults.unsynced.pop(dst, None)
+                return faults.boundary(
+                    f"rename to {real_os.path.basename(dst)}", work)
 
         def opener(path, mode="r", *args, **kwargs):
-            fh = builtins.open(path, mode, *args, **kwargs)
-            return File(fh) if mode in ("wb", "r+b") else fh
+            if mode not in ("wb", "r+b"):
+                return builtins.open(path, mode, *args, **kwargs)
+            path = real_os.path.abspath(path)
+            before = _bytes_of(path)
+            fh = File(builtins.open(path, mode, *args, **kwargs))
+            faults.unsynced.setdefault(path, (before, mode == "r+b"))
+            faults._paths[fh.fileno()] = path
+            return fh
 
         patch.setattr(persistence, "open", opener, raising=False)
         patch.setattr(persistence, "os", Os())
+
+
+def crashes(base, tmp_path, monkeypatch, capsys, argv):
+    """Run the command `argv` on copies of `base` and crash it at each
+    write boundary, then just after each, then after it returns. For each
+    crash, yield (boundary, appends made durable, dir) for the dir as the
+    crash left it and then for each write `Faults.lost` says it may lose,
+    applied in turn to a copy of it."""
+    crashed = 0
+    for after in (False, True):
+        at = 0
+        while True:
+            at += 1
+            crashed += 1
+            state_dir = tmp_path / f"crash{crashed}"
+            shutil.copytree(base, state_dir)
+            faults = Faults(at, after)
+            with monkeypatch.context() as patch:
+                faults.install(patch)
+                rc = estate(state_dir, *argv)
+            errtxt = capsys.readouterr().err
+            if faults.fired is None:  # past the last boundary
+                assert rc == 0, errtxt
+                if after:
+                    break
+            else:
+                assert rc == 3, faults.fired
+                # an I/O error that names no file is no missing file
+                assert "NotFound" not in errtxt and "None" not in errtxt, \
+                    errtxt
+                # nothing is written after the fault: it stops the command
+                # as a crash would
+                assert faults.seen == at, faults.fired
+            what = (faults.fired or "return") + (" done" if after else "")
+            left = [(what, state_dir)]
+            for i, (path, how, data) in enumerate(faults.lost()):
+                lost = tmp_path / f"crash{crashed}-{i}"
+                shutil.copytree(state_dir, lost)
+                target = os.path.join(lost, os.path.relpath(path, state_dir))
+                os.remove(target)
+                if data is not None:
+                    with open(target, "wb") as fh:
+                        fh.write(data)
+                left.append((f"{what}, {os.path.basename(path)} {how}", lost))
+            durable = faults.synced.count("chain.json")
+            for what, state_dir in left:
+                yield what, durable, state_dir
+            if faults.fired is None:
+                break
+
+
+def recovers(state_dir):
+    """The checks every crashed dir passes: it verifies, replays, and
+    takes a write that leaves the whole log and the whole checkpoint."""
+    assert estate(state_dir, "chain", "verify") == 0
+    assert estate(state_dir, "chain", "replay") == 0
+    assert estate(state_dir, *faucet(1, 11)) == 0
+    assert read(state_dir, "chain.json") == whole_log(state_dir)
+    assert read(state_dir, "state.json") == _whole_encoding(state_dir)
+
+
+SURVEY = make_cid(b"survey").split(":")[1] + ".bin"
 
 
 @pytest.mark.parametrize("argv", [
@@ -171,41 +308,37 @@ class Faults:
 ], ids=["faucet", "object-put"])
 def test_a_fault_at_any_write_boundary_leaves_the_state_before_or_after(
         base, tmp_path, monkeypatch, capsys, argv):
+    """A crash at or after any write boundary, losing any write not yet
+    fsynced, leaves the state before the command or, once its append is
+    fsynced, after it."""
     pre = digest(base)
     done = tmp_path / "done"
     shutil.copytree(base, done)
     assert estate(done, *argv) == 0
     post = digest(done)
     assert post != pre
-    outcomes, at = [], 1
-    while True:
-        state_dir = tmp_path / f"fault{at}"
-        shutil.copytree(base, state_dir)
-        faults = Faults(at)
-        with monkeypatch.context() as patch:
-            faults.install(patch)
-            rc = estate(state_dir, *argv)
-        if faults.fired is None:  # past the last boundary
-            assert rc == 0
-            break
-        assert rc == 3, faults.fired
-        # an I/O error that names no file is no missing file
-        errtxt = capsys.readouterr().err
-        assert "NotFound" not in errtxt and "None" not in errtxt, errtxt
+    outcomes = []
+    for what, durable, state_dir in crashes(base, tmp_path, monkeypatch,
+                                            capsys, argv):
         got = digest(state_dir)
-        assert got in (pre, post), faults.fired
-        outcomes.append((faults.fired, "pre" if got == pre else "post"))
-        assert estate(state_dir, "chain", "verify") == 0
-        assert estate(state_dir, "chain", "replay") == 0
-        assert estate(state_dir, *faucet(1, 11)) == 0
-        assert read(state_dir, "chain.json") == whole_log(state_dir)
-        at += 1
+        assert got == post if durable else got in (pre, post), what
+        outcomes.append((what, "pre" if got == pre else "post"))
+        recovers(state_dir)
     capsys.readouterr()
-    # the append, its fsync, the checkpoint's write, fsync and rename,
-    # and for a stored object its file's write, fsync and rename
-    assert len(outcomes) == (8 if argv[0] == "object" else 5), outcomes
-    assert outcomes[0] == ("write of chain.json", "pre")
-    assert all(outcome == "post" for _, outcome in outcomes[1:]), outcomes
+    # the append and its fsync, a stored object's write, fsync and rename,
+    # then the checkpoint's write and rename, which no fsync follows
+    boundaries = ["write of chain.json", "fsync"] + (
+        [f"write of {SURVEY}.tmp", "fsync", f"rename to {SURVEY}"]
+        if argv[0] == "object" else []) + [
+        "write of state.json.tmp", "rename to state.json"]
+    left = [outcome for outcome in outcomes if "," not in outcome[0]]
+    assert [what for what, _ in left] == boundaries + ["return"] + [
+        f"{what} done" for what in boundaries], outcomes
+    assert left[:2] == [("write of chain.json", "pre"), ("fsync", "post")]
+    # every kind of loss was tried, on the append and on the checkpoint
+    assert {what.split(", ")[1] for what, _ in outcomes if "," in what} == {
+        "chain.json lost", "chain.json half", "state.json removed",
+        "state.json emptied", "state.json half", "state.json restored"}
 
 
 def test_a_failed_rename_of_chain_json_leaves_the_state_before_or_after(
@@ -245,8 +378,10 @@ SCRIPT_LINES = (f"as {ADMIN} chain faucet --to {SELLER} --amount 25",
 
 def test_a_fault_at_any_write_boundary_of_a_script_leaves_a_prefix(
         base, tmp_path, monkeypatch, capsys):
-    """A script's lines each commit at their append; its checkpoint is
-    written once, as the script ends, whether a line failed or not."""
+    """A script's lines each commit at their append's fsync; its
+    checkpoint is written once, as the script ends, whether a line failed
+    or not. A crash, losing any write not yet fsynced, leaves a prefix of
+    the lines, holding at least those whose append was fsynced."""
     prefixes = []
     for lines in range(len(SCRIPT_LINES) + 1):
         state_dir = tmp_path / f"prefix{lines}"
@@ -256,28 +391,23 @@ def test_a_fault_at_any_write_boundary_of_a_script_leaves_a_prefix(
         prefixes.append(digest(state_dir))
     assert len(set(prefixes)) == len(prefixes)
     script = script_of(tmp_path, *SCRIPT_LINES)
-    outcomes, at = [], 1
-    while True:
-        state_dir = tmp_path / f"fault{at}"
-        shutil.copytree(base, state_dir)
-        faults = Faults(at)
-        with monkeypatch.context() as patch:
-            faults.install(patch)
-            rc = estate(state_dir, "run", script, "--timestamp", "10")
-        if faults.fired is None:  # past the last boundary
-            assert rc == 0
-            break
-        assert rc == 3, faults.fired
-        outcomes.append(prefixes.index(digest(state_dir)))
-        assert estate(state_dir, "chain", "verify") == 0
-        assert estate(state_dir, "chain", "replay") == 0
-        assert estate(state_dir, *faucet(1, 11)) == 0
-        assert read(state_dir, "chain.json") == whole_log(state_dir)
-        at += 1
+    outcomes = []
+    for what, durable, state_dir in crashes(
+            base, tmp_path, monkeypatch, capsys,
+            ["run", script, "--timestamp", "10"]):
+        got = prefixes.index(digest(state_dir))
+        assert got >= durable, what
+        outcomes.append((what, got))
+        recovers(state_dir)
     capsys.readouterr()
     # each line's append and fsync, the object's write, fsync and rename,
-    # then the one checkpoint's write, fsync and rename
-    assert outcomes == [0, 1, 1, 2, 2, 2, 2, 2, 3, 3, 3, 3]
+    # then the one checkpoint's write and rename; then the script's return
+    assert [got for what, got in outcomes
+            if "," not in what and "done" not in what] == [
+        0, 1, 1, 2, 2, 2, 2, 2, 3, 3, 3, 3]
+    assert {what.split(", ")[1] for what, _ in outcomes if "," in what} == {
+        "chain.json lost", "chain.json half", "state.json removed",
+        "state.json emptied", "state.json half", "state.json restored"}
 
 
 def test_a_script_writes_its_checkpoint_once_and_fsyncs_each_append(
@@ -285,20 +415,24 @@ def test_a_script_writes_its_checkpoint_once_and_fsyncs_each_append(
     fsyncs, checkpoints = [], []
     real_fsync, real_write = os.fsync, persistence._write_atomic
 
-    def write(path, data):
-        if path.endswith("state.json"):
-            checkpoints.append(path)
-        real_write(path, data)
+    def write(files, *args, **kwargs):
+        checkpoints.extend(path for path in files
+                           if path.endswith("state.json"))
+        real_write(files, *args, **kwargs)
     monkeypatch.setattr(persistence.os, "fsync",
                         lambda fd: fsyncs.append(fd) or real_fsync(fd))
     monkeypatch.setattr(persistence, "_write_atomic", write)
     assert estate(base, *faucet(1, 10)) == 0
-    assert (len(fsyncs), len(checkpoints)) == (2, 1)
+    assert (len(fsyncs), len(checkpoints)) == (1, 1)
     fsyncs.clear(), checkpoints.clear()
     assert estate(base, "run", script_of(tmp_path, *[
         f"as {ADMIN} chain faucet --to {SELLER} --amount {i}"
         for i in range(10)]), "--timestamp", "11") == 0
-    assert (len(fsyncs), len(checkpoints)) == (11, 1)
+    assert (len(fsyncs), len(checkpoints)) == (10, 1)
+    fsyncs.clear(), checkpoints.clear()
+    assert estate(base, "object", "put", "--data", "plan", "--as", ADMIN,
+                  "--timestamp", "12") == 0
+    assert (len(fsyncs), len(checkpoints)) == (2, 1)
     monkeypatch.undo()
     assert read(base, "state.json") == _whole_encoding(base)
     tag = json.loads(read(base, "state.json"))["block"]
@@ -339,7 +473,7 @@ def test_an_error_writing_the_checkpoint_never_replaces_one_raised(
         base, monkeypatch):
     ledger = persistence.LedgerDir(str(base))
 
-    def fail(path, data):
+    def fail(files, *args, **kwargs):
         raise OSError(errno.EIO, "injected fault")
     with pytest.raises(LedgerError) as e:
         with ledger.writing():
@@ -380,20 +514,63 @@ def test_a_write_appends_its_block_and_a_refused_one_writes_nothing(
     capsys.readouterr()
 
 
-def test_an_append_fsyncs_twice_and_a_whole_write_once_a_file(
-        tmp_path, monkeypatch):
+def _fsynced(monkeypatch) -> list:
+    """Records the name of each file or dir `persistence` fsyncs."""
+    synced, real_fsync = [], os.fsync
+
+    def fsync(fd):
+        synced.append(os.path.basename(os.readlink(f"/proc/self/fd/{fd}")))
+        return real_fsync(fd)
+    monkeypatch.setattr(persistence.os, "fsync", fsync)
+    return synced
+
+
+def test_an_append_fsyncs_once_and_a_whole_write_each_file_and_the_dir(
+        tmp_path, monkeypatch, capsys):
+    """The append is a write's one fsync, its commit point. A whole write
+    fsyncs the log, config.json and each new object, then the dir, so no
+    rename it made is lost; state.json, only a cache, never."""
     node = ledger_of(5)
     node.execute(ADMIN, "putObject", {"dataHex": b"deed".hex()})
-    fsyncs, real_fsync = [], os.fsync
-    monkeypatch.setattr(persistence.os, "fsync",
-                        lambda fd: fsyncs.append(fd) or real_fsync(fd))
+    synced = _fsynced(monkeypatch)
     state_dir = str(tmp_path / "ledger")
     save_state(state_dir, node)
-    assert len(fsyncs) == 3  # the object, chain.json and state.json
+    deed = make_cid(b"deed").split(":")[1] + ".bin.tmp"
+    assert synced == ["chain.json.tmp", "config.json.tmp", deed, "ledger"]
+    synced.clear()
     node.execute(ADMIN, "faucet", {"to": SELLER, "amount": 1})
     save_state(state_dir, node)
-    assert len(fsyncs) == 5  # the append and state.json
+    assert synced == ["chain.json"]
     assert read(state_dir, "chain.json") == node.state.chain.canonical_json()
+    synced.clear()
+    assert estate(tmp_path / "fresh", "init", "--admin-key", ADMIN_KEY) == 0
+    assert synced == ["chain.json.tmp", "config.json.tmp", "fresh"]
+    capsys.readouterr()
+
+
+def test_a_write_to_a_dir_without_config_json_stores_it_before_its_append(
+        base, monkeypatch, capsys):
+    """A dir an older version made holds no config.json: its next write
+    stores it, fsynced with the dir, before its append. A load reads it
+    only to rebuild a lost checkpoint."""
+    config = os.path.join(base, "config.json")
+    want = read(base, "config.json")
+    os.remove(config)
+    assert estate(base, "chain", "verify") == 0
+    assert not os.path.exists(config)
+    with monkeypatch.context() as patch:
+        synced = _fsynced(patch)
+        assert estate(base, *faucet(1, 10)) == 0
+    assert synced == ["config.json.tmp", "base", "chain.json"]
+    assert read(base, "config.json") == want
+    with open(config, "wb") as fh:
+        fh.write(b"{")
+    assert estate(base, *faucet(1, 11)) == 0
+    assert read(base, "config.json") == b"{"
+    os.remove(os.path.join(base, "state.json"))
+    assert estate(base, "chain", "verify") == 3
+    assert capsys.readouterr().err == (
+        f"error: CorruptSnapshot: {config} is not a JSON object\n")
 
 
 def test_a_block_the_checkpoint_cannot_encode_is_refused_before_any_write(
