@@ -8,10 +8,12 @@ Layout inside a state directory:
                  rebuild a lost checkpoint
     state.json   the checkpoint, a cache of the log:
                  ``LedgerState.state_dict()`` (accounts, stakeholders,
-                 factory, properties, config) plus its tag "block", the
-                 index and hash of the block it reflects and the file's
-                 own digest, "state"
-    objects/     one <hex-digest>.bin file per stored object
+                 factory, properties, config), the sorted digests of the
+                 objects the ledger holds, "store", and its tag "block",
+                 the index and hash of the block it reflects and the
+                 file's own digest, "state"
+    objects/     one <hex-digest>.bin file per stored object, a cache of
+                 the log, which records every object's bytes
     .lock        flock target guarding against concurrent writers
 
 ``LedgerDir(path)`` is one command's hold on a state dir: its ``node``
@@ -23,41 +25,42 @@ When the chain was loaded from, or last saved to, the same dir, and the
 file still ends with the chain's stored tip in canonical form and
 ``]}``, ``save_state`` appends only the new blocks to ``chain.json`` in
 place: it writes ``,<block>...]}`` over the closing ``]}`` and fsyncs.
-That fsync is the one commit point. Beyond it a write fsyncs only its
-new object files, each written to a temp name that is fsynced and
-renamed, since the listing of ``objects/`` is which objects the dir
-holds.
-The checkpoint commits nothing, and only bounds the blocks a load
-redoes: it goes to a temp name renamed with no fsync. Inside a hold, an
-append leaves it to the hold, which encodes and writes it once, as the
-hold ends, returned or raised, before it lets the flock go, if the last
-commit left the ledger at a committed tip. So a lone write fsyncs once,
-and a script of ten writes ten times; a line that fails leaves a
-checkpoint at the last block committed, and a reader that loads while a
-script runs redoes the lines committed so far. A dir that holds no log
-of this chain (``init``, ``state import``), or a log torn or stored in
-another form, gets a whole write: the log, ``config.json`` and the
-objects, all fsynced and then renamed in that order, then the
-checkpoint; it then loses each object file of a ledger it held before,
-and fsyncs the dir.
-A dir an older version made, which holds no ``config.json``, gets it,
-fsynced with the dir, before an append. Which objects a dir holds is
-the listing of ``objects/`` that the node's store was loaded with, or
-last saved to; another dir is listed once. Outside a hold,
-``save_state`` encodes the checkpoint before its first write.
+That fsync is the one commit point, and the write's only fsync. The new
+object files and the checkpoint commit nothing: each goes to a temp
+name renamed with no fsync, the objects first. The checkpoint bounds
+the blocks a load redoes and lists the objects the ledger holds. Inside
+a hold, an append leaves it to the hold, which encodes and writes it
+once, as the hold ends, returned or raised, before it lets the flock
+go, if the last commit left the ledger at a committed tip. So a lone
+write and ``object put`` fsync once, and a script of ten writes ten
+times; a line that fails leaves a checkpoint at the last block
+committed, and a reader that loads while a script runs redoes the lines
+committed so far. A dir that holds no log of this chain (``init``,
+``state import``), or a log torn or stored in another form, gets a
+whole write: the log and ``config.json``, both fsynced, then the old
+checkpoint removed, so a crash before the new one lands rebuilds from
+whichever log is in place, then both renamed in that order; then the
+object files and the checkpoint, as above; then the removal of each
+object file of no object the ledger holds, the one listing of
+``objects/``, and an fsync of the dir. That is three fsyncs at any
+object count. A dir an older version made, which holds no
+``config.json``, gets it, fsynced with the dir, before an append. A
+write stores the file of each object its store holds that the dir's
+files do not: the ones new since the load or the last write. Outside a
+hold, ``save_state`` encodes the checkpoint before its first write.
 
 The tag's digest is the SHA-256 of ``state.json`` with the digest's own
 hex digits zeroed: ``save_state`` hashes the one encoding it writes, and
 ``load_state`` recomputes the digest over the bytes it read and refuses
 a mismatch before it decodes a section. A tag with no digest, as written
-before tags held one, loads unchecked. The object keys stay out of it: a
-write adds object files after its append. A checkpoint whose digest
-checks before anything is parsed is cut at the last ``,"stakeholders":``
-before its fixed suffix ``,"version":1}`` and the last ``,"factory":``
-before that, and only the head before the contracts (accounts, tag,
-config) is parsed at load. The contracts slice (factory, properties) and
-the registry slice (stakeholders) are each parsed when a command first
-uses them; a slice that holds a key of the head or of the other slice
+before tags held one, loads unchecked. A checkpoint whose digest checks
+before anything is parsed is cut at the last ``,"store":`` before its
+fixed suffix ``,"version":1}``, the last ``,"stakeholders":`` before
+that and the last ``,"factory":`` before that, and only the head before
+the contracts (accounts, tag, config) is parsed at load. The contracts
+slice (factory, properties), the registry slice (stakeholders) and the
+store slice (the object digests) are each parsed when a command first
+uses them; a slice that holds a key of the head or of another slice
 is refused, and one that does not otherwise parse to exactly its keys,
 because a key nested in a value cut it wrong or its bytes are broken,
 is read from a parse of the whole file. A file with no digest, a
@@ -65,8 +68,8 @@ digest that does not match, a surrogate escape, no suffix or key to cut
 at, or a head not exactly its keys is parsed whole at load, as before;
 a file whose slices each parse to exactly their keys, as every file
 ``save_state`` writes does, loads to the values a whole parse gives.
-Each section (accounts, stakeholders, factory with properties) is
-decoded, and its invariants checked, when a command first uses it: the
+Each section (accounts, stakeholders, factory with properties, store)
+is decoded, and its invariants checked, when a command first uses it: the
 loaded state is a ``PendingState``, and ``Node.execute`` decodes every
 section before it admits a command.
 
@@ -82,8 +85,8 @@ section is still decoded and checked before a write; read from a file
 a write left, the file the next write leaves is the one
 ``_checkpoint_bytes`` encodes from the whole state.
 
-``load_state`` reads the checkpoint, then lists the objects, then reads
-the log from its end back to the tag's block: it finds that block's
+``load_state`` reads the checkpoint, then the log from its end back to
+the tag's block, and lists no dir: it finds that block's
 header, decodes it and the blocks after it, checks its hash, index and
 nonce, and redoes the blocks after it (``Node.redo``). So a write that
 stops before its commit point leaves the state before the command, and
@@ -106,8 +109,22 @@ as a crash can leave a file written without an fsync, is rebuilt: the
 load drops a torn last append, replays the log from genesis
 (``Node.from_log``) with the config of ``config.json``, prints one
 notice on stderr and writes nothing; the next write stores the
-checkpoint whole. A complete checkpoint that fails its digest or a
-check is refused as before.
+checkpoint whole, and every object file. A complete checkpoint that
+fails its digest or a check is refused as before.
+
+A loaded store starts from the digests the checkpoint lists, and the
+blocks a load redoes add theirs. It reads an object's file when a
+command first needs its bytes. A file that does not match its digest
+goes to ``_LogObjects``: one missing, empty or holding a prefix of the
+object's bytes, or such a prefix followed by NUL bytes, as a crash can
+leave a file written without an fsync, is rebuilt from a replay of the
+log from genesis (``Node.from_log``, once per load), with one notice on
+stderr per file, and stored again, by a temp name of the reader's own
+renamed in, so one crash costs one replay. A complete file holding
+other bytes is refused. A checkpoint an older version wrote
+lists no objects: when a command first uses its store, the store is
+replayed from the log, with one notice, and the next write stores the
+list.
 
 A snapshot is ``state_dict(objects=True)`` with the block log under
 ``chain``, plus a ``digest`` of that body. The digest is
@@ -149,18 +166,31 @@ from .storage import ObjectStore
 
 STATE_KEYS = frozenset(("version", "config", "accounts", "stakeholders",
                         "factory", "properties"))
-# a checked checkpoint is split at two keys: the head before the contracts
-# is parsed at load, the contracts and the registry each on first use
+# a checked checkpoint is split at three keys: the head before the
+# contracts is parsed at load, each slice after it on first use
 HEAD_KEYS = frozenset(("accounts", "block", "config"))
-CONTRACTS_AT, CONTRACT_KEYS = b',"factory":', frozenset(("factory",
-                                                         "properties"))
-REGISTRY_AT, REGISTRY_KEYS = b',"stakeholders":', frozenset(("stakeholders",))
 STATE_END = b',"version":%d}' % STATE_VERSION
-SECTION_KEYS = HEAD_KEYS | CONTRACT_KEYS | REGISTRY_KEYS
-# each slice after the head, in file order: the ``state_dict`` keys it
-# holds, and the ``LedgerState`` sections they encode
-SLICES = ((CONTRACT_KEYS, CONTRACT_KEYS),
-          (REGISTRY_KEYS, frozenset(("registry",))))
+_CONTRACT_KEYS = frozenset(("factory", "properties"))
+
+
+def _members(state) -> dict:
+    """The store section of a checkpoint: the sorted digests of the
+    objects the ledger holds. It is no key of ``state_dict``, so no digest
+    of the state covers it."""
+    return {"store": sorted(state.store.digests())}
+
+
+# each slice after the head, in file order: the key it starts at, the
+# top-level keys it holds, the ``LedgerState`` sections they encode, and
+# its encoder, a dict of those keys
+SLICES = ((b',"factory":', _CONTRACT_KEYS, _CONTRACT_KEYS,
+           lambda state: state.state_dict(keys=_CONTRACT_KEYS)),
+          (b',"stakeholders":', frozenset(("stakeholders",)),
+           frozenset(("registry",)),
+           lambda state: state.state_dict(keys=("stakeholders",))),
+          (b',"store":', frozenset(("store",)), frozenset(("store",)),
+           _members))
+SECTION_KEYS = HEAD_KEYS.union(*(keys for _, keys, _, _ in SLICES))
 # a tag with its digest, as a canonical checkpoint holds it
 _SIGNED_TAG = re.compile(rb',"block":\{"hash":"([0-9a-f]{64})","index":'
                          rb'(0|[1-9][0-9]*),"state":"([0-9a-f]{64})"\},')
@@ -194,11 +224,19 @@ def _sign(data: bytes, tag: Checkpoint) -> bytes:
 
 
 def _checkpoint_bytes(body: dict, index: int, hash_: bytes) -> bytes:
-    """`body`, a ``state_dict()``, tagged with block `index` of hash
-    `hash_` as ``state.json`` holds it, encoded whole: its digest is the
-    SHA-256 of these bytes with the digest's hex digits zeroed."""
+    """`body`, a ``state_dict()`` with its ``_members``, tagged with
+    block `index` of hash `hash_` as ``state.json`` holds it, encoded
+    whole: its digest is the SHA-256 of these bytes with the digest's hex
+    digits zeroed."""
     tag = Checkpoint(index, hash_, bytes(32))  # the digest zeroed
     return _sign(canonical_json_bytes(body | {"block": to_json(tag)}), tag)
+
+
+def _whole_checkpoint(state, index: int, hash_: bytes) -> bytes:
+    """The checkpoint of `state` at block `index` of hash `hash_`, encoded
+    whole: the bytes every ``state.json`` a write leaves holds."""
+    return _checkpoint_bytes(state.state_dict() | _members(state), index,
+                             hash_)
 
 
 def _signed(data: bytes, tag: Checkpoint) -> bool:
@@ -327,7 +365,7 @@ def _carried(chain: Chain) -> list:
     written = frozenset().union(*map(_writes, chain.held[at + 1:]))
     return [None if sections & written else
             piece.stored if isinstance(piece, _Slice) else piece
-            for (_, sections), piece in zip(SLICES, slices.pieces)]
+            for (_, _, sections, _), piece in zip(SLICES, slices.pieces)]
 
 
 def _encode(state, chain) -> tuple:
@@ -336,8 +374,8 @@ def _encode(state, chain) -> tuple:
     no op since it was last read or written may have changed it, which is
     then its stored bytes."""
     tip = chain.held[-1]
-    pieces = [stored or canonical_json_bytes(state.state_dict(keys=keys))[1:-1]
-              for (keys, _), stored in zip(SLICES, _carried(chain))]
+    pieces = [stored or canonical_json_bytes(encode(state))[1:-1]
+              for (*_, encode), stored in zip(SLICES, _carried(chain))]
     tag = Checkpoint(tip.index, tip.hash, bytes(32))  # the digest zeroed
     head = canonical_json_bytes(state.state_dict(keys=("accounts", "config"))
                                 | {"block": to_json(tag)})
@@ -357,7 +395,7 @@ def _store_checkpoint(state_dir: str, chain: Chain, encoded: tuple):
 def save_state(state_dir: str, node: Node, defer: bool = False):
     """Write `node` to `state_dir`: append its new blocks to a log that
     holds the rest of its chain, else write the log whole, and
-    ``config.json``; then the new objects and the checkpoint. The
+    ``config.json``; then the new object files and the checkpoint. The
     checkpoint is encoded before the first write, so a state it cannot
     encode leaves the dir untouched. With `defer`, a write that appended
     leaves the checkpoint to its caller and returns True; any other
@@ -368,11 +406,10 @@ def save_state(state_dir: str, node: Node, defer: bool = False):
     encoded = None if defer else _encode(state, chain)
     store = state.store
     objects_dir = os.path.abspath(os.path.join(state_dir, "objects"))
-    # content-addressed: a file once written is never rewritten
-    on_disk = (store.listed if store.path == objects_dir
-               else _listing(objects_dir))
+    # content-addressed: a file the dir holds is never rewritten
+    cached = store.stored if store.path == objects_dir else set()
     objects = {digest: store.read(digest)
-               for digest in sorted(store.digests() - on_disk)}
+               for digest in sorted(store.digests() - cached)}
     chain_path = os.path.abspath(os.path.join(state_dir, "chain.json"))
     config_path = os.path.join(state_dir, "config.json")
     if (chain.log is not None and chain.log.path == chain_path
@@ -380,37 +417,31 @@ def save_state(state_dir: str, node: Node, defer: bool = False):
         _write_atomic({config_path: canonical_json_bytes(state.config)})
         _fsync(state_dir)
     whole = not _append(chain.log, chain_path, chain.held)
-    files = {}
     if whole:  # the dir holds no log of this chain, or a torn one
         encoded = encoded or _encode(state, chain)
         os.makedirs(state_dir, exist_ok=True)
-        files = {chain_path: chain.canonical_json(),
-                 config_path: canonical_json_bytes(state.config)}
+        # the old checkpoint goes first: a crash before the new one lands
+        # rebuilds from whichever log is in place
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(state_dir, "state.json"))
+        _write_atomic({chain_path: chain.canonical_json(),
+                       config_path: canonical_json_bytes(state.config)})
+        chain.log = StoredLog(chain_path, chain.height)
     else:
         chain.log.blocks = chain.height
     os.makedirs(objects_dir, exist_ok=True)
-    files.update((os.path.join(objects_dir, digest + ".bin"), data)
-                 for digest, data in objects.items())
-    _write_atomic(files)
-    if whole:
-        chain.log = StoredLog(chain_path, chain.height)
+    _write_atomic({os.path.join(objects_dir, digest + ".bin"): data
+                   for digest, data in objects.items()}, durable=False)
     if encoded is not None:
         _store_checkpoint(state_dir, chain, encoded)
     held = store.digests()
-    if whole:  # the objects of a ledger this one replaced
-        for digest in on_disk - held:
-            os.remove(os.path.join(objects_dir, digest + ".bin"))
+    if whole:  # the files of no object this ledger holds
+        for name in os.listdir(objects_dir):
+            if name.endswith(".bin") and name[:-len(".bin")] not in held:
+                os.remove(os.path.join(objects_dir, name))
         _fsync(state_dir)
-    store.path, store.listed = objects_dir, held
+    store.path, store.stored = objects_dir, held
     return True if encoded is None else None
-
-
-def _listing(objects_dir: str) -> set:
-    """The digests `objects_dir` holds a ``<digest>.bin`` file of."""
-    if not os.path.isdir(objects_dir):
-        return set()
-    return {name[:-len(".bin")] for name in os.listdir(objects_dir)
-            if name.endswith(".bin")}
 
 
 @contextlib.contextmanager
@@ -583,19 +614,112 @@ def _contracts(part) -> dict:
     return {"factory": factory, "properties": properties}
 
 
-def _node(head: dict, contracts, registry, chain: Chain,
-          store: ObjectStore) -> Node:
-    """The ledger of `head`'s accounts and config, beside its `chain` and
-    `store`; `contracts` and `registry`, called, return a dict holding
-    their section's keys. Each section is parsed if it was not, read,
-    and its invariants checked, on first use (``PendingState``)."""
+def _replay(blocks: list, state: LedgerState, chain_path: str) -> Node:
+    """``Node.from_log(blocks, state)``; a log that does not replay is
+    ``CorruptSnapshot``."""
+    try:
+        return Node.from_log(blocks, state)
+    except LedgerError as exc:
+        raise err("CorruptSnapshot", f"{chain_path} does not replay: "
+                  f"{exc}") from exc
+
+
+class _LogObjects:
+    """The objects of a loaded ledger as its log stores them: a replay of
+    `chain` from genesis, run once, when its store first needs it.
+    Called, it is that store's ``ObjectStore.rebuild``."""
+
+    def __init__(self, chain: Chain):
+        self.chain, self.replayed = chain, None
+
+    def objects(self) -> dict:
+        if self.replayed is None:
+            self.replayed = _replay(self.chain.blocks, LedgerState(),
+                                    self.chain.log.path).state.store.objects
+        return self.replayed
+
+    def __call__(self, digest: str, path: str, cached: bytes) -> bytes:
+        """The bytes of the object `digest`, whose file at `path` holds
+        `cached`, if `cached` is a prefix of them followed by NUL bytes
+        at most: what a crash can leave of a file written without an
+        fsync. One notice on stderr, and the file stored again."""
+        data = self.objects().get(digest)
+        if data is None:
+            raise err("CorruptSnapshot", f"object {digest} is listed, but "
+                      f"no block of {self.chain.log.path} stores it")
+        if len(cached) > len(data) or not data.startswith(
+                cached.rstrip(b"\0")):
+            raise err("CorruptSnapshot",
+                      f"object {digest} does not match its digest")
+        print(f"notice: {path} is missing or torn; rebuilt it from "
+              f"{self.chain.log.path}", file=sys.stderr)
+        _restore(path, data)
+        return data
+
+
+def _restore(path: str, data: bytes):
+    """Store the object file at `path` again as `data`, its bytes, by a
+    temp name of this process's own renamed with no fsync: the file is
+    content-addressed, so a reader that holds no lock may. A dir it
+    cannot write keeps the file as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+
+
+def _are_digests(members) -> bool:
+    """Whether `members` is a list of SHA-256 digests in lowercase hex;
+    one ``fromhex`` of them all checks the digits."""
+    try:
+        joined = "".join(members)
+        return (type(members) is list and all(len(m) == 64 for m in members)
+                and len(bytes.fromhex(joined)) * 2 == len(joined)
+                and joined == joined.lower())
+    except (TypeError, ValueError):  # a member no str, or no hex digit
+        return False
+
+
+def _store(state_dir: str, chain: Chain, part) -> dict:
+    """The store of the ledger in `state_dir` beside its `chain`: the
+    objects ``part()["store"]`` lists, whose files ``objects/`` caches. A
+    checkpoint an older version wrote lists none: its objects are
+    replayed from the log, with one notice on stderr."""
+    log = _LogObjects(chain)
+    objects_dir = os.path.abspath(os.path.join(state_dir, "objects"))
+    section = part()
+    if "store" not in section:
+        objects = dict(log.objects())
+        print(f"notice: {state_dir}/state.json lists no objects, as an "
+              f"older version wrote it; rebuilt them from "
+              f"{state_dir}/chain.json", file=sys.stderr)
+        return {"store": ObjectStore(objects, objects_dir)}
+    members = section["store"]
+    if not _are_digests(members):
+        raise err("CorruptSnapshot", f"store: expected object digests, "
+                  f"got {members!r:.60}")
+    return {"store": ObjectStore(path=objects_dir, stored=set(members),
+                                 rebuild=log)}
+
+
+def _node(head: dict, parts: list, chain: Chain, store) -> Node:
+    """The ledger of `head`'s accounts and config, beside its `chain`;
+    `parts`, in ``SLICES`` order, each return, called, a dict holding
+    their section's keys, and ``store(part)`` decodes the store from the
+    last. Each section is parsed if it was not, read, and its invariants
+    checked, on first use (``PendingState``)."""
+    contracts, registry, members = parts
     contracts = (_contracts, contracts)
     return Node(PendingState(
         {"native": (_accounts, head["accounts"]),
          "registry": (_stakeholders, registry),
-         "factory": contracts, "properties": contracts},
-        config=read(dict[str, Optional[str]], head["config"]),
-        chain=chain, store=store))
+         "factory": contracts, "properties": contracts,
+         "store": (store, members)},
+        config=read(dict[str, Optional[str]], head["config"]), chain=chain))
 
 
 def _state_from_dicts(d: dict, chain: Chain) -> Node:
@@ -607,7 +731,8 @@ def _state_from_dicts(d: dict, chain: Chain) -> Node:
         if sha256_hex(data) != digest:
             raise err("CorruptSnapshot",
                       f"object {digest} does not match its digest")
-    return _node(d, lambda: d, lambda: d, chain, store)
+    return _node(d, [lambda: d] * len(SLICES), chain,
+                 lambda part: {"store": store})
 
 
 @dataclass
@@ -652,37 +777,38 @@ def _read_whole(path: str, data: bytes) -> tuple:
                    if type(tag) is dict else tag)
         if tag.state is not None and not _signed(data, tag):
             raise err("CorruptSnapshot", f"{path} does not match its digest")
-    return read_object(d, STATE_KEYS), tag
+    # an older version's checkpoint lists no store
+    return read_object(d, STATE_KEYS | (d.keys() & {"store"})), tag
 
 
 def _split(path: str, data: bytes) -> Optional[tuple]:
     """The checkpoint `data` at `path` cut at its sections once its tag's
-    digest checks: the head parsed, the contracts and the registry as
-    ``_Slice``s, and the tag. None, having parsed nothing, for a file
-    with no digest or one that does not match, a surrogate escape, no
-    version suffix or no key to cut at; and, having parsed the head,
-    for a head not exactly its keys or holding another tag."""
+    digest checks: the head parsed, a ``_Slice`` per slice in ``SLICES``,
+    and the tag. None, having parsed nothing, for a file with no digest
+    or one that does not match, a surrogate escape, no version suffix or
+    no key to cut at; and, having parsed the head, for a head not exactly
+    its keys or holding another tag."""
     if not data.endswith(STATE_END) or _may_hold_surrogate(data):
         return None
-    registry = data.rfind(REGISTRY_AT)
-    contracts = data.rfind(CONTRACTS_AT, 0, max(registry, 0))
-    found = _SIGNED_TAG.search(data, 0, max(contracts, 0))
+    cuts = [len(data) - len(STATE_END)]
+    for at, *_ in reversed(SLICES):  # each the last key before the next
+        cuts.insert(0, data.rfind(at, 0, max(cuts[0], 0)))
+    found = _SIGNED_TAG.search(data, 0, max(cuts[0], 0))
     if found is None:
         return None
     tag = Checkpoint(int(found[2]), bytes.fromhex(found[1].decode()),
                      bytes.fromhex(found[3].decode()))
     if not _signed(data, tag):
         return None
-    # the head starts at the file's first byte and the registry ends at
-    # its fixed suffix, so a marker nested in a value leaves a bracket
+    # the head starts at the file's first byte and the last slice ends at
+    # its fixed suffix, so a key nested in a value leaves a bracket
     # unmatched in a slice, which then parses as no section
-    head = _parse(data[:contracts] + b"}")
+    head = _parse(data[:cuts[0]] + b"}")
     if (type(head) is not dict or head.keys() != HEAD_KEYS
             or head.pop("block") != to_json(tag)):
         return None
-    return (head, _Slice(path, data, contracts + 1, registry, CONTRACT_KEYS),
-            _Slice(path, data, registry + 1, len(data) - len(STATE_END),
-                   REGISTRY_KEYS), tag)
+    return head, [_Slice(path, data, start + 1, end, keys) for start, end, (
+        _, keys, *_) in zip(cuts, cuts[1:], SLICES)], tag
 
 
 def _torn(data: bytes) -> bool:
@@ -699,11 +825,12 @@ def _torn(data: bytes) -> bool:
 
 
 def _read_checkpoint(path: str) -> Optional[tuple]:
-    """The checkpoint at `path` as (head, contracts, registry, tag): the
-    head a dict holding the accounts and config, the others returning,
-    called, a dict holding their section's keys, and the tag, None if it
-    has none. A file whose digest checks is split, and only its head
-    parsed; any other is parsed whole. None for a file missing or torn."""
+    """The checkpoint at `path` as (head, parts, tag): the head a dict
+    holding the accounts and config, a part per slice in ``SLICES``
+    order, returning, called, a dict holding its section's keys, and the
+    tag, None if it has none. A file whose digest checks is split, and
+    only its head parsed; any other is parsed whole. None for a file
+    missing or torn."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -718,7 +845,7 @@ def _read_checkpoint(path: str) -> Optional[tuple]:
         if _torn(data):
             return None
         raise
-    return d, lambda: d, lambda: d, tag
+    return d, [lambda: d] * len(SLICES), tag
 
 
 def _uninitialized(state_dir: str):
@@ -743,13 +870,10 @@ def load_state(state_dir: str) -> Node:
         raise err("CorruptSnapshot", f"{chain_path} is missing; "
                   "`state import --force` restores the dir")
     checkpoint = _read_checkpoint(state_path)
-    # objects before the log: a write adds them only after its append
-    objects_dir = os.path.abspath(os.path.join(state_dir, "objects"))
-    store = ObjectStore(path=objects_dir, listed=_listing(objects_dir))
-    log_path = os.path.abspath(chain_path)
     if checkpoint is None:
-        return _rebuild(state_dir, store)
-    head, contracts, registry, tag = checkpoint
+        return _rebuild(state_dir)
+    head, parts, tag = checkpoint
+    log_path = os.path.abspath(chain_path)
     tail = None if tag is None else _read_tail(log_path, tag)
     if tail is None:  # the whole log
         need = None if tag is None else tag.index
@@ -768,9 +892,10 @@ def load_state(state_dir: str) -> Node:
         del blocks[tag.index + 1:]
     else:
         chain, later = tail
-    if isinstance(registry, _Slice):  # split: its slices may be carried
-        chain.log.slices = Slices(tag.index, tag.hash, [contracts, registry])
-    node = _node(head, contracts, registry, chain, store)
+    if isinstance(parts[0], _Slice):  # split: its slices may be carried
+        chain.log.slices = Slices(tag.index, tag.hash, parts)
+    node = _node(head, parts, chain,
+                 lambda part: _store(state_dir, chain, part))
     try:
         node.redo(later)
     except LedgerError as exc:
@@ -779,11 +904,11 @@ def load_state(state_dir: str) -> Node:
     return node
 
 
-def _rebuild(state_dir: str, store: ObjectStore) -> Node:
+def _rebuild(state_dir: str) -> Node:
     """The ledger of `state_dir` whose checkpoint is missing or torn,
     replayed from genesis through the log, less a torn last append, with
-    the config of ``config.json``; `store` holds the listed objects. It
-    writes nothing: the next write stores the checkpoint whole."""
+    the config of ``config.json``. It writes nothing: the next write
+    stores the checkpoint whole, and every object file."""
     config_path = os.path.join(state_dir, "config.json")
     chain_path = os.path.join(state_dir, "chain.json")
     try:
@@ -795,11 +920,7 @@ def _rebuild(state_dir: str, store: ObjectStore) -> Node:
                   f"torn, and {config_path}, which a rebuild from the log "
                   "needs, is missing") from None
     blocks = _read_log(chain_path, 0).held
-    try:
-        node = Node.from_log(blocks, LedgerState(config=config, store=store))
-    except LedgerError as exc:
-        raise err("CorruptSnapshot", f"{chain_path} does not replay: "
-                  f"{exc}") from exc
+    node = _replay(blocks, LedgerState(config=config), chain_path)
     node.state.chain.log = StoredLog(os.path.abspath(chain_path), len(blocks))
     print(f"notice: {state_dir}/state.json is missing or torn; rebuilt the "
           f"state from {chain_path}", file=sys.stderr)

@@ -5,19 +5,22 @@ Objects are addressed by a cid of the form
     cidv0-sha256:<64 lowercase hex chars>
 
 where the hex is the SHA-256 of the object bytes. A store loaded from a
-state dir starts from the dir's listing of ``objects/``: it knows which
-objects the dir holds without reading them, and reads and checks one
-object's file only when that object's bytes are asked for. Files are
-content-addressed and never rewritten, so a later read finds the bytes
-the listing named. Right metadata is a JSON document listing the name of
-the right, a description, and the supporting documents, each document
+state dir starts from the members its checkpoint lists: it knows which
+objects the ledger holds without reading them, and reads and checks one
+object's file only when that object's bytes are asked for. The files
+are caches of the log, which records every object's bytes, written
+with no fsync: a file that does not match its digest goes to the
+store's `rebuild`, which recovers what a crash can leave of one (no
+file, or a prefix of its bytes, NUL bytes after it or not) from the
+log, stores the file again, and refuses any other bytes. Right metadata is a JSON document listing the name of the
+right, a description, and the supporting documents, each document
 pointing at a stored object by cid.
 """
 
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .canonical import canonical_json_bytes, sha256_hex
 from .errors import err
@@ -44,12 +47,16 @@ def cid_digest(cid: str) -> bytes:
 @dataclass
 class ObjectStore:
     """The objects by hex digest: `objects` holds the bytes read or
-    given, and `listed` the digests that the dir `path` holds a
-    ``<digest>.bin`` file of. A listed object's file is read, and checked
-    against its digest, the first time its bytes are needed."""
+    given, and `stored` the members whose ``<digest>.bin`` files the dir
+    `path` holds, as its checkpoint lists them or the last write left
+    them. A stored object's file is read, and checked against its
+    digest, the first time its bytes are needed; ``rebuild(digest, path,
+    bytes read)`` returns the bytes of a file that fails, and stores the
+    file again, or raises."""
     objects: dict = field(default_factory=dict)  # hex digest -> bytes
     path: Optional[str] = None
-    listed: set = field(default_factory=set)
+    stored: set = field(default_factory=set)
+    rebuild: Optional[Callable] = None
 
     def put(self, data: bytes) -> str:
         if not data:
@@ -60,7 +67,7 @@ class ObjectStore:
 
     def get(self, cid: str) -> bytes:
         key = cid_digest(cid).hex()
-        if key not in self.objects and key not in self.listed:
+        if key not in self.objects and key not in self.stored:
             raise err("NotFound", cid)
         return self.read(key)
 
@@ -68,10 +75,10 @@ class ObjectStore:
         if not is_cid(cid):
             return False
         key = cid[len(CID_PREFIX):]
-        return key in self.objects or key in self.listed
+        return key in self.objects or key in self.stored
 
     def digests(self) -> set:
-        return self.objects.keys() | self.listed
+        return self.objects.keys() | self.stored
 
     def read(self, digest: str) -> bytes:
         """The bytes of the object `digest`, which the store holds."""
@@ -82,16 +89,15 @@ class ObjectStore:
                 with open(path, "rb") as fh:
                     data = fh.read()
             except FileNotFoundError:
-                raise err("CorruptSnapshot", f"{path} is missing") from None
+                data = b""  # as an empty file: a prefix of any bytes
             if sha256_hex(data) != digest:
-                raise err("CorruptSnapshot",
-                          f"object {digest} does not match its digest")
+                data = self.rebuild(digest, path, data)
             self.objects[digest] = data
         return data
 
     def read_all(self) -> dict:
-        """`objects` once every listed file has been read into it."""
-        for digest in self.listed:
+        """`objects` once every stored file has been read into it."""
+        for digest in sorted(self.stored):
             self.read(digest)
         return self.objects
 

@@ -185,8 +185,8 @@ def test_a_missing_or_torn_checkpoint_is_rebuilt_from_the_log(prop, case):
            "--timestamp", "10")
     node = load_state(ledger.state_dir)
     tip = node.state.chain.blocks[-1]
-    assert _read(path) == persistence._checkpoint_bytes(
-        node.state.state_dict(), tip.index, tip.hash) != whole
+    assert _read(path) == persistence._whole_checkpoint(
+        node.state, tip.index, tip.hash) != whole
 
 
 def test_a_rebuild_takes_the_config_of_config_json(estate):
@@ -552,7 +552,7 @@ def test_a_resealed_non_canonical_transaction_in_the_log_is_a_hash_mismatch(
     # a log read re-encodes each transaction, so only the canonical bytes
     # of what a block records can match its hash
     node = load_state(ledger.state_dir)
-    body, blocks = node.state.state_dict(), node.state.chain.blocks
+    blocks = node.state.chain.blocks
     blocks[3].data[0] = rewrite(json.loads(blocks[3].data[0])).encode()
     for prev, block in zip(blocks[2:], blocks[3:]):  # reseal, relink the rest
         block.prev_hash = prev.hash
@@ -561,7 +561,7 @@ def test_a_resealed_non_canonical_transaction_in_the_log_is_a_hash_mismatch(
         fh.write(b'{"blocks":[' + b",".join(b.canonical_json() for b in blocks)
                  + b"]}")
     with open(os.path.join(ledger.state_dir, "state.json"), "wb") as fh:
-        fh.write(persistence._checkpoint_bytes(body, blocks[-1].index,
+        fh.write(persistence._whole_checkpoint(node.state, blocks[-1].index,
                                                blocks[-1].hash))
     for verb in ("verify", "replay"):
         _, _, errtxt = ledger("chain", verb, expect=3)
@@ -1026,6 +1026,9 @@ MALFORMED_DIRS = {
                         _replace_bytes(b'"accounts"', b'"acc\xffounts"')),
     "state-lone-surrogate": ("state.json", _replace_bytes(
         b'"publicInfo":""', b'"publicInfo":"\\udcff"')),
+    # a listed object that is no digest would name a file outside objects/
+    "store-not-a-digest": ("state.json", _edit_state(
+        lambda d: d.update(store=["../chain"]))),
 }
 # the command each case runs, if not `chain faucet`
 HISTORY_READERS = {"chain-not-utf-8-in-block-1": ["chain", "verify"]}
@@ -1057,6 +1060,7 @@ STATE_REFUSALS = {
     "record-extra-key": "keys ['active', 'address', 'keyFingerprint', "
                         "'note', 'publicInfo', 'roles']",
     "token-key-not-canonical": "listings: 01: expected a decimal integer",
+    "store-not-a-digest": "store: expected object digests, got ['../chain']",
 }
 
 

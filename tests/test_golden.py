@@ -86,7 +86,7 @@ TAIL_FULL_DIGEST = (
 
 
 TOUR_STATE_JSON_SHA256 = (
-    "a541eb2fae0ac9430d939d9f7f35f9a91018da3b9646ecbbcb76cd8c30cc723f")
+    "205bd5b4f99e1cd9b1498602c1b0414321fc60cd8ff7a720ab76f2baed3809fb")
 TOUR_CHAIN_JSON_SHA256 = (
     "df50cf70be492aa14ab71c82211f6bfe87dece8c118d7f0a350dacd320d5b7b2")
 CLI_VERB_BLOCK_HASHES = [

@@ -1,8 +1,8 @@
 """The state dir's one commit point: a write appends its block to
-chain.json in place and fsyncs it, then rewrites the tagged checkpoint
-state.json, a cache of the log, without an fsync; a load redoes the
-blocks after the tag, drops a torn last append, and rebuilds a
-checkpoint a crash lost."""
+chain.json in place and fsyncs it, then writes its object files and the
+tagged checkpoint state.json, caches of the log, without an fsync; a
+load redoes the blocks after the tag, drops a torn last append, and
+rebuilds a checkpoint or an object file a crash lost."""
 
 import builtins
 import contextlib
@@ -111,9 +111,9 @@ def _bytes_of(path):
 class Faults:
     """Fails the `at`-th write boundary `save_state` reaches, as a crash
     there would stop it: a write to a file it opened for writing, a
-    truncate, an fsync or a rename. The fault fires before the boundary's
-    work, having written the first half of a write's bytes, or `after`
-    that work is done. `seen` counts the boundaries reached.
+    truncate, an fsync, a rename or a removal. The fault fires before the
+    boundary's work, having written the first half of a write's bytes, or
+    `after` that work is done. `seen` counts the boundaries reached.
 
     It also tracks what a crash may still lose from the page cache: each
     file written since its last fsync, with its bytes before (`lost`)."""
@@ -139,7 +139,8 @@ class Faults:
         """(path, how, bytes or None for no file) for each way a crash may
         lose a file written since its last fsync: an append in place is
         lost or cut to half of it; any other file is removed, emptied,
-        cut to its first half or restored to its bytes before. Temp names,
+        cut to its first half, filled with zeros, cut to its first half
+        padded with zeros, or restored to its bytes before. Temp names,
         which no load reads, are left out."""
         out = []
         for path, (before, appended) in sorted(self.unsynced.items()):
@@ -151,8 +152,11 @@ class Faults:
                 ways = {"lost": before,
                         "half": now[:at + (len(now) - at) // 2]}
             else:
-                ways = {"removed": None, "emptied": b"",
-                        "half": now[:len(now) // 2], "restored": before}
+                half = now[:len(now) // 2]
+                ways = {"removed": None, "emptied": b"", "half": half,
+                        "zeroed": bytes(len(now)),
+                        "padded": half + bytes(len(now) - len(half)),
+                        "restored": before}
             seen = [now]
             for how, data in ways.items():
                 if data not in seen:
@@ -225,6 +229,15 @@ class Faults:
                         faults.unsynced.pop(dst, None)
                 return faults.boundary(
                     f"rename to {real_os.path.basename(dst)}", work)
+
+            def remove(self, path):
+                path = real_os.path.abspath(path)
+
+                def work():
+                    real_os.remove(path)
+                    faults.unsynced.pop(path, None)
+                return faults.boundary(
+                    f"removal of {real_os.path.basename(path)}", work)
 
         def opener(path, mode="r", *args, **kwargs):
             if mode not in ("wb", "r+b"):
@@ -325,20 +338,24 @@ def test_a_fault_at_any_write_boundary_leaves_the_state_before_or_after(
         outcomes.append((what, "pre" if got == pre else "post"))
         recovers(state_dir)
     capsys.readouterr()
-    # the append and its fsync, a stored object's write, fsync and rename,
-    # then the checkpoint's write and rename, which no fsync follows
+    # the append and its fsync, then a stored object's write and rename,
+    # and the checkpoint's, which no fsync follows
+    stores = argv[0] == "object"
     boundaries = ["write of chain.json", "fsync"] + (
-        [f"write of {SURVEY}.tmp", "fsync", f"rename to {SURVEY}"]
-        if argv[0] == "object" else []) + [
-        "write of state.json.tmp", "rename to state.json"]
+        [f"write of {SURVEY}.tmp", f"rename to {SURVEY}"] if stores else []
+    ) + ["write of state.json.tmp", "rename to state.json"]
     left = [outcome for outcome in outcomes if "," not in outcome[0]]
     assert [what for what, _ in left] == boundaries + ["return"] + [
         f"{what} done" for what in boundaries], outcomes
     assert left[:2] == [("write of chain.json", "pre"), ("fsync", "post")]
-    # every kind of loss was tried, on the append and on the checkpoint
+    # every kind of loss was tried, on the append, the checkpoint and the
+    # object file, which held no bytes before
     assert {what.split(", ")[1] for what, _ in outcomes if "," in what} == {
         "chain.json lost", "chain.json half", "state.json removed",
-        "state.json emptied", "state.json half", "state.json restored"}
+        "state.json emptied", "state.json half", "state.json zeroed",
+        "state.json padded", "state.json restored"} | (
+        {f"{SURVEY} removed", f"{SURVEY} emptied", f"{SURVEY} half",
+         f"{SURVEY} zeroed", f"{SURVEY} padded"} if stores else set())
 
 
 def test_a_failed_rename_of_chain_json_leaves_the_state_before_or_after(
@@ -365,6 +382,62 @@ def test_a_failed_rename_of_chain_json_leaves_the_state_before_or_after(
     capsys.readouterr()
 
 
+DEED = make_cid(b"deed").split(":")[1] + ".bin"
+
+
+def test_a_fault_at_any_write_boundary_of_an_import_leaves_either_ledger(
+        base, tmp_path, monkeypatch, capsys):
+    """`state import --force` over a ledger that holds objects removes the
+    old checkpoint before its first rename, so a crash at or after any
+    boundary, losing any write not yet fsynced, object files included,
+    leaves a dir that loads to the ledger before or to the one imported:
+    the old one until the new log is renamed in, the new one after."""
+    other, snap = tmp_path / "other", tmp_path / "other.json"
+    for argv in (["init", "--admin-key", ADMIN_KEY, "--timestamp", "0"],
+                 ["stakeholder", "register", "--role", "Seller", "--key",
+                  "seller-key", "--as", ADMIN, "--timestamp", "1"],
+                 faucet(300, 2),
+                 ["object", "put", "--data", "survey", "--as", ADMIN,
+                  "--timestamp", "3"],
+                 ["state", "export", "--out", str(snap)]):
+        assert estate(other, *argv) == 0
+    pre, post = digest(base), digest(other)
+    assert pre != post
+    outcomes = []
+    for what, _, state_dir in crashes(base, tmp_path, monkeypatch, capsys, [
+            "state", "import", "--in", str(snap), "--force"]):
+        got = digest(state_dir)
+        assert got in (pre, post), what
+        outcomes.append((what, "pre" if got == pre else "post"))
+        # the replaced ledger's object file is in no ledger a crash leaves
+        assert not load_state(str(state_dir)).state.store.has(
+            make_cid(b"deed")) or got == pre, what
+        recovers(state_dir)
+    capsys.readouterr()
+    # the old checkpoint removed; the log and config.json written,
+    # fsynced and renamed; the new object file and checkpoint, which no
+    # fsync follows; the replaced ledger's object file removed, and the
+    # dir fsynced
+    boundaries = [
+        "removal of state.json", "write of chain.json.tmp",
+        "write of config.json.tmp", "fsync", "fsync", "rename to chain.json",
+        "rename to config.json", f"write of {SURVEY}.tmp",
+        f"rename to {SURVEY}", "write of state.json.tmp",
+        "rename to state.json", f"removal of {DEED}", "fsync"]
+    left = [outcome for outcome in outcomes if "," not in outcome[0]]
+    assert [what for what, _ in left] == boundaries + ["return"] + [
+        f"{what} done" for what in boundaries], outcomes
+    renamed = boundaries.index("rename to chain.json")
+    assert [got for _, got in left] == (
+        ["pre"] * (renamed + 1) + ["post"] * (len(boundaries) - renamed)
+        + ["pre"] * renamed + ["post"] * (len(boundaries) - renamed))
+    assert {what.split(", ")[1] for what, _ in outcomes if "," in what} >= {
+        "state.json removed", "state.json emptied", "state.json half",
+        "state.json zeroed", "state.json padded",
+        f"{SURVEY} removed", f"{SURVEY} emptied", f"{SURVEY} half",
+        f"{SURVEY} zeroed", f"{SURVEY} padded"}
+
+
 def script_of(tmp_path, *lines) -> str:
     path = tmp_path / f"script{len(lines)}.txt"
     path.write_text("".join(line + "\n" for line in lines))
@@ -376,21 +449,25 @@ SCRIPT_LINES = (f"as {ADMIN} chain faucet --to {SELLER} --amount 25",
                 f"as {SELLER} chain transfer --to {ADMIN} --amount 5")
 
 
-def test_a_fault_at_any_write_boundary_of_a_script_leaves_a_prefix(
-        base, tmp_path, monkeypatch, capsys):
+# ten lines: the three above, then faucets of seven amounts
+TEN_LINES = SCRIPT_LINES + tuple(
+    f"as {ADMIN} chain faucet --to {SELLER} --amount {i}" for i in range(1, 8))
+
+
+def _crash_a_script(base, tmp_path, monkeypatch, capsys, lines):
     """A script's lines each commit at their append's fsync; its
     checkpoint is written once, as the script ends, whether a line failed
     or not. A crash, losing any write not yet fsynced, leaves a prefix of
     the lines, holding at least those whose append was fsynced."""
     prefixes = []
-    for lines in range(len(SCRIPT_LINES) + 1):
-        state_dir = tmp_path / f"prefix{lines}"
+    for n in range(len(lines) + 1):
+        state_dir = tmp_path / f"prefix{n}"
         shutil.copytree(base, state_dir)
-        assert estate(state_dir, "run", script_of(
-            tmp_path, *SCRIPT_LINES[:lines]), "--timestamp", "10") == 0
+        assert estate(state_dir, "run", script_of(tmp_path, *lines[:n]),
+                      "--timestamp", "10") == 0
         prefixes.append(digest(state_dir))
     assert len(set(prefixes)) == len(prefixes)
-    script = script_of(tmp_path, *SCRIPT_LINES)
+    script = script_of(tmp_path, *lines)
     outcomes = []
     for what, durable, state_dir in crashes(
             base, tmp_path, monkeypatch, capsys,
@@ -400,14 +477,30 @@ def test_a_fault_at_any_write_boundary_of_a_script_leaves_a_prefix(
         outcomes.append((what, got))
         recovers(state_dir)
     capsys.readouterr()
-    # each line's append and fsync, the object's write, fsync and rename,
-    # then the one checkpoint's write and rename; then the script's return
+    # each line's append and fsync, the object's write and rename, then
+    # the one checkpoint's write and rename; then the script's return
+    want = []
+    for n, line in enumerate(lines, 1):
+        want += [n - 1, n] + ([n, n] if "object put" in line else [])
     assert [got for what, got in outcomes
-            if "," not in what and "done" not in what] == [
-        0, 1, 1, 2, 2, 2, 2, 2, 3, 3, 3, 3]
+            if "," not in what and "done" not in what] == want + [
+        len(lines)] * 3
     assert {what.split(", ")[1] for what, _ in outcomes if "," in what} == {
         "chain.json lost", "chain.json half", "state.json removed",
-        "state.json emptied", "state.json half", "state.json restored"}
+        "state.json emptied", "state.json half", "state.json zeroed",
+        "state.json padded", "state.json restored",
+        f"{SURVEY} removed", f"{SURVEY} emptied", f"{SURVEY} half",
+        f"{SURVEY} zeroed", f"{SURVEY} padded"}
+
+
+def test_a_fault_at_any_write_boundary_of_a_script_leaves_a_prefix(
+        base, tmp_path, monkeypatch, capsys):
+    _crash_a_script(base, tmp_path, monkeypatch, capsys, SCRIPT_LINES)
+
+
+def test_a_fault_at_any_write_boundary_of_a_ten_line_script_leaves_a_prefix(
+        base, tmp_path, monkeypatch, capsys):
+    _crash_a_script(base, tmp_path, monkeypatch, capsys, TEN_LINES)
 
 
 def test_a_script_writes_its_checkpoint_once_and_fsyncs_each_append(
@@ -432,7 +525,7 @@ def test_a_script_writes_its_checkpoint_once_and_fsyncs_each_append(
     fsyncs.clear(), checkpoints.clear()
     assert estate(base, "object", "put", "--data", "plan", "--as", ADMIN,
                   "--timestamp", "12") == 0
-    assert (len(fsyncs), len(checkpoints)) == (2, 1)
+    assert (len(fsyncs), len(checkpoints)) == (1, 1)
     monkeypatch.undo()
     assert read(base, "state.json") == _whole_encoding(base)
     tag = json.loads(read(base, "state.json"))["block"]
@@ -525,20 +618,24 @@ def _fsynced(monkeypatch) -> list:
     return synced
 
 
-def test_an_append_fsyncs_once_and_a_whole_write_each_file_and_the_dir(
+def test_an_append_fsyncs_once_and_a_whole_write_its_log_config_and_dir(
         tmp_path, monkeypatch, capsys):
-    """The append is a write's one fsync, its commit point. A whole write
-    fsyncs the log, config.json and each new object, then the dir, so no
-    rename it made is lost; state.json, only a cache, never."""
+    """The append is a write's one fsync, its commit point, and `object
+    put` fsyncs nothing more. A whole write fsyncs the log and
+    config.json, then the dir, so no rename it made is lost; state.json
+    and the object files, only caches of the log, never."""
     node = ledger_of(5)
     node.execute(ADMIN, "putObject", {"dataHex": b"deed".hex()})
     synced = _fsynced(monkeypatch)
     state_dir = str(tmp_path / "ledger")
     save_state(state_dir, node)
-    deed = make_cid(b"deed").split(":")[1] + ".bin.tmp"
-    assert synced == ["chain.json.tmp", "config.json.tmp", deed, "ledger"]
+    assert synced == ["chain.json.tmp", "config.json.tmp", "ledger"]
     synced.clear()
     node.execute(ADMIN, "faucet", {"to": SELLER, "amount": 1})
+    save_state(state_dir, node)
+    assert synced == ["chain.json"]
+    synced.clear()
+    node.execute(ADMIN, "putObject", {"dataHex": b"plan".hex()})
     save_state(state_dir, node)
     assert synced == ["chain.json"]
     assert read(state_dir, "chain.json") == node.state.chain.canonical_json()
@@ -608,6 +705,31 @@ def test_an_untagged_checkpoint_is_one_at_the_tip_and_its_write_appends(
     tag = json.loads(read(base, "state.json"))["block"]
     assert tag == {"index": tip.index, "hash": tip.hash.hex(),
                    "state": tag["state"]}  # the write signs it, too
+    capsys.readouterr()
+
+
+def test_a_checkpoint_that_lists_no_objects_replays_them_once_used(
+        base, capsys):
+    """A checkpoint an older version wrote lists no objects: the first
+    use of the store replays them from the log, with one notice and
+    writing nothing, and the next write stores the list."""
+    node = load_state(str(base))
+    tip = node.state.chain.held[-1]
+    with open(os.path.join(base, "state.json"), "wb") as fh:
+        fh.write(persistence._checkpoint_bytes(node.state.state_dict(),
+                                               tip.index, tip.hash))
+    files = dir_bytes(base)
+    assert estate(base, "chain", "balance", "--address", SELLER) == 0
+    assert capsys.readouterr().err == ""
+    cid = make_cid(b"deed")
+    assert estate(base, "object", "get", "--cid", cid) == 0
+    assert capsys.readouterr() == (
+        f"cid: {cid}\ntext: deed\n", f"notice: {base}/state.json lists no "
+        f"objects, as an older version wrote it; rebuilt them from "
+        f"{base}/chain.json\n")
+    assert dir_bytes(base) == files
+    assert estate(base, *faucet(1, 10)) == 0
+    assert read(base, "state.json") == _whole_encoding(base)
     capsys.readouterr()
 
 
@@ -881,21 +1003,24 @@ def _opened_objects(monkeypatch) -> list:
 @pytest.fixture
 def stocked(tmp_path, monkeypatch, capsys):
     """A CLI-built ledger with a deployed property and 300 objects, and
-    the cids of those objects."""
-    state_dir = tmp_path / "stocked"
+    the cids of those objects, written whole: it fsyncs the log,
+    config.json and the dir, and no object file."""
+    built, state_dir = tmp_path / "built", tmp_path / "stocked"
     for argv in (["init", "--admin-key", ADMIN_KEY, "--timestamp", "0"],
                  ["factory", "init", "--version", "1", "--as", ADMIN,
                   "--timestamp", "1"],
                  ["factory", "deploy", "--treasury", SELLER, "--upgrader",
                   ADMIN, "--admin", ADMIN, "--uri", "u/{id}", "--as", ADMIN,
                   "--timestamp", "2"]):
-        assert estate(state_dir, *argv) == 0
-    node = load_state(str(state_dir))
+        assert estate(built, *argv) == 0
+    node = load_state(str(built))
     cids = [node.execute(ADMIN, "putObject", {"dataHex": f"deed {i}".encode(
         ).hex()}, timestamp=3)["cid"] for i in range(300)]
-    with monkeypatch.context() as patch:  # 300 fsyncs would only add time
-        patch.setattr(persistence.os, "fsync", lambda fd: None)
+    with monkeypatch.context() as patch:
+        synced = _fsynced(patch)
         save_state(str(state_dir), node)
+    assert synced == ["chain.json.tmp", "config.json.tmp", "stocked"]
+    assert len(os.listdir(state_dir / "objects")) == 300
     capsys.readouterr()
     return state_dir, next(iter(node.state.properties)), cids
 
@@ -969,15 +1094,74 @@ def test_a_corrupt_object_file_fails_no_command_that_skips_its_bytes(
     capsys.readouterr()
 
 
-def test_a_missing_object_file_is_corrupt_snapshot_naming_it(base, capsys):
+def _pad(path, keep: int):
+    """Keep the first `keep` bytes of the file at `path` and zero the
+    rest, as a crash can leave blocks allocated but never written."""
+    size = os.path.getsize(path)
+    with open(path, "r+b") as fh:
+        fh.seek(keep)
+        fh.write(bytes(size - keep))
+
+
+# what a crash can leave of an object file written without an fsync
+LOST_OBJECT = {"missing": os.remove,
+               "emptied": lambda path: os.truncate(path, 0),
+               "halved": lambda path: os.truncate(
+                   path, os.path.getsize(path) // 2),
+               "zeroed": lambda path: _pad(path, 0),
+               "padded": lambda path: _pad(path,
+                                           os.path.getsize(path) // 2)}
+
+
+@pytest.mark.parametrize("case", sorted(LOST_OBJECT))
+def test_a_missing_or_torn_object_file_is_rebuilt_from_the_log(
+        base, capsys, case):
+    """An object file is a cache of the log: one missing, empty, cut
+    short or zeroed past a prefix is rebuilt from the log, with one
+    notice, by every reader of its bytes, which stores the file again, so
+    the next command reads it as before."""
     (name,) = os.listdir(os.path.join(base, "objects"))
-    node = load_state(str(base))
     path = os.path.join(os.path.abspath(base), "objects", name)
-    os.remove(path)
-    with pytest.raises(LedgerError) as e:
-        node.full_digest()
-    assert e.value.code == "CorruptSnapshot"
-    assert e.value.message == f"{path} is missing"
+    cid = "cidv0-sha256:" + name[:-len(".bin")]
+    reads = (["object", "get", "--cid", cid], ["state", "digest"],
+             ["chain", "verify"], ["chain", "replay"],
+             ["state", "export", "--out", str(base) + ".snap"])
+    want = []
+    for argv in reads:
+        assert estate(base, *argv) == 0
+        want.append(capsys.readouterr().out)
+    files = dir_bytes(base)
+    notice = (f"notice: {path} is missing or torn; rebuilt it from "
+              f"{os.path.abspath(base)}/chain.json\n")
+    for argv, out in zip(reads, want):
+        LOST_OBJECT[case](path)
+        assert estate(base, *argv) == 0
+        assert capsys.readouterr() == (out, notice)
+        assert dir_bytes(base) == files
+        assert estate(base, *argv) == 0
+        assert capsys.readouterr() == (out, "")
+
+
+def test_an_object_file_rebuilt_where_it_cannot_be_stored_still_reads(
+        base, monkeypatch, capsys):
+    """A reader that cannot store a rebuilt file, say in a dir it may not
+    write, still prints the object and leaves no temp file behind."""
+    (name,) = os.listdir(os.path.join(base, "objects"))
+    os.remove(os.path.join(base, "objects", name))
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if src.endswith(".tmp"):
+            raise OSError(errno.EACCES, "injected fault")
+        return real_replace(src, dst)
+    cid = "cidv0-sha256:" + name[:-len(".bin")]
+    with monkeypatch.context() as patch:
+        patch.setattr(persistence.os, "replace", replace)
+        assert estate(base, "object", "get", "--cid", cid) == 0
+    out, errtxt = capsys.readouterr()
+    assert out == f"cid: {cid}\ntext: deed\n"
+    assert errtxt.startswith("notice: ")
+    assert os.listdir(os.path.join(base, "objects")) == []
 
 
 def test_a_lazily_loaded_digest_equals_an_eagerly_read_one(stocked):
@@ -1014,6 +1198,72 @@ def test_an_import_over_a_ledger_removes_its_object_files(tmp_path, capsys):
     assert estate(a, "state", "digest", "--json") == 0
     assert json.loads(capsys.readouterr().out)["digest"] == imported
     assert estate(a, "chain", "replay") == 0
+    capsys.readouterr()
+
+
+def test_an_import_that_fails_to_remove_a_stale_object_file_ignores_it(
+        tmp_path, monkeypatch, capsys):
+    """An import over a ledger that stops while it removes the replaced
+    ledger's object files leaves them on disk, and in no ledger: the
+    checkpoint lists which objects the ledger holds."""
+    a, b, snap = tmp_path / "a", tmp_path / "b", tmp_path / "b.json"
+    for state_dir in (a, b):
+        assert estate(state_dir, "init", "--admin-key", ADMIN_KEY,
+                      "--timestamp", "0") == 0
+    stale = make_cid(b"stale deed")
+    assert estate(a, "object", "put", "--data", "stale deed", "--as", ADMIN,
+                  "--timestamp", "1") == 0
+    assert estate(b, "state", "export", "--out", str(snap)) == 0
+    real_remove = os.remove
+
+    def remove(path):
+        if os.path.basename(os.path.dirname(path)) == "objects":
+            raise OSError(errno.EIO, "injected fault")
+        return real_remove(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(persistence.os, "remove", remove)
+        assert estate(a, "state", "import", "--in", str(snap), "--force") == 3
+    assert os.listdir(a / "objects") == [stale.split(":")[1] + ".bin"]
+    capsys.readouterr()
+    assert estate(a, "state", "digest", "--json") == 0
+    assert json.loads(capsys.readouterr().out)["digest"] == digest(b)
+    assert estate(a, "chain", "replay") == 0
+    assert estate(a, "object", "get", "--cid", stale) == 3
+    assert capsys.readouterr().err == f"error: NotFound: {stale}\n"
+
+
+def _listed_objects(monkeypatch) -> list:
+    """Records each listing of an ``objects`` dir."""
+    listed = []
+    for name in ("listdir", "scandir"):
+        real = getattr(os, name)
+
+        def spy(path=".", real=real):
+            if os.path.basename(os.path.normpath(str(path))) == "objects":
+                listed.append(path)
+            return real(path)
+        monkeypatch.setattr(os, name, spy)
+    return listed
+
+
+def test_no_load_lists_the_objects_dir_and_only_a_whole_write_does(
+        deployed, tmp_path, monkeypatch, capsys):
+    state_dir, prop = deployed
+    snap = str(tmp_path / "snap.json")
+    assert estate(state_dir, "state", "export", "--out", snap) == 0
+    listed = _listed_objects(monkeypatch)
+    for argv in (["chain", "balance", "--address", SELLER],
+                 ["token", "balance", "--property", prop, "--owner", SELLER,
+                  "--id", "1"],
+                 faucet(5, 10),
+                 ["object", "put", "--data", "plan", "--as", ADMIN,
+                  "--timestamp", "11"],
+                 ["run", script_of(tmp_path, *SCRIPT_LINES), "--timestamp",
+                  "12"]):
+        assert estate(state_dir, *argv) == 0
+        assert listed == [], argv
+    assert estate(state_dir, "state", "import", "--in", snap, "--force") == 0
+    assert len(listed) == 1
     capsys.readouterr()
 
 
@@ -1101,6 +1351,8 @@ def test_a_read_decodes_only_the_sections_it_uses(base, monkeypatch, capsys):
     assert state.registry.is_active(SELLER) and len(built) == 2
     assert type(state) is PendingState  # factory and properties are left
     assert state.properties == {}
+    assert type(state) is PendingState  # the store is left
+    assert state.store.digests() == {make_cid(b"deed").split(":")[1]}
     assert type(state) is LedgerState
     capsys.readouterr()
 
@@ -1143,15 +1395,17 @@ def test_a_section_no_command_reads_fails_only_the_commands_that_read_it(
 
 
 def _slices(state_dir) -> tuple:
-    """The head, contracts and registry of the dir's state.json, each as
-    the bytes its parse is handed."""
+    """The head, contracts, registry and store of the dir's state.json,
+    each as the bytes its parse is handed."""
     data = read(state_dir, "state.json")
-    registry = data.rfind(b',"stakeholders":')
+    store = data.rfind(b',"store":')
+    registry = data.rfind(b',"stakeholders":', 0, store)
     contracts = data.rfind(b',"factory":', 0, registry)
     assert data.endswith(b',"version":1}')
     return (data[:contracts] + b"}",
             b"{" + data[contracts + 1:registry] + b"}",
-            b"{" + data[registry + 1:-len(b',"version":1}')] + b"}")
+            b"{" + data[registry + 1:store] + b"}",
+            b"{" + data[store + 1:-len(b',"version":1}')] + b"}")
 
 
 def _parsed(monkeypatch) -> list:
@@ -1179,17 +1433,20 @@ def deployed(base, capsys):
 def test_a_command_parses_only_the_slices_of_the_sections_it_uses(
         deployed, monkeypatch, capsys):
     state_dir, prop = deployed
-    head, contracts, registry = _slices(state_dir)
+    head, contracts, registry, store = _slices(state_dir)
     parsed = _parsed(monkeypatch)
     assert estate(state_dir, "chain", "balance", "--address", SELLER) == 0
-    assert parsed == [head]  # no byte of the contracts or the registry
+    assert parsed == [head]  # no byte of the slices after the head
     parsed.clear()
     assert estate(state_dir, "token", "balance", "--property", prop,
                   "--owner", SELLER, "--id", "1") == 0
     assert parsed == [head, contracts]
     parsed.clear()
+    assert estate(state_dir, "object", "get", "--cid", make_cid(b"deed")) == 0
+    assert parsed == [head, store]
+    parsed.clear()
     assert estate(state_dir, *faucet(5, 10)) == 0
-    assert sorted(parsed) == sorted([head, contracts, registry])
+    assert sorted(parsed) == sorted([head, contracts, registry, store])
     capsys.readouterr()
 
 
@@ -1239,9 +1496,11 @@ def test_a_broken_registry_under_a_matching_digest_fails_only_its_readers(
     (b',"stakeholders":', b',"q":0,"stakeholders":', [
         ["token", "balance", "--property", "{prop}", "--owner", SELLER,
          "--id", "1"], ["property", "info", "--property", "{prop}"]]),
-    (b',"version":1}', b',"t":0,"version":1}', [
-        ["stakeholder", "show", "--address", SELLER]])],
-    ids=["contracts", "registry"])
+    (b',"store":', b',"t":0,"store":', [
+        ["stakeholder", "show", "--address", SELLER]]),
+    (b',"version":1}', b',"u":0,"version":1}', [
+        ["object", "get", "--cid", make_cid(b"deed")]])],
+    ids=["contracts", "registry", "store"])
 def test_a_key_added_to_a_lazy_slice_fails_its_readers_as_before(
         deployed, capsys, old, new, readers):
     """A slice that parses but holds a key no section has is read from
@@ -1251,13 +1510,13 @@ def test_a_key_added_to_a_lazy_slice_fails_its_readers_as_before(
     files = dir_bytes(state_dir)
     assert estate(state_dir, "chain", "balance", "--address", SELLER) == 0
     capsys.readouterr()
-    extra = "q" if b'"q"' in new else "t"
-    keys = sorted(persistence.STATE_KEYS | {extra})
+    extra = new[2:3].decode()
+    expected = sorted(persistence.STATE_KEYS | {"store"})
+    keys = sorted(expected + [extra])
     for argv in [*readers, ["state", "digest"], faucet(5, 10)]:
         assert estate(state_dir, *[a.format(prop=prop) for a in argv]) == 3
         assert capsys.readouterr().err == (
-            f"error: CorruptSnapshot: keys {keys}, expected "
-            f"{sorted(persistence.STATE_KEYS)}\n")
+            f"error: CorruptSnapshot: keys {keys}, expected {expected}\n")
     assert dir_bytes(state_dir) == files
 
 
@@ -1276,7 +1535,7 @@ def test_a_tag_nested_before_the_checkpoints_own_is_not_its_tag(tmp_path):
     """A block key in the accounts, signed in place of the file's own
     digest-less tag, is found first: the load reads the file's own tag,
     unchecked, as before the split."""
-    body = Node().state.state_dict()
+    body = Node().state.state_dict() | {"store": []}
     nested = {"hash": "11" * 32, "index": 1, "state": "00" * 32}
     body["accounts"] = {"a": 0, "block": nested, "c": 0}
     data = canonical_json_bytes(body | {"block": {"hash": "22" * 32,
@@ -1286,7 +1545,7 @@ def test_a_tag_nested_before_the_checkpoints_own_is_not_its_tag(tmp_path):
     assert persistence._SIGNED_TAG.search(data)[3] == signed
     path = tmp_path / "state.json"
     path.write_bytes(data)
-    head, contracts, registry, tag = persistence._read_checkpoint(str(path))
+    head, _, tag = persistence._read_checkpoint(str(path))
     assert tag == persistence.Checkpoint(3, bytes.fromhex("22" * 32))
     assert head["accounts"] == json.loads(data)["accounts"]
 
@@ -1297,18 +1556,20 @@ def test_a_nested_marker_that_cuts_a_slice_wrong_reads_the_whole_file(
     there parses as no section, and both lazy slices read the whole
     file."""
     node = load_state(str(base))
-    body = node.state.state_dict()
+    body = node.state.state_dict() | persistence._members(node.state)
     body["stakeholders"]["x"] = {"a": 1, "stakeholders": {"roles": []}}
     data = persistence._checkpoint_bytes(body, 3, bytes(32))
     wholes, real = [], persistence._read_whole
     monkeypatch.setattr(persistence, "_read_whole", lambda *args: (
         wholes.append(1) or real(*args)))
-    head, contracts, registry, _ = persistence._split("state.json", data)
+    head, (contracts, registry, store), _ = persistence._split("state.json",
+                                                               data)
     assert wholes == []
     assert registry()["stakeholders"] == body["stakeholders"]
     assert contracts()["properties"] == body["properties"]
     assert wholes == [1, 1]
     assert contracts.stored is None and registry.stored is None
+    assert store()["store"] == body["store"] and store.stored is not None
 
 
 def _records() -> list:
@@ -1326,13 +1587,15 @@ def _records() -> list:
             {"hash": "11" * 32, "index": 1, "state": "22" * 32}]
 
 
-SECTIONS = ("accounts", "config", "factory", "properties", "stakeholders")
+SECTIONS = ("accounts", "config", "factory", "properties", "stakeholders",
+            "store")
 NESTED_KEYS = SECTIONS + ("block", "version", "a", "zz")
 # values that nest the checkpoint's own keys at any depth, holding
 # records, or a copy of a section marker or of the version suffix
 nesting = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=4)
-    | st.sampled_from([',"factory":{', ',"stakeholders":', ',"version":1}'])
+    | st.sampled_from([',"factory":{', ',"stakeholders":', ',"store":',
+                       ',"version":1}'])
     | st.sampled_from(_records()),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
         st.sampled_from(NESTED_KEYS), inner, max_size=4),
@@ -1349,12 +1612,13 @@ def test_a_split_checkpoint_yields_the_sections_of_a_whole_parse(sections):
     split = persistence._split("state.json", data)
     if split is None:  # the load parses the file whole, as before the split
         return
-    head, contracts, registry, tag = split
+    head, (contracts, registry, store), tag = split
     assert to_json(tag) == whole["block"]
     assert head == {k: whole[k] for k in ("accounts", "config")}
     assert {k: contracts()[k] for k in ("factory", "properties")} == {
         k: whole[k] for k in ("factory", "properties")}
     assert registry()["stakeholders"] == whole["stakeholders"]
+    assert store()["store"] == whole["store"]
 
 
 READS = (["chain", "balance", "--address", SELLER],
@@ -1414,8 +1678,8 @@ def test_a_ledger_holding_nested_keys_reads_the_same_split_or_whole(
         # escape in one keeps a saved checkpoint whole
         assert split is not None or persistence._may_hold_surrogate(data)
         if split is not None:
-            head, contracts, registry, _ = split
-            assert head | contracts() | registry() == {
+            head, (contracts, registry, store), _ = split
+            assert head | contracts() | registry() | store() == {
                 k: v for k, v in whole.items() if k not in ("block",
                                                             "version")}
         outputs = _outputs(state_dir, prop)
@@ -1456,14 +1720,16 @@ def test_a_whole_log_decode_pauses_gc_and_restores_the_callers_setting(
 
 
 @pytest.mark.parametrize("old, key, value, readers", [
-    (b',"version":1}', "accounts", {"accounts": {SELLER: 999}},
+    (b',"store":', "accounts", {"accounts": {SELLER: 999}},
      [["stakeholder", "show", "--address", SELLER]]),
+    (b',"version":1}', "config", {"allowlist": "a.txt"},
+     [["object", "get", "--cid", make_cid(b"deed")]]),
     (b',"stakeholders":', "config", {"allowlist": "a.txt"},
      [["property", "info", "--property", "{prop}"]]),
     (b',"stakeholders":', "block", {"hash": "11" * 32, "index": 1},
      [["property", "info", "--property", "{prop}"]])],
-    ids=["accounts in the registry", "config in the contracts",
-         "tag in the contracts"])
+    ids=["accounts in the registry", "config in the store",
+         "config in the contracts", "tag in the contracts"])
 def test_a_slice_that_repeats_a_head_key_fails_its_readers(
         deployed, capsys, old, key, value, readers):
     """With the digest rewritten to match, a slice that holds a head key
@@ -1488,8 +1754,7 @@ def _whole_encoding(state_dir) -> bytes:
     whole."""
     state = load_state(str(state_dir)).state
     tip = state.chain.held[-1]
-    return persistence._checkpoint_bytes(state.state_dict(), tip.index,
-                                         tip.hash)
+    return persistence._whole_checkpoint(state, tip.index, tip.hash)
 
 
 def test_state_json_is_a_whole_encoding_after_every_command(

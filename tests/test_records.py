@@ -76,13 +76,13 @@ def test_every_mistyped_leaf_is_corrupt_snapshot(approved_prop, tmp_path):
                     continue
                 file.write_text(_dumped_with(edited, path, new))
                 probes += 1
-                # a section is read on first use: state_dict() uses each
+                # a section is read on first use: decode() reads each
                 if new is None and any(path[-len(end):] == end
                                        for end in OPTIONAL):
-                    load_state(str(tmp_path)).state.state_dict()
+                    load_state(str(tmp_path)).state.decode()
                     continue
                 with pytest.raises(LedgerError) as e:
-                    load_state(str(tmp_path)).state.state_dict()
+                    load_state(str(tmp_path)).state.decode()
                 assert e.value.code == "CorruptSnapshot", (name, path, new)
         file.write_bytes(original)
     assert probes > 400
