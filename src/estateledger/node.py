@@ -14,11 +14,11 @@ address) is checked once, when ``persistence`` decodes a loaded
 ledger's section; a loaded ``PendingState`` decodes each section on
 first use, and ``execute`` decodes them all before admission.
 
-``LedgerState.state_dict`` is the one serialization of the state:
-``state.json`` is its default form, ``full_digest`` and
-``ledger_digest`` hash it with the object store (and, for the full
-digest, the block log) but without ``version`` and ``config``, and
-snapshots add both the object store and the block log.
+``LedgerState.state_dict`` is the one serialization of the state: a
+checkpoint's manifest and section files split its default form,
+``full_digest`` and ``ledger_digest`` hash it with the object store
+(and, for the full digest, the block log) but without ``version`` and
+``config``, and snapshots add both the object store and the block log.
 ``state_pieces`` streams those bytes with each block's stored bytes
 spliced in undecoded, and ``state_digest`` hashes them piece by piece.
 
@@ -82,7 +82,7 @@ class LedgerState:
 
     def state_dict(self, *, objects: bool = False,
                    keys=tuple(_STATE_ENCODERS)) -> dict:
-        """The one serialization of the state; ``state.json`` is the
+        """The one serialization of the state; a checkpoint splits the
         default form. Only the top-level `keys` are encoded."""
         d = {key: _STATE_ENCODERS[key](self) for key in keys}
         if objects:
@@ -328,10 +328,9 @@ def op(name, /, payable=False, optional=(), writes=SECTIONS, **required):
     type; `optional` maps the params a command may leave out to theirs.
     `writes` names the ``LedgerState`` sections the executor may change;
     an op that names none counts as changing every one. ``save_state``
-    re-encodes only the checkpoint slices (registry; factory and
-    properties) that the ops of the blocks since its last read or write
-    declare, and writes the others back as the checked bytes the file
-    held."""
+    encodes only the checkpoint's section files (contracts, registry,
+    store) that the ops of the blocks since its last read or write
+    declare; its manifest keeps the digest of each other one."""
     def declare(executor):
         OPS[name] = Op(payable, required | dict(optional), frozenset(required),
                        frozenset(writes) or SECTIONS)

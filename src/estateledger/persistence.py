@@ -6,125 +6,85 @@ Layout inside a state directory:
     chain.json   the block log, canonical JSON: {"blocks":[...]}
     config.json  the config, written once by a whole write; read only to
                  rebuild a lost checkpoint
-    state.json   the checkpoint, a cache of the log:
-                 ``LedgerState.state_dict()`` (accounts, stakeholders,
-                 factory, properties, config), the sorted digests of the
-                 objects the ledger holds, "store", and its tag "block",
-                 the index and hash of the block it reflects and the
-                 file's own digest, "state"
-    objects/     one <hex-digest>.bin file per stored object, a cache of
-                 the log, which records every object's bytes
+    state.json   the checkpoint's manifest: the accounts, the config,
+                 "sections", the SHA-256 of each section file, and the
+                 tag "block", the index and hash of the block it reflects
+                 and the file's own digest, "state"
+    sections/    one <hex-digest>.json file per checkpoint section, the
+                 canonical JSON of its keys: contracts (factory,
+                 properties), registry (stakeholders) and store (the
+                 sorted digests of the objects the ledger holds)
+    objects/     one <hex-digest>.bin file per stored object
     .lock        flock target guarding against concurrent writers
 
-``LedgerDir(path)`` is one command's hold on a state dir: its ``node``
-calls ``load_state`` on first use, ``writing()`` holds the flock on
-``.lock``, once per hold, so a script's lines share it, and ``commit()``
-calls ``save_state``. A read takes no lock.
+The log is the ledger; the manifest and the section and object files
+are caches of it. ``LedgerDir(path)`` is one command's hold on a dir:
+its ``node`` calls ``load_state`` on first use, ``writing()`` holds the
+flock on ``.lock``, once per hold, so a script's lines share it, and
+``commit()`` calls ``save_state``. A read takes no lock.
 
 When the chain was loaded from, or last saved to, the same dir, and the
-file still ends with the chain's stored tip in canonical form and
-``]}``, ``save_state`` appends only the new blocks to ``chain.json`` in
-place: it writes ``,<block>...]}`` over the closing ``]}`` and fsyncs.
-That fsync is the one commit point, and the write's only fsync. The new
-object files and the checkpoint commit nothing: each goes to a temp
-name renamed with no fsync, the objects first. The checkpoint bounds
-the blocks a load redoes and lists the objects the ledger holds. Inside
-a hold, an append leaves it to the hold, which encodes and writes it
-once, as the hold ends, returned or raised, before it lets the flock
-go, if the last commit left the ledger at a committed tip. So a lone
-write and ``object put`` fsync once, and a script of ten writes ten
-times; a line that fails leaves a checkpoint at the last block
-committed, and a reader that loads while a script runs redoes the lines
-committed so far. A dir that holds no log of this chain (``init``,
-``state import``), or a log torn or stored in another form, gets a
-whole write: the log and ``config.json``, both fsynced, then the old
-checkpoint removed, so a crash before the new one lands rebuilds from
-whichever log is in place, then both renamed in that order; then the
-object files and the checkpoint, as above; then the removal of each
-object file of no object the ledger holds, the one listing of
-``objects/``, and an fsync of the dir. That is three fsyncs at any
-object count. A dir an older version made, which holds no
-``config.json``, gets it, fsynced with the dir, before an append. A
-write stores the file of each object its store holds that the dir's
-files do not: the ones new since the load or the last write. Outside a
-hold, ``save_state`` encodes the checkpoint before its first write.
+log still ends with the chain's stored tip in canonical form and
+``]}``, ``save_state`` writes ``,<block>...]}`` over the closing ``]}``
+and fsyncs: the commit point, and the write's only fsync. Then the new
+object files, the section files and the manifest each go to a temp
+name renamed with no fsync, in that order; then the write removes each
+section file the replaced manifest named and the new one does not. Only
+a section that an op of a block since the manifest was read or written
+declares (``@op(writes=...)``, read from each block's first
+transaction, so blocks a load redid count) is encoded again; every
+other keeps its digest. So a faucet writes the manifest alone. Inside a
+hold, an append leaves the checkpoint to the hold, which writes it once
+as it ends, returned or raised, if the last commit left the ledger at a
+committed tip: a script of ten writes fsyncs ten times and writes one
+checkpoint, and a reader that loads meanwhile redoes the lines
+committed so far. Outside a hold the checkpoint is encoded before the
+first write.
+
+A dir that holds no log of this chain (``init``, ``state import``), or a
+log torn or stored in another form, gets a whole write: the old manifest
+removed, so a crash before the new one lands rebuilds from whichever log
+is in place; the log and ``config.json``, both fsynced, renamed in that
+order; the object files, section files and manifest as above; then the
+removal of every file in ``objects/`` and ``sections/`` but the new
+ledger's, temp files included, the one listing of each, and an fsync of
+the dir: three fsyncs at any object count. A dir an older version made,
+which holds no ``config.json``, gets it, fsynced with the dir, before an
+append.
 
 The tag's digest is the SHA-256 of ``state.json`` with the digest's own
-hex digits zeroed: ``save_state`` hashes the one encoding it writes, and
-``load_state`` recomputes the digest over the bytes it read and refuses
-a mismatch before it decodes a section. A tag with no digest, as written
-before tags held one, loads unchecked. A checkpoint whose digest checks
-before anything is parsed is cut at the last ``,"store":`` before its
-fixed suffix ``,"version":1}``, the last ``,"stakeholders":`` before
-that and the last ``,"factory":`` before that, and only the head before
-the contracts (accounts, tag, config) is parsed at load. The contracts
-slice (factory, properties), the registry slice (stakeholders) and the
-store slice (the object digests) are each parsed when a command first
-uses them; a slice that holds a key of the head or of another slice
-is refused, and one that does not otherwise parse to exactly its keys,
-because a key nested in a value cut it wrong or its bytes are broken,
-is read from a parse of the whole file. A file with no digest, a
-digest that does not match, a surrogate escape, no suffix or key to cut
-at, or a head not exactly its keys is parsed whole at load, as before;
-a file whose slices each parse to exactly their keys, as every file
-``save_state`` writes does, loads to the values a whole parse gives.
-Each section (accounts, stakeholders, factory with properties, store)
-is decoded, and its invariants checked, when a command first uses it: the
-loaded state is a ``PendingState``, and ``Node.execute`` decodes every
-section before it admits a command.
+hex digits zeroed, and the manifest names each section file by its
+SHA-256, so the digest covers every section. ``load_state`` parses the
+manifest alone, checks its digest, then reads the log from its end back
+to the tag's block, listing no dir: it finds that block's header,
+decodes it and the blocks after it, checks its hash, index and nonce,
+and redoes the blocks after it (``Node.redo``). The loaded ``Chain``
+holds the tag's block and those after it; its ``log``, a ``StoredLog``,
+records where the log stores them, so ``save_state`` appends after them
+and a reader of the whole history has it decode the blocks before them
+once. A torn log, a header not found or a failed check read the log
+whole, which refuses a tag past the log or of a hash the log does not
+hold at that index, and drops a torn last append if what remains still
+holds the tag's block. Cyclic GC is paused while a whole log is decoded.
 
-A write encodes the head whole, and a slice only if an op of a block
-since the checkpoint was read or last written declares a section of
-that slice (``@op(writes=...)``): the ops are read from each block's
-first transaction, so blocks a load redid count. Each other slice is
-written back as the bytes the file held, once they parsed to exactly
-their keys, or as the last write wrote them: ``Slices``, kept beside
-the chain's log. A checkpoint parsed whole, ``init`` and ``state
-import`` keep none, so their next write encodes every slice. Every
-section is still decoded and checked before a write; read from a file
-a write left, the file the next write leaves is the one
-``_checkpoint_bytes`` encodes from the whole state.
-
-``load_state`` reads the checkpoint, then the log from its end back to
-the tag's block, and lists no dir: it finds that block's
-header, decodes it and the blocks after it, checks its hash, index and
-nonce, and redoes the blocks after it (``Node.redo``). So a write that
-stops before its commit point leaves the state before the command, and
-one that stops after it the state after. The loaded ``Chain`` holds the
-tag's block and those after it. Its ``log``, a ``StoredLog``, records
-where the log stores them: ``save_state`` appends after them, and a
-reader of the whole history (verify, replay, the full digest, a
-snapshot) has it decode the blocks before them once. Only a log that
-ends in ``]}`` right after those blocks is read so; a torn log, a header
-not found, a failed check or a tag-less ``state.json`` (a checkpoint at
-the log's tip) read the log whole. That read refuses a tag past the log
-or with a hash the log does not hold at that index, and drops a torn
-last append if what remains still holds the checkpoint's block; it
-writes nothing, and the next write rewrites the log whole. Cyclic GC is
-paused while a whole log is decoded: the decode frees nothing, so a
-collection would only scan the objects it builds.
-
-A ``state.json`` that is missing, or does not parse as one JSON object,
-as a crash can leave a file written without an fsync, is rebuilt: the
-load drops a torn last append, replays the log from genesis
-(``Node.from_log``) with the config of ``config.json``, prints one
-notice on stderr and writes nothing; the next write stores the
-checkpoint whole, and every object file. A complete checkpoint that
-fails its digest or a check is refused as before.
-
-A loaded store starts from the digests the checkpoint lists, and the
-blocks a load redoes add theirs. It reads an object's file when a
-command first needs its bytes. A file that does not match its digest
-goes to ``_LogObjects``: one missing, empty or holding a prefix of the
-object's bytes, or such a prefix followed by NUL bytes, as a crash can
+The loaded state is a ``PendingState``: each section (accounts;
+stakeholders; factory with properties; store) is decoded, its file read
+and checked against its digest, and its invariants checked, when a
+command first uses it. ``Node.execute`` decodes every section before it
+admits a command, so a write reads every file. A section or object file
+that fails its digest goes to ``_LogCache``: one missing, empty or
+holding a prefix of its bytes, NUL bytes after it or not, as a crash can
 leave a file written without an fsync, is rebuilt from a replay of the
-log from genesis (``Node.from_log``, once per load), with one notice on
-stderr per file, and stored again, by a temp name of the reader's own
-renamed in, so one crash costs one replay. A complete file holding
-other bytes is refused. A checkpoint an older version wrote
-lists no objects: when a command first uses its store, the store is
-replayed from the log, with one notice, and the next write stores the
-list.
+log from genesis to the tag's block, once per load, with one notice on
+stderr, and stored again by a temp name of the reader's own; one with
+other bytes is refused, by the commands that read it alone. A
+``state.json`` missing or torn, or one an older version wrote, which
+names no sections, is rebuilt too: the load replays the log from genesis
+(``Node.from_log``) with the config of ``config.json``, or, in a dir
+without one, that of the older checkpoint once its tag's digest checks;
+it prints one notice and writes nothing, and the next write stores the
+checkpoint whole. A complete manifest that fails its digest or a check
+is refused.
 
 A snapshot is ``state_dict(objects=True)`` with the block log under
 ``chain``, plus a ``digest`` of that body. The digest is
@@ -162,38 +122,19 @@ from .node import (OPS, SECTIONS, STATE_VERSION, LedgerState, Node,
                    PendingState, state_digest, state_pieces)
 from .property_contract import PropertyContract
 from .records import read, read_object, to_json
-from .storage import ObjectStore
+from .storage import ObjectStore, read_cached
 
 STATE_KEYS = frozenset(("version", "config", "accounts", "stakeholders",
                         "factory", "properties"))
-# a checked checkpoint is split at three keys: the head before the
-# contracts is parsed at load, each slice after it on first use
-HEAD_KEYS = frozenset(("accounts", "block", "config"))
-STATE_END = b',"version":%d}' % STATE_VERSION
+MANIFEST_KEYS = frozenset(("accounts", "block", "config", "sections",
+                           "version"))
 _CONTRACT_KEYS = frozenset(("factory", "properties"))
-
-
-def _members(state) -> dict:
-    """The store section of a checkpoint: the sorted digests of the
-    objects the ledger holds. It is no key of ``state_dict``, so no digest
-    of the state covers it."""
-    return {"store": sorted(state.store.digests())}
-
-
-# each slice after the head, in file order: the key it starts at, the
-# top-level keys it holds, the ``LedgerState`` sections they encode, and
-# its encoder, a dict of those keys
-SLICES = ((b',"factory":', _CONTRACT_KEYS, _CONTRACT_KEYS,
-           lambda state: state.state_dict(keys=_CONTRACT_KEYS)),
-          (b',"stakeholders":', frozenset(("stakeholders",)),
-           frozenset(("registry",)),
-           lambda state: state.state_dict(keys=("stakeholders",))),
-          (b',"store":', frozenset(("store",)), frozenset(("store",)),
-           _members))
-SECTION_KEYS = HEAD_KEYS.union(*(keys for _, keys, _, _ in SLICES))
-# a tag with its digest, as a canonical checkpoint holds it
-_SIGNED_TAG = re.compile(rb',"block":\{"hash":"([0-9a-f]{64})","index":'
-                         rb'(0|[1-9][0-9]*),"state":"([0-9a-f]{64})"\},')
+# each section file of a checkpoint, in the order ``_node`` takes them:
+# the top-level keys it holds, and the ``LedgerState`` sections they encode
+SECTION_FILES = {"contracts": (_CONTRACT_KEYS, _CONTRACT_KEYS),
+                 "registry": (frozenset(("stakeholders",)),
+                              frozenset(("registry",))),
+                 "store": (frozenset(("store",)), frozenset(("store",)))}
 LOG_HEAD = b'{"blocks":['
 TAIL_WINDOW = 1 << 14  # bytes a load first reads back from the log's end
 # where a block starts in a log; a param's {"hash": ...} matches only if
@@ -204,11 +145,10 @@ _BLOCK_HEADER = re.compile(r',\{"hash":"[0-9a-f]{64}","index":')
 @dataclass
 class Checkpoint:
     """The tag of ``state.json``: the block whose state it holds, and the
-    SHA-256 of the file with the digest's own hex digits zeroed; None in a
-    tag written before tags held one."""
+    SHA-256 of the file with the digest's own hex digits zeroed."""
     index: int
     hash: bytes
-    state: Optional[bytes] = None
+    state: bytes
 
 
 def _tag_json(tag: Checkpoint) -> bytes:
@@ -223,22 +163,6 @@ def _sign(data: bytes, tag: Checkpoint) -> bytes:
     return data.replace(zeroed, _tag_json(tag), 1)
 
 
-def _checkpoint_bytes(body: dict, index: int, hash_: bytes) -> bytes:
-    """`body`, a ``state_dict()`` with its ``_members``, tagged with
-    block `index` of hash `hash_` as ``state.json`` holds it, encoded
-    whole: its digest is the SHA-256 of these bytes with the digest's hex
-    digits zeroed."""
-    tag = Checkpoint(index, hash_, bytes(32))  # the digest zeroed
-    return _sign(canonical_json_bytes(body | {"block": to_json(tag)}), tag)
-
-
-def _whole_checkpoint(state, index: int, hash_: bytes) -> bytes:
-    """The checkpoint of `state` at block `index` of hash `hash_`, encoded
-    whole: the bytes every ``state.json`` a write leaves holds."""
-    return _checkpoint_bytes(state.state_dict() | _members(state), index,
-                             hash_)
-
-
 def _signed(data: bytes, tag: Checkpoint) -> bool:
     """Whether the checkpoint bytes `data` hold `tag`, and its digest is
     the SHA-256 of `data` with the digest's hex digits zeroed."""
@@ -248,29 +172,45 @@ def _signed(data: bytes, tag: Checkpoint) -> bool:
         data.replace(signed, zeroed, 1)).digest() == tag.state
 
 
-@dataclass
-class Slices:
-    """The checkpoint slices after the head, in ``SLICES`` order, that
-    reflect the state at block `index`, of hash `hash`, of a chain: each
-    one's bytes, or the ``_Slice`` of a loaded checkpoint, whose bytes
-    count once it parsed to exactly its keys."""
-    index: int
-    hash: bytes
-    pieces: list
+def _body(state, keys) -> dict:
+    """The checkpoint keys `keys` of `state`: keys of ``state_dict``, and
+    "store", the sorted digests of the objects the ledger holds, which no
+    digest of the state covers."""
+    d = state.state_dict(keys=[key for key in keys if key != "store"])
+    if "store" in keys:
+        d["store"] = sorted(state.store.digests())
+    return d
+
+
+def _checkpoint(state, tip: Block, carried: Optional[dict] = None) -> tuple:
+    """The checkpoint of `state` at block `tip`: the manifest's bytes, the
+    file of each section `carried` does not map to its digest, digest ->
+    bytes, and the digest of every section, by name."""
+    files, digests = {}, dict(carried or {})
+    for name, (keys, _) in SECTION_FILES.items():
+        if name not in digests:
+            data = canonical_json_bytes(_body(state, keys))
+            digests[name] = sha256_hex(data)
+            files[digests[name]] = data
+    tag = Checkpoint(tip.index, tip.hash, bytes(32))  # the digest zeroed
+    body = _body(state, ("accounts", "config", "version")) | {
+        "block": to_json(tag), "sections": digests}
+    return _sign(canonical_json_bytes(body), tag), files, digests
 
 
 @dataclass
 class StoredLog:
     """Where a chain sits in a dir's log: the file at `path` holds its
     first `blocks` blocks. Unless the chain holds the whole log, its first
-    held block is `first` from `start`. `slices`, the checkpoint slices
-    last read or written beside the log, are what a write carries over
-    of each slice no op since has changed."""
+    held block is `first` from `start`. `manifest`, the manifest last
+    read or written beside the log, is the held block it reflects and the
+    digest of each section file it names: what a write keeps of each
+    section no op since has changed, and the files it replaces."""
     path: str
     blocks: int
     start: int = 0
     first: bytes = b""
-    slices: Optional[Slices] = None
+    manifest: Optional[tuple] = None
 
     def before(self, index: int) -> list:
         """The `index` blocks before held block `index`, read once: the
@@ -355,41 +295,51 @@ def _writes(block) -> frozenset:
     return SECTIONS if decl is None else decl.writes
 
 
-def _carried(chain: Chain) -> list:
-    """For each slice in ``SLICES``, its stored bytes if no block after
-    the one they reflect may have changed it, else None."""
-    slices = chain.log.slices if chain.log is not None else None
-    at = -1 if slices is None else slices.index - chain.held[0].index
-    if not 0 <= at < len(chain.held) or chain.held[at].hash != slices.hash:
-        return [None] * len(SLICES)
-    written = frozenset().union(*map(_writes, chain.held[at + 1:]))
-    return [None if sections & written else
-            piece.stored if isinstance(piece, _Slice) else piece
-            for (_, _, sections, _), piece in zip(SLICES, slices.pieces)]
-
-
-def _encode(state, chain) -> tuple:
-    """The checkpoint of `state` at its chain's tip, as ``state.json``
-    holds it, and its slices: the head whole, and each slice whole unless
-    no op since it was last read or written may have changed it, which is
-    then its stored bytes."""
-    tip = chain.held[-1]
-    pieces = [stored or canonical_json_bytes(encode(state))[1:-1]
-              for (*_, encode), stored in zip(SLICES, _carried(chain))]
-    tag = Checkpoint(tip.index, tip.hash, bytes(32))  # the digest zeroed
-    head = canonical_json_bytes(state.state_dict(keys=("accounts", "config"))
-                                | {"block": to_json(tag)})
-    return _sign(b",".join([head[:-1], *pieces]) + STATE_END, tag), pieces
+def _encode(state, chain: Chain, state_dir: str) -> tuple:
+    """The ``_checkpoint`` of `state` at its chain's tip, keeping the
+    digest of each section file that the manifest last read or written
+    beside this dir's log names, unless an op of a block since may have
+    changed the section."""
+    log, carried = chain.log, {}
+    if (log is not None and log.manifest is not None and log.path
+            == os.path.abspath(os.path.join(state_dir, "chain.json"))):
+        block, digests = log.manifest
+        at = block.index - chain.held[0].index
+        if 0 <= at < len(chain.held) and chain.held[at] is block:
+            written = frozenset().union(*map(_writes, chain.held[at + 1:]))
+            carried = {name: digest for name, digest in digests.items()
+                       if not SECTION_FILES[name][1] & written}
+    return _checkpoint(state, chain.held[-1], carried)
 
 
 def _store_checkpoint(state_dir: str, chain: Chain, encoded: tuple):
-    """Write the checkpoint `encoded` of `chain`'s tip without an fsync:
-    it commits nothing, and a load rebuilds what a crash loses of it."""
-    checkpoint, pieces = encoded
-    _write_atomic({os.path.join(state_dir, "state.json"): checkpoint},
+    """Write the checkpoint `encoded` of `chain`'s tip without an fsync,
+    its new section files, then its manifest; then remove each section
+    file the manifest it replaces named and it does not. It commits
+    nothing: a load rebuilds what a crash loses of it."""
+    manifest, files, digests = encoded
+    sections_dir = os.path.join(state_dir, "sections")
+    if files:
+        os.makedirs(sections_dir, exist_ok=True)
+        _write_atomic({os.path.join(sections_dir, digest + ".json"): data
+                       for digest, data in files.items()}, durable=False)
+    _write_atomic({os.path.join(state_dir, "state.json"): manifest},
                   durable=False)
-    tip = chain.held[-1]
-    chain.log.slices = Slices(tip.index, tip.hash, pieces)
+    replaced = chain.log.manifest
+    chain.log.manifest = (chain.held[-1], digests)
+    if replaced is not None:
+        named = set(digests.values())
+        for digest in sorted(set(replaced[1].values()) - named):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(sections_dir, digest + ".json"))
+
+
+def _remove_others(path: str, names: set):
+    """Remove each file in the dir `path` not in `names`: the files of
+    what a ledger no longer holds, and temp files a fault left."""
+    for name in sorted(os.listdir(path)):
+        if name not in names:
+            os.remove(os.path.join(path, name))
 
 
 def save_state(state_dir: str, node: Node, defer: bool = False):
@@ -403,7 +353,7 @@ def save_state(state_dir: str, node: Node, defer: bool = False):
     state, chain = node.state, node.state.chain
     if isinstance(state, PendingState):  # a write checks every section
         state.decode()
-    encoded = None if defer else _encode(state, chain)
+    encoded = None if defer else _encode(state, chain, state_dir)
     store = state.store
     objects_dir = os.path.abspath(os.path.join(state_dir, "objects"))
     # content-addressed: a file the dir holds is never rewritten
@@ -418,7 +368,7 @@ def save_state(state_dir: str, node: Node, defer: bool = False):
         _fsync(state_dir)
     whole = not _append(chain.log, chain_path, chain.held)
     if whole:  # the dir holds no log of this chain, or a torn one
-        encoded = encoded or _encode(state, chain)
+        encoded = encoded or _encode(state, chain, state_dir)
         os.makedirs(state_dir, exist_ok=True)
         # the old checkpoint goes first: a crash before the new one lands
         # rebuilds from whichever log is in place
@@ -435,10 +385,10 @@ def save_state(state_dir: str, node: Node, defer: bool = False):
     if encoded is not None:
         _store_checkpoint(state_dir, chain, encoded)
     held = store.digests()
-    if whole:  # the files of no object this ledger holds
-        for name in os.listdir(objects_dir):
-            if name.endswith(".bin") and name[:-len(".bin")] not in held:
-                os.remove(os.path.join(objects_dir, name))
+    if whole:  # the files of no object or section of this ledger
+        _remove_others(objects_dir, {digest + ".bin" for digest in held})
+        _remove_others(os.path.join(state_dir, "sections"), {
+            digest + ".json" for digest in encoded[2].values()})
         _fsync(state_dir)
     store.path, store.stored = objects_dir, held
     return True if encoded is None else None
@@ -521,17 +471,16 @@ def _whole_blocks(data: bytes) -> Optional[list]:
     return blocks
 
 
-def _read_log(path: str, need: Optional[int]) -> Chain:
+def _read_log(path: str, need: int) -> Chain:
     """The block log at `path`. A log that does not parse loads without
-    its torn tail if it still holds block `need`; a `need` of None allows
-    no torn tail."""
+    its torn tail if it still holds block `need`."""
     with open(path, "rb") as fh:
         data = fh.read()
     with _gc_paused():
         try:  # bytes not UTF-8 reach Block.from_dict, naming a block
             value = _json_object(path, data, "surrogateescape")
         except LedgerError:  # not JSON: torn or broken
-            whole = None if need is None else _whole_blocks(data)
+            whole = _whole_blocks(data)
             if whole is None or len(whole) <= need:
                 raise
             value = {"blocks": whole}
@@ -624,33 +573,47 @@ def _replay(blocks: list, state: LedgerState, chain_path: str) -> Node:
                   f"{exc}") from exc
 
 
-class _LogObjects:
-    """The objects of a loaded ledger as its log stores them: a replay of
-    `chain` from genesis, run once, when its store first needs it.
-    Called, it is that store's ``ObjectStore.rebuild``."""
+class _LogCache:
+    """The section and object files of a loaded checkpoint as its log
+    records them: the state at the checkpoint's block `tag`, replayed from
+    genesis once, when a file first fails its digest. ``object`` is the
+    store's ``ObjectStore.rebuild``, and ``section`` a section file's."""
 
-    def __init__(self, chain: Chain):
-        self.chain, self.replayed = chain, None
+    def __init__(self, chain: Chain, tag: Checkpoint):
+        self.chain, self.tag, self.replayed = chain, tag, None
 
-    def objects(self) -> dict:
+    def state(self) -> LedgerState:
         if self.replayed is None:
-            self.replayed = _replay(self.chain.blocks, LedgerState(),
-                                    self.chain.log.path).state.store.objects
+            self.replayed = _replay(self.chain.blocks[:self.tag.index + 1],
+                                    LedgerState(), self.chain.log.path).state
         return self.replayed
 
-    def __call__(self, digest: str, path: str, cached: bytes) -> bytes:
-        """The bytes of the object `digest`, whose file at `path` holds
-        `cached`, if `cached` is a prefix of them followed by NUL bytes
-        at most: what a crash can leave of a file written without an
-        fsync. One notice on stderr, and the file stored again."""
-        data = self.objects().get(digest)
+    def object(self, digest: str, path: str, cached: bytes) -> bytes:
+        data = self.state().store.objects.get(digest)
         if data is None:
             raise err("CorruptSnapshot", f"object {digest} is listed, but "
                       f"no block of {self.chain.log.path} stores it")
+        return self._rebuilt(path, cached, data, f"object {digest}")
+
+    def section(self, name: str, digest: str, path: str,
+                cached: bytes) -> bytes:
+        data = canonical_json_bytes(_body(self.state(),
+                                          SECTION_FILES[name][0]))
+        if sha256_hex(data) != digest:
+            raise err("CorruptSnapshot", f"{path} does not match its "
+                      f"digest, nor does the state of block {self.tag.index}"
+                      f" of {self.chain.log.path}")
+        return self._rebuilt(path, cached, data, path)
+
+    def _rebuilt(self, path: str, cached: bytes, data: bytes,
+                 what: str) -> bytes:
+        """`data`, the bytes of `what`, whose file at `path` holds
+        `cached`, if `cached` is a prefix of them followed by NUL bytes
+        at most: what a crash can leave of a file written without an
+        fsync. One notice on stderr, and the file stored again."""
         if len(cached) > len(data) or not data.startswith(
                 cached.rstrip(b"\0")):
-            raise err("CorruptSnapshot",
-                      f"object {digest} does not match its digest")
+            raise err("CorruptSnapshot", f"{what} does not match its digest")
         print(f"notice: {path} is missing or torn; rebuilt it from "
               f"{self.chain.log.path}", file=sys.stderr)
         _restore(path, data)
@@ -658,8 +621,8 @@ class _LogObjects:
 
 
 def _restore(path: str, data: bytes):
-    """Store the object file at `path` again as `data`, its bytes, by a
-    temp name of this process's own renamed with no fsync: the file is
+    """Store the file at `path` again as `data`, its bytes, by a temp name
+    of this process's own renamed with no fsync: the file is
     content-addressed, so a reader that holds no lock may. A dir it
     cannot write keeps the file as it was."""
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -684,34 +647,36 @@ def _are_digests(members) -> bool:
         return False
 
 
-def _store(state_dir: str, chain: Chain, part) -> dict:
-    """The store of the ledger in `state_dir` beside its `chain`: the
-    objects ``part()["store"]`` lists, whose files ``objects/`` caches. A
-    checkpoint an older version wrote lists none: its objects are
-    replayed from the log, with one notice on stderr."""
-    log = _LogObjects(chain)
-    objects_dir = os.path.abspath(os.path.join(state_dir, "objects"))
-    section = part()
-    if "store" not in section:
-        objects = dict(log.objects())
-        print(f"notice: {state_dir}/state.json lists no objects, as an "
-              f"older version wrote it; rebuilt them from "
-              f"{state_dir}/chain.json", file=sys.stderr)
-        return {"store": ObjectStore(objects, objects_dir)}
-    members = section["store"]
+def _section(sections_dir: str, name: str, digest: str, cache: _LogCache):
+    """The part of section `name` of a loaded checkpoint: called, its
+    file's bytes, checked against `digest` (a file that fails goes to
+    `cache`), parsed to exactly the section's keys."""
+    def part() -> dict:
+        path = os.path.join(sections_dir, digest + ".json")
+        data = read_cached(path, digest,
+                           lambda *failed: cache.section(name, *failed))
+        return read_object(_utf8_json_object(path, data),
+                           SECTION_FILES[name][0])
+    return part
+
+
+def _store(objects_dir: str, part, cache: _LogCache) -> dict:
+    """The store of a loaded ledger: the objects ``part()["store"]``
+    lists, whose files ``objects_dir`` caches."""
+    members = part()["store"]
     if not _are_digests(members):
         raise err("CorruptSnapshot", f"store: expected object digests, "
                   f"got {members!r:.60}")
     return {"store": ObjectStore(path=objects_dir, stored=set(members),
-                                 rebuild=log)}
+                                 rebuild=cache.object)}
 
 
 def _node(head: dict, parts: list, chain: Chain, store) -> Node:
     """The ledger of `head`'s accounts and config, beside its `chain`;
-    `parts`, in ``SLICES`` order, each return, called, a dict holding
-    their section's keys, and ``store(part)`` decodes the store from the
-    last. Each section is parsed if it was not, read, and its invariants
-    checked, on first use (``PendingState``)."""
+    `parts`, in ``SECTION_FILES`` order, each return, called, a dict
+    holding their section's keys, and ``store(part)`` decodes the store
+    from the last. Each section is read, and its invariants checked, on
+    first use (``PendingState``)."""
     contracts, registry, members = parts
     contracts = (_contracts, contracts)
     return Node(PendingState(
@@ -731,84 +696,8 @@ def _state_from_dicts(d: dict, chain: Chain) -> Node:
         if sha256_hex(data) != digest:
             raise err("CorruptSnapshot",
                       f"object {digest} does not match its digest")
-    return _node(d, [lambda: d] * len(SLICES), chain,
+    return _node(d, [lambda: d] * len(SECTION_FILES), chain,
                  lambda part: {"store": store})
-
-
-@dataclass
-class _Slice:
-    """Bytes `start` to `end` of the checked checkpoint `data` at `path`,
-    the members of its object that hold `keys`; called, it parses them,
-    and once they parse to exactly `keys` they are its `stored` bytes.
-    Members that hold a key of another section are refused: the head or
-    the other slice holds it, too, and a whole parse would take the later
-    one. Others that do not parse to exactly `keys`, broken ones or ones
-    a key nested in a value cut wrong, are read from the whole file,
-    which refuses what it refused before the split."""
-    path: str
-    data: bytes
-    start: int
-    end: int
-    keys: frozenset
-    stored: Optional[bytes] = None
-
-    def __call__(self) -> dict:
-        members = self.data[self.start:self.end]
-        value = _parse(b"{" + members + b"}")
-        if type(value) is dict:
-            if value.keys() == self.keys:
-                self.stored = members
-                return value
-            other = value.keys() & SECTION_KEYS - self.keys
-            if other:
-                raise err("CorruptSnapshot", f"{self.path} holds "
-                          f"{min(other)!r} twice")
-        return _read_whole(self.path, self.data)[0]
-
-
-def _read_whole(path: str, data: bytes) -> tuple:
-    """The checkpoint `data`, the bytes of the file at `path`, parsed
-    whole: its sections, and its tag, None if it has none."""
-    d = _utf8_json_object(path, data)
-    _check_version(d, "state")
-    tag = d.pop("block", None)
-    if tag is not None:  # a tag with no digest loads unchecked
-        tag = read(Checkpoint, {"state": None} | tag
-                   if type(tag) is dict else tag)
-        if tag.state is not None and not _signed(data, tag):
-            raise err("CorruptSnapshot", f"{path} does not match its digest")
-    # an older version's checkpoint lists no store
-    return read_object(d, STATE_KEYS | (d.keys() & {"store"})), tag
-
-
-def _split(path: str, data: bytes) -> Optional[tuple]:
-    """The checkpoint `data` at `path` cut at its sections once its tag's
-    digest checks: the head parsed, a ``_Slice`` per slice in ``SLICES``,
-    and the tag. None, having parsed nothing, for a file with no digest
-    or one that does not match, a surrogate escape, no version suffix or
-    no key to cut at; and, having parsed the head, for a head not exactly
-    its keys or holding another tag."""
-    if not data.endswith(STATE_END) or _may_hold_surrogate(data):
-        return None
-    cuts = [len(data) - len(STATE_END)]
-    for at, *_ in reversed(SLICES):  # each the last key before the next
-        cuts.insert(0, data.rfind(at, 0, max(cuts[0], 0)))
-    found = _SIGNED_TAG.search(data, 0, max(cuts[0], 0))
-    if found is None:
-        return None
-    tag = Checkpoint(int(found[2]), bytes.fromhex(found[1].decode()),
-                     bytes.fromhex(found[3].decode()))
-    if not _signed(data, tag):
-        return None
-    # the head starts at the file's first byte and the last slice ends at
-    # its fixed suffix, so a key nested in a value leaves a bracket
-    # unmatched in a slice, which then parses as no section
-    head = _parse(data[:cuts[0]] + b"}")
-    if (type(head) is not dict or head.keys() != HEAD_KEYS
-            or head.pop("block") != to_json(tag)):
-        return None
-    return head, [_Slice(path, data, start + 1, end, keys) for start, end, (
-        _, keys, *_) in zip(cuts, cuts[1:], SLICES)], tag
 
 
 def _torn(data: bytes) -> bool:
@@ -825,27 +714,36 @@ def _torn(data: bytes) -> bool:
 
 
 def _read_checkpoint(path: str) -> Optional[tuple]:
-    """The checkpoint at `path` as (head, parts, tag): the head a dict
-    holding the accounts and config, a part per slice in ``SLICES``
-    order, returning, called, a dict holding its section's keys, and the
-    tag, None if it has none. A file whose digest checks is split, and
-    only its head parsed; any other is parsed whole. None for a file
+    """The checkpoint at `path`, parsed, and its bytes; None for a file
     missing or torn."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
         return None
-    split = _split(path, data)
-    if split is not None:
-        return split
     try:
-        d, tag = _read_whole(path, data)
+        d = _utf8_json_object(path, data)
     except LedgerError:
         if _torn(data):
             return None
         raise
-    return d, [lambda: d] * len(SLICES), tag
+    _check_version(d, "state")
+    return d, data
+
+
+def _manifest(path: str, d: dict, data: bytes) -> tuple:
+    """The tag and the section digests of the manifest `d`, parsed from
+    `data`, the bytes of the file at `path`, once its digest checks."""
+    read_object(d, MANIFEST_KEYS)
+    tag = read(Checkpoint, d["block"])
+    if not _signed(data, tag):
+        raise err("CorruptSnapshot", f"{path} does not match its digest")
+    digests = d["sections"]
+    if (type(digests) is not dict or digests.keys() != SECTION_FILES.keys()
+            or not _are_digests(list(digests.values()))):
+        raise err("CorruptSnapshot", f"{path} sections: expected a digest "
+                  f"of each of {list(SECTION_FILES)}, got {digests!r:.60}")
+    return tag, digests
 
 
 def _uninitialized(state_dir: str):
@@ -861,7 +759,8 @@ def holds_ledger(state_dir: str) -> bool:
 
 def load_state(state_dir: str) -> Node:
     """The checkpoint in `state_dir` brought up to the tip of its log; a
-    checkpoint missing or torn is rebuilt from the log."""
+    checkpoint missing or torn, or one an older version wrote, is rebuilt
+    from the log."""
     state_path = os.path.join(state_dir, "state.json")
     chain_path = os.path.join(state_dir, "chain.json")
     if not holds_ledger(state_dir):
@@ -871,16 +770,16 @@ def load_state(state_dir: str) -> Node:
                   "`state import --force` restores the dir")
     checkpoint = _read_checkpoint(state_path)
     if checkpoint is None:
-        return _rebuild(state_dir)
-    head, parts, tag = checkpoint
+        return _rebuild(state_dir, "is missing or torn")
+    if "sections" not in checkpoint[0]:
+        return _rebuild(state_dir, "is an older version's checkpoint",
+                        checkpoint)
+    tag, digests = _manifest(state_path, *checkpoint)
     log_path = os.path.abspath(chain_path)
-    tail = None if tag is None else _read_tail(log_path, tag)
+    tail = _read_tail(log_path, tag)
     if tail is None:  # the whole log
-        need = None if tag is None else tag.index
-        chain = _read_log(chain_path, need)
+        chain = _read_log(chain_path, tag.index)
         blocks = chain.held
-        if tag is None:  # written before checkpoints were tagged
-            tag = Checkpoint(len(blocks) - 1, blocks[-1].hash)
         if not 0 <= tag.index < len(blocks):
             raise err("CorruptSnapshot", f"{state_path} reflects block "
                       f"{tag.index}; the log holds {len(blocks)} blocks")
@@ -892,10 +791,13 @@ def load_state(state_dir: str) -> Node:
         del blocks[tag.index + 1:]
     else:
         chain, later = tail
-    if isinstance(parts[0], _Slice):  # split: its slices may be carried
-        chain.log.slices = Slices(tag.index, tag.hash, parts)
-    node = _node(head, parts, chain,
-                 lambda part: _store(state_dir, chain, part))
+    chain.log.manifest = (chain.held[-1], digests)
+    cache = _LogCache(chain, tag)
+    sections_dir = os.path.abspath(os.path.join(state_dir, "sections"))
+    objects_dir = os.path.abspath(os.path.join(state_dir, "objects"))
+    node = _node(checkpoint[0], [_section(sections_dir, name, digest, cache)
+                                 for name, digest in digests.items()],
+                 chain, lambda part: _store(objects_dir, part, cache))
     try:
         node.redo(later)
     except LedgerError as exc:
@@ -904,11 +806,25 @@ def load_state(state_dir: str) -> Node:
     return node
 
 
-def _rebuild(state_dir: str) -> Node:
-    """The ledger of `state_dir` whose checkpoint is missing or torn,
-    replayed from genesis through the log, less a torn last append, with
-    the config of ``config.json``. It writes nothing: the next write
-    stores the checkpoint whole, and every object file."""
+def _old_config(d: dict, data: bytes) -> Optional[dict]:
+    """The config of `d`, parsed from `data`, a checkpoint an older
+    version wrote, once its tag's digest checks; None for one untagged,
+    with no digest, or failing it."""
+    try:
+        tag = read(Checkpoint, d.get("block"))
+    except LedgerError:
+        return None
+    return read(dict[str, Optional[str]], d.get("config")) \
+        if _signed(data, tag) else None
+
+
+def _rebuild(state_dir: str, why: str, old: tuple = None) -> Node:
+    """The ledger of `state_dir` whose checkpoint `why`, replayed from
+    genesis through the log, less a torn last append, with the config of
+    ``config.json``; without one, that of `old`, an older version's
+    checkpoint parsed and its bytes, once its digest checks. It writes
+    nothing: the next write stores the checkpoint whole, and every object
+    file."""
     config_path = os.path.join(state_dir, "config.json")
     chain_path = os.path.join(state_dir, "chain.json")
     try:
@@ -916,14 +832,16 @@ def _rebuild(state_dir: str) -> Node:
             config = read(dict[str, Optional[str]],
                           _json_object(config_path, fh.read()))
     except FileNotFoundError:
-        raise err("CorruptSnapshot", f"{state_dir}/state.json is missing or "
-                  f"torn, and {config_path}, which a rebuild from the log "
-                  "needs, is missing") from None
+        config = old and _old_config(*old)
+        if config is None:
+            raise err("CorruptSnapshot", f"{state_dir}/state.json {why}, and "
+                      f"{config_path}, which a rebuild from the log needs, "
+                      "is missing") from None
     blocks = _read_log(chain_path, 0).held
     node = _replay(blocks, LedgerState(config=config), chain_path)
     node.state.chain.log = StoredLog(os.path.abspath(chain_path), len(blocks))
-    print(f"notice: {state_dir}/state.json is missing or torn; rebuilt the "
-          f"state from {chain_path}", file=sys.stderr)
+    print(f"notice: {state_dir}/state.json {why}; rebuilt the state from "
+          f"{chain_path}", file=sys.stderr)
     return node
 
 
@@ -998,7 +916,7 @@ class LedgerDir:
         if tip is not None and tip is self._node.state.chain.held[-1]:
             state = self._node.state
             _store_checkpoint(self.path, state.chain,
-                              _encode(state, state.chain))
+                              _encode(state, state.chain, self.path))
 
     def commit(self, node: Node = None):
         """Save `node`, from now on this hold's ledger, or the loaded one;

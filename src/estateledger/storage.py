@@ -9,12 +9,13 @@ state dir starts from the members its checkpoint lists: it knows which
 objects the ledger holds without reading them, and reads and checks one
 object's file only when that object's bytes are asked for. The files
 are caches of the log, which records every object's bytes, written
-with no fsync: a file that does not match its digest goes to the
-store's `rebuild`, which recovers what a crash can leave of one (no
-file, or a prefix of its bytes, NUL bytes after it or not) from the
-log, stores the file again, and refuses any other bytes. Right metadata is a JSON document listing the name of the
-right, a description, and the supporting documents, each document
-pointing at a stored object by cid.
+with no fsync, and ``read_cached`` reads them, as it reads a
+checkpoint's section files: a file that does not match its digest goes
+to a `rebuild`, which recovers what a crash can leave of one (no file,
+or a prefix of its bytes, NUL bytes after it or not) from the log,
+stores the file again, and refuses any other bytes. Right metadata is a
+JSON document listing the name of the right, a description, and the
+supporting documents, each document pointing at a stored object by cid.
 """
 
 import os
@@ -84,15 +85,9 @@ class ObjectStore:
         """The bytes of the object `digest`, which the store holds."""
         data = self.objects.get(digest)
         if data is None:
-            path = os.path.join(self.path, digest + ".bin")
-            try:
-                with open(path, "rb") as fh:
-                    data = fh.read()
-            except FileNotFoundError:
-                data = b""  # as an empty file: a prefix of any bytes
-            if sha256_hex(data) != digest:
-                data = self.rebuild(digest, path, data)
-            self.objects[digest] = data
+            data = self.objects[digest] = read_cached(
+                os.path.join(self.path, digest + ".bin"), digest,
+                self.rebuild)
         return data
 
     def read_all(self) -> dict:
@@ -100,6 +95,18 @@ class ObjectStore:
         for digest in sorted(self.stored):
             self.read(digest)
         return self.objects
+
+
+def read_cached(path: str, digest: str, rebuild: Callable) -> bytes:
+    """The bytes of the file at `path`, a cache named by their SHA-256
+    `digest`; ``rebuild(digest, path, bytes read)`` for a file that fails
+    it. A missing file reads as an empty one: a prefix of any bytes."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        data = b""
+    return data if sha256_hex(data) == digest else rebuild(digest, path, data)
 
 
 def build_right_metadata(store: ObjectStore, name_of_right: str,

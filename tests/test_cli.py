@@ -15,6 +15,7 @@ from estateledger.errors import LedgerError
 from estateledger.node import OPS, Node
 from estateledger.persistence import load_state, save_state
 
+from checkpoints import edit_checkpoint, manifest, section_path, whole_files
 from oracles import ref_merkle_root
 
 ADMIN_KEY = "admin-key-1"
@@ -170,10 +171,11 @@ TORN = {"truncated": lambda path: _truncate(path),
 def test_a_missing_or_torn_checkpoint_is_rebuilt_from_the_log(prop, case):
     """A state.json that is gone or parses as no JSON object is rebuilt
     from the log with one notice, writing nothing; the next write stores
-    it whole."""
+    it whole, and each section file it names."""
     ledger, _ = prop
     path = os.path.join(ledger.state_dir, "state.json")
-    want, whole = jget(ledger, "state", "digest")["digest"], _read(path)
+    want = jget(ledger, "state", "digest")["digest"]
+    whole = whole_files(ledger.state_dir)
     TORN[case](path)
     before = _dir_bytes(ledger.state_dir)
     _, out, errtxt = ledger("state", "digest", "--json")
@@ -185,8 +187,8 @@ def test_a_missing_or_torn_checkpoint_is_rebuilt_from_the_log(prop, case):
            "--timestamp", "10")
     node = load_state(ledger.state_dir)
     tip = node.state.chain.blocks[-1]
-    assert _read(path) == persistence._whole_checkpoint(
-        node.state, tip.index, tip.hash) != whole
+    assert whole_files(ledger.state_dir) == persistence._checkpoint(
+        node.state, tip)[:2] != whole
 
 
 def test_a_rebuild_takes_the_config_of_config_json(estate):
@@ -560,9 +562,12 @@ def test_a_resealed_non_canonical_transaction_in_the_log_is_a_hash_mismatch(
     with open(os.path.join(ledger.state_dir, "chain.json"), "wb") as fh:
         fh.write(b'{"blocks":[' + b",".join(b.canonical_json() for b in blocks)
                  + b"]}")
+    checkpoint, files, _ = persistence._checkpoint(node.state, blocks[-1])
     with open(os.path.join(ledger.state_dir, "state.json"), "wb") as fh:
-        fh.write(persistence._whole_checkpoint(node.state, blocks[-1].index,
-                                               blocks[-1].hash))
+        fh.write(checkpoint)
+    for digest, data in files.items():
+        with open(section_path(ledger.state_dir, digest), "wb") as fh:
+            fh.write(data)
     for verb in ("verify", "replay"):
         _, _, errtxt = ledger("chain", verb, expect=3)
         assert errtxt.startswith("error: HashMismatch: "), verb
@@ -633,7 +638,7 @@ def test_a_write_skips_a_corrupt_older_block_that_history_readers_refuse(
     ["chain", "faucet", "--to", ADMIN, "--amount", "1", "--as", ADMIN]])
 def test_a_lone_surrogate_in_state_json_is_corrupt_snapshot(estate, command):
     estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
-    _replace_bytes(b'"publicInfo":""', b'"publicInfo":"\\udcff"')(
+    _replace_bytes(b'"allowlist":null', b'"allowlist":"\\udcff"')(
         os.path.join(estate.state_dir, "state.json"))
     before = _dir_bytes(estate.state_dir)
     _, _, errtxt = estate(*command, expect=3)
@@ -646,7 +651,8 @@ def test_a_lone_surrogate_in_state_json_is_corrupt_snapshot(estate, command):
 def test_a_state_json_with_escapes_but_no_surrogate_loads(estate):
     admin = jget(estate, "init", "--admin-key", ADMIN_KEY, "--info-cid",
                  'a "quoted" \\ cid\n', "--timestamp", "0")["admin"]
-    with open(os.path.join(estate.state_dir, "state.json"), "rb") as fh:
+    registry = manifest(estate.state_dir)["sections"]["registry"]
+    with open(section_path(estate.state_dir, registry), "rb") as fh:
         data = fh.read()
     assert b'a \\"quoted\\" \\\\ cid\\n' in data and b"\\u" not in data
     shown = jget(estate, "stakeholder", "show", "--address", admin)
@@ -945,12 +951,10 @@ def _edit_json(edit):
 
 
 def _edit_state(edit):
-    """`edit` state.json and drop its tag's digest: a tag without one
-    loads unchecked, so the command reaches the check the edit targets."""
-    def unsigned(d):
-        del d["block"]["state"]
-        edit(d)
-    return _edit_json(unsigned)
+    """`edit` the checkpoint as one dict and store it again, each section
+    file under its new digest and the manifest signed, so the command
+    reaches the check the edit targets."""
+    return lambda path: edit_checkpoint(os.path.dirname(path), edit)
 
 
 def _only_property(d) -> tuple:
@@ -1025,7 +1029,7 @@ MALFORMED_DIRS = {
     "state-not-utf-8": ("state.json",
                         _replace_bytes(b'"accounts"', b'"acc\xffounts"')),
     "state-lone-surrogate": ("state.json", _replace_bytes(
-        b'"publicInfo":""', b'"publicInfo":"\\udcff"')),
+        b'"allowlist":null', b'"allowlist":"\\udcff"')),
     # a listed object that is no digest would name a file outside objects/
     "store-not-a-digest": ("state.json", _edit_state(
         lambda d: d.update(store=["../chain"]))),
@@ -1045,7 +1049,7 @@ CHAIN_REFUSALS = {
         "block 3 records index 3 and nonce 18446744073709551615",
 }
 
-# the refusal of each state.json case whose edit drops the digest: the
+# the refusal of each checkpoint case stored again by `_edit_state`: the
 # check the edit targets, reached when the command decodes the section
 STATE_REFUSALS = {
     "accounts-not-an-object": "expected an object, got 5",

@@ -5,8 +5,9 @@ The README quick tour runs through ``cli.main`` with pinned timestamps
 genesis hash, every block hash, ``full_digest``, ``ledger_digest`` and
 the digest of the exported snapshot are compared with literals, and so
 are the SHA-256 of the ``state.json`` and ``chain.json`` files it
-leaves. A second scenario continues the tour through the batch, swap,
-burn and factory-admin operations and pins those block hashes too. A
+leaves, and of each section file, which names it. A second scenario
+continues the tour through the batch, swap, burn and factory-admin
+operations and pins those block hashes too. A
 third continues it through ``cli.main`` with every mutating verb the
 tour does not use, which pins the exact params each CLI verb records.
 A written snapshot file must hold exactly the canonical encoding of
@@ -16,8 +17,10 @@ to.
 
 A refactor must leave every literal here unchanged. Changing a hashed
 byte on purpose means bumping ``STATE_VERSION`` and re-pinning. The
-``state.json`` pin moved once without a bump, when the checkpoint's tag
-gained its own digest: a tag without one still loads.
+``state.json`` pin moved twice without a bump, neither moving a hashed
+byte: when the checkpoint's tag gained its own digest, and when
+``state.json`` became a manifest naming its section files by digest. A
+load rebuilds a checkpoint an older version wrote from the log.
 """
 
 import contextlib
@@ -86,7 +89,16 @@ TAIL_FULL_DIGEST = (
 
 
 TOUR_STATE_JSON_SHA256 = (
-    "205bd5b4f99e1cd9b1498602c1b0414321fc60cd8ff7a720ab76f2baed3809fb")
+    "c647f7d5d14122d57f745aaa66d53f608c557fbf76a617aec34de9d286f745d4")
+# the name of each section file of the tour's checkpoint, its SHA-256
+TOUR_SECTIONS_SHA256 = {
+    "contracts":
+        "2406f778e85432ea781c90168276ae35b4bf22555d10a94f6d1d425f5c207411",
+    "registry":
+        "394192a4469d44c49c50ba2d3314b3d7bbcf8f1af66cb26d451b338e7d58814a",
+    "store":
+        "d52da42545b0739018cb9f73a8e7afedda95729e58c7d129f25ca1b8b4f9fd85",
+}
 TOUR_CHAIN_JSON_SHA256 = (
     "df50cf70be492aa14ab71c82211f6bfe87dece8c118d7f0a350dacd320d5b7b2")
 CLI_VERB_BLOCK_HASHES = [
@@ -292,6 +304,13 @@ def test_quick_tour_files_are_pinned(tmp_path):
 
     assert file_sha256("state.json") == TOUR_STATE_JSON_SHA256
     assert file_sha256("chain.json") == TOUR_CHAIN_JSON_SHA256
+    with open(os.path.join(state_dir, "state.json"), "rb") as fh:
+        assert json.loads(fh.read())["sections"] == TOUR_SECTIONS_SHA256
+    assert sorted(os.listdir(os.path.join(state_dir, "sections"))) == sorted(
+        digest + ".json" for digest in TOUR_SECTIONS_SHA256.values())
+    for digest in TOUR_SECTIONS_SHA256.values():
+        assert file_sha256(os.path.join("sections", digest + ".json")) \
+            == digest
 
 
 def test_cli_verbs_are_pinned(tmp_path):

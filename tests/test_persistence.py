@@ -1,11 +1,13 @@
 """The state dir's one commit point: a write appends its block to
-chain.json in place and fsyncs it, then writes its object files and the
-tagged checkpoint state.json, caches of the log, without an fsync; a
-load redoes the blocks after the tag, drops a torn last append, and
-rebuilds a checkpoint or an object file a crash lost."""
+chain.json in place and fsyncs it, then writes its object files, the
+section files it changed and the tagged manifest state.json, caches of
+the log, without an fsync; a load redoes the blocks after the tag, drops
+a torn last append, and rebuilds a checkpoint, a section file or an
+object file a crash lost."""
 
 import builtins
 import contextlib
+import copy
 import dataclasses
 import errno
 import gc
@@ -30,6 +32,9 @@ from estateledger.node import LedgerState, Node, PendingState
 from estateledger.persistence import load_state, save_state
 from estateledger.records import to_json
 from estateledger.storage import ObjectStore, make_cid
+
+from checkpoints import (edit_checkpoint, manifest, read_checkpoint,
+                         section_path, whole_files, write_checkpoint)
 
 ADMIN_KEY = "admin-key-1"
 ADMIN = derive_address(ADMIN_KEY.encode())
@@ -309,10 +314,21 @@ def recovers(state_dir):
     assert estate(state_dir, "chain", "replay") == 0
     assert estate(state_dir, *faucet(1, 11)) == 0
     assert read(state_dir, "chain.json") == whole_log(state_dir)
-    assert read(state_dir, "state.json") == _whole_encoding(state_dir)
+    assert whole_files(state_dir) == _whole_encoding(state_dir)
 
 
 SURVEY = make_cid(b"survey").split(":")[1] + ".bin"
+LOSSES = ("removed", "emptied", "half", "zeroed", "padded")
+
+
+def losses(name) -> set:
+    """Each way `Faults.lost` loses the file `name`, new since its fsync."""
+    return {f"{name} {how}" for how in LOSSES}
+
+
+def store_file(state_dir) -> str:
+    """The name of the store's section file of the dir's manifest."""
+    return manifest(state_dir)["sections"]["store"] + ".json"
 
 
 @pytest.mark.parametrize("argv", [
@@ -338,24 +354,27 @@ def test_a_fault_at_any_write_boundary_leaves_the_state_before_or_after(
         outcomes.append((what, "pre" if got == pre else "post"))
         recovers(state_dir)
     capsys.readouterr()
-    # the append and its fsync, then a stored object's write and rename,
-    # and the checkpoint's, which no fsync follows
+    # the append and its fsync; then a stored object's write and rename,
+    # the new store section's, the manifest's, which no fsync follows,
+    # and the removal of the store section it replaced
     stores = argv[0] == "object"
+    old, new = store_file(base), store_file(done)
+    assert (old != new) is stores
     boundaries = ["write of chain.json", "fsync"] + (
-        [f"write of {SURVEY}.tmp", f"rename to {SURVEY}"] if stores else []
-    ) + ["write of state.json.tmp", "rename to state.json"]
+        [f"write of {SURVEY}.tmp", f"rename to {SURVEY}",
+         f"write of {new}.tmp", f"rename to {new}"] if stores else []
+    ) + ["write of state.json.tmp", "rename to state.json"] + (
+        [f"removal of {old}"] if stores else [])
     left = [outcome for outcome in outcomes if "," not in outcome[0]]
     assert [what for what, _ in left] == boundaries + ["return"] + [
         f"{what} done" for what in boundaries], outcomes
     assert left[:2] == [("write of chain.json", "pre"), ("fsync", "post")]
-    # every kind of loss was tried, on the append, the checkpoint and the
-    # object file, which held no bytes before
+    # every kind of loss was tried, on the append, the manifest, and the
+    # object and section files, which held no bytes before
     assert {what.split(", ")[1] for what, _ in outcomes if "," in what} == {
-        "chain.json lost", "chain.json half", "state.json removed",
-        "state.json emptied", "state.json half", "state.json zeroed",
-        "state.json padded", "state.json restored"} | (
-        {f"{SURVEY} removed", f"{SURVEY} emptied", f"{SURVEY} half",
-         f"{SURVEY} zeroed", f"{SURVEY} padded"} if stores else set())
+        "chain.json lost", "chain.json half", "state.json restored"} | (
+        losses("state.json")) | (
+        losses(SURVEY) | losses(new) if stores else set())
 
 
 def test_a_failed_rename_of_chain_json_leaves_the_state_before_or_after(
@@ -415,15 +434,23 @@ def test_a_fault_at_any_write_boundary_of_an_import_leaves_either_ledger(
         recovers(state_dir)
     capsys.readouterr()
     # the old checkpoint removed; the log and config.json written,
-    # fsynced and renamed; the new object file and checkpoint, which no
-    # fsync follows; the replaced ledger's object file removed, and the
-    # dir fsynced
+    # fsynced and renamed; the new object file, section files and
+    # manifest, which no fsync follows; the replaced ledger's object file
+    # and store section removed, and the dir fsynced. The two ledgers
+    # hold the same contracts and registry, whose files are rewritten
+    sections = [digest + ".json"
+                for digest in manifest(other)["sections"].values()]
+    assert set(sections) & set(os.listdir(base / "sections")) == set(
+        sections[:2])
     boundaries = [
         "removal of state.json", "write of chain.json.tmp",
         "write of config.json.tmp", "fsync", "fsync", "rename to chain.json",
         "rename to config.json", f"write of {SURVEY}.tmp",
-        f"rename to {SURVEY}", "write of state.json.tmp",
-        "rename to state.json", f"removal of {DEED}", "fsync"]
+        f"rename to {SURVEY}"] + [
+        f"write of {name}.tmp" for name in sections] + [
+        f"rename to {name}" for name in sections] + [
+        "write of state.json.tmp", "rename to state.json",
+        f"removal of {DEED}", f"removal of {store_file(base)}", "fsync"]
     left = [outcome for outcome in outcomes if "," not in outcome[0]]
     assert [what for what, _ in left] == boundaries + ["return"] + [
         f"{what} done" for what in boundaries], outcomes
@@ -431,11 +458,8 @@ def test_a_fault_at_any_write_boundary_of_an_import_leaves_either_ledger(
     assert [got for _, got in left] == (
         ["pre"] * (renamed + 1) + ["post"] * (len(boundaries) - renamed)
         + ["pre"] * renamed + ["post"] * (len(boundaries) - renamed))
-    assert {what.split(", ")[1] for what, _ in outcomes if "," in what} >= {
-        "state.json removed", "state.json emptied", "state.json half",
-        "state.json zeroed", "state.json padded",
-        f"{SURVEY} removed", f"{SURVEY} emptied", f"{SURVEY} half",
-        f"{SURVEY} zeroed", f"{SURVEY} padded"}
+    assert {what.split(", ")[1] for what, _ in outcomes if "," in what} >= (
+        losses("state.json") | losses(SURVEY) | losses(sections[2]))
 
 
 def script_of(tmp_path, *lines) -> str:
@@ -478,19 +502,23 @@ def _crash_a_script(base, tmp_path, monkeypatch, capsys, lines):
         recovers(state_dir)
     capsys.readouterr()
     # each line's append and fsync, the object's write and rename, then
-    # the one checkpoint's write and rename; then the script's return
+    # the one checkpoint: the new store section's write and rename, the
+    # manifest's, and the removal of the store section it replaced; then
+    # the script's return
     want = []
     for n, line in enumerate(lines, 1):
         want += [n - 1, n] + ([n, n] if "object put" in line else [])
-    assert [got for what, got in outcomes
-            if "," not in what and "done" not in what] == want + [
-        len(lines)] * 3
+    new = store_file(tmp_path / f"prefix{len(lines)}")
+    tail = [f"write of {new}.tmp", f"rename to {new}",
+            "write of state.json.tmp", "rename to state.json",
+            f"removal of {store_file(base)}", "return"]
+    first = [(what, got) for what, got in outcomes
+             if "," not in what and "done" not in what]
+    assert [what for what, _ in first[len(want):]] == tail
+    assert [got for _, got in first] == want + [len(lines)] * len(tail)
     assert {what.split(", ")[1] for what, _ in outcomes if "," in what} == {
-        "chain.json lost", "chain.json half", "state.json removed",
-        "state.json emptied", "state.json half", "state.json zeroed",
-        "state.json padded", "state.json restored",
-        f"{SURVEY} removed", f"{SURVEY} emptied", f"{SURVEY} half",
-        f"{SURVEY} zeroed", f"{SURVEY} padded"}
+        "chain.json lost", "chain.json half", "state.json restored"} | (
+        losses("state.json") | losses(SURVEY) | losses(new))
 
 
 def test_a_fault_at_any_write_boundary_of_a_script_leaves_a_prefix(
@@ -527,7 +555,7 @@ def test_a_script_writes_its_checkpoint_once_and_fsyncs_each_append(
                   "--timestamp", "12") == 0
     assert (len(fsyncs), len(checkpoints)) == (1, 1)
     monkeypatch.undo()
-    assert read(base, "state.json") == _whole_encoding(base)
+    assert whole_files(base) == _whole_encoding(base)
     tag = json.loads(read(base, "state.json"))["block"]
     assert tag["index"] == len(load_state(str(base)).state.chain.blocks) - 1
     capsys.readouterr()
@@ -543,7 +571,7 @@ def test_a_failing_line_leaves_the_checkpoint_at_the_last_committed_block(
     tag = json.loads(read(base, "state.json"))["block"]
     assert (tag["index"], tag["hash"]) == (tip.index, tip.hash.hex())
     assert json.loads(tip.data[0])["operation"] == "putObject"
-    assert read(base, "state.json") == _whole_encoding(base)
+    assert whole_files(base) == _whole_encoding(base)
     capsys.readouterr()
 
 
@@ -688,48 +716,94 @@ def test_a_block_the_checkpoint_cannot_encode_is_refused_before_any_write(
 # -- what a load reads ---------------------------------------------------------
 
 
-def test_an_untagged_checkpoint_is_one_at_the_tip_and_its_write_appends(
-        base, capsys):
-    node = load_state(str(base))
+def _older_checkpoint(state_dir, tagged: bool) -> bytes:
+    """The dir's checkpoint as an older version wrote it, one file with
+    every section, tagged at the log's tip with its digest, or untagged:
+    what state.json held before it became a manifest."""
+    node = load_state(str(state_dir))
+    body = node.state.state_dict() | {
+        "store": sorted(node.state.store.digests())}
+    if not tagged:
+        return canonical_json_bytes(body)
+    tip = node.state.chain.held[-1]
+    tag = persistence.Checkpoint(tip.index, tip.hash, bytes(32))
+    return persistence._sign(canonical_json_bytes(
+        body | {"block": to_json(tag)}), tag)
+
+
+def _rebuilt_until_the_next_write(base, capsys, tagged: bool):
+    """A state.json an older version wrote names no section file: a load
+    rebuilds the state from the log, with one notice, writing nothing,
+    and the next write appends and leaves a manifest."""
+    pre = digest(base)
+    shutil.rmtree(base / "sections")
     state_json = os.path.join(base, "state.json")
     with open(state_json, "wb") as fh:
-        fh.write(canonical_json_bytes(node.state.state_dict()))
-    assert digest(base) == node.full_digest()
-    before = read(base, "chain.json")
-    inode = os.stat(os.path.join(base, "chain.json")).st_ino
-    assert estate(base, *faucet(3, 5)) == 0
-    assert read(base, "chain.json").startswith(before[:-2])
-    assert os.stat(os.path.join(base, "chain.json")).st_ino == inode
-    assert read(base, "chain.json") == whole_log(base)
-    tip = load_state(str(base)).state.chain.blocks[-1]
-    tag = json.loads(read(base, "state.json"))["block"]
-    assert tag == {"index": tip.index, "hash": tip.hash.hex(),
-                   "state": tag["state"]}  # the write signs it, too
+        fh.write(_older_checkpoint(base, tagged))
     capsys.readouterr()
-
-
-def test_a_checkpoint_that_lists_no_objects_replays_them_once_used(
-        base, capsys):
-    """A checkpoint an older version wrote lists no objects: the first
-    use of the store replays them from the log, with one notice and
-    writing nothing, and the next write stores the list."""
-    node = load_state(str(base))
-    tip = node.state.chain.held[-1]
-    with open(os.path.join(base, "state.json"), "wb") as fh:
-        fh.write(persistence._checkpoint_bytes(node.state.state_dict(),
-                                               tip.index, tip.hash))
     files = dir_bytes(base)
+    notice = (f"notice: {state_json} is an older version's checkpoint; "
+              f"rebuilt the state from {base}/chain.json\n")
+    for argv in (["chain", "balance", "--address", SELLER],
+                 ["state", "digest"]):
+        assert estate(base, *argv) == 0
+        assert capsys.readouterr().err == notice
+    assert digest(base) == pre
+    assert dir_bytes(base) == files
+    before = read(base, "chain.json")
+    capsys.readouterr()
+    assert estate(base, *faucet(3, 5)) == 0
+    assert capsys.readouterr().err == notice
+    assert read(base, "chain.json").startswith(before[:-2])
+    assert whole_files(base) == _whole_encoding(base)
     assert estate(base, "chain", "balance", "--address", SELLER) == 0
     assert capsys.readouterr().err == ""
-    cid = make_cid(b"deed")
-    assert estate(base, "object", "get", "--cid", cid) == 0
-    assert capsys.readouterr() == (
-        f"cid: {cid}\ntext: deed\n", f"notice: {base}/state.json lists no "
-        f"objects, as an older version wrote it; rebuilt them from "
-        f"{base}/chain.json\n")
-    assert dir_bytes(base) == files
-    assert estate(base, *faucet(1, 10)) == 0
-    assert read(base, "state.json") == _whole_encoding(base)
+
+
+def test_an_older_versions_checkpoint_is_rebuilt_until_the_next_write(
+        base, capsys):
+    _rebuilt_until_the_next_write(base, capsys, tagged=True)
+
+
+def test_an_untagged_checkpoint_is_one_at_the_tip_and_its_write_appends(
+        base, capsys):
+    """An untagged checkpoint, as versions before tags wrote it, loads
+    the state at the log's tip, and its next write appends."""
+    _rebuilt_until_the_next_write(base, capsys, tagged=False)
+
+
+@pytest.mark.parametrize("tagged", [True, False], ids=["tagged", "untagged"])
+def test_an_older_versions_dir_without_config_json_takes_its_checked_config(
+        tmp_path, capsys, tagged):
+    """A dir made before config.json was written holds only the config
+    of its older checkpoint: the rebuild takes it once its tag's digest
+    checks, and the next write stores config.json."""
+    allow = tmp_path / "allow.txt"
+    allow.write_text(hashlib.sha256(b"seller-key").hexdigest() + "\n")
+    state_dir = tmp_path / "ledger"
+    assert estate(state_dir, "init", "--admin-key", ADMIN_KEY,
+                  "--allowlist", str(allow), "--timestamp", "0") == 0
+    want = read(state_dir, "config.json")
+    with open(state_dir / "state.json", "wb") as fh:
+        fh.write(_older_checkpoint(state_dir, tagged))
+    os.remove(state_dir / "config.json")
+    capsys.readouterr()
+    if not tagged:  # no digest vouches for its config
+        assert estate(state_dir, "chain", "verify") == 3
+        assert capsys.readouterr().err == (
+            f"error: CorruptSnapshot: {state_dir}/state.json is an older "
+            f"version's checkpoint, and {state_dir}/config.json, which a "
+            "rebuild from the log needs, is missing\n")
+        return
+    assert load_state(str(state_dir)).state.config == {
+        "allowlist": str(allow)}
+    assert estate(state_dir, "stakeholder", "register", "--role", "Buyer",
+                  "--key", "buyer-key", "--as", ADMIN, "--timestamp",
+                  "1") == 3
+    assert "VerificationRejected" in capsys.readouterr().err
+    assert estate(state_dir, *faucet(1, 2)) == 0
+    assert read(state_dir, "config.json") == want
+    assert whole_files(state_dir) == _whole_encoding(state_dir)
     capsys.readouterr()
 
 
@@ -769,9 +843,7 @@ def test_a_lagging_checkpoint_is_redone_and_a_wrong_tag_refused(base):
     for tag in ({"index": tip + 1, "hash": "00" * 32},
                 {"index": tip, "hash": "00" * 32},
                 {"index": -1, "hash": "00" * 32}):
-        body = json.loads(lagging) | {"block": tag}
-        with open(state_json, "w", encoding="utf-8") as fh:
-            json.dump(body, fh)
+        edit_checkpoint(base, lambda d: d.update(block=tag))
         with pytest.raises(LedgerError) as e:
             load_state(str(base))
         assert e.value.code == "CorruptSnapshot"
@@ -1233,14 +1305,16 @@ def test_an_import_that_fails_to_remove_a_stale_object_file_ignores_it(
 
 
 def _listed_objects(monkeypatch) -> list:
-    """Records each listing of an ``objects`` dir."""
+    """Records the name of each listing of an ``objects`` or
+    ``sections`` dir."""
     listed = []
     for name in ("listdir", "scandir"):
         real = getattr(os, name)
 
         def spy(path=".", real=real):
-            if os.path.basename(os.path.normpath(str(path))) == "objects":
-                listed.append(path)
+            name = os.path.basename(os.path.normpath(str(path)))
+            if name in ("objects", "sections"):
+                listed.append(name)
             return real(path)
         monkeypatch.setattr(os, name, spy)
     return listed
@@ -1263,7 +1337,7 @@ def test_no_load_lists_the_objects_dir_and_only_a_whole_write_does(
         assert estate(state_dir, *argv) == 0
         assert listed == [], argv
     assert estate(state_dir, "state", "import", "--in", snap, "--force") == 0
-    assert len(listed) == 1
+    assert listed == ["objects", "sections"]
     capsys.readouterr()
 
 
@@ -1282,21 +1356,12 @@ def _add_to_balance(state_dir, address, amount):
         fh.write(data.replace(old, f'"{address}":{balance + amount}'.encode()))
 
 
-def _drop_digest(state_dir):
-    """state.json as a version without digests wrote it."""
-    path = os.path.join(state_dir, "state.json")
-    data = read(state_dir, "state.json")
-    tag = json.loads(data)["block"]
-    signed = f',"state":"{tag["state"]}"}}'.encode()
-    assert data.count(signed) == 1
-    with open(path, "wb") as fh:
-        fh.write(data.replace(signed, b"}"))
-
-
 @pytest.mark.parametrize("argv", [
     ["chain", "verify"], ["chain", "balance", "--address", ADMIN],
     faucet(5, 10), ["state", "digest"]], ids=" ".join)
 def test_an_edited_checkpoint_is_refused_by_every_command(base, capsys, argv):
+    """Every command reads the manifest, whose digest covers the digest
+    of each section file: an edited manifest is refused by each."""
     _add_to_balance(base, ADMIN, 1000)
     files = dir_bytes(base)
     capsys.readouterr()
@@ -1307,18 +1372,31 @@ def test_an_edited_checkpoint_is_refused_by_every_command(base, capsys, argv):
     assert dir_bytes(base) == files
 
 
+def _digestless(state_dir) -> bytes:
+    """The dir's checkpoint as a version before tags held a digest wrote
+    it; the dir's section files go, as no such version wrote them."""
+    older = json.loads(_older_checkpoint(state_dir, True))
+    del older["block"]["state"]
+    shutil.rmtree(os.path.join(state_dir, "sections"))
+    data = canonical_json_bytes(older)
+    with open(os.path.join(state_dir, "state.json"), "wb") as fh:
+        fh.write(data)
+    return data
+
+
 def test_a_checkpoint_without_a_digest_loads_and_its_write_adds_one(
         base, capsys):
+    """A checkpoint with no digest, as versions before digests wrote it,
+    loads: rebuilt from the log, so an edit of it counts for nothing. The
+    next write leaves a manifest with a digest, which refuses an edit."""
     pre = digest(base)
-    _drop_digest(base)
-    assert "state" not in json.loads(read(base, "state.json"))["block"]
+    _digestless(base)
+    _add_to_balance(base, SELLER, 1)
     assert digest(base) == pre
-    assert estate(base, "chain", "balance", "--address", SELLER) == 0
-    _add_to_balance(base, SELLER, 1)  # loads unchecked, as before digests
-    assert load_state(str(base)).state.native.balance(SELLER) == 501
+    assert load_state(str(base)).state.native.balance(SELLER) == 500
     assert estate(base, *faucet(5, 10)) == 0
     assert "state" in json.loads(read(base, "state.json"))["block"]
-    assert load_state(str(base)).state.native.balance(SELLER) == 506
+    assert load_state(str(base)).state.native.balance(SELLER) == 505
     _add_to_balance(base, SELLER, 1)
     with pytest.raises(LedgerError) as e:
         load_state(str(base))
@@ -1330,11 +1408,11 @@ def test_a_checkpoint_written_after_redo_equals_one_written_after_execute(
         base, capsys):
     lagging = read(base, "state.json")
     assert estate(base, *faucet(5, 10)) == 0
-    executed = read(base, "state.json")
+    executed = whole_files(base)
     with open(os.path.join(base, "state.json"), "wb") as fh:
         fh.write(lagging)
     save_state(str(base), load_state(str(base)))  # redoes the faucet
-    assert read(base, "state.json") == executed
+    assert whole_files(base) == executed
     capsys.readouterr()
 
 
@@ -1373,13 +1451,11 @@ def test_a_write_decodes_every_section_before_its_executor_runs(
 
 def test_a_section_no_command_reads_fails_only_the_commands_that_read_it(
         base, capsys):
-    """With no digest to check, a mistyped stakeholder record fails the
-    commands that decode the registry: every write, and a read of it."""
-    _drop_digest(base)
-    path = os.path.join(base, "state.json")
-    data = read(base, "state.json")
-    with open(path, "wb") as fh:
-        fh.write(data.replace(b'"active":true', b'"active":1', 1))
+    """With the registry's file stored again under its new digest, a
+    mistyped stakeholder record fails the commands that decode the
+    registry: every write, and a read of it."""
+    edit_checkpoint(base, lambda d: next(iter(
+        d["stakeholders"]["stakeholders"].values())).update(active=1))
     files = dir_bytes(base)
     assert estate(base, "chain", "balance", "--address", SELLER) == 0
     assert estate(base, "chain", "verify") == 0
@@ -1391,29 +1467,22 @@ def test_a_section_no_command_reads_fails_only_the_commands_that_read_it(
     assert dir_bytes(base) == files
 
 
-# -- the checkpoint split at its sections --------------------------------------
+# -- a section file is read only when its section is used ---------------------
 
 
-def _slices(state_dir) -> tuple:
-    """The head, contracts, registry and store of the dir's state.json,
-    each as the bytes its parse is handed."""
-    data = read(state_dir, "state.json")
-    store = data.rfind(b',"store":')
-    registry = data.rfind(b',"stakeholders":', 0, store)
-    contracts = data.rfind(b',"factory":', 0, registry)
-    assert data.endswith(b',"version":1}')
-    return (data[:contracts] + b"}",
-            b"{" + data[contracts + 1:registry] + b"}",
-            b"{" + data[registry + 1:store] + b"}",
-            b"{" + data[store + 1:-len(b',"version":1}')] + b"}")
+def _read_sections(monkeypatch, state_dir) -> list:
+    """Records the name of each section of the dir's manifest whose file
+    the program opens for reading."""
+    names = {section_path(os.path.abspath(state_dir), digest): name
+             for name, digest in manifest(state_dir)["sections"].items()}
+    opened, real = [], builtins.open
 
-
-def _parsed(monkeypatch) -> list:
-    """Records the bytes of each JSON parse of a checkpoint or log."""
-    parsed, real = [], persistence._parse
-    monkeypatch.setattr(persistence, "_parse", lambda data, *args: (
-        parsed.append(data) or real(data, *args)))
-    return parsed
+    def opener(file, mode="r", *args, **kwargs):
+        if mode == "rb" and str(file) in names:
+            opened.append(names[str(file)])
+        return real(file, mode, *args, **kwargs)
+    monkeypatch.setattr(builtins, "open", opener)
+    return opened
 
 
 @pytest.fixture
@@ -1432,43 +1501,57 @@ def deployed(base, capsys):
 
 def test_a_command_parses_only_the_slices_of_the_sections_it_uses(
         deployed, monkeypatch, capsys):
+    """A command reads, checks and parses the file of each section it
+    uses and no other: `chain balance` none, `token balance` the
+    contracts, `object get` the store, and a write all three."""
     state_dir, prop = deployed
-    head, contracts, registry, store = _slices(state_dir)
-    parsed = _parsed(monkeypatch)
+    opened = _read_sections(monkeypatch, state_dir)
     assert estate(state_dir, "chain", "balance", "--address", SELLER) == 0
-    assert parsed == [head]  # no byte of the slices after the head
-    parsed.clear()
+    assert opened == []  # the manifest alone
     assert estate(state_dir, "token", "balance", "--property", prop,
                   "--owner", SELLER, "--id", "1") == 0
-    assert parsed == [head, contracts]
-    parsed.clear()
+    assert opened == ["contracts"]
+    opened.clear()
     assert estate(state_dir, "object", "get", "--cid", make_cid(b"deed")) == 0
-    assert parsed == [head, store]
-    parsed.clear()
+    assert opened == ["store"]
+    opened.clear()
     assert estate(state_dir, *faucet(5, 10)) == 0
-    assert sorted(parsed) == sorted([head, contracts, registry, store])
+    assert sorted(opened) == ["contracts", "registry", "store"]
     capsys.readouterr()
 
 
 def test_a_checkpoint_without_a_digest_is_parsed_whole_once(
         base, monkeypatch, capsys):
-    _drop_digest(base)
-    data = read(base, "state.json")
-    parsed = _parsed(monkeypatch)
-    for argv in (["chain", "balance", "--address", SELLER], faucet(5, 10)):
-        parsed.clear()
-        assert estate(base, *argv) == 0
-        assert parsed == [data]
-    capsys.readouterr()
+    """A command parses a digest-less checkpoint an older version wrote
+    once, whole, and rebuilds the state from the log."""
+    data = _digestless(base)
+    parsed, real = [], persistence._parse
+    monkeypatch.setattr(persistence, "_parse", lambda data, *args: (
+        parsed.append(data) or real(data, *args)))
+    assert estate(base, "chain", "balance", "--address", SELLER) == 0
+    assert parsed.count(data) == 1
+    assert "older version's checkpoint" in capsys.readouterr().err
 
 
 def _resign(state_dir, old: bytes, new: bytes):
-    """Edit state.json by hand, `old` to `new`, and write the digest the
-    edited bytes have."""
+    """Edit the checkpoint by hand, `old` to `new` in the one file of it
+    that holds `old`, and sign the manifest again: a section file edited
+    is stored under the digest of its new bytes, which the manifest then
+    names in place of the old one."""
+    for digest_ in manifest(state_dir)["sections"].values():
+        section = read(state_dir, f"sections/{digest_}.json")
+        if old in section:
+            assert section.count(old) == 1
+            section = section.replace(old, new)
+            renamed = hashlib.sha256(section).hexdigest()
+            with open(section_path(state_dir, renamed), "wb") as fh:
+                fh.write(section)
+            old, new = digest_.encode(), renamed.encode()
+            break
     data = read(state_dir, "state.json")
-    (digest_,) = re.findall(rb'"state":"([0-9a-f]{64})"', data)
+    (signed,) = re.findall(rb'"state":"([0-9a-f]{64})"', data)
     assert data.count(old) == 1
-    data = data.replace(digest_, b"0" * 64).replace(old, new)
+    data = data.replace(signed, b"0" * 64).replace(old, new)
     signed = hashlib.sha256(data).hexdigest().encode()
     with open(os.path.join(state_dir, "state.json"), "wb") as fh:
         fh.write(data.replace(b"0" * 64, signed, 1))
@@ -1476,14 +1559,14 @@ def _resign(state_dir, old: bytes, new: bytes):
 
 def test_a_broken_registry_under_a_matching_digest_fails_only_its_readers(
         base, capsys):
-    """With the digest rewritten to match, stakeholder bytes that are not
-    JSON fail the commands that use the registry, as the whole file
-    would have failed every command."""
+    """A registry file that is not JSON, stored under its own digest and
+    named by a manifest signed again, fails the commands that use the
+    registry, and no other."""
     _resign(base, b'"roles":["Seller"]', b'"roles":["Seller"')
     files = dir_bytes(base)
     assert estate(base, "chain", "balance", "--address", SELLER) == 0
     assert capsys.readouterr().out.endswith("balance: 500\n")
-    path = os.path.join(base, "state.json")
+    path = section_path(base, manifest(base)["sections"]["registry"])
     for argv in (["stakeholder", "show", "--address", SELLER],
                  ["state", "digest"], faucet(5, 10)):
         assert estate(base, *argv) == 3
@@ -1492,37 +1575,48 @@ def test_a_broken_registry_under_a_matching_digest_fails_only_its_readers(
     assert dir_bytes(base) == files
 
 
-@pytest.mark.parametrize("old, new, readers", [
-    (b',"stakeholders":', b',"q":0,"stakeholders":', [
+# the first bytes of each section file, and the readers of its section
+SECTION_HEADS = {
+    "contracts": (b'{"factory":', [
         ["token", "balance", "--property", "{prop}", "--owner", SELLER,
          "--id", "1"], ["property", "info", "--property", "{prop}"]]),
-    (b',"store":', b',"t":0,"store":', [
+    "registry": (b'{"stakeholders":{"stakeholders":', [
         ["stakeholder", "show", "--address", SELLER]]),
-    (b',"version":1}', b',"u":0,"version":1}', [
-        ["object", "get", "--cid", make_cid(b"deed")]])],
-    ids=["contracts", "registry", "store"])
-def test_a_key_added_to_a_lazy_slice_fails_its_readers_as_before(
-        deployed, capsys, old, new, readers):
-    """A slice that parses but holds a key no section has is read from
-    the whole file, which refuses the key as a load did before."""
+    "store": (b'{"store":', [["object", "get", "--cid", make_cid(b"deed")]])}
+
+
+def _key_refused(deployed, capsys, name, key, value):
+    """Add `key` to the file of section `name` under a matching digest:
+    every reader of the section, and no other command, refuses the keys."""
     state_dir, prop = deployed
-    _resign(state_dir, old, new)
+    head, readers = SECTION_HEADS[name]
+    _resign(state_dir, head, b"{%s:%s,%s" % (
+        canonical_json_bytes(key), canonical_json_bytes(value), head[1:]))
     files = dir_bytes(state_dir)
     assert estate(state_dir, "chain", "balance", "--address", SELLER) == 0
-    capsys.readouterr()
-    extra = new[2:3].decode()
-    expected = sorted(persistence.STATE_KEYS | {"store"})
-    keys = sorted(expected + [extra])
+    assert capsys.readouterr().out.endswith("balance: 500\n")  # the manifest's
+    expected = sorted(persistence.SECTION_FILES[name][0])
     for argv in [*readers, ["state", "digest"], faucet(5, 10)]:
         assert estate(state_dir, *[a.format(prop=prop) for a in argv]) == 3
         assert capsys.readouterr().err == (
-            f"error: CorruptSnapshot: keys {keys}, expected {expected}\n")
+            f"error: CorruptSnapshot: keys {sorted(expected + [key])}, "
+            f"expected {expected}\n")
     assert dir_bytes(state_dir) == files
+
+
+@pytest.mark.parametrize("name, key", [
+    ("contracts", "q"), ("registry", "t"), ("store", "u")],
+    ids=["contracts", "registry", "store"])
+def test_a_key_added_to_a_lazy_slice_fails_its_readers_as_before(
+        deployed, capsys, name, key):
+    """A section file that parses but holds a key its section has not is
+    refused by the section's readers."""
+    _key_refused(deployed, capsys, name, key, 0)
 
 
 def test_a_surrogate_escape_under_a_matching_digest_fails_every_command(
         base, capsys):
-    _resign(base, b'"roles":["Seller"]', b'"roles":["Seller\\udcff"]')
+    _resign(base, b'"allowlist":null', b'"allowlist":"\\udcff"')
     path = os.path.join(base, "state.json")
     for argv in (["chain", "balance", "--address", SELLER], faucet(5, 10)):
         assert estate(base, *argv) == 3
@@ -1532,44 +1626,41 @@ def test_a_surrogate_escape_under_a_matching_digest_fails_every_command(
 
 
 def test_a_tag_nested_before_the_checkpoints_own_is_not_its_tag(tmp_path):
-    """A block key in the accounts, signed in place of the file's own
-    digest-less tag, is found first: the load reads the file's own tag,
-    unchecked, as before the split."""
-    body = Node().state.state_dict() | {"store": []}
+    """A block key in the accounts, before the manifest's own tag, is no
+    tag of it: the load reads the manifest's own, and checks its digest."""
     nested = {"hash": "11" * 32, "index": 1, "state": "00" * 32}
-    body["accounts"] = {"a": 0, "block": nested, "c": 0}
-    data = canonical_json_bytes(body | {"block": {"hash": "22" * 32,
-                                                   "index": 3}})
-    signed = hashlib.sha256(data).hexdigest().encode()
-    data = data.replace(b"0" * 64, signed, 1)
-    assert persistence._SIGNED_TAG.search(data)[3] == signed
+    body = {"accounts": {"a": 0, "block": nested, "c": 0}, "config": {},
+            "sections": dict.fromkeys(persistence.SECTION_FILES, "33" * 32),
+            "version": 1}
+    tag = persistence.Checkpoint(3, bytes.fromhex("22" * 32), bytes(32))
+    data = persistence._sign(canonical_json_bytes(
+        body | {"block": to_json(tag)}), tag)
     path = tmp_path / "state.json"
     path.write_bytes(data)
-    head, _, tag = persistence._read_checkpoint(str(path))
-    assert tag == persistence.Checkpoint(3, bytes.fromhex("22" * 32))
-    assert head["accounts"] == json.loads(data)["accounts"]
+    d, read_bytes = persistence._read_checkpoint(str(path))
+    assert persistence._manifest(str(path), d, read_bytes) == (
+        tag, body["sections"])
+    assert d["accounts"] == body["accounts"]
 
 
-def test_a_nested_marker_that_cuts_a_slice_wrong_reads_the_whole_file(
-        base, monkeypatch):
-    """A stakeholder key nested in the registry is the last one: the cut
-    there parses as no section, and both lazy slices read the whole
-    file."""
-    node = load_state(str(base))
-    body = node.state.state_dict() | persistence._members(node.state)
-    body["stakeholders"]["x"] = {"a": 1, "stakeholders": {"roles": []}}
-    data = persistence._checkpoint_bytes(body, 3, bytes(32))
-    wholes, real = [], persistence._read_whole
-    monkeypatch.setattr(persistence, "_read_whole", lambda *args: (
-        wholes.append(1) or real(*args)))
-    head, (contracts, registry, store), _ = persistence._split("state.json",
-                                                               data)
-    assert wholes == []
-    assert registry()["stakeholders"] == body["stakeholders"]
-    assert contracts()["properties"] == body["properties"]
-    assert wholes == [1, 1]
-    assert contracts.stored is None and registry.stored is None
-    assert store()["store"] == body["store"] and store.stored is not None
+def _parts(state_dir) -> dict:
+    """The section of each section file the dir's manifest names, read
+    by the load's own reader."""
+    sections_dir = os.path.abspath(os.path.join(state_dir, "sections"))
+    return {name: persistence._section(sections_dir, name, digest_, None)()
+            for name, digest_ in manifest(state_dir)["sections"].items()}
+
+
+def test_a_nested_marker_that_cuts_a_slice_wrong_reads_the_whole_file(base):
+    """Section keys nested in a section's values cut nothing: each
+    section file is parsed whole, and reads back as written."""
+    d = read_checkpoint(base)
+    d["stakeholders"]["x"] = {"a": 1, "stakeholders": {"roles": []}}
+    d["factory"]["y"] = [{"store": [], "factory": {}}]
+    write_checkpoint(base, d)
+    assert _parts(base) == {
+        name: {key: d[key] for key in keys}
+        for name, (keys, _) in persistence.SECTION_FILES.items()}
 
 
 def _records() -> list:
@@ -1589,13 +1680,13 @@ def _records() -> list:
 
 SECTIONS = ("accounts", "config", "factory", "properties", "stakeholders",
             "store")
-NESTED_KEYS = SECTIONS + ("block", "version", "a", "zz")
+NESTED_KEYS = SECTIONS + ("block", "sections", "version", "a", "zz")
 # values that nest the checkpoint's own keys at any depth, holding
-# records, or a copy of a section marker or of the version suffix
+# records, or a copy of a key as the files hold it
 nesting = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=4)
     | st.sampled_from([',"factory":{', ',"stakeholders":', ',"store":',
-                       ',"version":1}'])
+                       ',"version":1}', '"sections":{'])
     | st.sampled_from(_records()),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
         st.sampled_from(NESTED_KEYS), inner, max_size=4),
@@ -1606,19 +1697,20 @@ nesting = st.recursive(
     st.sampled_from(NESTED_KEYS), nesting, max_size=3) for name in SECTIONS}))
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 def test_a_split_checkpoint_yields_the_sections_of_a_whole_parse(sections):
-    data = persistence._checkpoint_bytes(sections | {"version": 1}, 7,
-                                         bytes(range(32)))
-    whole = json.loads(data)
-    split = persistence._split("state.json", data)
-    if split is None:  # the load parses the file whole, as before the split
-        return
-    head, (contracts, registry, store), tag = split
-    assert to_json(tag) == whole["block"]
-    assert head == {k: whole[k] for k in ("accounts", "config")}
-    assert {k: contracts()[k] for k in ("factory", "properties")} == {
-        k: whole[k] for k in ("factory", "properties")}
-    assert registry()["stakeholders"] == whole["stakeholders"]
-    assert store()["store"] == whole["store"]
+    """A checkpoint stored as a manifest and section files, whatever its
+    values nest, reads back as the dict it was stored from."""
+    tag = {"hash": bytes(range(32)).hex(), "index": 7}
+    with tempfile.TemporaryDirectory() as state_dir:
+        write_checkpoint(state_dir, sections | {"version": 1, "block": tag})
+        path = os.path.join(state_dir, "state.json")
+        head, data = persistence._read_checkpoint(path)
+        got, _ = persistence._manifest(path, head, data)
+        assert (got.index, got.hash.hex()) == (tag["index"], tag["hash"])
+        assert {k: head[k] for k in ("accounts", "config")} == {
+            k: sections[k] for k in ("accounts", "config")}
+        assert _parts(state_dir) == {
+            name: {key: sections[key] for key in keys}
+            for name, (keys, _) in persistence.SECTION_FILES.items()}
 
 
 READS = (["chain", "balance", "--address", SELLER],
@@ -1647,9 +1739,9 @@ def _outputs(state_dir, prop) -> list:
 def test_a_ledger_holding_nested_keys_reads_the_same_split_or_whole(
         texts, extra):
     """Document metadata, stakeholder and contract strings and config
-    values that nest the checkpoint's keys: every section the split
-    yields is the whole parse's, and the reads print the same bytes as
-    with the file parsed whole."""
+    values that nest the checkpoint's keys: the dir loads to the state it
+    was saved from, and the reads print the same bytes as with the state
+    rebuilt from the log."""
     node = Node()
     node.init_genesis(ADMIN_KEY.encode(), info_cid=texts[0], timestamp=0)
     node.execute(ADMIN, "registerStakeholder", {
@@ -1671,43 +1763,38 @@ def test_a_ledger_holding_nested_keys_reads_the_same_split_or_whole(
             pytest.MonkeyPatch.context() as patch:
         patch.setattr(persistence.os, "fsync", lambda fd: None)
         save_state(state_dir, node)
-        data = read(state_dir, "state.json")
-        whole = json.loads(data)
-        split = persistence._split("state.json", data)
-        # every key nested in a string is escaped, so only a surrogate
-        # escape in one keeps a saved checkpoint whole
-        assert split is not None or persistence._may_hold_surrogate(data)
-        if split is not None:
-            head, (contracts, registry, store), _ = split
-            assert head | contracts() | registry() | store() == {
-                k: v for k, v in whole.items() if k not in ("block",
-                                                            "version")}
+        loaded = load_state(state_dir)
+        assert loaded.state.state_dict() == node.state.state_dict()
+        assert loaded.full_digest() == node.full_digest()
         outputs = _outputs(state_dir, prop)
-        patch.setattr(persistence, "_split", lambda path, data: None)
-        assert outputs == _outputs(state_dir, prop)
+        os.remove(os.path.join(state_dir, "state.json"))
+        rebuilt = _outputs(state_dir, prop)
     assert [rc for rc, *_ in outputs] == [0, 0, 0, 0]
+    assert [out for _, out, _ in outputs] == [out for _, out, _ in rebuilt]
+    assert {err for *_, err in outputs} == {""}
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc on", "gc off"])
 def test_a_whole_log_decode_pauses_gc_and_restores_the_callers_setting(
         base, monkeypatch, capsys, enabled):
     seen, real = [], persistence._json_object
-    monkeypatch.setattr(persistence, "_json_object", lambda *args: (
-        seen.append(gc.isenabled()) or real(*args)))
+    monkeypatch.setattr(persistence, "_json_object", lambda path, *args: (
+        path.endswith("chain.json") and seen.append(gc.isenabled())
+    ) or real(path, *args))
     path = os.path.join(base, "chain.json")
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
         assert estate(base, "chain", "verify") == 0  # StoredLog.before
         assert gc.isenabled() is enabled
-        assert persistence._read_log(path, None).height == 5
+        assert persistence._read_log(path, 0).height == 5
         assert gc.isenabled() is enabled
         with open(path, "r+b") as fh:  # the log's first byte
             fh.write(b"[")
         assert estate(base, "chain", "verify") == 3
         assert gc.isenabled() is enabled
         with pytest.raises(LedgerError) as e:
-            persistence._read_log(path, None)
+            persistence._read_log(path, 0)
         assert e.value.code == "CorruptSnapshot"
         assert gc.isenabled() is enabled
     finally:
@@ -1716,49 +1803,45 @@ def test_a_whole_log_decode_pauses_gc_and_restores_the_callers_setting(
     capsys.readouterr()
 
 
-# -- a write re-encodes only the slices its blocks' ops declare -------------
+# -- a write encodes only the sections its blocks' ops declare ---------------
 
 
-@pytest.mark.parametrize("old, key, value, readers", [
-    (b',"store":', "accounts", {"accounts": {SELLER: 999}},
-     [["stakeholder", "show", "--address", SELLER]]),
-    (b',"version":1}', "config", {"allowlist": "a.txt"},
-     [["object", "get", "--cid", make_cid(b"deed")]]),
-    (b',"stakeholders":', "config", {"allowlist": "a.txt"},
-     [["property", "info", "--property", "{prop}"]]),
-    (b',"stakeholders":', "block", {"hash": "11" * 32, "index": 1},
-     [["property", "info", "--property", "{prop}"]])],
+@pytest.mark.parametrize("name, key, value", [
+    ("registry", "accounts", {"accounts": {SELLER: 999}}),
+    ("store", "config", {"allowlist": "a.txt"}),
+    ("contracts", "config", {"allowlist": "a.txt"}),
+    ("contracts", "block", {"hash": "11" * 32, "index": 1})],
     ids=["accounts in the registry", "config in the store",
          "config in the contracts", "tag in the contracts"])
 def test_a_slice_that_repeats_a_head_key_fails_its_readers(
-        deployed, capsys, old, key, value, readers):
-    """With the digest rewritten to match, a slice that holds a head key
-    as well is refused: the head's own parse took the head's value, and
-    a whole parse would take the slice's, so no command reads both."""
-    state_dir, prop = deployed
-    _resign(state_dir, old, b",%s:%s%s" % (
-        canonical_json_bytes(key), canonical_json_bytes(value), old))
-    files = dir_bytes(state_dir)
-    assert estate(state_dir, "chain", "balance", "--address", SELLER) == 0
-    assert capsys.readouterr().out.endswith("balance: 500\n")  # the head's
-    path = os.path.join(state_dir, "state.json")
-    for argv in [*readers, ["state", "digest"], faucet(5, 10)]:
-        assert estate(state_dir, *[a.format(prop=prop) for a in argv]) == 3
-        assert capsys.readouterr().err == (
-            f"error: CorruptSnapshot: {path} holds {key!r} twice\n")
-    assert dir_bytes(state_dir) == files
+        deployed, capsys, name, key, value):
+    """A section file that also holds a key of the manifest is refused
+    by its section's readers; every command takes that key's value from
+    the manifest alone."""
+    _key_refused(deployed, capsys, name, key, value)
 
 
-def _whole_encoding(state_dir) -> bytes:
-    """The checkpoint of the dir's ledger at its log's tip, encoded
-    whole."""
+def _whole_encoding(state_dir) -> tuple:
+    """The checkpoint of the dir's ledger at its log's tip, encoded whole:
+    the manifest and each section file, digest -> bytes."""
     state = load_state(str(state_dir)).state
-    tip = state.chain.held[-1]
-    return persistence._whole_checkpoint(state, tip.index, tip.hash)
+    return persistence._checkpoint(state, state.chain.held[-1])[:2]
+
+
+def _restore_files(state_dir, files: tuple):
+    """Put back the manifest and section files `whole_files` gave."""
+    data, sections = files
+    with open(os.path.join(state_dir, "state.json"), "wb") as fh:
+        fh.write(data)
+    for digest_, section in sections.items():
+        with open(section_path(state_dir, digest_), "wb") as fh:
+            fh.write(section)
 
 
 def test_state_json_is_a_whole_encoding_after_every_command(
         deployed, tmp_path, capsys):
+    """After every command, the manifest and each section file it names
+    are what encoding the whole state gives."""
     state_dir, prop = deployed
     buyer = derive_address(b"buyer-key")
     deed = make_cid(b"deed")
@@ -1771,7 +1854,7 @@ def test_state_json_is_a_whole_encoding_after_every_command(
         if "--as" in argv:  # a write, at the next timestamp
             argv += ("--timestamp", str(next(ts)))
         assert estate(state_dir, *argv) == code
-        assert read(state_dir, "state.json") == _whole_encoding(state_dir)
+        assert whole_files(state_dir) == _whole_encoding(state_dir)
         # and the checkpoint holds the state the log replays to
         assert estate(state_dir, "chain", "replay") == 0
 
@@ -1813,14 +1896,13 @@ def test_state_json_is_a_whole_encoding_after_every_command(
                 [["stakeholder", "register", "--role", "Buyer", "--key",
                   "b5"], ["token", "approve", "--property", prop,
                           "--operator", SELLER, "--approved", "true"]]):
-        lagging = read(state_dir, "state.json")
+        lagging = whole_files(state_dir)
         for argv in lag:
             run(*argv, "--as", ADMIN)
-        with open(os.path.join(state_dir, "state.json"), "wb") as fh:
-            fh.write(lagging)
+        _restore_files(state_dir, lagging)
         assert estate(state_dir, "chain", "balance", "--address",
                       SELLER) == 0
-        assert read(state_dir, "state.json") == lagging
+        assert whole_files(state_dir) == lagging
         run(*grant)
     snapshot = str(tmp_path / "snap.json")
     run("state", "export", "--out", snapshot)
@@ -1831,21 +1913,23 @@ def test_state_json_is_a_whole_encoding_after_every_command(
 
 def test_a_checkpoint_read_whole_is_encoded_whole_by_the_next_write(
         base, capsys):
-    """A digest-less checkpoint in a form no write produces is parsed
-    whole, so no slice of it is written back as it was."""
-    _drop_digest(base)
-    path = os.path.join(base, "state.json")
-    data = read(base, "state.json")
-    with open(path, "wb") as fh:
-        fh.write(data.replace(b'"stakeholders":{', b'"stakeholders": {'))
+    """A checkpoint an older version wrote, in a form no write produces,
+    is rebuilt from the log; the next write encodes the manifest and
+    every section file whole."""
+    older = _older_checkpoint(base, True)
+    shutil.rmtree(base / "sections")
+    with open(os.path.join(base, "state.json"), "wb") as fh:
+        fh.write(older.replace(b'"stakeholders":{', b'"stakeholders": {', 1))
     assert estate(base, *faucet(5, 10)) == 0
-    assert read(base, "state.json") == _whole_encoding(base)
+    assert whole_files(base) == _whole_encoding(base)
+    assert sorted(os.listdir(base / "sections")) == sorted(
+        digest_ + ".json" for digest_ in manifest(base)["sections"].values())
     capsys.readouterr()
 
 
 def test_a_write_encodes_only_the_slices_its_blocks_ops_declare(
         deployed, monkeypatch, capsys):
-    """What each write encodes beyond the head: a faucet nothing, a
+    """What each write encodes beyond the manifest: a faucet nothing, a
     register the registry, a property op the contracts, and after a
     lagging load also what the redone blocks' ops declare."""
     state_dir, prop = deployed
@@ -1856,7 +1940,7 @@ def test_a_write_encodes_only_the_slices_its_blocks_ops_declare(
             encoded.append(sorted(value))
         return real(value)
     monkeypatch.setattr(persistence, "canonical_json_bytes", spy)
-    head = ["accounts", "block", "config"]
+    head = ["accounts", "block", "config", "sections", "version"]
 
     def writes(*argv):
         encoded.clear()
@@ -1868,11 +1952,10 @@ def test_a_write_encodes_only_the_slices_its_blocks_ops_declare(
     assert writes("stakeholder", "register", "--role", "Buyer", "--key",
                   "b1") == [["stakeholders"], head]
     assert writes("factory", "pause") == [["factory", "properties"], head]
-    lagging = read(state_dir, "state.json")
+    lagging = whole_files(state_dir)
     assert writes("stakeholder", "register", "--role", "Buyer", "--key",
                   "b2") == [["stakeholders"], head]
-    with open(os.path.join(state_dir, "state.json"), "wb") as fh:
-        fh.write(lagging)
+    _restore_files(state_dir, lagging)
     assert writes(*faucet(1, 0)[:-4]) == [["stakeholders"], head]
     assert writes(*faucet(1, 0)[:-4]) == [head]
     capsys.readouterr()
@@ -1880,12 +1963,12 @@ def test_a_write_encodes_only_the_slices_its_blocks_ops_declare(
 
 def test_a_write_checks_a_slice_it_writes_back_as_it_was_read(
         base, tmp_path):
-    """The registry slice parses to exactly its keys, but its record
-    fails its check: a save of the loaded ledger refuses it, as every
-    write does, though no op changed the registry."""
+    """The registry file matches the digest the manifest names it by,
+    but its record fails its check: a save of the loaded ledger refuses
+    it, as every write does, though no op changed the registry."""
     _resign(base, b'"roles":["Seller"]', b'"roles":[7]')
     node = load_state(str(base))
-    for _ in range(2):  # the second save finds the slice parsed
+    for _ in range(2):  # the second save finds the section read
         with pytest.raises(LedgerError) as e:
             save_state(str(tmp_path / "copy"), node)
         assert e.value.code == "CorruptSnapshot"
@@ -1893,13 +1976,179 @@ def test_a_write_checks_a_slice_it_writes_back_as_it_was_read(
 
 
 def test_slices_stored_for_a_block_of_another_hash_are_not_carried(base):
-    """Slices that reflect a block at an index the chain holds, but of
-    another hash, reflect another history: every slice is re-encoded."""
+    """Section digests recorded for a block the chain does not hold at
+    that index, one of another history, are not carried: a write encodes
+    every section file again."""
     node = load_state(str(base))
-    node.state.decode()  # parses each slice, so its bytes count
+    node.state.decode()
     chain = node.state.chain
-    slices = chain.log.slices
-    assert slices.index == chain.held[0].index
-    assert None not in persistence._carried(chain)
-    chain.log.slices = dataclasses.replace(slices, hash=bytes(32))
-    assert persistence._carried(chain) == [None] * len(persistence.SLICES)
+    block, digests = chain.log.manifest
+    assert block is chain.held[0]
+    assert persistence._encode(node.state, chain, str(base))[1] == {}
+    other = copy.copy(block)
+    other.hash = bytes(32)
+    chain.log.manifest = (other, digests)
+    assert len(persistence._encode(node.state, chain, str(base))[1]) == len(
+        persistence.SECTION_FILES)
+
+
+def _written(monkeypatch) -> list:
+    """Records each file `persistence` opens for writing, as the path
+    under its state dir of the file a temp name becomes."""
+    written, real = [], builtins.open
+
+    def opener(path, mode="r", *args, **kwargs):
+        if mode in ("wb", "r+b"):
+            parent, name = os.path.split(str(path).removesuffix(".tmp"))
+            in_dir = os.path.basename(parent) in ("objects", "sections")
+            written.append(f"{os.path.basename(parent)}/{name}"
+                           if in_dir else name)
+        return real(path, mode, *args, **kwargs)
+    monkeypatch.setattr(persistence, "open", opener, raising=False)
+    return written
+
+
+def test_a_write_opens_for_writing_only_the_files_its_ops_change(
+        deployed, monkeypatch, capsys):
+    """A faucet writes its append and the manifest alone; `object put`
+    also its object and the store's section file, and a property op the
+    contracts' section file."""
+    state_dir, prop = deployed
+    written = _written(monkeypatch)
+
+    def writes(*argv):
+        written.clear()
+        assert estate(state_dir, *argv, "--as", ADMIN, "--timestamp",
+                      "20") == 0
+        return sorted(written)
+
+    def section(name):
+        return f"sections/{manifest(state_dir)['sections'][name]}.json"
+    assert writes(*faucet(1, 0)[:-4]) == ["chain.json", "state.json"]
+    plan = make_cid(b"plan").split(":")[1]
+    assert writes("object", "put", "--data", "plan") == [
+        "chain.json", f"objects/{plan}.bin", section("store"), "state.json"]
+    assert writes("token", "approve", "--property", prop, "--operator",
+                  SELLER, "--approved", "true") == [
+        "chain.json", section("contracts"), "state.json"]
+    capsys.readouterr()
+
+
+# what each section's readers print, beside `state digest`
+SECTION_READERS = {
+    "contracts": ["token", "balance", "--property", "{prop}", "--owner",
+                  SELLER, "--id", "1"],
+    "registry": ["stakeholder", "show", "--address", SELLER],
+    "store": ["object", "get", "--cid", make_cid(b"deed")]}
+
+
+@pytest.mark.parametrize("case", sorted(LOST_OBJECT))
+@pytest.mark.parametrize("name", sorted(persistence.SECTION_FILES))
+def test_a_missing_or_torn_section_file_is_rebuilt_from_the_log(
+        deployed, capsys, name, case):
+    """A section file is a cache of the log: one missing, empty, cut
+    short or zeroed past a prefix is rebuilt from the log, with one
+    notice, by every reader of its section, which stores the file again,
+    so the next command reads it as before."""
+    state_dir, prop = deployed
+    path = section_path(os.path.abspath(state_dir),
+                        manifest(state_dir)["sections"][name])
+    reads = ([a.format(prop=prop) for a in SECTION_READERS[name]],
+             ["state", "digest"])
+    want = []
+    for argv in reads:
+        assert estate(state_dir, *argv) == 0
+        want.append(capsys.readouterr().out)
+    files = dir_bytes(state_dir)
+    notice = (f"notice: {path} is missing or torn; rebuilt it from "
+              f"{os.path.abspath(state_dir)}/chain.json\n")
+    for argv, out in zip(reads, want):
+        LOST_OBJECT[case](path)
+        assert estate(state_dir, *argv) == 0
+        assert capsys.readouterr() == (out, notice)
+        assert dir_bytes(state_dir) == files
+        assert estate(state_dir, *argv) == 0
+        assert capsys.readouterr() == (out, "")
+
+
+def test_a_section_file_holding_other_bytes_fails_only_its_readers(
+        deployed, capsys):
+    """A section file edited by hand no longer matches the digest its
+    manifest names it by: the commands that read its section refuse it,
+    writing nothing, and the others answer."""
+    state_dir, prop = deployed
+    path = section_path(state_dir, manifest(state_dir)["sections"][
+        "registry"])
+    data = read(state_dir, path)
+    at = data.index(b'"keyFingerprint":"') + len(b'"keyFingerprint":"')
+    with open(path, "wb") as fh:
+        fh.write(data[:at] + (b"1" if data[at:at + 1] == b"0" else b"0")
+                 + data[at + 1:])
+    files = dir_bytes(state_dir)
+    for argv in (["chain", "balance", "--address", SELLER],
+                 ["token", "balance", "--property", prop, "--owner", SELLER,
+                  "--id", "1"], ["chain", "verify"]):
+        assert estate(state_dir, *argv) == 0
+    capsys.readouterr()
+    for argv in (["stakeholder", "show", "--address", SELLER],
+                 ["state", "digest"], faucet(5, 10)):
+        assert estate(state_dir, *argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: CorruptSnapshot: {os.path.abspath(path)} does not "
+            "match its digest\n")
+    assert dir_bytes(state_dir) == files
+
+
+def test_a_lost_section_file_no_replay_gives_fails_its_readers(
+        base, capsys):
+    """A manifest signed again over an edited registry names a file no
+    replay of the log gives: once that file is lost, the readers of the
+    registry refuse the checkpoint, and the others answer."""
+    _resign(base, b'"roles":["Seller"]', b'"roles":["Buyer"]')
+    d = manifest(base)
+    path = section_path(base, d["sections"]["registry"])
+    os.remove(path)
+    files = dir_bytes(base)
+    assert estate(base, "chain", "balance", "--address", SELLER) == 0
+    capsys.readouterr()
+    for argv in (["stakeholder", "show", "--address", SELLER],
+                 ["state", "digest"], faucet(5, 10)):
+        assert estate(base, *argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: CorruptSnapshot: {path} does not match its digest, nor "
+            f"does the state of block {d['block']['index']} of "
+            f"{base}/chain.json\n")
+    assert dir_bytes(base) == files
+
+
+def test_a_whole_write_removes_the_temp_files_a_fault_left(
+        base, tmp_path, monkeypatch, capsys):
+    """A fault at a section or object file's rename leaves its temp
+    file; the next whole write lists objects/ and sections/ and removes
+    every file but the new ledger's, temp files included."""
+    other, snap = tmp_path / "other", tmp_path / "other.json"
+    assert estate(other, "init", "--admin-key", ADMIN_KEY,
+                  "--timestamp", "0") == 0
+    assert estate(other, "state", "export", "--out", str(snap)) == 0
+    real_replace = os.replace
+    for suffix, argv in ((".json.tmp", ["stakeholder", "register", "--role",
+                                        "Buyer", "--key", "buyer-key"]),
+                         (".bin.tmp", ["object", "put", "--data", "plan"])):
+        def replace(src, dst):
+            if src.endswith(suffix):
+                raise OSError(errno.EIO, "injected fault")
+            return real_replace(src, dst)
+        with monkeypatch.context() as patch:
+            patch.setattr(persistence.os, "replace", replace)
+            assert estate(base, *argv, "--as", ADMIN, "--timestamp",
+                          "10") == 3
+    temps = [name for sub in ("objects", "sections")
+             for name in os.listdir(base / sub) if name.endswith(".tmp")]
+    assert sorted(name.split(".", 1)[1] for name in temps) == [
+        "bin.tmp", "json.tmp"]
+    assert estate(base, "state", "import", "--in", str(snap), "--force") == 0
+    assert os.listdir(base / "objects") == []
+    assert sorted(os.listdir(base / "sections")) == sorted(
+        digest_ + ".json" for digest_ in manifest(base)["sections"].values())
+    assert digest(base) == digest(other)
+    capsys.readouterr()

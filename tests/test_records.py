@@ -15,13 +15,14 @@ from estateledger.errors import LedgerError
 from estateledger.persistence import load_state, save_state
 from estateledger.records import read
 
+from checkpoints import read_checkpoint, write_checkpoint
+
 # one value of each JSON type; a leaf is swapped for each one whose type
 # differs from its own, and an int leaf for a float as well
 SUBSTITUTES = (None, True, 7, "7", [], {})
 # the ends of the paths of the stored fields annotated Optional, where
 # null loads
-OPTIONAL = (("config", "allowlist"), ("approvalRoot",), ("tokens", "baseUri"),
-            ("block", "state"))
+OPTIONAL = (("config", "allowlist"), ("approvalRoot",), ("tokens", "baseUri"))
 BLOCK_HEADER = {"index", "timestamp", "nonce", "transactions", "prevHash",
                 "hash"}
 
@@ -60,21 +61,30 @@ def test_every_mistyped_leaf_is_corrupt_snapshot(approved_prop, tmp_path):
                         and path[2] in BLOCK_HEADER)):
         file = tmp_path / name
         original = file.read_bytes()
+        # the checkpoint is edited as one dict and stored again, each
+        # section file under its new digest and the manifest signed, so
+        # that an edit reaches the typed check of what it edits; the tag
+        # and the section digests are edited in the manifest in place
         doc = json.loads(original)
-        # a tag without its digest loads unchecked, so that an edit reaches
-        # the typed check of what it edits; the digest is edited in place
-        unsigned = dict(doc)
-        if "block" in doc:
-            unsigned["block"] = {k: v for k, v in doc["block"].items()
-                                 if k != "state"}
-        for path, value in _leaves(doc):
+        state = name == "state.json"
+        whole = read_checkpoint(tmp_path) if state else None
+        leaves = [(path, value, doc) for path, value in _leaves(doc)
+                  if path[0] in ("block", "sections")] if state else [
+            (path, value, doc) for path, value in _leaves(doc)]
+        if state:
+            leaves += [(path, value, whole) for path, value in _leaves(whole)
+                       if path[0] != "block"]
+        for path, value, edited in leaves:
             if not keep(path):
                 continue
-            edited = doc if path == ("block", "state") else unsigned
             for new in SUBSTITUTES + ((1.5,) if type(value) is int else ()):
                 if type(new) is type(value):
                     continue
-                file.write_text(_dumped_with(edited, path, new))
+                if edited is whole:
+                    write_checkpoint(tmp_path, json.loads(
+                        _dumped_with(whole, path, new)))
+                else:
+                    file.write_text(_dumped_with(edited, path, new))
                 probes += 1
                 # a section is read on first use: decode() reads each
                 if new is None and any(path[-len(end):] == end
