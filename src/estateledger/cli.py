@@ -26,7 +26,8 @@ from .errors import LedgerError, err
 from .identity import parse_role
 from .merkle import MerkleProof, MerkleTree, verify_proof
 from .node import Node
-from .persistence import LedgerDir, read_snapshot, write_snapshot
+from .persistence import (LedgerDir, check_sections, read_snapshot,
+                          write_snapshot)
 from .records import to_json
 from .storage import cid_digest, resolve_uri
 from .tokens import check_token_id, fractional_of, swap_descriptor_digest
@@ -334,7 +335,8 @@ def _token_balance(args, node) -> dict:
 
 
 def _chain_verify(args, node) -> dict:
-    node.state.store.read_all()  # an audit checks every object file too
+    node.state.store.read_all()  # an audit checks every object file too,
+    check_sections(node)  # and every section file's bytes
     if not node.state.chain.verify():
         raise err("HashMismatch", "chain verification FAILED")
     return {"chain": "OK", "blocks": len(node.state.chain.blocks)}

@@ -148,6 +148,7 @@ def state_digest(d: dict, chain: Chain) -> str:
 class Node:
     def __init__(self, state: LedgerState = None):
         self.state = state if state is not None else LedgerState()
+        self.changed = set()  # the SECTIONS ops since a checkpoint declare
 
     # -- digests ------------------------------------------------------------
 
@@ -236,6 +237,7 @@ class Node:
         except (TypeError, ValueError, RecursionError) as exc:
             raise err("ParseError", f"{operation} params: {exc}") from None
         result, events = EXECUTORS[operation](state, caller, params, value)
+        self.changed |= decl.writes
         state.chain.append_block([blob, *map(
             Transaction.canonical_bytes, events)] if events else [blob],
             timestamp)
@@ -326,11 +328,9 @@ def op(name, /, payable=False, optional=(), writes=SECTIONS, **required):
     """Declare the executor of op `name`: whether a command may attach
     value, and each param's reader, which refuses a value of another exact
     type; `optional` maps the params a command may leave out to theirs.
-    `writes` names the ``LedgerState`` sections the executor may change;
-    an op that names none counts as changing every one. ``save_state``
-    encodes only the checkpoint's section files (contracts, registry,
-    store) that the ops of the blocks since its last read or write
-    declare; its manifest keeps the digest of each other one."""
+    `writes` names the ``LedgerState`` sections the executor may change,
+    which ``Node.execute`` adds to ``Node.changed``; an op that names none
+    counts as changing every one."""
     def declare(executor):
         OPS[name] = Op(payable, required | dict(optional), frozenset(required),
                        frozenset(writes) or SECTIONS)

@@ -1,105 +1,43 @@
 """State directory layout, the commit point of a write, snapshot
 export/import, and ``LedgerDir``, which holds a dir for one command.
 
-Layout inside a state directory:
+README's "State directory" states the rules; this is where each lives.
 
-    chain.json   the block log, canonical JSON: {"blocks":[...]}
-    config.json  the config, written once by a whole write; read only to
-                 rebuild a lost checkpoint
-    state.json   the checkpoint's manifest: the accounts, the config,
-                 "sections", the SHA-256 of each section file, and the
-                 tag "block", the index and hash of the block it reflects
-                 and the file's own digest, "state"
-    sections/    one <hex-digest>.json file per checkpoint section, the
-                 canonical JSON of its keys: contracts (factory,
-                 properties), registry (stakeholders) and store (the
-                 sorted digests of the objects the ledger holds)
-    objects/     one <hex-digest>.bin file per stored object
-    .lock        flock target guarding against concurrent writers
+    chain.json   the block log, the ledger; every other file is a cache
+    config.json  the config, written once by a whole write
+    state.json   the checkpoint's manifest: the accounts, the config, the
+                 digest of each section file and the tag "block"
+    sections/    one <sha256>.json per section: contracts, registry, store
+    objects/     one <sha256>.bin per stored object
+    .lock        the flock a write holds (``LedgerDir.writing``)
 
-The log is the ledger; the manifest and the section and object files
-are caches of it. ``LedgerDir(path)`` is one command's hold on a dir:
-its ``node`` calls ``load_state`` on first use, ``writing()`` holds the
-flock on ``.lock``, once per hold, so a script's lines share it, and
-``commit()`` calls ``save_state``. A read takes no lock.
+Writing. ``save_state`` commits: ``_append`` writes a write's blocks
+over the log's closing ``]}`` and fsyncs, or, for a dir that holds no
+log of this chain, the log and ``config.json`` are written whole. A
+commit inside a ``LedgerDir`` hold leaves the checkpoint to the hold's
+end. ``_encode`` encodes the checkpoint, keeping the digest of each
+section no op the node has run since declares (``Node.changed``), and
+``_store_checkpoint`` writes it with no fsync and removes the section
+files it replaces. ``_checkpoint`` and ``_sign`` give the manifest's
+bytes and its digest.
 
-When the chain was loaded from, or last saved to, the same dir, and the
-log still ends with the chain's stored tip in canonical form and
-``]}``, ``save_state`` writes ``,<block>...]}`` over the closing ``]}``
-and fsyncs: the commit point, and the write's only fsync. Then the new
-object files, the section files and the manifest each go to a temp
-name renamed with no fsync, in that order; then the write removes each
-section file the replaced manifest named and the new one does not. Only
-a section that an op of a block since the manifest was read or written
-declares (``@op(writes=...)``, read from each block's first
-transaction, so blocks a load redid count) is encoded again; every
-other keeps its digest. So a faucet writes the manifest alone. Inside a
-hold, an append leaves the checkpoint to the hold, which writes it once
-as it ends, returned or raised, if the last commit left the ledger at a
-committed tip: a script of ten writes fsyncs ten times and writes one
-checkpoint, and a reader that loads meanwhile redoes the lines
-committed so far. Outside a hold the checkpoint is encoded before the
-first write.
+Loading. ``load_state`` parses the manifest (``_read_checkpoint``,
+``_manifest``, ``_signed``), reads the log back from its end to the
+tag's block (``_read_tail``; ``_read_log`` reads it whole and drops a
+torn last append) and redoes the blocks after it. ``_node`` builds a
+``PendingState`` whose sections ``_section`` and ``_store`` read on
+first use; ``_contracts`` and ``_stakeholders`` check what no command
+can break. ``_json_object`` alone parses a file: UTF-8 JSON, one
+object, no lone surrogate. A missing or torn file is rebuilt from the
+log: a section or object file by ``_LogCache``, through ``read_cached``,
+and the manifest by ``_rebuild``. ``check_sections`` is ``chain
+verify``'s check of every section file's bytes.
 
-A dir that holds no log of this chain (``init``, ``state import``), or a
-log torn or stored in another form, gets a whole write: the old manifest
-removed, so a crash before the new one lands rebuilds from whichever log
-is in place; the log and ``config.json``, both fsynced, renamed in that
-order; the object files, section files and manifest as above; then the
-removal of every file in ``objects/`` and ``sections/`` but the new
-ledger's, temp files included, the one listing of each, and an fsync of
-the dir: three fsyncs at any object count. A dir an older version made,
-which holds no ``config.json``, gets it, fsynced with the dir, before an
-append.
-
-The tag's digest is the SHA-256 of ``state.json`` with the digest's own
-hex digits zeroed, and the manifest names each section file by its
-SHA-256, so the digest covers every section. ``load_state`` parses the
-manifest alone, checks its digest, then reads the log from its end back
-to the tag's block, listing no dir: it finds that block's header,
-decodes it and the blocks after it, checks its hash, index and nonce,
-and redoes the blocks after it (``Node.redo``). The loaded ``Chain``
-holds the tag's block and those after it; its ``log``, a ``StoredLog``,
-records where the log stores them, so ``save_state`` appends after them
-and a reader of the whole history has it decode the blocks before them
-once. A torn log, a header not found or a failed check read the log
-whole, which refuses a tag past the log or of a hash the log does not
-hold at that index, and drops a torn last append if what remains still
-holds the tag's block. Cyclic GC is paused while a whole log is decoded.
-
-The loaded state is a ``PendingState``: each section (accounts;
-stakeholders; factory with properties; store) is decoded, its file read
-and checked against its digest, and its invariants checked, when a
-command first uses it. ``Node.execute`` decodes every section before it
-admits a command, so a write reads every file. A section or object file
-that fails its digest goes to ``_LogCache``: one missing, empty or
-holding a prefix of its bytes, NUL bytes after it or not, as a crash can
-leave a file written without an fsync, is rebuilt from a replay of the
-log from genesis to the tag's block, once per load, with one notice on
-stderr, and stored again by a temp name of the reader's own; one with
-other bytes is refused, by the commands that read it alone. A
-``state.json`` missing or torn, or one an older version wrote, which
-names no sections, is rebuilt too: the load replays the log from genesis
-(``Node.from_log``) with the config of ``config.json``, or, in a dir
-without one, that of the older checkpoint once its tag's digest checks;
-it prints one notice and writes nothing, and the next write stores the
-checkpoint whole. A complete manifest that fails its digest or a check
-is refused.
-
-A snapshot is ``state_dict(objects=True)`` with the block log under
-``chain``, plus a ``digest`` of that body. The digest is
-``state_digest``, taken over the body's encoding with the log's stored
-bytes spliced in; ``write_snapshot`` writes the same pieces, digest
-included, and never decodes a stored block. Import decodes the log once
-and checks the digest over the bytes it splices back. Loading a
-directory and importing a snapshot feed the one decoder: it reads every
-record through ``records.read`` and alone checks what no command can
-break. It checks each of a snapshot's objects against its digest; the
-store checks an object file so when it first reads it, which only a
-reader of that object's bytes does (``object get``, ``chain verify``,
-the digests, a snapshot). It refuses a ledger with no active
-administrator, or whose stored contracts are not exactly the factory's
-proxies, each initialized at its own address.
+Snapshots. ``write_snapshot`` writes ``export_snapshot``'s bytes from
+the digest's own pieces; ``import_snapshot`` checks the body against its
+digest and decodes it as a load does; ``read_snapshot``, where a file
+enters, also replays its chain and refuses a state the chain does not
+give.
 """
 
 import contextlib
@@ -118,8 +56,8 @@ from .chain import Block, Chain, NativeLedger
 from .errors import LedgerError, err
 from .factory import Factory
 from .identity import Role, StakeholderRegistry
-from .node import (OPS, SECTIONS, STATE_VERSION, LedgerState, Node,
-                   PendingState, state_digest, state_pieces)
+from .node import (STATE_VERSION, LedgerState, Node, PendingState,
+                   state_digest, state_pieces)
 from .property_contract import PropertyContract
 from .records import read, read_object, to_json
 from .storage import ObjectStore, read_cached
@@ -202,15 +140,16 @@ def _checkpoint(state, tip: Block, carried: Optional[dict] = None) -> tuple:
 class StoredLog:
     """Where a chain sits in a dir's log: the file at `path` holds its
     first `blocks` blocks. Unless the chain holds the whole log, its first
-    held block is `first` from `start`. `manifest`, the manifest last
-    read or written beside the log, is the held block it reflects and the
-    digest of each section file it names: what a write keeps of each
-    section no op since has changed, and the files it replaces."""
+    held block is `first` from `start`. `manifest` is the digest of each
+    section file that the manifest last read or written beside the log
+    names, by section: what a write keeps of each section that no op the
+    node has run since declares (``Node.changed``), and the files it
+    replaces."""
     path: str
     blocks: int
     start: int = 0
     first: bytes = b""
-    manifest: Optional[tuple] = None
+    manifest: Optional[dict] = None
 
     def before(self, index: int) -> list:
         """The `index` blocks before held block `index`, read once: the
@@ -285,39 +224,27 @@ def _append(stored, path: str, held: list) -> bool:
     return True
 
 
-def _writes(block) -> frozenset:
-    """The sections the op of `block`, its first transaction, may change;
-    every section, for a block whose op is not known."""
-    try:
-        decl = OPS.get(json.loads(block.data[0])["operation"])
-    except (IndexError, ValueError, TypeError, KeyError):
-        decl = None
-    return SECTIONS if decl is None else decl.writes
-
-
-def _encode(state, chain: Chain, state_dir: str) -> tuple:
-    """The ``_checkpoint`` of `state` at its chain's tip, keeping the
-    digest of each section file that the manifest last read or written
-    beside this dir's log names, unless an op of a block since may have
-    changed the section."""
-    log, carried = chain.log, {}
+def _encode(node: Node, state_dir: str) -> tuple:
+    """The ``_checkpoint`` of `node`'s state at its chain's tip, keeping
+    the digest of each section file that the manifest last read or
+    written beside this dir's log names, unless an op the node has run
+    since declares the section (``Node.changed``)."""
+    state = node.state
+    log, carried = state.chain.log, {}
     if (log is not None and log.manifest is not None and log.path
             == os.path.abspath(os.path.join(state_dir, "chain.json"))):
-        block, digests = log.manifest
-        at = block.index - chain.held[0].index
-        if 0 <= at < len(chain.held) and chain.held[at] is block:
-            written = frozenset().union(*map(_writes, chain.held[at + 1:]))
-            carried = {name: digest for name, digest in digests.items()
-                       if not SECTION_FILES[name][1] & written}
-    return _checkpoint(state, chain.held[-1], carried)
+        carried = {name: digest for name, digest in log.manifest.items()
+                   if not SECTION_FILES[name][1] & node.changed}
+    return _checkpoint(state, state.chain.held[-1], carried)
 
 
-def _store_checkpoint(state_dir: str, chain: Chain, encoded: tuple):
-    """Write the checkpoint `encoded` of `chain`'s tip without an fsync,
+def _store_checkpoint(state_dir: str, node: Node, encoded: tuple):
+    """Write the checkpoint `encoded` of `node`'s tip without an fsync,
     its new section files, then its manifest; then remove each section
     file the manifest it replaces named and it does not. It commits
     nothing: a load rebuilds what a crash loses of it."""
     manifest, files, digests = encoded
+    log = node.state.chain.log
     sections_dir = os.path.join(state_dir, "sections")
     if files:
         os.makedirs(sections_dir, exist_ok=True)
@@ -325,11 +252,10 @@ def _store_checkpoint(state_dir: str, chain: Chain, encoded: tuple):
                        for digest, data in files.items()}, durable=False)
     _write_atomic({os.path.join(state_dir, "state.json"): manifest},
                   durable=False)
-    replaced = chain.log.manifest
-    chain.log.manifest = (chain.held[-1], digests)
+    replaced, log.manifest = log.manifest, digests
+    node.changed.clear()
     if replaced is not None:
-        named = set(digests.values())
-        for digest in sorted(set(replaced[1].values()) - named):
+        for digest in sorted(set(replaced.values()) - set(digests.values())):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(sections_dir, digest + ".json"))
 
@@ -353,7 +279,7 @@ def save_state(state_dir: str, node: Node, defer: bool = False):
     state, chain = node.state, node.state.chain
     if isinstance(state, PendingState):  # a write checks every section
         state.decode()
-    encoded = None if defer else _encode(state, chain, state_dir)
+    encoded = None if defer else _encode(node, state_dir)
     store = state.store
     objects_dir = os.path.abspath(os.path.join(state_dir, "objects"))
     # content-addressed: a file the dir holds is never rewritten
@@ -368,7 +294,7 @@ def save_state(state_dir: str, node: Node, defer: bool = False):
         _fsync(state_dir)
     whole = not _append(chain.log, chain_path, chain.held)
     if whole:  # the dir holds no log of this chain, or a torn one
-        encoded = encoded or _encode(state, chain, state_dir)
+        encoded = encoded or _encode(node, state_dir)
         os.makedirs(state_dir, exist_ok=True)
         # the old checkpoint goes first: a crash before the new one lands
         # rebuilds from whichever log is in place
@@ -383,7 +309,7 @@ def save_state(state_dir: str, node: Node, defer: bool = False):
     _write_atomic({os.path.join(objects_dir, digest + ".bin"): data
                    for digest, data in objects.items()}, durable=False)
     if encoded is not None:
-        _store_checkpoint(state_dir, chain, encoded)
+        _store_checkpoint(state_dir, node, encoded)
     held = store.digests()
     if whole:  # the files of no object or section of this ledger
         _remove_others(objects_dir, {digest + ".bin" for digest in held})
@@ -407,33 +333,19 @@ def _gc_paused():
             gc.enable()
 
 
-def _parse(data: bytes, errors: str = "strict"):
-    """The JSON value `data` holds, None if it holds none."""
-    try:  # JSON text is UTF-8
-        return json.loads(data.decode("utf-8", errors))
-    except (ValueError, RecursionError):
-        return None
-
-
 def _json_object(path: str, data: bytes, errors: str = "strict") -> dict:
-    value = _parse(data, errors)
+    """The JSON object `data`, the bytes of the file at `path`, holds as
+    UTF-8 text, `errors` handling a byte that is not. Strict, a string
+    that holds a lone surrogate, which no UTF-8 text can, is refused too;
+    a file with no \\u escape of a surrogate holds none."""
+    try:
+        value = json.loads(data.decode("utf-8", errors))
+    except (ValueError, RecursionError):
+        value = None
     if not isinstance(value, dict):
         raise err("CorruptSnapshot", f"{path} is not a JSON object")
-    return value
-
-
-def _may_hold_surrogate(data: bytes) -> bool:
-    """Whether `data` holds a \\u escape of a surrogate; a file with no
-    backslash holds no escape."""
-    return b"\\" in data and (b"\\ud" in data or b"\\uD" in data)
-
-
-def _utf8_json_object(path: str, data: bytes) -> dict:
-    """The JSON object `data`, the bytes of the file at `path`, holds; a
-    string in it that holds a lone surrogate, which no UTF-8 text can, is
-    refused here."""
-    value = _json_object(path, data)
-    if _may_hold_surrogate(data):
+    if errors == "strict" and b"\\" in data and (
+            b"\\ud" in data or b"\\uD" in data):
         try:
             json.dumps(value, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError as exc:
@@ -649,15 +561,30 @@ def _are_digests(members) -> bool:
 
 def _section(sections_dir: str, name: str, digest: str, cache: _LogCache):
     """The part of section `name` of a loaded checkpoint: called, its
-    file's bytes, checked against `digest` (a file that fails goes to
-    `cache`), parsed to exactly the section's keys."""
-    def part() -> dict:
-        path = os.path.join(sections_dir, digest + ".json")
-        data = read_cached(path, digest,
+    file's bytes parsed to exactly the section's keys; its `read_bytes`,
+    the bytes alone, checked against `digest` (a file that fails goes to
+    `cache`)."""
+    path = os.path.join(sections_dir, digest + ".json")
+
+    def read_bytes() -> bytes:
+        return read_cached(path, digest,
                            lambda *failed: cache.section(name, *failed))
-        return read_object(_utf8_json_object(path, data),
+
+    def part() -> dict:
+        return read_object(_json_object(path, read_bytes()),
                            SECTION_FILES[name][0])
+    part.read_bytes = read_bytes
     return part
+
+
+def check_sections(node: Node):
+    """Check the bytes of each section file of `node`'s loaded checkpoint
+    that no command has read yet against its digest, decoding none: a
+    torn file is rebuilt from the log, one holding other bytes refused."""
+    pending = vars(node.state).get("pending", {})
+    for part in dict.fromkeys(raw for _, raw in pending.values()
+                              if hasattr(raw, "read_bytes")):
+        part.read_bytes()
 
 
 def _store(objects_dir: str, part, cache: _LogCache) -> dict:
@@ -700,31 +627,27 @@ def _state_from_dicts(d: dict, chain: Chain) -> Node:
                  lambda part: {"store": store})
 
 
-def _torn(data: bytes) -> bool:
-    """Whether the checkpoint bytes `data` do not parse as one JSON
-    object, as a crash can leave a file written without an fsync: empty,
-    cut short or holding zeros. One nested too deep to parse is whole."""
-    try:
-        return type(json.loads(data.decode("utf-8", "surrogateescape"))) \
-            is not dict
-    except RecursionError:
-        return False
-    except ValueError:
-        return True
-
-
 def _read_checkpoint(path: str) -> Optional[tuple]:
     """The checkpoint at `path`, parsed, and its bytes; None for a file
-    missing or torn."""
+    missing or torn: one that does not parse as one JSON object, as a
+    crash can leave a file written without an fsync (empty, cut short or
+    holding zeros). One nested too deep to parse is whole."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
         return None
     try:
-        d = _utf8_json_object(path, data)
+        d = _json_object(path, data)
     except LedgerError:
-        if _torn(data):
+        try:
+            torn = type(json.loads(data.decode(
+                "utf-8", "surrogateescape"))) is not dict
+        except RecursionError:
+            torn = False
+        except ValueError:
+            torn = True
+        if torn:
             return None
         raise
     _check_version(d, "state")
@@ -791,7 +714,7 @@ def load_state(state_dir: str) -> Node:
         del blocks[tag.index + 1:]
     else:
         chain, later = tail
-    chain.log.manifest = (chain.held[-1], digests)
+    chain.log.manifest = digests
     cache = _LogCache(chain, tag)
     sections_dir = os.path.abspath(os.path.join(state_dir, "sections"))
     objects_dir = os.path.abspath(os.path.join(state_dir, "objects"))
@@ -914,9 +837,8 @@ class LedgerDir:
         left it and no block uncommitted followed it."""
         tip, self.checkpoint = self.checkpoint, None
         if tip is not None and tip is self._node.state.chain.held[-1]:
-            state = self._node.state
-            _store_checkpoint(self.path, state.chain,
-                              _encode(state, state.chain, self.path))
+            _store_checkpoint(self.path, self._node,
+                              _encode(self._node, self.path))
 
     def commit(self, node: Node = None):
         """Save `node`, from now on this hold's ledger, or the loaded one;
@@ -937,6 +859,8 @@ def export_snapshot(node: Node) -> dict:
 
 
 def import_snapshot(snapshot: dict) -> Node:
+    """The ledger of `snapshot`, whose body it trusts once the body
+    matches its own digest; ``read_snapshot`` also replays its chain."""
     _check_version(snapshot, "snapshot")
     chain = Chain.from_dict(snapshot.get("chain"))
     body = {k: v for k, v in snapshot.items() if k not in ("chain", "digest")}
@@ -956,8 +880,15 @@ def write_snapshot(path: str, node: Node):
 
 
 def read_snapshot(path: str) -> Node:
+    """The ledger of the snapshot file at `path`, refused unless a replay
+    of its chain gives its state."""
     if not os.path.exists(path):
         raise err("NotFound", path)
     with open(path, "rb") as fh:
         data = fh.read()
-    return import_snapshot(_utf8_json_object(path, data))
+    node = import_snapshot(_json_object(path, data))
+    if _replay(node.state.chain.blocks, LedgerState(),
+               path).full_digest() != node.full_digest():
+        raise err("CorruptSnapshot", f"{path} holds a state its chain "
+                  "does not replay to")
+    return node

@@ -11,8 +11,9 @@ import pytest
 from estateledger import cli, persistence
 from estateledger.addresses import derive_address
 from estateledger.canonical import canonical_json_bytes
+from estateledger.chain import Chain
 from estateledger.errors import LedgerError
-from estateledger.node import OPS, Node
+from estateledger.node import OPS, Node, state_digest
 from estateledger.persistence import load_state, save_state
 
 from checkpoints import edit_checkpoint, manifest, section_path, whole_files
@@ -504,6 +505,51 @@ def test_operator_transfer_route(prop):
                 "--owner", BUYER, "--id", "9")["balances"]["9"] == 1
 
 
+def test_a_revoked_operator_cannot_transfer(prop):
+    ledger, addr = prop
+    ledger("property", "mint", "--property", addr, "--id", "9",
+           "--price", "0", "--as", SELLER, "--timestamp", "50")
+    for approved, ts in (("true", "51"), ("false", "52")):
+        ledger("token", "approve", "--property", addr, "--operator", BUYER,
+               "--approved", approved, "--as", SELLER, "--timestamp", ts)
+    _, _, errtxt = ledger(
+        "token", "transfer", "--property", addr, "--from", SELLER,
+        "--to", BUYER, "--ids", "9", "--amounts", "1", "--as", BUYER,
+        "--timestamp", "53", expect=4)
+    assert errtxt == (f"error: NotAuthorized: {BUYER} is neither {SELLER} "
+                      "nor an approved operator")
+    assert jget(ledger, "token", "balance", "--property", addr,
+                "--owner", SELLER, "--id", "9")["balances"]["9"] == 1
+
+
+SOME_PROP = "0x" + "22" * 20
+SWAP_SIDES = ["token", "consent", "--property", SOME_PROP, "--party-a",
+              SELLER, "--party-b", BUYER]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stakeholder", "register", "--role", "Seller", "--key", "hex:zz"],
+     "bad hex key 'hex:zz'"),
+    (["property", "mint-batch", "--property", SOME_PROP, "--ids", "1,2",
+      "--amounts", "1,x", "--prices", "0,0"], "bad integer list '1,x'"),
+    (SWAP_SIDES + ["--legs-a", "5"], "leg '5' is not id:amount"),
+    (SWAP_SIDES + ["--legs-a", "1:x"], "bad leg amount in '1:x'"),
+    (["property", "approve", "--property", SOME_PROP, "--parent-hash", "zz"],
+     "not hex: 'zz'"),
+    (["property", "approve", "--property", SOME_PROP, "--parent-hash",
+      "ab" * 31], "digests are 32 bytes"),
+    (["token", "approve", "--property", SOME_PROP, "--operator", BUYER,
+      "--approved", "maybe"], "expected true or false, got 'maybe'"),
+], ids=["key", "int-list", "leg-no-amount", "leg-amount", "digest-not-hex",
+        "digest-31-bytes", "bool"])
+def test_a_bad_argument_value_is_a_parse_error(estate, argv, message):
+    """A value a command's own parser refuses: exit 2, before --as is
+    checked or the state dir is touched."""
+    _, _, errtxt = estate(*argv, "--as", ADMIN, expect=2)
+    assert errtxt == f"error: ParseError: {message}"
+    assert not os.path.exists(estate.state_dir)
+
+
 # -- chain inspection ------------------------------------------------------------
 
 
@@ -770,6 +816,82 @@ def test_snapshot_with_a_valid_chain_under_a_wrong_digest(
     _, _, errtxt = ledger("state", "import", "--in", str(snap), "--force",
                           expect=3)
     assert errtxt == "error: CorruptSnapshot: snapshot digest does not match"
+
+
+def _redigested(path, body):
+    """Write the snapshot `body` with its digest computed again by the
+    package's own ``state_digest``, as anyone can."""
+    rest = {k: v for k, v in body.items() if k not in ("chain", "digest")}
+    body["digest"] = state_digest(rest, Chain.from_dict(body["chain"]))
+    path.write_text(json.dumps(body))
+
+
+def _add_ledger_object(body, addr):
+    data = b"forged deed"
+    body["objects"][hashlib.sha256(data).hexdigest()] = data.hex()
+
+
+# a snapshot edited so that its chain no longer replays to its state
+FORGERIES = {
+    "admin-balance": lambda body, addr: body["accounts"]["accounts"].update(
+        {ADMIN: body["accounts"]["accounts"][ADMIN] + 10 ** 6}),
+    "stakeholder-removed": lambda body, addr: body["stakeholders"][
+        "stakeholders"].pop(BUYER),
+    "object-added": _add_ledger_object,
+    "property-edited": lambda body, addr: body["properties"][addr].update(
+        contractName="Forged row house"),
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(FORGERIES))
+def test_snapshot_import_refuses_a_state_its_chain_does_not_replay_to(
+        prop, tmp_path, capsys, forgery):
+    """A snapshot's digest covers only its own bytes: one edited and its
+    digest computed again by the package's own ``state_digest`` is
+    refused, as a replay of its chain gives another state. No new dir
+    is created, and a dir the import would overwrite keeps its bytes."""
+    ledger, addr = prop
+    snap = tmp_path / "snap.json"
+    ledger("state", "export", "--out", str(snap))
+    body = json.loads(snap.read_text())
+    FORGERIES[forgery](body, addr)
+    _redigested(snap, body)
+    persistence.import_snapshot(body)  # which trusts its body
+    want = (f"error: CorruptSnapshot: {snap} holds a state its chain does "
+            "not replay to")
+    fresh = tmp_path / "fresh"
+    assert cli.main(["state", "import", "--in", str(snap),
+                     "--state-dir", str(fresh)]) == 3
+    assert capsys.readouterr().err.strip() == want
+    assert not fresh.exists()
+    files = _dir_bytes(ledger.state_dir)
+    _, _, errtxt = ledger("state", "import", "--in", str(snap), "--force",
+                          expect=3)
+    assert errtxt == want
+    assert _dir_bytes(ledger.state_dir) == files
+
+
+def test_snapshot_import_refuses_a_chain_that_does_not_replay(
+        prop, tmp_path):
+    """A snapshot whose last block was re-sealed over a command admission
+    refuses, its digest computed again: its chain does not replay."""
+    ledger, addr = prop
+    snap = tmp_path / "snap.json"
+    ledger("state", "export", "--out", str(snap))
+    body = json.loads(snap.read_text())
+    chain = Chain.from_dict(body["chain"])
+    tip = chain.blocks[-1]
+    tx = json.loads(tip.data[0])
+    tx["caller"] = "0x" + "11" * 20
+    tip.data[0] = canonical_json_bytes(tx)
+    tip.seal()
+    body["chain"] = chain.to_dict()
+    _redigested(snap, body)
+    _, _, errtxt = ledger("state", "import", "--in", str(snap), "--force",
+                          expect=3)
+    assert errtxt == (f"error: CorruptSnapshot: {snap} does not replay: "
+                      f"NotAuthorized: {tx['caller']} is not an active "
+                      "stakeholder")
 
 
 def test_snapshot_import_checks_version(prop, tmp_path, capsys):

@@ -7,7 +7,6 @@ object file a crash lost."""
 
 import builtins
 import contextlib
-import copy
 import dataclasses
 import errno
 import gc
@@ -1525,9 +1524,9 @@ def test_a_checkpoint_without_a_digest_is_parsed_whole_once(
     """A command parses a digest-less checkpoint an older version wrote
     once, whole, and rebuilds the state from the log."""
     data = _digestless(base)
-    parsed, real = [], persistence._parse
-    monkeypatch.setattr(persistence, "_parse", lambda data, *args: (
-        parsed.append(data) or real(data, *args)))
+    parsed, real = [], persistence._json_object
+    monkeypatch.setattr(persistence, "_json_object", lambda path, data, *a: (
+        parsed.append(data) or real(path, data, *a)))
     assert estate(base, "chain", "balance", "--address", SELLER) == 0
     assert parsed.count(data) == 1
     assert "older version's checkpoint" in capsys.readouterr().err
@@ -1975,21 +1974,26 @@ def test_a_write_checks_a_slice_it_writes_back_as_it_was_read(
     assert not (tmp_path / "copy").exists()
 
 
-def test_slices_stored_for_a_block_of_another_hash_are_not_carried(base):
-    """Section digests recorded for a block the chain does not hold at
-    that index, one of another history, are not carried: a write encodes
-    every section file again."""
+def test_a_node_saved_to_another_dir_carries_no_section_digest(
+        base, tmp_path):
+    """A loaded node keeps the digest of each section file its own dir's
+    manifest names but those an op it ran since declares
+    (``Node.changed``); saved to another dir it keeps none, encoding
+    every section file there, and the save clears what it changed."""
     node = load_state(str(base))
-    node.state.decode()
-    chain = node.state.chain
-    block, digests = chain.log.manifest
-    assert block is chain.held[0]
-    assert persistence._encode(node.state, chain, str(base))[1] == {}
-    other = copy.copy(block)
-    other.hash = bytes(32)
-    chain.log.manifest = (other, digests)
-    assert len(persistence._encode(node.state, chain, str(base))[1]) == len(
+    node.execute(ADMIN, "registerStakeholder", {
+        "role": "Buyer", "publicKey": b"buyer-key".hex()}, timestamp=4)
+    assert node.changed == {"registry", "native"}
+    registry = persistence._encode(node, str(base))[2]["registry"]
+    assert list(persistence._encode(node, str(base))[1]) == [registry]
+    other = tmp_path / "other"
+    assert len(persistence._encode(node, str(other))[1]) == len(
         persistence.SECTION_FILES)
+    save_state(str(other), node)
+    assert node.changed == set()
+    assert node.state.chain.log.manifest == manifest(other)["sections"]
+    assert persistence._encode(node, str(other))[1] == {}
+    assert whole_files(other) == _whole_encoding(other)
 
 
 def _written(monkeypatch) -> list:
@@ -2071,11 +2075,31 @@ def test_a_missing_or_torn_section_file_is_rebuilt_from_the_log(
         assert capsys.readouterr() == (out, "")
 
 
+@pytest.mark.parametrize("name", sorted(persistence.SECTION_FILES))
+def test_chain_verify_rebuilds_a_missing_or_torn_section_file(
+        deployed, capsys, name):
+    """`chain verify` checks the bytes of every section file, whether or
+    not it reads the section: one missing or torn is rebuilt from the
+    log, with one notice, and stored again."""
+    state_dir, _ = deployed
+    path = section_path(os.path.abspath(state_dir),
+                        manifest(state_dir)["sections"][name])
+    files = dir_bytes(state_dir)
+    notice = (f"notice: {path} is missing or torn; rebuilt it from "
+              f"{os.path.abspath(state_dir)}/chain.json\n")
+    for case in sorted(LOST_OBJECT):
+        LOST_OBJECT[case](path)
+        assert estate(state_dir, "chain", "verify") == 0
+        assert capsys.readouterr().err == notice
+        assert dir_bytes(state_dir) == files
+
+
 def test_a_section_file_holding_other_bytes_fails_only_its_readers(
         deployed, capsys):
     """A section file edited by hand no longer matches the digest its
-    manifest names it by: the commands that read its section refuse it,
-    writing nothing, and the others answer."""
+    manifest names it by: the commands that read its section, and `chain
+    verify`, which checks every section file, refuse it, writing nothing,
+    and the others answer."""
     state_dir, prop = deployed
     path = section_path(state_dir, manifest(state_dir)["sections"][
         "registry"])
@@ -2087,11 +2111,11 @@ def test_a_section_file_holding_other_bytes_fails_only_its_readers(
     files = dir_bytes(state_dir)
     for argv in (["chain", "balance", "--address", SELLER],
                  ["token", "balance", "--property", prop, "--owner", SELLER,
-                  "--id", "1"], ["chain", "verify"]):
+                  "--id", "1"]):
         assert estate(state_dir, *argv) == 0
     capsys.readouterr()
     for argv in (["stakeholder", "show", "--address", SELLER],
-                 ["state", "digest"], faucet(5, 10)):
+                 ["state", "digest"], ["chain", "verify"], faucet(5, 10)):
         assert estate(state_dir, *argv) == 3
         assert capsys.readouterr().err == (
             f"error: CorruptSnapshot: {os.path.abspath(path)} does not "
@@ -2152,3 +2176,127 @@ def test_a_whole_write_removes_the_temp_files_a_fault_left(
         digest_ + ".json" for digest_ in manifest(base)["sections"].values())
     assert digest(base) == digest(other)
     capsys.readouterr()
+
+
+# -- the refusals and the long tail of a load ---------------------------------
+
+
+def _refused_tip(state_dir):
+    """Re-seal the log's last block over a command admission refuses, its
+    caller no stakeholder, and put back the checkpoint before it."""
+    lagging = whole_files(state_dir)
+    assert estate(state_dir, *faucet(5, 10)) == 0
+    blocks = load_state(str(state_dir)).state.chain.blocks
+    tx = json.loads(blocks[-1].data[0])
+    tx["caller"] = "0x" + "11" * 20
+    blocks[-1].data[0] = canonical_json_bytes(tx)
+    blocks[-1].seal()
+    with open(os.path.join(state_dir, "chain.json"), "wb") as fh:
+        fh.write(chain_mod.Chain(blocks).canonical_json())
+    _restore_files(state_dir, lagging)
+
+
+@pytest.mark.parametrize("checkpoint", ["lagging", "missing"])
+def test_a_log_whose_blocks_do_not_redo_is_refused(base, capsys, checkpoint):
+    """A block after the checkpoint that admission refuses fails the
+    redo of a load, and, with the checkpoint lost, the replay that
+    rebuilds it: each is CorruptSnapshot, naming what did not redo."""
+    _refused_tip(base)
+    refused = ("NotAuthorized: 0x" + "11" * 20
+               + " is not an active stakeholder")
+    if checkpoint == "lagging":
+        want = (f"the blocks after {base}/state.json do not redo: "
+                f"{refused}")
+    else:
+        os.remove(os.path.join(base, "state.json"))
+        want = f"{base}/chain.json does not replay: {refused}"
+    files = dir_bytes(base)
+    for argv in (["chain", "balance", "--address", SELLER],
+                 ["chain", "verify"], faucet(5, 11)):
+        assert estate(base, *argv) == 3
+        assert capsys.readouterr().err == f"error: CorruptSnapshot: {want}\n"
+    assert dir_bytes(base) == files
+
+
+def test_a_load_reads_back_past_its_first_window(base, monkeypatch, capsys):
+    """A checkpoint's block more than ``TAIL_WINDOW`` bytes before the
+    log's end: the load widens its read from the end until it holds the
+    block's header, and loads what a whole-log read gives."""
+    data = "x" * (persistence.TAIL_WINDOW // 2 + 1024)  # stored as hex
+    assert estate(base, "object", "put", "--data", data, "--as", ADMIN,
+                  "--timestamp", "4") == 0
+    capsys.readouterr()
+    log = os.path.join(base, "chain.json")
+    node = load_state(str(base))
+    chain = node.state.chain
+    assert [block.index for block in chain.held] == [5]  # from the end
+    assert os.path.getsize(log) - chain.log.start > persistence.TAIL_WINDOW
+    monkeypatch.setattr(persistence, "_read_tail", lambda *args: None)
+    whole = load_state(str(base))
+    assert len(whole.state.chain.held) == 6
+    assert node.full_digest() == whole.full_digest()
+    assert node.state.chain.to_dict() == whole.state.chain.to_dict()
+
+
+def test_a_manifest_naming_no_file_of_a_section_is_refused(base, capsys):
+    """A manifest signed again without one section's digest is refused,
+    whole, by every command."""
+    d = manifest(base)
+    del d["sections"]["registry"]
+    tag = persistence.Checkpoint(d["block"]["index"],
+                                 bytes.fromhex(d["block"]["hash"]), bytes(32))
+    with open(os.path.join(base, "state.json"), "wb") as fh:
+        fh.write(persistence._sign(canonical_json_bytes(
+            d | {"block": to_json(tag)}), tag))
+    files = dir_bytes(base)
+    for argv in (["chain", "balance", "--address", SELLER],
+                 ["chain", "verify"], faucet(5, 10)):
+        assert estate(base, *argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: CorruptSnapshot: {base}/state.json sections: expected "
+            "a digest of each of ['contracts', 'registry', 'store'], got "
+            f"{d['sections']!r:.60}\n")
+    assert dir_bytes(base) == files
+
+
+def test_an_object_the_store_lists_but_no_block_stores_is_refused(
+        base, capsys):
+    """The store's section file, re-signed to list an object no block of
+    the log stores: a read of that object's bytes finds no file and no
+    block to rebuild it from, and is refused; a balance read answers."""
+    ghost = hashlib.sha256(b"never stored").hexdigest()
+    _resign(base, b'{"store":["', f'{{"store":["{ghost}","'.encode())
+    files = dir_bytes(base)
+    assert estate(base, "chain", "balance", "--address", SELLER) == 0
+    capsys.readouterr()
+    for argv in (["object", "get", "--cid", f"cidv0-sha256:{ghost}"],
+                 ["chain", "verify"]):
+        assert estate(base, *argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: CorruptSnapshot: object {ghost} is listed, but no "
+            f"block of {os.path.abspath(base)}/chain.json stores it\n")
+    assert dir_bytes(base) == files
+
+
+def test_state_import_of_a_missing_file_creates_nothing(tmp_path, capsys):
+    missing, target = tmp_path / "none.json", tmp_path / "target"
+    assert estate(target, "state", "import", "--in", str(missing)) == 3
+    assert capsys.readouterr().err == f"error: NotFound: {missing}\n"
+    assert not target.exists()
+
+
+def test_a_config_holding_a_lone_surrogate_is_refused(base, capsys):
+    """``config.json``, read to rebuild a lost checkpoint, goes through
+    the one reader of a state-dir file: a lone surrogate escape, which
+    no write could encode, is refused by every command, naming the
+    file, and nothing is written."""
+    with open(os.path.join(base, "config.json"), "w") as fh:
+        fh.write('{"allowlist":"\\udcff"}')
+    os.remove(os.path.join(base, "state.json"))
+    files = dir_bytes(base)
+    for argv in (["chain", "balance", "--address", SELLER], faucet(5, 10)):
+        assert estate(base, *argv) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: CorruptSnapshot: {base}/config.json holds a string "
+            "that is not UTF-8: ")
+    assert dir_bytes(base) == files
