@@ -143,7 +143,8 @@ class Chain:
     or, for a chain loaded from a state dir, its checkpoint's block and
     the blocks after it. `log` is ``persistence``'s record of where a dir
     stores the chain. Appending needs only `held` and `height`; `blocks`,
-    the whole log, has `log` read the blocks before `held` once."""
+    the whole log, has `log` read the blocks before `held` once, while
+    the first held block is not genesis."""
 
     def __init__(self, blocks: list = None, log=None):
         self.held = [] if blocks is None else blocks
@@ -151,8 +152,8 @@ class Chain:
 
     @property
     def blocks(self) -> list:
-        if self.log is not None and self.log.first:
-            self.held[:0] = self.log.before(self.held[0].index)
+        if self.log is not None and self.held[0].index > 0:
+            self.held[:0] = self.log.before(self.held[0])
         return self.held
 
     @property

@@ -22,9 +22,12 @@ files it replaces. ``_checkpoint`` and ``_sign`` give the manifest's
 bytes and its digest.
 
 Loading. ``load_state`` parses the manifest (``_read_checkpoint``,
-``_manifest``, ``_signed``), reads the log back from its end to the
-tag's block (``_read_tail``; ``_read_log`` reads it whole and drops a
-torn last append) and redoes the blocks after it. ``_node`` builds a
+``_manifest``, ``_signed``), reads the log from the tag's block to its
+end (``_read_tail``, one JSON parse of those bytes), or else whole
+(``_log_holding``, which checks that it holds the tag's block), and
+redoes the blocks after it. ``_read_log`` reads the log whole and drops
+a torn last append; ``StoredLog.before`` reads the history before the
+held blocks through ``_log_holding``. ``_node`` builds a
 ``PendingState`` whose sections ``_section`` and ``_store`` read on
 first use; ``_contracts`` and ``_stakeholders`` check what no command
 can break. ``_json_object`` alone parses a file: UTF-8 JSON, one
@@ -139,35 +142,19 @@ def _checkpoint(state, tip: Block, carried: Optional[dict] = None) -> tuple:
 @dataclass
 class StoredLog:
     """Where a chain sits in a dir's log: the file at `path` holds its
-    first `blocks` blocks. Unless the chain holds the whole log, its first
-    held block is `first` from `start`. `manifest` is the digest of each
-    section file that the manifest last read or written beside the log
-    names, by section: what a write keeps of each section that no op the
-    node has run since declares (``Node.changed``), and the files it
-    replaces."""
+    first `blocks` blocks. `manifest` is the digest of each section file
+    that the manifest last read or written beside the log names, by
+    section: what a write keeps of each section that no op the node has
+    run since declares (``Node.changed``), and the files it replaces."""
     path: str
     blocks: int
-    start: int = 0
-    first: bytes = b""
     manifest: Optional[dict] = None
 
-    def before(self, index: int) -> list:
-        """The `index` blocks before held block `index`, read once: the
-        bytes before `first`, which must still be at `start`."""
-        with open(self.path, "rb") as fh:
-            data = fh.read(self.start + len(self.first))
-        if data[self.start - 1:] != b"," + self.first:
-            raise err("CorruptSnapshot", f"{self.path} no longer holds "
-                      f"block {index} at byte {self.start}")
-        with _gc_paused():
-            blocks = Chain.from_dict(_json_object(
-                self.path, data[:self.start - 1] + b"]}",
-                "surrogateescape")).held
-        if len(blocks) != index:
-            raise err("CorruptSnapshot", f"{self.path} holds {len(blocks)} "
-                      f"blocks before block {index}")
-        self.first = b""  # the chain now holds the whole log
-        return blocks
+    def before(self, block: Block) -> list:
+        """The blocks before held block `block`, from a read of the whole
+        log, which must still hold `block`."""
+        return _log_holding(self.path, block.index, block.hash,
+                            f"{self.path} no longer holds").held[:block.index]
 
 
 def _write_atomic(files: dict, durable: bool = True):
@@ -354,31 +341,18 @@ def _json_object(path: str, data: bytes, errors: str = "strict") -> dict:
     return value
 
 
-def _scan_blocks(text: str, pos: int) -> tuple:
-    """The JSON values stored one after another from `pos` in `text`, a
-    comma between each two, and where each ends; the scan stops at a
-    value that does not parse or that no comma follows."""
-    values, ends = [], []
-    while True:
-        try:
-            value, end = raw_decode(text, pos)
-        except (ValueError, RecursionError):
-            return values, ends
-        values.append(value)
-        ends.append(end)
-        if text[end:end + 1] != ",":
-            return values, ends
-        pos = end + 1
-
-
 def _whole_blocks(data: bytes) -> Optional[list]:
     """The blocks of a log whose last append was torn; None unless what
     follows the last whole one is one torn block at most."""
     if not data.startswith(LOG_HEAD):
         return None
     text = data.decode("utf-8", "surrogateescape")
-    blocks, ends = _scan_blocks(text, len(LOG_HEAD))
-    if not blocks or _BLOCK_HEADER.search(text, ends[-1] + 1):
+    blocks, end = [], len(LOG_HEAD) - 1  # at the list's "["
+    with contextlib.suppress(ValueError, RecursionError):
+        while not blocks or text[end:end + 1] == ",":
+            block, end = raw_decode(text, end + 1)
+            blocks.append(block)
+    if not blocks or _BLOCK_HEADER.search(text, end + 1):
         return None
     return blocks
 
@@ -402,12 +376,25 @@ def _read_log(path: str, need: int) -> Chain:
     return chain
 
 
+def _log_holding(path: str, index: int, hash_: bytes, refusal: str) -> Chain:
+    """The log at `path`, read whole, which must hold block `index` with
+    the hash `hash_`; else CorruptSnapshot, worded from `refusal`."""
+    chain = _read_log(path, index)
+    blocks = chain.held
+    if not 0 <= index < len(blocks) or blocks[index].hash != hash_:
+        raise err("CorruptSnapshot", f"{refusal} block {index}: the log "
+                  f"holds {len(blocks)} blocks, and not that one")
+    return chain
+
+
 def _read_tail(path: str, tag: Checkpoint) -> Optional[tuple]:
     """The log at `path` read back from its end to the block `tag` names:
-    a chain holding that block, which records where the log stores it,
-    and the blocks after it. None unless the log stores that block after
-    a comma, with the tag's hash, index and nonce, and only whole blocks
-    and ``]}`` after it."""
+    a chain holding that block, and the blocks after it. None unless the
+    bytes from the block's header to the end parse, after ``LOG_HEAD``,
+    as a log's list of blocks, the first with the tag's hash, and each
+    with the index and nonce of its place in the log. A header copied
+    into a param sits inside its block's brackets, so from there the
+    brackets do not balance."""
     header = (f'{{"hash":"{tag.hash.hex()}","index":{tag.index},'
               .encode("utf-8"))
     with open(path, "rb") as fh:
@@ -416,30 +403,24 @@ def _read_tail(path: str, tag: Checkpoint) -> Optional[tuple]:
             start = max(0, size - window)
             fh.seek(start)
             data = fh.read(size - start)
-            at = data.rfind(header, 1)  # and the byte before it
+            at = data.rfind(header)
             if at >= 0 or start == 0:
                 break
             window *= 4
-    if at < 0 or data[at - 1:at] != b",":
-        return None
-    text = data[at:].decode("utf-8", "surrogateescape")
-    found, ends = _scan_blocks(text, 0)
-    # only the log's own list of blocks ends the file with "]}": a scan
-    # that stops elsewhere began at a block-shaped value nested in a
-    # transaction, or the log is torn, and the whole log tells which
-    if not found or text[ends[-1]:] != "]}":
+    if at < 0:
         return None
     try:
-        blocks = [Block.from_dict(d) for d in found]
-    except LedgerError:
+        with _gc_paused():
+            blocks = [Block.from_dict(d) for d in read_object(_json_object(
+                path, LOG_HEAD + data[at:], "surrogateescape"),
+                {"blocks"})["blocks"]]
+    except LedgerError:  # a torn log, or a header in a param
         return None
     if blocks[0].compute_hash() != tag.hash or any(
             b.index != tag.index + i or b.nonce != tag.index + i
             for i, b in enumerate(blocks)):
         return None
-    first = text[:ends[0]].encode("utf-8", "surrogateescape")
-    log = StoredLog(path, blocks[-1].index + 1, start + at, first)
-    return Chain(blocks[:1], log), blocks[1:]
+    return Chain(blocks[:1], StoredLog(path, blocks[-1].index + 1)), blocks[1:]
 
 
 def _check_version(body: dict, what: str):
@@ -701,17 +682,11 @@ def load_state(state_dir: str) -> Node:
     log_path = os.path.abspath(chain_path)
     tail = _read_tail(log_path, tag)
     if tail is None:  # the whole log
-        chain = _read_log(chain_path, tag.index)
-        blocks = chain.held
-        if not 0 <= tag.index < len(blocks):
-            raise err("CorruptSnapshot", f"{state_path} reflects block "
-                      f"{tag.index}; the log holds {len(blocks)} blocks")
-        if blocks[tag.index].hash != tag.hash:
-            raise err("CorruptSnapshot", f"{state_path} reflects a block "
-                      f"{tag.index} the log does not hold")
-        chain.log = StoredLog(log_path, len(blocks))
-        later = blocks[tag.index + 1:]
-        del blocks[tag.index + 1:]
+        chain = _log_holding(chain_path, tag.index, tag.hash,
+                             f"{state_path} reflects")
+        later = chain.held[tag.index + 1:]
+        chain.log = StoredLog(log_path, len(chain.held))
+        del chain.held[tag.index + 1:]
     else:
         chain, later = tail
     chain.log.manifest = digests

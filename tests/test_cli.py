@@ -303,6 +303,15 @@ def test_object_put_file_get_out(ledger):
     assert dst.read_bytes() == blob
 
 
+def test_object_get_answers_bytes_that_are_not_utf8_in_hex(ledger):
+    src = ledger.workdir / "bom.bin"
+    src.write_bytes(b"\xff\xfe\x00")
+    put = jget(ledger, "object", "put", "--file", str(src),
+               "--as", ADMIN, "--timestamp", "13")
+    assert jget(ledger, "object", "get", "--cid", put["cid"]) == {
+        "cid": put["cid"], "hex": "fffe00"}
+
+
 def test_metadata_builder_and_resolve(ledger):
     doc = jget(ledger, "object", "put", "--data", "survey pdf",
                "--as", ADMIN, "--timestamp", "14")
@@ -1236,6 +1245,7 @@ def test_malformed_ledger_data_is_corrupt_snapshot(estate, case):
     ["state", "import", "--in", "{w}/junk.json"]], ids=["init", "import"])
 def test_failed_init_or_import_leaves_no_dir(estate, command):
     (estate.workdir / "junk.json").write_text("{not json")
+    (estate.workdir / "bare-as.txt").write_text(f"as {ADMIN}\n")
     work = str(estate.workdir)
     estate(*[a.replace("{w}", work) for a in command], "--timestamp", "0",
            expect=3)
@@ -1521,6 +1531,12 @@ BAD_INPUTS = [
                  3, "CorruptSnapshot: ", id="import-array"),
     pytest.param(["state", "import", "--in", "{w}/junk.json", "--force"],
                  3, "CorruptSnapshot: ", id="import-not-json"),
+    pytest.param(["object", "get", "--cid", "nope"], 2,
+                 "ParseError: not a valid cid: 'nope'", id="get-bad-cid"),
+    pytest.param(["run", "{w}/bare-as.txt"], 2,
+                 "ParseError: line 1: bare caller prefix", id="run-bare-as"),
+    pytest.param(["stakeholder", "remove", "--target", SELLER, "--as", ADMIN],
+                 3, f"UnknownAccount: {SELLER}", id="remove-unregistered"),
 ]
 
 
@@ -1533,6 +1549,7 @@ def test_bad_input_exits_with_a_code(estate, argv, code, prefix):
         f"object put --file {work}/missing.bin --as {ADMIN}\n")
     (estate.workdir / "array.json").write_text("[1, 2]")
     (estate.workdir / "junk.json").write_text("{not json")
+    (estate.workdir / "bare-as.txt").write_text(f"as {ADMIN}\n")
     before = load_state(estate.state_dir).full_digest()
     _, _, errtxt = estate(*[a.replace("{w}", work) for a in argv],
                           "--timestamp", "1", expect=code)

@@ -939,7 +939,7 @@ def test_a_load_from_the_log_end_equals_a_whole_log_load(
     with open(os.path.join(state_dir, "state.json"), "wb") as fh:
         fh.write(checkpoint)
     whole = _whole_log_load(state_dir, monkeypatch)
-    assert not whole.state.chain.log.first
+    assert whole.state.chain.held[0].index == 0
     if torn:  # a kill part way through the next append
         log = read(state_dir, "chain.json")
         with open(os.path.join(state_dir, "chain.json"), "wb") as fh:
@@ -949,9 +949,41 @@ def test_a_load_from_the_log_end_equals_a_whole_log_load(
     # a torn log is read whole: only an intact end shows where the scan is
     assert [b.index for b in chain.held] == list(
         range(0 if torn else 8 - lag, 9))
-    assert (not chain.log.first) is torn
+    assert (chain.held[0].index == 0) is torn
     assert _load_outcome(lazy) == _load_outcome(whole)
     assert chain.held == whole.state.chain.held
+
+
+def test_every_cut_of_an_append_loads_the_same_through_both_readers(
+        tmp_path, monkeypatch):
+    """A kill part way through an append of two blocks leaves a prefix of
+    the new log: a load from the log's end and a load of the whole log
+    give the same state, the one before the append, after its first
+    block or after it, and a longer prefix never an earlier one."""
+    state_dir = str(tmp_path / "ledger")
+    node = ledger_of(4)
+    save_state(state_dir, node)
+    checkpoint, old = read(state_dir, "state.json"), read(state_dir,
+                                                          "chain.json")
+    states = [node.full_digest()]
+    node.execute(ADMIN, "putObject", {"dataHex": b'{"hash":"x"}'.hex()},
+                 timestamp=3)
+    states.append(node.full_digest())
+    node.execute(ADMIN, "faucet", {"to": SELLER, "amount": 1}, timestamp=3)
+    states.append(node.full_digest())
+    save_state(state_dir, node)
+    new = read(state_dir, "chain.json")
+    assert new.startswith(old[:-2])
+    seen = []
+    for cut in range(len(old) - 2, len(new) + 1):
+        with open(os.path.join(state_dir, "chain.json"), "wb") as fh:
+            fh.write(new[:cut])
+        with open(os.path.join(state_dir, "state.json"), "wb") as fh:
+            fh.write(checkpoint)
+        loaded = load_state(state_dir).full_digest()
+        assert _whole_log_load(state_dir, monkeypatch).full_digest() == loaded
+        seen.append(states.index(loaded))
+    assert seen == sorted(seen) and set(seen) == {0, 1, 2}
 
 
 def test_a_block_shaped_param_is_never_read_as_the_checkpoints_block(
@@ -970,7 +1002,7 @@ def test_a_block_shaped_param_is_never_read_as_the_checkpoints_block(
     with open(os.path.join(state_dir, "state.json"), "wb") as fh:
         fh.write(lagging)  # as a kill before the checkpoint's rename leaves it
     node = load_state(state_dir)
-    assert not node.state.chain.log.first
+    assert node.state.chain.held[0].index == 0
     assert node.full_digest() == post
     torn = log[:log.rindex(canonical_json_bytes(tip)) + len(
         canonical_json_bytes(tip))]  # a tear just after the copy
@@ -1027,7 +1059,7 @@ def test_a_tip_stored_otherwise_takes_the_whole_log_path(
     calls.clear()
     node = load_state(state_dir)
     assert len(calls) == len(blocks) + 1
-    assert not node.state.chain.log.first
+    assert node.state.chain.held[0].index == 0
     assert not node.state.chain.verify()
 
 
@@ -1798,7 +1830,7 @@ def test_a_whole_log_decode_pauses_gc_and_restores_the_callers_setting(
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
-    assert len(seen) == 4 and not any(seen)
+    assert len(seen) == 6 and not any(seen)
     capsys.readouterr()
 
 
@@ -2196,6 +2228,60 @@ def _refused_tip(state_dir):
     _restore_files(state_dir, lagging)
 
 
+@pytest.mark.parametrize("checkpoint", ["present", "missing"])
+def test_a_log_holding_no_block_is_refused(base, capsys, checkpoint):
+    with open(os.path.join(base, "chain.json"), "wb") as fh:
+        fh.write(b'{"blocks":[]}')
+    if checkpoint == "missing":
+        os.remove(os.path.join(base, "state.json"))
+    files = dir_bytes(base)
+    for argv in (["chain", "balance", "--address", SELLER],
+                 ["chain", "verify"], faucet(5, 10)):
+        assert estate(base, *argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: CorruptSnapshot: {base}/chain.json holds no block\n")
+    assert dir_bytes(base) == files
+
+
+@pytest.mark.parametrize("edit, refused", [
+    (lambda blocks: blocks[-1].data.clear(),
+     "CorruptSnapshot: block 4 is empty"),
+    (lambda blocks: blocks[0].data.append(blocks[1].data[0]),
+     "HashMismatch: genesis block differs"),
+], ids=["empty tip", "genesis with a transaction"])
+def test_a_resealed_block_no_command_writes_fails_the_rebuild(
+        base, capsys, edit, refused):
+    """With the checkpoint lost, a load replays the log from genesis: a
+    block sealed again over what no command writes fails that replay."""
+    blocks = load_state(str(base)).state.chain.blocks
+    edit(blocks)
+    blocks[0].seal()
+    blocks[-1].seal()
+    with open(os.path.join(base, "chain.json"), "wb") as fh:
+        fh.write(chain_mod.Chain(blocks).canonical_json())
+    os.remove(os.path.join(base, "state.json"))
+    files = dir_bytes(base)
+    for argv in (["chain", "balance", "--address", SELLER],
+                 ["chain", "verify"], faucet(5, 10)):
+        assert estate(base, *argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: CorruptSnapshot: {base}/chain.json does not replay: "
+            f"{refused}\n")
+    assert dir_bytes(base) == files
+
+
+def test_a_checkpoint_signed_again_over_another_state_fails_replay(
+        base, capsys):
+    """A manifest edited and signed again loads, but ``chain replay``
+    finds that the log does not give its state."""
+    def richer(d):
+        d["accounts"]["accounts"][SELLER] += 10 ** 6
+    edit_checkpoint(base, richer)
+    assert estate(base, "chain", "replay") == 3
+    assert capsys.readouterr().err == (
+        "error: HashMismatch: replayed state digest does not match\n")
+
+
 @pytest.mark.parametrize("checkpoint", ["lagging", "missing"])
 def test_a_log_whose_blocks_do_not_redo_is_refused(base, capsys, checkpoint):
     """A block after the checkpoint that admission refuses fails the
@@ -2230,7 +2316,9 @@ def test_a_load_reads_back_past_its_first_window(base, monkeypatch, capsys):
     node = load_state(str(base))
     chain = node.state.chain
     assert [block.index for block in chain.held] == [5]  # from the end
-    assert os.path.getsize(log) - chain.log.start > persistence.TAIL_WINDOW
+    start = read(base, "chain.json").rindex(
+        b'{"hash":"%s"' % chain.held[0].hash.hex().encode())
+    assert os.path.getsize(log) - start > persistence.TAIL_WINDOW
     monkeypatch.setattr(persistence, "_read_tail", lambda *args: None)
     whole = load_state(str(base))
     assert len(whole.state.chain.held) == 6
