@@ -13,7 +13,9 @@ Block hash layout (all integers big-endian):
 The genesis block has index 0, no transactions, and a prevHash of 32
 zero bytes. Nonces are a monotone counter: genesis gets 0, each later
 block gets the previous nonce plus one. ``Block.compute_hash`` streams
-these fields into SHA-256, and ``transaction_bytes`` encodes every blob.
+these fields into SHA-256, ``transaction_bytes`` encodes every blob, and
+``decode_command`` decodes the command a block records, with one parse.
+``Chain.to_dict`` decodes every blob of the log with one parse too.
 """
 
 import hashlib
@@ -24,11 +26,13 @@ from dataclasses import dataclass, field
 from .addresses import ZERO_ADDRESS, require_nonzero
 from .canonical import canonical_json_bytes, raw_decode, u32be
 from .errors import err
-from .records import read_object, read_u64, reader
+from .records import read, read_object, read_u64, reader
 
 GENESIS_PREV_HASH = b"\x00" * 32
 BLOCK_KEYS = frozenset(
     ("index", "timestamp", "nonce", "transactions", "prevHash", "hash"))
+TRANSACTION_KEYS = frozenset(
+    ("attachedValue", "caller", "operation", "params", "resultStatus"))
 read_hex, read_dicts = reader(bytes), reader(list[dict])
 _HEADER = struct.Struct(">QQQ").pack
 
@@ -68,6 +72,23 @@ def decode_blob(blob: bytes) -> tuple:
     return (value, True) if end == len(text) else (json.loads(blob), False)
 
 
+def decode_command(blob: bytes) -> tuple:
+    """The ``Transaction`` the blob `blob` encodes, and whether
+    ``decode_blob`` fits it exactly, with one parse. Exact-type tests of
+    its five keys accept what ``transaction_bytes`` writes; the record
+    reader runs only on what they refuse, to word the refusal. Raises
+    ValueError for a blob that is not JSON, or holds trailing bytes."""
+    v, held = decode_blob(blob)
+    if (type(v) is dict and v.keys() == TRANSACTION_KEYS
+            and type(v["caller"]) is str and type(v["operation"]) is str
+            and type(v["params"]) is dict
+            and type(v["attachedValue"]) is int
+            and type(v["resultStatus"]) is str):
+        return Transaction(v["caller"], v["operation"], v["params"],
+                           v["attachedValue"], v["resultStatus"]), held
+    return read(Transaction, v), held
+
+
 @dataclass(slots=True)
 class Block:
     """A held blob is the canonical encoding of what it decodes to, as
@@ -92,10 +113,13 @@ class Block:
         self.hash = self.compute_hash()
         return self
 
-    def to_dict(self) -> dict:
+    def to_dict(self, transactions: list = None) -> dict:
+        """The block as JSON; `transactions`, if given, are its blobs
+        decoded already, as ``Chain.to_dict`` decodes them."""
+        if transactions is None:
+            transactions = [decode_blob(blob)[0] for blob in self.data]
         return {"index": self.index, "timestamp": self.timestamp,
-                "nonce": self.nonce,
-                "transactions": [decode_blob(blob)[0] for blob in self.data],
+                "nonce": self.nonce, "transactions": transactions,
                 "prevHash": self.prev_hash.hex(), "hash": self.hash.hex()}
 
     def canonical_json(self) -> bytes:
@@ -128,6 +152,9 @@ class Block:
         except ValueError as exc:  # NaN or an infinity, which JSON lacks
             raise err("CorruptSnapshot", f"block {index} holds a number "
                       f"that is not JSON: {exc}") from exc
+        except RecursionError as exc:  # parsed, but too deep to encode here
+            raise err("CorruptSnapshot", f"block {index} holds a value "
+                      f"nested too deep: {exc}") from exc
         prev, hash_ = d["prevHash"], d["hash"]
         try:
             prev_b, hash_b = bytes.fromhex(prev), bytes.fromhex(hash_)
@@ -197,7 +224,25 @@ class Chain:
         return True
 
     def to_dict(self) -> dict:
-        return {"blocks": [b.to_dict() for b in self.blocks]}
+        """The log as JSON. One parse of all its blobs, joined in a list,
+        hands each ``Block.to_dict`` its slice: a held blob is one JSON
+        value (``Block``), so the list holds the blobs' values in order.
+        If that parse fails (a blob nested too deep to sit in a list
+        one level down, say) or counts other than the blobs, each block
+        decodes its own, which reads or refuses as it always has."""
+        blocks = self.blocks
+        blobs = [blob for b in blocks for blob in b.data]
+        try:
+            values = json.loads((b"[%b]" % b",".join(blobs)).decode("utf-8"))
+        except (ValueError, RecursionError):  # UnicodeDecodeError included
+            values = None
+        if values is None or len(values) != len(blobs):
+            return {"blocks": [b.to_dict() for b in blocks]}
+        out, at = [], 0
+        for b in blocks:
+            out.append(b.to_dict(values[at:at + len(b.data)]))
+            at += len(b.data)
+        return {"blocks": out}
 
     def canonical_json(self) -> bytes:
         """``canonical_json_bytes(self.to_dict())`` without decoding a

@@ -14,3 +14,10 @@ class LedgerError(Exception):
 
 def err(code: str, message: str = "") -> LedgerError:
     return LedgerError(code, message)
+
+
+def wrapped(code: str, context: str, exc: Exception) -> LedgerError:
+    """`exc` as a `code` error after `context`; one of that code already
+    is worded by its message, so the code reads once."""
+    same = isinstance(exc, LedgerError) and exc.code == code
+    return LedgerError(code, f"{context}: {exc.message if same else exc}")

@@ -19,14 +19,16 @@ checkpoint's manifest and section files split its default form,
 ``full_digest`` and ``ledger_digest`` hash it with the object store
 (and, for the full digest, the block log) but without ``version`` and
 ``config``, and snapshots add both the object store and the block log.
-``state_pieces`` streams those bytes with each block's stored bytes
-spliced in undecoded, and ``state_digest`` hashes them piece by piece.
+``state_pieces`` gives those bytes in three pieces, the blocks' stored
+bytes joined undecoded in the middle one, and ``state_digest`` hashes
+the three.
 
 Replaying a recorded chain from genesis re-executes each block's
 command, its first transaction, on a fresh node and must reproduce the
 recorded block hashes and the final state digest. ``redo``, the loop
 replay runs, also brings a loaded checkpoint up to the tip of its log.
-It decodes each command once and seals the blob the block records: a
+It decodes each command with one parse and one typed test
+(``chain.decode_command``) and seals the blob the block records: a
 held blob is the canonical encoding of what it decodes to
 (``chain.Block``), so it equals a new encoding of a command that records
 the status ``execute`` writes; any other blob is encoded again.
@@ -40,12 +42,12 @@ from typing import Optional
 from . import factory as factory_mod
 from .addresses import check_address as ADDRESS, derive_address
 from .canonical import canonical_json_bytes, sha256_hex
-from .chain import (Chain, NativeLedger, Transaction, decode_blob,
+from .chain import (Chain, NativeLedger, Transaction, decode_command,
                     transaction_bytes)
-from .errors import LedgerError, err
+from .errors import LedgerError, err, wrapped
 from .factory import Factory, ImplementationVersion
 from .identity import AllowlistVerifier, Role, StakeholderRegistry, parse_role
-from .records import read, reader, to_json
+from .records import reader, to_json
 from .storage import ObjectStore, build_right_metadata
 from .tokens import atomic_swap
 
@@ -123,18 +125,17 @@ class PendingState(LedgerState):
             getattr(self, name)
 
 
-def state_pieces(d: dict, chain: Chain):
+def state_pieces(d: dict, chain: Chain) -> tuple:
     """The bytes of ``canonical_json_bytes(d | {"chain": chain.to_dict()})``
-    in pieces, without decoding a block: the keys of `d` that sort before
-    "chain", each block's ``Block.canonical_json()``, then the keys after."""
+    in three pieces, without decoding a block: the keys of `d` that sort
+    before "chain", every block's ``Block.canonical_json()`` joined once,
+    then the keys after."""
     head = canonical_json_bytes({k: v for k, v in d.items() if k < "chain"})
     tail = canonical_json_bytes({k: v for k, v in d.items() if k > "chain"})
-    yield head[:-1] + (b"," if len(head) > 2 else b"") + b'"chain":{"blocks":['
-    for i, block in enumerate(chain.blocks):
-        if i:
-            yield b","
-        yield block.canonical_json()
-    yield b"]}" + (b"," if len(tail) > 2 else b"") + tail[1:]
+    return (head[:-1] + (b"," if len(head) > 2 else b"")
+            + b'"chain":{"blocks":[',
+            b",".join([block.canonical_json() for block in chain.blocks]),
+            b"]}" + (b"," if len(tail) > 2 else b"") + tail[1:])
 
 
 def state_digest(d: dict, chain: Chain) -> str:
@@ -286,14 +287,15 @@ class Node:
             self.state.config = config
 
     def _redo_block(self, block):
+        """Re-execute `block`'s command, decoded by ``decode_command``,
+        sealing the blob it records if that is the command's encoding."""
         if not block.data:
             raise err("CorruptSnapshot", f"block {block.index} is empty")
-        try:  # a blob that is not JSON, or a record the codec refuses
-            value, held = decode_blob(block.data[0])
-            tx = read(Transaction, value)
-        except (ValueError, LedgerError) as exc:
-            raise err("CorruptSnapshot", f"block {block.index} holds a "
-                      f"malformed transaction: {exc}") from exc
+        try:  # not JSON, too deep to parse, or a record the codec refuses
+            tx, held = decode_command(block.data[0])
+        except (ValueError, RecursionError, LedgerError) as exc:
+            raise wrapped("CorruptSnapshot", f"block {block.index} holds a "
+                          "malformed transaction", exc) from exc
         try:  # a held blob of execute's status is its command's encoding
             self.execute(tx.caller, tx.operation, tx.params, tx.attached_value,
                          block.timestamp, recorded=block.data[0] if held and
@@ -318,6 +320,7 @@ def _check_timestamp(timestamp: int):
 
 # params: name -> reader; writes: the SECTIONS the executor may change
 Op = namedtuple("Op", "payable params required writes")
+MAX_NESTING = 64  # the levels of lists and objects a param may nest
 BOOL, BYTES, DICTS, INT, INTS, STR = map(reader, (
     bool, bytes, list[dict], int, list[int], str))
 OPS = {}        # op -> Op
@@ -352,6 +355,24 @@ def _documents(value):  # [{"link": cid, "name": ..., ...}, ...]
             if key in doc and type(doc[key]) is not str:
                 raise err("ParseError", f"expected a str document {key}, "
                           f"got {doc[key]!r:.60}")
+
+
+def _shallow(check):
+    """The param reader `check`, then a refusal of a value whose lists
+    and objects nest more than MAX_NESTING deep: every reader of the
+    history parses and encodes a block's values, each level one frame
+    deeper, and must stay clear of the interpreter's recursion limit."""
+    def read_shallow(value):
+        check(value)
+        level, depth = [value], 0
+        while level := [v for v in level if type(v) in (dict, list)]:
+            depth += 1
+            if depth > MAX_NESTING:
+                raise err("ParseError", "lists and objects nested more "
+                          f"than {MAX_NESTING} deep")
+            level = [x for v in level
+                     for x in (v.values() if type(v) is dict else v)]
+    return read_shallow
 
 
 # -- executors ------------------------------------------------------------------
@@ -411,8 +432,8 @@ def _ex_put_object(state, caller, params, value):
 
 
 @op("buildRightMetadata", nameOfRight=STR, optional={
-    "description": STR, "documents": _documents,
-    "extra": reader(Optional[dict])}, writes=("store",))
+    "description": STR, "documents": _shallow(_documents),
+    "extra": _shallow(reader(Optional[dict]))}, writes=("store",))
 def _ex_build_metadata(state, caller, params, value):
     cid = build_right_metadata(
         state.store, params["nameOfRight"], params.get("description", ""),

@@ -37,10 +37,11 @@ and the manifest by ``_rebuild``. ``check_sections`` is ``chain
 verify``'s check of every section file's bytes.
 
 Snapshots. ``write_snapshot`` writes ``export_snapshot``'s bytes from
-the digest's own pieces; ``import_snapshot`` checks the body against its
-digest and decodes it as a load does; ``read_snapshot``, where a file
-enters, also replays its chain and refuses a state the chain does not
-give.
+the digest's own three pieces; ``import_snapshot`` checks the body
+against its digest and decodes it as a load does; ``read_snapshot``,
+where a file enters, also replays its chain and refuses a state the
+chain does not give. A refusal that wraps one of its own code words it
+by its message (``errors.wrapped``).
 """
 
 import contextlib
@@ -56,7 +57,7 @@ from typing import Optional
 
 from .canonical import canonical_json_bytes, raw_decode, sha256_hex
 from .chain import Block, Chain, NativeLedger
-from .errors import LedgerError, err
+from .errors import LedgerError, err, wrapped
 from .factory import Factory
 from .identity import Role, StakeholderRegistry
 from .node import (STATE_VERSION, LedgerState, Node, PendingState,
@@ -462,8 +463,8 @@ def _replay(blocks: list, state: LedgerState, chain_path: str) -> Node:
     try:
         return Node.from_log(blocks, state)
     except LedgerError as exc:
-        raise err("CorruptSnapshot", f"{chain_path} does not replay: "
-                  f"{exc}") from exc
+        raise wrapped("CorruptSnapshot", f"{chain_path} does not replay",
+                      exc) from exc
 
 
 class _LogCache:
@@ -699,8 +700,8 @@ def load_state(state_dir: str) -> Node:
     try:
         node.redo(later)
     except LedgerError as exc:
-        raise err("CorruptSnapshot", f"the blocks after {state_path} "
-                  f"do not redo: {exc}") from exc
+        raise wrapped("CorruptSnapshot", f"the blocks after {state_path} "
+                      "do not redo", exc) from exc
     return node
 
 
@@ -848,7 +849,7 @@ def import_snapshot(snapshot: dict) -> Node:
 
 def write_snapshot(path: str, node: Node):
     """``canonical_json_bytes(export_snapshot(node))``, written from the
-    digest's own pieces."""
+    digest's own three pieces, joined."""
     body, chain = node.state.state_dict(objects=True), node.state.chain
     body["digest"] = state_digest(body, chain)
     _write_atomic({path: b"".join(state_pieces(body, chain))})

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from estateledger.canonical import canonical_json_bytes, sha256_hex
-from estateledger.chain import (BLOCK_KEYS, GENESIS_PREV_HASH, Block, Chain,
-                                NativeLedger, Transaction)
+from estateledger.chain import (BLOCK_KEYS, GENESIS_PREV_HASH,
+                                TRANSACTION_KEYS, Block, Chain,
+                                NativeLedger, Transaction, decode_command)
 from estateledger.errors import LedgerError, err
-from estateledger.node import LedgerState, Node
+from estateledger.node import LedgerState, Node, state_digest, state_pieces
 from estateledger.persistence import load_state, save_state
 from estateledger.records import read, read_object, read_u64, to_json
 from estateledger.storage import ObjectStore
@@ -364,6 +365,153 @@ def test_spliced_chain_json_equals_dict_encoding(genesis_ts, blocks,
     d = node.state.state_dict(objects=True) | {"chain": chain.to_dict()}
     del d["version"], d["config"]
     assert node.full_digest() == sha256_hex(canonical_json_bytes(d))
+
+
+# a deploy's block: its command, then the event the factory emits
+DEPLOY_BLOCK = [
+    Transaction("0x" + "ab" * 20, "deployProperty", {
+        "admin": "0x" + "ab" * 20, "treasury": "0x" + "cd" * 20,
+        "upgrader": "0x" + "ab" * 20, "uri": "u/{id}"}),
+    Transaction("0x" + "fa" * 20, "DeployedProperty",
+                {"address": "0x" + "12" * 20, "propertyId": 1})]
+
+
+@st.composite
+def ledgers(draw) -> Chain:
+    """A chain of blocks holding up to three transactions each, one of
+    them a deploy's block."""
+    blocks = draw(st.lists(st.tuples(u64, st.lists(transactions, max_size=3)),
+                           max_size=4))
+    blocks.insert(draw(st.integers(0, len(blocks))), (draw(u64), DEPLOY_BLOCK))
+    chain = Chain()
+    chain.append_genesis(draw(u64))
+    for timestamp, txs in blocks:
+        chain.append_block([tx.canonical_bytes() for tx in txs], timestamp)
+    return chain
+
+
+def _blob_by_blob(chain: Chain) -> dict:
+    return {"blocks": [{
+        "index": b.index, "timestamp": b.timestamp, "nonce": b.nonce,
+        "transactions": [json.loads(blob) for blob in b.data],
+        "prevHash": b.prev_hash.hex(), "hash": b.hash.hex()}
+        for b in chain.blocks]}
+
+
+@given(ledgers(), st.dictionaries(texts.filter(lambda k: k != "chain"),
+                                  json_values, max_size=4))
+def test_the_one_pass_exports_and_digest_equal_their_references(chain, d):
+    """``Chain.to_dict``'s one parse equals a decode per blob, and the
+    digest's three pieces the canonical JSON of the whole snapshot."""
+    assert chain.to_dict() == _blob_by_blob(chain)
+    whole = canonical_json_bytes(d | {"chain": chain.to_dict()})
+    assert len(state_pieces(d, chain)) == 3
+    assert b"".join(state_pieces(d, chain)) == whole
+    assert state_digest(d, chain) == sha256_hex(whole)
+
+
+def _decoded(decode):
+    try:
+        return "decoded", decode()
+    except LedgerError as exc:
+        return "LedgerError", str(exc)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+# a malformed command's blob, from a well-formed command's JSON object
+MALFORMED = [
+    lambda tx, key, other: json.dumps({k: v for k, v in tx.items()
+                                       if k != key}).encode("utf-8"),
+    lambda tx, key, other: json.dumps(tx | {key + "x": 0}).encode("utf-8"),
+    lambda tx, key, other: json.dumps(tx | {key: other}).encode("utf-8"),
+    lambda tx, key, other: canonical_json_bytes(tx)[:-1],  # not JSON
+    lambda tx, key, other: canonical_json_bytes(tx) + b"{}",  # trailing
+    lambda tx, key, other: canonical_json_bytes(tx) + b" \n",  # whitespace
+]
+
+
+@given(transactions, st.sampled_from(sorted(TRANSACTION_KEYS)), json_values,
+       st.sampled_from(MALFORMED))
+def test_a_command_decodes_as_the_record_reader_reads_it(tx, key, other,
+                                                        malform):
+    """``decode_command`` refuses what ``read(Transaction, ...)`` of the
+    parsed blob refuses, in its words: a key missing or extra, each key
+    of another type, text that is not JSON, trailing bytes; and reads
+    what it reads, the same."""
+    value = to_json(tx)
+    for blob in (tx.canonical_bytes(), malform(value, key, other)):
+        assert _decoded(lambda: decode_command(blob)[0]) == _decoded(
+            lambda: read(Transaction, json.loads(blob)))
+    assert decode_command(tx.canonical_bytes()) == (tx, True)
+
+
+@pytest.mark.parametrize("blobs", [[b"1,2"], [b"[1", b"2]"], [b"\xff"]],
+                         ids=["two-values", "split-value", "not-utf8"])
+def test_blobs_the_joined_parse_misreads_are_decoded_alone(blobs):
+    """Blobs that are not one JSON value each, which no ``Block`` a
+    reader or a command made holds: the one parse counts other than
+    the blobs, or fails, and each blob is decoded alone, which refuses
+    it as a decode per blob does."""
+    chain = Chain()
+    chain.append_genesis(0)
+    chain.append_block(blobs, 1)
+    with pytest.raises(ValueError) as want:
+        _blob_by_blob(chain)
+    with pytest.raises(ValueError) as got:
+        chain.to_dict()
+    assert str(got.value) == str(want.value)
+
+
+def _depth(value) -> int:
+    depth = 0
+    while type(value) is list and value:
+        value, depth = value[0], depth + 1
+    return depth + (type(value) is list)
+
+
+def test_a_blob_too_deep_to_join_is_decoded_alone(monkeypatch):
+    """Near the recursion limit the one parse of the joined blobs, one
+    list deeper than each blob, fails: ``Chain.to_dict`` then decodes
+    each blob alone, and reads as a decode per blob does from the same
+    depth of the stack."""
+    handed = []
+    to_dict = Block.to_dict
+    monkeypatch.setattr(Block, "to_dict", lambda self, txs=None: (
+        handed.append(txs is not None), to_dict(self, txs))[1])
+
+    def per_blob(chain):
+        return {"blocks": [b.to_dict() for b in chain.blocks]}
+
+    def outcome(chain, export):
+        try:
+            return _depth(export(chain)["blocks"][1]["transactions"][0])
+        except RecursionError:
+            return "RecursionError"
+
+    def parses(n):
+        try:
+            return json.loads("[" * n + "]" * n) is not None
+        except RecursionError:
+            return False
+    low, high = 1, 100_000  # parses, and does not, from this frame
+    while high - low > 1:  # to the deepest list one parse reads here
+        mid = (low + high) // 2
+        low, high = (mid, high) if parses(mid) else (low, mid)
+    deepest = low
+    fell_back = []
+    for n in range(deepest - 20, deepest + 2):
+        chain = Chain()
+        chain.append_genesis(0)
+        chain.append_block([b"[" * n + b"]" * n], 1)
+        handed.clear()
+        got = outcome(chain, Chain.to_dict)
+        if handed[0]:  # the one parse read it
+            assert got == n
+        else:
+            fell_back.append(n)
+            assert got == outcome(chain, per_blob)
+    assert fell_back
 
 
 # -- native accounts ----------------------------------------------------------

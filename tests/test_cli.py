@@ -5,15 +5,16 @@ import hashlib
 import json
 import os
 import shlex
+import sys
 
 import pytest
 
 from estateledger import cli, persistence
 from estateledger.addresses import derive_address
 from estateledger.canonical import canonical_json_bytes
-from estateledger.chain import Chain
+from estateledger.chain import Chain, transaction_bytes
 from estateledger.errors import LedgerError
-from estateledger.node import OPS, Node, state_digest
+from estateledger.node import MAX_NESTING, OPS, Node, state_digest
 from estateledger.persistence import load_state, save_state
 
 from checkpoints import edit_checkpoint, manifest, section_path, whole_files
@@ -901,6 +902,96 @@ def test_snapshot_import_refuses_a_chain_that_does_not_replay(
     assert errtxt == (f"error: CorruptSnapshot: {snap} does not replay: "
                       f"NotAuthorized: {tx['caller']} is not an active "
                       "stakeholder")
+
+
+def test_a_replay_refusal_names_its_error_code_once(ledger, tmp_path):
+    """A re-signed snapshot whose first command attaches `true`: the
+    decoder's CorruptSnapshot reads by its message inside the replay's
+    and the block's, so the code reads once."""
+    snap = tmp_path / "snap.json"
+    ledger("state", "export", "--out", str(snap))
+    body = json.loads(snap.read_text())
+    chain = Chain.from_dict(body["chain"])
+    tx = json.loads(chain.blocks[1].data[0])
+    tx["attachedValue"] = True
+    chain.blocks[1].data[0] = canonical_json_bytes(tx)
+    for prev, block in zip(chain.blocks, chain.blocks[1:]):
+        block.prev_hash = prev.hash
+        block.seal()
+    body["chain"] = chain.to_dict()
+    _redigested(snap, body)
+    _, _, errtxt = ledger("state", "import", "--in", str(snap), "--force",
+                          expect=3)
+    assert errtxt == (f"error: CorruptSnapshot: {snap} does not replay: "
+                      "block 1 holds a malformed transaction: attachedValue: "
+                      "expected int, got True")
+
+
+def _nested(n: int):
+    """`n` lists, each holding the next, built without recursion."""
+    value = []
+    for _ in range(n - 1):
+        value = [value]
+    return value
+
+
+# the nestings past which the interpreter's recursion limit refuses to
+# parse or encode a block, at some depth of the stack
+NEAR_THE_LIMIT = range(sys.getrecursionlimit() - 120,
+                       sys.getrecursionlimit() + 10)
+
+
+def _history_reads(tmp_path) -> list:
+    return [["chain", "verify"], ["chain", "replay"], ["state", "digest"],
+            ["chain", "show"], ["state", "export", "--out",
+                                str(tmp_path / "history.json")]]
+
+
+def test_a_param_nested_past_the_bound_is_refused_and_history_reads(
+        ledger, tmp_path):
+    """`extra` nested deeper than MAX_NESTING is a ParseError that writes
+    nothing, near the recursion limit too; each write that passes leaves
+    every history reader answering."""
+    files = _dir_bytes(ledger.state_dir)
+    for n in (MAX_NESTING - 1, MAX_NESTING, *NEAR_THE_LIMIT):
+        extra = '{"x":' + "[" * n + "]" * n + "}"  # nests n + 1 deep
+        code, _, errtxt = ledger("object", "metadata", "--name", "n",
+                                 "--extra", extra, "--as", ADMIN,
+                                 "--timestamp", "9", expect=None)
+        if n < MAX_NESTING:
+            assert code == 0
+            files = _dir_bytes(ledger.state_dir)
+        else:
+            # past the limit, the argument's own parse refuses it first
+            assert code == 2 and errtxt.startswith("error: ParseError: ")
+            assert _dir_bytes(ledger.state_dir) == files
+        for argv in _history_reads(tmp_path):
+            ledger(*argv)
+
+
+def test_no_history_reader_raises_on_a_log_nested_near_the_limit(
+        ledger, tmp_path, capsys):
+    """A log an older version wrote, whose last block nests a param near
+    the interpreter's recursion limit: each history reader answers or
+    refuses it, exit 2 or 3, and none raises out of ``cli.main``."""
+    node = load_state(ledger.state_dir)
+    blocks = node.state.chain.blocks
+    log = os.path.join(ledger.state_dir, "chain.json")
+    codes = set()
+    for n in NEAR_THE_LIMIT:
+        try:
+            blob = transaction_bytes(ADMIN, "buildRightMetadata", {
+                "nameOfRight": "n", "extra": {"x": _nested(n)}})
+        except RecursionError:  # too deep to encode from this frame
+            continue
+        chain = Chain(list(blocks))
+        chain.append_block([blob], 9)
+        with open(log, "wb") as fh:
+            fh.write(chain.canonical_json())
+        for argv in _history_reads(tmp_path):
+            codes.add(cli.main([*argv, "--state-dir", ledger.state_dir]))
+    capsys.readouterr()
+    assert codes <= {0, 2, 3} and 3 in codes  # the replay refuses the param
 
 
 def test_snapshot_import_checks_version(prop, tmp_path, capsys):

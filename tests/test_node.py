@@ -187,6 +187,25 @@ def test_replay_of_malformed_record_is_corrupt_snapshot(node, breaker):
     assert e.value.message.startswith(f"block {block.index} ")
 
 
+@pytest.mark.parametrize("breaker, refusal", [
+    (_edit_params(lambda p: [p]), "params: expected dict, got {!r:.60}"),
+    (_edit_params(lambda p: {"to": p["to"]}), "faucet lacks param 'amount'"),
+], ids=["params-a-list", "missing-param"])
+def test_replay_refusals_name_their_error_code_once(node, breaker, refusal):
+    """The decoder's CorruptSnapshot and admission's ParseError each read
+    by their message inside the block's CorruptSnapshot."""
+    node.execute(node.admin, "faucet", {"to": node.buyer, "amount": 7},
+                 timestamp=80)
+    block = node.state.chain.blocks[-1]
+    block.data[0] = breaker(block.data[0])
+    with pytest.raises(LedgerError) as e:
+        node.replay()
+    params = json.loads(block.data[0])["params"]
+    assert str(e.value) == (
+        f"CorruptSnapshot: block {block.index} holds a malformed "
+        f"transaction: {refusal.format(params)}")
+
+
 def _tamper_amount(block):
     block.data[0] = block.data[0].replace(b'"amount":7', b'"amount":8')
 

@@ -2244,8 +2244,7 @@ def test_a_log_holding_no_block_is_refused(base, capsys, checkpoint):
 
 
 @pytest.mark.parametrize("edit, refused", [
-    (lambda blocks: blocks[-1].data.clear(),
-     "CorruptSnapshot: block 4 is empty"),
+    (lambda blocks: blocks[-1].data.clear(), "block 4 is empty"),
     (lambda blocks: blocks[0].data.append(blocks[1].data[0]),
      "HashMismatch: genesis block differs"),
 ], ids=["empty tip", "genesis with a transaction"])
