@@ -11,7 +11,9 @@ Run with: python3 demos/merkle_proofs.py
 import hashlib
 import json
 
-from estateledger.merkle import MerkleProof, MerkleTree, verify_proof
+from estateledger.errors import LedgerError
+from estateledger.merkle import MerkleTree, read_proof, verify_proof
+from estateledger.records import to_json
 
 documents = [
     b"deed of sale, unit 12",
@@ -37,11 +39,20 @@ for index, doc in enumerate(documents):
 print()
 print("proofs are plain JSON and survive a round trip:")
 proof = tree.prove(2)
-blob = json.dumps(proof.to_dict(), indent=2)
+blob = json.dumps(to_json(proof), indent=2)
 print(blob)
-restored = MerkleProof.from_dict(json.loads(blob))
+restored = read_proof(json.loads(blob))
 print(f"restored proof still verifies: "
       f"{verify_proof(tree.root, leaves[2], restored)}")
+
+print()
+print("a proof that is not one the codec writes is refused, not verified:")
+for edit in ({"leafIndex": -1}, {"extra": True},
+             {"siblings": [{"digest": "00" * 31, "side": "left"}]}):
+    try:
+        read_proof(to_json(proof) | edit)
+    except LedgerError as exc:
+        print(f"  {exc}")
 
 print()
 print("tampering is caught immediately:")

@@ -24,7 +24,7 @@ from .addresses import check_address
 from .canonical import canonical_json_bytes, sha256_hex
 from .errors import LedgerError, err
 from .identity import parse_role
-from .merkle import MerkleProof, MerkleTree, verify_proof
+from .merkle import MerkleTree, read_proof, verify_proof
 from .node import Node
 from .persistence import (LedgerDir, check_sections, read_snapshot,
                           write_snapshot)
@@ -219,11 +219,13 @@ def build_parser(argv=None) -> Parser:
 # -- handlers ------------------------------------------------------------------
 # Every handler is called as handler(args, ledger), `ledger` being the
 # LedgerDir of --state-dir that an `estate run` script shares with its
-# lines. A read's handler is query(read) over `ledger.node`; a mutating
-# command's builds its op params, raising parse errors before --as is
-# checked or the state is loaded, and hands them to commit. init, run and
-# state import replace or lock the whole dir, so a script refuses them
-# (SCRIPT_REFUSED).
+# lines. A read's handler is query(read) over `ledger.node`, but for the
+# two that write an --out file, which refuse one in the state dir before
+# they load it; a mutating command's builds its op params, raising parse
+# errors before --as is checked or the state is loaded, and hands them to
+# commit. init, run and state import replace or lock the whole dir, so a
+# script refuses them (SCRIPT_REFUSED), and a script line that gives
+# --state-dir too.
 
 
 def _timestamp(args) -> int:
@@ -315,10 +317,20 @@ def _factory_init(args, ledger) -> dict:
     return commit(args, ledger, "initializeFactory", params)
 
 
-def _object_get(args, node) -> dict:
-    data = node.state.store.get(args.cid)
-    if args.out:
-        with open(args.out, "wb") as fh:
+def _outside(ledger, out: str) -> str:
+    """`out`, refused unless it resolves outside the state dir, whose
+    files a write there could replace: the log among them."""
+    path, state = os.path.realpath(out), os.path.realpath(ledger.path)
+    if os.path.commonpath((path, state)) == state:
+        raise err("ParseError", f"--out {out} is in the state dir")
+    return out
+
+
+def _object_get(args, ledger) -> dict:
+    out = args.out and _outside(ledger, args.out)
+    data = ledger.node.state.store.get(args.cid)
+    if out:
+        with open(out, "wb") as fh:
             fh.write(data)
         return {"cid": args.cid, "bytes": len(data), "out": args.out}
     try:
@@ -358,9 +370,9 @@ def _chain_replay(args, node) -> dict:
     return {"replay": "OK", "digest": digest}
 
 
-def _state_export(args, node) -> dict:
-    write_snapshot(args.out, node)
-    return {"out": args.out, "digest": node.full_digest()}
+def _state_export(args, ledger) -> dict:
+    write_snapshot(_outside(ledger, args.out), ledger.node)
+    return {"out": args.out, "digest": ledger.node.full_digest()}
 
 
 def _init(args, ledger) -> dict:
@@ -383,9 +395,9 @@ def _state_import(args, ledger) -> dict:
 
 def _merkle_prove(args, ledger) -> dict:
     tree = MerkleTree(_leaves_from_args(args, ledger))
-    proof = tree.prove(args.index)
-    return {"leaf": tree.leaves[args.index].hex(), "root": tree.root.hex(),
-            "proof": proof.to_dict()}
+    # the proof first: prove refuses an index out of range
+    return {"proof": to_json(tree.prove(args.index)),
+            "leaf": tree.leaves[args.index].hex(), "root": tree.root.hex()}
 
 
 def _merkle_verify(args, _) -> dict:
@@ -393,10 +405,10 @@ def _merkle_verify(args, _) -> dict:
     if raw.startswith("@"):
         with open(raw[1:], "r", encoding="utf-8") as fh:
             raw = fh.read()
-    try:
-        proof = MerkleProof.from_dict(json.loads(raw))
-    except (ValueError, KeyError, TypeError, RecursionError):
-        raise err("ParseError", "proof is not valid proof JSON")
+    try:  # text that is not JSON, or nested past the parser's limit
+        proof = read_proof(json.loads(raw))
+    except (ValueError, RecursionError):
+        raise err("ParseError", "proof is not valid proof JSON") from None
     return {"valid": verify_proof(parse_hex_digest(args.root),
                                   parse_hex_digest(args.leaf), proof)}
 
@@ -406,7 +418,7 @@ DIGESTS = {
     "full": lambda node: node.full_digest(),
     "ledger": lambda node: node.ledger_digest(),
     "properties": lambda node: sha256_hex(canonical_json_bytes(
-        node.state.state_dict()["properties"])),
+        node.state.state_dict(keys=("properties",))["properties"])),
 }
 
 
@@ -430,6 +442,9 @@ def _script_command(args, line: str, parsers: dict):
     key = command_key(tokens)
     if key not in parsers:
         parsers[key] = build_parser(tokens)
+        # no default, so that a line giving --state-dir, in any prefix of
+        # the flag, parses to a value
+        parsers[key].set_defaults(state_dir=None)
     try:  # argparse's help prints usage and exits; a line may not
         with contextlib.redirect_stdout(io.StringIO()):
             sub = parsers[key].parse_args(tokens)
@@ -440,6 +455,8 @@ def _script_command(args, line: str, parsers: dict):
     if key in SCRIPT_REFUSED:  # a line parses only by its command's parser
         raise err("ParseError",
                   f"{' '.join(filter(None, key))} cannot run inside a script")
+    if sub.state_dir is not None:  # every line runs on the script's dir
+        raise err("ParseError", "a script line cannot give --state-dir")
     if args.timestamp is not None and sub.timestamp is None:
         sub.timestamp = args.timestamp
     return sub
@@ -492,8 +509,7 @@ COMMANDS = {
             a.address, parse_role(a.role))})),
     ("object", "put"): ([([("--file", {}), ("--data", {})], REQUIRED)],
                         _object_put),
-    ("object", "get"): ([("--cid", REQUIRED), ("--out", {})],
-                        query(_object_get)),
+    ("object", "get"): ([("--cid", REQUIRED), ("--out", {})], _object_get),
     ("object", "metadata"): mutation(
         "buildRightMetadata", ("--name", REQUIRED, None, "nameOfRight"),
         ("--description", EMPTY),
@@ -584,7 +600,7 @@ COMMANDS = {
         [("--scope", {"choices": tuple(DIGESTS), "default": "full"})],
         query(lambda a, n: {"scope": a.scope,
                             "digest": DIGESTS[a.scope](n)})),
-    ("state", "export"): ([("--out", REQUIRED)], query(_state_export)),
+    ("state", "export"): ([("--out", REQUIRED)], _state_export),
     ("state", "import"): ([("--in", {"dest": "infile", "required": True}),
                            ("--force", {"action": "store_true"})],
                           _state_import),

@@ -6,13 +6,15 @@ count promotes its trailing node unchanged to the next level (no
 duplication), and a single leaf is its own root.
 
 A proof carries the leaf index and, bottom-up, each sibling digest
-tagged with the side that sibling sits on.
+tagged with the side that sibling sits on. Its JSON form is the record
+codec's (`records.to_json`), and `read_proof` is its one reader.
 """
 
 from dataclasses import dataclass
 
 from .canonical import sha256
-from .errors import err
+from .errors import LedgerError, err
+from .records import read
 
 
 @dataclass
@@ -20,30 +22,30 @@ class ProofStep:
     digest: bytes
     side: str  # "left" or "right": where the sibling sits
 
-    def to_dict(self) -> dict:
-        return {"digest": self.digest.hex(), "side": self.side}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProofStep":
-        side = d["side"]
-        if side not in ("left", "right"):
-            raise err("ParseError", f"bad proof side {side!r}")
-        return cls(digest=bytes.fromhex(d["digest"]), side=side)
-
 
 @dataclass
 class MerkleProof:
     leaf_index: int
-    siblings: list  # list of ProofStep
+    siblings: list[ProofStep]
 
-    def to_dict(self) -> dict:
-        return {"leafIndex": self.leaf_index,
-                "siblings": [s.to_dict() for s in self.siblings]}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MerkleProof":
-        return cls(leaf_index=d["leafIndex"],
-                   siblings=[ProofStep.from_dict(s) for s in d["siblings"]])
+def read_proof(value) -> MerkleProof:
+    """The proof the JSON `value` holds: one `to_json` can write, with a
+    leaf index of 0 or more and each sibling a 32-byte digest on the
+    left or the right. Anything else is ParseError."""
+    try:
+        proof = read(MerkleProof, value)
+        if proof.leaf_index < 0:
+            raise err("ParseError", f"leafIndex: {proof.leaf_index} < 0")
+        for at, step in enumerate(proof.siblings):
+            if step.side not in ("left", "right") or len(step.digest) != 32:
+                raise err("ParseError", f"siblings: {at}: expected a 32-byte "
+                          "digest on the left or right, got "
+                          f"{len(step.digest)} bytes on the {step.side!r:.60}")
+    except LedgerError as exc:
+        raise err("ParseError",
+                  f"proof is not valid proof JSON: {exc.message}") from None
+    return proof
 
 
 class MerkleTree:
@@ -75,16 +77,13 @@ class MerkleTree:
         if not 0 <= index < len(self.leaves):
             raise err("IndexOutOfRange",
                       f"leaf {index} of {len(self.leaves)}")
-        steps = []
-        j = index
-        for level in self.levels[:-1]:
-            sibling = j ^ 1
-            if sibling < len(level):
-                side = "left" if sibling < j else "right"
-                steps.append(ProofStep(digest=level[sibling], side=side))
-            # odd trailing node: promoted unchanged, no step emitted
-            j //= 2
-        return MerkleProof(leaf_index=index, siblings=steps)
+        # the path's node at height h is j = index >> h, and its sibling
+        # j ^ 1 sits on the left when j is odd; an odd trailing node has
+        # none, as it is promoted unchanged, and emits no step
+        return MerkleProof(leaf_index=index, siblings=[
+            ProofStep(digest=level[j ^ 1], side="left" if j & 1 else "right")
+            for h, level in enumerate(self.levels[:-1])
+            if (j := index >> h) ^ 1 < len(level)])
 
 
 def merkle_root(leaves: list) -> bytes:

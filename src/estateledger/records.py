@@ -1,9 +1,11 @@
 """One JSON codec for every stored record: a dataclass whose annotations
-(int, str, bool, bytes, dict as any JSON object, Optional, a list or set
-of leaves, a dict with str or int keys, records) are its stored form.
-`to_json(record)` writes each field under its camelCase name, a set as a
-sorted list, bytes as lowercase hex and an int key in decimal. `read(T,
-value)` raises CorruptSnapshot, naming the path to the value, on what
+(int, str, bool, bytes, dict as any JSON object, Optional, a set of
+leaves, a list of leaves or of any other of these, a dict with str or
+int keys, records) are its stored form. `to_json(record)` writes each
+field under its camelCase name, a set as a sorted list, bytes as
+lowercase hex and an int key in decimal. `read(T, value)` raises
+CorruptSnapshot, naming the path to the value (a record's or a dict's
+key, a list's index where its members are not leaves), on what
 `to_json` cannot have written: a value of the wrong exact type (a bool
 is no int), a missing or extra record key, a non-canonical int key or
 hex string, or a set's list out of order or holding a member twice.
@@ -68,12 +70,12 @@ def _writer(t):
         fields = [(key, name, _writer(h)) for key, name, h in _fields(t)]
         return lambda r: {key: getattr(r, name) if w is None
                           else w(getattr(r, name)) for key, name, w in fields}
+    w = _writer(args[1] if origin is dict else args[0])  # of the values
     if origin is typing.Union:  # Optional[X]
-        w = _writer(args[0])
         return w and (lambda v: None if v is None else w(v))
     if origin in (list, set):
-        return list if origin is list else sorted
-    w = _writer(args[1])  # a dict
+        return (list if origin is list else sorted) if w is None else (
+            lambda v: [w(x) for x in v])
     if args[0] is str:
         return dict if w is None else (
             lambda v: {k: w(x) for k, x in v.items()})
@@ -109,15 +111,17 @@ def reader(t):
     if origin is typing.Union and args[1:] == (type(None),):
         r = reader(args[0])
         return lambda v: None if v is None else r(v)
-    if origin in (list, set) and args[0] in LEAVES:
-        leaf, read_leaf = args[0], reader(args[0])
+    if origin is list or origin is set and args[0] in LEAVES:
+        r, leaf = reader(args[0]), args[0] if args[0] in LEAVES else None
 
         def read_list(v):
             if type(v) is not list:
                 raise _refused("a list", v)
+            if leaf is None:  # a refusal names the index of its member
+                return list(_members(enumerate(v), r, None).values())
             for x in v:
                 if type(x) is not leaf:
-                    read_leaf(x)  # words the refusal
+                    r(x)  # words the refusal
             if origin is list:
                 return list(v)
             if len(v) > 1 and any(a >= b for a, b in zip(v, v[1:])):
@@ -127,19 +131,25 @@ def reader(t):
     if origin is not dict or args[0] not in (str, int):
         raise TypeError(f"the record codec cannot store {t!r}")
     r, leaf = reader(args[1]), args[1] if args[1] in LEAVES else None
+    key = None if args[0] is str else _int_key
 
     def read_dict(v):
         if type(v) is not dict:
             raise _refused("an object", v)
-        out = {}
-        try:
-            for k, x in v.items():
-                out[k if args[0] is str else _int_key(k)] = (
-                    x if type(x) is leaf else r(x))
-        except LedgerError as exc:
-            raise err(exc.code, f"{k}: {exc.message}") from None
-        return out
+        return _members(v.items(), r, leaf, key)
     return read_dict
+
+
+def _members(items, r, leaf, key=None) -> dict:
+    """{k: x} of the (k, x) `items`, each x read by `r` unless its exact
+    type is `leaf`, and each k by `key` if given; a refusal names its k."""
+    out = {}
+    try:
+        for k, x in items:
+            out[k if key is None else key(k)] = x if type(x) is leaf else r(x)
+    except LedgerError as exc:
+        raise err(exc.code, f"{k}: {exc.message}") from None
+    return out
 
 
 def _canonical(parse, write, expected: str):

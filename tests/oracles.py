@@ -38,6 +38,25 @@ def ref_merkle_root(leaves: list) -> bytes:
     return ref_merkle_root(nxt)
 
 
+def ref_merkle_proof(leaves: list, index: int) -> dict:
+    """The proof JSON of leaf `index`, bottom-up, built recursively over
+    the same pairing and promotion as ``ref_merkle_root``."""
+    if len(leaves) == 1:
+        return {"leafIndex": index, "siblings": []}
+    nxt = []
+    for i in range(0, len(leaves) - 1, 2):
+        nxt.append(hashlib.sha256(leaves[i] + leaves[i + 1]).digest())
+    if len(leaves) % 2:
+        nxt.append(leaves[-1])
+    steps = []
+    if index % 2:
+        steps.append({"digest": leaves[index - 1].hex(), "side": "left"})
+    elif index + 1 < len(leaves):
+        steps.append({"digest": leaves[index + 1].hex(), "side": "right"})
+    up = ref_merkle_proof(nxt, index // 2)
+    return {"leafIndex": index, "siblings": steps + up["siblings"]}
+
+
 def ref_payouts(balances: dict, total: int) -> tuple:
     """Floor-arithmetic pro-rata payouts, computed the long way."""
     supply = 0

@@ -18,7 +18,7 @@ from estateledger.node import MAX_NESTING, OPS, Node, state_digest
 from estateledger.persistence import load_state, save_state
 
 from checkpoints import edit_checkpoint, manifest, section_path, whole_files
-from oracles import ref_merkle_root
+from oracles import ref_merkle_proof, ref_merkle_root
 
 ADMIN_KEY = "admin-key-1"
 SELLER_KEY = "seller-key"
@@ -1067,6 +1067,70 @@ def _dir_bytes(state_dir) -> dict:
     return out
 
 
+def test_merkle_prove_prints_the_proof_json_of_the_reference(estate):
+    leaves = [hashlib.sha256(bytes([i])).digest() for i in range(64)]
+    for n in (1, 2, 3, 5, 8, 13, 64):
+        flags = [x for leaf in leaves[:n] for x in ("--leaf", leaf.hex())]
+        for i in range(n):
+            _, out, _ = estate("merkle", "prove", "--index", str(i), *flags,
+                               "--json")
+            assert out.encode() == canonical_json_bytes({
+                "leaf": leaves[i].hex(),
+                "proof": ref_merkle_proof(leaves[:n], i),
+                "root": ref_merkle_root(leaves[:n]).hex()}), (n, i)
+
+
+def _proof_edit(path, value):
+    """An edit setting the value at `path` of a proof JSON value."""
+    def edit(proof):
+        inner = proof
+        for key in path[:-1]:
+            inner = inner[key]
+        inner[path[-1]] = value
+        return json.dumps(proof)
+    return edit
+
+
+# each edit of a valid proof of leaf 0 of two, whose one sibling sits on
+# the right, -> its proof text; the first six verified as valid before
+# proofs were read through the record codec
+MALFORMED_PROOF_EDITS = {
+    "index-negative": _proof_edit(("leafIndex",), -7),
+    "index-a-string": _proof_edit(("leafIndex",), "x"),
+    "index-true": _proof_edit(("leafIndex",), True),
+    "extra-top-key": _proof_edit(("note",), 1),
+    "extra-step-key": _proof_edit(("siblings", 0, "note"), 1),
+    "digest-uppercase": lambda p: json.dumps(p).replace(
+        p["siblings"][0]["digest"], p["siblings"][0]["digest"].upper()),
+    "side-up": _proof_edit(("siblings", 0, "side"), "up"),
+    "digest-31-bytes": lambda p: _proof_edit(
+        ("siblings", 0, "digest"), p["siblings"][0]["digest"][2:])(p),
+    "siblings-an-object": _proof_edit(("siblings",), {}),
+    "siblings-a-string": _proof_edit(("siblings",), "ab"),
+    "siblings-null": _proof_edit(("siblings",), None),
+    "index-missing": lambda p: json.dumps({"siblings": p["siblings"]}),
+    "not-json": lambda p: json.dumps(p)[:-1],
+    "nested-past-the-limit": lambda p: json.dumps(p)[:-1].replace(
+        '"siblings": [', '"siblings": [' + DEEP_JSON + ", ") + "}",
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_PROOF_EDITS)
+def test_merkle_verify_refuses_a_malformed_proof(estate, case):
+    l0, l1 = (hashlib.sha256(bytes([i])).digest() for i in range(2))
+    root, leaf = hashlib.sha256(l0 + l1).hexdigest(), l0.hex()
+    proof = {"leafIndex": 0, "siblings": [{"digest": l1.hex(),
+                                           "side": "right"}]}
+    assert jget(estate, "merkle", "verify", "--root", root, "--leaf", leaf,
+                "--proof", json.dumps(proof))["valid"] is True
+    text = MALFORMED_PROOF_EDITS[case](proof)
+    _, out, err = estate("merkle", "verify", "--root", root, "--leaf", leaf,
+                         "--proof", text, expect=2)
+    assert out == ""
+    assert err.startswith("error: ParseError: proof is not valid proof JSON")
+    assert not os.path.exists(estate.state_dir)
+
+
 LEAF = "ab" * 32
 
 
@@ -1550,8 +1614,13 @@ def test_script_lines_of_one_command_share_its_parser(estate, tmp_path,
     assert jget(estate, "run", str(script))["commands"] == 10
     assert len(built) == 1 + 2  # the `run` command's own, then one each
     monkeypatch.undo()
-    assert parsed[1:] == [cli.build_parser(shlex.split(line)).parse_args(
-        shlex.split(line)) for line in lines]
+    expected = []
+    for line in lines:
+        args = cli.build_parser(shlex.split(line)).parse_args(
+            shlex.split(line))
+        args.state_dir = None  # a script's parsers give it no default
+        expected.append(args)
+    assert parsed[1:] == expected
 
 
 @pytest.mark.parametrize("flag", [["--as", ADMIN], [f"--as={ADMIN}"]],
@@ -1587,6 +1656,80 @@ def test_script_line_asking_for_help_is_a_parse_error(estate, tmp_path, ask):
     # line 1 stays committed, line 3 never ran
     assert jget(estate, "chain", "balance",
                 "--address", ADMIN)["balance"] == 1
+
+
+@pytest.mark.parametrize("flag", [
+    "--state-dir {w}/other", "--state-dir={w}/other", "--state {w}/other",
+    "--state-d {w}/other", "--state-dir ''"],
+    ids=["flag", "flag-equals", "prefix", "longer-prefix", "empty"])
+def test_a_script_line_giving_a_state_dir_is_refused(estate, tmp_path, flag):
+    estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+    script = tmp_path / "names-a-dir.txt"
+    other = flag.replace("{w}", str(tmp_path))
+    script.write_text(f"chain faucet --to {ADMIN} --amount 1 --as {ADMIN}\n"
+                      f"chain faucet --to {ADMIN} --amount 2 --as {ADMIN} "
+                      f"{other}\n")
+    _, out, errtxt = estate("run", str(script), "--timestamp", "1", expect=2)
+    assert out == ""
+    assert errtxt == ("error: ParseError: line 2: a script line cannot give "
+                      "--state-dir")
+    assert not os.path.exists(tmp_path / "other")
+    # line 1 stays committed, to the script's dir
+    assert jget(estate, "chain", "balance",
+                "--address", ADMIN)["balance"] == 1
+
+
+def _state_dir_files(state_dir) -> list:
+    """One file of each kind in a state dir, by its path in the dir."""
+    sections = manifest(state_dir)["sections"]
+    objects = os.listdir(os.path.join(state_dir, "objects"))
+    return ["chain.json", "state.json", "config.json",
+            os.path.join("sections", sections["registry"] + ".json"),
+            os.path.join("objects", objects[0])]
+
+
+@pytest.mark.parametrize("command", [
+    ["state", "export"], ["object", "get", "--cid", "{cid}"]],
+    ids=["state-export", "object-get"])
+def test_an_out_file_in_the_state_dir_is_refused(estate, tmp_path, command):
+    estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+    cid = jget(estate, "object", "put", "--data", "deed", "--as", ADMIN,
+               "--timestamp", "1")["cid"]
+    (tmp_path / "link").symlink_to(estate.state_dir)
+    argv = [cid if arg == "{cid}" else arg for arg in command]
+    before = _dir_bytes(estate.state_dir)
+    outs = [os.path.join(estate.state_dir, name)
+            for name in _state_dir_files(estate.state_dir)]
+    outs += [estate.state_dir, str(tmp_path / "link" / "chain.json"),
+             os.path.join(estate.state_dir, "objects", "new.bin")]
+    for out in outs:
+        _, stdout, errtxt = estate(*argv, "--out", out, expect=2)
+        assert stdout == ""
+        assert errtxt == f"error: ParseError: --out {out} is in the state dir"
+        assert _dir_bytes(estate.state_dir) == before, out
+    # a file beside the dir, whose name starts as the dir's does, is written
+    estate(*argv, "--out", estate.state_dir + ".out")
+    assert os.path.getsize(estate.state_dir + ".out") > 0
+    assert _dir_bytes(estate.state_dir) == before
+    estate("chain", "verify")
+
+
+def test_state_digest_of_the_properties_reads_no_other_section(prop):
+    prop, addr = prop
+    before = jget(prop, "state", "digest", "--scope", "properties")
+    factory = jget(prop, "factory", "info")
+    info = jget(prop, "property", "info", "--property", addr)
+    registry = section_path(prop.state_dir,
+                            manifest(prop.state_dir)["sections"]["registry"])
+    with open(registry, "rb") as fh:
+        data = fh.read()
+    with open(registry, "wb") as fh:  # other bytes, of the same length
+        fh.write(data.replace(b'"active":true', b'"active":null', 1))
+    assert jget(prop, "state", "digest", "--scope", "properties") == before
+    assert jget(prop, "factory", "info") == factory
+    assert jget(prop, "property", "info", "--property", addr) == info
+    _, _, errtxt = prop("state", "digest", expect=3)
+    assert errtxt.startswith("error: CorruptSnapshot: ")
 
 
 # Bad text and bad files named on the command line exit with a code, never

@@ -7,8 +7,9 @@ from hypothesis import given, strategies as st
 
 from estateledger.canonical import canonical_json_bytes
 from estateledger.errors import LedgerError
-from estateledger.merkle import (MerkleProof, MerkleTree, merkle_root,
+from estateledger.merkle import (MerkleTree, merkle_root, read_proof,
                                  verify_proof)
+from estateledger.records import to_json
 from oracles import ref_merkle_root
 
 
@@ -106,19 +107,87 @@ def test_bit_flips_break_verification():
 def test_proof_round_trips_through_json():
     tree = MerkleTree(rand_leaves(5, seed=7))
     proof = tree.prove(4)
-    again = MerkleProof.from_dict(
-        json.loads(canonical_json_bytes(proof.to_dict()).decode("utf-8")))
+    again = read_proof(
+        json.loads(canonical_json_bytes(to_json(proof)).decode("utf-8")))
+    assert again == proof
     assert verify_proof(tree.root, tree.leaves[4], again)
-    assert (canonical_json_bytes(again.to_dict())
-            == canonical_json_bytes(proof.to_dict()))
+    assert (canonical_json_bytes(to_json(again))
+            == canonical_json_bytes(to_json(proof)))
 
 
 def test_bad_side_tag_rejected():
     with pytest.raises(LedgerError) as e:
-        MerkleProof.from_dict({"leafIndex": 0,
-                               "siblings": [{"digest": "00" * 32,
-                                             "side": "up"}]})
+        read_proof({"leafIndex": 0,
+                    "siblings": [{"digest": "00" * 32, "side": "up"}]})
     assert e.value.code == "ParseError"
+
+
+def _former_proof_dict(proof) -> dict:
+    """The proof's JSON as the hand-written encoder before the record
+    codec wrote it."""
+    return {"leafIndex": proof.leaf_index,
+            "siblings": [{"digest": s.digest.hex(), "side": s.side}
+                         for s in proof.siblings]}
+
+
+def test_proof_json_keeps_its_bytes_for_every_index_of_64_trees():
+    leaves = rand_leaves(64, seed=8)
+    for n in range(1, 65):
+        tree = MerkleTree(leaves[:n])
+        for i in range(n):
+            proof = tree.prove(i)
+            assert (canonical_json_bytes(to_json(proof))
+                    == canonical_json_bytes(_former_proof_dict(proof))), (n, i)
+            assert read_proof(to_json(proof)) == proof
+
+
+GOOD_STEP = {"digest": "ab" * 32, "side": "right"}
+# a proof JSON value -> the detail of its refusal
+MALFORMED_PROOFS = {
+    "index-negative": ({"leafIndex": -7, "siblings": [GOOD_STEP]},
+                       "leafIndex: -7 < 0"),
+    "index-a-string": ({"leafIndex": "x", "siblings": [GOOD_STEP]},
+                       "leafIndex: expected int, got 'x'"),
+    "index-a-bool": ({"leafIndex": True, "siblings": [GOOD_STEP]},
+                     "leafIndex: expected int, got True"),
+    "index-missing": ({"siblings": [GOOD_STEP]},
+                      "keys ['siblings'], expected ['leafIndex', 'siblings']"),
+    "extra-top-key": ({"leafIndex": 0, "siblings": [GOOD_STEP], "x": 1},
+                      "keys ['leafIndex', 'siblings', 'x'], expected "
+                      "['leafIndex', 'siblings']"),
+    "extra-step-key": ({"leafIndex": 0, "siblings": [GOOD_STEP | {"x": 1}]},
+                       "siblings: 0: keys ['digest', 'side', 'x'], expected "
+                       "['digest', 'side']"),
+    "digest-uppercase": ({"leafIndex": 0, "siblings": [
+        GOOD_STEP, {"digest": "AB" * 32, "side": "left"}]},
+        "siblings: 1: digest: expected lowercase hex, got "
+        + repr("AB" * 32)[:60]),
+    "digest-31-bytes": ({"leafIndex": 0, "siblings": [
+        {"digest": "ab" * 31, "side": "left"}]},
+        "siblings: 0: expected a 32-byte digest on the left or right, "
+        "got 31 bytes on the 'left'"),
+    "side-up": ({"leafIndex": 0, "siblings": [GOOD_STEP | {"side": "up"}]},
+                "siblings: 0: expected a 32-byte digest on the left or "
+                "right, got 32 bytes on the 'up'"),
+    "siblings-an-object": ({"leafIndex": 0, "siblings": {}},
+                           "siblings: expected a list, got {}"),
+    "siblings-a-string": ({"leafIndex": 0, "siblings": "ab"},
+                          "siblings: expected a list, got 'ab'"),
+    "siblings-null": ({"leafIndex": 0, "siblings": None},
+                      "siblings: expected a list, got None"),
+    "step-not-an-object": ({"leafIndex": 0, "siblings": [GOOD_STEP, 5]},
+                           "siblings: 1: expected an object, got 5"),
+    "not-an-object": ([], "expected an object, got []"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_PROOFS)
+def test_a_malformed_proof_is_refused_with_its_detail(case):
+    value, detail = MALFORMED_PROOFS[case]
+    with pytest.raises(LedgerError) as e:
+        read_proof(value)
+    assert (e.value.code, e.value.message) == (
+        "ParseError", f"proof is not valid proof JSON: {detail}")
 
 
 @given(st.lists(st.binary(min_size=32, max_size=32), min_size=1,

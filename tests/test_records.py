@@ -1,6 +1,7 @@
 """The record codec: a stored value is read only in the exact form
 `to_json` writes, and anything else is CorruptSnapshot."""
 
+import dataclasses
 import json
 import os
 import re
@@ -13,7 +14,7 @@ from estateledger import cli
 from estateledger.addresses import derive_address
 from estateledger.errors import LedgerError
 from estateledger.persistence import load_state, save_state
-from estateledger.records import read
+from estateledger.records import read, to_json
 
 from checkpoints import read_checkpoint, write_checkpoint
 
@@ -119,6 +120,42 @@ def test_non_canonical_forms_are_refused(t, value):
     with pytest.raises(LedgerError) as e:
         read(t, value)
     assert e.value.code == "CorruptSnapshot"
+
+
+@dataclasses.dataclass
+class _Step:
+    digest: bytes
+    side_tag: str
+
+
+@dataclasses.dataclass
+class _Path:
+    steps: list[_Step]
+
+
+def test_a_list_of_records_round_trips_and_a_refusal_names_its_index():
+    path = _Path([_Step(b"\x01", "l"), _Step(b"", "r")])
+    assert to_json(path) == {"steps": [{"digest": "01", "sideTag": "l"},
+                                       {"digest": "", "sideTag": "r"}]}
+    assert read(_Path, to_json(path)) == path
+    assert read(_Path, {"steps": []}) == _Path([])
+    for steps, message in (
+            ({}, "steps: expected a list, got {}"),
+            ([{"digest": "01", "sideTag": "l"}, 5],
+             "steps: 1: expected an object, got 5"),
+            ([{"digest": "01", "sideTag": "l"},
+              {"digest": "0A", "sideTag": "r"}],
+             "steps: 1: digest: expected lowercase hex, got '0A'"),
+            ([{"digest": "01"}],
+             "steps: 0: keys ['digest'], expected ['digest', 'sideTag']")):
+        with pytest.raises(LedgerError) as e:
+            read(_Path, {"steps": steps})
+        assert (e.value.code, e.value.message) == ("CorruptSnapshot", message)
+
+
+def test_a_set_of_records_is_no_stored_form():
+    with pytest.raises(TypeError):
+        read(set[_Step], [])
 
 
 # -- fuzzing the files of a state dir ------------------------------------------
