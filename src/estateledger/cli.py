@@ -26,8 +26,8 @@ from .errors import LedgerError, err
 from .identity import parse_role
 from .merkle import MerkleTree, read_proof, verify_proof
 from .node import Node
-from .persistence import (LedgerDir, check_sections, read_snapshot,
-                          write_snapshot)
+from .persistence import (LedgerDir, _write_atomic, check_sections,
+                          read_snapshot, write_snapshot)
 from .records import to_json
 from .storage import cid_digest, resolve_uri
 from .tokens import check_token_id, fractional_of, swap_descriptor_digest
@@ -329,9 +329,8 @@ def _outside(ledger, out: str) -> str:
 def _object_get(args, ledger) -> dict:
     out = args.out and _outside(ledger, args.out)
     data = ledger.node.state.store.get(args.cid)
-    if out:
-        with open(out, "wb") as fh:
-            fh.write(data)
+    if out:  # renamed over `out`, so a link there is replaced, not written
+        _write_atomic({out: data}, durable=False)
         return {"cid": args.cid, "bytes": len(data), "out": args.out}
     try:
         return {"cid": args.cid, "text": data.decode("utf-8")}
@@ -395,9 +394,9 @@ def _state_import(args, ledger) -> dict:
 
 def _merkle_prove(args, ledger) -> dict:
     tree = MerkleTree(_leaves_from_args(args, ledger))
-    # the proof first: prove refuses an index out of range
-    return {"proof": to_json(tree.prove(args.index)),
-            "leaf": tree.leaves[args.index].hex(), "root": tree.root.hex()}
+    proof = tree.prove(args.index)
+    return {"leaf": tree.leaves[args.index].hex(), "root": tree.root.hex(),
+            "proof": to_json(proof)}
 
 
 def _merkle_verify(args, _) -> dict:

@@ -77,13 +77,16 @@ class MerkleTree:
         if not 0 <= index < len(self.leaves):
             raise err("IndexOutOfRange",
                       f"leaf {index} of {len(self.leaves)}")
-        # the path's node at height h is j = index >> h, and its sibling
-        # j ^ 1 sits on the left when j is odd; an odd trailing node has
-        # none, as it is promoted unchanged, and emits no step
-        return MerkleProof(leaf_index=index, siblings=[
-            ProofStep(digest=level[j ^ 1], side="left" if j & 1 else "right")
-            for h, level in enumerate(self.levels[:-1])
-            if (j := index >> h) ^ 1 < len(level)])
+        steps = []
+        j = index
+        for level in self.levels[:-1]:
+            sibling = j ^ 1
+            if sibling < len(level):
+                side = "left" if sibling < j else "right"
+                steps.append(ProofStep(digest=level[sibling], side=side))
+            # odd trailing node: promoted unchanged, no step emitted
+            j //= 2
+        return MerkleProof(leaf_index=index, siblings=steps)
 
 
 def merkle_root(leaves: list) -> bytes:

@@ -1709,8 +1709,18 @@ def test_an_out_file_in_the_state_dir_is_refused(estate, tmp_path, command):
         assert _dir_bytes(estate.state_dir) == before, out
     # a file beside the dir, whose name starts as the dir's does, is written
     estate(*argv, "--out", estate.state_dir + ".out")
-    assert os.path.getsize(estate.state_dir + ".out") > 0
-    assert _dir_bytes(estate.state_dir) == before
+    with open(estate.state_dir + ".out", "rb") as fh:
+        written = fh.read()
+    assert written and _dir_bytes(estate.state_dir) == before
+    # a hard link outside the dir to one of its files resolves outside it:
+    # the output replaces the link, and the dir's file keeps its bytes
+    for at, name in enumerate(_state_dir_files(estate.state_dir)):
+        link = str(tmp_path / f"hard-{at}")
+        os.link(os.path.join(estate.state_dir, name), link)
+        estate(*argv, "--out", link)
+        with open(link, "rb") as fh:
+            assert fh.read() == written, name
+        assert _dir_bytes(estate.state_dir) == before, name
     estate("chain", "verify")
 
 
