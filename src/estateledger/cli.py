@@ -136,10 +136,13 @@ def parse_json_object(s: str) -> dict:
 
 # -- leaf arguments ------------------------------------------------------------
 # COMMANDS, at the end of this module, maps each (noun, verb) pair to its
-# leaf arguments, which build_parser adds after COMMON to that command's
-# parser, and its handler. Each argument is (flag, add_argument kwargs). A
-# list in place of the flag is a required mutually exclusive group of them.
-# A mutating command's row, mutation(...), gives each its parse and op param.
+# leaf arguments and its handler. table_parse reads a well-formed command
+# line straight from COMMON and those arguments; what it declines goes to
+# argparse, to which build_parser adds the same arguments, so that argparse
+# words every refusal and help text. Each argument is (flag, add_argument
+# kwargs). A list in place of the flag is a required mutually exclusive
+# group of them. A mutating command's row, mutation(...), gives each its
+# parse and op param.
 
 REQUIRED = {"required": True}
 REQUIRED_INT = {"type": int, "required": True}
@@ -190,10 +193,13 @@ def command_key(argv):
 
 
 def build_parser(argv=None) -> Parser:
-    """The parser of `argv`: when its first words name a command, that
-    command's alone, with `noun` and `verb` as defaults; otherwise (no argv,
-    root help, a bare noun, an unknown noun or verb, an option before the
-    command) the whole tree, so help and error text list every choice."""
+    """The argparse parser of `argv`, which parses what table_parse
+    declines, words its refusal or prints its help, and is the reference
+    table_parse is tested against: when the first words of `argv` name a
+    command, that command's alone, with `noun` and `verb` as defaults;
+    otherwise (no argv, root help, a bare noun, an unknown noun or verb, an
+    option before the command) the whole tree, so help and error text list
+    every choice."""
     key = command_key(argv)
     if key is not None:
         words = [word for word in key if word]
@@ -214,6 +220,95 @@ def build_parser(argv=None) -> Parser:
             leaf = verbs[noun].add_parser(verb)
         _add_args(leaf, COMMON + args)
     return root
+
+
+@functools.cache
+def _row_spec(key) -> tuple:
+    """(flags, defaults, required, groups, positionals) of the command
+    `key`, as its argparse parser holds them: flags maps each exact flag to
+    its (dest, add_argument kwargs), required holds the dests of required
+    flags, and groups the dests of each exclusive group."""
+    flags, required, groups, positionals = {}, set(), [], []
+    defaults = dict(zip(("noun", "verb"), filter(None, key)))
+
+    def add(args) -> set:
+        dests = set()
+        for flag, kwargs in args:
+            if isinstance(flag, list):  # a required exclusive group
+                groups.append(add(flag))
+                continue
+            dest = kwargs.get("dest", flag.lstrip("-").replace("-", "_"))
+            dests.add(dest)
+            unset = False if kwargs.get("action") == "store_true" else None
+            defaults[dest] = kwargs.get("default", unset)
+            if not flag.startswith("-"):
+                positionals.append(dest)
+            else:
+                flags[flag] = dest, kwargs
+                if kwargs.get("required"):
+                    required.add(dest)
+        return dests
+    add(COMMON + COMMANDS[key][0])
+    return flags, defaults, required, groups, positionals
+
+
+def table_parse(argv, **defaults):
+    """The Namespace that build_parser(argv), with `defaults` set, parses
+    a well-formed `argv` to, read straight from its command's row. None,
+    for argparse to parse, for any other argv: no command, a flag that is
+    not exact (an abbreviation, -h, --), a value that starts with "-" or
+    fails its type or choices, a missing required flag, two flags of one
+    group, or a positional too many or too few."""
+    key = command_key(argv)
+    if key is None:
+        return None
+    flags, values, required, groups, positionals = _row_spec(key)
+    values, seen, rest = {**values, **defaults}, set(), []
+    tokens = iter(argv[1 if key[1] is None else 2:])
+    for token in tokens:
+        if not token.startswith("-"):
+            rest.append(token)
+            continue
+        flag, explicit, value = token.partition("=")
+        if flag not in flags:
+            return None
+        dest, kwargs = flags[flag]
+        if kwargs.get("action") == "store_true":
+            if explicit:
+                return None
+            value = True
+        else:
+            if not explicit:
+                value = next(tokens, "-")  # "-": a last flag lacks its value
+            if value.startswith("-"):
+                return None
+            try:
+                value = kwargs.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in kwargs.get("choices", (value,)):
+                return None
+            if kwargs.get("action") == "append":
+                value = values[dest] + [value]
+        values[dest] = value
+        seen.add(dest)
+    if (len(rest) != len(positionals) or not required <= seen
+            or any(len(dests & seen) != 1 for dests in groups)):
+        return None
+    values.update(zip(positionals, rest))
+    return argparse.Namespace(**values)
+
+
+def parse(argv, **defaults) -> argparse.Namespace:
+    """`argv` parsed from the command table, or, when table_parse declines
+    it, by build_parser's parser with `defaults` set, which also words a
+    refusal or prints help."""
+    args = table_parse(argv, **defaults)
+    if args is None:
+        parser = build_parser(argv)
+        parser.set_defaults(**defaults)
+        args = parser.parse_args(argv)
+    return args
 
 
 # -- handlers ------------------------------------------------------------------
@@ -425,10 +520,9 @@ DIGESTS = {
 SCRIPT_REFUSED = {("init", None), ("run", None), ("state", "import")}
 
 
-def _script_command(args, line: str, parsers: dict):
+def _script_command(args, line: str):
     """The parsed command of one script line, bound to the default
-    timestamp of the `estate run` command `args`. `parsers` holds the
-    parser of each command the script has parsed a line of so far."""
+    timestamp of the `estate run` command `args`."""
     try:
         tokens = shlex.split(line)
     except ValueError as exc:  # an unbalanced quote
@@ -439,14 +533,11 @@ def _script_command(args, line: str, parsers: dict):
             raise err("ParseError", "bare caller prefix")
         caller, tokens = tokens[1], tokens[2:]
     key = command_key(tokens)
-    if key not in parsers:
-        parsers[key] = build_parser(tokens)
-        # no default, so that a line giving --state-dir, in any prefix of
-        # the flag, parses to a value
-        parsers[key].set_defaults(state_dir=None)
     try:  # argparse's help prints usage and exits; a line may not
         with contextlib.redirect_stdout(io.StringIO()):
-            sub = parsers[key].parse_args(tokens)
+            # no default, so that a line giving --state-dir, in any prefix
+            # of the flag, parses to a value
+            sub = parse(tokens, state_dir=None)
     except SystemExit:
         raise err("ParseError", "a script line cannot ask for help") from None
     if sub.caller is None:  # an explicit --as wins over the prefix
@@ -466,12 +557,12 @@ def run_script(args, ledger) -> dict:
     one lock; a mutating line is committed, its block appended and
     fsynced, before the next line runs, so a failing line leaves the
     lines before it committed. The checkpoint is written once, as the
-    hold ends. Lines of one command share its parser."""
+    hold ends."""
     with open(args.script, "r", encoding="utf-8") as fh:
         # text mode has already turned \r\n and \r into \n; str.splitlines
         # would also break at \x0c, \x85 and U+2028
         lines = fh.read().split("\n")
-    executed, parsers = 0, {}
+    executed = 0
     with ledger.writing():
         node = ledger.node
         for lineno, raw in enumerate(lines, start=1):
@@ -479,7 +570,7 @@ def run_script(args, ledger) -> dict:
             if not line or line.startswith("#"):
                 continue
             try:
-                dispatch(_script_command(args, line, parsers), ledger)
+                dispatch(_script_command(args, line), ledger)
             except LedgerError as exc:
                 raise LedgerError(exc.code, f"line {lineno}: {exc.message}")
             executed += 1
@@ -646,7 +737,7 @@ def main(argv=None) -> int:
                 arg.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise err("ParseError", str(exc)) from exc
-        args = build_parser(argv).parse_args(argv)
+        args = parse(argv)
         result = dispatch(args, LedgerDir(args.state_dir))
     except LedgerError as exc:
         print(f"error: {exc}", file=sys.stderr)

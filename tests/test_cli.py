@@ -8,6 +8,7 @@ import shlex
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from estateledger import cli, persistence
 from estateledger.addresses import derive_address
@@ -17,6 +18,7 @@ from estateledger.errors import LedgerError
 from estateledger.node import MAX_NESTING, OPS, Node, state_digest
 from estateledger.persistence import load_state, save_state
 
+import parse_parity
 from checkpoints import edit_checkpoint, manifest, section_path, whole_files
 from oracles import ref_merkle_proof, ref_merkle_root
 
@@ -1612,7 +1614,7 @@ def test_script_lines_of_one_command_share_its_parser(estate, tmp_path,
     monkeypatch.setattr(cli, "dispatch", lambda args, ledger: (
         parsed.append(args) or real_dispatch(args, ledger)))
     assert jget(estate, "run", str(script))["commands"] == 10
-    assert len(built) == 1 + 2  # the `run` command's own, then one each
+    assert len(built) == 0  # the `run` line and each script line: the table
     monkeypatch.undo()
     expected = []
     for line in lines:
@@ -1919,6 +1921,61 @@ def test_help_matches_full_parser(full_parser, capsys, argv):
     with pytest.raises(SystemExit):
         cli.main(argv)
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("key", list(cli.COMMANDS), ids=str)
+def test_table_parse_accepts_each_rows_well_formed_line(key):
+    command = [word for word in key if word]
+    args = _leaf_args(key)
+    common = ["--as", ADMIN, "--value", "1", "--timestamp", "2", "--json"]
+    argv = command + [t for tokens, _ in args for t in tokens] + common
+    # argparse refuses a line missing a required flag or the positional,
+    # or giving a positional too many: the table parser declines them
+    refused = [argv + ["stray"]] + [
+        command + [t for j, (tokens, _) in enumerate(args) if j != i
+                   for t in tokens] + common
+        for i, (tokens, required) in enumerate(args)
+        if required or not tokens[0].startswith("-")]
+    for defaults in ({}, parse_parity.SCRIPT):
+        assert parse_parity.check(argv, **defaults)
+        for line in refused:
+            assert not parse_parity.check(line, **defaults)
+
+
+@pytest.mark.parametrize("key", list(cli.COMMANDS), ids=str)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_table_parse_declines_or_agrees_with_argparse(key, data):
+    """Lines drawn from the row: exact, `=` and abbreviated flags, repeated
+    ones, both members of a group, unknown flags, -h, --, and values such
+    as -5, '', ' 7', x and --json."""
+    argv = parse_parity.draw_argv(
+        key, lambda options: data.draw(st.sampled_from(options)))
+    parse_parity.check(argv)
+    parse_parity.check(argv, **parse_parity.SCRIPT)
+
+
+def test_a_well_formed_line_builds_no_argparse_parser(estate, tmp_path,
+                                                      monkeypatch):
+    estate("init", "--admin-key", ADMIN_KEY, "--timestamp", "0")
+    script = tmp_path / "faucets.txt"
+    script.write_text(f"chain faucet --to {ADMIN} --amount 1 --as {ADMIN}\n"
+                      f"as {ADMIN} chain faucet --to={ADMIN} --amount=2\n"
+                      f"chain balance --address {ADMIN}\n")
+    built = []
+    init = cli.Parser.__init__
+    monkeypatch.setattr(cli.Parser, "__init__", lambda self, *a, **kw: (
+        built.append(self) or init(self, *a, **kw)))
+    estate("chain", "faucet", "--to", ADMIN, "--amount", "4", "--as", ADMIN,
+           "--timestamp", "1")
+    estate("run", str(script), "--timestamp", "2")
+    assert jget(estate, "chain", "balance",
+                "--address", ADMIN)["balance"] == 7
+    assert built == []
+    # a declined line, here an abbreviated flag, is parsed by argparse
+    assert jget(estate, "chain", "balance",
+                "--addr", ADMIN)["balance"] == 7
+    assert len(built) == 1
 
 
 def test_state_show_and_factory_queries(prop):
