@@ -16,6 +16,8 @@ block gets the previous nonce plus one. ``Block.compute_hash`` streams
 these fields into SHA-256, ``transaction_bytes`` encodes every blob, and
 ``decode_command`` decodes the command a block records, with one parse.
 ``Chain.to_dict`` decodes every blob of the log with one parse too.
+``Chain.from_dict`` with `prev` is the checked read of a log: each block
+must match its hash and link to the block before it.
 """
 
 import hashlib
@@ -176,12 +178,29 @@ class Chain:
     def __init__(self, blocks: list = None, log=None):
         self.held = [] if blocks is None else blocks
         self.log = log
+        # the leading blocks of `held` whose hash and link were checked as
+        # they were read (``from_dict`` with `prev`), which ``verify``
+        # does not hash again
+        self.checked = 0
 
     @property
     def blocks(self) -> list:
         if self.log is not None and self.held[0].index > 0:
-            self.held[:0] = self.log.before(self.held[0])
+            before = self.log.before(self.held[0])
+            self.held[:0] = before
+            self.checked = len(before)
         return self.held
+
+    def joined(self) -> bytes:
+        """Every block's ``Block.canonical_json()``, joined by commas: the
+        blocks before `held` as the bytes ``log.certified`` checks by one
+        SHA-256, if it can, else as ``blocks`` reads them."""
+        before = None
+        if self.log is not None and self.held[0].index > 0:
+            before = self.log.certified(self.held[0])
+        held = b",".join([block.canonical_json() for block in (
+            self.blocks if before is None else self.held)])
+        return held if before is None else before + b"," + held
 
     @property
     def height(self) -> int:
@@ -209,15 +228,17 @@ class Chain:
         return block
 
     def verify(self) -> bool:
-        """Recompute every hash and check the prev-hash linkage."""
+        """Recompute every hash and check the prev-hash linkage, but for
+        the blocks the checked read of a loaded chain checked already."""
         blocks = self.blocks
         if not blocks:
             return False
         g = blocks[0]
         if (g.index != 0 or g.prev_hash != GENESIS_PREV_HASH or g.nonce != 0
-                or g.data or g.hash != g.compute_hash()):
+                or g.data or not self.checked and g.hash != g.compute_hash()):
             return False
-        for prev, b in zip(blocks, blocks[1:]):
+        start = max(self.checked, 1) - 1
+        for prev, b in zip(blocks[start:], blocks[start + 1:]):
             if (b.index != prev.index + 1 or b.nonce != prev.nonce + 1
                     or b.prev_hash != prev.hash or b.hash != b.compute_hash()):
                 return False
@@ -251,15 +272,28 @@ class Chain:
                 + b",".join(b.canonical_json() for b in self.blocks) + b"]}")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Chain":
-        """Decode a block log; each block's index and nonce must equal
-        its position, so the next append cannot overflow its header."""
+    def from_dict(cls, d: dict, first: int = 0, prev: bytes = None) -> "Chain":
+        """Decode a block log, or its blocks from block `first` on; each
+        block's index and nonce must equal its position, so the next
+        append cannot overflow its header. Given `prev`, the hash of the
+        block before, the read is checked: each block must match its hash
+        and link to the block before it, else HashMismatch, naming it."""
         blocks = read_dicts(read_object(d, {"blocks"})["blocks"])
         chain = cls(blocks=[Block.from_dict(b) for b in blocks])
-        for i, b in enumerate(chain.blocks):
+        for i, b in enumerate(chain.held, first):
             if b.index != i or b.nonce != i:
                 raise err("CorruptSnapshot", f"block {i} records index "
                           f"{b.index} and nonce {b.nonce}")
+            if prev is not None:
+                if b.hash != b.compute_hash():
+                    raise err("HashMismatch",
+                              f"block {i} does not match its hash")
+                if b.prev_hash != prev:
+                    raise err("HashMismatch", f"block {i} does not link to "
+                              f"block {i - 1}")
+                prev = b.hash
+        if prev is not None:
+            chain.checked = len(chain.held)
         return chain
 
 

@@ -26,8 +26,8 @@ from .errors import LedgerError, err
 from .identity import parse_role
 from .merkle import MerkleTree, read_proof, verify_proof
 from .node import Node
-from .persistence import (LedgerDir, _write_atomic, check_sections,
-                          read_snapshot, write_snapshot)
+from .persistence import (LedgerDir, _write_atomic, check_certificate,
+                          check_sections, read_snapshot, write_snapshot)
 from .records import to_json
 from .storage import cid_digest, resolve_uri
 from .tokens import check_token_id, fractional_of, swap_descriptor_digest
@@ -445,6 +445,7 @@ def _chain_verify(args, node) -> dict:
     check_sections(node)  # and every section file's bytes
     if not node.state.chain.verify():
         raise err("HashMismatch", "chain verification FAILED")
+    check_certificate(node)  # and the bytes the manifest certifies
     return {"chain": "OK", "blocks": len(node.state.chain.blocks)}
 
 

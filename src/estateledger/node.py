@@ -20,7 +20,8 @@ checkpoint's manifest and section files split its default form,
 (and, for the full digest, the block log) but without ``version`` and
 ``config``, and snapshots add both the object store and the block log.
 ``state_pieces`` gives those bytes in three pieces, the blocks' stored
-bytes joined undecoded in the middle one, and ``state_digest`` hashes
+bytes joined undecoded in the middle one (``Chain.joined``, which takes
+a loaded log's certified bytes unparsed), and ``state_digest`` hashes
 the three.
 
 Replaying a recorded chain from genesis re-executes each block's
@@ -128,13 +129,12 @@ class PendingState(LedgerState):
 def state_pieces(d: dict, chain: Chain) -> tuple:
     """The bytes of ``canonical_json_bytes(d | {"chain": chain.to_dict()})``
     in three pieces, without decoding a block: the keys of `d` that sort
-    before "chain", every block's ``Block.canonical_json()`` joined once,
-    then the keys after."""
+    before "chain", every block's ``Block.canonical_json()`` joined once
+    (``Chain.joined``), then the keys after."""
     head = canonical_json_bytes({k: v for k, v in d.items() if k < "chain"})
     tail = canonical_json_bytes({k: v for k, v in d.items() if k > "chain"})
     return (head[:-1] + (b"," if len(head) > 2 else b"")
-            + b'"chain":{"blocks":[',
-            b",".join([block.canonical_json() for block in chain.blocks]),
+            + b'"chain":{"blocks":[', chain.joined(),
             b"]}" + (b"," if len(tail) > 2 else b"") + tail[1:])
 
 

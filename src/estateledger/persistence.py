@@ -6,7 +6,8 @@ README's "State directory" states the rules; this is where each lives.
     chain.json   the block log, the ledger; every other file is a cache
     config.json  the config, written once by a whole write
     state.json   the checkpoint's manifest: the accounts, the config, the
-                 digest of each section file and the tag "block"
+                 digest of each section file, the tag "block" and "log",
+                 the certificate of the log's first bytes
     sections/    one <sha256>.json per section: contracts, registry, store
     objects/     one <sha256>.bin per stored object
     .lock        the flock a write holds (``LedgerDir.writing``)
@@ -19,7 +20,10 @@ end. ``_encode`` encodes the checkpoint, keeping the digest of each
 section no op the node has run since declares (``Node.changed``), and
 ``_store_checkpoint`` writes it with no fsync and removes the section
 files it replaces. ``_checkpoint`` and ``_sign`` give the manifest's
-bytes and its digest.
+bytes and its digest. Its "log" certifies the log through block
+``certify_at`` of its length: a whole write certifies the bytes it
+writes (``_certificate``), and an append moves the certificate when
+that block moves, checking the blocks in between (``_certify``).
 
 Loading. ``load_state`` parses the manifest (``_read_checkpoint``,
 ``_manifest``, ``_signed``), reads the log from the tag's block to its
@@ -27,7 +31,10 @@ end (``_read_tail``, one JSON parse of those bytes), or else whole
 (``_log_holding``, which checks that it holds the tag's block), and
 redoes the blocks after it. ``_read_log`` reads the log whole and drops
 a torn last append; ``StoredLog.before`` reads the history before the
-held blocks through ``_log_holding``. ``_node`` builds a
+held blocks through ``_log_holding``, each block checked, and
+``StoredLog.certified`` the history's bytes for a digest: the certified
+ones, checked by one SHA-256, and the blocks after them, each checked
+(``_checked_blocks``). ``_node`` builds a
 ``PendingState`` whose sections ``_section`` and ``_store`` read on
 first use; ``_contracts`` and ``_stakeholders`` check what no command
 can break. ``_json_object`` alone parses a file: UTF-8 JSON, one
@@ -56,7 +63,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .canonical import canonical_json_bytes, raw_decode, sha256_hex
-from .chain import Block, Chain, NativeLedger
+from .chain import GENESIS_PREV_HASH, Block, Chain, NativeLedger
 from .errors import LedgerError, err, wrapped
 from .factory import Factory
 from .identity import Role, StakeholderRegistry
@@ -93,6 +100,35 @@ class Checkpoint:
     state: bytes
 
 
+@dataclass
+class LogBlock:
+    """A block of the log, by index and hash."""
+    index: int
+    hash: bytes
+
+
+@dataclass
+class Certificate:
+    """``state.json``'s "log": the first `length` bytes of ``chain.json``
+    run through its block `block`, named by index and hash, and have the
+    SHA-256 `sha256`. A writer checked each block in them: its hash, its
+    link to the block before, and that its bytes are its canonical JSON.
+    The block is ``certify_at`` of the log's length."""
+    block: LogBlock
+    length: int
+    sha256: bytes
+
+
+def certify_at(blocks: int) -> int:
+    """The index of the last block the certificate of a log of `blocks`
+    blocks covers: m = blocks - 1 rounded down to a multiple of
+    2 ** max(0, m.bit_length() - 5). So fewer than blocks / 16 follow
+    it, it never moves back as the log grows, and it moves once per
+    that many appends, which amortizes each rehash of the prefix."""
+    m = blocks - 1
+    return m - m % (1 << max(0, m.bit_length() - 5))
+
+
 def _tag_json(tag: Checkpoint) -> bytes:
     """`tag` as the bytes of a checkpoint hold it."""
     return b'"block":' + canonical_json_bytes(to_json(tag))
@@ -124,20 +160,126 @@ def _body(state, keys) -> dict:
     return d
 
 
-def _checkpoint(state, tip: Block, carried: Optional[dict] = None) -> tuple:
-    """The checkpoint of `state` at block `tip`: the manifest's bytes, the
-    file of each section `carried` does not map to its digest, digest ->
-    bytes, and the digest of every section, by name."""
+def _sections(state, carried: Optional[dict] = None) -> tuple:
+    """The file of each section of `state` that `carried` does not map to
+    its digest, digest -> bytes, and the digest of every section, by
+    name."""
     files, digests = {}, dict(carried or {})
     for name, (keys, _) in SECTION_FILES.items():
         if name not in digests:
             data = canonical_json_bytes(_body(state, keys))
             digests[name] = sha256_hex(data)
             files[digests[name]] = data
+    return files, digests
+
+
+def _manifest_pieces(state, tip: Block, digests: dict) -> tuple:
+    """The manifest of `state` at block `tip`, naming each section file
+    by its digest in `digests`, but for "log": the canonical JSON of its
+    keys that sort before "log", then of those after, and its tag."""
     tag = Checkpoint(tip.index, tip.hash, bytes(32))  # the digest zeroed
-    body = _body(state, ("accounts", "config", "version")) | {
-        "block": to_json(tag), "sections": digests}
-    return _sign(canonical_json_bytes(body), tag), files, digests
+    return (canonical_json_bytes(_body(state, ("accounts", "config"))
+                                 | {"block": to_json(tag)}),
+            canonical_json_bytes(_body(state, ("version",))
+                                 | {"sections": digests}), tag)
+
+
+def _manifest_bytes(pieces: tuple, cert) -> bytes:
+    """The manifest ``_manifest_pieces`` gave in `pieces`, with "log",
+    the certificate `cert`, if it covers block ``certify_at`` of the log
+    that ends at the tag's block, and signed."""
+    head, tail, tag = pieces
+    log = b""
+    if cert is not None and cert.block.index == certify_at(tag.index + 1):
+        log = b'"log":' + canonical_json_bytes(to_json(cert)) + b","
+    return _sign(head[:-1] + b"," + log + tail[1:], tag)
+
+
+def _checkpoint(state, tip: Block, carried: Optional[dict] = None) -> tuple:
+    """The checkpoint of `state` at block `tip`: the manifest's bytes,
+    with the certificate of the chain's log, and ``_sections(state,
+    carried)``."""
+    files, digests = _sections(state, carried)
+    pieces = _manifest_pieces(state, tip, digests)
+    return (_manifest_bytes(pieces, state.chain.log and state.chain.log.cert),
+            files, digests)
+
+
+def _certificate(data: bytes, start: int, blocks: list, parts: list,
+                 k: int, h=None) -> Certificate:
+    """The certificate of block `k` of the log `data`, in which `blocks`,
+    whose canonical JSON is `parts`, follow byte `start`, each after one
+    byte ("[" or ","); `h`, if given, is a SHA-256 fed the bytes before
+    `start`."""
+    i = k - blocks[0].index
+    end = start + sum(map(len, parts[:i + 1])) + i + 1
+    if h is None:
+        h = hashlib.sha256(data[:start])
+    h.update(data[start:end])
+    return Certificate(LogBlock(k, blocks[i].hash), end, h.digest())
+
+
+def _checked_blocks(path: str, gap: bytes, first: int,
+                    prev: bytes) -> Optional[list]:
+    """The blocks of `gap`, bytes of the log at `path` holding its blocks
+    from block `first` on, each after a comma, read as ``Chain.from_dict``
+    with `prev` reads them; None if that read fails, or if `gap` is not
+    exactly their canonical JSON."""
+    try:
+        blocks = Chain.from_dict(_json_object(
+            path, LOG_HEAD + gap[1:] + b"]}", "surrogateescape"),
+            first, prev).held
+    except LedgerError:
+        return None
+    if gap != b"".join(b"," + block.canonical_json() for block in blocks):
+        return None
+    return blocks
+
+
+def _certify(fh, size: int, new: bytes, cert, held: list):
+    """The certificate of the log whose bytes are the first `size` of the
+    file `fh`, then `new`, and end with the blocks `held`: `cert`, with
+    nothing read, while it covers block ``certify_at`` of the log. Else a
+    new one, over the blocks after the bytes `cert` covers (all of them,
+    if those fail its SHA-256). Those before `held` are read and checked
+    by ``_checked_blocks``, each must link to the block before it, and
+    the log's bytes must be their canonical JSON. None, for a log left
+    uncertified, if one check fails: the write still appends, and a
+    history reader refuses the block."""
+    k = certify_at(held[-1].index + 1)
+    if cert is not None and cert.block.index == k:
+        return cert
+    fh.seek(0)
+    data = fh.read(size) + new
+    parts = [block.canonical_json() for block in held]
+    at = len(data) - len(b",".join(parts)) - 1  # the byte before held[0]
+    if not (data.startswith(LOG_HEAD) and data[at:] == (
+            b"," if held[0].index else b"[") + b",".join(parts)):
+        return None
+    start, first, prev, h = len(LOG_HEAD) - 1, 0, GENESIS_PREV_HASH, None
+    if cert is not None and cert.block.index < k:
+        old = hashlib.sha256(data[:cert.length])
+        if old.digest() == cert.sha256:
+            start, first, prev, h = (cert.length, cert.block.index + 1,
+                                     cert.block.hash, old)
+    i = first - held[0].index  # the place of block `first` in `held`
+    if data[start:start + 1] != (b"," if first else b"["):
+        return None
+    if i < 0:
+        before = _checked_blocks(fh.name, b"," + data[start + 1:at], first,
+                                 prev)
+        if before is None or len(before) != -i:
+            return None
+        blocks = before + held
+        parts = [block.canonical_json() for block in before] + parts
+    elif start == at + sum(len(part) + 1 for part in parts[:i]):
+        blocks, parts = held[i:], parts[i:]
+    else:
+        return None
+    if any(block.prev_hash != link for block, link in
+           zip(blocks, [prev] + [block.hash for block in blocks])):
+        return None
+    return _certificate(data, start, blocks, parts, k, h)
 
 
 @dataclass
@@ -146,16 +288,51 @@ class StoredLog:
     first `blocks` blocks. `manifest` is the digest of each section file
     that the manifest last read or written beside the log names, by
     section: what a write keeps of each section that no op the node has
-    run since declares (``Node.changed``), and the files it replaces."""
+    run since declares (``Node.changed``), and the files it replaces.
+    `cert` certifies the log's first bytes, and the chain's first held
+    block starts at byte `at` of it, if a load found it there."""
     path: str
     blocks: int
     manifest: Optional[dict] = None
+    cert: Optional[Certificate] = None
+    at: Optional[int] = None
+    history: Optional[bytes] = None  # what ``certified`` gave
 
     def before(self, block: Block) -> list:
-        """The blocks before held block `block`, from a read of the whole
-        log, which must still hold `block`."""
+        """The blocks before held block `block`, from a checked read of
+        the whole log, which must still hold `block`."""
         return _log_holding(self.path, block.index, block.hash,
                             f"{self.path} no longer holds").held[:block.index]
+
+    def certified(self, block: Block) -> Optional[bytes]:
+        """The canonical JSON of the blocks before held block `block`,
+        joined by commas, as the log's bytes hold it: the bytes `cert`
+        covers, checked by one SHA-256, then those of the blocks after,
+        up to byte `at`, each parsed and checked as ``Chain.from_dict``
+        with `prev` checks them. None, for a checked read of the whole
+        log instead, without a certificate or if a check fails."""
+        cert, at = self.cert, self.at
+        if self.history is not None or cert is None or at is None:
+            return self.history
+        own = b"," + block.canonical_json()
+        with open(self.path, "rb") as fh:
+            data = fh.read(max(cert.length, at - 1 + len(own)))
+        if (not data.startswith(LOG_HEAD)
+                or data[at - 1:at - 1 + len(own)] != own
+                or hashlib.sha256(data[:cert.length]).digest() != cert.sha256):
+            return None
+        k = cert.block.index
+        if k >= block.index:  # the certified bytes hold `block` itself
+            if at > cert.length:
+                return None
+        else:  # blocks k + 1 to block.index - 1, each after a comma
+            gap = _checked_blocks(self.path, data[cert.length:at - 1], k + 1,
+                                  cert.block.hash)
+            if (gap is None or block.index != k + 1 + len(gap)
+                    or block.prev_hash != ([cert.block] + gap)[-1].hash):
+                return None
+        self.history = data[len(LOG_HEAD):at - 1]
+        return self.history
 
 
 def _write_atomic(files: dict, durable: bool = True):
@@ -185,7 +362,8 @@ def _fsync(path: str):
 
 def _append(stored, path: str, held: list) -> bool:
     """Write the blocks of `held` after the first `stored.blocks` of the
-    log at `path` over its closing ``]}`` and fsync it: the commit point.
+    log at `path` over its closing ``]}`` and fsync it: the commit point;
+    `stored.cert` then certifies the log, as ``_certify`` gives it first.
     False, having written nothing, unless `stored` is that log and the
     file ends with block ``stored.blocks - 1`` in canonical form and
     ``]}``."""
@@ -204,35 +382,42 @@ def _append(stored, path: str, held: list) -> bool:
         fh.seek(max(0, size - len(end)))
         if fh.read(len(end)) != end:
             return False
+        new = b"".join(b"," + block.canonical_json() for block in held[i + 1:])
+        cert = _certify(fh, size - 2, new, stored.cert, held)
         fh.seek(size - 2)
-        fh.write(b"".join(b"," + block.canonical_json()
-                          for block in held[i + 1:]) + b"]}")
+        fh.write(new + b"]}")
         fh.flush()
         os.fsync(fh.fileno())
+    stored.cert = cert
     return True
 
 
 def _encode(node: Node, state_dir: str) -> tuple:
-    """The ``_checkpoint`` of `node`'s state at its chain's tip, keeping
-    the digest of each section file that the manifest last read or
-    written beside this dir's log names, unless an op the node has run
-    since declares the section (``Node.changed``)."""
+    """The checkpoint of `node`'s state at its chain's tip, but for the
+    log's certificate: ``_manifest_pieces`` and ``_sections``, keeping the
+    digest of each section file that the manifest last read or written
+    beside this dir's log names, unless an op the node has run since
+    declares the section (``Node.changed``)."""
     state = node.state
     log, carried = state.chain.log, {}
     if (log is not None and log.manifest is not None and log.path
             == os.path.abspath(os.path.join(state_dir, "chain.json"))):
         carried = {name: digest for name, digest in log.manifest.items()
                    if not SECTION_FILES[name][1] & node.changed}
-    return _checkpoint(state, state.chain.held[-1], carried)
+    files, digests = _sections(state, carried)
+    return (_manifest_pieces(state, state.chain.held[-1], digests), files,
+            digests)
 
 
 def _store_checkpoint(state_dir: str, node: Node, encoded: tuple):
     """Write the checkpoint `encoded` of `node`'s tip without an fsync,
-    its new section files, then its manifest; then remove each section
-    file the manifest it replaces named and it does not. It commits
-    nothing: a load rebuilds what a crash loses of it."""
-    manifest, files, digests = encoded
+    its new section files, then its manifest, with the certificate of the
+    log as written; then remove each section file the manifest it
+    replaces named and it does not. It commits nothing: a load rebuilds
+    what a crash loses of it."""
+    pieces, files, digests = encoded
     log = node.state.chain.log
+    manifest = _manifest_bytes(pieces, log.cert)
     sections_dir = os.path.join(state_dir, "sections")
     if files:
         os.makedirs(sections_dir, exist_ok=True)
@@ -261,9 +446,9 @@ def save_state(state_dir: str, node: Node, defer: bool = False):
     holds the rest of its chain, else write the log whole, and
     ``config.json``; then the new object files and the checkpoint. The
     checkpoint is encoded before the first write, so a state it cannot
-    encode leaves the dir untouched. With `defer`, a write that appended
-    leaves the checkpoint to its caller and returns True; any other
-    returns None."""
+    encode leaves the dir untouched; the log's certificate joins it as it
+    is stored. With `defer`, a write that appended leaves the checkpoint
+    to its caller and returns True; any other returns None."""
     state, chain = node.state, node.state.chain
     if isinstance(state, PendingState):  # a write checks every section
         state.decode()
@@ -288,9 +473,13 @@ def save_state(state_dir: str, node: Node, defer: bool = False):
         # rebuilds from whichever log is in place
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(state_dir, "state.json"))
-        _write_atomic({chain_path: chain.canonical_json(),
+        blocks = chain.blocks
+        parts = [block.canonical_json() for block in blocks]
+        data = LOG_HEAD + b",".join(parts) + b"]}"
+        _write_atomic({chain_path: data,
                        config_path: canonical_json_bytes(state.config)})
-        chain.log = StoredLog(chain_path, chain.height)
+        chain.log = StoredLog(chain_path, chain.height, cert=_certificate(
+            data, len(LOG_HEAD) - 1, blocks, parts, certify_at(len(blocks))))
     else:
         chain.log.blocks = chain.height
     os.makedirs(objects_dir, exist_ok=True)
@@ -358,9 +547,11 @@ def _whole_blocks(data: bytes) -> Optional[list]:
     return blocks
 
 
-def _read_log(path: str, need: int) -> Chain:
-    """The block log at `path`. A log that does not parse loads without
-    its torn tail if it still holds block `need`."""
+def _read_log(path: str, need: int, check: bool = True) -> Chain:
+    """The block log at `path`, each block checked against its hash and
+    the one before if `check` (``Chain.from_dict`` with `prev`). A log
+    that does not parse loads without its torn tail if it still holds
+    block `need`."""
     with open(path, "rb") as fh:
         data = fh.read()
     with _gc_paused():
@@ -371,7 +562,8 @@ def _read_log(path: str, need: int) -> Chain:
             if whole is None or len(whole) <= need:
                 raise
             value = {"blocks": whole}
-        chain = Chain.from_dict(value)
+        chain = Chain.from_dict(value, prev=GENESIS_PREV_HASH if check
+                                else None)
     if not chain.held:
         raise err("CorruptSnapshot", f"{path} holds no block")
     return chain
@@ -421,7 +613,8 @@ def _read_tail(path: str, tag: Checkpoint) -> Optional[tuple]:
             b.index != tag.index + i or b.nonce != tag.index + i
             for i, b in enumerate(blocks)):
         return None
-    return Chain(blocks[:1], StoredLog(path, blocks[-1].index + 1)), blocks[1:]
+    return (Chain(blocks[:1], StoredLog(path, blocks[-1].index + 1,
+                                        at=start + at)), blocks[1:])
 
 
 def _check_version(body: dict, what: str):
@@ -559,6 +752,28 @@ def _section(sections_dir: str, name: str, digest: str, cache: _LogCache):
     return part
 
 
+def check_certificate(node: Node):
+    """Refuse a certificate of bytes the log does not hold: `node`'s chain,
+    read whole and checked, must hold the block it names, by index and
+    hash, and the file's first bytes, of the certified length and
+    SHA-256, must end with that block's canonical JSON."""
+    chain = node.state.chain
+    cert = chain.log and chain.log.cert
+    if cert is None:
+        return
+    blocks, k = chain.blocks, cert.block.index
+    if k < len(blocks) and blocks[k].hash == cert.block.hash:
+        with open(chain.log.path, "rb") as fh:
+            data = fh.read(cert.length)
+        if (len(data) == cert.length and data.endswith(
+                (b"," if k else LOG_HEAD) + blocks[k].canonical_json())
+                and hashlib.sha256(data).digest() == cert.sha256):
+            return
+    raise err("CorruptSnapshot", f"{os.path.dirname(chain.log.path)}"
+              f"/state.json certifies bytes that {chain.log.path} does not "
+              "hold")
+
+
 def check_sections(node: Node):
     """Check the bytes of each section file of `node`'s loaded checkpoint
     that no command has read yet against its digest, decoding none: a
@@ -637,10 +852,12 @@ def _read_checkpoint(path: str) -> Optional[tuple]:
 
 
 def _manifest(path: str, d: dict, data: bytes) -> tuple:
-    """The tag and the section digests of the manifest `d`, parsed from
+    """The tag, the section digests and the log's certificate, if it has
+    one (an older version's has none), of the manifest `d`, parsed from
     `data`, the bytes of the file at `path`, once its digest checks."""
-    read_object(d, MANIFEST_KEYS)
+    read_object(d, MANIFEST_KEYS | ({"log"} & d.keys()))
     tag = read(Checkpoint, d["block"])
+    cert = read(Certificate, d["log"]) if "log" in d else None
     if not _signed(data, tag):
         raise err("CorruptSnapshot", f"{path} does not match its digest")
     digests = d["sections"]
@@ -648,7 +865,7 @@ def _manifest(path: str, d: dict, data: bytes) -> tuple:
             or not _are_digests(list(digests.values()))):
         raise err("CorruptSnapshot", f"{path} sections: expected a digest "
                   f"of each of {list(SECTION_FILES)}, got {digests!r:.60}")
-    return tag, digests
+    return tag, digests, cert
 
 
 def _uninitialized(state_dir: str):
@@ -679,7 +896,7 @@ def load_state(state_dir: str) -> Node:
     if "sections" not in checkpoint[0]:
         return _rebuild(state_dir, "is an older version's checkpoint",
                         checkpoint)
-    tag, digests = _manifest(state_path, *checkpoint)
+    tag, digests, cert = _manifest(state_path, *checkpoint)
     log_path = os.path.abspath(chain_path)
     tail = _read_tail(log_path, tag)
     if tail is None:  # the whole log
@@ -690,7 +907,7 @@ def load_state(state_dir: str) -> Node:
         del chain.held[tag.index + 1:]
     else:
         chain, later = tail
-    chain.log.manifest = digests
+    chain.log.manifest, chain.log.cert = digests, cert
     cache = _LogCache(chain, tag)
     sections_dir = os.path.abspath(os.path.join(state_dir, "sections"))
     objects_dir = os.path.abspath(os.path.join(state_dir, "objects"))
@@ -736,7 +953,7 @@ def _rebuild(state_dir: str, why: str, old: tuple = None) -> Node:
             raise err("CorruptSnapshot", f"{state_dir}/state.json {why}, and "
                       f"{config_path}, which a rebuild from the log needs, "
                       "is missing") from None
-    blocks = _read_log(chain_path, 0).held
+    blocks = _read_log(chain_path, 0, check=False).held  # the replay checks
     node = _replay(blocks, LedgerState(config=config), chain_path)
     node.state.chain.log = StoredLog(os.path.abspath(chain_path), len(blocks))
     print(f"notice: {state_dir}/state.json {why}; rebuilt the state from "

@@ -1057,10 +1057,11 @@ def test_a_tip_stored_otherwise_takes_the_whole_log_path(
     with open(path, "wb") as fh:  # the tip's timestamp edited in place
         fh.write(log.replace(b'"timestamp":3,', b'"timestamp":4,'))
     calls.clear()
-    node = load_state(state_dir)
+    with pytest.raises(LedgerError) as e:  # the whole log's read checks it
+        load_state(state_dir)
     assert len(calls) == len(blocks) + 1
-    assert node.state.chain.held[0].index == 0
-    assert not node.state.chain.verify()
+    assert (e.value.code, e.value.message) == (
+        "HashMismatch", f"block {len(blocks) - 1} does not match its hash")
 
 
 def test_a_log_stored_in_another_form_is_rewritten_whole_by_a_write(
@@ -1670,7 +1671,7 @@ def test_a_tag_nested_before_the_checkpoints_own_is_not_its_tag(tmp_path):
     path.write_bytes(data)
     d, read_bytes = persistence._read_checkpoint(str(path))
     assert persistence._manifest(str(path), d, read_bytes) == (
-        tag, body["sections"])
+        tag, body["sections"], None)
     assert d["accounts"] == body["accounts"]
 
 
@@ -1735,7 +1736,7 @@ def test_a_split_checkpoint_yields_the_sections_of_a_whole_parse(sections):
         write_checkpoint(state_dir, sections | {"version": 1, "block": tag})
         path = os.path.join(state_dir, "state.json")
         head, data = persistence._read_checkpoint(path)
-        got, _ = persistence._manifest(path, head, data)
+        got, _, _ = persistence._manifest(path, head, data)
         assert (got.index, got.hash.hex()) == (tag["index"], tag["hash"])
         assert {k: head[k] for k in ("accounts", "config")} == {
             k: sections[k] for k in ("accounts", "config")}
@@ -1960,9 +1961,10 @@ def test_a_checkpoint_read_whole_is_encoded_whole_by_the_next_write(
 
 def test_a_write_encodes_only_the_slices_its_blocks_ops_declare(
         deployed, monkeypatch, capsys):
-    """What each write encodes beyond the manifest: a faucet nothing, a
-    register the registry, a property op the contracts, and after a
-    lagging load also what the redone blocks' ops declare."""
+    """What each write encodes beyond the manifest (its two pieces and
+    the log's certificate): a faucet nothing, a register the registry, a
+    property op the contracts, and after a lagging load also what the
+    redone blocks' ops declare."""
     state_dir, prop = deployed
     encoded, real = [], persistence.canonical_json_bytes
 
@@ -1971,7 +1973,8 @@ def test_a_write_encodes_only_the_slices_its_blocks_ops_declare(
             encoded.append(sorted(value))
         return real(value)
     monkeypatch.setattr(persistence, "canonical_json_bytes", spy)
-    head = ["accounts", "block", "config", "sections", "version"]
+    head = [["accounts", "block", "config"], ["sections", "version"],
+            ["block", "length", "sha256"]]
 
     def writes(*argv):
         encoded.clear()
@@ -1979,16 +1982,16 @@ def test_a_write_encodes_only_the_slices_its_blocks_ops_declare(
                       "20") == 0
         return encoded[:]
 
-    assert writes(*faucet(1, 0)[:-4]) == [head]
+    assert writes(*faucet(1, 0)[:-4]) == head
     assert writes("stakeholder", "register", "--role", "Buyer", "--key",
-                  "b1") == [["stakeholders"], head]
-    assert writes("factory", "pause") == [["factory", "properties"], head]
+                  "b1") == [["stakeholders"], *head]
+    assert writes("factory", "pause") == [["factory", "properties"], *head]
     lagging = whole_files(state_dir)
     assert writes("stakeholder", "register", "--role", "Buyer", "--key",
-                  "b2") == [["stakeholders"], head]
+                  "b2") == [["stakeholders"], *head]
     _restore_files(state_dir, lagging)
-    assert writes(*faucet(1, 0)[:-4]) == [["stakeholders"], head]
-    assert writes(*faucet(1, 0)[:-4]) == [head]
+    assert writes(*faucet(1, 0)[:-4]) == [["stakeholders"], *head]
+    assert writes(*faucet(1, 0)[:-4]) == head
     capsys.readouterr()
 
 
