@@ -27,7 +27,7 @@ from .identity import parse_role
 from .merkle import MerkleTree, read_proof, verify_proof
 from .node import Node
 from .persistence import (LedgerDir, _write_atomic, check_certificate,
-                          check_sections, read_snapshot, write_snapshot)
+                          read_snapshot, write_snapshot)
 from .records import to_json
 from .storage import cid_digest, resolve_uri
 from .tokens import check_token_id, fractional_of, swap_descriptor_digest
@@ -441,8 +441,8 @@ def _token_balance(args, node) -> dict:
 
 
 def _chain_verify(args, node) -> dict:
-    node.state.store.read_all()  # an audit checks every object file too,
-    check_sections(node)  # and every section file's bytes
+    node.state.decode()  # an audit decodes every section and record,
+    node.state.store.read_all()  # and checks every object file too
     if not node.state.chain.verify():
         raise err("HashMismatch", "chain verification FAILED")
     check_certificate(node)  # and the bytes the manifest certifies

@@ -11,8 +11,14 @@ operation's transaction (deployments add an event transaction), and a
 failure changes nothing and appends nothing. What no command can break
 (an active administrator, each contract initialized at its own
 address) is checked once, when ``persistence`` decodes a loaded
-ledger's section; a loaded ``PendingState`` decodes each section on
-first use, and ``execute`` decodes them all before admission.
+ledger's section or record. A loaded ``PendingState`` decodes each
+section on first use, and each stakeholder and property record of it
+(``records.LazyRecords``). Before admission ``execute`` decodes whole
+the sections its op declares in ``writes``, and the accounts: what the
+checkpoint encodes after the append commits cannot fail. An executor
+reads any other section only before its first write, and admission
+reads the caller's record, so a record that fails to decode refuses
+the command with nothing changed.
 
 ``LedgerState.state_dict`` is the one serialization of the state: a
 checkpoint's manifest and section files split its default form,
@@ -48,7 +54,7 @@ from .chain import (Chain, NativeLedger, Transaction, decode_command,
 from .errors import LedgerError, err, wrapped
 from .factory import Factory, ImplementationVersion
 from .identity import AllowlistVerifier, Role, StakeholderRegistry, parse_role
-from .records import reader, to_json
+from .records import Records, reader, to_json
 from .storage import ObjectStore, build_right_metadata
 from .tokens import atomic_swap
 
@@ -65,6 +71,7 @@ _STATE_ENCODERS = {
 }
 # the ``LedgerState`` attributes an executor may change
 SECTIONS = frozenset(("native", "registry", "store", "factory", "properties"))
+NATIVE = frozenset(("native",))  # the accounts, which every checkpoint holds
 
 
 @dataclass
@@ -93,17 +100,22 @@ class LedgerState:
                             sorted(self.store.read_all().items())}
         return d
 
+    def decode(self, names=None):
+        """Nothing to do: a state built in memory holds every section."""
+
 
 class PendingState(LedgerState):
     """A loaded ``LedgerState`` whose sections are decoded on first use.
     `pending` maps the attribute of each section not yet decoded to
     ``(decode, raw)``: ``decode(raw)`` checks the section and returns its
-    attributes. Once none is left the state is a plain ``LedgerState``
-    again, so the attribute reads of ``execute`` pay for no
-    ``__getattr__``."""
+    attributes and the ``LazyRecords`` among them, which read each record
+    on first use too; `lazy` maps each decoded attribute to those of its
+    section. Once every section and record is decoded the state is a
+    plain ``LedgerState`` again, so the attribute reads of ``execute``
+    pay for no ``__getattr__``."""
 
     def __init__(self, pending: dict, **attrs):
-        vars(self).update(attrs, pending=pending)
+        vars(self).update(attrs, pending=pending, lazy={})
 
     def __getattr__(self, name):  # only an attribute not yet set gets here
         pending = vars(self).get("pending", {})
@@ -111,19 +123,30 @@ class PendingState(LedgerState):
             raise AttributeError(f"{type(self).__name__!r} object has no "
                                  f"attribute {name!r}")
         decode, raw = pending[name]
-        attrs = decode(raw)
+        attrs, lazy = decode(raw)
         vars(self).update(attrs)
         for key in attrs:
             del pending[key]
-        if not pending:
-            del self.pending
-            self.__class__ = LedgerState
+            self.lazy[key] = lazy
+        self._settle()
         return attrs[name]
 
-    def decode(self):
-        """Decode every section not yet decoded."""
-        for name in list(self.pending):
+    def decode(self, names=None):
+        """Decode each section of `names`, every one by default, whole:
+        the section, and each record of it not yet read."""
+        for name in [*self.pending, *self.lazy] if names is None else names:
             getattr(self, name)
+            for records in vars(self).get("lazy", {}).get(name, ()):
+                records.read_all()  # none left once the state is settled
+        if type(self) is PendingState:
+            self._settle()
+
+    def _settle(self):
+        if not self.pending and all(
+                type(records) is Records
+                for lazy in self.lazy.values() for records in lazy):
+            del self.pending, self.lazy
+            self.__class__ = LedgerState
 
 
 def state_pieces(d: dict, chain: Chain) -> tuple:
@@ -197,11 +220,11 @@ class Node:
         its block, with the blob ``redo`` passes as `recorded` if any; a
         failure raises before anything is written."""
         state = self.state
-        if type(state) is not LedgerState:  # decode what a load left
-            state.decode()
         decl = OPS.get(operation)
         if decl is None:
             raise err("ParseError", f"unknown operation {operation!r}")
+        if type(state) is not LedgerState:  # decode, whole, what the
+            state.decode(decl.writes | NATIVE)  # checkpoint will encode
         if type(params) is not dict:
             raise err("ParseError", f"{operation} params are not an object")
         if not params.keys() >= decl.required:

@@ -19,11 +19,14 @@ commit inside a ``LedgerDir`` hold leaves the checkpoint to the hold's
 end. ``_encode`` encodes the checkpoint, keeping the digest of each
 section no op the node has run since declares (``Node.changed``), and
 ``_store_checkpoint`` writes it with no fsync and removes the section
-files it replaces. ``_checkpoint`` and ``_sign`` give the manifest's
-bytes and its digest. Its "log" certifies the log through block
-``certify_at`` of its length: a whole write certifies the bytes it
-writes (``_certificate``), and an append moves the certificate when
-that block moves, checking the blocks in between (``_certify``).
+files it replaces. A write to the dir its node was loaded from decodes
+nothing itself: ``Node.execute`` has decoded whole every section it
+encodes, and a store still pending holds no new object. ``_checkpoint``
+and ``_sign`` give the manifest's bytes and its digest. Its "log"
+certifies the log through block ``certify_at`` of its length: a whole
+write certifies the bytes it writes (``_certificate``), and an append
+moves the certificate when that block moves, checking the blocks in
+between (``_certify``); an uncertified log is checked again only then.
 
 Loading. ``load_state`` parses the manifest (``_read_checkpoint``,
 ``_manifest``, ``_signed``), reads the log from the tag's block to its
@@ -34,14 +37,16 @@ a torn last append; ``StoredLog.before`` reads the history before the
 held blocks through ``_log_holding``, each block checked, and
 ``StoredLog.certified`` the history's bytes for a digest: the certified
 ones, checked by one SHA-256, and the blocks after them, each checked
-(``_checked_blocks``). ``_node`` builds a
-``PendingState`` whose sections ``_section`` and ``_store`` read on
-first use; ``_contracts`` and ``_stakeholders`` check what no command
-can break. ``_json_object`` alone parses a file: UTF-8 JSON, one
-object, no lone surrogate. A missing or torn file is rebuilt from the
-log: a section or object file by ``_LogCache``, through ``read_cached``,
-and the manifest by ``_rebuild``. ``check_sections`` is ``chain
-verify``'s check of every section file's bytes.
+(``_checked_blocks``). The certificate itself is read on first use
+(``StoredLog.certificate``). ``_node`` builds a ``PendingState`` whose
+sections ``_section`` and ``_store`` read on first use;
+``_contracts`` and ``_stakeholders`` check what no command can break
+without reading every record, and leave each stakeholder and property
+record to be read on first use too (``LazyRecords``). ``_json_object``
+alone parses a file: UTF-8 JSON, one object, no lone surrogate. A
+missing or torn file is rebuilt from the log: a section or object file
+by ``_LogCache``, through ``read_cached``, and the manifest by
+``_rebuild``, which certifies the log it replayed.
 
 Snapshots. ``write_snapshot`` writes ``export_snapshot``'s bytes from
 the digest's own three pieces; ``import_snapshot`` checks the body
@@ -66,11 +71,11 @@ from .canonical import canonical_json_bytes, raw_decode, sha256_hex
 from .chain import GENESIS_PREV_HASH, Block, Chain, NativeLedger
 from .errors import LedgerError, err, wrapped
 from .factory import Factory
-from .identity import Role, StakeholderRegistry
+from .identity import Role, StakeholderRecord, StakeholderRegistry
 from .node import (STATE_VERSION, LedgerState, Node, PendingState,
                    state_digest, state_pieces)
 from .property_contract import PropertyContract
-from .records import read, read_object, to_json
+from .records import LazyRecords, read, read_object, to_json
 from .storage import ObjectStore, read_cached
 
 STATE_KEYS = frozenset(("version", "config", "accounts", "stakeholders",
@@ -201,8 +206,8 @@ def _checkpoint(state, tip: Block, carried: Optional[dict] = None) -> tuple:
     carried)``."""
     files, digests = _sections(state, carried)
     pieces = _manifest_pieces(state, tip, digests)
-    return (_manifest_bytes(pieces, state.chain.log and state.chain.log.cert),
-            files, digests)
+    log = state.chain.log
+    return _manifest_bytes(pieces, log and log.certificate()), files, digests
 
 
 def _certificate(data: bytes, start: int, blocks: list, parts: list,
@@ -236,18 +241,20 @@ def _checked_blocks(path: str, gap: bytes, first: int,
     return blocks
 
 
-def _certify(fh, size: int, new: bytes, cert, held: list):
+def _certify(fh, size: int, new: bytes, cert, blocks: int, held: list):
     """The certificate of the log whose bytes are the first `size` of the
-    file `fh`, then `new`, and end with the blocks `held`: `cert`, with
-    nothing read, while it covers block ``certify_at`` of the log. Else a
-    new one, over the blocks after the bytes `cert` covers (all of them,
-    if those fail its SHA-256). Those before `held` are read and checked
-    by ``_checked_blocks``, each must link to the block before it, and
-    the log's bytes must be their canonical JSON. None, for a log left
+    file `fh`, holding `blocks` blocks, then `new`, and end with the
+    blocks `held`: `cert`, with nothing read, while it covers block
+    ``certify_at`` of the log, or, if None, while that block is the one
+    it was before `new`. Else a new one, over the blocks after the bytes
+    `cert` covers (all of them, if those fail its SHA-256 or there is no
+    `cert`). Those before `held` are read and checked by
+    ``_checked_blocks``, each must link to the block before it, and the
+    log's bytes must be their canonical JSON. None, for a log left
     uncertified, if one check fails: the write still appends, and a
     history reader refuses the block."""
     k = certify_at(held[-1].index + 1)
-    if cert is not None and cert.block.index == k:
+    if (certify_at(blocks) if cert is None else cert.block.index) == k:
         return cert
     fh.seek(0)
     data = fh.read(size) + new
@@ -289,14 +296,21 @@ class StoredLog:
     that the manifest last read or written beside the log names, by
     section: what a write keeps of each section that no op the node has
     run since declares (``Node.changed``), and the files it replaces.
-    `cert` certifies the log's first bytes, and the chain's first held
-    block starts at byte `at` of it, if a load found it there."""
+    `cert` certifies the log's first bytes (``certificate``), and the
+    chain's first held block starts at byte `at` of it, if a load found
+    it there."""
     path: str
     blocks: int
     manifest: Optional[dict] = None
-    cert: Optional[Certificate] = None
+    cert: Optional[Certificate] = None  # or a manifest's "log", unread
     at: Optional[int] = None
     history: Optional[bytes] = None  # what ``certified`` gave
+
+    def certificate(self) -> Optional[Certificate]:
+        """`cert`, read from the manifest's "log" on first use."""
+        if self.cert is not None and type(self.cert) is not Certificate:
+            self.cert = read(Certificate, self.cert)
+        return self.cert
 
     def before(self, block: Block) -> list:
         """The blocks before held block `block`, from a checked read of
@@ -311,7 +325,7 @@ class StoredLog:
         up to byte `at`, each parsed and checked as ``Chain.from_dict``
         with `prev` checks them. None, for a checked read of the whole
         log instead, without a certificate or if a check fails."""
-        cert, at = self.cert, self.at
+        cert, at = self.certificate(), self.at
         if self.history is not None or cert is None or at is None:
             return self.history
         own = b"," + block.canonical_json()
@@ -383,7 +397,8 @@ def _append(stored, path: str, held: list) -> bool:
         if fh.read(len(end)) != end:
             return False
         new = b"".join(b"," + block.canonical_json() for block in held[i + 1:])
-        cert = _certify(fh, size - 2, new, stored.cert, held)
+        cert = _certify(fh, size - 2, new, stored.certificate(),
+                        stored.blocks, held)
         fh.seek(size - 2)
         fh.write(new + b"]}")
         fh.flush()
@@ -417,7 +432,7 @@ def _store_checkpoint(state_dir: str, node: Node, encoded: tuple):
     what a crash loses of it."""
     pieces, files, digests = encoded
     log = node.state.chain.log
-    manifest = _manifest_bytes(pieces, log.cert)
+    manifest = _manifest_bytes(pieces, log.certificate())
     sections_dir = os.path.join(state_dir, "sections")
     if files:
         os.makedirs(sections_dir, exist_ok=True)
@@ -450,24 +465,26 @@ def save_state(state_dir: str, node: Node, defer: bool = False):
     is stored. With `defer`, a write that appended leaves the checkpoint
     to its caller and returns True; any other returns None."""
     state, chain = node.state, node.state.chain
-    if isinstance(state, PendingState):  # a write checks every section
-        state.decode()
     encoded = None if defer else _encode(node, state_dir)
-    store = state.store
     objects_dir = os.path.abspath(os.path.join(state_dir, "objects"))
-    # content-addressed: a file the dir holds is never rewritten
-    cached = store.stored if store.path == objects_dir else set()
-    objects = {digest: store.read(digest)
-               for digest in sorted(store.digests() - cached)}
     chain_path = os.path.abspath(os.path.join(state_dir, "chain.json"))
     config_path = os.path.join(state_dir, "config.json")
-    if (chain.log is not None and chain.log.path == chain_path
-            and not os.path.exists(config_path)):  # an older version's dir
+    here = chain.log is not None and chain.log.path == chain_path
+    # a store still pending is this dir's, and holds no object it lacks
+    store = vars(state).get("store") if here else state.store
+    objects = {}
+    if store is not None:
+        # content-addressed: a file the dir holds is never rewritten
+        cached = store.stored if store.path == objects_dir else set()
+        objects = {digest: store.read(digest)
+                   for digest in sorted(store.digests() - cached)}
+    if here and not os.path.exists(config_path):  # an older version's dir
         _write_atomic({config_path: canonical_json_bytes(state.config)})
         _fsync(state_dir)
     whole = not _append(chain.log, chain_path, chain.held)
     if whole:  # the dir holds no log of this chain, or a torn one
         encoded = encoded or _encode(node, state_dir)
+        store = state.store
         os.makedirs(state_dir, exist_ok=True)
         # the old checkpoint goes first: a crash before the new one lands
         # rebuilds from whichever log is in place
@@ -487,13 +504,14 @@ def save_state(state_dir: str, node: Node, defer: bool = False):
                    for digest, data in objects.items()}, durable=False)
     if encoded is not None:
         _store_checkpoint(state_dir, node, encoded)
-    held = store.digests()
+    if store is not None:
+        store.path, store.stored = objects_dir, store.digests()
     if whole:  # the files of no object or section of this ledger
-        _remove_others(objects_dir, {digest + ".bin" for digest in held})
+        _remove_others(objects_dir, {digest + ".bin"
+                                     for digest in store.stored})
         _remove_others(os.path.join(state_dir, "sections"), {
             digest + ".json" for digest in encoded[2].values()})
         _fsync(state_dir)
-    store.path, store.stored = objects_dir, held
     return True if encoded is None else None
 
 
@@ -625,29 +643,43 @@ def _check_version(body: dict, what: str):
                   f"expected {STATE_VERSION}")
 
 
-def _accounts(raw) -> dict:
-    return {"native": read(NativeLedger, raw)}
+def _accounts(raw) -> tuple:
+    return {"native": read(NativeLedger, raw)}, ()
 
 
-def _stakeholders(part) -> dict:
-    registry = read(StakeholderRegistry, part()["stakeholders"])
-    if not any(record.active and Role.ADMINISTRATOR.value in record.roles
-               for record in registry.stakeholders.values()):
+def _stakeholders(part) -> tuple:
+    """The registry, each record read on first use. Its check that an
+    administrator is active reads the records whose JSON may say so, and
+    every record if none does, so that a mistyped one is named."""
+    raw = read_object(part()["stakeholders"], {"stakeholders"})["stakeholders"]
+    registry = StakeholderRegistry(
+        LazyRecords(raw, StakeholderRecord, "stakeholders"))
+    admin = Role.ADMINISTRATOR.value
+    if not any(type(r) is dict and r.get("active") is True
+               and type(r.get("roles")) is list and admin in r["roles"]
+               and registry.is_active_admin(address)
+               for address, r in raw.items()):
+        registry.stakeholders.read_all()
         raise err("CorruptSnapshot", "no active administrator")
-    return {"registry": registry}
+    return {"registry": registry}, (registry.stakeholders,)
 
 
-def _contracts(part) -> dict:
+def _at_own_address(address: str, prop: PropertyContract):
+    if not prop.initialized or prop.address != address:
+        raise err("CorruptSnapshot", f"the contract at {address} is "
+                  "uninitialized or records another address")
+
+
+def _contracts(part) -> tuple:
+    """The factory, and the properties, each read and checked on first
+    use; that they are the factory's proxies is checked by their keys."""
     d = part()
     factory = read(Factory, d["factory"])
-    properties = read(dict[str, PropertyContract], d["properties"])
+    properties = LazyRecords(d["properties"], PropertyContract, "properties",
+                             _at_own_address)
     if sorted(properties) != sorted(factory.proxies):
         raise err("CorruptSnapshot", "properties differ from proxies")
-    for address, prop in properties.items():
-        if not prop.initialized or prop.address != address:
-            raise err("CorruptSnapshot", f"the contract at {address} is "
-                      "uninitialized or records another address")
-    return {"factory": factory, "properties": properties}
+    return {"factory": factory, "properties": properties}, (properties,)
 
 
 def _replay(blocks: list, state: LedgerState, chain_path: str) -> Node:
@@ -758,7 +790,7 @@ def check_certificate(node: Node):
     hash, and the file's first bytes, of the certified length and
     SHA-256, must end with that block's canonical JSON."""
     chain = node.state.chain
-    cert = chain.log and chain.log.cert
+    cert = chain.log and chain.log.certificate()
     if cert is None:
         return
     blocks, k = chain.blocks, cert.block.index
@@ -774,17 +806,7 @@ def check_certificate(node: Node):
               "hold")
 
 
-def check_sections(node: Node):
-    """Check the bytes of each section file of `node`'s loaded checkpoint
-    that no command has read yet against its digest, decoding none: a
-    torn file is rebuilt from the log, one holding other bytes refused."""
-    pending = vars(node.state).get("pending", {})
-    for part in dict.fromkeys(raw for _, raw in pending.values()
-                              if hasattr(raw, "read_bytes")):
-        part.read_bytes()
-
-
-def _store(objects_dir: str, part, cache: _LogCache) -> dict:
+def _store(objects_dir: str, part, cache: _LogCache) -> tuple:
     """The store of a loaded ledger: the objects ``part()["store"]``
     lists, whose files ``objects_dir`` caches."""
     members = part()["store"]
@@ -792,7 +814,7 @@ def _store(objects_dir: str, part, cache: _LogCache) -> dict:
         raise err("CorruptSnapshot", f"store: expected object digests, "
                   f"got {members!r:.60}")
     return {"store": ObjectStore(path=objects_dir, stored=set(members),
-                                 rebuild=cache.object)}
+                                 rebuild=cache.object)}, ()
 
 
 def _node(head: dict, parts: list, chain: Chain, store) -> Node:
@@ -800,7 +822,8 @@ def _node(head: dict, parts: list, chain: Chain, store) -> Node:
     `parts`, in ``SECTION_FILES`` order, each return, called, a dict
     holding their section's keys, and ``store(part)`` decodes the store
     from the last. Each section is read, and its invariants checked, on
-    first use (``PendingState``)."""
+    first use (``PendingState``), and each stakeholder and property
+    record too (``LazyRecords``)."""
     contracts, registry, members = parts
     contracts = (_contracts, contracts)
     return Node(PendingState(
@@ -821,7 +844,7 @@ def _state_from_dicts(d: dict, chain: Chain) -> Node:
             raise err("CorruptSnapshot",
                       f"object {digest} does not match its digest")
     return _node(d, [lambda: d] * len(SECTION_FILES), chain,
-                 lambda part: {"store": store})
+                 lambda part: ({"store": store}, ()))
 
 
 def _read_checkpoint(path: str) -> Optional[tuple]:
@@ -852,12 +875,11 @@ def _read_checkpoint(path: str) -> Optional[tuple]:
 
 
 def _manifest(path: str, d: dict, data: bytes) -> tuple:
-    """The tag, the section digests and the log's certificate, if it has
-    one (an older version's has none), of the manifest `d`, parsed from
-    `data`, the bytes of the file at `path`, once its digest checks."""
+    """The tag, the section digests and the log's certificate, unread, if
+    it has one (an older version's has none), of the manifest `d`, parsed
+    from `data`, the bytes of the file at `path`, once its digest checks."""
     read_object(d, MANIFEST_KEYS | ({"log"} & d.keys()))
     tag = read(Checkpoint, d["block"])
-    cert = read(Certificate, d["log"]) if "log" in d else None
     if not _signed(data, tag):
         raise err("CorruptSnapshot", f"{path} does not match its digest")
     digests = d["sections"]
@@ -865,7 +887,7 @@ def _manifest(path: str, d: dict, data: bytes) -> tuple:
             or not _are_digests(list(digests.values()))):
         raise err("CorruptSnapshot", f"{path} sections: expected a digest "
                   f"of each of {list(SECTION_FILES)}, got {digests!r:.60}")
-    return tag, digests, cert
+    return tag, digests, d.get("log")
 
 
 def _uninitialized(state_dir: str):
@@ -955,7 +977,15 @@ def _rebuild(state_dir: str, why: str, old: tuple = None) -> Node:
                       "is missing") from None
     blocks = _read_log(chain_path, 0, check=False).held  # the replay checks
     node = _replay(blocks, LedgerState(config=config), chain_path)
-    node.state.chain.log = StoredLog(os.path.abspath(chain_path), len(blocks))
+    # the replay checked every block: a log of their canonical JSON is
+    # certified
+    parts = [block.canonical_json() for block in blocks]
+    with open(chain_path, "rb") as fh:
+        data = fh.read()
+    cert = _certificate(data, len(LOG_HEAD) - 1, blocks, parts, certify_at(
+        len(blocks))) if data == LOG_HEAD + b",".join(parts) + b"]}" else None
+    node.state.chain.log = StoredLog(os.path.abspath(chain_path), len(blocks),
+                                     cert=cert)
     print(f"notice: {state_dir}/state.json {why}; rebuilt the state from "
           f"{chain_path}", file=sys.stderr)
     return node
@@ -1060,7 +1090,7 @@ def import_snapshot(snapshot: dict) -> Node:
     if state_digest(body, chain) != snapshot.get("digest"):
         raise err("CorruptSnapshot", "snapshot digest does not match")
     node = _state_from_dicts(body, chain)
-    node.state.decode()  # an import checks every section
+    node.state.decode()  # an import checks every section and record
     return node
 
 

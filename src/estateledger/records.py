@@ -9,7 +9,8 @@ key, a list's index where its members are not leaves), on what
 `to_json` cannot have written: a value of the wrong exact type (a bool
 is no int), a missing or extra record key, a non-canonical int key or
 hex string, or a set's list out of order or holding a member twice.
-Both directions are built once per type."""
+Both directions are built once per type. ``LazyRecords`` is a dict of
+records read from one JSON object a record at a time, on first use."""
 
 import dataclasses
 import functools
@@ -150,6 +151,86 @@ def _members(items, r, leaf, key=None) -> dict:
     except LedgerError as exc:
         raise err(exc.code, f"{k}: {exc.message}") from None
     return out
+
+
+class Records(dict):
+    """A dict of records each of which is read: what a ``LazyRecords``
+    becomes once it has read its last, with no method of its own but
+    ``read_all``, so it answers at a plain dict's speed."""
+
+    def read_all(self):
+        """Nothing to do: every record is read."""
+
+
+class LazyRecords(Records):
+    """A ``dict[str, t]`` read from the JSON object `raw` one record at a
+    time: a record is read as ``read(t, value)`` reads it, then checked by
+    ``check(key, record)`` if given, when it is first looked up by its key
+    (``[]`` and ``get``). Every other method that reads or changes a
+    value reads every record first, of this dict and of a ``LazyRecords``
+    it is given: a subclass's method runs first, so a plain dict compared
+    with one reads it too. A refusal is worded as ``read(dict[str, t],
+    raw)`` words it, after `name`. Once the last record is read it is a
+    ``Records``."""
+
+    def __init__(self, raw, t, name: str, check=None):
+        if type(raw) is not dict:
+            raise err("CorruptSnapshot",
+                      f"{name}: {_refused('an object', raw).message}")
+        super().__init__(raw)
+        self.t, self.name, self.check = t, name, check
+        self.read, self.unread = reader(t), len(raw)
+        if not raw:
+            self._settle()
+
+    def __getitem__(self, key):
+        value = dict.__getitem__(self, key)
+        return value if type(value) is self.t else self._read(key, value)
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def __iter__(self):  # so a dict built from this one reads its values
+        return dict.__iter__(self)
+
+    def read_all(self):
+        t = self.t
+        for key, value in list(dict.items(self)):
+            if type(value) is not t:
+                self._read(key, value)
+
+    def _read(self, key, value):
+        try:
+            record = self.read(value)
+            if self.check is not None:
+                self.check(key, record)
+        except LedgerError as exc:
+            raise err(exc.code, f"{self.name}: {key}: {exc.message}") from None
+        dict.__setitem__(self, key, record)
+        self.unread -= 1
+        if not self.unread:
+            self._settle()
+        return record
+
+    def _settle(self):
+        vars(self).clear()
+        self.__class__ = Records
+
+
+def _whole(method):
+    def whole(self, *args, **kwargs):
+        for records in (self, *args):
+            if type(records) is LazyRecords:
+                records.read_all()
+        return method(self, *args, **kwargs)
+    return whole
+
+
+for _name in ("__eq__", "__ne__", "__or__", "__ror__", "__ior__", "__repr__",
+              "__reversed__", "__setitem__", "__delitem__", "__reduce__",
+              "__reduce_ex__", "clear", "copy", "items", "pop", "popitem",
+              "setdefault", "update", "values"):
+    setattr(LazyRecords, _name, _whole(getattr(dict, _name)))
 
 
 def _canonical(parse, write, expected: str):

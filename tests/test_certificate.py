@@ -19,6 +19,7 @@ import json
 import os
 import shutil
 import tempfile
+import time
 
 from hypothesis import given, settings, strategies as st
 
@@ -156,3 +157,87 @@ def test_the_certified_path_gives_the_full_paths_bytes(writes):
                 save_state(state_dir, node)
             _check(state_dir, work, ref)
         assert ref.state.chain.height > 70
+
+
+def _faucet_ledger(blocks: int) -> Node:
+    """A ledger of `blocks` blocks: genesis, its administrator, faucets."""
+    node = Node()
+    node.init_genesis(ADMIN_KEY, timestamp=0)
+    for i in range(2, blocks):
+        _op(node, i * 4)  # a faucet
+    return node
+
+
+def test_a_rebuild_certifies_the_log_it_replayed(tmp_path):
+    """A lost ``state.json`` is rebuilt from the log, whose blocks the
+    replay checks: the rebuilt ledger's log is certified, and the next
+    write's manifest holds the certificate an import's does."""
+    state_dir = tmp_path / "ledger"
+    blocks = 41  # the write leaves block certify_at where it was
+    assert certify_at(blocks) == certify_at(blocks + 1)
+    save_state(str(state_dir), _faucet_ledger(blocks))
+    os.remove(state_dir / "state.json")
+    with contextlib.redirect_stderr(io.StringIO()):
+        cert = load_state(str(state_dir)).state.chain.log.certificate()
+    assert cert is not None and cert.block.index == certify_at(blocks)
+    _cli(state_dir, "chain", "faucet", "--to", ADMIN, "--amount", "1",
+         "--as", ADMIN, "--timestamp", "9")
+    assert manifest(state_dir)["log"]["block"]["index"] == certify_at(
+        blocks + 1)
+    snapshot = str(tmp_path / "snap")
+    _cli(state_dir, "state", "export", "--out", snapshot)
+    _cli(tmp_path / "imported", "state", "import", "--in", snapshot)
+    assert _read(state_dir / "state.json") == _read(
+        tmp_path / "imported" / "state.json")
+
+
+def _write_ms(state_dir, i: int) -> float:
+    start = time.perf_counter()
+    _cli(state_dir, "chain", "faucet", "--to", ADMIN, "--amount", "1",
+         "--as", ADMIN, "--timestamp", str(i))
+    return (time.perf_counter() - start) * 1e3
+
+
+def test_a_write_to_an_uncertified_log_does_not_check_it_from_genesis(
+        tmp_path):
+    """A bad block drops the certificate at the next certification point;
+    after that an append checks the log again only when the certified
+    block moves, so a write costs about what it did before the drop."""
+    state_dir = tmp_path / "ledger"
+    save_state(str(state_dir), _faucet_ledger(2000))
+    before = min(_write_ms(state_dir, i) for i in range(15))
+    path = state_dir / "chain.json"
+    log = _read(path)
+    at = log.index(b'"index":50,')
+    at = log.index(b'"amount":', at) + len(b'"amount":')
+    path.write_bytes(log[:at] + (b"1" if log[at:at + 1] != b"1" else b"2")
+                     + log[at + 1:])
+    for i in range(100):
+        if "log" not in manifest(state_dir):
+            break
+        _write_ms(state_dir, 100 + i)
+    assert "log" not in manifest(state_dir)
+    after = min(_write_ms(state_dir, 200 + i) for i in range(15))
+    assert "log" not in manifest(state_dir)
+    assert after < 2 * before, (before, after)
+
+
+def test_a_mistyped_certificate_fails_only_the_commands_that_read_it(
+        tmp_path, capsys):
+    """The manifest's "log" is read on first use: mistyped under a
+    manifest signed again, it fails a write, the history digest and the
+    audit, each writing nothing, while `chain balance` answers."""
+    state_dir = tmp_path / "ledger"
+    save_state(str(state_dir), _faucet_ledger(5))
+    edit_checkpoint(state_dir, lambda d: d["log"]["block"].update(index="4"))
+    files = {name: _read(state_dir / name)
+             for name in ("chain.json", "state.json")}
+    for argv in (["chain", "faucet", "--to", ADMIN, "--amount", "1", "--as",
+                  ADMIN, "--timestamp", "9"], ["state", "digest"],
+                 ["chain", "verify"]):
+        assert cli.main([*argv, "--state-dir", str(state_dir)]) == 3
+        assert "index: expected int, got '4'" in capsys.readouterr().err
+    assert {name: _read(state_dir / name) for name in files} == files
+    assert cli.main(["chain", "balance", "--address", ADMIN,
+                     "--state-dir", str(state_dir)]) == 0
+    capsys.readouterr()

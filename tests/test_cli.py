@@ -1324,8 +1324,17 @@ MALFORMED_DIRS = {
     "store-not-a-digest": ("state.json", _edit_state(
         lambda d: d.update(store=["../chain"]))),
 }
-# the command each case runs, if not `chain faucet`
-HISTORY_READERS = {"chain-not-utf-8-in-block-1": ["chain", "verify"]}
+# the command each case runs, if not `chain faucet`: a history reader, or
+# a write of the section the case breaks, as a faucet decodes only the
+# accounts and its caller's stakeholder record
+_PAUSE = ["factory", "pause", "--as", ADMIN, "--timestamp", "3"]
+CASE_COMMANDS = {"chain-not-utf-8-in-block-1": ["chain", "verify"],
+                 **dict.fromkeys(
+                     ("no-factory", "contract-uninitialized",
+                      "contract-under-another-key", "proxy-dropped",
+                      "paused-an-int", "token-key-not-canonical"), _PAUSE),
+                 "store-not-a-digest": ["object", "put", "--data", "x",
+                                        "--as", ADMIN, "--timestamp", "3"]}
 # the exact refusal of each block-log case; "{dir}" is the state dir
 CHAIN_REFUSALS = {
     "truncated-chain": "{dir}/chain.json is not a JSON object",
@@ -1376,7 +1385,7 @@ def test_malformed_ledger_data_is_corrupt_snapshot(estate, case):
     if case in MALFORMED_DIRS:
         name, breaker = MALFORMED_DIRS[case]
         breaker(os.path.join(estate.state_dir, name))
-        command = HISTORY_READERS.get(case, [
+        command = CASE_COMMANDS.get(case, [
             "chain", "faucet", "--to", ADMIN, "--amount", "1",
             "--as", ADMIN, "--timestamp", "3"])
     elif case == "import-version-only":

@@ -7,7 +7,6 @@ object file a crash lost."""
 
 import builtins
 import contextlib
-import dataclasses
 import errno
 import gc
 import hashlib
@@ -1467,36 +1466,52 @@ def test_a_read_decodes_only_the_sections_it_uses(base, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_a_write_decodes_every_section_before_its_executor_runs(
+def _built(records) -> list:
+    """The keys of the records a ``LazyRecords`` has read so far."""
+    return sorted(key for key, value in dict.items(records)
+                  if type(value) is not dict)
+
+
+def test_a_write_decodes_whole_only_the_sections_its_op_writes(
         base, monkeypatch, capsys):
+    """A faucet's executor sees the accounts decoded, no stakeholder
+    record read but its caller's, and the contracts and the store still
+    pending."""
     seen, real = [], node_mod.EXECUTORS["faucet"]
 
     def spy(state, *args):
-        seen.append((type(state), sorted(vars(state))))
+        seen.append((type(state), sorted(vars(state).keys()
+                                         & node_mod.SECTIONS),
+                     _built(state.registry.stakeholders)))
         return real(state, *args)
     monkeypatch.setitem(node_mod.EXECUTORS, "faucet", spy)
     assert estate(base, *faucet(5, 10)) == 0
-    assert seen == [(LedgerState, sorted(
-        f.name for f in dataclasses.fields(LedgerState)))]
+    assert seen == [(PendingState, ["native", "registry"], [ADMIN])]
     capsys.readouterr()
 
 
 def test_a_section_no_command_reads_fails_only_the_commands_that_read_it(
         base, capsys):
     """With the registry's file stored again under its new digest, a
-    mistyped stakeholder record fails the commands that decode the
-    registry: every write, and a read of it."""
-    edit_checkpoint(base, lambda d: next(iter(
-        d["stakeholders"]["stakeholders"].values())).update(active=1))
+    mistyped stakeholder record fails the commands that read it: a read
+    of the record, the digest and the audit. A faucet, which reads its
+    caller's record alone, passes over it and keeps the registry's file."""
+    edit_checkpoint(base, lambda d: d["stakeholders"]["stakeholders"][
+        SELLER].update(active=1))
+    registry = f'sections/{manifest(base)["sections"]["registry"]}.json'
     files = dir_bytes(base)
     assert estate(base, "chain", "balance", "--address", SELLER) == 0
-    assert estate(base, "chain", "verify") == 0
     capsys.readouterr()
     for argv in (["stakeholder", "show", "--address", SELLER],
-                 ["state", "digest"], faucet(5, 10)):
+                 ["state", "digest"], ["chain", "verify"]):
         assert estate(base, *argv) == 3
         assert "active: expected bool, got 1" in capsys.readouterr().err
     assert dir_bytes(base) == files
+    assert estate(base, *faucet(5, 10)) == 0
+    assert f'sections/{manifest(base)["sections"]["registry"]}.json' == (
+        registry)
+    assert read(base, registry) == files[registry]
+    capsys.readouterr()
 
 
 # -- a section file is read only when its section is used ---------------------
@@ -1535,7 +1550,8 @@ def test_a_command_parses_only_the_slices_of_the_sections_it_uses(
         deployed, monkeypatch, capsys):
     """A command reads, checks and parses the file of each section it
     uses and no other: `chain balance` none, `token balance` the
-    contracts, `object get` the store, and a write all three."""
+    contracts, `object get` the store, and a faucet the registry, for its
+    caller's record."""
     state_dir, prop = deployed
     opened = _read_sections(monkeypatch, state_dir)
     assert estate(state_dir, "chain", "balance", "--address", SELLER) == 0
@@ -1548,7 +1564,7 @@ def test_a_command_parses_only_the_slices_of_the_sections_it_uses(
     assert opened == ["store"]
     opened.clear()
     assert estate(state_dir, *faucet(5, 10)) == 0
-    assert sorted(opened) == ["contracts", "registry", "store"]
+    assert opened == ["registry"]
     capsys.readouterr()
 
 
@@ -1615,6 +1631,12 @@ SECTION_HEADS = {
     "registry": (b'{"stakeholders":{"stakeholders":', [
         ["stakeholder", "show", "--address", SELLER]]),
     "store": (b'{"store":', [["object", "get", "--cid", make_cid(b"deed")]])}
+# a write that reads each section's file
+SECTION_WRITERS = {
+    "contracts": ["factory", "pause", "--as", ADMIN, "--timestamp", "10"],
+    "registry": faucet(5, 10),
+    "store": ["object", "put", "--data", "x", "--as", ADMIN,
+              "--timestamp", "10"]}
 
 
 def _key_refused(deployed, capsys, name, key, value):
@@ -1628,7 +1650,7 @@ def _key_refused(deployed, capsys, name, key, value):
     assert estate(state_dir, "chain", "balance", "--address", SELLER) == 0
     assert capsys.readouterr().out.endswith("balance: 500\n")  # the manifest's
     expected = sorted(persistence.SECTION_FILES[name][0])
-    for argv in [*readers, ["state", "digest"], faucet(5, 10)]:
+    for argv in [*readers, ["state", "digest"], SECTION_WRITERS[name]]:
         assert estate(state_dir, *[a.format(prop=prop) for a in argv]) == 3
         assert capsys.readouterr().err == (
             f"error: CorruptSnapshot: keys {sorted(expected + [key])}, "

@@ -1,6 +1,7 @@
 """The record codec: a stored value is read only in the exact form
 `to_json` writes, and anything else is CorruptSnapshot."""
 
+import copy
 import dataclasses
 import json
 import os
@@ -14,7 +15,7 @@ from estateledger import cli
 from estateledger.addresses import derive_address
 from estateledger.errors import LedgerError
 from estateledger.persistence import load_state, save_state
-from estateledger.records import read, to_json
+from estateledger.records import LazyRecords, Records, read, to_json
 
 from checkpoints import read_checkpoint, write_checkpoint
 
@@ -48,6 +49,13 @@ def _dumped_with(doc, path, new, **dump) -> str:
         return json.dumps(doc, **dump)
     finally:
         inner[path[-1]] = old
+
+
+def _read_all(state_dir):
+    """Load the dir and read every value of it a command may read."""
+    node = load_state(str(state_dir))
+    node.state.decode()
+    node.state.chain.log.certificate()
 
 
 def test_every_mistyped_leaf_is_corrupt_snapshot(approved_prop, tmp_path):
@@ -87,13 +95,14 @@ def test_every_mistyped_leaf_is_corrupt_snapshot(approved_prop, tmp_path):
                 else:
                     file.write_text(_dumped_with(edited, path, new))
                 probes += 1
-                # a section is read on first use: decode() reads each
+                # a section, a record and the log's certificate are each
+                # read on first use: _read_all reads every one
                 if new is None and any(path[-len(end):] == end
                                        for end in OPTIONAL):
-                    load_state(str(tmp_path)).state.decode()
+                    _read_all(tmp_path)
                     continue
                 with pytest.raises(LedgerError) as e:
-                    load_state(str(tmp_path)).state.decode()
+                    _read_all(tmp_path)
                 assert e.value.code == "CorruptSnapshot", (name, path, new)
         file.write_bytes(original)
     assert probes > 400
@@ -120,6 +129,68 @@ def test_non_canonical_forms_are_refused(t, value):
     with pytest.raises(LedgerError) as e:
         read(t, value)
     assert e.value.code == "CorruptSnapshot"
+
+
+@dataclasses.dataclass
+class _Pair:
+    left: int
+    right: str
+
+
+def _pairs() -> LazyRecords:
+    return LazyRecords({"a": {"left": 1, "right": "x"},
+                        "b": {"left": "1", "right": "y"}}, _Pair, "pairs")
+
+
+def test_lazy_records_read_a_record_on_first_lookup():
+    """A record is read when its key is first looked up; keys, length and
+    membership read none, and a mistyped record refuses only its reader."""
+    pairs = _pairs()
+    assert (sorted(pairs), len(pairs), "b" in pairs) == (["a", "b"], 2, True)
+    assert pairs["a"] == _Pair(1, "x") and pairs.get("c") is None
+    assert pairs.get("a") is pairs["a"]
+    with pytest.raises(LedgerError) as e:
+        pairs.get("b")
+    assert e.value.message == "pairs: b: left: expected int, got '1'"
+    assert type(pairs) is LazyRecords
+
+
+@pytest.mark.parametrize("whole", [
+    dict, copy.deepcopy, lambda m: m == {}, lambda m: list(m.values()),
+    lambda m: list(m.items()), lambda m: m.pop("a"), lambda m: {**m},
+    lambda m: m.update(c=_Pair(3, "z"))], ids=[
+    "dict", "deepcopy", "eq", "values", "items", "pop", "unpack", "update"])
+def test_lazy_records_read_every_record_before_any_other_method(whole):
+    """Any other method, or a copy, reads every record first: a mistyped
+    one refuses it, and none of them sees a record's JSON."""
+    with pytest.raises(LedgerError):
+        whole(_pairs())
+    pairs = _pairs()
+    dict.__setitem__(pairs, "b", {"left": 2, "right": "y"})  # mend it
+    whole(pairs)
+    assert type(pairs) is Records  # every record read: a plain dict
+    assert all(type(pair) is _Pair for pair in dict.values(pairs))
+
+
+def test_lazy_records_compare_by_their_records():
+    """Either side of a comparison reads every record of a lazy one."""
+    def mended() -> LazyRecords:
+        pairs = _pairs()
+        dict.__setitem__(pairs, "b", {"left": 2, "right": "y"})
+        return pairs
+    whole = mended()
+    whole.read_all()
+    assert type(whole) is Records
+    for left, right in ((mended(), mended()), (whole, mended()),
+                        (mended(), whole), (dict(whole), mended())):
+        assert left == right and not left != right
+
+
+def test_lazy_records_of_no_record_is_a_plain_dict():
+    assert type(LazyRecords({}, _Pair, "pairs")) is Records
+    with pytest.raises(LedgerError) as e:
+        LazyRecords([], _Pair, "pairs")
+    assert e.value.message == "pairs: expected an object, got []"
 
 
 @dataclasses.dataclass
