@@ -134,7 +134,8 @@ class PendingState(LedgerState):
     def decode(self, names=None):
         """Decode each section of `names`, every one by default, whole:
         the section, and each record of it not yet read."""
-        for name in [*self.pending, *self.lazy] if names is None else names:
+        for name in [name for name in (*self.pending, *self.lazy)
+                     if names is None or name in names]:  # a fixed order
             getattr(self, name)
             for records in vars(self).get("lazy", {}).get(name, ()):
                 records.read_all()  # none left once the state is settled

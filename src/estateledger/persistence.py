@@ -962,7 +962,8 @@ def _rebuild(state_dir: str, why: str, old: tuple = None) -> Node:
     ``config.json``; without one, that of `old`, an older version's
     checkpoint parsed and its bytes, once its digest checks. It writes
     nothing: the next write stores the checkpoint whole, and every object
-    file."""
+    file, with the certificate of the log if its bytes are the blocks the
+    replay sealed."""
     config_path = os.path.join(state_dir, "config.json")
     chain_path = os.path.join(state_dir, "chain.json")
     try:
@@ -977,8 +978,10 @@ def _rebuild(state_dir: str, why: str, old: tuple = None) -> Node:
                       "is missing") from None
     blocks = _read_log(chain_path, 0, check=False).held  # the replay checks
     node = _replay(blocks, LedgerState(config=config), chain_path)
-    # the replay checked every block: a log of their canonical JSON is
-    # certified
+    # the replay sealed every block again: a log of their canonical JSON
+    # is certified; the recorded blocks' fields beyond each hash are not
+    # checked by the replay
+    blocks = node.state.chain.held
     parts = [block.canonical_json() for block in blocks]
     with open(chain_path, "rb") as fh:
         data = fh.read()

@@ -21,6 +21,7 @@ import shutil
 import tempfile
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from checkpoints import edit_checkpoint, manifest
@@ -29,6 +30,7 @@ from estateledger.addresses import derive_address
 from estateledger.node import Node
 from estateledger.persistence import (LedgerDir, StoredLog, certify_at,
                                       load_state, save_state)
+from test_golden import ADMIN as TOUR_ADMIN, quick_tour
 
 ADMIN_KEY = b"admin-key-1"
 ADMIN = derive_address(ADMIN_KEY)
@@ -189,6 +191,42 @@ def test_a_rebuild_certifies_the_log_it_replayed(tmp_path):
     _cli(tmp_path / "imported", "state", "import", "--in", snapshot)
     assert _read(state_dir / "state.json") == _read(
         tmp_path / "imported" / "state.json")
+
+
+def _flip_prev_hash(log: bytes) -> bytes:
+    at = log.index(b'"prevHash":"', log.index(b'"index":3,')) + 12
+    return log[:at] + (b"1" if log[at:at + 1] != b"1" else b"2") + log[
+        at + 1:]
+
+
+def _edit_event(log: bytes) -> bytes:
+    at = log.index(b'"propertyId":1}', log.index(b'"DeployedProperty"'))
+    return log[:at] + b'"propertyId":2}' + log[at + len(b'"propertyId":1}'):]
+
+
+@pytest.mark.parametrize("edit", [_flip_prev_hash, _edit_event])
+def test_a_rebuild_does_not_certify_bytes_its_replay_did_not_seal(
+        tmp_path, capsys, edit):
+    """The replay checks each re-executed block's hash against the
+    recorded one, not the recorded bytes: a block whose `prevHash` or
+    event was edited still replays. The rebuild certifies only the
+    canonical JSON of the blocks it sealed, so the write after it leaves
+    the log uncertified and the history reader refuses the edit."""
+    state_dir = tmp_path / "ledger"
+    quick_tour(str(state_dir))
+    path = state_dir / "chain.json"
+    log = _read(path)
+    path.write_bytes(edit(log))
+    assert _read(path) != log
+    os.remove(state_dir / "state.json")
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert load_state(str(state_dir)).state.chain.log.certificate() is None
+    _cli(state_dir, "chain", "faucet", "--to", TOUR_ADMIN, "--amount", "1",
+         "--as", TOUR_ADMIN, "--timestamp", "100")
+    assert "log" not in manifest(state_dir)
+    capsys.readouterr()
+    assert cli.main(["state", "digest", "--state-dir", str(state_dir)]) == 3
+    assert "HashMismatch" in capsys.readouterr().err
 
 
 def _write_ms(state_dir, i: int) -> float:

@@ -289,3 +289,20 @@ def test_a_loaded_state_settles_once_every_record_is_read(template):
     assert type(state) is node_mod.LedgerState
     assert type(state.properties) is Records
     assert type(state.registry.stakeholders) is Records
+
+
+def test_a_write_reports_its_sections_in_one_order(template, tmp_path):
+    """With the accounts and the contracts both mistyped, the section
+    reported is the same whatever order the sections are named in, as
+    a set of names iterates in an order that moves with the hash seed."""
+    def edit(d):
+        MISTYPED["accounts"](d)
+        MISTYPED["contracts"](d)
+    state_dir = _copy(template, tmp_path, edit)
+    messages = set()
+    for names in (["native", "properties"], ["properties", "native"]):
+        with pytest.raises(LedgerError) as exc:
+            LedgerDir(state_dir).node.state.decode(names)
+        assert exc.value.code == "CorruptSnapshot"
+        messages.add(exc.value.message)
+    assert len(messages) == 1
